@@ -88,6 +88,7 @@ class Symbol:
     base: str = ""
     wrt: tuple[str, ...] = ()
     sort_key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KIND_RANK:
@@ -96,6 +97,10 @@ class Symbol:
             raise ValueError("jet symbol requires base and wrt")
         key = (0, _KIND_RANK[self.kind], self.base or self.name, self.wrt, self.name)
         object.__setattr__(self, "sort_key", key)
+        object.__setattr__(self, "_hash", hash((self.name, self.kind, self.base, self.wrt)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_jet(self) -> bool:
@@ -122,6 +127,7 @@ class FnAtom:
     args: tuple
     dtag: tuple[int, ...] = ()
     sort_key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dtag = self.dtag or (0,) * len(self.args)
@@ -130,6 +136,10 @@ class FnAtom:
         object.__setattr__(self, "dtag", tuple(dtag))
         key = (1, self.head, self.dtag, tuple(a.sort_key for a in self.args))
         object.__setattr__(self, "sort_key", key)
+        object.__setattr__(self, "_hash", hash((self.head, self.args, self.dtag)))
+
+    def __hash__(self):
+        return self._hash
 
     def bump(self, slot: int) -> "FnAtom":
         tag = list(self.dtag)
@@ -174,8 +184,10 @@ class Expr:
     def __init__(self, terms: Mapping[Monomial, Fraction]):
         clean = {m: c for m, c in terms.items() if c}
         self._terms = clean
-        self._key = tuple(sorted((_mono_key(m), m, c) for m, c in clean.items()))
-        self._hash = hash(tuple((k, c) for k, _m, c in self._key))
+        # the sorted term tuple and the hash are built on first use; most
+        # intermediate expressions never need either
+        self._key = None
+        self._hash = None
 
     # -- construction -----------------------------------------------------
     @staticmethod
@@ -194,6 +206,8 @@ class Expr:
     # -- basic queries ------------------------------------------------------
     @property
     def sort_key(self) -> tuple:
+        if self._key is None:
+            self._key = tuple(sorted((_mono_key(m), m, c) for m, c in self._terms.items()))
         return self._key
 
     @property
@@ -201,7 +215,7 @@ class Expr:
         return not self._terms
 
     def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
-        for _k, m, c in self._key:
+        for _k, m, c in self.sort_key:
             yield m, c
 
     def constant_value(self) -> Fraction | None:
@@ -241,14 +255,6 @@ class Expr:
                     if any(arg.mentions(sym, True) for arg in a.args):
                         return True
         return False
-
-    def degree_in(self, atom: Atom) -> int:
-        deg = 0
-        for m in self._terms:
-            for a, k in m:
-                if a == atom:
-                    deg = max(deg, k)
-        return deg
 
     def coefficients_in(self, atom: Atom) -> dict[int, "Expr"]:
         """Split as a polynomial in one atom: power -> coefficient."""
@@ -336,9 +342,12 @@ class Expr:
     def __eq__(self, other):
         if not isinstance(other, Expr):
             return NotImplemented
-        return self._hash == other._hash and self._terms == other._terms
+        return self._terms == other._terms
 
     def __hash__(self):
+        if self._hash is None:
+            # integer parts instead of Fraction.__hash__, which costs a modular inverse
+            self._hash = hash(frozenset((m, c.numerator, c.denominator) for m, c in self._terms.items()))
         return self._hash
 
     def __repr__(self):

@@ -10,7 +10,11 @@ leading derivative coordinates (one per equation), this module
    to the solution manifold by eliminating the leading coordinates,
 4. splits on monomials in the surviving derivative coordinates, producing
    an overdetermined linear system on the unknowns, and
-5. checks concrete generator candidates against that system exactly.
+5. checks a concrete generator candidate without that system: the
+   candidate is prolonged and applied to the source equations, and steps
+   3-4 run on the result.  Candidate components are free of derivative
+   coordinates, so this gives exactly the determining equations with the
+   candidate substituted for the unknowns.
 
 Everything is exact rational arithmetic; a residual is a symmetry witness
 iff it is the structural zero.
@@ -41,6 +45,7 @@ __all__ = [
     "VectorFieldAnsatz",
     "DeterminingSystem",
     "CandidateGenerator",
+    "Verification",
     "build_ansatz",
     "prolong_coefficients",
     "build_determining_system",
@@ -262,6 +267,39 @@ def prolong_coefficients(
     return out
 
 
+def _apply_and_split(
+    system: PdeSystem,
+    xi: dict[Symbol, Expr],
+    eta: dict[Symbol, Expr],
+    prolonged: dict[Symbol, Expr],
+) -> tuple[list[dict[Expr, Expr]], list[str]]:
+    """Apply the prolonged field to each source equation, restrict the result
+    to the solution manifold and split it on monomials in the surviving
+    derivative coordinates.  Also returns the system's assumptions extended
+    by the denominators the reduction divided out."""
+    ctx = system.context
+    jets = system.jets()
+    surviving = system.surviving_jets()
+    assumptions = list(system.assumptions)
+    splits = []
+    for eqn in system.equations:
+        applied = ZERO
+        for x in ctx.independents:
+            applied = applied + xi[x] * eqn.pdiff(x)
+        for u in ctx.dependents:
+            applied = applied + eta[u] * eqn.pdiff(u)
+        for jet in jets:
+            d = eqn.pdiff(jet)
+            if not d.is_zero:
+                applied = applied + prolonged[jet] * d
+        reduced, used = reduce_on_manifold(applied, system.solved)
+        for note in used:
+            if note not in assumptions:
+                assumptions.append(note)
+        splits.append(collect(reduced, surviving))
+    return splits, assumptions
+
+
 # ---------------------------------------------------------------------------
 # Determining system
 # ---------------------------------------------------------------------------
@@ -302,26 +340,10 @@ def _scalar_normalize(e: Expr) -> Expr:
 
 def build_determining_system(system: PdeSystem) -> DeterminingSystem:
     ansatz = build_ansatz(system)
-    ctx = system.context
-    jets = system.jets()
-
+    splits, assumptions = _apply_and_split(system, ansatz.xi, ansatz.eta, ansatz.prolonged)
     produced: list[tuple[Expr, int, Expr]] = []
-    assumptions = list(system.assumptions)
-    for e_idx, eqn in enumerate(system.equations):
-        applied = ZERO
-        for x in ctx.independents:
-            applied = applied + ansatz.xi[x] * eqn.pdiff(x)
-        for u in ctx.dependents:
-            applied = applied + ansatz.eta[u] * eqn.pdiff(u)
-        for jet in jets:
-            d = eqn.pdiff(jet)
-            if not d.is_zero:
-                applied = applied + ansatz.prolonged[jet] * d
-        reduced, used = reduce_on_manifold(applied, system.solved)
-        for note in used:
-            if note not in assumptions:
-                assumptions.append(note)
-        for monomial, coefficient in collect(reduced, system.surviving_jets()).items():
+    for e_idx, split in enumerate(splits):
+        for monomial, coefficient in split.items():
             produced.append((coefficient, e_idx, monomial))
 
     # The count convention: drop zeros (collect already did) and exact
@@ -408,41 +430,39 @@ class CandidateGenerator:
         return CandidateGenerator(ctx, xi, eta, f"{self.label}+{other.label}")
 
 
-def verify_generator(
-    system: PdeSystem, det: DeterminingSystem, cand: CandidateGenerator
-) -> list[Expr]:
-    """Substitute a candidate (with its exact partial derivatives) into every
-    determining equation.  The candidate generates a point symmetry iff all
-    returned residuals are structurally zero."""
-    ctx = system.context
-    args = (*ctx.independents, *ctx.dependents)
-    components: dict[str, Expr] = {}
-    for x in ctx.independents:
-        components[f"xi_{x.name}"] = cand.component(x)
-    for u in ctx.dependents:
-        components[f"eta_{u.name}"] = cand.component(u)
+@dataclass(frozen=True)
+class Verification:
+    """Residuals of one candidate: the coefficients of every surviving
+    derivative monomial, per source equation.  Iterating yields the
+    residuals; the candidate generates a point symmetry iff all are the
+    structural zero."""
 
+    residuals: tuple[Expr, ...]
+    assumptions: tuple[str, ...]
+
+    def __iter__(self):
+        return iter(self.residuals)
+
+
+def verify_generator(system: PdeSystem, cand: CandidateGenerator) -> Verification:
+    """Prolong the candidate, apply it to every source equation and reduce on
+    the solution manifold.  ``assumptions`` are the system's genericity
+    assumptions plus the denominators the reduction divided out."""
+    ctx = system.context
     known = set(ctx._by_name) | {p.name for p in cand.context.parameters}
-    for comp in components.values():
+    for comp in (*cand.xi.values(), *cand.eta.values()):
         for s in comp.symbols():
             if s.name not in known:
                 raise LieError(f"generator component references undeclared symbol {s.name!r}")
 
-    cache: dict[tuple[str, tuple[int, ...]], Expr] = {}
-
-    def resolve(atom):
-        if not isinstance(atom, FnAtom) or atom.head not in components:
-            return None
-        key = (atom.head, atom.dtag)
-        if key not in cache:
-            value = components[atom.head]
-            for slot, count in enumerate(atom.dtag):
-                for _ in range(count):
-                    value = value.pdiff(args[slot])
-            cache[key] = value
-        return cache[key]
-
-    return [eqn.substitute_atoms(resolve) for eqn in det.equations]
+    xi = {x: cand.component(x) for x in ctx.independents}
+    eta = {u: cand.component(u) for u in ctx.dependents}
+    prolonged: dict[Symbol, Expr] = {}
+    for u in ctx.dependents:
+        prolonged.update(prolong_coefficients(ctx, list(xi.values()), eta[u], u))
+    splits, assumptions = _apply_and_split(system, xi, eta, prolonged)
+    residuals = tuple(r for split in splits for r in split.values())
+    return Verification(residuals, tuple(assumptions))
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +501,10 @@ def parse_generator(base: Context, text: str, label: str = "") -> CandidateGener
     xi: dict[Symbol, Expr] = {}
     eta: dict[Symbol, Expr] = {}
     for kind, name, body in assigns:
-        sym = ctx.symbol(name)
+        try:
+            sym = ctx.symbol(name)
+        except KeyError:
+            raise LieError(f"{kind}({name}): undeclared variable {name!r}") from None
         value = ctx.parse(body)
         if kind == "xi":
             if sym.kind != "independent":

@@ -93,32 +93,27 @@ def test_criterion_2_generator_verification():
     t0 = time.perf_counter()
     failures = []
 
-    def expect_all_zero(system, det, gen, label):
-        residuals = verify_generator(system, det, gen)
+    def expect_all_zero(system, gen, label):
+        residuals = verify_generator(system, gen)
         bad = sum(1 for r in residuals if not r.is_zero)
         if bad:
             failures.append(f"{label}: {bad} nonzero residuals")
 
     mhd = mhd_system()
-    det_mhd = build_determining_system(mhd)
     for gen in classical_generators(mhd):
-        expect_all_zero(mhd, det_mhd, gen, f"mhd/{gen.label}")
+        expect_all_zero(mhd, gen, f"mhd/{gen.label}")
 
     cgl_open = cgl_system(closed=False)
-    det_open = build_determining_system(cgl_open)
     for gen in classical_generators(cgl_open) + [pressure_anisotropy_scaling(cgl_open)]:
-        expect_all_zero(cgl_open, det_open, gen, f"cgl/{gen.label}")
+        expect_all_zero(cgl_open, gen, f"cgl/{gen.label}")
 
     cgl_closed = cgl_system(closed=True)
-    det_closed = build_determining_system(cgl_closed)
     for mult in ("1", "tau"):
-        expect_all_zero(
-            cgl_closed, det_closed, line_function_generator(cgl_closed, mult), f"cgl_closed/F={mult}"
-        )
+        expect_all_zero(cgl_closed, line_function_generator(cgl_closed, mult), f"cgl_closed/F={mult}")
 
     ctx = mhd.context
     bogus = CandidateGenerator(ctx, {}, {ctx.symbol("P"): ctx.var("x")}, "bogus")
-    bogus_residuals = verify_generator(mhd, det_mhd, bogus)
+    bogus_residuals = verify_generator(mhd, bogus)
     if all(r.is_zero for r in bogus_residuals):
         failures.append("negative control verified unexpectedly")
 

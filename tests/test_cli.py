@@ -79,6 +79,26 @@ def test_verify_rejects_bogus_generator(tmp_path):
     assert report["counts"]["nonzero_residuals"] >= 1
 
 
+def test_verify_report_counts_source_equations(tmp_path):
+    code, out = run(
+        tmp_path, "v", "lie", "verify", data_path("cgl_static_closed.pde"), data_path("cgl_line_function.gen")
+    )
+    assert code == 0
+    report = read_report(out)
+    assert report["counts"] == {"source_equations": 5, "nonzero_residuals": 0}
+    assert report["assumptions"] == ["B1 != 0"]
+
+
+def test_verify_undeclared_component_is_validation_error(tmp_path):
+    gen = tmp_path / "undeclared.gen"
+    gen.write_text("xi(q) = 1;\n")
+    code, out = run(tmp_path, "v", "lie", "verify", data_path("mhd_static.pde"), str(gen))
+    assert code == 2
+    report = read_report(out)
+    assert report["pass"] is False
+    assert report["error"] == "xi(q): undeclared variable 'q'"
+
+
 def test_vortex_transform_check_pipeline(tmp_path):
     code, vortex_out = run(tmp_path, "vortex", "vortex", "--R", "1", "--n", "3", "--grid", "33")
     assert code == 0

@@ -233,3 +233,47 @@ def test_normal_form_idempotent_under_rebuild(e1, e2):
     for mono, coeff in s.terms():
         rebuilt = rebuilt + Expr({mono: coeff})
     assert rebuilt == s
+
+
+_hatoms = [
+    _pctx.var("x"),
+    _pctx.var("u"),
+    _pctx.var("c"),
+    Expr.from_atom(_pctx.jet("u", ["y"])),
+    _pctx.parse("sin(x)"),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * len(_hatoms)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool),
+        max_size=6,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_hash_and_term_order_do_not_depend_on_construction(poly, rnd):
+    def monomial(exps):
+        out = Expr.number(1)
+        for atom, k in zip(_hatoms, exps):
+            out = out * atom**k
+        return out
+
+    # one polynomial summed term by term, and again in another order with each
+    # coefficient split into two unreduced halves such as Fraction(2, 4)
+    forward = Expr.number(0)
+    for exps, q in poly.items():
+        forward = forward + monomial(exps) * Expr.number(q)
+    items = list(poly.items())
+    rnd.shuffle(items)
+    split = Expr.number(0)
+    for exps, q in items:
+        half = Expr.number(Fraction(q.numerator * 2, q.denominator * 4))
+        split = split + half * monomial(exps) + monomial(exps) * half
+    # and straight from a term map in reversed insertion order
+    direct = Expr({m: c for m, c in reversed(list(forward.terms()))})
+    for other in (split, direct):
+        assert other == forward
+        assert hash(other) == hash(forward)
+        assert list(other.terms()) == list(forward.terms())

@@ -1,6 +1,11 @@
-import pytest
+import functools
+from fractions import Fraction
+from importlib import resources
 
-from plasmeq.expr import Context, Expr, pretty
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from plasmeq.expr import Context, Expr, FnAtom, pretty
 from plasmeq.lie import (
     LieError,
     PdeSystem,
@@ -14,6 +19,7 @@ from plasmeq.systems import (
     classical_generators,
     cgl_system,
     line_function_generator,
+    load_system,
     mhd_system,
     pressure_anisotropy_scaling,
     rotations,
@@ -158,40 +164,39 @@ def _all_zero(residuals):
     return all(r.is_zero for r in residuals)
 
 
-def test_classical_generators_on_mhd(mhd, det_mhd):
+def test_classical_generators_on_mhd(mhd):
     for gen in classical_generators(mhd):
-        residuals = verify_generator(mhd, det_mhd, gen)
+        residuals = verify_generator(mhd, gen)
         assert _all_zero(residuals), gen.label
 
 
 def test_classical_and_anisotropy_generators_on_open_cgl():
     system = cgl_system(closed=False)
-    det = build_determining_system(system)
     for gen in classical_generators(system) + [pressure_anisotropy_scaling(system)]:
-        assert _all_zero(verify_generator(system, det, gen)), gen.label
+        assert _all_zero(verify_generator(system, gen)), gen.label
 
 
-def test_line_function_family_on_closed_cgl(cgl_closed, det_cgl_closed):
+def test_line_function_family_on_closed_cgl(cgl_closed):
     for multiplier in ("1", "tau"):
         gen = line_function_generator(cgl_closed, multiplier)
-        assert _all_zero(verify_generator(cgl_closed, det_cgl_closed, gen))
+        assert _all_zero(verify_generator(cgl_closed, gen))
 
 
-def test_anisotropy_scaling_also_verifies_on_closed_system(cgl_closed, det_cgl_closed):
+def test_anisotropy_scaling_also_verifies_on_closed_system(cgl_closed):
     gen = pressure_anisotropy_scaling(cgl_closed)
-    assert _all_zero(verify_generator(cgl_closed, det_cgl_closed, gen))
+    assert _all_zero(verify_generator(cgl_closed, gen))
 
 
-def test_bogus_generator_rejected(mhd, det_mhd):
+def test_bogus_generator_rejected(mhd):
     ctx = mhd.context
     bogus = CandidateGenerator(ctx, {}, {ctx.symbol("P"): ctx.var("x")}, "bogus")
-    residuals = verify_generator(mhd, det_mhd, bogus)
+    residuals = verify_generator(mhd, bogus)
     assert any(not r.is_zero for r in residuals)
 
 
-def test_superposition_of_verified_generators(mhd, det_mhd):
+def test_superposition_of_verified_generators(mhd):
     combined = translations(mhd) + rotations(mhd)
-    assert _all_zero(verify_generator(mhd, det_mhd, combined))
+    assert _all_zero(verify_generator(mhd, combined))
 
 
 def test_candidate_must_be_concrete(mhd):
@@ -200,17 +205,17 @@ def test_candidate_must_be_concrete(mhd):
         CandidateGenerator(ctx, {}, {ctx.symbol("P"): ctx.parse("diff(B1,x)")})
 
 
-def test_candidate_with_undeclared_symbol_rejected(mhd, det_mhd):
+def test_candidate_with_undeclared_symbol_rejected(mhd):
     other = Context(["w"])
     bad = CandidateGenerator(mhd.context, {}, {mhd.context.symbol("P"): other.var("w")})
     with pytest.raises(LieError, match="undeclared"):
-        verify_generator(mhd, det_mhd, bad)
+        verify_generator(mhd, bad)
 
 
 # -- generator files ------------------------------------------------------------
 
 
-def test_parse_generator_file(mhd, det_mhd):
+def test_parse_generator_file(mhd):
     text = """
     # rotation about the z axis
     param c;
@@ -220,9 +225,130 @@ def test_parse_generator_file(mhd, det_mhd):
     eta(B2) = -c*B1;
     """
     gen = parse_generator(mhd.context, text, "z-rotation")
-    assert _all_zero(verify_generator(mhd, det_mhd, gen))
+    assert _all_zero(verify_generator(mhd, gen))
 
 
 def test_parse_generator_rejects_bad_slot(mhd):
     with pytest.raises(LieError, match="independent"):
         parse_generator(mhd.context, "xi(B1) = 1;")
+
+
+# -- direct verification against the determining system -------------------------
+
+
+def _substitution_verdict(system, det, cand):
+    """Reference verdict: substitute the candidate and its partial derivatives
+    for the unknowns of every determining equation."""
+    ctx = system.context
+    args = (*ctx.independents, *ctx.dependents)
+    components = {f"xi_{x.name}": cand.component(x) for x in ctx.independents}
+    components.update({f"eta_{u.name}": cand.component(u) for u in ctx.dependents})
+    cache = {}
+
+    def resolve(atom):
+        if not isinstance(atom, FnAtom) or atom.head not in components:
+            return None
+        key = (atom.head, atom.dtag)
+        if key not in cache:
+            value = components[atom.head]
+            for slot, count in enumerate(atom.dtag):
+                for _ in range(count):
+                    value = value.pdiff(args[slot])
+            cache[key] = value
+        return cache[key]
+
+    return all(eqn.substitute_atoms(resolve).is_zero for eqn in det.equations)
+
+
+@functools.lru_cache(maxsize=None)
+def _system_and_det(name):
+    system = load_system(name)
+    return system, build_determining_system(system)
+
+
+def _catalogue(system):
+    gens = classical_generators(system)
+    if "tau" in {u.name for u in system.context.dependents}:
+        gens += [pressure_anisotropy_scaling(system), line_function_generator(system, "1")]
+    return gens
+
+
+def _pressure_shift(system, axis, q=Fraction(1)):
+    ctx = system.context
+    pressure = "pperp" if "tau" in {u.name for u in ctx.dependents} else "P"
+    eta = {ctx.symbol(pressure): ctx.var(axis) * Expr.number(q)}
+    return CandidateGenerator(ctx, {}, eta, f"shift-{axis}")
+
+
+def _scaled(gen, q):
+    k = Expr.number(q)
+    return CandidateGenerator(
+        gen.context, {s: v * k for s, v in gen.xi.items()}, {s: v * k for s, v in gen.eta.items()}, gen.label
+    )
+
+
+def _direct_verdict(system, cand):
+    return _all_zero(verify_generator(system, cand))
+
+
+@pytest.mark.parametrize("name", ["mhd", "cgl", "cgl_closed"])
+def test_direct_verdicts_match_the_determining_system(name):
+    system, det = _system_and_det(name)
+    for gen in _catalogue(system):
+        assert _direct_verdict(system, gen) is _substitution_verdict(system, det, gen) is True, gen.label
+    for axis in ("x", "y", "z"):
+        shift = _pressure_shift(system, axis)
+        assert _direct_verdict(system, shift) is _substitution_verdict(system, det, shift) is False, axis
+    if name == "mhd":
+        text = resources.files("plasmeq.data").joinpath("mhd_bogus.gen").read_text()
+        bogus = parse_generator(system.context, text, "mhd_bogus")
+        assert _direct_verdict(system, bogus) is _substitution_verdict(system, det, bogus) is False
+
+
+_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.sampled_from(["mhd", "cgl", "cgl_closed"]),
+    st.lists(_rationals, min_size=6, max_size=6),
+    st.tuples(_rationals, _rationals),
+    st.one_of(st.none(), st.tuples(_rationals.filter(bool), st.sampled_from(["x", "y", "z"]))),
+)
+def test_direct_verdicts_match_on_combinations(name, coeffs, line, perturbation):
+    system, det = _system_and_det(name)
+    terms = [_scaled(g, q) for g, q in zip(_catalogue(system), coeffs)]
+    if name == "cgl_closed":
+        a, b = line
+        multiplier = Expr.number(a) + Expr.number(b) * system.context.var("tau")
+        terms[-1] = line_function_generator(system, multiplier)
+    if perturbation is not None:
+        terms.append(_pressure_shift(system, perturbation[1], perturbation[0]))
+    combo = functools.reduce(lambda g, h: g + h, terms)
+    verdict = _direct_verdict(system, combo)
+    assert verdict is _substitution_verdict(system, det, combo)
+    assert verdict is (perturbation is None)
+
+
+# -- invariance under the choice of solved form -----------------------------------
+
+
+_CLOSED_SOLVE_FOR = "solve_for: diff(B1,x), diff(pperp,x), diff(pperp,y), diff(pperp,z), diff(tau,x);"
+
+
+@pytest.mark.parametrize(
+    "replaced, leading",
+    [("diff(tau,x)", "diff(tau,y)"), ("diff(tau,x)", "diff(tau,z)"), ("diff(B1,x)", "diff(B3,z)")],
+)
+def test_closed_cgl_verdicts_do_not_depend_on_the_solved_form(replaced, leading):
+    text = resources.files("plasmeq.data").joinpath("cgl_static_closed.pde").read_text()
+    assert _CLOSED_SOLVE_FOR in text
+    solve_for = _CLOSED_SOLVE_FOR.replace(replaced, leading)
+    system = PdeSystem.from_text(text.replace(_CLOSED_SOLVE_FOR, solve_for))
+    assert leading in {pretty(Expr.from_atom(j)) for j in system.leading}
+    catalogue = _catalogue(system)
+    assert len(catalogue) == 6
+    for gen in catalogue:
+        assert _direct_verdict(system, gen), gen.label
+    perturbed = translations(system) + _pressure_shift(system, "y")
+    assert not _direct_verdict(system, perturbed)
