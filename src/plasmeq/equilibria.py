@@ -14,6 +14,7 @@ unchanged.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -29,6 +30,7 @@ from .fields import Grid3, ScalarGrid, VectorGrid
 __all__ = [
     "CGLState",
     "StateEvaluators",
+    "sample_state",
     "VortexParams",
     "TransformSpec",
     "StabilityReport",
@@ -56,13 +58,32 @@ STATE_COLUMNS = ("B1", "B2", "B3", "p_perp", "p_par", "tau", "psi")
 
 @dataclass(frozen=True)
 class StateEvaluators:
-    """Pointwise analytic evaluators backing a sampled state, when known."""
+    """The pointwise analytic evaluator backing a sampled state, when known.
 
-    B: Callable
-    p_perp: Callable
-    p_par: Callable
-    tau: Callable
-    psi: Callable
+    ``evaluate(X, Y, Z)`` returns ``(B, p_perp, p_par, tau, psi)`` and does
+    the work the fields share once; each per-field method picks one item.
+    """
+
+    evaluate: Callable
+
+    def B(self, X, Y, Z):
+        return self.evaluate(X, Y, Z)[0]
+
+    def p_perp(self, X, Y, Z):
+        return self.evaluate(X, Y, Z)[1]
+
+    def p_par(self, X, Y, Z):
+        return self.evaluate(X, Y, Z)[2]
+
+    def tau(self, X, Y, Z):
+        return self.evaluate(X, Y, Z)[3]
+
+    def psi(self, X, Y, Z):
+        return self.evaluate(X, Y, Z)[4]
+
+
+def _field_null_threshold(b2: np.ndarray) -> float:
+    return EPS_B_RELATIVE * float(np.max(b2))
 
 
 @dataclass(frozen=True)
@@ -91,10 +112,11 @@ class CGLState:
         return np.einsum("cijk,cijk->ijk", self.B.values, self.B.values)
 
     def eps_b(self) -> float:
-        return EPS_B_RELATIVE * float(np.max(self.b_squared()))
+        return _field_null_threshold(self.b_squared())
 
     def plasma_mask(self) -> np.ndarray:
-        return self.b_squared() > self.eps_b()
+        b2 = self.b_squared()
+        return b2 > _field_null_threshold(b2)
 
     def coarsen(self) -> "CGLState":
         return CGLState(
@@ -108,10 +130,29 @@ class CGLState:
         )
 
 
+def _sampled_state(grid: Grid3, values, meta: dict, evaluators: StateEvaluators) -> CGLState:
+    """Wrap ``(B, p_perp, p_par, tau, psi)`` node arrays as a state, with
+    the non-finite check of ``fields.sample_*``."""
+    b, *scalars = (np.asarray(v, dtype=float) for v in values)
+    b = np.broadcast_to(b, (3, *grid.counts))
+    fd._check_finite(b, grid, "sampled vector field")
+    scalars = [np.broadcast_to(v, grid.counts) for v in scalars]
+    for v in scalars:
+        fd._check_finite(v, grid, "sampled scalar field")
+    pperp, ppar, tau, psi = (ScalarGrid(grid, v) for v in scalars)
+    return CGLState(VectorGrid(grid, b), pperp, ppar, tau, psi, meta, evaluators)
+
+
+def sample_state(evaluators: StateEvaluators, grid: Grid3, meta: dict) -> CGLState:
+    """Sample every field of an analytic state with one ``evaluate`` call
+    on the grid's nodes; rejects non-finite values."""
+    return _sampled_state(grid, evaluators.evaluate(*grid.meshgrid()), meta, evaluators)
+
+
 def tau_consistency_error(state: CGLState) -> float:
     """Worst scaled violation of tau = (p_par - p_perp)/B^2 over the plasma."""
     b2 = state.b_squared()
-    mask = b2 > state.eps_b()
+    mask = b2 > _field_null_threshold(b2)
     if not mask.any():
         return 0.0
     lhs = state.p_par.values - state.p_perp.values
@@ -216,14 +257,15 @@ def _v0_prime_over_x(x: np.ndarray) -> np.ndarray:
     return np.where(small, series, direct)
 
 
-def _vortex_evaluators(params: VortexParams, pressure_profile: str) -> tuple[Callable, Callable]:
+def _vortex_fields(params: VortexParams, pressure_profile: str) -> Callable:
+    """The vortex's ``(B, p)`` at given points, from one radial-profile pass."""
     if pressure_profile not in ("balanced", "unscaled"):
         raise ValueError("pressure_profile must be 'balanced' or 'unscaled'")
     R, B0, P0, lam, gamma_b = params.R, params.B0, params.P0, params.lam, params.gamma_b
     v0r = float(_v0(np.array(2.0 * lam * R)))
     amp = B0 / (1.0 - v0r)
 
-    def radial_profiles(X, Y, Z):
+    def b_and_p(X, Y, Z):
         rho2 = X * X + Y * Y + Z * Z
         rho = np.sqrt(rho2)
         arg = 2.0 * lam * rho
@@ -231,20 +273,11 @@ def _vortex_evaluators(params: VortexParams, pressure_profile: str) -> tuple[Cal
         # Q = V'(rho)/rho, regular on the axis and at the center
         Q = 4.0 * lam * lam * amp * _v0_prime_over_x(arg)
         inside = rho <= R
-        return V, Q, inside
-
-    def b_eval(X, Y, Z):
-        V, Q, inside = radial_profiles(X, Y, Z)
         bx = -0.5 * Q * Z * X - lam * V * Y
         by = -0.5 * Q * Z * Y + lam * V * X
         bz = V + 0.5 * Q * (X * X + Y * Y)
         zero = np.zeros_like(bz)
-        return np.stack(
-            [np.where(inside, bx, zero), np.where(inside, by, zero), np.where(inside, bz, zero)]
-        )
-
-    def p_eval(X, Y, Z):
-        V, _Q, inside = radial_profiles(X, Y, Z)
+        b = np.stack([np.where(inside, bx, zero), np.where(inside, by, zero), np.where(inside, bz, zero)])
         s2 = X * X + Y * Y
         if pressure_profile == "balanced":
             p = P0 + gamma_b * lam * lam * V * s2
@@ -252,9 +285,9 @@ def _vortex_evaluators(params: VortexParams, pressure_profile: str) -> tuple[Cal
             # the historical printed profile; fails the momentum residual
             # check and is kept only so that failure stays observable
             p = P0 - gamma_b * V * s2
-        return np.where(inside, p, P0)
+        return b, np.where(inside, p, P0)
 
-    return b_eval, p_eval
+    return b_and_p
 
 
 def vortex_state(params: VortexParams, grid: Grid3, pressure_profile: str = "balanced") -> CGLState:
@@ -264,22 +297,18 @@ def vortex_state(params: VortexParams, grid: Grid3, pressure_profile: str = "bal
     magnitude; any smooth function of the pressure would serve equally,
     since the pressure is constant on field lines.
     """
-    b_eval, p_eval = _vortex_evaluators(params, pressure_profile)
-    B = fd.sample_vector(b_eval, grid)
-    P = fd.sample_scalar(p_eval, grid)
-    p_max = float(np.max(np.abs(P.values)))
+    b_and_p = _vortex_fields(params, pressure_profile)
+    b, p = b_and_p(*grid.meshgrid())
+    p_max = float(np.max(np.abs(p)))
     if p_max == 0.0:
         raise ValueError("degenerate state: pressure vanishes on the whole grid")
-    psi = ScalarGrid(grid, P.values / p_max)
-    zero = ScalarGrid(grid, np.zeros(grid.counts))
 
-    def psi_eval(X, Y, Z):
-        return p_eval(X, Y, Z) / p_max
+    def with_label(b, p):
+        return b, p, p, np.zeros(p.shape), p / p_max
 
-    def tau_eval(X, Y, Z):
-        return np.zeros(np.broadcast(X, Y, Z).shape)
+    def evaluate(X, Y, Z):
+        return with_label(*b_and_p(X, Y, Z))
 
-    evaluators = StateEvaluators(b_eval, p_eval, p_eval, tau_eval, psi_eval)
     meta = {
         "family": "spherical-vortex",
         "R": params.R,
@@ -291,7 +320,7 @@ def vortex_state(params: VortexParams, grid: Grid3, pressure_profile: str = "bal
         "pressure_profile": pressure_profile,
         "psi_normalization": p_max,
     }
-    return CGLState(B, P, P, zero, psi, meta, evaluators)
+    return _sampled_state(grid, with_label(b, p), meta, StateEvaluators(evaluate))
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +341,13 @@ class TransformSpec:
     text: str
     m_min: float = 1e-8
 
+    @functools.cached_property
+    def compiled(self) -> Callable:
+        """M compiled once per spec; may return a scalar for constant M."""
+        return compile_numeric(self.text, ["psi"])
+
     def __call__(self, psi_values: np.ndarray) -> np.ndarray:
-        fn = compile_numeric(self.text, ["psi"])
-        values = np.asarray(fn(psi_values), dtype=float)
+        values = np.asarray(self.compiled(psi_values), dtype=float)
         return np.broadcast_to(values, np.shape(psi_values)).copy()
 
     def factor(self, psi_values: np.ndarray) -> tuple[int, np.ndarray]:
@@ -329,6 +362,20 @@ class TransformSpec:
         return alpha, np.log(np.abs(m))
 
 
+def _field_line_map(b, pperp, ppar, tau, b2, inside, m):
+    """The nodewise map B -> M B of ``apply_infinite_transform``, shared by
+    the sampled arrays and the evaluator; returns (B, p_perp, p_par, tau)."""
+    # nodes where M is exactly one stay bit-identical (the identity element)
+    active = inside & (m != 1.0)
+    m_safe = np.where(active, m, 1.0)
+    b_new = np.where(active[None, ...], m_safe[None, ...] * b, b)
+    b2_new = m_safe**2 * b2
+    tau_new = np.where(active, 1.0 - (1.0 - tau) / m_safe**2, tau)
+    pperp_new = np.where(active, pperp + 0.5 * (b2 - b2_new), pperp)
+    ppar_new = np.where(active, pperp_new + tau_new * b2_new, ppar)
+    return b_new, pperp_new, ppar_new, tau_new
+
+
 def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
     """Rescale B by M(psi) along field lines, adjusting the anisotropy and
     the perpendicular pressure so the anisotropic balance is preserved.
@@ -337,7 +384,9 @@ def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
     through unchanged.  The combination p_perp + tau*B^2/2 is a nodewise
     algebraic invariant of this map.
     """
-    inside = state.plasma_mask()
+    b2 = state.b_squared()
+    eps_b = _field_null_threshold(b2)
+    inside = b2 > eps_b
     m = spec(state.psi.values)
     attained = m[inside]
     if attained.size and float(np.min(np.abs(attained))) < spec.m_min:
@@ -350,15 +399,8 @@ def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
     else:
         note = None
 
-    b2 = state.b_squared()
-    # nodes where M is exactly one stay bit-identical (the identity element)
-    active = inside & (m != 1.0)
-    m_safe = np.where(active, m, 1.0)
-    b_new = np.where(active[None, :, :, :], m_safe[None, :, :, :] * state.B.values, state.B.values)
-    b2_new = m_safe**2 * b2
-    tau_new = np.where(active, 1.0 - (1.0 - state.tau.values) / m_safe**2, state.tau.values)
-    pperp_new = np.where(active, state.p_perp.values + 0.5 * (b2 - b2_new), state.p_perp.values)
-    ppar_new = np.where(active, pperp_new + tau_new * b2_new, state.p_par.values)
+    sampled = (state.B.values, state.p_perp.values, state.p_par.values, state.tau.values)
+    b_new, pperp_new, ppar_new, tau_new = _field_line_map(*sampled, b2, inside, m)
 
     grid = state.grid
     meta = dict(state.meta)
@@ -369,34 +411,14 @@ def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
 
     evaluators = None
     if state.evaluators is not None:
-        ev = state.evaluators
-        eps_b = state.eps_b()
-        m_fn = compile_numeric(spec.text, ["psi"])
+        source = state.evaluators.evaluate
 
-        def b_eval(X, Y, Z):
-            b = np.asarray(ev.B(X, Y, Z), dtype=float)
+        def evaluate(X, Y, Z):
+            b, pperp, ppar, tau, psi = (np.asarray(v, dtype=float) for v in source(X, Y, Z))
             b2l = np.einsum("c...,c...->...", b, b)
-            ml = np.where(b2l > eps_b, np.asarray(m_fn(ev.psi(X, Y, Z)), dtype=float), 1.0)
-            return ml[None, ...] * b
+            return (*_field_line_map(b, pperp, ppar, tau, b2l, b2l > eps_b, spec(psi)), psi)
 
-        def tau_eval(X, Y, Z):
-            b = np.asarray(ev.B(X, Y, Z), dtype=float)
-            b2l = np.einsum("c...,c...->...", b, b)
-            ml = np.where(b2l > eps_b, np.asarray(m_fn(ev.psi(X, Y, Z)), dtype=float), 1.0)
-            return 1.0 - (1.0 - np.asarray(ev.tau(X, Y, Z), dtype=float)) / ml**2
-
-        def pperp_eval(X, Y, Z):
-            b = np.asarray(ev.B(X, Y, Z), dtype=float)
-            b2l = np.einsum("c...,c...->...", b, b)
-            ml = np.where(b2l > eps_b, np.asarray(m_fn(ev.psi(X, Y, Z)), dtype=float), 1.0)
-            return np.asarray(ev.p_perp(X, Y, Z), dtype=float) + 0.5 * b2l * (1.0 - ml**2)
-
-        def ppar_eval(X, Y, Z):
-            return pperp_eval(X, Y, Z) + tau_eval(X, Y, Z) * np.einsum(
-                "c...,c...->...", b_eval(X, Y, Z), b_eval(X, Y, Z)
-            )
-
-        evaluators = StateEvaluators(b_eval, pperp_eval, ppar_eval, tau_eval, ev.psi)
+        evaluators = StateEvaluators(evaluate)
 
     return CGLState(
         VectorGrid(grid, b_new),
@@ -414,6 +436,47 @@ def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
 # ---------------------------------------------------------------------------
 
 
+def _trilinear(grid: Grid3, Xs: np.ndarray, Ys: np.ndarray, Zs: np.ndarray) -> Callable:
+    """Trilinear interpolation from ``grid`` to the given points, with the
+    cell search and the fractions computed once for every field.
+
+    Cells are clamped to the grid and the fractions are not, so points
+    outside the grid extrapolate linearly from the nearest cell.
+    """
+    if min(grid.counts) < 2:
+        raise ValueError("trilinear resampling needs at least 2 nodes along every axis")
+    cells, fracs = [], []
+    for coords, origin, h, n in zip((Xs, Ys, Zs), grid.origin, grid.spacing, grid.counts):
+        u = (coords - origin) / h
+        cell = np.clip(np.floor(u), 0, n - 2)
+        fracs.append(u - cell)
+        cells.append(cell.astype(np.intp))
+    _nx, ny, nz = grid.counts
+    base = (cells[0] * ny + cells[1]) * nz + cells[2]
+    fx, fy, fz = fracs
+
+    def interp(values: np.ndarray) -> np.ndarray:
+        flat = values.reshape(-1)
+
+        def corner(i, j, k):
+            return np.take(flat[(i * ny + j) * nz + k :], base)
+
+        def lerp(a, b, f):
+            # a + f (b - a), computed in the fresh array b
+            b -= a
+            b *= f
+            b += a
+            return b
+
+        return lerp(
+            lerp(lerp(corner(0, 0, 0), corner(0, 0, 1), fz), lerp(corner(0, 1, 0), corner(0, 1, 1), fz), fy),
+            lerp(lerp(corner(1, 0, 0), corner(1, 0, 1), fz), lerp(corner(1, 1, 0), corner(1, 1, 1), fz), fy),
+            fx,
+        )
+
+    return interp
+
+
 def _resample(state: CGLState, pullback: Callable, push_vec, push_scalar) -> CGLState:
     """Rebuild the state on its own grid from mapped source coordinates.
 
@@ -422,31 +485,20 @@ def _resample(state: CGLState, pullback: Callable, push_vec, push_scalar) -> CGL
     when available, otherwise trilinear interpolation (flagged lossy).
     """
     grid = state.grid
-    X, Y, Z = grid.meshgrid()
-    Xs, Ys, Zs = pullback(X, Y, Z)
+    Xs, Ys, Zs = pullback(*grid.meshgrid())
     meta = dict(state.meta)
 
     if state.evaluators is not None:
-        ev = state.evaluators
-        b = push_vec(np.asarray(ev.B(Xs, Ys, Zs), dtype=float))
-        pperp = push_scalar(np.asarray(ev.p_perp(Xs, Ys, Zs), dtype=float), "p_perp")
-        tau = push_scalar(np.asarray(ev.tau(Xs, Ys, Zs), dtype=float), "tau")
-        psi = push_scalar(np.asarray(ev.psi(Xs, Ys, Zs), dtype=float), "psi")
+        b, pperp, _ppar, tau, psi = state.evaluators.evaluate(Xs, Ys, Zs)
     else:
-        from scipy.interpolate import RegularGridInterpolator
-
         meta["resampling"] = "trilinear (lossy)"
-        axes = grid.axes()
-        pts = np.stack([Xs, Ys, Zs], axis=-1)
-
-        def interp(values):
-            f = RegularGridInterpolator(axes, values, bounds_error=False, fill_value=None)
-            return f(pts)
-
-        b = push_vec(np.stack([interp(state.B.values[c]) for c in range(3)]))
-        pperp = push_scalar(interp(state.p_perp.values), "p_perp")
-        tau = push_scalar(interp(state.tau.values), "tau")
-        psi = push_scalar(interp(state.psi.values), "psi")
+        interp = _trilinear(grid, Xs, Ys, Zs)
+        b = np.stack([interp(state.B.values[c]) for c in range(3)])
+        pperp, tau, psi = (interp(f.values) for f in (state.p_perp, state.tau, state.psi))
+    b = push_vec(np.asarray(b, dtype=float))
+    pperp = push_scalar(np.asarray(pperp, dtype=float), "p_perp")
+    tau = push_scalar(np.asarray(tau, dtype=float), "tau")
+    psi = push_scalar(np.asarray(psi, dtype=float), "psi")
 
     b2 = np.einsum("cijk,cijk->ijk", b, b)
     ppar = pperp + tau * b2
@@ -583,7 +635,7 @@ def stability_report(state: CGLState) -> StabilityReport:
     side minus right side) over applicable nodes.
     """
     b2 = state.b_squared()
-    applicable = b2 > state.eps_b()
+    applicable = b2 > _field_null_threshold(b2)
     pperp = state.p_perp.values
     ppar = state.p_par.values
 
@@ -683,9 +735,11 @@ def residual_norms(
 ) -> dict[str, dict[str, float]]:
     """Linf and L2 norms of every residual, optionally restricted to the
     ball of the given radius (for states smooth only inside a sphere)."""
+    residuals = residual_fields(state, system)
+    # every residual lives on the same one-node interior grid
+    mask = fd.sphere_mask(state.grid.interior(), mask_radius) if mask_radius is not None else None
     out = {}
-    for name, res in residual_fields(state, system).items():
-        mask = fd.sphere_mask(res.grid, mask_radius) if mask_radius is not None else None
+    for name, res in residuals.items():
         out[name] = {
             "linf": fd.norm(res, "linf", mask),
             "l2": fd.norm(res, "l2", mask),

@@ -251,8 +251,8 @@ def norm(field: ScalarGrid | VectorGrid, kind: str = "linf", mask: np.ndarray | 
 
 
 def sphere_mask(grid: Grid3, radius: float) -> np.ndarray:
-    X, Y, Z = grid.meshgrid()
-    return X * X + Y * Y + Z * Z <= radius * radius
+    x, y, z = grid.axes()
+    return (x * x)[:, None, None] + (y * y)[None, :, None] + (z * z)[None, None, :] <= radius * radius
 
 
 # -- export / import --------------------------------------------------------------------

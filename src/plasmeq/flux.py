@@ -23,9 +23,9 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 from scipy.sparse.linalg import splu
 
-from .equilibria import CGLState, StateEvaluators
+from .equilibria import CGLState, StateEvaluators, sample_state
 from .expr import compile_numeric
-from .fields import Grid3, sample_scalar, sample_vector
+from .fields import Grid3
 
 __all__ = [
     "FluxProblem",
@@ -376,9 +376,10 @@ def flux_to_cgl(
         psi_zu = spline.ev(rf, zf, dy=1).reshape(shape)
         return R, phi, psi, psi_r, psi_zu
 
-    def b_eval(X, Y, Z):
+    def evaluate(X, Y, Z):
         R, phi, psi, psi_r, psi_zu = geometry_fields(X, Y, Z)
-        factor = 1.0 / np.sqrt(1.0 - tau_fn(psi))
+        tau_v = tau_fn(psi)
+        factor = 1.0 / np.sqrt(1.0 - tau_v)
         Jv = problem.J(psi)
         if helical:
             denom = R**2 + gamma**2
@@ -390,37 +391,16 @@ def flux_to_cgl(
             b_phi = Jv / R
             b_z = -psi_r / R
         cos_p, sin_p = np.cos(phi), np.sin(phi)
-        return factor[None, ...] * np.stack(
+        b = factor[None, ...] * np.stack(
             [b_r * cos_p - b_phi * sin_p, b_r * sin_p + b_phi * cos_p, b_z * np.ones_like(cos_p)]
         )
-
-    def tau_eval(X, Y, Z):
-        _R, _phi, psi, _pr, _pz = geometry_fields(X, Y, Z)
-        return tau_fn(psi) * np.ones_like(psi)
-
-    def b2_eval(X, Y, Z):
-        b = b_eval(X, Y, Z)
-        return np.einsum("c...,c...->...", b, b)
-
-    def pperp_eval(X, Y, Z):
-        _R, _phi, psi, _pr, _pz = geometry_fields(X, Y, Z)
-        return n_of(psi) - 0.5 * tau_eval(X, Y, Z) * b2_eval(X, Y, Z)
-
-    def ppar_eval(X, Y, Z):
-        _R, _phi, psi, _pr, _pz = geometry_fields(X, Y, Z)
-        return n_of(psi) + 0.5 * tau_eval(X, Y, Z) * b2_eval(X, Y, Z)
-
-    def psi_eval(X, Y, Z):
-        _R, _phi, psi, _pr, _pz = geometry_fields(X, Y, Z)
-        return psi / psi_scale
+        tau_v = tau_v * np.ones_like(psi)
+        half_tau_b2 = 0.5 * tau_v * np.einsum("c...,c...->...", b, b)
+        n_v = n_of(psi)
+        return b, n_v - half_tau_b2, n_v + half_tau_b2, tau_v, psi / psi_scale
 
     if grid is None:
         grid = default_cartesian_box(problem)
-    B = sample_vector(b_eval, grid)
-    p_perp = sample_scalar(pperp_eval, grid)
-    p_par = sample_scalar(ppar_eval, grid)
-    tau_g = sample_scalar(tau_eval, grid)
-    psi_g = sample_scalar(psi_eval, grid)
     meta = {
         "family": f"flux-{problem.geometry}",
         "gamma": gamma,
@@ -431,8 +411,7 @@ def flux_to_cgl(
         "profiles": dict(problem.texts),
         "solution_converged": sol.converged,
     }
-    evaluators = StateEvaluators(b_eval, pperp_eval, ppar_eval, tau_eval, psi_eval)
-    return CGLState(B, p_perp, p_par, tau_g, psi_g, meta, evaluators)
+    return sample_state(StateEvaluators(evaluate), grid, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
+from plasmeq import equilibria
 from plasmeq import fields as fd
 from plasmeq.equilibria import (
     CGLState,
+    StateEvaluators,
     TransformSpec,
     anisotropy_scale_state,
     apply_infinite_transform,
@@ -13,6 +16,7 @@ from plasmeq.equilibria import (
     residual_fields,
     residual_norms,
     rotate_state,
+    sample_state,
     scale_state,
     stability_report,
     tau_consistency_error,
@@ -56,6 +60,20 @@ def uniform_state(n=7, b=(0.0, 0.0, 1.0), p_perp=1.0, p_par=None, tau=0.0):
     t = ScalarGrid(g, np.full(g.counts, tau))
     psi = ScalarGrid(g, np.zeros(g.counts))
     return CGLState(B, pp, ppa, t, psi)
+
+
+def assert_evaluator_matches_samples(state):
+    """One ``evaluate`` call on the grid reproduces the sampled arrays bit
+    for bit, and every per-field method is the matching item."""
+    ev = state.evaluators
+    X, Y, Z = state.grid.meshgrid()
+    values = ev.evaluate(X, Y, Z)
+    sampled = (state.B, state.p_perp, state.p_par, state.tau, state.psi)
+    methods = (ev.B, ev.p_perp, ev.p_par, ev.tau, ev.psi)
+    assert len(values) == len(sampled)
+    for value, field, method in zip(values, sampled, methods):
+        assert np.array_equal(np.broadcast_to(value, field.values.shape), field.values)
+        assert np.array_equal(method(X, Y, Z), value)
 
 
 # -- mode numbers -------------------------------------------------------------
@@ -128,6 +146,42 @@ def test_boundary_values(params):
     assert np.max(np.abs(b)) < 1e-9
     p = np.asarray(ev.p_perp(x, np.zeros_like(x), z))
     assert p == pytest.approx(np.full_like(p, params.P0), rel=1e-12)
+
+
+def test_vortex_evaluator_matches_samples(vortex17):
+    assert_evaluator_matches_samples(vortex17)
+
+
+def test_transformed_evaluator_matches_samples(vortex17):
+    out = apply_infinite_transform(vortex17, TransformSpec("1 + psi*sin(psi)"))
+    assert_evaluator_matches_samples(out)
+
+
+def test_transform_spec_compiles_once(vortex17, monkeypatch):
+    calls = []
+    compile_numeric = equilibria.compile_numeric
+
+    def counted(*args):
+        calls.append(args)
+        return compile_numeric(*args)
+
+    monkeypatch.setattr(equilibria, "compile_numeric", counted)
+    spec = TransformSpec("1 + psi^2")
+    apply_infinite_transform(apply_infinite_transform(vortex17, spec), spec)
+    spec(np.linspace(0.0, 1.0, 5))
+    assert len(calls) == 1
+
+
+def test_sample_state_rejects_nonfinite_values():
+    g = Grid3.cube(-1.0, 1.0, 5)
+
+    def evaluate(X, Y, Z):
+        zero = np.zeros_like(X)
+        p = np.where((X > 0.9) & (Y > 0.9) & (Z > 0.9), np.inf, 1.0)
+        return np.stack([zero, zero, zero + 1.0]), p, p, zero, zero
+
+    with pytest.raises(ValueError, match="sampled scalar field is not finite at node \\(4, 4, 4\\)"):
+        sample_state(StateEvaluators(evaluate), g, {})
 
 
 def test_field_is_divergence_free_at_second_order(vortex17, vortex33, params):
@@ -396,6 +450,84 @@ def test_trilinear_resample_path_flags_lossy():
     out = translate_state(stripped, K=(0.5, 0.0, 0.0), k4=0.0, eps=0.1)
     assert out.meta["resampling"].startswith("trilinear")
     assert np.allclose(out.B.values[2], 1.0, atol=1e-12)  # constant fields survive exactly
+
+
+def _sampled_only_state(grid, f):
+    """A state without evaluators whose seven columns sample ``f(X, Y, Z, c)``."""
+    X, Y, Z = grid.meshgrid()
+    cols = [f(X, Y, Z, c) for c in range(6)]
+    B = VectorGrid(grid, np.stack(cols[:3]))
+    p_perp, tau, psi = (ScalarGrid(grid, v) for v in cols[3:])
+    return CGLState(B, p_perp, p_perp, tau, psi, {}, None)
+
+
+# an anisotropic grid with an off-centre origin; rotating it about the
+# origin carries some target nodes outside, where the path extrapolates
+TRILINEAR_GRID = Grid3((-1.0, -0.75, -0.45), (0.1, 0.0625, 0.075), (21, 25, 13))
+EULER = (0.4, 0.9, -0.3)
+
+
+def _rotated_points(grid):
+    inv = equilibria._euler_zxz(*EULER).T
+    X, Y, Z = grid.meshgrid()
+    return np.einsum("rc,c...->r...", inv, np.stack([X, Y, Z]))
+
+
+def test_trilinear_path_matches_regular_grid_interpolator():
+    def smooth(X, Y, Z, c):
+        return np.sin(1.3 * X + 0.4 * c) * np.cos(0.7 * Y - 0.2 * c) + np.exp(0.3 * Z) * (1.0 + 0.1 * c)
+
+    state = _sampled_only_state(TRILINEAR_GRID, smooth)
+    out = rotate_state(state, *EULER)
+    assert out.meta["resampling"] == "trilinear (lossy)"
+    pts = np.stack(_rotated_points(TRILINEAR_GRID), axis=-1)
+    lo = np.array(TRILINEAR_GRID.origin)
+    hi = lo + np.array(TRILINEAR_GRID.spacing) * (np.array(TRILINEAR_GRID.counts) - 1)
+    assert ((pts < lo) | (pts > hi)).any(axis=-1).sum() > 100  # extrapolated nodes are exercised
+
+    def oracle(values):
+        interp = RegularGridInterpolator(TRILINEAR_GRID.axes(), values, bounds_error=False, fill_value=None)
+        return interp(pts)
+
+    rot = equilibria._euler_zxz(*EULER)
+    want_b = np.einsum("rc,c...->r...", rot, np.stack([oracle(state.B.values[c]) for c in range(3)]))
+    pairs = [(out.B.values, want_b)] + [
+        (getattr(out, name).values, oracle(getattr(state, name).values)) for name in ("p_perp", "tau", "psi")
+    ]
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("move", ["rotate", "translate"])
+def test_trilinear_path_is_exact_on_multilinear_fields(move):
+    coeffs = [(0.3, -1.2, 0.7, 2.1, -0.9), (1.0, 0.5, -0.25, 0.125, 3.0), (-2.0, 0.0, 1.5, -0.5, 0.75)]
+
+    def multilinear(X, Y, Z, c):
+        a, b, cy, d, e = coeffs[c % 3]
+        return a + b * X + cy * Y + d * Z + e * X * Y * Z
+
+    state = _sampled_only_state(TRILINEAR_GRID, multilinear)
+    rot = equilibria._euler_zxz(*EULER) if move == "rotate" else np.eye(3)
+    if move == "rotate":
+        out = rotate_state(state, *EULER)
+        Xs, Ys, Zs = _rotated_points(TRILINEAR_GRID)
+    else:
+        # a shift of more than a cell, so the nodes on one side extrapolate
+        out = translate_state(state, K=(0.13, -0.2, 0.11))
+        X, Y, Z = TRILINEAR_GRID.meshgrid()
+        Xs, Ys, Zs = X - 0.13, Y + 0.2, Z - 0.11
+    want_b = np.einsum("rc,c...->r...", rot, np.stack([multilinear(Xs, Ys, Zs, c) for c in range(3)]))
+    assert np.max(np.abs(out.B.values - want_b)) <= 1e-12 * np.max(np.abs(want_b))
+    for name, c in (("p_perp", 3), ("tau", 4), ("psi", 5)):
+        want = multilinear(Xs, Ys, Zs, c)
+        assert np.max(np.abs(getattr(out, name).values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_trilinear_path_needs_two_nodes_per_axis():
+    flat = Grid3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (1, 4, 4))
+    state = _sampled_only_state(flat, lambda X, Y, Z, c: X + Y + c)
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        translate_state(state, K=(0.0, 0.5, 0.0))
 
 
 # -- stability ------------------------------------------------------------------------

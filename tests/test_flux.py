@@ -7,6 +7,7 @@ from plasmeq.equilibria import residual_norms, tau_consistency_error
 from plasmeq.fields import directional, norm
 from plasmeq.flux import (
     FluxProblem,
+    FluxSolution,
     SolverDiverged,
     default_cartesian_box,
     flux_to_cgl,
@@ -267,6 +268,51 @@ def test_helical_current_carrying_case_maps_to_force_balance():
         state = flux_to_cgl(sol, 0.0, grid=default_cartesian_box(problem, n3d))
         errs[n3d] = residual_norms(state, "mhd")["momentum"]["linf"]
     assert errs[21] / errs[41] > 3.0
+
+
+def current_carrying_helical_problem():
+    return FluxProblem(
+        "helical", (0.6, 1.6), (-0.6, 0.6), boundary="r^2 + 0.1*zu", J=0.8, dJ=0.0, dN=0.0, gamma=0.7
+    )
+
+
+@pytest.mark.parametrize("geometry", ["axisymmetric", "helical"])
+def test_mapped_state_evaluator_matches_samples(quartic_solutions, geometry):
+    if geometry == "axisymmetric":
+        sol = quartic_solutions[33]
+    else:
+        sol = solve_flux(current_carrying_helical_problem(), (33, 33))
+    lo, hi = sol.attained_range()
+    state = flux_to_cgl(sol, f"0.3*psi/{max(abs(lo), abs(hi))}", grid=default_cartesian_box(sol.problem, 13))
+    ev = state.evaluators
+    X, Y, Z = state.grid.meshgrid()
+    values = ev.evaluate(X, Y, Z)
+    sampled = (state.B, state.p_perp, state.p_par, state.tau, state.psi)
+    methods = (ev.B, ev.p_perp, ev.p_par, ev.tau, ev.psi)
+    for value, field, method in zip(values, sampled, methods):
+        assert np.array_equal(value, field.values)
+        assert np.array_equal(method(X, Y, Z), value)
+    assert state.tau.values.any()
+
+
+def test_mapping_evaluates_the_spline_three_times(quartic_solutions, monkeypatch):
+    calls = []
+    spline = FluxSolution.spline
+
+    def counting_spline(sol):
+        s = spline(sol)
+        ev = s.ev
+
+        def counted_ev(*args, **kwargs):
+            calls.append(kwargs)
+            return ev(*args, **kwargs)
+
+        s.ev = counted_ev
+        return s
+
+    monkeypatch.setattr(FluxSolution, "spline", counting_spline)
+    flux_to_cgl(quartic_solutions[33], 0.25, grid=default_cartesian_box(quartic_problem(), 9))
+    assert calls == [{}, {"dx": 1}, {"dy": 1}]
 
 
 def test_default_box_stays_inside_domain():
