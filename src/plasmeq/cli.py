@@ -387,7 +387,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         _write_report(out_dir, {"command": args.command, "error": str(err), "assumptions": [], "pass": False})
         return EXIT_VALIDATION
-    except (ExprError, LieError, ValueError, OSError) as err:
+    except (ExprError, LieError, ValueError, ArithmeticError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         _write_report(out_dir, {"command": args.command, "error": str(err), "assumptions": [], "pass": False})
         return EXIT_VALIDATION

@@ -204,7 +204,7 @@ def find_lambda(R: float, n: int) -> float:
                 return float(root)
             x, g_lo = x_next, g_hi
         lo = hi_limit
-    raise LookupError(f"mode index {n} not found within the scan window")
+    raise ValueError(f"mode index {n} not found within the scan window")
 
 
 @dataclass(frozen=True)

@@ -729,9 +729,14 @@ class _Parser:
     def term(self) -> Expr:
         e = self.factor()
         while self.peek().text in ("*", "/"):
-            op = self.next().text
+            op = self.next()
             rhs = self.factor()
-            e = e * rhs if op == "*" else quotient(e, rhs)
+            if op.text == "*":
+                e = e * rhs
+            elif rhs.constant_value() == 0:
+                raise ParseError("division by zero", op.line, op.col)
+            else:
+                e = quotient(e, rhs)
         return e
 
     def factor(self) -> Expr:

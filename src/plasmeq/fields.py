@@ -52,6 +52,8 @@ class Grid3:
 
     @staticmethod
     def cube(lo: float, hi: float, n: int) -> "Grid3":
+        if n < 2:
+            raise ValueError("a grid needs at least 2 nodes per axis")
         h = (hi - lo) / (n - 1)
         return Grid3((lo, lo, lo), (h, h, h), (n, n, n))
 
@@ -125,12 +127,6 @@ class VectorGrid:
 
     def coarsen(self) -> "VectorGrid":
         return VectorGrid(self.grid.coarsen(), self.values[:, ::2, ::2, ::2])
-
-    def magnitude_squared(self) -> ScalarGrid:
-        return ScalarGrid(self.grid, np.einsum("cijk,cijk->ijk", self.values, self.values))
-
-    def component(self, c: int) -> ScalarGrid:
-        return ScalarGrid(self.grid, self.values[c])
 
 
 # -- sampling -------------------------------------------------------------------
@@ -289,11 +285,7 @@ def read_csv(path) -> tuple[Grid3, dict[str, np.ndarray]]:
 
 
 def _infer_grid(x: np.ndarray, y: np.ndarray, z: np.ndarray, path) -> Grid3:
-    def axis_values(a):
-        vals = np.unique(a)
-        return vals
-
-    xs, ys, zs = axis_values(x), axis_values(y), axis_values(z)
+    xs, ys, zs = np.unique(x), np.unique(y), np.unique(z)
     counts = (len(xs), len(ys), len(zs))
     if counts[0] * counts[1] * counts[2] != x.size:
         raise ValueError(f"{path}: nodes do not form a full tensor grid")

@@ -2,11 +2,16 @@
 functions, and the mapping from flux solutions to anisotropic states.
 
 The axisymmetric operator is ``psi_rr - psi_r/r + psi_zz``; the helical
-operator is ``psi_uu/r^2 + (1/r) d_r(r/(r^2+gamma^2) psi_r)``.  Constitutive
-terms (J J', the helical 2 gamma J/(r^2+gamma^2)^2 term, and the pressure
-profile derivative) are frozen at the previous iterate and relaxed: damped
-Picard iteration around one factorized sparse linear operator.  Dirichlet
-data is imposed exactly and never touched by the iteration.
+operator is ``psi_uu/r^2 + (1/r) d_r(r/(r^2+gamma^2) psi_r)``.  Both are
+discretised by one five-point stencil whose coefficients depend on r only,
+so the operator over the full ``nr x nzu`` grid is a sum of Kronecker
+products of a radial tridiagonal matrix and the zu neighbour matrix.  Its
+interior block is factorized once; its interior-row x boundary-column
+block carries the Dirichlet data into a fixed right-hand-side term, so the
+boundary values are imposed exactly and never touched by the iteration.
+Constitutive terms (J J', the helical 2 gamma J/(r^2+gamma^2)^2 term, and
+the pressure profile derivative) are frozen at the previous iterate and
+relaxed: damped Picard iteration around the one factorization.
 """
 
 from __future__ import annotations
@@ -65,11 +70,11 @@ class FluxProblem:
     """Elliptic problem for the flux function on [r0, r1] x [zu0, zu1].
 
     ``J``/``dJ`` are the poloidal-current profile and its derivative;
-    ``dN`` is the pressure-profile derivative (axisymmetric) and ``dL`` its
-    helical counterpart.  ``boundary`` supplies Dirichlet data as a function
-    of (r, zu); ``source`` is an optional extra term S(r, zu) added to the
-    equation (used by manufactured-solution tests).  Profile consistency
-    (dJ against J) is probed numerically, not enforced.
+    ``dN`` is the pressure-profile derivative.  ``boundary`` supplies
+    Dirichlet data as a function of (r, zu); ``source`` is an optional extra
+    term S(r, zu) added to the equation (used by manufactured-solution
+    tests).  Profile consistency (dJ against J) is probed numerically, not
+    enforced.
     """
 
     geometry: str
@@ -103,12 +108,6 @@ class FluxProblem:
             if text is not None:
                 self.texts.setdefault(key, text)
 
-    # the helical pressure profile derivative is traditionally written L';
-    # it rides in the same slot as dN
-    @property
-    def dL(self):
-        return self.dN
-
 
 @dataclass(frozen=True)
 class FluxSolution:
@@ -127,80 +126,62 @@ class FluxSolution:
         return float(self.psi.min()), float(self.psi.max())
 
 
-def _assemble_operator(problem: FluxProblem, r: np.ndarray, zu: np.ndarray):
-    """Sparse interior operator and the boundary contribution closure."""
+def _assemble_operator(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: np.ndarray):
+    """The interior operator and the Dirichlet term of the five-point stencil.
+
+    The stencil is built once over the full ``nr x nzu`` grid (row-major,
+    zu fastest) from Kronecker products: the radial coefficients of node
+    row i couple it to rows i -+ 1, and the zu coefficient couples
+    neighbouring nodes within a row.  The rows and columns of the interior
+    nodes form the matrix to factorise; the interior-row x boundary-column
+    block applied to the boundary values of ``psi`` is the Dirichlet term.
+    """
     nr, nzu = len(r), len(zu)
     hr = r[1] - r[0]
     hz = zu[1] - zu[0]
-    ni, nj = nr - 2, nzu - 2
-
-    def k_of(i, j):  # interior index
-        return (i - 1) * nj + (j - 1)
-
-    rows, cols, vals = [], [], []
-    # coefficient stencils per interior column i (independent of j)
+    # coefficients per radial node row (independent of zu)
     if problem.geometry == "axisymmetric":
-        ri = r[1:-1]
-        c_e = 1.0 / hr**2 - 1.0 / (2.0 * hr * ri)  # east: +r neighbor
-        c_w = 1.0 / hr**2 + 1.0 / (2.0 * hr * ri)
-        c_n = np.full(ni, 1.0 / hz**2)
-        c_center = -2.0 / hr**2 - 2.0 / hz**2 * np.ones(ni)
+        c_e = 1.0 / hr**2 - 1.0 / (2.0 * hr * r)  # east: +r neighbor
+        c_w = 1.0 / hr**2 + 1.0 / (2.0 * hr * r)
+        c_n = np.full(nr, 1.0 / hz**2)
+        c_center = -2.0 / hr**2 - 2.0 / hz**2 * np.ones(nr)
     else:
         g2 = problem.gamma**2
 
         def c(rv):
             return rv / (rv * rv + g2)
 
-        ri = r[1:-1]
-        c_half_e = c(ri + 0.5 * hr)
-        c_half_w = c(ri - 0.5 * hr)
-        c_e = c_half_e / (ri * hr**2)
-        c_w = c_half_w / (ri * hr**2)
-        c_n = 1.0 / (hz**2 * ri**2)
-        c_center = -(c_half_e + c_half_w) / (ri * hr**2) - 2.0 / (hz**2 * ri**2)
+        c_half_e = c(r + 0.5 * hr)
+        c_half_w = c(r - 0.5 * hr)
+        c_e = c_half_e / (r * hr**2)
+        c_w = c_half_w / (r * hr**2)
+        c_n = 1.0 / (hz**2 * r**2)
+        c_center = -(c_half_e + c_half_w) / (r * hr**2) - 2.0 / (hz**2 * r**2)
 
-    for i in range(1, nr - 1):
-        a_e, a_w = c_e[i - 1], c_w[i - 1]
-        a_n = c_n[i - 1]
-        a_c = c_center[i - 1]
-        for j in range(1, nzu - 1):
-            k = k_of(i, j)
-            rows.append(k), cols.append(k), vals.append(a_c)
-            if i + 1 <= nr - 2:
-                rows.append(k), cols.append(k_of(i + 1, j)), vals.append(a_e)
-            if i - 1 >= 1:
-                rows.append(k), cols.append(k_of(i - 1, j)), vals.append(a_w)
-            if j + 1 <= nzu - 2:
-                rows.append(k), cols.append(k_of(i, j + 1)), vals.append(a_n)
-            if j - 1 >= 1:
-                rows.append(k), cols.append(k_of(i, j - 1)), vals.append(a_n)
-    matrix = sparse.csc_matrix((vals, (rows, cols)), shape=(ni * nj, ni * nj))
-
-    def boundary_term(psi_grid: np.ndarray) -> np.ndarray:
-        """Contribution of fixed Dirichlet values to each interior equation."""
-        out = np.zeros(ni * nj)
-        for j in range(1, nzu - 1):
-            out[k_of(1, j)] += c_w[0] * psi_grid[0, j]
-            out[k_of(nr - 2, j)] += c_e[ni - 1] * psi_grid[nr - 1, j]
-        for i in range(1, nr - 1):
-            out[k_of(i, 1)] += c_n[i - 1] * psi_grid[i, 0]
-            out[k_of(i, nzu - 2)] += c_n[i - 1] * psi_grid[i, nzu - 1]
-        return out
-
-    return matrix, boundary_term
+    ones = np.ones(nzu - 1)
+    T_zu = sparse.diags([ones, ones], [-1, 1])  # zu neighbours within a node row
+    full = (
+        sparse.kron(sparse.diags([c_w[1:], c_e[:-1]], [-1, 1]), sparse.identity(nzu))
+        + sparse.kron(sparse.diags(c_n), T_zu)
+        + sparse.diags(np.repeat(c_center, nzu))
+    ).tocsr()
+    interior = np.zeros((nr, nzu), dtype=bool)
+    interior[1:-1, 1:-1] = True
+    interior = interior.ravel()
+    rows = full[interior]
+    matrix = rows[:, interior].tocsc()
+    bterm = rows[:, ~interior] @ psi.ravel()[~interior]
+    return matrix, bterm
 
 
 def _nonlinear_term(problem: FluxProblem, R: np.ndarray, psi: np.ndarray, S: np.ndarray | None):
-    g = np.zeros_like(psi)
     jj = problem.J(psi) * problem.dJ(psi)
     if problem.geometry == "axisymmetric":
-        g += jj + R**2 * problem.dN(psi)
+        g = jj + R**2 * problem.dN(psi)
     else:
         denom = R**2 + problem.gamma**2
-        g += jj / denom + 2.0 * problem.gamma * problem.J(psi) / denom**2 + problem.dL(psi)
-    if S is not None:
-        g += S
-    return g
+        g = jj / denom + 2.0 * problem.gamma * problem.J(psi) / denom**2 + problem.dN(psi)
+    return g if S is None else g + S
 
 
 def solve_flux(
@@ -228,9 +209,8 @@ def solve_flux(
     if not np.isfinite(psi).all():
         raise ValueError("boundary data is not finite")
 
-    matrix, boundary_term = _assemble_operator(problem, r, zu)
+    matrix, bterm = _assemble_operator(problem, r, zu, psi)
     lu = splu(matrix)
-    bterm = boundary_term(psi)
     S = problem.source(R[1:-1, 1:-1], ZU[1:-1, 1:-1]) if problem.source is not None else None
 
     updates: list[float] = []
@@ -312,6 +292,8 @@ def default_cartesian_box(problem: FluxProblem, counts: int | tuple[int, int, in
             raise ValueError("zu range too thin for the helical default box; pass an explicit grid")
     if isinstance(counts, int):
         counts = (counts, counts, counts)
+    if min(counts) < 2:
+        raise ValueError("a grid needs at least 2 nodes per axis")
     nx, ny, nz = counts
     return Grid3(
         (x_lo, -y_max, z_lo),
@@ -421,6 +403,8 @@ def flux_to_cgl(
 _NUMERIC_KEYS = {"r0", "r1", "zu0", "zu1", "gamma", "tol", "omega"}
 _INT_KEYS = {"nr", "nzu", "max_iter"}
 _EXPR_KEYS = {"J", "dJ", "dN", "dL", "boundary", "source"}
+_MANIFEST_KEYS = ("geometry", "r0", "r1", "zu0", "zu1", "profiles", "psi_csv", "resolution",
+                  "iterations", "final_update", "converged")
 
 
 def parse_problem_file(text: str) -> tuple[FluxProblem, dict]:
@@ -520,6 +504,11 @@ def load_solution(path) -> FluxSolution:
     path = Path(path)
     with open(path) as fh:
         manifest = json.load(fh)
+    missing = [k for k in _MANIFEST_KEYS if k not in manifest]
+    if not missing and "boundary" not in manifest["profiles"]:
+        missing = ["profiles.boundary"]
+    if missing:
+        raise ValueError(f"{path}: solution manifest is missing {', '.join(missing)}")
     problem = FluxProblem(
         geometry=manifest["geometry"],
         r_range=(manifest["r0"], manifest["r1"]),

@@ -237,6 +237,75 @@ def test_transform_with_vanishing_magnitude_fails_validation(tmp_path):
     assert read_report(out)["pass"] is False
 
 
+def _solution(tmp_path, drop=None):
+    _, sol_out = run(tmp_path, "sol", "flux", "solve", data_path("flux_axisym_example.flux"))
+    path = sol_out / "solution.json"
+    if drop is not None:
+        manifest = json.loads(path.read_text())
+        del manifest[drop]
+        path.write_text(json.dumps(manifest))
+    return str(path)
+
+
+def _file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _flux_file(tmp_path, profiles):
+    return _file(tmp_path, "problem.flux", f"r0 = 0.5\nr1 = 1.5\nzu0 = -0.5\nzu1 = 0.5\nnr = 9\nnzu = 9\n{profiles}\n")
+
+
+def _state(tmp_path):
+    _, out = run(tmp_path, "vortex", "vortex", "--grid", "9")
+    return str(out / "state.csv")
+
+
+# case -> (argv builder, fragment of the error message)
+BAD_INPUTS = {
+    "vortex grid of one node": (lambda tmp: ["vortex", "--grid", "1"], "at least 2 nodes"),
+    "tocgl grid of one node": (
+        lambda tmp: ["flux", "tocgl", _solution(tmp), "--tau", "0.1", "--grid", "1"],
+        "at least 2 nodes",
+    ),
+    "division by zero in M": (
+        lambda tmp: ["transform", "--state", _state(tmp), "--M", "psi/0"],
+        "division by zero",
+    ),
+    "division by zero in a flux file": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ndN = 1/0")],
+        "division by zero",
+    ),
+    "division by zero in a PDE file": (
+        lambda tmp: ["lie", "detsys", _file(tmp, "div.pde", "indep x;\ndep u;\neq diff(u,x) = 1/0;\n")],
+        "division by zero",
+    ),
+    "non-finite profile": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = -1\ndN = log(psi)")],
+        "non-finite",
+    ),
+    "mode index out of reach": (lambda tmp: ["vortex", "--n", "100000", "--grid", "9"], "mode index 100000"),
+    "solution without r0": (
+        lambda tmp: ["flux", "tocgl", _solution(tmp, drop="r0"), "--tau", "0.1"],
+        "missing r0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_two_with_an_error(tmp_path, capsys, case):
+    build, message = BAD_INPUTS[case]
+    argv = build(tmp_path)
+    capsys.readouterr()
+    code, out = run(tmp_path, "bad", *argv)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    report = read_report(out)
+    assert report["pass"] is False
+    assert message in report["error"]
+
+
 def test_unknown_subcommand_exits_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--out", str(tmp_path), "frobnicate"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from plasmeq import flux
 from plasmeq.equilibria import residual_norms, tau_consistency_error
 from plasmeq.fields import directional, norm
 from plasmeq.flux import (
@@ -169,6 +170,49 @@ def test_nonfinite_profile_evaluation_is_reported():
     p = FluxProblem("axisymmetric", boundary="r^2*zu", dN="1/psi", **DOMAIN)
     with pytest.raises(ArithmeticError, match="non-finite"):
         solve_flux(p, (9, 9))
+
+
+# -- the five-point operator ----------------------------------------------------------
+
+
+def five_point_stencil(problem, r, zu, psi):
+    """The discrete operator on the interior nodes, written with array slices."""
+    hr, hz = r[1] - r[0], zu[1] - zu[0]
+    ri = r[1:-1, None]
+    c, e, w = psi[1:-1, 1:-1], psi[2:, 1:-1], psi[:-2, 1:-1]
+    zz = (psi[1:-1, 2:] - 2.0 * c + psi[1:-1, :-2]) / hz**2
+    if problem.geometry == "axisymmetric":
+        return (e - 2.0 * c + w) / hr**2 - (e - w) / (2.0 * hr * ri) + zz
+    g2 = problem.gamma**2
+    half_e, half_w = ri + 0.5 * hr, ri - 0.5 * hr
+    flux_e = half_e / (half_e**2 + g2) * (e - c)
+    flux_w = half_w / (half_w**2 + g2) * (c - w)
+    return (flux_e - flux_w) / (ri * hr**2) + zz / ri**2
+
+
+@pytest.mark.parametrize("shape", [(13, 9), (9, 17)])
+@pytest.mark.parametrize("geometry", ["axisymmetric", "helical"])
+def test_operator_and_dirichlet_term_match_the_stencil(geometry, shape):
+    problem = FluxProblem(geometry, (0.6, 1.6), (-0.4, 0.7), boundary="0", gamma=0.7)
+    r, zu = np.linspace(0.6, 1.6, shape[0]), np.linspace(-0.4, 0.7, shape[1])
+    psi = np.random.default_rng(7).standard_normal(shape)
+    matrix, bterm = flux._assemble_operator(problem, r, zu, psi)
+    got = (matrix @ psi[1:-1, 1:-1].ravel() + bterm).reshape(shape[0] - 2, shape[1] - 2)
+    want = five_point_stencil(problem, r, zu, psi)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_solve_factorizes_once(monkeypatch):
+    factorize, calls = flux.splu, []
+
+    def counting_splu(matrix):
+        calls.append(matrix.shape)
+        return factorize(matrix)
+
+    monkeypatch.setattr(flux, "splu", counting_splu)
+    sol = solve_flux(quartic_problem(), (17, 17))
+    assert sol.iterations == 16
+    assert calls == [(15 * 15, 15 * 15)]
 
 
 # -- mapping to anisotropic states ------------------------------------------------
