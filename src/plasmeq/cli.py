@@ -25,7 +25,6 @@ from pathlib import Path
 
 from . import equilibria as eq
 from . import fields as fd
-from . import flux as fx
 from .expr import ExprError, pretty
 from .lie import LieError, PdeSystem, build_determining_system, parse_generator, verify_generator
 
@@ -180,6 +179,10 @@ def cmd_transform(args) -> tuple[int, dict]:
 
 
 def cmd_flux_solve(args) -> tuple[int, dict]:
+    # flux is the only module that needs scipy; importing it here keeps
+    # every other command from paying for scipy's import
+    from . import flux as fx
+
     problem, params = fx.parse_problem_file(_read_text(args.problem_file))
     try:
         sol = fx.solve_flux(problem, **params)
@@ -209,6 +212,8 @@ def cmd_flux_solve(args) -> tuple[int, dict]:
 
 
 def cmd_flux_tocgl(args) -> tuple[int, dict]:
+    from . import flux as fx
+
     sol = fx.load_solution(args.solution)
     grid = fx.default_cartesian_box(sol.problem, args.grid)
     try:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import fields as fd
 from .expr import compile_numeric
@@ -172,6 +171,22 @@ def _mode_equation(lam: float, R: float) -> float:
     )
 
 
+def _bisect_root(R: float, lo: float, hi: float, g_lo: float, g_hi: float) -> float:
+    """Bisect a sign change of the mode equation on [lo, hi] until the two
+    endpoints are adjacent floats; returns the one with the smaller |g|."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo if abs(g_lo) <= abs(g_hi) else hi
+        g_mid = _mode_equation(mid, R)
+        if g_mid == 0.0:
+            return mid
+        if (g_mid < 0.0) == (g_lo < 0.0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi, g_hi = mid, g_mid
+
+
 def find_lambda(R: float, n: int) -> float:
     """The n-th positive mode number: (3 - 4R^2 l^2) sin(2Rl) = 6Rl cos(2Rl).
 
@@ -194,7 +209,7 @@ def find_lambda(R: float, n: int) -> float:
             if g_lo == 0.0:
                 roots.append(x)
             elif g_lo * g_hi < 0.0:
-                roots.append(brentq(_mode_equation, x, x_next, args=(R,), xtol=1e-15, rtol=8.9e-16))
+                roots.append(_bisect_root(R, x, x_next, g_lo, g_hi))
             if len(roots) >= n:
                 root = roots[n - 1]
                 if abs(_mode_equation(root, R)) >= 1e-10:
@@ -559,10 +574,12 @@ def rotate_state(state: CGLState, phi: float, theta: float, psi_angle: float) ->
     return out
 
 
-def scale_state(state: CGLState, t: float, s: float, pressure_factor: str = "as-printed") -> CGLState:
+def scale_state(state: CGLState, t: float, s: float, pressure_factor: str = "generator") -> CGLState:
     """x' = t x, B' = s B, with the perpendicular pressure multiplied by
-    2s (``as-printed``) or s^2 (``generator``, the factor that exponentiates
-    the field-scaling generator and preserves the force balance)."""
+    s^2 (``generator``, the default: the factor that exponentiates the
+    field-scaling generator and preserves the force balance) or by 2s
+    (``as-printed``, the paper's literal factor, which breaks the force
+    balance unless s = 2)."""
     if t == 0:
         raise ValueError("coordinate scale t must be nonzero")
     factors = {"as-printed": 2.0 * s, "generator": s * s}

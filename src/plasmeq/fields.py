@@ -10,6 +10,7 @@ keeps all operations here pure.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,6 +35,9 @@ __all__ = [
 ]
 
 _FLOAT_FMT = "%.17g"
+# rows formatted per write: large enough to amortise the per-block cost, small
+# enough that the Python floats of one block stay a few MB
+_ROW_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -267,15 +271,33 @@ def write_csv(path, grid: Grid3, columns: dict[str, np.ndarray]) -> None:
     flat = np.column_stack([d.reshape(-1) for d in data])
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        np.savetxt(fh, flat, fmt=_FLOAT_FMT, delimiter=",")
+        _write_rows(fh, flat, ",")
+
+
+def _write_rows(fh, values: np.ndarray, delimiter: str) -> None:
+    """Write a 2-D array (a 1-D one as a column) one row per line, floats at
+    17 significant digits; the bytes equal ``np.savetxt(fh, values,
+    fmt=_FLOAT_FMT, delimiter=delimiter)``."""
+    rows = values.reshape(len(values), -1)
+    row_fmt = delimiter.join([_FLOAT_FMT] * rows.shape[1]) + "\n"
+    for start in range(0, len(rows), _ROW_BLOCK):
+        block = rows[start : start + _ROW_BLOCK]
+        fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_csv(path) -> tuple[Grid3, dict[str, np.ndarray]]:
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # an empty body is reported below, with the file name
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if header[:3] != ["x", "y", "z"]:
         raise ValueError(f"{path}: expected x,y,z coordinate columns first")
+    if data.size == 0:
+        raise ValueError(f"{path}: no data rows")
+    if data.shape[1] != len(header):
+        raise ValueError(f"{path}: data rows have {data.shape[1]} columns, the header has {len(header)}")
     cols = {name: data[:, i] for i, name in enumerate(header)}
     grid = _infer_grid(cols["x"], cols["y"], cols["z"], path)
     out = {}
@@ -334,8 +356,8 @@ def write_vtk(path, grid: Grid3, scalars: dict[str, np.ndarray], vectors: dict[s
         for name, values in vectors.items():
             fh.write(f"VECTORS {name} double\n")
             stacked = np.column_stack([flat(values[c]) for c in range(3)])
-            np.savetxt(fh, stacked, fmt=_FLOAT_FMT, delimiter=" ")
+            _write_rows(fh, stacked, " ")
         for name, values in scalars.items():
             fh.write(f"SCALARS {name} double\n")
             fh.write("LOOKUP_TABLE default\n")
-            np.savetxt(fh, flat(values), fmt=_FLOAT_FMT)
+            _write_rows(fh, flat(values), " ")

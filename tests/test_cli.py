@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import plasmeq
 from plasmeq.cli import main
 
 
@@ -193,6 +197,48 @@ def test_helical_flux_pipeline(tmp_path):
     assert read_report(check_out)["pass"] is True
 
 
+# Runs in a fresh interpreter: records the exit code of each command and the
+# scipy modules loaded after it, as JSON in <out>/steps.json.
+STARTUP_SCRIPT = """
+import json, sys
+from importlib import resources
+from pathlib import Path
+
+import plasmeq.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+out, data = Path(sys.argv[1]), resources.files("plasmeq.data")
+steps = [["import", 0, scipy_modules()]]
+for name, argv in [
+    ("lie verify", ["lie", "verify", str(data / "mhd_static.pde"), str(data / "mhd_rotations.gen")]),
+    ("vortex", ["vortex", "--grid", "9"]),
+    ("transform", ["transform", "--state", str(out / "vortex" / "state.csv"), "--M", "1 + 0.5*psi"]),
+    ("check", ["check", "--state", str(out / "vortex" / "state.csv"), "--system", "mhd"]),
+    ("flux solve", ["flux", "solve", str(data / "flux_axisym_example.flux")]),
+]:
+    code = plasmeq.cli.main(["--out", str(out / name.split()[-1]), *argv])
+    steps.append([name, code, scipy_modules()])
+(out / "steps.json").write_text(json.dumps(steps))
+"""
+
+
+def test_only_flux_commands_import_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(plasmeq.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads((tmp_path / "steps.json").read_text())
+    assert [name for name, _, _ in steps] == ["import", "lie verify", "vortex", "transform", "check", "flux solve"]
+    assert all(code == 0 for _, code, _ in steps)
+    for name, _, scipy_modules in steps[:-1]:
+        assert scipy_modules == [], name
+    # the probe does see scipy once a flux command has loaded it
+    assert "scipy.sparse" in steps[-1][2]
+
+
 def test_check_absolute_threshold_failure(tmp_path):
     _, vortex_out = run(tmp_path, "vortex", "vortex", "--grid", "17")
     code, check_out = run(
@@ -262,6 +308,8 @@ def _state(tmp_path):
     return str(out / "state.csv")
 
 
+STATE_HEADER = "x,y,z,B1,B2,B3,p_perp,p_par,tau,psi\n"
+
 # case -> (argv builder, fragment of the error message)
 BAD_INPUTS = {
     "vortex grid of one node": (lambda tmp: ["vortex", "--grid", "1"], "at least 2 nodes"),
@@ -289,6 +337,16 @@ BAD_INPUTS = {
     "solution without r0": (
         lambda tmp: ["flux", "tocgl", _solution(tmp, drop="r0"), "--tau", "0.1"],
         "missing r0",
+    ),
+    "state with no data rows": (
+        lambda tmp: ["check", "--state", _file(tmp, "empty.csv", STATE_HEADER), "--system", "mhd"],
+        "empty.csv: no data rows",
+    ),
+    "state rows shorter than the header": (
+        lambda tmp: [
+            "transform", "--state", _file(tmp, "short.csv", STATE_HEADER + "0,0,0,1,0,0\n0,0,1,1,0,0\n"), "--M", "1",
+        ],
+        "short.csv: data rows have 6 columns, the header has 10",
     ),
 }
 

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
+from scipy.optimize import brentq
 
 from plasmeq import equilibria
 from plasmeq import fields as fd
@@ -107,6 +110,29 @@ def test_mode_roots_are_polished():
     for n in (1, 2, 3, 5):
         lam = find_lambda(1.0, n)
         assert abs(_mode_equation(lam, 1.0)) < 1e-10
+
+
+def test_mode_roots_match_brentq_on_the_scan_brackets(monkeypatch):
+    # the local bisection against scipy's brentq on the same sign-change
+    # brackets of the scan
+    brackets = []
+    bisect = equilibria._bisect_root
+
+    def recording(R, lo, hi, g_lo, g_hi):
+        root = bisect(R, lo, hi, g_lo, g_hi)
+        brackets.append((R, lo, hi, root))
+        return root
+
+    monkeypatch.setattr(equilibria, "_bisect_root", recording)
+    for R in np.linspace(0.5, 2.0, 151):
+        for n in (1, 2, 3, 5, 10):
+            find_lambda(float(R), n)
+    assert len(brackets) == 151 * (1 + 2 + 3 + 5 + 10)
+    for R, lo, hi, root in brackets:
+        reference = brentq(equilibria._mode_equation, lo, hi, args=(R,), xtol=1e-15, rtol=8.9e-16)
+        assert lo <= root <= hi
+        assert abs(root - reference) <= 2 * math.ulp(reference)
+        assert abs(equilibria._mode_equation(root, R)) < 1e-10
 
 
 def test_radial_profile_series_branch_matches_high_precision():
@@ -404,10 +430,17 @@ def test_rotation_preserves_residual(params):
 
 
 def test_scale_literal_factor(vortex17):
-    out = scale_state(vortex17, t=2.0, s=3.0)
+    out = scale_state(vortex17, t=2.0, s=3.0, pressure_factor="as-printed")
     idx = tuple(int(np.argmin(np.abs(ax))) for ax in vortex17.grid.axes())
     assert out.B.values[2][idx] == pytest.approx(3.0 * vortex17.B.values[2][idx], rel=1e-12)
     assert out.p_perp.values[idx] == pytest.approx(6.0 * vortex17.p_perp.values[idx], rel=1e-12)
+
+
+def test_scale_defaults_to_the_generator_factor(vortex17):
+    default = scale_state(vortex17, t=2.0, s=3.0)
+    generator = scale_state(vortex17, t=2.0, s=3.0, pressure_factor="generator")
+    for name in ("B", "p_perp", "p_par", "tau", "psi"):
+        assert np.array_equal(getattr(default, name).values, getattr(generator, name).values)
 
 
 def test_scale_generator_factor_balance_under_refinement(params, vortex33, vortex65):

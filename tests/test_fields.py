@@ -1,6 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
+from plasmeq import fields
 from plasmeq.fields import (
     Grid3,
     ScalarGrid,
@@ -181,6 +184,31 @@ def test_csv_rejects_scrambled_rows(tmp_path):
     bad.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         read_csv(bad)
+
+
+@pytest.mark.parametrize("rows", [1, fields._ROW_BLOCK - 1, fields._ROW_BLOCK, fields._ROW_BLOCK + 1])
+@pytest.mark.parametrize(
+    "columns, delimiter",
+    [(10, ","), (3, " "), (None, " ")],
+    ids=["csv-10-columns", "vtk-vectors", "vtk-scalars"],
+)
+def test_row_writer_matches_savetxt(rows, columns, delimiter):
+    rng = np.random.default_rng(rows)
+    shape = (rows,) if columns is None else (rows, columns)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    special = np.array([-0.0, 5e-324, 2.2e-310, 1e300, -1e-300, 0.1, 1.0 / 3.0, 0.0])
+    flat = values.reshape(-1)
+    flat[: special.size] = special[: flat.size]
+    ours, reference = io.StringIO(), io.StringIO()
+    fields._write_rows(ours, values, delimiter)
+    np.savetxt(reference, values, fmt="%.17g", delimiter=delimiter)
+    # compare line by line so that a failure names the first differing row
+    # instead of diffing megabytes of text
+    ours_rows = ours.getvalue().splitlines(keepends=True)
+    reference_rows = reference.getvalue().splitlines(keepends=True)
+    assert len(ours_rows) == len(reference_rows) == rows
+    mismatch = next((i for i, pair in enumerate(zip(ours_rows, reference_rows)) if pair[0] != pair[1]), None)
+    assert mismatch is None, (mismatch, ours_rows[mismatch], reference_rows[mismatch])
 
 
 def test_vtk_header_and_payload(tmp_path):
