@@ -35,10 +35,6 @@ EXIT_VALIDATION = 2
 EXIT_VERIFICATION = 3
 
 
-class ValidationFailure(Exception):
-    pass
-
-
 def _write_report(out_dir: Path, report: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "report.json", "w") as fh:
@@ -50,7 +46,7 @@ def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
     except OSError as err:
-        raise ValidationFailure(f"cannot read {path}: {err.strerror or err}") from None
+        raise ValueError(f"cannot read {path}: {err.strerror or err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +150,7 @@ def cmd_vortex(args) -> tuple[int, dict]:
 def cmd_transform(args) -> tuple[int, dict]:
     state = eq.read_state_csv(args.state)
     spec = eq.TransformSpec(args.M, m_min=args.m_min)
-    try:
-        transformed = eq.apply_infinite_transform(state, spec)
-    except ValueError as err:
-        raise ValidationFailure(str(err)) from None
+    transformed = eq.apply_infinite_transform(state, spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     eq.write_state_csv(transformed, out_dir / "transformed.csv")
@@ -187,7 +180,7 @@ def cmd_flux_solve(args) -> tuple[int, dict]:
     try:
         sol = fx.solve_flux(problem, **params)
     except fx.SolverDiverged as err:
-        raise ValidationFailure(f"solver diverged: {err}") from None
+        raise ValueError(f"solver diverged: {err}") from None
     manifest = fx.write_solution(sol, args.out)
     report = {
         "command": "flux solve",
@@ -216,10 +209,7 @@ def cmd_flux_tocgl(args) -> tuple[int, dict]:
 
     sol = fx.load_solution(args.solution)
     grid = fx.default_cartesian_box(sol.problem, args.grid)
-    try:
-        state = fx.flux_to_cgl(sol, args.tau, grid=grid)
-    except ValueError as err:
-        raise ValidationFailure(str(err)) from None
+    state = fx.flux_to_cgl(sol, args.tau, grid=grid)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     eq.write_state_csv(state, out_dir / "state.csv")
@@ -246,12 +236,9 @@ def _norms_as_jsonable(norms: dict) -> dict:
 
 def cmd_check(args) -> tuple[int, dict]:
     state = eq.read_state_csv(args.state)
-    if args.system not in eq.RESIDUAL_SYSTEMS:
-        raise ValidationFailure(f"unknown system {args.system!r}")
-
     can_coarsen = all(n % 2 == 1 and n >= 9 for n in state.grid.counts)
     if not can_coarsen and args.threshold is None:
-        raise ValidationFailure(
+        raise ValueError(
             "grid counts must be odd (and at least 9) for the built-in two-grid "
             "threshold probe; rerun with an explicit --threshold"
         )
@@ -388,10 +375,6 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     try:
         code, report = args.handler(args)
-    except ValidationFailure as err:
-        print(f"error: {err}", file=sys.stderr)
-        _write_report(out_dir, {"command": args.command, "error": str(err), "assumptions": [], "pass": False})
-        return EXIT_VALIDATION
     except (ExprError, LieError, ValueError, ArithmeticError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         _write_report(out_dir, {"command": args.command, "error": str(err), "assumptions": [], "pass": False})

@@ -429,9 +429,15 @@ def _as_expr(value) -> Expr:
 def _atom_pdiff(atom: Atom, sym: Symbol) -> Expr:
     if isinstance(atom, Symbol):
         return ONE if atom == sym else ZERO
+    return _chain_rule(atom, lambda arg: arg.pdiff(sym))
+
+
+def _chain_rule(atom: FnAtom, derive: Callable[[Expr], Expr]) -> Expr:
+    """Derivative of an opaque application: the sum over argument slots of
+    the slot-tagged atom times ``derive(argument)``."""
     out = ZERO
     for slot, arg in enumerate(atom.args):
-        darg = arg.pdiff(sym)
+        darg = derive(arg)
         if not darg.is_zero:
             out = out + Expr.from_atom(atom.bump(slot)) * darg
     return out
@@ -625,12 +631,7 @@ class Context:
                 if atom.kind in ("dependent", "jet"):
                     return Expr.from_atom(self.jet(atom, (x,)))
                 return ZERO
-            out = ZERO
-            for slot, arg in enumerate(atom.args):
-                darg = self.total_derivative(arg, x)
-                if not darg.is_zero:
-                    out = out + Expr.from_atom(atom.bump(slot)) * darg
-            return out
+            return _chain_rule(atom, lambda arg: self.total_derivative(arg, x))
 
         return e._derive(rule)
 
@@ -875,35 +876,16 @@ def parse_program(text: str) -> ProgramFile:
     """Parse a declaration file: indep/dep/param/unknown statements, an
     optional ``solve_for:`` header, an optional ``target_count:`` line and
     ``eq lhs = rhs;`` statements."""
-    tokens = _tokenize(text)
     # first pass: pull declarations so the context exists before expressions
     indep: list[str] = []
     dep: list[str] = []
     par: list[str] = []
     unknowns: dict[str, tuple[str, ...]] = {}
-    statements: list[list[_Token]] = []
-    current: list[_Token] = []
-    for tok in tokens:
-        if tok.type == "eof":
-            break
-        if tok.text == ";":
-            if current:
-                statements.append(current)
-                current = []
-        else:
-            current.append(tok)
-    if current:
-        raise ParseError("missing ';' at end of statement", current[-1].line, current[-1].col)
-
     deferred: list[list[_Token]] = []
-    for stmt in statements:
+    for stmt in _statements(text):
         head = stmt[0]
         if head.type == "ident" and head.text in ("indep", "dep", "param"):
-            names = [t.text for t in stmt[1:] if t.type == "ident"]
-            bad = [t for t in stmt[1:] if t.type != "ident" and t.text != ","]
-            if bad or not names:
-                raise ParseError(f"malformed {head.text} declaration", head.line, head.col)
-            {"indep": indep, "dep": dep, "param": par}[head.text].extend(names)
+            {"indep": indep, "dep": dep, "param": par}[head.text].extend(_name_list(stmt))
         elif head.type == "ident" and head.text == "unknown":
             # unknown name(arg, arg, ...)
             if len(stmt) < 4 or stmt[1].type != "ident" or stmt[2].text != "(":
@@ -926,17 +908,17 @@ def parse_program(text: str) -> ProgramFile:
             eq_idx = [i for i, t in enumerate(body) if t.text == "="]
             if len(eq_idx) != 1:
                 raise ParseError("eq statement needs exactly one '='", head.line, head.col)
-            lhs = _parse_token_slice(body[: eq_idx[0]], ctx)
-            rhs = _parse_token_slice(body[eq_idx[0] + 1 :], ctx)
+            equals = body[eq_idx[0]]
+            lhs = _parse_token_slice(body[: eq_idx[0]], ctx, equals)
+            rhs = _parse_token_slice(body[eq_idx[0] + 1 :], ctx, equals)
             equations.append(lhs - rhs)
         elif head.type == "ident" and head.text == "solve_for":
             if len(stmt) < 3 or stmt[1].text != ":":
                 raise ParseError("solve_for must be followed by ':'", head.line, head.col)
             body = stmt[2:]
             for piece in _split_on_commas(body):
-                e = _parse_token_slice(piece, ctx)
-                jet = _single_jet(e)
-                if jet is None:
+                jet = _single_symbol(_parse_token_slice(piece, ctx, head))
+                if jet is None or not jet.is_jet:
                     raise ParseError("solve_for entries must be single derivative coordinates", head.line, head.col)
                 solve_for.append(jet)
         elif head.type == "ident" and head.text == "target_count":
@@ -946,6 +928,31 @@ def parse_program(text: str) -> ProgramFile:
         else:
             raise ParseError(f"unrecognized statement starting with {head.text!r}", head.line, head.col)
     return ProgramFile(ctx, equations, solve_for, target_count)
+
+
+def _statements(text: str) -> list[list[_Token]]:
+    """The token lists of the ``;``-terminated statements of a file
+    (``#`` comments are dropped by the tokenizer)."""
+    statements: list[list[_Token]] = []
+    current: list[_Token] = []
+    for tok in _tokenize(text)[:-1]:
+        if tok.text == ";":
+            if current:
+                statements.append(current)
+                current = []
+        else:
+            current.append(tok)
+    if current:
+        raise ParseError("missing ';' at end of statement", current[-1].line, current[-1].col)
+    return statements
+
+
+def _name_list(stmt: list[_Token]) -> list[str]:
+    """The names of a ``<keyword> a, b, c`` declaration statement."""
+    head, names, seps = stmt[0], stmt[1::2], stmt[2::2]
+    if len(stmt) % 2 or any(t.type != "ident" for t in names) or any(t.text != "," for t in seps):
+        raise ParseError(f"malformed {head.text} declaration", head.line, head.col)
+    return [t.text for t in names]
 
 
 def _split_on_commas(body: list[_Token]) -> list[list[_Token]]:
@@ -963,24 +970,13 @@ def _split_on_commas(body: list[_Token]) -> list[list[_Token]]:
     return [p for p in pieces if p]
 
 
-def _parse_token_slice(body: list[_Token], ctx: Context) -> Expr:
+def _parse_token_slice(body: list[_Token], ctx: Context, at: _Token) -> Expr:
+    """Parse the tokens of one expression; ``at`` is a neighbouring token,
+    whose position an empty body is reported at."""
     if not body:
-        raise ParseError("empty expression", 0, 0)
+        raise ParseError("empty expression", at.line, at.col)
     toks = list(body) + [_Token("eof", "", body[-1].line, body[-1].col)]
     return _Parser(toks, ctx).parse_single_expression()
-
-
-def _single_jet(e: Expr) -> Symbol | None:
-    terms = list(e.terms())
-    if len(terms) != 1:
-        return None
-    mono, c = terms[0]
-    if c != 1 or len(mono) != 1:
-        return None
-    atom, k = mono[0]
-    if k == 1 and isinstance(atom, Symbol) and atom.is_jet:
-        return atom
-    return None
 
 
 # ---------------------------------------------------------------------------

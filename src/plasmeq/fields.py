@@ -75,13 +75,14 @@ class Grid3:
         ax = self.axes()
         return tuple(np.meshgrid(*ax, indexing="ij"))
 
-    def interior(self, margin: int = 1) -> "Grid3":
-        if any(n <= 2 * margin for n in self.counts):
-            raise ValueError("grid too small for the requested interior margin")
+    def interior(self) -> "Grid3":
+        """The grid without its outermost layer of nodes."""
+        if any(n <= 2 for n in self.counts):
+            raise ValueError("grid too small to have an interior")
         return Grid3(
-            tuple(self.origin[i] + margin * self.spacing[i] for i in range(3)),
+            tuple(self.origin[i] + self.spacing[i] for i in range(3)),
             self.spacing,
-            tuple(n - 2 * margin for n in self.counts),
+            tuple(n - 2 for n in self.counts),
         )
 
     def coarsen(self) -> "Grid3":
@@ -107,9 +108,8 @@ class ScalarGrid:
             raise ValueError(f"scalar values shape {self.values.shape} != grid counts {self.grid.counts}")
         object.__setattr__(self, "values", _freeze(self.values))
 
-    def interior(self, margin: int = 1) -> "ScalarGrid":
-        s = (slice(margin, -margin),) * 3
-        return ScalarGrid(self.grid.interior(margin), self.values[s])
+    def interior(self) -> "ScalarGrid":
+        return ScalarGrid(self.grid.interior(), self.values[1:-1, 1:-1, 1:-1])
 
     def coarsen(self) -> "ScalarGrid":
         return ScalarGrid(self.grid.coarsen(), self.values[::2, ::2, ::2])
@@ -125,9 +125,8 @@ class VectorGrid:
             raise ValueError(f"vector values shape {self.values.shape} != (3, *{self.grid.counts})")
         object.__setattr__(self, "values", _freeze(self.values))
 
-    def interior(self, margin: int = 1) -> "VectorGrid":
-        s = (slice(None),) + (slice(margin, -margin),) * 3
-        return VectorGrid(self.grid.interior(margin), self.values[s])
+    def interior(self) -> "VectorGrid":
+        return VectorGrid(self.grid.interior(), self.values[:, 1:-1, 1:-1, 1:-1])
 
     def coarsen(self) -> "VectorGrid":
         return VectorGrid(self.grid.coarsen(), self.values[:, ::2, ::2, ::2])
@@ -315,8 +314,10 @@ def _infer_grid(x: np.ndarray, y: np.ndarray, z: np.ndarray, path) -> Grid3:
     def spacing_of(vals, label):
         if len(vals) == 1:
             return 1.0
+        # the whole-axis quotient recovers the spacing a writer used to build
+        # the axis far more often than the first step does
+        h = (vals[-1] - vals[0]) / (len(vals) - 1)
         steps = np.diff(vals)
-        h = steps[0]
         if not np.allclose(steps, h, rtol=1e-12, atol=1e-12 * max(1.0, abs(vals[-1] - vals[0]))):
             raise ValueError(f"{path}: {label} coordinates are not uniformly spaced")
         return float(h)

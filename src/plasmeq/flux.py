@@ -520,7 +520,8 @@ def load_solution(path) -> FluxSolution:
         gamma=manifest.get("gamma", 0.0),
         source=manifest["profiles"].get("source"),
     )
-    with open(path.parent / manifest["psi_csv"]) as fh:
+    csv_path = path.parent / manifest["psi_csv"]
+    with open(csv_path) as fh:
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if header != ["r", "zu", "psi"]:
@@ -530,6 +531,9 @@ def load_solution(path) -> FluxSolution:
     zu = np.unique(data[:, 1])
     if len(r) != nr or len(zu) != nzu:
         raise ValueError("solution CSV does not match the recorded resolution")
+    # psi is reshaped in file order, so that order must be the one written
+    if not (np.array_equal(np.repeat(r, nzu), data[:, 0]) and np.array_equal(np.tile(zu, nr), data[:, 1])):
+        raise ValueError(f"{csv_path}: rows are not in row-major zu-fastest order")
     psi = data[:, 2].reshape(nr, nzu)
     return FluxSolution(
         problem,

@@ -10,11 +10,11 @@ leading derivative coordinates (one per equation), this module
    to the solution manifold by eliminating the leading coordinates,
 4. splits on monomials in the surviving derivative coordinates, producing
    an overdetermined linear system on the unknowns, and
-5. checks a concrete generator candidate without that system: the
-   candidate is prolonged and applied to the source equations, and steps
-   3-4 run on the result.  Candidate components are free of derivative
-   coordinates, so this gives exactly the determining equations with the
-   candidate substituted for the unknowns.
+5. checks a concrete generator candidate without that system: steps 2-4
+   run on the candidate in place of the opaque unknowns.  Candidate
+   components are free of derivative coordinates, so this gives exactly
+   the determining equations with the candidate substituted for the
+   unknowns.
 
 Everything is exact rational arithmetic; a residual is a symmetry witness
 iff it is the structural zero.
@@ -22,7 +22,6 @@ iff it is the structural zero.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -34,6 +33,9 @@ from .expr import (
     ProgramFile,
     Symbol,
     ZERO,
+    _name_list,
+    _parse_token_slice,
+    _statements,
     collect,
     parse_program,
     pretty,
@@ -42,11 +44,9 @@ from .expr import (
 __all__ = [
     "LieError",
     "PdeSystem",
-    "VectorFieldAnsatz",
     "DeterminingSystem",
     "CandidateGenerator",
     "Verification",
-    "build_ansatz",
     "prolong_coefficients",
     "build_determining_system",
     "verify_generator",
@@ -152,20 +152,23 @@ def _triangular_solved_form(
             num, den = -num, -den
         solved[jet] = (num, den)
 
-    # Eliminate leading coordinates from the solved pairs themselves.
+    # Eliminate leading coordinates from the solved pairs themselves, until
+    # no pair mentions any leading coordinate: substituting a pair into an
+    # expression then never brings one back.
+    circular = LieError("solved form is circular; cannot reduce to triangular form")
     for _round in range(len(solved) + 1):
         dirty = False
         for jet, (num, den) in list(solved.items()):
             for other, (onum, oden) in solved.items():
-                if other == jet:
-                    continue
                 if num.mentions(other) or den.mentions(other):
+                    if other == jet:
+                        raise circular
                     num, den = _substitute_fraction_pair(num, den, other, onum, oden)
                     dirty = True
             solved[jet] = (num, den)
         if not dirty:
             return solved
-    raise LieError("solved form is circular; cannot reduce to triangular form")
+    raise circular
 
 
 def _substitute_fraction(e: Expr, jet: Symbol, num: Expr, den: Expr) -> tuple[Expr, int]:
@@ -205,50 +208,22 @@ def reduce_on_manifold(
     Each elimination multiplies the expression by the corresponding solved
     denominator to keep it polynomial; this is sound for expressions equated
     to zero under the recorded genericity assumptions, which are returned.
+    One pass suffices: the solved pairs mention no leading coordinate.
     """
     used: list[str] = []
-    progress = True
-    while progress:
-        progress = False
-        for jet, (num, den) in solved.items():
-            if e.mentions(jet, recurse=False):
-                e, power = _substitute_fraction(e, jet, num, den)
-                if power and den.constant_value() is None:
-                    note = f"{pretty(den)} != 0"
-                    if note not in used:
-                        used.append(note)
-                progress = True
+    for jet, (num, den) in solved.items():
+        if e.mentions(jet, recurse=False):
+            e, power = _substitute_fraction(e, jet, num, den)
+            if power and den.constant_value() is None:
+                note = f"{pretty(den)} != 0"
+                if note not in used:
+                    used.append(note)
     return e, used
 
 
 # ---------------------------------------------------------------------------
-# Ansatz and prolongation
+# Prolongation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VectorFieldAnsatz:
-    """Opaque tangent-field components and their first prolongation."""
-
-    context: Context  # extended with the unknown heads
-    xi: dict[Symbol, Expr] = field(repr=False)
-    eta: dict[Symbol, Expr] = field(repr=False)
-    prolonged: dict[Symbol, Expr] = field(repr=False)
-
-
-def build_ansatz(system: PdeSystem) -> VectorFieldAnsatz:
-    ctx = system.context
-    argnames = tuple(s.name for s in (*ctx.independents, *ctx.dependents))
-    unknowns = {f"xi_{x.name}": argnames for x in ctx.independents}
-    unknowns.update({f"eta_{u.name}": argnames for u in ctx.dependents})
-    ctx_u = ctx.extended(unknowns=unknowns)
-    xi = {x: Expr.from_atom(ctx_u.unknown_atom(f"xi_{x.name}")) for x in ctx.independents}
-    eta = {u: Expr.from_atom(ctx_u.unknown_atom(f"eta_{u.name}")) for u in ctx.dependents}
-    prolonged = {}
-    for u in ctx.dependents:
-        coeffs = prolong_coefficients(ctx_u, [xi[x] for x in ctx.independents], eta[u], u)
-        prolonged.update(coeffs)
-    return VectorFieldAnsatz(ctx_u, xi, eta, prolonged)
 
 
 def prolong_coefficients(
@@ -268,16 +243,16 @@ def prolong_coefficients(
 
 
 def _apply_and_split(
-    system: PdeSystem,
-    xi: dict[Symbol, Expr],
-    eta: dict[Symbol, Expr],
-    prolonged: dict[Symbol, Expr],
+    system: PdeSystem, xi: dict[Symbol, Expr], eta: dict[Symbol, Expr]
 ) -> tuple[list[dict[Expr, Expr]], list[str]]:
-    """Apply the prolonged field to each source equation, restrict the result
-    to the solution manifold and split it on monomials in the surviving
-    derivative coordinates.  Also returns the system's assumptions extended
-    by the denominators the reduction divided out."""
+    """Prolong the field, apply it to each source equation, restrict the
+    result to the solution manifold and split it on monomials in the
+    surviving derivative coordinates.  Also returns the system's assumptions
+    extended by the denominators the reduction divided out."""
     ctx = system.context
+    prolonged: dict[Symbol, Expr] = {}
+    for u in ctx.dependents:
+        prolonged.update(prolong_coefficients(ctx, [xi[x] for x in ctx.independents], eta[u], u))
     jets = system.jets()
     surviving = system.surviving_jets()
     assumptions = list(system.assumptions)
@@ -339,8 +314,16 @@ def _scalar_normalize(e: Expr) -> Expr:
 
 
 def build_determining_system(system: PdeSystem) -> DeterminingSystem:
-    ansatz = build_ansatz(system)
-    splits, assumptions = _apply_and_split(system, ansatz.xi, ansatz.eta, ansatz.prolonged)
+    """Apply the opaque tangent field ``xi_x(x, u), ..., eta_u(x, u), ...``
+    and split; the result's context declares those unknowns."""
+    ctx = system.context
+    argnames = tuple(s.name for s in (*ctx.independents, *ctx.dependents))
+    unknowns = {f"xi_{x.name}": argnames for x in ctx.independents}
+    unknowns.update({f"eta_{u.name}": argnames for u in ctx.dependents})
+    ctx_u = ctx.extended(unknowns=unknowns)
+    xi = {x: Expr.from_atom(ctx_u.unknown_atom(f"xi_{x.name}")) for x in ctx.independents}
+    eta = {u: Expr.from_atom(ctx_u.unknown_atom(f"eta_{u.name}")) for u in ctx.dependents}
+    splits, assumptions = _apply_and_split(system, xi, eta)
     produced: list[tuple[Expr, int, Expr]] = []
     for e_idx, split in enumerate(splits):
         for monomial, coefficient in split.items():
@@ -364,7 +347,7 @@ def build_determining_system(system: PdeSystem) -> DeterminingSystem:
         scaled_seen.add(_scalar_normalize(coefficient))
 
     det = DeterminingSystem(
-        ansatz.context,
+        ctx_u,
         tuple(final),
         tuple(provenance),
         tuple(assumptions),
@@ -457,10 +440,7 @@ def verify_generator(system: PdeSystem, cand: CandidateGenerator) -> Verificatio
 
     xi = {x: cand.component(x) for x in ctx.independents}
     eta = {u: cand.component(u) for u in ctx.dependents}
-    prolonged: dict[Symbol, Expr] = {}
-    for u in ctx.dependents:
-        prolonged.update(prolong_coefficients(ctx, list(xi.values()), eta[u], u))
-    splits, assumptions = _apply_and_split(system, xi, eta, prolonged)
+    splits, assumptions = _apply_and_split(system, xi, eta)
     residuals = tuple(r for split in splits for r in split.values())
     return Verification(residuals, tuple(assumptions))
 
@@ -469,49 +449,44 @@ def verify_generator(system: PdeSystem, cand: CandidateGenerator) -> Verificatio
 # Generator files
 # ---------------------------------------------------------------------------
 
-_GEN_LINE = re.compile(r"^(xi|eta)\s*\(\s*([A-Za-z_][A-Za-z_0-9]*)\s*\)\s*=\s*(.+)$")
-
 
 def parse_generator(base: Context, text: str, label: str = "") -> CandidateGenerator:
     """Parse generator component assignments.
 
-    Grammar: ``param a, b;`` lines plus ``xi(<independent>) = <expr>;`` and
-    ``eta(<dependent>) = <expr>;`` assignments.  Components not assigned are
-    zero.
+    Grammar: ``param a, b;`` statements plus ``xi(<independent>) = <expr>;``
+    and ``eta(<dependent>) = <expr>;`` assignments, with ``#`` comments, as
+    in PDE files.  Components not assigned are zero; assigning one twice is
+    an error.
     """
-    statements = []
-    for raw in text.split(";"):
-        stripped = "\n".join(line.split("#", 1)[0] for line in raw.splitlines()).strip()
-        if stripped:
-            statements.append(stripped)
     params: list[str] = []
-    assigns: list[tuple[str, str, str]] = []
-    for stmt in statements:
-        if stmt.startswith("param"):
-            names = [n.strip() for n in stmt[len("param") :].split(",") if n.strip()]
-            if not all(re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", n) for n in names):
-                raise ParseError(f"malformed param statement {stmt!r}", 0, 0)
-            params.extend(names)
+    assigns = []
+    for stmt in _statements(text):
+        if stmt[0].text == "param":
+            params.extend(_name_list(stmt))
         else:
-            m = _GEN_LINE.match(stmt.replace("\n", " "))
-            if m is None:
-                raise ParseError(f"unrecognized generator statement {stmt!r}", 0, 0)
-            assigns.append(m.groups())
+            assigns.append(stmt)
     ctx = base.extended(parameters=params) if params else base
-    xi: dict[Symbol, Expr] = {}
-    eta: dict[Symbol, Expr] = {}
-    for kind, name, body in assigns:
+    components: dict[str, dict[Symbol, Expr]] = {"xi": {}, "eta": {}}
+    for stmt in assigns:
+        # xi ( <name> ) = <body>
+        head = stmt[0]
+        if not (
+            len(stmt) > 4
+            and head.text in components
+            and stmt[2].type == "ident"
+            and [t.text for t in (stmt[1], stmt[3], stmt[4])] == ["(", ")", "="]
+        ):
+            raise ParseError(f"unrecognized generator statement starting with {head.text!r}", head.line, head.col)
+        kind, name = head.text, stmt[2].text
         try:
             sym = ctx.symbol(name)
         except KeyError:
             raise LieError(f"{kind}({name}): undeclared variable {name!r}") from None
-        value = ctx.parse(body)
-        if kind == "xi":
-            if sym.kind != "independent":
-                raise LieError(f"xi({name}) requires an independent variable")
-            xi[sym] = value
-        else:
-            if sym.kind != "dependent":
-                raise LieError(f"eta({name}) requires a dependent variable")
-            eta[sym] = value
-    return CandidateGenerator(ctx, xi, eta, label)
+        if kind == "xi" and sym.kind != "independent":
+            raise LieError(f"xi({name}) requires an independent variable")
+        if kind == "eta" and sym.kind != "dependent":
+            raise LieError(f"eta({name}) requires a dependent variable")
+        if sym in components[kind]:
+            raise ParseError(f"{kind}({name}) is assigned twice", head.line, head.col)
+        components[kind][sym] = _parse_token_slice(stmt[5:], ctx, stmt[4])
+    return CandidateGenerator(ctx, components["xi"], components["eta"], label)

@@ -1,13 +1,17 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import plasmeq
+from plasmeq import fields, flux
 from plasmeq.cli import main
 
 
@@ -37,6 +41,22 @@ def test_detsys_counts_and_listing(tmp_path):
     lines = (out / "detsys.txt").read_text().splitlines()
     assert lines[0].startswith("# count=133")
     assert len(lines) == 134
+
+
+# SHA-256 of the detsys.txt listings, pinned so that refactors of the
+# symbolic half keep the determining systems byte for byte
+DETSYS_SHA256 = {
+    "mhd_static": "3dafe4ce2823f2740b854bd5749225cd9f5e36de42c48356412056978fe7aa11",
+    "cgl_static": "802fc8f6decbe908b86e9220d765e6f4c75105e1125a5b3943f20315e10fdc38",
+    "cgl_static_closed": "4a4e4ed9ef74cdc38b5d15a736296f5f1188b80859c13aa9787b5380728f3735",
+}
+
+
+@pytest.mark.parametrize("name", list(DETSYS_SHA256))
+def test_detsys_listing_is_pinned(tmp_path, name):
+    code, out = run(tmp_path, "d", "lie", "detsys", data_path(f"{name}.pde"))
+    assert code == 0
+    assert hashlib.sha256((out / "detsys.txt").read_bytes()).hexdigest() == DETSYS_SHA256[name]
 
 
 def test_detsys_open_anisotropic_count(tmp_path):
@@ -146,13 +166,33 @@ def test_identity_transform_yields_byte_identical_values(tmp_path):
         tmp_path, "trans", "transform", "--state", str(vortex_out / "state.csv"), "--M", "1"
     )
     assert code == 0
-    # field-value columns are byte-identical; coordinate text may differ in
-    # the last ulp because the reader reconstructs spacing from the file
-    before = (vortex_out / "state.csv").read_text().splitlines()
-    after = (trans_out / "transformed.csv").read_text().splitlines()
-    assert len(before) == len(after)
-    for a, b in zip(before[1:], after[1:]):
-        assert a.split(",")[3:] == b.split(",")[3:]
+    assert (vortex_out / "state.csv").read_bytes() == (trans_out / "transformed.csv").read_bytes()
+
+
+def _box_state(tmp_path, counts):
+    problem, _ = flux.parse_problem_file(Path(data_path("flux_axisym_example.flux")).read_text())
+    grid = flux.default_cartesian_box(problem, counts)
+    path = tmp_path / "box.csv"
+    fields.write_csv(path, grid, {"psi": np.full(grid.counts, 0.5)})
+    return path
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda tmp: run(tmp, "v", "vortex", "--grid", "33", "--extent", "1.3")[1] / "state.csv",
+        lambda tmp: run(tmp, "v", "vortex", "--grid", "65", "--extent", "0.9")[1] / "state.csv",
+        lambda tmp: _box_state(tmp, 33),
+        lambda tmp: _box_state(tmp, (21, 17, 29)),
+    ],
+    ids=["vortex-33", "vortex-65", "box-33", "box-21x17x29"],
+)
+def test_state_csv_round_trips_byte_identically(tmp_path, make):
+    first = make(tmp_path)
+    grid, columns = fields.read_csv(first)
+    again = tmp_path / "again.csv"
+    fields.write_csv(again, grid, columns)
+    assert first.read_bytes() == again.read_bytes()
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -283,13 +323,17 @@ def test_transform_with_vanishing_magnitude_fails_validation(tmp_path):
     assert read_report(out)["pass"] is False
 
 
-def _solution(tmp_path, drop=None):
+def _solution(tmp_path, drop=None, shuffle=False):
     _, sol_out = run(tmp_path, "sol", "flux", "solve", data_path("flux_axisym_example.flux"))
     path = sol_out / "solution.json"
     if drop is not None:
         manifest = json.loads(path.read_text())
         del manifest[drop]
         path.write_text(json.dumps(manifest))
+    if shuffle:
+        header, *rows = (sol_out / "psi.csv").read_text().splitlines(keepends=True)
+        random.Random(1).shuffle(rows)
+        (sol_out / "psi.csv").write_text(header + "".join(rows))
     return str(path)
 
 
@@ -337,6 +381,28 @@ BAD_INPUTS = {
     "solution without r0": (
         lambda tmp: ["flux", "tocgl", _solution(tmp, drop="r0"), "--tau", "0.1"],
         "missing r0",
+    ),
+    "solution rows out of order": (
+        lambda tmp: ["flux", "tocgl", _solution(tmp, shuffle=True), "--tau", "0.1"],
+        "psi.csv: rows are not in row-major zu-fastest order",
+    ),
+    "generator statement without ';'": (
+        lambda tmp: ["lie", "verify", data_path("mhd_static.pde"), _file(tmp, "g.gen", "param a\nxi(x) = 1;\n")],
+        "malformed param declaration (line 1, column 1)",
+    ),
+    "generator error on line 2": (
+        lambda tmp: ["lie", "verify", data_path("mhd_static.pde"), _file(tmp, "g.gen", "xi(x) = 1;\neta(B1) = 2*;\n")],
+        "(line 2, column 12)",
+    ),
+    "generator component assigned twice": (
+        lambda tmp: ["lie", "verify", data_path("mhd_static.pde"), _file(tmp, "g.gen", "xi(x) = 1; xi(x) = 2;\n")],
+        "xi(x) is assigned twice (line 1, column 12)",
+    ),
+    "empty equation side in a PDE file": (
+        lambda tmp: [
+            "lie", "detsys", _file(tmp, "empty.pde", "indep x;\ndep u;\nsolve_for: diff(u,x);\neq = diff(u,x);\n"),
+        ],
+        "empty expression (line 4, column 4)",
     ),
     "state with no data rows": (
         lambda tmp: ["check", "--state", _file(tmp, "empty.csv", STATE_HEADER), "--system", "mhd"],

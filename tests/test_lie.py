@@ -9,7 +9,6 @@ from plasmeq.expr import Context, Expr, FnAtom, pretty
 from plasmeq.lie import (
     LieError,
     PdeSystem,
-    build_ansatz,
     build_determining_system,
     parse_generator,
     prolong_coefficients,
@@ -74,11 +73,15 @@ def test_prolongation_of_plane_rotation():
 
 
 def test_prolonged_coefficients_quadratic_in_jets(mhd):
-    ansatz = build_ansatz(mhd)
-    for value in ansatz.prolonged.values():
-        for mono, _c in value.terms():
-            jet_degree = sum(k for a, k in mono if getattr(a, "is_jet", False))
-            assert jet_degree <= 2
+    ctx = mhd.context
+    args = tuple(Expr.from_atom(s) for s in (*ctx.independents, *ctx.dependents))
+    xi = [Expr.from_atom(FnAtom(f"xi_{x.name}", args)) for x in ctx.independents]
+    for u in ctx.dependents:
+        eta = Expr.from_atom(FnAtom(f"eta_{u.name}", args))
+        for value in prolong_coefficients(ctx, xi, eta, u).values():
+            for mono, _c in value.terms():
+                jet_degree = sum(k for a, k in mono if getattr(a, "is_jet", False))
+                assert jet_degree <= 2
 
 
 # -- solved form ----------------------------------------------------------------
@@ -90,6 +93,25 @@ def test_solved_form_substitutes_to_zero(mhd):
     for e in mhd.equations:
         reduced, _ = reduce_on_manifold(e, mhd.solved)
         assert reduced.is_zero
+
+
+def test_solved_pairs_are_free_of_leading_coordinates():
+    # diff(v,x)'s pair reaches diff(u,x) only through diff(w,x), which comes
+    # later, so the elimination takes a second round
+    chained = PdeSystem.from_text(
+        """
+        indep x;
+        dep u, v, w;
+        solve_for: diff(u,x), diff(v,x), diff(w,x);
+        eq diff(u,x) = w;
+        eq diff(v,x) = diff(w,x);
+        eq diff(w,x) = diff(u,x);
+        """
+    )
+    for system in (chained, mhd_system(), cgl_system(closed=True)):
+        for num, den in system.solved.values():
+            assert not any(num.mentions(j) or den.mentions(j) for j in system.leading)
+    assert chained.solved[chained.leading[1]] == (chained.context.var("w"), Expr.number(1))
 
 
 def test_solved_form_requires_matching_lengths():
@@ -226,6 +248,52 @@ def test_parse_generator_file(mhd):
     """
     gen = parse_generator(mhd.context, text, "z-rotation")
     assert _all_zero(verify_generator(mhd, gen))
+
+
+# the parameters and components of every bundled generator file
+BUNDLED_GENERATORS = {
+    "cgl_line_function.gen": (
+        [],
+        {"eta(B1)": "B1", "eta(B2)": "B2", "eta(B3)": "B3", "eta(tau)": "2 - 2*tau", "eta(pperp)": "-B1^2 - B2^2 - B3^2"},
+    ),
+    "mhd_bogus.gen": ([], {"eta(P)": "x"}),
+    "mhd_rotations.gen": (
+        ["b", "c", "d"],
+        {
+            "xi(x)": "y*c + z*d",
+            "xi(y)": "-x*c - z*b",
+            "xi(z)": "-x*d + y*b",
+            "eta(B1)": "B2*c + B3*d",
+            "eta(B2)": "-B1*c - B3*b",
+            "eta(B3)": "-B1*d + B2*b",
+        },
+    ),
+    "mhd_scalings.gen": (
+        ["t", "s"],
+        {
+            "xi(x)": "x*t",
+            "xi(y)": "y*t",
+            "xi(z)": "z*t",
+            "eta(B1)": "B1*s",
+            "eta(B2)": "B2*s",
+            "eta(B3)": "B3*s",
+            "eta(P)": "2*P*s",
+        },
+    ),
+    "mhd_translations.gen": (["K1", "K2", "K3", "K4"], {"xi(x)": "K1", "xi(y)": "K2", "xi(z)": "K3", "eta(P)": "K4"}),
+}
+
+
+def test_bundled_generator_files_parse_to_their_components():
+    data = resources.files("plasmeq.data")
+    assert sorted(f.name for f in data.iterdir() if f.name.endswith(".gen")) == sorted(BUNDLED_GENERATORS)
+    for name, (params, components) in BUNDLED_GENERATORS.items():
+        system = load_system("cgl_closed" if name.startswith("cgl") else "mhd")
+        gen = parse_generator(system.context, data.joinpath(name).read_text())
+        assert [p.name for p in gen.context.parameters] == params
+        parsed = {f"xi({s.name})": pretty(v) for s, v in gen.xi.items()}
+        parsed.update({f"eta({s.name})": pretty(v) for s, v in gen.eta.items()})
+        assert parsed == components, name
 
 
 def test_parse_generator_rejects_bad_slot(mhd):
