@@ -36,7 +36,6 @@ EXIT_VERIFICATION = 3
 
 
 def _write_report(out_dir: Path, report: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -57,9 +56,7 @@ def _read_text(path: str) -> str:
 def cmd_lie_detsys(args) -> tuple[int, dict]:
     system = PdeSystem.from_text(_read_text(args.pde_file))
     det = build_determining_system(system)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    listing = out_dir / "detsys.txt"
+    listing = Path(args.out) / "detsys.txt"
     with open(listing, "w") as fh:
         fh.write(f"# count={det.count} assumptions={list(det.assumptions)}\n")
         for eqn in det.equations:
@@ -119,7 +116,6 @@ def cmd_vortex(args) -> tuple[int, dict]:
     grid = fd.Grid3.cube(-args.extent, args.extent, args.grid)
     state = eq.vortex_state(params, grid, pressure_profile=args.pressure_profile)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     eq.write_state_csv(state, out_dir / "state.csv")
     artifacts = {"state": "state.csv"}
     if args.vtk:
@@ -151,9 +147,7 @@ def cmd_transform(args) -> tuple[int, dict]:
     state = eq.read_state_csv(args.state)
     spec = eq.TransformSpec(args.M, m_min=args.m_min)
     transformed = eq.apply_infinite_transform(state, spec)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    eq.write_state_csv(transformed, out_dir / "transformed.csv")
+    eq.write_state_csv(transformed, Path(args.out) / "transformed.csv")
     report = {
         "command": "transform",
         "inputs": {"state": str(args.state)},
@@ -210,9 +204,7 @@ def cmd_flux_tocgl(args) -> tuple[int, dict]:
     sol = fx.load_solution(args.solution)
     grid = fx.default_cartesian_box(sol.problem, args.grid)
     state = fx.flux_to_cgl(sol, args.tau, grid=grid)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    eq.write_state_csv(state, out_dir / "state.csv")
+    eq.write_state_csv(state, Path(args.out) / "state.csv")
     report = {
         "command": "flux tocgl",
         "inputs": {"solution": str(args.solution)},
@@ -373,6 +365,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        # with no directory there is no report.json to write either
+        print(f"error: cannot create output directory {out_dir}: {err.strerror or err}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         code, report = args.handler(args)
     except (ExprError, LieError, ValueError, ArithmeticError, OSError) as err:

@@ -60,7 +60,7 @@ class StateEvaluators:
     """The pointwise analytic evaluator backing a sampled state, when known.
 
     ``evaluate(X, Y, Z)`` returns ``(B, p_perp, p_par, tau, psi)`` and does
-    the work the fields share once; each per-field method picks one item.
+    the work the fields share once; ``B`` and ``p_perp`` pick one item.
     """
 
     evaluate: Callable
@@ -70,15 +70,6 @@ class StateEvaluators:
 
     def p_perp(self, X, Y, Z):
         return self.evaluate(X, Y, Z)[1]
-
-    def p_par(self, X, Y, Z):
-        return self.evaluate(X, Y, Z)[2]
-
-    def tau(self, X, Y, Z):
-        return self.evaluate(X, Y, Z)[3]
-
-    def psi(self, X, Y, Z):
-        return self.evaluate(X, Y, Z)[4]
 
 
 def _field_null_threshold(b2: np.ndarray) -> float:
@@ -110,13 +101,6 @@ class CGLState:
     def b_squared(self) -> np.ndarray:
         return np.einsum("cijk,cijk->ijk", self.B.values, self.B.values)
 
-    def eps_b(self) -> float:
-        return _field_null_threshold(self.b_squared())
-
-    def plasma_mask(self) -> np.ndarray:
-        b2 = self.b_squared()
-        return b2 > _field_null_threshold(b2)
-
     def coarsen(self) -> "CGLState":
         return CGLState(
             self.B.coarsen(),
@@ -129,17 +113,21 @@ class CGLState:
         )
 
 
-def _sampled_state(grid: Grid3, values, meta: dict, evaluators: StateEvaluators) -> CGLState:
-    """Wrap ``(B, p_perp, p_par, tau, psi)`` node arrays as a state, with
-    the non-finite check of ``fields.sample_*``."""
+def _state(grid: Grid3, values, meta: dict, evaluators: StateEvaluators | None = None) -> CGLState:
+    """Wrap ``(B, p_perp, p_par, tau, psi)`` node arrays (or values that
+    broadcast to them) as a state on ``grid``."""
     b, *scalars = (np.asarray(v, dtype=float) for v in values)
-    b = np.broadcast_to(b, (3, *grid.counts))
-    fd._check_finite(b, grid, "sampled vector field")
-    scalars = [np.broadcast_to(v, grid.counts) for v in scalars]
-    for v in scalars:
-        fd._check_finite(v, grid, "sampled scalar field")
-    pperp, ppar, tau, psi = (ScalarGrid(grid, v) for v in scalars)
-    return CGLState(VectorGrid(grid, b), pperp, ppar, tau, psi, meta, evaluators)
+    pperp, ppar, tau, psi = (ScalarGrid(grid, np.broadcast_to(v, grid.counts)) for v in scalars)
+    return CGLState(VectorGrid(grid, np.broadcast_to(b, (3, *grid.counts))), pperp, ppar, tau, psi, meta, evaluators)
+
+
+def _sampled_state(grid: Grid3, values, meta: dict, evaluators: StateEvaluators) -> CGLState:
+    """``_state`` with the non-finite check of ``fields.sample_*``."""
+    state = _state(grid, values, meta, evaluators)
+    fd._check_finite(state.B.values, grid, "sampled vector field")
+    for f in (state.p_perp, state.p_par, state.tau, state.psi):
+        fd._check_finite(f.values, grid, "sampled scalar field")
+    return state
 
 
 def sample_state(evaluators: StateEvaluators, grid: Grid3, meta: dict) -> CGLState:
@@ -417,7 +405,6 @@ def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
     sampled = (state.B.values, state.p_perp.values, state.p_par.values, state.tau.values)
     b_new, pperp_new, ppar_new, tau_new = _field_line_map(*sampled, b2, inside, m)
 
-    grid = state.grid
     meta = dict(state.meta)
     meta.setdefault("transforms", [])
     meta["transforms"] = [*meta["transforms"], f"M = {spec.text}"]
@@ -435,15 +422,7 @@ def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
 
         evaluators = StateEvaluators(evaluate)
 
-    return CGLState(
-        VectorGrid(grid, b_new),
-        ScalarGrid(grid, pperp_new),
-        ScalarGrid(grid, ppar_new),
-        ScalarGrid(grid, tau_new),
-        state.psi,
-        meta,
-        evaluators,
-    )
+    return _state(state.grid, (b_new, pperp_new, ppar_new, tau_new, state.psi.values), meta, evaluators)
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +471,13 @@ def _trilinear(grid: Grid3, Xs: np.ndarray, Ys: np.ndarray, Zs: np.ndarray) -> C
     return interp
 
 
-def _resample(state: CGLState, pullback: Callable, push_vec, push_scalar) -> CGLState:
+def _resample(state: CGLState, pullback: Callable, push_b: Callable, push_pperp: Callable) -> CGLState:
     """Rebuild the state on its own grid from mapped source coordinates.
 
-    ``pullback`` maps target coordinates to source coordinates; ``push_vec``
-    and ``push_scalar`` adjust field values.  Uses the analytic evaluators
-    when available, otherwise trilinear interpolation (flagged lossy).
+    ``pullback`` maps target coordinates to source coordinates; ``push_b``
+    and ``push_pperp`` adjust the field and the perpendicular pressure, and
+    tau and psi pass through.  Uses the analytic evaluators when available,
+    otherwise trilinear interpolation (flagged lossy).
     """
     grid = state.grid
     Xs, Ys, Zs = pullback(*grid.meshgrid())
@@ -510,22 +490,10 @@ def _resample(state: CGLState, pullback: Callable, push_vec, push_scalar) -> CGL
         interp = _trilinear(grid, Xs, Ys, Zs)
         b = np.stack([interp(state.B.values[c]) for c in range(3)])
         pperp, tau, psi = (interp(f.values) for f in (state.p_perp, state.tau, state.psi))
-    b = push_vec(np.asarray(b, dtype=float))
-    pperp = push_scalar(np.asarray(pperp, dtype=float), "p_perp")
-    tau = push_scalar(np.asarray(tau, dtype=float), "tau")
-    psi = push_scalar(np.asarray(psi, dtype=float), "psi")
-
+    b = push_b(np.asarray(b, dtype=float))
+    pperp = push_pperp(np.asarray(pperp, dtype=float))
     b2 = np.einsum("cijk,cijk->ijk", b, b)
-    ppar = pperp + tau * b2
-    return CGLState(
-        VectorGrid(grid, b),
-        ScalarGrid(grid, pperp),
-        ScalarGrid(grid, ppar),
-        ScalarGrid(grid, tau),
-        ScalarGrid(grid, psi),
-        meta,
-        None,
-    )
+    return _state(grid, (b, pperp, pperp + tau * b2, tau, psi), meta)
 
 
 def translate_state(state: CGLState, K: tuple[float, float, float] = (0.0, 0.0, 0.0), k4: float = 0.0, eps: float = 1.0) -> CGLState:
@@ -536,10 +504,7 @@ def translate_state(state: CGLState, K: tuple[float, float, float] = (0.0, 0.0, 
     def pullback(X, Y, Z):
         return X - dx, Y - dy, Z - dz
 
-    def push_scalar(v, name):
-        return v + shift if name == "p_perp" else v
-
-    out = _resample(state, pullback, lambda b: b, push_scalar)
+    out = _resample(state, pullback, lambda b: b, lambda p: p + shift)
     out.meta["transforms"] = [*state.meta.get("transforms", []), f"translate K={K} k4={k4} eps={eps}"]
     return out
 
@@ -566,10 +531,10 @@ def rotate_state(state: CGLState, phi: float, theta: float, psi_angle: float) ->
             inv[2, 0] * X + inv[2, 1] * Y + inv[2, 2] * Z,
         )
 
-    def push_vec(b):
+    def push_b(b):
         return np.einsum("rc,c...->r...", rot, b)
 
-    out = _resample(state, pullback, push_vec, lambda v, name: v)
+    out = _resample(state, pullback, push_b, lambda p: p)
     out.meta["transforms"] = [*state.meta.get("transforms", []), f"rotate euler=({phi},{theta},{psi_angle})"]
     return out
 
@@ -591,10 +556,7 @@ def scale_state(state: CGLState, t: float, s: float, pressure_factor: str = "gen
     def pullback(X, Y, Z):
         return X / t, Y / t, Z / t
 
-    def push_scalar(v, name):
-        return pf * v if name == "p_perp" else v
-
-    out = _resample(state, pullback, lambda b: s * b, push_scalar)
+    out = _resample(state, pullback, lambda b: s * b, lambda p: pf * p)
     out.meta["transforms"] = [*state.meta.get("transforms", []), f"scale t={t} s={s} ({pressure_factor})"]
     return out
 
@@ -606,19 +568,9 @@ def anisotropy_scale_state(state: CGLState, C: float) -> CGLState:
     b2 = state.b_squared()
     pperp = C * (state.p_perp.values + 0.5 * b2) - 0.5 * b2
     tau = 1.0 - C * (1.0 - state.tau.values)
-    ppar = pperp + tau * b2
-    grid = state.grid
     meta = dict(state.meta)
     meta["transforms"] = [*state.meta.get("transforms", []), f"anisotropy_scale C={C}"]
-    return CGLState(
-        state.B,
-        ScalarGrid(grid, pperp),
-        ScalarGrid(grid, ppar),
-        ScalarGrid(grid, tau),
-        state.psi,
-        meta,
-        None,
-    )
+    return _state(state.grid, (state.B.values, pperp, pperp + tau * b2, tau, state.psi.values), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -769,37 +721,23 @@ def residual_norms(
 # ---------------------------------------------------------------------------
 
 
+def _columns(state: CGLState) -> dict[str, np.ndarray]:
+    """The state's node arrays under their ``STATE_COLUMNS`` names."""
+    values = (*state.B.values, state.p_perp.values, state.p_par.values, state.tau.values, state.psi.values)
+    return dict(zip(STATE_COLUMNS, values))
+
+
 def write_state_csv(state: CGLState, path) -> None:
-    fd.write_csv(
-        path,
-        state.grid,
-        {
-            "B1": state.B.values[0],
-            "B2": state.B.values[1],
-            "B3": state.B.values[2],
-            "p_perp": state.p_perp.values,
-            "p_par": state.p_par.values,
-            "tau": state.tau.values,
-            "psi": state.psi.values,
-        },
-    )
+    fd.write_csv(path, dict(zip("xyz", state.grid.axes())), _columns(state))
 
 
 def read_state_csv(path) -> CGLState:
-    grid, cols = fd.read_csv(path)
+    axes, cols = fd.read_csv(path, ("x", "y", "z"))
     missing = [c for c in STATE_COLUMNS if c not in cols]
     if missing:
         raise ValueError(f"{path}: missing state columns {missing}")
-    B = VectorGrid(grid, np.stack([cols["B1"], cols["B2"], cols["B3"]]))
-    state = CGLState(
-        B,
-        ScalarGrid(grid, cols["p_perp"]),
-        ScalarGrid(grid, cols["p_par"]),
-        ScalarGrid(grid, cols["tau"]),
-        ScalarGrid(grid, cols["psi"]),
-        {"source": str(path)},
-        None,
-    )
+    b = np.stack([cols[c] for c in STATE_COLUMNS[:3]])
+    state = _state(Grid3.from_axes(*axes), (b, *(cols[c] for c in STATE_COLUMNS[3:])), {"source": str(path)})
     mismatch = tau_consistency_error(state)
     if mismatch > 1e-6:
         warnings.warn(
@@ -812,15 +750,6 @@ def read_state_csv(path) -> CGLState:
 
 
 def write_state_vtk(state: CGLState, path, title: str = "plasma equilibrium state") -> None:
-    fd.write_vtk(
-        path,
-        state.grid,
-        scalars={
-            "p_perp": state.p_perp.values,
-            "p_par": state.p_par.values,
-            "tau": state.tau.values,
-            "psi": state.psi.values,
-        },
-        vectors={"B": state.B.values},
-        title=title,
-    )
+    columns = _columns(state)
+    scalars = {name: columns[name] for name in STATE_COLUMNS[3:]}
+    fd.write_vtk(path, state.grid, scalars=scalars, vectors={"B": state.B.values}, title=title)

@@ -887,13 +887,10 @@ def parse_program(text: str) -> ProgramFile:
         if head.type == "ident" and head.text in ("indep", "dep", "param"):
             {"indep": indep, "dep": dep, "param": par}[head.text].extend(_name_list(stmt))
         elif head.type == "ident" and head.text == "unknown":
-            # unknown name(arg, arg, ...)
-            if len(stmt) < 4 or stmt[1].type != "ident" or stmt[2].text != "(":
+            # unknown name(arg, arg, ...): the arguments follow _name_list's rule
+            if len(stmt) < 4 or stmt[1].type != "ident" or stmt[2].text != "(" or stmt[-1].text != ")":
                 raise ParseError("malformed unknown declaration", head.line, head.col)
-            args = [t.text for t in stmt[3:-1] if t.type == "ident"]
-            if stmt[-1].text != ")":
-                raise ParseError("malformed unknown declaration", head.line, head.col)
-            unknowns[stmt[1].text] = tuple(args)
+            unknowns[stmt[1].text] = tuple(_name_list([head, *stmt[3:-1]]))
         else:
             deferred.append(stmt)
 

@@ -10,6 +10,7 @@ keeps all operations here pure.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -27,7 +28,6 @@ __all__ = [
     "curl",
     "directional",
     "norm",
-    "dot",
     "cross",
     "write_csv",
     "read_csv",
@@ -60,6 +60,15 @@ class Grid3:
             raise ValueError("a grid needs at least 2 nodes per axis")
         h = (hi - lo) / (n - 1)
         return Grid3((lo, lo, lo), (h, h, h), (n, n, n))
+
+    @staticmethod
+    def from_axes(*axes: np.ndarray) -> "Grid3":
+        """The grid whose nodes are the tensor product of three sorted,
+        uniformly spaced axes."""
+        steps = [_axis_step(a) for a in axes]
+        if None in steps:
+            raise ValueError("grid axes must be uniformly spaced")
+        return Grid3(tuple(float(a[0]) for a in axes), tuple(steps), tuple(len(a) for a in axes))
 
     @property
     def n_nodes(self) -> int:
@@ -140,7 +149,7 @@ def _check_finite(values: np.ndarray, grid: Grid3, label: str) -> None:
     if bad.any():
         idx = np.argwhere(bad)[0]
         node = idx[-3:]
-        coords = tuple(grid.origin[i] + grid.spacing[i] * node[i] for i in range(3))
+        coords = tuple(float(grid.origin[i] + grid.spacing[i] * node[i]) for i in range(3))
         raise ValueError(f"{label} is not finite at node {tuple(int(i) for i in node)} (x, y, z) = {coords}")
 
 
@@ -212,12 +221,6 @@ def directional(v: VectorGrid, f: ScalarGrid) -> ScalarGrid:
     return ScalarGrid(g.grid, np.einsum("cijk,cijk->ijk", vi.values, g.values))
 
 
-def dot(a: VectorGrid, b: VectorGrid) -> ScalarGrid:
-    if a.grid != b.grid:
-        raise ValueError("dot product requires matching grids")
-    return ScalarGrid(a.grid, np.einsum("cijk,cijk->ijk", a.values, b.values))
-
-
 def cross(a: VectorGrid, b: VectorGrid) -> VectorGrid:
     if a.grid != b.grid:
         raise ValueError("cross product requires matching grids")
@@ -257,17 +260,20 @@ def sphere_mask(grid: Grid3, radius: float) -> np.ndarray:
 # -- export / import --------------------------------------------------------------------
 
 
-def write_csv(path, grid: Grid3, columns: dict[str, np.ndarray]) -> None:
-    """One node per row, row-major with z fastest; floats at 17 significant
-    digits so a read-back is bit-faithful."""
-    X, Y, Z = grid.meshgrid()
-    names = ["x", "y", "z", *columns.keys()]
-    data = [X, Y, Z]
+def write_csv(path, axes: dict[str, np.ndarray], columns: dict[str, np.ndarray]) -> None:
+    """One tensor-grid node per row: the coordinate columns named by
+    ``axes`` first, then ``columns``; row-major with the last axis fastest,
+    floats at 17 significant digits so a read-back is bit-faithful.
+    Refuses a non-finite value before the file is opened."""
+    counts = tuple(len(a) for a in axes.values())
+    names = [*axes, *columns]
+    data = [*np.meshgrid(*axes.values(), indexing="ij")]
     for name, values in columns.items():
-        if values.shape != grid.counts:
-            raise ValueError(f"column {name!r} has shape {values.shape}, expected {grid.counts}")
+        if values.shape != counts:
+            raise ValueError(f"column {name!r} has shape {values.shape}, expected {counts}")
         data.append(values)
     flat = np.column_stack([d.reshape(-1) for d in data])
+    _require_finite(flat, names, path, "refusing to write")
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
         _write_rows(fh, flat, ",")
@@ -284,57 +290,57 @@ def _write_rows(fh, values: np.ndarray, delimiter: str) -> None:
         fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
-def read_csv(path) -> tuple[Grid3, dict[str, np.ndarray]]:
+def _require_finite(rows: np.ndarray, names: list[str], path, verb: str) -> None:
+    """Name the file, column and data row of the first non-finite value."""
+    if not np.isfinite(rows).all():
+        row, col = np.argwhere(~np.isfinite(rows))[0]
+        raise ValueError(f"{path}: {verb} a non-finite {names[col]} ({rows[row, col]}) in data row {row + 1}")
+
+
+def _axis_step(values: np.ndarray) -> float | None:
+    """The spacing of a sorted axis, or None where its steps are not uniform.
+
+    The whole-axis quotient recovers the spacing a writer used to build the
+    axis far more often than the first step does."""
+    if len(values) == 1:
+        return 1.0
+    h = (values[-1] - values[0]) / (len(values) - 1)
+    tol = 1e-12 * max(1.0, abs(values[-1] - values[0]))
+    return float(h) if np.allclose(np.diff(values), h, rtol=1e-12, atol=tol) else None
+
+
+def read_csv(path, axis_names) -> tuple[tuple[np.ndarray, ...], dict[str, np.ndarray]]:
+    """Read a file of ``write_csv``'s layout whose coordinate columns are
+    ``axis_names``; returns the file's own axis values and the remaining
+    columns shaped to them.  Rejects a file that is not a full, ordered,
+    uniformly spaced tensor grid or that holds a non-finite value."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         with warnings.catch_warnings():
             # an empty body is reported below, with the file name
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if header[:3] != ["x", "y", "z"]:
-        raise ValueError(f"{path}: expected x,y,z coordinate columns first")
+    k = len(axis_names)
+    if header[:k] != list(axis_names):
+        raise ValueError(f"{path}: expected {','.join(axis_names)} coordinate columns first")
     if data.size == 0:
         raise ValueError(f"{path}: no data rows")
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: data rows have {data.shape[1]} columns, the header has {len(header)}")
-    cols = {name: data[:, i] for i, name in enumerate(header)}
-    grid = _infer_grid(cols["x"], cols["y"], cols["z"], path)
-    out = {}
-    for name in header[3:]:
-        out[name] = cols[name].reshape(grid.counts)
-    return grid, out
-
-
-def _infer_grid(x: np.ndarray, y: np.ndarray, z: np.ndarray, path) -> Grid3:
-    xs, ys, zs = np.unique(x), np.unique(y), np.unique(z)
-    counts = (len(xs), len(ys), len(zs))
-    if counts[0] * counts[1] * counts[2] != x.size:
+    _require_finite(data, header, path, "holds")
+    coords = data[:, :k].T
+    axes = tuple(np.unique(c) for c in coords)
+    counts = tuple(len(a) for a in axes)
+    if math.prod(counts) != len(data):
         raise ValueError(f"{path}: nodes do not form a full tensor grid")
-
-    def spacing_of(vals, label):
-        if len(vals) == 1:
-            return 1.0
-        # the whole-axis quotient recovers the spacing a writer used to build
-        # the axis far more often than the first step does
-        h = (vals[-1] - vals[0]) / (len(vals) - 1)
-        steps = np.diff(vals)
-        if not np.allclose(steps, h, rtol=1e-12, atol=1e-12 * max(1.0, abs(vals[-1] - vals[0]))):
-            raise ValueError(f"{path}: {label} coordinates are not uniformly spaced")
-        return float(h)
-
-    nx, ny, nz = counts
     # compare against the file's own coordinate values, not regenerated ones
-    if not (
-        np.array_equal(np.repeat(xs, ny * nz), x)
-        and np.array_equal(np.tile(np.repeat(ys, nz), nx), y)
-        and np.array_equal(np.tile(zs, nx * ny), z)
-    ):
-        raise ValueError(f"{path}: rows are not in row-major z-fastest order")
-    return Grid3(
-        (float(xs[0]), float(ys[0]), float(zs[0])),
-        (spacing_of(xs, "x"), spacing_of(ys, "y"), spacing_of(zs, "z")),
-        counts,
-    )
+    nodes = np.meshgrid(*axes, indexing="ij")
+    if not all(np.array_equal(n.reshape(-1), c) for n, c in zip(nodes, coords)):
+        raise ValueError(f"{path}: rows are not in row-major {axis_names[-1]}-fastest order")
+    for name, axis in zip(axis_names, axes):
+        if _axis_step(axis) is None:
+            raise ValueError(f"{path}: {name} coordinates are not uniformly spaced")
+    return axes, {name: data[:, i].reshape(counts) for i, name in enumerate(header[k:], start=k)}
 
 
 def write_vtk(path, grid: Grid3, scalars: dict[str, np.ndarray], vectors: dict[str, np.ndarray], title: str = "plasmeq fields") -> None:

@@ -28,6 +28,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 from scipy.sparse.linalg import splu
 
+from . import fields as fd
 from .equilibria import CGLState, StateEvaluators, sample_state
 from .expr import compile_numeric
 from .fields import Grid3
@@ -466,21 +467,17 @@ def parse_problem_file(text: str) -> tuple[FluxProblem, dict]:
 
 def write_solution(sol: FluxSolution, directory) -> dict:
     """Write psi.csv (r, zu, psi; zu fastest) plus solution.json and return
-    the manifest."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    csv_path = directory / "psi.csv"
-    R, ZU = np.meshgrid(sol.r, sol.zu, indexing="ij")
-    flat = np.column_stack([R.reshape(-1), ZU.reshape(-1), sol.psi.reshape(-1)])
-    with open(csv_path, "w") as fh:
-        fh.write("r,zu,psi\n")
-        np.savetxt(fh, flat, fmt="%.17g", delimiter=",")
+    the manifest; writes nothing for a problem it cannot serialize."""
     problem = sol.problem
     missing = [k for k in ("J", "dJ", "dN", "boundary") if k not in problem.texts]
     if missing:
         raise ValueError(
             f"cannot serialize a problem whose profiles {missing} were supplied as callables"
         )
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    csv_path = directory / "psi.csv"
+    fd.write_csv(csv_path, {"r": sol.r, "zu": sol.zu}, {"psi": sol.psi})
     manifest = {
         "geometry": problem.geometry,
         "r0": problem.r_range[0],
@@ -521,25 +518,16 @@ def load_solution(path) -> FluxSolution:
         source=manifest["profiles"].get("source"),
     )
     csv_path = path.parent / manifest["psi_csv"]
-    with open(csv_path) as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if header != ["r", "zu", "psi"]:
-        raise ValueError(f"{manifest['psi_csv']}: expected columns r,zu,psi")
-    nr, nzu = manifest["resolution"]
-    r = np.unique(data[:, 0])
-    zu = np.unique(data[:, 1])
-    if len(r) != nr or len(zu) != nzu:
-        raise ValueError("solution CSV does not match the recorded resolution")
-    # psi is reshaped in file order, so that order must be the one written
-    if not (np.array_equal(np.repeat(r, nzu), data[:, 0]) and np.array_equal(np.tile(zu, nr), data[:, 1])):
-        raise ValueError(f"{csv_path}: rows are not in row-major zu-fastest order")
-    psi = data[:, 2].reshape(nr, nzu)
+    (r, zu), cols = fd.read_csv(csv_path, ("r", "zu"))
+    if list(cols) != ["psi"]:
+        raise ValueError(f"{csv_path}: expected columns r,zu,psi")
+    if [len(r), len(zu)] != list(manifest["resolution"]):
+        raise ValueError(f"{csv_path}: solution CSV does not match the recorded resolution")
     return FluxSolution(
         problem,
         r,
         zu,
-        psi,
+        cols["psi"],
         manifest["iterations"],
         manifest["final_update"],
         manifest["converged"],

@@ -335,7 +335,7 @@ def test_criterion_8_flux_mapping():
             solutions[n2d], f"psi/{2 * psi_max}", grid=default_cartesian_box(problem, n3d)
         )
         b2 = state.b_squared()
-        mask = b2 > state.eps_b()
+        mask = b2 > 1e-12 * b2.max()
         gap = np.abs((state.p_par.values - state.p_perp.values) - state.tau.values * b2)
         scale = max(
             float(np.max(np.abs(state.p_par.values))),

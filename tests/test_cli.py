@@ -173,7 +173,7 @@ def _box_state(tmp_path, counts):
     problem, _ = flux.parse_problem_file(Path(data_path("flux_axisym_example.flux")).read_text())
     grid = flux.default_cartesian_box(problem, counts)
     path = tmp_path / "box.csv"
-    fields.write_csv(path, grid, {"psi": np.full(grid.counts, 0.5)})
+    fields.write_csv(path, dict(zip("xyz", grid.axes())), {"psi": np.full(grid.counts, 0.5)})
     return path
 
 
@@ -189,9 +189,10 @@ def _box_state(tmp_path, counts):
 )
 def test_state_csv_round_trips_byte_identically(tmp_path, make):
     first = make(tmp_path)
-    grid, columns = fields.read_csv(first)
+    axes, columns = fields.read_csv(first, ("x", "y", "z"))
+    grid = fields.Grid3.from_axes(*axes)
     again = tmp_path / "again.csv"
-    fields.write_csv(again, grid, columns)
+    fields.write_csv(again, dict(zip("xyz", grid.axes())), columns)
     assert first.read_bytes() == again.read_bytes()
 
 
@@ -323,18 +324,45 @@ def test_transform_with_vanishing_magnitude_fails_validation(tmp_path):
     assert read_report(out)["pass"] is False
 
 
-def _solution(tmp_path, drop=None, shuffle=False):
+def _solution(tmp_path, drop=None, rows=None):
+    """Solve the bundled axisymmetric problem; optionally drop a manifest
+    key, or pass the psi.csv data rows through ``rows``."""
     _, sol_out = run(tmp_path, "sol", "flux", "solve", data_path("flux_axisym_example.flux"))
     path = sol_out / "solution.json"
     if drop is not None:
         manifest = json.loads(path.read_text())
         del manifest[drop]
         path.write_text(json.dumps(manifest))
-    if shuffle:
-        header, *rows = (sol_out / "psi.csv").read_text().splitlines(keepends=True)
-        random.Random(1).shuffle(rows)
-        (sol_out / "psi.csv").write_text(header + "".join(rows))
+    if rows is not None:
+        _edit_rows(sol_out / "psi.csv", rows)
     return str(path)
+
+
+def _edit_rows(path, rows):
+    """Pass the data rows of a CSV file through ``rows``, keeping its header."""
+    header, *lines = path.read_text().splitlines(keepends=True)
+    path.write_text(header + "".join(rows(lines)))
+
+
+def _shuffled(lines):
+    random.Random(1).shuffle(lines)
+    return lines
+
+
+def _second_r_moved(lines):
+    """Move the second r value halfway to the third: a full, ordered but
+    non-uniform tensor grid."""
+    r = sorted({float(line.split(",")[0]) for line in lines})
+    moved = repr((r[1] + r[2]) / 2)
+    return [moved + line[line.index(",") :] if float(line.split(",")[0]) == r[1] else line for line in lines]
+
+
+def _set_value(lines, row, column, text):
+    """Put ``text`` into one cell of the data rows (both counted from 0)."""
+    cells = lines[row].rstrip("\n").split(",")
+    cells[column] = text
+    lines[row] = ",".join(cells) + "\n"
+    return lines
 
 
 def _file(tmp_path, name, text):
@@ -347,9 +375,19 @@ def _flux_file(tmp_path, profiles):
     return _file(tmp_path, "problem.flux", f"r0 = 0.5\nr1 = 1.5\nzu0 = -0.5\nzu1 = 0.5\nnr = 9\nnzu = 9\n{profiles}\n")
 
 
-def _state(tmp_path):
-    _, out = run(tmp_path, "vortex", "vortex", "--grid", "9")
+def _state(tmp_path, grid=9, rows=None):
+    _, out = run(tmp_path, "vortex", "vortex", "--grid", str(grid))
+    if rows is not None:
+        _edit_rows(out / "state.csv", rows)
     return str(out / "state.csv")
+
+
+def _out_is_a_file(tmp_path):
+    (tmp_path / "bad").write_text("a file, not a directory\n")
+    return ["vortex", "--grid", "9"]
+
+
+UNKNOWN_PDE = "indep x, y;\ndep u;\n{}\neq diff(u,x) = 0;\n"
 
 
 STATE_HEADER = "x,y,z,B1,B2,B3,p_perp,p_par,tau,psi\n"
@@ -383,8 +421,46 @@ BAD_INPUTS = {
         "missing r0",
     ),
     "solution rows out of order": (
-        lambda tmp: ["flux", "tocgl", _solution(tmp, shuffle=True), "--tau", "0.1"],
+        lambda tmp: ["flux", "tocgl", _solution(tmp, rows=_shuffled), "--tau", "0.1"],
         "psi.csv: rows are not in row-major zu-fastest order",
+    ),
+    "solution with a header only": (
+        lambda tmp: ["flux", "tocgl", _solution(tmp, rows=lambda lines: []), "--tau", "0.1"],
+        "psi.csv: no data rows",
+    ),
+    "solution rows of two columns": (
+        lambda tmp: [
+            "flux", "tocgl", _solution(tmp, rows=lambda lines: [",".join(line.split(",")[:2]) + "\n" for line in lines]),
+            "--tau", "0.1",
+        ],
+        "psi.csv: data rows have 2 columns, the header has 3",
+    ),
+    "solution on a non-uniform r axis": (
+        lambda tmp: ["flux", "tocgl", _solution(tmp, rows=_second_r_moved), "--tau", "0.1"],
+        "psi.csv: r coordinates are not uniformly spaced",
+    ),
+    "solution with a nan": (
+        lambda tmp: ["flux", "tocgl", _solution(tmp, rows=lambda lines: _set_value(lines, 40, 2, "nan")), "--tau", "0.1"],
+        "psi.csv: holds a non-finite psi (nan) in data row 41",
+    ),
+    "transform to non-finite values": (
+        lambda tmp: ["transform", "--state", _state(tmp, grid=17), "--M", "exp(1000*psi)"],
+        "transformed.csv: refusing to write a non-finite",
+    ),
+    "state with an inf": (
+        lambda tmp: [
+            "check", "--state", _state(tmp, rows=lambda lines: _set_value(lines, 4, 3, "inf")), "--system", "cgl",
+        ],
+        "state.csv: holds a non-finite B1 (inf) in data row 5",
+    ),
+    "--out names an existing file": (_out_is_a_file, "cannot create output directory"),
+    "unknown arguments joined by an operator": (
+        lambda tmp: ["lie", "detsys", _file(tmp, "u.pde", UNKNOWN_PDE.format("unknown f(x + 3 u);"))],
+        "malformed unknown declaration (line 3, column 1)",
+    ),
+    "unknown arguments with an empty slot": (
+        lambda tmp: ["lie", "detsys", _file(tmp, "u.pde", UNKNOWN_PDE.format("unknown f(x,, y u);"))],
+        "malformed unknown declaration (line 3, column 1)",
     ),
     "generator statement without ';'": (
         lambda tmp: ["lie", "verify", data_path("mhd_static.pde"), _file(tmp, "g.gen", "param a\nxi(x) = 1;\n")],
@@ -424,10 +500,18 @@ def test_bad_input_exits_two_with_an_error(tmp_path, capsys, case):
     capsys.readouterr()
     code, out = run(tmp_path, "bad", *argv)
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    if out.is_file():
+        # --out names a file: it stays as it was and no report can be written
+        assert out.read_text() == "a file, not a directory\n"
+        return
     report = read_report(out)
     assert report["pass"] is False
     assert message in report["error"]
+    # a failed command leaves its report and nothing else
+    assert [p.name for p in out.iterdir()] == ["report.json"]
 
 
 def test_unknown_subcommand_exits_two(tmp_path):
