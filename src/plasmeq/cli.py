@@ -20,8 +20,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import equilibria as eq
 from . import fields as fd
@@ -70,7 +73,6 @@ def cmd_lie_detsys(args) -> tuple[int, dict]:
         counts["target"] = system.target_count
         counts["matches_target"] = det.count == system.target_count
     report = {
-        "command": "lie detsys",
         "inputs": {"pde_file": str(args.pde_file)},
         "params": {},
         "counts": counts,
@@ -91,7 +93,6 @@ def cmd_lie_verify(args) -> tuple[int, dict]:
     nonzero = [pretty(r) for r in verification if not r.is_zero]
     ok = not nonzero
     report = {
-        "command": "lie verify",
         "inputs": {"pde_file": str(args.pde_file), "generator_file": str(args.generator_file)},
         "params": {},
         "counts": {"source_equations": len(system.equations), "nonzero_residuals": len(nonzero)},
@@ -122,7 +123,6 @@ def cmd_vortex(args) -> tuple[int, dict]:
         eq.write_state_vtk(state, out_dir / "state.vtk")
         artifacts["vtk"] = "state.vtk"
     report = {
-        "command": "vortex",
         "inputs": {},
         "params": {
             "R": args.R,
@@ -149,7 +149,6 @@ def cmd_transform(args) -> tuple[int, dict]:
     transformed = eq.apply_infinite_transform(state, spec)
     eq.write_state_csv(transformed, Path(args.out) / "transformed.csv")
     report = {
-        "command": "transform",
         "inputs": {"state": str(args.state)},
         "params": {"M": args.M, "m_min": args.m_min},
         "assumptions": transformed.meta.get("warnings", []),
@@ -177,7 +176,6 @@ def cmd_flux_solve(args) -> tuple[int, dict]:
         raise ValueError(f"solver diverged: {err}") from None
     manifest = fx.write_solution(sol, args.out)
     report = {
-        "command": "flux solve",
         "inputs": {"problem_file": str(args.problem_file)},
         "params": {
             "shape": list(params["shape"]),
@@ -206,7 +204,6 @@ def cmd_flux_tocgl(args) -> tuple[int, dict]:
     state = fx.flux_to_cgl(sol, args.tau, grid=grid)
     eq.write_state_csv(state, Path(args.out) / "state.csv")
     report = {
-        "command": "flux tocgl",
         "inputs": {"solution": str(args.solution)},
         "params": {"tau": args.tau, "grid": args.grid},
         "assumptions": [],
@@ -246,7 +243,6 @@ def cmd_check(args) -> tuple[int, dict]:
 
     norms = eq.residual_norms(state, args.system, mask_radius=mask_radius)
     report: dict = {
-        "command": "check",
         "inputs": {"state": str(args.state)},
         "params": params,
         "norms": _norms_as_jsonable(norms),
@@ -266,12 +262,13 @@ def cmd_check(args) -> tuple[int, dict]:
         for name in norms:
             fine_linf = norms[name]["linf"]
             coarse_linf = coarse[name]["linf"]
-            ratios[name] = coarse_linf / fine_linf if fine_linf > 0 else float("inf")
+            # an exactly vanishing fine residual has no ratio
+            ratios[name] = float(coarse_linf / fine_linf) if fine_linf > 0 else None
             # pass when the fine-grid residual sits below the second-order
             # expectation (coarse/4) widened by the threshold factor
             if fine_linf > args.threshold_factor * coarse_linf / 4.0:
                 ok = False
-        report["convergence_ratios"] = {k: float(v) for k, v in ratios.items()}
+        report["convergence_ratios"] = ratios
 
     if args.stability:
         report["stability"] = eq.stability_report(state).summary()
@@ -293,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     lie = sub.add_parser("lie", help="point-symmetry analysis")
-    lie_sub = lie.add_subparsers(dest="lie_command", required=True)
+    lie_sub = lie.add_subparsers(dest="subcommand", required=True)
     detsys = lie_sub.add_parser("detsys", help="derive the determining equations")
     detsys.add_argument("pde_file")
     detsys.set_defaults(handler=cmd_lie_detsys)
@@ -325,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     transform.set_defaults(handler=cmd_transform)
 
     flux = sub.add_parser("flux", help="flux-function solvers")
-    flux_sub = flux.add_subparsers(dest="flux_command", required=True)
+    flux_sub = flux.add_subparsers(dest="subcommand", required=True)
     fsolve = flux_sub.add_parser("solve", help="solve a flux problem file")
     fsolve.add_argument("problem_file")
     fsolve.set_defaults(handler=cmd_flux_solve)
@@ -371,13 +368,20 @@ def main(argv=None) -> int:
         # with no directory there is no report.json to write either
         print(f"error: cannot create output directory {out_dir}: {err.strerror or err}", file=sys.stderr)
         return EXIT_VALIDATION
+    command = " ".join(filter(None, (args.command, vars(args).get("subcommand"))))
     try:
-        code, report = args.handler(args)
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"--{name.replace('_', '-')} must be a finite number, got {value}")
+        # numpy's floating-point warnings stay off stderr: the finite checks
+        # on sampled values and on written files report those cases
+        with np.errstate(all="ignore"):
+            code, report = args.handler(args)
     except (ExprError, LieError, ValueError, ArithmeticError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        _write_report(out_dir, {"command": args.command, "error": str(err), "assumptions": [], "pass": False})
+        _write_report(out_dir, {"command": command, "error": str(err), "assumptions": [], "pass": False})
         return EXIT_VALIDATION
-    _write_report(out_dir, report)
+    _write_report(out_dir, {"command": command, **report})
     return code
 
 

@@ -601,7 +601,7 @@ def stability_report(state: CGLState) -> StabilityReport:
     Mirror: unstable iff p_perp (p_perp / (6 p_par) - 1) > B^2 / 2; nodes
     with p_par = 0 are flagged indeterminate.  Nodes at field nulls are
     not applicable.  Margins are the largest values of (criterion left
-    side minus right side) over applicable nodes.
+    side minus right side) over applicable nodes, None where there are none.
     """
     b2 = state.b_squared()
     applicable = b2 > _field_null_threshold(b2)
@@ -623,7 +623,7 @@ def stability_report(state: CGLState) -> StabilityReport:
     mirror[zero_par] = FLAG_INDETERMINATE
 
     def margin(lhs, mask):
-        return float(np.max(lhs[mask])) if mask.any() else float("nan")
+        return float(np.max(lhs[mask])) if mask.any() else None
 
     counts = {
         "applicable": int(applicable.sum()),
@@ -749,7 +749,7 @@ def read_state_csv(path) -> CGLState:
     return state
 
 
-def write_state_vtk(state: CGLState, path, title: str = "plasma equilibrium state") -> None:
+def write_state_vtk(state: CGLState, path) -> None:
     columns = _columns(state)
     scalars = {name: columns[name] for name in STATE_COLUMNS[3:]}
-    fd.write_vtk(path, state.grid, scalars=scalars, vectors={"B": state.B.values}, title=title)
+    fd.write_vtk(path, state.grid, scalars=scalars, vectors={"B": state.B.values})

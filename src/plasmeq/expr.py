@@ -235,15 +235,15 @@ class Expr:
                     seen.add(a)
                     yield a
 
-    def symbols(self, recurse: bool = True) -> set[Symbol]:
-        """All symbols, by default including those inside opaque arguments."""
+    def symbols(self) -> set[Symbol]:
+        """All symbols, including those inside opaque arguments."""
         out: set[Symbol] = set()
         for a in self.atoms():
             if isinstance(a, Symbol):
                 out.add(a)
-            elif recurse:
+            else:
                 for arg in a.args:
-                    out |= arg.symbols(recurse=True)
+                    out |= arg.symbols()
         return out
 
     def mentions(self, sym: Symbol, recurse: bool = True) -> bool:
@@ -397,19 +397,18 @@ class Expr:
         return out
 
     # -- numeric evaluation ---------------------------------------------------
-    def evaluate(self, env: Mapping[str, object], funcs: Mapping[str, Callable] | None = None):
+    def evaluate(self, env: Mapping[str, object]):
         """Evaluate numerically; values may be scalars or numpy arrays.
 
         Out-of-domain inputs yield inf/nan rather than warnings; callers
         that need totality check finiteness themselves.
         """
-        table = NUMERIC_FUNCTIONS if funcs is None else funcs
         total = 0.0
         with np.errstate(all="ignore"):
             for m, c in self._terms.items():
                 term = float(c)
                 for a, k in m:
-                    term = term * _atom_value(a, env, table) ** k
+                    term = term * _atom_value(a, env) ** k
                 total = total + term
         return total
 
@@ -443,7 +442,7 @@ def _chain_rule(atom: FnAtom, derive: Callable[[Expr], Expr]) -> Expr:
     return out
 
 
-def _atom_value(atom: Atom, env, table):
+def _atom_value(atom: Atom, env):
     if isinstance(atom, Symbol):
         try:
             return env[atom.name]
@@ -452,10 +451,10 @@ def _atom_value(atom: Atom, env, table):
     if any(atom.dtag):
         raise EvalError(f"cannot evaluate derivative-tagged atom {atom!r}")
     try:
-        fn = table[atom.head]
+        fn = NUMERIC_FUNCTIONS[atom.head]
     except KeyError:
         raise EvalError(f"no numeric rule for function {atom.head!r}") from None
-    return fn(*[a.evaluate(env, table) for a in atom.args])
+    return fn(*[a.evaluate(env) for a in atom.args])
 
 
 NUMERIC_FUNCTIONS: dict[str, Callable] = {
@@ -706,10 +705,6 @@ class _Parser:
         if tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
         return tok
-
-    def fail(self, message: str) -> "ParseError":
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
 
     # expression grammar: sum of products of signed powers
     def parse_single_expression(self) -> Expr:
@@ -1038,7 +1033,7 @@ def pretty(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 
 
-def compile_numeric(text: str, variables: Iterable[str], parameters: Mapping[str, float] | None = None):
+def compile_numeric(text: str, variables: Iterable[str]):
     """Compile an expression over the given variable names into a vectorized
     callable of keyword or positional arrays.
 
@@ -1047,14 +1042,10 @@ def compile_numeric(text: str, variables: Iterable[str], parameters: Mapping[str
     arbitrary code execution.
     """
     names = list(variables)
-    params = dict(parameters or {})
-    ctx = Context(independents=names, parameters=params.keys())
-    e = ctx.parse(text)
+    e = Context(independents=names).parse(text)
 
     def fn(*args, **kwargs):
-        env = dict(params)
-        env.update(zip(names, args))
-        env.update(kwargs)
+        env = dict(zip(names, args), **kwargs)
         missing = [n for n in names if n not in env]
         if missing:
             raise EvalError(f"missing values for {missing}")

@@ -343,7 +343,7 @@ def read_csv(path, axis_names) -> tuple[tuple[np.ndarray, ...], dict[str, np.nda
     return axes, {name: data[:, i].reshape(counts) for i, name in enumerate(header[k:], start=k)}
 
 
-def write_vtk(path, grid: Grid3, scalars: dict[str, np.ndarray], vectors: dict[str, np.ndarray], title: str = "plasmeq fields") -> None:
+def write_vtk(path, grid: Grid3, scalars: dict[str, np.ndarray], vectors: dict[str, np.ndarray]) -> None:
     """Legacy ASCII STRUCTURED_POINTS writer (x varies fastest on disk)."""
     nx, ny, nz = grid.counts
 
@@ -353,7 +353,7 @@ def write_vtk(path, grid: Grid3, scalars: dict[str, np.ndarray], vectors: dict[s
 
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(title + "\n")
+        fh.write("plasma equilibrium state\n")
         fh.write("ASCII\n")
         fh.write("DATASET STRUCTURED_POINTS\n")
         fh.write(f"DIMENSIONS {nx} {ny} {nz}\n")

@@ -53,17 +53,15 @@ class SolverDiverged(RuntimeError):
 
 
 def _as_profile(spec, variables: tuple[str, ...]):
-    """Normalize a profile given as an expression string, a number, or a
-    callable into a vectorized callable (plus its text form if known)."""
+    """Normalize a profile, a callable or an expression (a number is the
+    expression of its decimal text), into a vectorized callable plus its
+    text form (None for a callable without one)."""
     if spec is None:
         return None, None
     if callable(spec):
         return spec, getattr(spec, "text", None)
-    if isinstance(spec, (int, float)):
-        value = float(spec)
-        return (lambda *args: np.full_like(np.asarray(args[0], dtype=float), value)), repr(spec)
     fn = compile_numeric(str(spec), variables)
-    return fn, str(spec)
+    return fn, fn.text
 
 
 @dataclass
@@ -75,7 +73,8 @@ class FluxProblem:
     Dirichlet data as a function of (r, zu); ``source`` is an optional extra
     term S(r, zu) added to the equation (used by manufactured-solution
     tests).  Profile consistency (dJ against J) is probed numerically, not
-    enforced.
+    enforced.  ``texts`` holds the expression text of every profile that
+    has one.
     """
 
     geometry: str
@@ -87,7 +86,7 @@ class FluxProblem:
     dN: object = 0.0
     gamma: float = 0.0
     source: object = None
-    texts: dict = field(default_factory=dict, repr=False)
+    texts: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.geometry not in GEOMETRIES:
@@ -100,14 +99,12 @@ class FluxProblem:
             raise ValueError("empty zu range")
         if self.geometry == "helical" and self.gamma == 0.0:
             raise ValueError("helical geometry needs a nonzero pitch length gamma")
-        self.J, jt = _as_profile(self.J, ("psi",))
-        self.dJ, djt = _as_profile(self.dJ, ("psi",))
-        self.dN, dnt = _as_profile(self.dN, ("psi",))
-        self.boundary, bt = _as_profile(self.boundary, ("r", "zu"))
-        self.source, st = _as_profile(self.source, ("r", "zu"))
-        for key, text in (("J", jt), ("dJ", djt), ("dN", dnt), ("boundary", bt), ("source", st)):
+        self.texts = {}
+        for key in ("J", "dJ", "dN", "boundary", "source"):
+            fn, text = _as_profile(getattr(self, key), ("r", "zu") if key in ("boundary", "source") else ("psi",))
+            setattr(self, key, fn)
             if text is not None:
-                self.texts.setdefault(key, text)
+                self.texts[key] = text
 
 
 @dataclass(frozen=True)
@@ -198,6 +195,10 @@ def solve_flux(
         raise ValueError("resolution must be at least 9 x 9")
     if not 0.0 < omega <= 1.0:
         raise ValueError("relaxation weight must lie in (0, 1]")
+    if max_iter < 1:
+        raise ValueError(f"iteration cap must be at least 1, got {max_iter}")
+    if not (math.isfinite(tol_outer) and tol_outer > 0.0):
+        raise ValueError(f"tolerance must be a positive finite number, got {tol_outer}")
     r = np.linspace(*problem.r_range, nr)
     zu = np.linspace(*problem.zu_range, nzu)
     R, ZU = np.meshgrid(r, zu, indexing="ij")
@@ -215,9 +216,7 @@ def solve_flux(
     S = problem.source(R[1:-1, 1:-1], ZU[1:-1, 1:-1]) if problem.source is not None else None
 
     updates: list[float] = []
-    final_update = math.inf
     converged = False
-    iterations = 0
     for iterations in range(1, max_iter + 1):
         g = _nonlinear_term(problem, R[1:-1, 1:-1], psi[1:-1, 1:-1], S)
         if not np.isfinite(g).all():
@@ -303,36 +302,28 @@ def default_cartesian_box(problem: FluxProblem, counts: int | tuple[int, int, in
     )
 
 
-def _pressure_antiderivative(problem: FluxProblem, sol: FluxSolution, n_ref: float, psi_ref: float | None):
+def _pressure_antiderivative(problem: FluxProblem, sol: FluxSolution):
+    """N(psi), the integral of dN from the smallest attained flux value,
+    as a spline over the attained range padded by 2 % on either side."""
     lo, hi = sol.attained_range()
     pad = 0.02 * max(hi - lo, 1e-12)
-    lo, hi = lo - pad, hi + pad
-    if psi_ref is None:
-        psi_ref = lo
-    checkpoints = np.linspace(lo, hi, 257)
+    checkpoints = np.linspace(lo - pad, hi + pad, 257)
     values = np.empty_like(checkpoints)
     integrand = lambda p: float(problem.dN(np.asarray(p, dtype=float)))
     for idx, p in enumerate(checkpoints):
-        values[idx] = n_ref + quad(integrand, psi_ref, p, limit=200)[0]
+        values[idx] = quad(integrand, lo, p, limit=200)[0]
     return CubicSpline(checkpoints, values)
 
 
-def flux_to_cgl(
-    sol: FluxSolution,
-    tau,
-    grid: Grid3 | None = None,
-    n_ref: float = 0.0,
-    psi_ref: float | None = None,
-) -> CGLState:
+def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
     """Build a 3D anisotropic state from a flux solution.
 
     ``tau`` (an expression in psi, a number, or a callable) must stay below
     one on the attained flux range.  The field follows the symmetric-state
     template with the overall 1/sqrt(1-tau) factor; pressures are
     N(psi) -+ tau B^2/2 with N integrated from the stated profile
-    derivative (reference value ``n_ref`` at ``psi_ref``, by default the
-    smallest attained flux value).  The stored label is psi normalized by
-    its largest magnitude on the 2D solution.
+    derivative, N = 0 at the smallest attained flux value.  The stored
+    label is psi normalized by its largest magnitude on the 2D solution.
     """
     problem = sol.problem
     tau_fn, tau_text = _as_profile(tau, ("psi",))
@@ -342,41 +333,33 @@ def flux_to_cgl(
         raise ValueError(
             f"tau reaches {float(np.max(probe)):.6g} on the attained flux range; the mapping needs tau < 1"
         )
-    n_of = _pressure_antiderivative(problem, sol, n_ref, psi_ref)
+    n_of = _pressure_antiderivative(problem, sol)
     spline = sol.spline()
     psi_scale = max(abs(lo), abs(hi)) or 1.0
     gamma = problem.gamma
     helical = problem.geometry == "helical"
 
-    def geometry_fields(X, Y, Z):
+    def evaluate(X, Y, Z):
         R = np.hypot(X, Y)
         phi = np.arctan2(Y, X)
         ZU = Z - gamma * phi if helical else Z
-        shape = R.shape
         rf, zf = R.reshape(-1), np.asarray(ZU).reshape(-1)
-        psi = spline.ev(rf, zf).reshape(shape)
-        psi_r = spline.ev(rf, zf, dx=1).reshape(shape)
-        psi_zu = spline.ev(rf, zf, dy=1).reshape(shape)
-        return R, phi, psi, psi_r, psi_zu
-
-    def evaluate(X, Y, Z):
-        R, phi, psi, psi_r, psi_zu = geometry_fields(X, Y, Z)
+        psi = spline.ev(rf, zf).reshape(R.shape)
+        psi_r = spline.ev(rf, zf, dx=1).reshape(R.shape)
+        psi_zu = spline.ev(rf, zf, dy=1).reshape(R.shape)
         tau_v = tau_fn(psi)
         factor = 1.0 / np.sqrt(1.0 - tau_v)
         Jv = problem.J(psi)
+        b_r = psi_zu / R
         if helical:
             denom = R**2 + gamma**2
-            b_r = psi_zu / R
             b_z = (gamma * Jv - R * psi_r) / denom
             b_phi = (R * Jv + gamma * psi_r) / denom
         else:
-            b_r = psi_zu / R
             b_phi = Jv / R
             b_z = -psi_r / R
         cos_p, sin_p = np.cos(phi), np.sin(phi)
-        b = factor[None, ...] * np.stack(
-            [b_r * cos_p - b_phi * sin_p, b_r * sin_p + b_phi * cos_p, b_z * np.ones_like(cos_p)]
-        )
+        b = factor[None, ...] * np.stack([b_r * cos_p - b_phi * sin_p, b_r * sin_p + b_phi * cos_p, b_z])
         tau_v = tau_v * np.ones_like(psi)
         half_tau_b2 = 0.5 * tau_v * np.einsum("c...,c...->...", b, b)
         n_v = n_of(psi)
@@ -388,8 +371,7 @@ def flux_to_cgl(
         "family": f"flux-{problem.geometry}",
         "gamma": gamma,
         "tau_profile": tau_text,
-        "n_ref": n_ref,
-        "psi_ref": psi_ref if psi_ref is not None else lo,
+        "psi_ref": lo,
         "psi_normalization": psi_scale,
         "profiles": dict(problem.texts),
         "solution_converged": sol.converged,
@@ -401,18 +383,47 @@ def flux_to_cgl(
 # Problem files and solution artifacts
 # ---------------------------------------------------------------------------
 
-_NUMERIC_KEYS = {"r0", "r1", "zu0", "zu1", "gamma", "tol", "omega"}
-_INT_KEYS = {"nr", "nzu", "max_iter"}
-_EXPR_KEYS = {"J", "dJ", "dN", "dL", "boundary", "source"}
-_MANIFEST_KEYS = ("geometry", "r0", "r1", "zu0", "zu1", "profiles", "psi_csv", "resolution",
-                  "iterations", "final_update", "converged")
+_DOMAIN_KEYS = ("r0", "r1", "zu0", "zu1")
+_PROFILE_KEYS = ("J", "dJ", "dN", "boundary", "source")
+_SOLVER_KEYS = {"nr": int, "nzu": int, "max_iter": int, "tol": float, "omega": float}
+_MANIFEST_KEYS = ("geometry", "profiles", "psi_csv", "resolution", "iterations", "final_update", "converged")
+
+
+def _number(value, key: str, where: str, kind=float):
+    try:
+        number = kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: {key} is not a number: {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{where}: {key} must be finite, got {number}")
+    return number
+
+
+def _problem(entries: dict, where: str) -> FluxProblem:
+    """Build a problem from its entries: ``geometry``, the domain
+    ``r0 r1 zu0 zu1``, ``gamma`` and the profiles, with numbers given as
+    numbers or as text.  ``where`` names the source in error messages."""
+    missing = [k for k in _DOMAIN_KEYS if k not in entries]
+    if missing:
+        raise ValueError(f"{where} is missing {', '.join(missing)}")
+    if "boundary" not in entries:
+        raise ValueError(f"{where} is missing the boundary expression")
+    r0, r1, zu0, zu1, gamma = (_number(entries.get(k, 0.0), k, where) for k in (*_DOMAIN_KEYS, "gamma"))
+    return FluxProblem(
+        entries.get("geometry", "axisymmetric"),
+        (r0, r1),
+        (zu0, zu1),
+        gamma=gamma,
+        **{k: entries[k] for k in _PROFILE_KEYS if k in entries},
+    )
 
 
 def parse_problem_file(text: str) -> tuple[FluxProblem, dict]:
     """Parse ``key = value`` lines; expression values stay text until use.
 
     Returns the problem plus solver parameters (resolution, tolerance,
-    iteration cap, relaxation weight).
+    iteration cap, relaxation weight).  ``dL`` (the helical name) is an
+    alias of ``dN``.
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -426,41 +437,20 @@ def parse_problem_file(text: str) -> tuple[FluxProblem, dict]:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = value
 
-    def take(key, default=None):
-        return entries.pop(key, default)
-
-    geometry = take("geometry", "axisymmetric")
-    try:
-        numbers = {k: float(take(k)) for k in tuple(_NUMERIC_KEYS & entries.keys())}
-        ints = {k: int(take(k)) for k in tuple(_INT_KEYS & entries.keys())}
-    except ValueError as err:
-        raise ValueError(f"bad numeric value in problem file: {err}") from None
-    exprs = {k: take(k) for k in tuple(_EXPR_KEYS & entries.keys())}
-    if entries:
-        raise ValueError(f"unrecognized problem keys: {sorted(entries)}")
-    for required in ("r0", "r1", "zu0", "zu1"):
-        if required not in numbers:
-            raise ValueError(f"problem file is missing {required}")
-    if "boundary" not in exprs:
-        raise ValueError("problem file is missing the boundary expression")
-    if "dL" in exprs and "dN" in exprs:
-        raise ValueError("give either dN (axisymmetric) or dL (helical), not both")
-    problem = FluxProblem(
-        geometry=geometry,
-        r_range=(numbers["r0"], numbers["r1"]),
-        zu_range=(numbers["zu0"], numbers["zu1"]),
-        boundary=exprs["boundary"],
-        J=exprs.get("J", 0.0),
-        dJ=exprs.get("dJ", 0.0),
-        dN=exprs.get("dL", exprs.get("dN", 0.0)),
-        gamma=numbers.get("gamma", 0.0),
-        source=exprs.get("source"),
-    )
+    unknown = entries.keys() - {"geometry", "gamma", "dL", *_DOMAIN_KEYS, *_PROFILE_KEYS, *_SOLVER_KEYS}
+    if unknown:
+        raise ValueError(f"unrecognized problem keys: {sorted(unknown)}")
+    if "dL" in entries:
+        if "dN" in entries:
+            raise ValueError("give either dN (axisymmetric) or dL (helical), not both")
+        entries["dN"] = entries.pop("dL")
+    problem = _problem(entries, "problem file")
+    solver = {k: _number(entries[k], k, "problem file", kind) for k, kind in _SOLVER_KEYS.items() if k in entries}
     params = {
-        "shape": (ints.get("nr", 33), ints.get("nzu", 33)),
-        "tol_outer": numbers.get("tol", 1e-10),
-        "max_iter": ints.get("max_iter", 500),
-        "omega": numbers.get("omega", 0.8),
+        "shape": (solver.get("nr", 33), solver.get("nzu", 33)),
+        "tol_outer": solver.get("tol", 1e-10),
+        "max_iter": solver.get("max_iter", 500),
+        "omega": solver.get("omega", 0.8),
     }
     return problem, params
 
@@ -502,21 +492,11 @@ def load_solution(path) -> FluxSolution:
     with open(path) as fh:
         manifest = json.load(fh)
     missing = [k for k in _MANIFEST_KEYS if k not in manifest]
-    if not missing and "boundary" not in manifest["profiles"]:
-        missing = ["profiles.boundary"]
     if missing:
         raise ValueError(f"{path}: solution manifest is missing {', '.join(missing)}")
-    problem = FluxProblem(
-        geometry=manifest["geometry"],
-        r_range=(manifest["r0"], manifest["r1"]),
-        zu_range=(manifest["zu0"], manifest["zu1"]),
-        boundary=manifest["profiles"]["boundary"],
-        J=manifest["profiles"].get("J", 0.0),
-        dJ=manifest["profiles"].get("dJ", 0.0),
-        dN=manifest["profiles"].get("dN", 0.0),
-        gamma=manifest.get("gamma", 0.0),
-        source=manifest["profiles"].get("source"),
-    )
+    if not isinstance(manifest["profiles"], dict):
+        raise ValueError(f"{path}: solution manifest profiles must map names to expressions")
+    problem = _problem({**manifest, **manifest["profiles"]}, f"{path}: solution manifest")
     csv_path = path.parent / manifest["psi_csv"]
     (r, zu), cols = fd.read_csv(csv_path, ("r", "zu"))
     if list(cols) != ["psi"]:

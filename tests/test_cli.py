@@ -1,9 +1,11 @@
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -19,9 +21,13 @@ def data_path(name: str) -> str:
     return str(resources.files("plasmeq.data").joinpath(name))
 
 
+def _reject_constant(name):
+    raise ValueError(f"report.json holds {name}, which is not JSON")
+
+
 def read_report(out_dir: Path) -> dict:
     with open(out_dir / "report.json") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def run(tmp_path, sub, *argv):
@@ -338,6 +344,15 @@ def _solution(tmp_path, drop=None, rows=None):
     return str(path)
 
 
+def _solution_with(tmp_path, **changes):
+    """The bundled axisymmetric solution with manifest entries replaced."""
+    path = Path(_solution(tmp_path))
+    manifest = json.loads(path.read_text())
+    manifest.update(changes)
+    path.write_text(json.dumps(manifest))
+    return str(path)
+
+
 def _edit_rows(path, rows):
     """Pass the data rows of a CSV file through ``rows``, keeping its header."""
     header, *lines = path.read_text().splitlines(keepends=True)
@@ -490,6 +505,39 @@ BAD_INPUTS = {
         ],
         "short.csv: data rows have 6 columns, the header has 10",
     ),
+    "iteration cap of zero": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\nmax_iter = 0")],
+        "iteration cap must be at least 1, got 0",
+    ),
+    "tolerance of zero": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ntol = 0")],
+        "tolerance must be a positive finite number, got 0.0",
+    ),
+    "tolerance of nan": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ntol = nan")],
+        "problem file: tol must be finite, got nan",
+    ),
+    "pitch length of nan": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "geometry = helical\nboundary = r\ngamma = nan")],
+        "problem file: gamma must be finite, got nan",
+    ),
+    "solution with an infinite r1": (
+        lambda tmp: ["flux", "tocgl", _solution_with(tmp, r1=math.inf), "--tau", "0.1"],
+        "solution manifest: r1 must be finite, got inf",
+    ),
+    "solution with a list of profiles": (
+        lambda tmp: ["flux", "tocgl", _solution_with(tmp, profiles=["boundary"]), "--tau", "0.1"],
+        "solution manifest profiles must map names to expressions",
+    ),
+    "check threshold of nan": (
+        lambda tmp: ["check", "--state", _state(tmp), "--system", "mhd", "--threshold", "nan"],
+        "--threshold must be a finite number, got nan",
+    ),
+    "vortex radius of inf": (lambda tmp: ["vortex", "--R", "inf", "--grid", "9"], "--R must be a finite number, got inf"),
+    "transform floor of nan": (
+        lambda tmp: ["transform", "--state", _state(tmp), "--M", "1", "--m-min", "nan"],
+        "--m-min must be a finite number, got nan",
+    ),
 }
 
 
@@ -510,6 +558,8 @@ def test_bad_input_exits_two_with_an_error(tmp_path, capsys, case):
     report = read_report(out)
     assert report["pass"] is False
     assert message in report["error"]
+    # the report names the full subcommand, as a successful run's does
+    assert report["command"] == " ".join(argv[:2] if argv[0] in ("lie", "flux") else argv[:1])
     # a failed command leaves its report and nothing else
     assert [p.name for p in out.iterdir()] == ["report.json"]
 
@@ -525,3 +575,64 @@ def test_vtk_artifact(tmp_path):
     assert code == 0
     text = (out / "state.vtk").read_text().splitlines()
     assert text[4] == "DIMENSIONS 9 9 9"
+
+
+def _uniform_state(tmp_path, b):
+    """A 9^3 state with the constant field ``b``, unit pressures and tau 0:
+    every residual vanishes exactly."""
+    grid = fields.Grid3.cube(-1.0, 1.0, 9)
+    const = lambda v: np.full(grid.counts, float(v))
+    columns = dict(zip(("B1", "B2", "B3"), map(const, b)))
+    columns.update(p_perp=const(1), p_par=const(1), tau=const(0), psi=const(0))
+    path = tmp_path / "uniform.csv"
+    fields.write_csv(path, dict(zip("xyz", grid.axes())), columns)
+    return str(path)
+
+
+@pytest.mark.parametrize("b", [(1.0, 0.0, 0.0), (0.0, 0.0, 0.0)], ids=["uniform field", "field-free"])
+def test_stability_check_of_a_balanced_state_writes_strict_json(tmp_path, b):
+    code, out = run(tmp_path, "c", "check", "--state", _uniform_state(tmp_path, b), "--system", "cgl", "--stability")
+    assert code == 0
+    report = read_report(out)
+    assert report["pass"] is True
+    # no fine residual to divide by: no ratio
+    assert report["convergence_ratios"] == {"div_b": None, "momentum": None, "tau_advection": None}
+    margins = report["stability"]["margins"]
+    if any(b):
+        assert margins["fire_hose"] == -1.0
+    else:
+        # no node is applicable: no margin
+        assert margins == {"fire_hose": None, "mirror": None}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["transform", "--state", _state(tmp, grid=17), "--M", "exp(1000*psi)"],
+        lambda tmp: ["vortex", "--R", "1e-300", "--grid", "9"],
+    ],
+    ids=["transform to overflow", "vortex of a tiny radius"],
+)
+def test_numpy_warnings_stay_off_stderr(tmp_path, capsys, argv):
+    argv = argv(tmp_path)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(tmp_path, "bad", *argv)
+    assert code == 2
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_number_profile_round_trips_as_decimal_text(tmp_path):
+    problem = flux.FluxProblem(
+        "axisymmetric", (0.5, 1.5), (-0.5, 0.5), boundary="0.25*r^4", dN=np.float64(-2.0)
+    )
+    flux.write_solution(flux.solve_flux(problem, (17, 17)), tmp_path / "sol")
+    manifest = json.loads((tmp_path / "sol" / "solution.json").read_text())
+    assert manifest["profiles"]["dN"] == "-2.0"
+    back = flux.load_solution(tmp_path / "sol" / "solution.json")
+    assert back.problem.texts == problem.texts
+    code, _ = run(tmp_path, "state", "flux", "tocgl", str(tmp_path / "sol" / "solution.json"), "--tau", "0.1", "--grid", "9")
+    assert code == 0

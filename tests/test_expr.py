@@ -122,8 +122,6 @@ def test_numeric_evaluation_vectorized():
     f = compile_numeric("1 + psi*sin(psi)", ["psi"])
     psi = np.linspace(-1, 1, 11)
     assert np.allclose(f(psi), 1 + psi * np.sin(psi))
-    g = compile_numeric("a*psi + b", ["psi"], parameters={"a": 2.0, "b": -1.0})
-    assert np.allclose(g(psi), 2.0 * psi - 1.0)
     # undeclared names are parse errors, missing values are eval errors
     with pytest.raises(ParseError):
         compile_numeric("q", ["psi"])

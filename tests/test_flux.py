@@ -54,6 +54,20 @@ def test_solver_parameter_validation():
         solve_flux(p, (9, 9), omega=1.5)
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        (dict(max_iter=0), "iteration cap must be at least 1, got 0"),
+        (dict(tol_outer=math.nan), "tolerance must be a positive finite number, got nan"),
+        (dict(tol_outer=math.inf), "tolerance must be a positive finite number, got inf"),
+        (dict(tol_outer=-1e-10), "tolerance must be a positive finite number, got -1e-10"),
+    ],
+)
+def test_solver_settings_must_be_usable(settings, message):
+    with pytest.raises(ValueError, match=message):
+        solve_flux(quartic_problem(), (9, 9), **settings)
+
+
 # -- axisymmetric solves ---------------------------------------------------------
 
 
@@ -338,6 +352,19 @@ def test_mapped_state_evaluator_matches_samples(quartic_solutions, geometry):
     for method, value in zip((ev.B, ev.p_perp), values):
         assert np.array_equal(method(X, Y, Z), value)
     assert state.tau.values.any()
+
+
+@pytest.mark.parametrize("name", ["flux_axisym_example.flux", "flux_helical_example.flux"])
+def test_pressure_vanishes_at_the_smallest_attained_flux(name):
+    # both bundled problems have dN = -2, so N(psi) = -2 (psi - psi_ref)
+    problem, params = parse_problem_file(resources.files("plasmeq.data").joinpath(name).read_text())
+    sol = solve_flux(problem, **params)
+    state = flux_to_cgl(sol, 0.2, grid=default_cartesian_box(problem, 9))
+    meta = state.meta
+    assert meta["psi_ref"] == sol.attained_range()[0]
+    n = 0.5 * (state.p_perp.values + state.p_par.values)
+    psi = state.psi.values * meta["psi_normalization"]
+    assert np.max(np.abs(n + 2.0 * (psi - meta["psi_ref"]))) <= 1e-12
 
 
 def test_mapping_evaluates_the_spline_three_times(quartic_solutions, monkeypatch):
