@@ -183,7 +183,7 @@ def cmd_flux_solve(args) -> tuple[int, dict]:
             "max_iter": params["max_iter"],
             "omega": params["omega"],
         },
-        "norms": {"final_update": sol.final_update},
+        "norms": {"final_update": sol.final_update, "updates": list(sol.updates)},
         "counts": {"iterations": sol.iterations},
         "assumptions": [],
         "artifacts": {"solution": "solution.json", "psi": manifest["psi_csv"]},

@@ -4,14 +4,18 @@ functions, and the mapping from flux solutions to anisotropic states.
 The axisymmetric operator is ``psi_rr - psi_r/r + psi_zz``; the helical
 operator is ``psi_uu/r^2 + (1/r) d_r(r/(r^2+gamma^2) psi_r)``.  Both are
 discretised by one five-point stencil whose coefficients depend on r only,
-so the operator over the full ``nr x nzu`` grid is a sum of Kronecker
-products of a radial tridiagonal matrix and the zu neighbour matrix.  Its
-interior block is factorized once; its interior-row x boundary-column
-block carries the Dirichlet data into a fixed right-hand-side term, so the
-boundary values are imposed exactly and never touched by the iteration.
-Constitutive terms (J J', the helical 2 gamma J/(r^2+gamma^2)^2 term, and
-the pressure profile derivative) are frozen at the previous iterate and
-relaxed: damped Picard iteration around the one factorization.
+so the operator is separable (the matrix-decomposition method of Buzbee,
+Golub & Nielson, SIAM J. Numer. Anal. 7 (1970) 627): an orthonormal sine
+transform (DST-I) along zu diagonalises its zu part, and each zu sine mode
+leaves one tridiagonal system in r.  The tridiagonal systems of all modes
+form one sparse matrix, factorized once per solve; every right-hand side
+then costs two sine transforms and one back-solve.  The Dirichlet data
+enter as the stencil applied to the boundary values, a fixed
+right-hand-side term, so the boundary values are imposed exactly and never
+touched by the iteration.  Constitutive terms (J J', the helical
+2 gamma J/(r^2+gamma^2)^2 term, and the pressure profile derivative) are
+frozen at the previous iterate and relaxed: damped Picard iteration around
+the one factorization.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
+from scipy.fft import dst
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 from scipy.sparse.linalg import splu
@@ -109,13 +114,23 @@ class FluxProblem:
 
 @dataclass(frozen=True)
 class FluxSolution:
+    """A solved problem; ``updates`` holds the max-norm update of each
+    Picard iteration, in order."""
+
     problem: FluxProblem
     r: np.ndarray
     zu: np.ndarray
     psi: np.ndarray
-    iterations: int
-    final_update: float
+    updates: tuple[float, ...]
     converged: bool
+
+    @property
+    def iterations(self) -> int:
+        return len(self.updates)
+
+    @property
+    def final_update(self) -> float:
+        return self.updates[-1]
 
     def spline(self) -> RectBivariateSpline:
         return RectBivariateSpline(self.r, self.zu, self.psi, kx=3, ky=3)
@@ -124,15 +139,19 @@ class FluxSolution:
         return float(self.psi.min()), float(self.psi.max())
 
 
-def _assemble_operator(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: np.ndarray):
-    """The interior operator and the Dirichlet term of the five-point stencil.
+def _interior_solver(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: np.ndarray):
+    """The linear solve of the five-point stencil under the boundary values
+    of ``psi``: a function taking the interior right-hand side f and
+    returning the interior u with stencil(u with psi's boundary) = f.
 
-    The stencil is built once over the full ``nr x nzu`` grid (row-major,
-    zu fastest) from Kronecker products: the radial coefficients of node
-    row i couple it to rows i -+ 1, and the zu coefficient couples
-    neighbouring nodes within a row.  The rows and columns of the interior
-    nodes form the matrix to factorise; the interior-row x boundary-column
-    block applied to the boundary values of ``psi`` is the Dirichlet term.
+    The stencil applied to the boundary values alone is a fixed term moved
+    to the right-hand side.  The orthonormal DST-I (its own inverse)
+    diagonalises the zu neighbour matrix of the m interior zu nodes with
+    eigenvalues 2 cos(k pi/(m+1)), k = 1..m, so zu sine mode k is one
+    tridiagonal system in r with diagonal c_center + 2 cos(k pi/(m+1)) c_n.
+    With the unknowns ordered mode-major, each mode's r-line contiguous, all
+    modes form one tridiagonal matrix with zero couplings between modes; it
+    is factorized once, with almost no fill.
     """
     nr, nzu = len(r), len(zu)
     hr = r[1] - r[0]
@@ -156,20 +175,26 @@ def _assemble_operator(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi:
         c_n = 1.0 / (hz**2 * r**2)
         c_center = -(c_half_e + c_half_w) / (r * hr**2) - 2.0 / (hz**2 * r**2)
 
-    ones = np.ones(nzu - 1)
-    T_zu = sparse.diags([ones, ones], [-1, 1])  # zu neighbours within a node row
-    full = (
-        sparse.kron(sparse.diags([c_w[1:], c_e[:-1]], [-1, 1]), sparse.identity(nzu))
-        + sparse.kron(sparse.diags(c_n), T_zu)
-        + sparse.diags(np.repeat(c_center, nzu))
-    ).tocsr()
-    interior = np.zeros((nr, nzu), dtype=bool)
-    interior[1:-1, 1:-1] = True
-    interior = interior.ravel()
-    rows = full[interior]
-    matrix = rows[:, interior].tocsc()
-    bterm = rows[:, ~interior] @ psi.ravel()[~interior]
-    return matrix, bterm
+    n, m = nr - 2, nzu - 2
+    bterm = np.zeros((n, m))
+    bterm[0] += c_w[1] * psi[0, 1:-1]
+    bterm[-1] += c_e[-2] * psi[-1, 1:-1]
+    bterm[:, 0] += c_n[1:-1] * psi[1:-1, 0]
+    bterm[:, -1] += c_n[1:-1] * psi[1:-1, -1]
+
+    c_w, c_e, c_n, c_center = (c[1:-1] for c in (c_w, c_e, c_n, c_center))
+    eigen = 2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
+    main = (c_center + eigen[:, None] * c_n).ravel()
+    lower = np.tile(np.append(c_w[1:], 0.0), m)[:-1]
+    upper = np.tile(np.append(c_e[:-1], 0.0), m)[:-1]
+    lu = splu(sparse.diags([lower, main, upper], [-1, 0, 1], format="csc"))
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        modes = dst(rhs - bterm, type=1, axis=1, norm="ortho")
+        modes = lu.solve(modes.T.ravel()).reshape(m, n).T
+        return dst(modes, type=1, axis=1, norm="ortho")
+
+    return solve
 
 
 def _nonlinear_term(problem: FluxProblem, R: np.ndarray, psi: np.ndarray, S: np.ndarray | None):
@@ -211,23 +236,20 @@ def solve_flux(
     if not np.isfinite(psi).all():
         raise ValueError("boundary data is not finite")
 
-    matrix, bterm = _assemble_operator(problem, r, zu, psi)
-    lu = splu(matrix)
+    solve = _interior_solver(problem, r, zu, psi)
     S = problem.source(R[1:-1, 1:-1], ZU[1:-1, 1:-1]) if problem.source is not None else None
 
     updates: list[float] = []
     converged = False
-    for iterations in range(1, max_iter + 1):
+    for _ in range(max_iter):
         g = _nonlinear_term(problem, R[1:-1, 1:-1], psi[1:-1, 1:-1], S)
         if not np.isfinite(g).all():
             raise ArithmeticError("constitutive profile evaluated to a non-finite value")
-        rhs = -g.reshape(-1) - bterm
-        tilde = lu.solve(rhs).reshape(nr - 2, nzu - 2)
+        tilde = solve(-g)
         new_interior = (1.0 - omega) * psi[1:-1, 1:-1] + omega * tilde
-        final_update = float(np.max(np.abs(new_interior - psi[1:-1, 1:-1])))
+        updates.append(float(np.max(np.abs(new_interior - psi[1:-1, 1:-1]))))
         psi[1:-1, 1:-1] = new_interior
-        updates.append(final_update)
-        if final_update < tol_outer:
+        if updates[-1] < tol_outer:
             converged = True
             break
         if len(updates) > 20 and updates[-1] > 10.0 * updates[-21]:
@@ -236,12 +258,12 @@ def solve_flux(
             )
     if not converged:
         warnings.warn(
-            f"flux solve stopped at the iteration cap ({max_iter}) with update {final_update:.3e}",
+            f"flux solve stopped at the iteration cap ({max_iter}) with update {updates[-1]:.3e}",
             RuntimeWarning,
             stacklevel=2,
         )
 
-    solution = FluxSolution(problem, r, zu, psi, iterations, final_update, converged)
+    solution = FluxSolution(problem, r, zu, psi, tuple(updates), converged)
     _warn_on_inconsistent_profiles(problem, solution)
     return solution
 
@@ -386,7 +408,30 @@ def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
 _DOMAIN_KEYS = ("r0", "r1", "zu0", "zu1")
 _PROFILE_KEYS = ("J", "dJ", "dN", "boundary", "source")
 _SOLVER_KEYS = {"nr": int, "nzu": int, "max_iter": int, "tol": float, "omega": float}
-_MANIFEST_KEYS = ("geometry", "profiles", "psi_csv", "resolution", "iterations", "final_update", "converged")
+_MANIFEST_KEYS = ("geometry", "profiles", "psi_csv", "resolution", "iterations", "final_update", "converged", "updates")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+# what each recorded solver value must be, as (description, test)
+_MANIFEST_VALUES = {
+    "resolution": ("two integers", lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v))),
+    "iterations": ("a positive integer", lambda v: _is_int(v) and v > 0),
+    "final_update": ("a finite number", _is_finite),
+    "converged": ("true or false", lambda v: isinstance(v, bool)),
+    "updates": ("a list of finite numbers", lambda v: isinstance(v, list) and all(map(_is_finite, v))),
+}
 
 
 def _number(value, key: str, where: str, kind=float):
@@ -479,6 +524,7 @@ def write_solution(sol: FluxSolution, directory) -> dict:
         "resolution": [len(sol.r), len(sol.zu)],
         "iterations": sol.iterations,
         "final_update": sol.final_update,
+        "updates": list(sol.updates),
         "converged": sol.converged,
         "psi_csv": csv_path.name,
     }
@@ -496,19 +542,18 @@ def load_solution(path) -> FluxSolution:
         raise ValueError(f"{path}: solution manifest is missing {', '.join(missing)}")
     if not isinstance(manifest["profiles"], dict):
         raise ValueError(f"{path}: solution manifest profiles must map names to expressions")
-    problem = _problem({**manifest, **manifest["profiles"]}, f"{path}: solution manifest")
+    where = f"{path}: solution manifest"
+    for key, (kind, test) in _MANIFEST_VALUES.items():
+        if not test(manifest[key]):
+            raise ValueError(f"{where}: {key} must be {kind}, got {manifest[key]!r}")
+    updates = tuple(float(u) for u in manifest["updates"])
+    if len(updates) != manifest["iterations"] or updates[-1] != manifest["final_update"]:
+        raise ValueError(f"{where}: updates must hold one entry per iteration, the last equal to final_update")
+    problem = _problem({**manifest, **manifest["profiles"]}, where)
     csv_path = path.parent / manifest["psi_csv"]
     (r, zu), cols = fd.read_csv(csv_path, ("r", "zu"))
     if list(cols) != ["psi"]:
         raise ValueError(f"{csv_path}: expected columns r,zu,psi")
     if [len(r), len(zu)] != list(manifest["resolution"]):
         raise ValueError(f"{csv_path}: solution CSV does not match the recorded resolution")
-    return FluxSolution(
-        problem,
-        r,
-        zu,
-        cols["psi"],
-        manifest["iterations"],
-        manifest["final_update"],
-        manifest["converged"],
-    )
+    return FluxSolution(problem, r, zu, cols["psi"], updates, manifest["converged"])

@@ -215,6 +215,8 @@ def test_flux_pipeline(tmp_path):
     report = read_report(sol_out)
     assert report["pass"] is True
     assert report["norms"]["final_update"] < 1e-10
+    assert report["norms"]["updates"][-1] == report["norms"]["final_update"]
+    assert len(report["norms"]["updates"]) == report["counts"]["iterations"]
 
     code, state_out = run(
         tmp_path, "state", "flux", "tocgl", str(sol_out / "solution.json"), "--tau", "psi/2.6", "--grid", "17"
@@ -528,6 +530,42 @@ BAD_INPUTS = {
     "solution with a list of profiles": (
         lambda tmp: ["flux", "tocgl", _solution_with(tmp, profiles=["boundary"]), "--tau", "0.1"],
         "solution manifest profiles must map names to expressions",
+    ),
+    "solution with a number for its resolution": (
+        lambda tmp: ["flux", "tocgl", _solution_with(tmp, resolution=5), "--tau", "0.1"],
+        "solution manifest: resolution must be two integers, got 5",
+    ),
+    "solution with a fractional resolution": (
+        lambda tmp: ["flux", "tocgl", _solution_with(tmp, resolution=[33, 33.5]), "--tau", "0.1"],
+        "solution manifest: resolution must be two integers, got [33, 33.5]",
+    ),
+    "solution with a negative iteration count": (
+        lambda tmp: ["flux", "tocgl", _solution_with(tmp, iterations=-1), "--tau", "0.1"],
+        "solution manifest: iterations must be a positive integer, got -1",
+    ),
+    "solution with a text final update": (
+        lambda tmp: ["flux", "tocgl", _solution_with(tmp, final_update="small"), "--tau", "0.1"],
+        "solution manifest: final_update must be a finite number, got 'small'",
+    ),
+    "solution with a nan final update": (
+        lambda tmp: ["flux", "tocgl", _solution_with(tmp, final_update=math.nan), "--tau", "0.1"],
+        "solution manifest: final_update must be a finite number, got nan",
+    ),
+    "solution with a final update beyond the float range": (
+        lambda tmp: ["flux", "tocgl", _solution_with(tmp, final_update=10**400), "--tau", "0.1"],
+        "solution manifest: final_update must be a finite number, got 1000",
+    ),
+    "solution with a text convergence flag": (
+        lambda tmp: ["flux", "tocgl", _solution_with(tmp, converged="yes"), "--tau", "0.1"],
+        "solution manifest: converged must be true or false, got 'yes'",
+    ),
+    "solution with an infinite update": (
+        lambda tmp: ["flux", "tocgl", _solution_with(tmp, updates=[1.0, math.inf]), "--tau", "0.1"],
+        "solution manifest: updates must be a list of finite numbers, got [1.0, inf]",
+    ),
+    "solution with updates that miss iterations": (
+        lambda tmp: ["flux", "tocgl", _solution_with(tmp, updates=[1e-11]), "--tau", "0.1"],
+        "solution manifest: updates must hold one entry per iteration, the last equal to final_update",
     ),
     "check threshold of nan": (
         lambda tmp: ["check", "--state", _state(tmp), "--system", "mhd", "--threshold", "nan"],

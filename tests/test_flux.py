@@ -205,16 +205,65 @@ def five_point_stencil(problem, r, zu, psi):
     return (flux_e - flux_w) / (ri * hr**2) + zz / ri**2
 
 
-@pytest.mark.parametrize("shape", [(13, 9), (9, 17)])
+# odd, even and non-square counts of interior zu nodes
+@pytest.mark.parametrize("shape", [(13, 9), (9, 17), (41, 17), (64, 33)])
 @pytest.mark.parametrize("geometry", ["axisymmetric", "helical"])
 def test_operator_and_dirichlet_term_match_the_stencil(geometry, shape):
+    # the linear solve with psi's boundary values inverts the stencil applied to psi
     problem = FluxProblem(geometry, (0.6, 1.6), (-0.4, 0.7), boundary="0", gamma=0.7)
     r, zu = np.linspace(0.6, 1.6, shape[0]), np.linspace(-0.4, 0.7, shape[1])
     psi = np.random.default_rng(7).standard_normal(shape)
-    matrix, bterm = flux._assemble_operator(problem, r, zu, psi)
-    got = (matrix @ psi[1:-1, 1:-1].ravel() + bterm).reshape(shape[0] - 2, shape[1] - 2)
-    want = five_point_stencil(problem, r, zu, psi)
+    solve = flux._interior_solver(problem, r, zu, psi)
+    got = solve(five_point_stencil(problem, r, zu, psi))
+    want = psi[1:-1, 1:-1]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def splu_reference_solve(problem, shape, tol_outer=1e-10, omega=0.8):
+    """Damped Picard iteration around a sparse LU of the stencil's matrix,
+    whose columns are the stencil applied to each interior unit vector."""
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
+    r, zu = np.linspace(*problem.r_range, shape[0]), np.linspace(*problem.zu_range, shape[1])
+    R, ZU = np.meshgrid(r, zu, indexing="ij")
+    psi = problem.boundary(R, ZU)
+    psi[1:-1, 1:-1] = 0.0
+    inner = (shape[0] - 2, shape[1] - 2)
+    columns = []
+    for k in range(inner[0] * inner[1]):
+        unit = np.zeros(shape)
+        unit[1:-1, 1:-1].flat[k] = 1.0
+        columns.append(five_point_stencil(problem, r, zu, unit).ravel())
+    lu = splu(sparse.csc_matrix(np.column_stack(columns)))
+    bterm = five_point_stencil(problem, r, zu, psi)
+    S = problem.source(R[1:-1, 1:-1], ZU[1:-1, 1:-1])
+    updates = []
+    while not updates or updates[-1] >= tol_outer:
+        g = flux._nonlinear_term(problem, R[1:-1, 1:-1], psi[1:-1, 1:-1], S)
+        tilde = lu.solve((-g - bterm).ravel()).reshape(inner)
+        new = (1.0 - omega) * psi[1:-1, 1:-1] + omega * tilde
+        updates.append(np.max(np.abs(new - psi[1:-1, 1:-1])))
+        psi[1:-1, 1:-1] = new
+    return psi, len(updates)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        FluxProblem(
+            "axisymmetric", boundary="r^2*zu", J="0.5*psi", dJ="0.5", dN=-1.0,
+            source="sin(3*r)*cos(2*zu)", **DOMAIN,
+        ),
+        helical_mms_problem(),
+    ],
+    ids=["axisymmetric", "helical"],
+)
+def test_solve_matches_a_sparse_lu_reference(problem):
+    sol = solve_flux(problem, (19, 14))
+    want, iterations = splu_reference_solve(problem, (19, 14))
+    assert sol.iterations == iterations
+    assert np.max(np.abs(sol.psi - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_solve_factorizes_once(monkeypatch):
@@ -228,6 +277,13 @@ def test_solve_factorizes_once(monkeypatch):
     sol = solve_flux(quartic_problem(), (17, 17))
     assert sol.iterations == 16
     assert calls == [(15 * 15, 15 * 15)]
+
+
+def test_update_history_is_recorded():
+    sol = solve_flux(quartic_problem(), (17, 17))
+    assert len(sol.updates) == sol.iterations == 16
+    assert sol.final_update == sol.updates[-1] < 1e-10
+    assert all(b < a for a, b in zip(sol.updates, sol.updates[1:]))
 
 
 # -- mapping to anisotropic states ------------------------------------------------
@@ -446,6 +502,8 @@ def test_solution_artifacts_roundtrip(tmp_path):
     assert (tmp_path / manifest["psi_csv"]).exists()
     back = load_solution(tmp_path / "solution.json")
     assert np.array_equal(back.psi, sol.psi)
+    assert manifest["updates"] == list(sol.updates)
+    assert back.updates == sol.updates
     assert back.problem.geometry == "axisymmetric"
     assert back.converged == sol.converged
 
