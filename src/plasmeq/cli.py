@@ -220,7 +220,9 @@ def cmd_flux_tocgl(args) -> tuple[int, dict]:
 
 
 def _norms_as_jsonable(norms: dict) -> dict:
-    return {name: {k: float(v) for k, v in entry.items()} for name, entry in norms.items()}
+    return {
+        name: {k: list(v) if k == "node" else float(v) for k, v in entry.items()} for name, entry in norms.items()
+    }
 
 
 def cmd_check(args) -> tuple[int, dict]:
@@ -274,8 +276,14 @@ def cmd_check(args) -> tuple[int, dict]:
         report["stability"] = eq.stability_report(state).summary()
 
     report["pass"] = ok
-    worst = max(entry["linf"] for entry in norms.values())
-    print(f"check {args.system}: worst Linf {worst:.3e} -> {'pass' if ok else 'FAIL'}")
+    worst = max(norms, key=lambda name: norms[name]["linf"])
+    linf, node = norms[worst]["linf"], norms[worst]["node"]
+    xyz = state.grid.point(node)
+    report["worst"] = {"residual": worst, "linf": float(linf), "node": list(node), "xyz": list(xyz)}
+    print(
+        f"check {args.system}: worst Linf {linf:.3e} ({worst} at node {node}, "
+        f"(x, y, z) = ({xyz[0]:.6g}, {xyz[1]:.6g}, {xyz[2]:.6g})) -> {'pass' if ok else 'FAIL'}"
+    )
     return (EXIT_OK if ok else EXIT_VERIFICATION), report
 
 

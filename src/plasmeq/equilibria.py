@@ -269,26 +269,31 @@ def _vortex_fields(params: VortexParams, pressure_profile: str) -> Callable:
     amp = B0 / (1.0 - v0r)
 
     def b_and_p(X, Y, Z):
-        rho2 = X * X + Y * Y + Z * Z
-        rho = np.sqrt(rho2)
-        arg = 2.0 * lam * rho
+        X, Y, Z = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (X, Y, Z)))
+        shape = X.shape
+        # flat, one point per entry; the shape comes back on return
+        X, Y, Z = (c.reshape(-1) for c in (X, Y, Z))
+        rho = np.sqrt(X * X + Y * Y + Z * Z)
+        # B = 0 and p = P0 outside the ball, so the profile is evaluated inside only
+        inside = rho <= R
+        x, y, z = X[inside], Y[inside], Z[inside]
+        arg = 2.0 * lam * rho[inside]
         V = amp * _v0(arg) - gamma_b
         # Q = V'(rho)/rho, regular on the axis and at the center
         Q = 4.0 * lam * lam * amp * _v0_prime_over_x(arg)
-        inside = rho <= R
-        bx = -0.5 * Q * Z * X - lam * V * Y
-        by = -0.5 * Q * Z * Y + lam * V * X
-        bz = V + 0.5 * Q * (X * X + Y * Y)
-        zero = np.zeros_like(bz)
-        b = np.stack([np.where(inside, bx, zero), np.where(inside, by, zero), np.where(inside, bz, zero)])
-        s2 = X * X + Y * Y
+        s2 = x * x + y * y
+        b = np.zeros((3, rho.size))
+        b[0][inside] = -0.5 * Q * z * x - lam * V * y
+        b[1][inside] = -0.5 * Q * z * y + lam * V * x
+        b[2][inside] = V + 0.5 * Q * s2
+        p = np.full(rho.size, P0)
         if pressure_profile == "balanced":
-            p = P0 + gamma_b * lam * lam * V * s2
+            p[inside] = P0 + gamma_b * lam * lam * V * s2
         else:
             # the historical printed profile; fails the momentum residual
             # check and is kept only so that failure stays observable
-            p = P0 - gamma_b * V * s2
-        return b, np.where(inside, p, P0)
+            p[inside] = P0 - gamma_b * V * s2
+        return b.reshape(3, *shape), p.reshape(shape)
 
     return b_and_p
 
@@ -365,18 +370,32 @@ class TransformSpec:
         return alpha, np.log(np.abs(m))
 
 
-def _field_line_map(b, pperp, ppar, tau, b2, inside, m):
+def _field_line_map(b, pperp, ppar, tau, b2, plasma, m):
     """The nodewise map B -> M B of ``apply_infinite_transform``, shared by
-    the sampled arrays and the evaluator; returns (B, p_perp, p_par, tau)."""
+    the sampled arrays and the evaluator.  ``m`` holds M on the ``plasma``
+    nodes only, in their order; returns updated copies of (B, p_perp,
+    p_par, tau), with every other node passed through."""
+    shape = np.shape(plasma)
+    # flat copies, one node per entry
+    b = np.array(b, dtype=float).reshape(3, -1)
+    pperp, ppar, tau = (np.array(v, dtype=float).reshape(-1) for v in (pperp, ppar, tau))
     # nodes where M is exactly one stay bit-identical (the identity element)
-    active = inside & (m != 1.0)
-    m_safe = np.where(active, m, 1.0)
-    b_new = np.where(active[None, ...], m_safe[None, ...] * b, b)
-    b2_new = m_safe**2 * b2
-    tau_new = np.where(active, 1.0 - (1.0 - tau) / m_safe**2, tau)
-    pperp_new = np.where(active, pperp + 0.5 * (b2 - b2_new), pperp)
-    ppar_new = np.where(active, pperp_new + tau_new * b2_new, ppar)
-    return b_new, pperp_new, ppar_new, tau_new
+    moved = m != 1.0
+    plasma = np.reshape(plasma, -1)
+    active = plasma.copy()
+    active[plasma] = moved
+    m = m[moved]
+    m2 = m**2
+    b2_old = np.reshape(b2, -1)[active]
+    b2_new = m2 * b2_old
+    tau_new = 1.0 - (1.0 - tau[active]) / m2
+    pperp_new = pperp[active] + 0.5 * (b2_old - b2_new)
+    for component in b:
+        component[active] = m * component[active]
+    pperp[active] = pperp_new
+    ppar[active] = pperp_new + tau_new * b2_new
+    tau[active] = tau_new
+    return b.reshape(3, *shape), pperp.reshape(shape), ppar.reshape(shape), tau.reshape(shape)
 
 
 def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
@@ -390,8 +409,7 @@ def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
     b2 = state.b_squared()
     eps_b = _field_null_threshold(b2)
     inside = b2 > eps_b
-    m = spec(state.psi.values)
-    attained = m[inside]
+    attained = spec(state.psi.values[inside])
     if attained.size and float(np.min(np.abs(attained))) < spec.m_min:
         raise ValueError(
             f"|M| falls to {float(np.min(np.abs(attained))):.3e} on the attained label range; "
@@ -403,7 +421,7 @@ def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
         note = None
 
     sampled = (state.B.values, state.p_perp.values, state.p_par.values, state.tau.values)
-    b_new, pperp_new, ppar_new, tau_new = _field_line_map(*sampled, b2, inside, m)
+    b_new, pperp_new, ppar_new, tau_new = _field_line_map(*sampled, b2, inside, attained)
 
     meta = dict(state.meta)
     meta.setdefault("transforms", [])
@@ -418,7 +436,8 @@ def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
         def evaluate(X, Y, Z):
             b, pperp, ppar, tau, psi = (np.asarray(v, dtype=float) for v in source(X, Y, Z))
             b2l = np.einsum("c...,c...->...", b, b)
-            return (*_field_line_map(b, pperp, ppar, tau, b2l, b2l > eps_b, spec(psi)), psi)
+            plasma = b2l > eps_b
+            return (*_field_line_map(b, pperp, ppar, tau, b2l, plasma, spec(psi[plasma])), psi)
 
         evaluators = StateEvaluators(evaluate)
 
@@ -589,9 +608,13 @@ class StabilityReport:
     mirror: np.ndarray
     counts: dict
     margins: dict
+    worst_pressure: dict | None = None
 
     def summary(self) -> dict:
-        return {"counts": self.counts, "margins": self.margins}
+        out = {"counts": self.counts, "margins": self.margins}
+        if self.worst_pressure is not None:
+            out["worst_pressure"] = self.worst_pressure
+        return out
 
 
 def stability_report(state: CGLState) -> StabilityReport:
@@ -602,6 +625,9 @@ def stability_report(state: CGLState) -> StabilityReport:
     with p_par = 0 are flagged indeterminate.  Nodes at field nulls are
     not applicable.  Margins are the largest values of (criterion left
     side minus right side) over applicable nodes, None where there are none.
+    Nodes with p_perp <= 0 or p_par <= 0 are counted as non-physical, and
+    when there are any, ``worst_pressure`` names the node of the smallest
+    min(p_perp, p_par).
     """
     b2 = state.b_squared()
     applicable = b2 > _field_null_threshold(b2)
@@ -636,7 +662,18 @@ def stability_report(state: CGLState) -> StabilityReport:
         "fire_hose": margin(fire_lhs, applicable),
         "mirror": margin(mirror_lhs, ok),
     }
-    return StabilityReport(fire, mirror, counts, margins)
+    p_min = np.minimum(pperp, ppar)
+    counts["nonpositive_pressure"] = int((p_min <= 0).sum())
+    worst_pressure = None
+    if counts["nonpositive_pressure"]:
+        node = tuple(int(i) for i in np.unravel_index(int(np.argmin(p_min)), p_min.shape))
+        worst_pressure = {
+            "node": list(node),
+            "xyz": list(state.grid.point(node)),
+            "p_perp": float(pperp[node]),
+            "p_par": float(ppar[node]),
+        }
+    return StabilityReport(fire, mirror, counts, margins, worst_pressure)
 
 
 # ---------------------------------------------------------------------------
@@ -701,17 +738,27 @@ def residual_fields(state: CGLState, system: str) -> dict[str, ScalarGrid | Vect
 
 def residual_norms(
     state: CGLState, system: str, mask_radius: float | None = None
-) -> dict[str, dict[str, float]]:
+) -> dict[str, dict]:
     """Linf and L2 norms of every residual, optionally restricted to the
-    ball of the given radius (for states smooth only inside a sphere)."""
+    ball of the given radius (for states smooth only inside a sphere), and
+    ``node``, the (i, j, k) index on the state's grid of the Linf maximum."""
     residuals = residual_fields(state, system)
     # every residual lives on the same one-node interior grid
     mask = fd.sphere_mask(state.grid.interior(), mask_radius) if mask_radius is not None else None
+    masked_nodes = None if mask is None else np.flatnonzero(mask)
     out = {}
     for name, res in residuals.items():
+        pointwise = fd.magnitude(res)
+        selected = pointwise if mask is None else pointwise[mask]
+        if selected.size == 0:
+            raise ValueError("norm over an empty node set")
+        at = int(np.argmax(selected))
+        flat = at if mask is None else int(masked_nodes[at])
         out[name] = {
-            "linf": fd.norm(res, "linf", mask),
-            "l2": fd.norm(res, "l2", mask),
+            "linf": float(selected.reshape(-1)[at]),
+            "l2": float(np.sqrt(np.mean(selected**2))),
+            # interior index + 1 is the index on the state's grid
+            "node": tuple(int(i) + 1 for i in np.unravel_index(flat, pointwise.shape)),
         }
     return out
 

@@ -189,6 +189,15 @@ class Expr:
         self._key = None
         self._hash = None
 
+    @classmethod
+    def _trusted(cls, terms: dict) -> "Expr":
+        """Wrap a term map that holds no zero coefficient, skipping the filter."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        out._key = None
+        out._hash = None
+        return out
+
     # -- construction -----------------------------------------------------
     @staticmethod
     def number(value) -> "Expr":
@@ -201,7 +210,7 @@ class Expr:
             return ONE
         if exp < 0:
             raise ValueError("atoms carry positive exponents only")
-        return Expr({((atom, exp),): Fraction(1)})
+        return Expr._trusted({((atom, exp),): Fraction(1)})
 
     # -- basic queries ------------------------------------------------------
     @property
@@ -258,6 +267,8 @@ class Expr:
 
     def coefficients_in(self, atom: Atom) -> dict[int, "Expr"]:
         """Split as a polynomial in one atom: power -> coefficient."""
+        # a monomial is its power of ``atom`` and the rest, so no two terms
+        # meet in one bucket and every coefficient stays nonzero
         buckets: dict[int, dict] = {}
         for m, c in self._terms.items():
             power = 0
@@ -267,10 +278,8 @@ class Expr:
                     power = k
                 else:
                     rest.append((a, k))
-            buckets.setdefault(power, {})[tuple(rest)] = (
-                buckets.get(power, {}).get(tuple(rest), Fraction(0)) + c
-            )
-        return {p: Expr(t) for p, t in buckets.items()}
+            buckets.setdefault(power, {})[tuple(rest)] = c
+        return {p: Expr._trusted(t) for p, t in buckets.items()}
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other) -> "Expr":
@@ -280,15 +289,21 @@ class Expr:
         if other.is_zero:
             return self
         terms = dict(self._terms)
+        cancelled = False
         for m, c in other._terms.items():
             acc = terms.get(m)
-            terms[m] = c if acc is None else acc + c
-        return Expr(terms)
+            if acc is None:
+                terms[m] = c
+            else:
+                terms[m] = acc = acc + c
+                cancelled = cancelled or not acc
+        # only a sum of two coefficients can be zero
+        return Expr(terms) if cancelled else Expr._trusted(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr({m: -c for m, c in self._terms.items()})
+        return Expr._trusted({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Expr":
         return self + (-_as_expr(other))
@@ -301,13 +316,19 @@ class Expr:
         if self.is_zero or other.is_zero:
             return ZERO
         out: dict = {}
+        cancelled = False
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 m = _mono_mul(m1, m2)
                 c = c1 * c2
                 acc = out.get(m)
-                out[m] = c if acc is None else acc + c
-        return Expr(out)
+                if acc is None:
+                    out[m] = c
+                else:
+                    out[m] = acc = acc + c
+                    cancelled = cancelled or not acc
+        # a product of nonzero coefficients is nonzero; only a sum can vanish
+        return Expr(out) if cancelled else Expr._trusted(out)
 
     __rmul__ = __mul__
 

@@ -80,6 +80,10 @@ class Grid3:
             self.origin[i] + self.spacing[i] * np.arange(self.counts[i]) for i in range(3)
         )
 
+    def point(self, node) -> tuple[float, float, float]:
+        """The (x, y, z) coordinates of the node with index (i, j, k)."""
+        return tuple(float(self.origin[i] + self.spacing[i] * node[i]) for i in range(3))
+
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ax = self.axes()
         return tuple(np.meshgrid(*ax, indexing="ij"))
@@ -149,8 +153,7 @@ def _check_finite(values: np.ndarray, grid: Grid3, label: str) -> None:
     if bad.any():
         idx = np.argwhere(bad)[0]
         node = idx[-3:]
-        coords = tuple(float(grid.origin[i] + grid.spacing[i] * node[i]) for i in range(3))
-        raise ValueError(f"{label} is not finite at node {tuple(int(i) for i in node)} (x, y, z) = {coords}")
+        raise ValueError(f"{label} is not finite at node {tuple(int(i) for i in node)} (x, y, z) = {grid.point(node)}")
 
 
 def sample_scalar(f: Callable, grid: Grid3) -> ScalarGrid:
@@ -232,13 +235,17 @@ def cross(a: VectorGrid, b: VectorGrid) -> VectorGrid:
 # -- norms ---------------------------------------------------------------------------
 
 
+def magnitude(field: ScalarGrid | VectorGrid) -> np.ndarray:
+    """Pointwise absolute value; vectors by their Euclidean magnitude."""
+    if isinstance(field, VectorGrid):
+        return np.sqrt(np.einsum("cijk,cijk->ijk", field.values, field.values))
+    return np.abs(field.values)
+
+
 def norm(field: ScalarGrid | VectorGrid, kind: str = "linf", mask: np.ndarray | None = None) -> float:
     """Linf or L2 (root mean square) norm; vectors enter through their
     pointwise Euclidean magnitude.  ``mask`` selects nodes."""
-    if isinstance(field, VectorGrid):
-        pointwise = np.sqrt(np.einsum("cijk,cijk->ijk", field.values, field.values))
-    else:
-        pointwise = np.abs(field.values)
+    pointwise = magnitude(field)
     if mask is not None:
         if mask.shape != pointwise.shape:
             raise ValueError("mask shape does not match field shape")

@@ -674,3 +674,52 @@ def test_number_profile_round_trips_as_decimal_text(tmp_path):
     assert back.problem.texts == problem.texts
     code, _ = run(tmp_path, "state", "flux", "tocgl", str(tmp_path / "sol" / "solution.json"), "--tau", "0.1", "--grid", "9")
     assert code == 0
+
+
+def _spiked_state(tmp_path, node):
+    """An 11^3 state with a uniform field and p = 0.1 z plus a unit spike at
+    ``node``: the momentum residual -grad p peaks one node below it in z."""
+    grid = fields.Grid3.cube(-1.0, 1.0, 11)
+    p = 0.1 * grid.meshgrid()[2]
+    p[node] += 1.0
+    zero = np.zeros(grid.counts)
+    columns = {"B1": zero, "B2": zero, "B3": zero + 1.0, "p_perp": p, "p_par": p, "tau": zero, "psi": zero}
+    path = tmp_path / "spiked.csv"
+    fields.write_csv(path, dict(zip("xyz", grid.axes())), columns)
+    return str(path), grid
+
+
+@pytest.mark.parametrize("mask", [[], ["--mask-sphere", "1.6"]], ids=["whole grid", "masked"])
+def test_check_reports_the_node_of_the_worst_residual(tmp_path, capsys, mask):
+    path, grid = _spiked_state(tmp_path, (6, 3, 5))
+    capsys.readouterr()
+    code, out = run(tmp_path, "c", "check", "--state", path, "--system", "mhd", "--threshold", "100", *mask)
+    assert code == 0
+    report = read_report(out)
+    xyz = [float(c[i]) for c, i in zip(grid.axes(), (6, 3, 4))]
+    assert report["worst"] == {
+        "residual": "momentum",
+        "linf": report["norms"]["momentum"]["linf"],
+        "node": [6, 3, 4],
+        "xyz": xyz,
+    }
+    assert all(isinstance(i, int) for i in report["norms"]["momentum"]["node"])
+    line = capsys.readouterr().out
+    assert "momentum at node (6, 3, 4)" in line
+    assert f"(x, y, z) = ({xyz[0]:.6g}, {xyz[1]:.6g}, {xyz[2]:.6g})" in line
+    code, again = run(tmp_path, "c2", "check", "--state", path, "--system", "mhd", "--threshold", "100", *mask)
+    assert (out / "report.json").read_bytes() == (again / "report.json").read_bytes()
+
+
+def test_check_stability_counts_nonpositive_pressure(tmp_path):
+    code, sol = run(tmp_path, "sol", "flux", "solve", data_path("flux_axisym_example.flux"))
+    assert code == 0
+    code, state = run(tmp_path, "state", "flux", "tocgl", str(sol / "solution.json"), "--tau", "psi/2.6", "--grid", "9")
+    assert code == 0
+    code, out = run(tmp_path, "c", "check", "--state", str(state / "state.csv"), "--system", "cgl", "--stability")
+    stability = read_report(out)["stability"]
+    # the bundled example has negative pressures at every node
+    assert stability["counts"]["nonpositive_pressure"] == 9**3
+    worst = stability["worst_pressure"]
+    assert sorted(worst) == ["node", "p_par", "p_perp", "xyz"]
+    assert min(worst["p_perp"], worst["p_par"]) < 0

@@ -1,4 +1,7 @@
 import math
+import warnings
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +254,159 @@ def test_label_constant_on_field_lines(vortex33, vortex65, params):
         adv = fd.directional(state.B, state.psi)
         errs[state.grid.counts[0]] = fd.norm(adv, "linf", fd.sphere_mask(adv.grid, mask_r))
     assert errs[33] / errs[65] == pytest.approx(4.0, abs=1.0)
+
+
+# -- evaluation on plasma nodes only ----------------------------------------------------
+
+
+def _full_grid_vortex(params, pressure_profile):
+    """The vortex formulas evaluated on every point and masked afterwards,
+    as earlier releases did: the oracle for the ball-only evaluation."""
+    R, B0, P0, lam, gamma_b = params.R, params.B0, params.P0, params.lam, params.gamma_b
+    v0r = float(equilibria._v0(np.array(2.0 * lam * R)))
+    amp = B0 / (1.0 - v0r)
+
+    def b_and_p(X, Y, Z):
+        rho = np.sqrt(X * X + Y * Y + Z * Z)
+        arg = 2.0 * lam * rho
+        V = amp * equilibria._v0(arg) - gamma_b
+        Q = 4.0 * lam * lam * amp * equilibria._v0_prime_over_x(arg)
+        inside = rho <= R
+        bx = -0.5 * Q * Z * X - lam * V * Y
+        by = -0.5 * Q * Z * Y + lam * V * X
+        bz = V + 0.5 * Q * (X * X + Y * Y)
+        zero = np.zeros_like(bz)
+        b = np.stack([np.where(inside, bx, zero), np.where(inside, by, zero), np.where(inside, bz, zero)])
+        s2 = X * X + Y * Y
+        if pressure_profile == "balanced":
+            p = P0 + gamma_b * lam * lam * V * s2
+        else:
+            p = P0 - gamma_b * V * s2
+        return b, np.where(inside, p, P0)
+
+    return b_and_p
+
+
+def _full_grid_field_line_map(b, pperp, ppar, tau, b2, inside, m):
+    """The field-line map with M given on every node, as earlier releases
+    applied it: the oracle for the plasma-only update."""
+    active = inside & (m != 1.0)
+    m_safe = np.where(active, m, 1.0)
+    b_new = np.where(active[None, ...], m_safe[None, ...] * b, b)
+    b2_new = m_safe**2 * b2
+    tau_new = np.where(active, 1.0 - (1.0 - tau) / m_safe**2, tau)
+    pperp_new = np.where(active, pperp + 0.5 * (b2 - b2_new), pperp)
+    ppar_new = np.where(active, pperp_new + tau_new * b2_new, ppar)
+    return b_new, pperp_new, ppar_new, tau_new
+
+
+def _probe_points(R):
+    """1-D points inside, outside and exactly on the sphere (rho == R)."""
+    rng = np.random.default_rng(7)
+    x, y, z = rng.uniform(-1.3 * R, 1.3 * R, (3, 64))
+    on = np.array([[R, 0.0, 0.0], [0.0, R, 0.0], [0.0, 0.0, R], [-R, 0.0, 0.0], [0.0, 0.0, -R]]).T
+    return tuple(np.concatenate([c, o]) for c, o in zip((x, y, z), on))
+
+
+def _zero_d_points(R):
+    return [(0.1 * R, -0.2 * R, 0.3 * R), (1.1 * R, 0.0, 0.5 * R), (R, 0.0, 0.0), (0.0, 0.0, R), (0.0, 0.0, 0.0)]
+
+
+def _assert_same(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("profile", ["balanced", "unscaled"])
+@pytest.mark.parametrize("R, n", [(1.0, 3), (0.93, 1)])
+def test_vortex_inside_the_ball_only_matches_the_full_grid_formulas(profile, R, n):
+    params = vortex_params(R=R, n=n, P0=1.7)
+    state = vortex_state(params, Grid3.cube(-1.2 * R, 1.2 * R, 33), pressure_profile=profile)
+    oracle = _full_grid_vortex(params, profile)
+    b, p = oracle(*state.grid.meshgrid())
+    _assert_same(state.B.values, b)
+    _assert_same(state.p_perp.values, p)
+    _assert_same(state.p_par.values, p)
+    for points in (_probe_points(R), *_zero_d_points(R)):
+        got_b, got_p, *_ = state.evaluators.evaluate(*points)
+        want_b, want_p = oracle(*(np.asarray(c, dtype=float) for c in points))
+        _assert_same(got_b, want_b)
+        _assert_same(got_p, want_p)
+
+
+@pytest.mark.parametrize("texts", [("1 + psi*sin(psi)",), ("2", "1 + 0.3*psi^2"), ("1",)])
+def test_field_line_image_matches_the_full_grid_map(vortex33, params, texts):
+    state = vortex33
+    for text in texts:
+        spec = TransformSpec(text)
+        out = apply_infinite_transform(state, spec)
+        b2 = state.b_squared()
+        inside = b2 > 1e-12 * np.max(b2)
+        sampled = (state.B.values, state.p_perp.values, state.p_par.values, state.tau.values)
+        want = _full_grid_field_line_map(*sampled, b2, inside, spec(state.psi.values))
+        for got, expected in zip((out.B, out.p_perp, out.p_par, out.tau), want):
+            _assert_same(got.values, expected)
+        eps_b = 1e-12 * float(np.max(b2))
+        for points in (_probe_points(params.R), *_zero_d_points(params.R)):
+            source = [np.asarray(v, dtype=float) for v in state.evaluators.evaluate(*points)]
+            b2l = np.einsum("c...,c...->...", source[0], source[0])
+            want = _full_grid_field_line_map(*source[:4], b2l, b2l > eps_b, spec(source[4]))
+            got = out.evaluators.evaluate(*points)
+            for g, w in zip(got, (*want, source[4])):
+                _assert_same(g, w)
+        state = out
+
+
+def test_transform_evaluates_m_on_plasma_nodes_only(vortex17, monkeypatch):
+    sizes = []
+    call = TransformSpec.__call__
+
+    def spy(self, psi_values):
+        sizes.append(np.size(psi_values))
+        return call(self, psi_values)
+
+    monkeypatch.setattr(TransformSpec, "__call__", spy)
+    out = apply_infinite_transform(vortex17, TransformSpec("1 + psi*sin(psi)"))
+    out.evaluators.evaluate(*vortex17.grid.meshgrid())
+    b2 = vortex17.b_squared()
+    plasma = int((b2 > 1e-12 * b2.max()).sum())
+    assert 0 < plasma < vortex17.grid.n_nodes
+    assert sizes == [plasma, plasma]
+
+
+def _half_plasma_state():
+    """Field (0, 0, 1) for x < 0 with psi in [0.6, 1]; no field and
+    psi = -1 for x >= 0, where log(psi) is undefined."""
+
+    def evaluate(X, Y, Z):
+        plasma = X < 0
+        zero = np.zeros_like(X)
+        b = np.stack([zero, zero, np.where(plasma, 1.0, 0.0)])
+        p = 1.0 + 0.1 * Y
+        psi = np.where(plasma, 0.8 + 0.2 * Y, -1.0)
+        return b, p, p, zero, psi
+
+    return sample_state(StateEvaluators(evaluate), Grid3.cube(-1.0, 1.0, 9), {})
+
+
+def test_m_undefined_off_the_plasma_raises_no_warning():
+    state = _half_plasma_state()
+    spec = TransformSpec("1 + log(psi)")
+    # M is undefined off the plasma (log of -1) and admissible on it
+    assert not np.isfinite(spec(state.psi.values)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = apply_infinite_transform(state, spec)
+        values = out.evaluators.evaluate(*state.grid.meshgrid())
+    outside = state.b_squared() == 0.0
+    assert outside.any() and not outside.all()
+    for name in ("B", "p_perp", "p_par", "tau", "psi"):
+        before, after = getattr(state, name).values, getattr(out, name).values
+        assert np.array_equal(after[..., outside], before[..., outside]), name
+        assert np.all(np.isfinite(after)), name
+    for value, field in zip(values, (out.B, out.p_perp, out.p_par, out.tau, out.psi)):
+        assert np.array_equal(value, field.values)
 
 
 # -- the field-line transform -----------------------------------------------------
@@ -602,6 +758,40 @@ def test_stability_field_null_not_applicable():
     assert rep.counts["applicable"] == 0
 
 
+def test_stability_counts_no_nonpositive_pressure_on_the_vortex(vortex17):
+    rep = stability_report(vortex17)
+    assert rep.counts["nonpositive_pressure"] == 0
+    assert rep.worst_pressure is None
+    assert "worst_pressure" not in rep.summary()
+
+
+def test_stability_names_the_worst_nonpositive_pressure():
+    from plasmeq import flux
+
+    text = Path(str(resources.files("plasmeq.data").joinpath("flux_axisym_example.flux"))).read_text()
+    problem, _ = flux.parse_problem_file(text)
+    sol = flux.solve_flux(problem, (33, 33))
+    state = flux.flux_to_cgl(sol, "psi/2.6", grid=flux.default_cartesian_box(problem, 9))
+    rep = stability_report(state)
+    # N = 0 at the smallest attained flux and dN = -2: negative at every node
+    assert rep.counts["nonpositive_pressure"] == state.grid.n_nodes
+    p_min = np.minimum(state.p_perp.values, state.p_par.values)
+    node = np.unravel_index(np.argmin(p_min), p_min.shape)
+    worst = rep.summary()["worst_pressure"]
+    assert worst["node"] == [int(i) for i in node]
+    assert worst["xyz"] == [float(c[i]) for c, i in zip(state.grid.axes(), node)]
+    assert worst["p_perp"] == state.p_perp.values[node]
+    assert worst["p_par"] == state.p_par.values[node]
+    assert min(worst["p_perp"], worst["p_par"]) == p_min.min()
+
+
+def test_stability_counts_a_nonpositive_parallel_pressure():
+    state = uniform_state(b=(0.0, 0.0, 1.0), p_perp=1.0, p_par=0.0, tau=-1.0)
+    rep = stability_report(state)
+    assert rep.counts["nonpositive_pressure"] == state.grid.n_nodes
+    assert rep.worst_pressure["node"] == [0, 0, 0]
+
+
 # -- residual evaluation ----------------------------------------------------------------
 
 
@@ -621,6 +811,40 @@ def test_alt_requires_tau_below_one():
 def test_unknown_system_rejected(vortex17):
     with pytest.raises(ValueError, match="unknown system"):
         residual_norms(vortex17, "qqq")
+
+
+def _spiked_state(spike_node, n=11):
+    """Uniform field, p = p_perp = p_par = 0.1 z plus a unit spike at one
+    node: the momentum residual -grad p is largest, uniquely, one node
+    below the spike in z."""
+    g = Grid3.cube(-1.0, 1.0, n)
+    p = 0.1 * g.meshgrid()[2]
+    p[spike_node] += 1.0
+    b = np.zeros((3, *g.counts))
+    b[2] = 1.0
+    zero = ScalarGrid(g, np.zeros(g.counts))
+    return CGLState(VectorGrid(g, b), ScalarGrid(g, p), ScalarGrid(g, p), zero, zero)
+
+
+@pytest.mark.parametrize("mask_radius", [None, 0.7])
+def test_residual_norms_locate_the_worst_node(mask_radius):
+    state = _spiked_state((6, 3, 5))
+    norms = residual_norms(state, "mhd", mask_radius=mask_radius)
+    assert norms["momentum"]["node"] == (6, 3, 4)
+    pointwise = fd.magnitude(residual_fields(state, "mhd")["momentum"])
+    assert norms["momentum"]["linf"] == pointwise[5, 2, 3] == pointwise.max()
+
+
+@pytest.mark.parametrize("mask_r", [None, 0.8])
+def test_residual_norms_match_fields_norm(vortex17, mask_r):
+    norms = residual_norms(vortex17, "mhd", mask_radius=mask_r)
+    mask = None if mask_r is None else fd.sphere_mask(vortex17.grid.interior(), mask_r)
+    for name, res in residual_fields(vortex17, "mhd").items():
+        assert norms[name]["linf"] == fd.norm(res, "linf", mask)
+        assert norms[name]["l2"] == fd.norm(res, "l2", mask)
+        i, j, k = (c - 1 for c in norms[name]["node"])
+        assert mask is None or mask[i, j, k]
+        assert fd.magnitude(res)[i, j, k] == norms[name]["linf"]
 
 
 # -- state IO --------------------------------------------------------------------------

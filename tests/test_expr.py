@@ -233,6 +233,19 @@ def test_normal_form_idempotent_under_rebuild(e1, e2):
     assert rebuilt == s
 
 
+@settings(max_examples=60, deadline=None)
+@given(_expr_strategy(_pctx), _expr_strategy(_pctx))
+def test_no_zero_coefficient_survives_arithmetic(e1, e2):
+    # sums and products skip the zero filter unless two coefficients met
+    u = next(_pctx.var("u").atoms())
+    results = [e1 + e2, e1 - e2, e1 * e2, (e1 + e2) * (e1 - e2), -e1, e1 - e1]
+    results += (e1 * e2 + e1).coefficients_in(u).values()
+    for r in results:
+        assert all(c != 0 for _m, c in r.terms())
+    assert (e1 - e1).is_zero
+    assert (e1 + e2) * (e1 - e2) == e1 * e1 - e2 * e2
+
+
 _hatoms = [
     _pctx.var("x"),
     _pctx.var("u"),
