@@ -691,24 +691,30 @@ def _spiked_state(tmp_path, node):
 
 @pytest.mark.parametrize("mask", [[], ["--mask-sphere", "1.6"]], ids=["whole grid", "masked"])
 def test_check_reports_the_node_of_the_worst_residual(tmp_path, capsys, mask):
-    path, grid = _spiked_state(tmp_path, (6, 3, 5))
+    path, grid = _spiked_state(tmp_path, (6, 4, 6))
     capsys.readouterr()
     code, out = run(tmp_path, "c", "check", "--state", path, "--system", "mhd", "--threshold", "100", *mask)
     assert code == 0
     report = read_report(out)
-    xyz = [float(c[i]) for c, i in zip(grid.axes(), (6, 3, 4))]
+    xyz = [float(c[i]) for c, i in zip(grid.axes(), (6, 4, 5))]
     assert report["worst"] == {
         "residual": "momentum",
         "linf": report["norms"]["momentum"]["linf"],
-        "node": [6, 3, 4],
+        "node": [6, 4, 5],
         "xyz": xyz,
     }
     assert all(isinstance(i, int) for i in report["norms"]["momentum"]["node"])
     line = capsys.readouterr().out
-    assert "momentum at node (6, 3, 4)" in line
+    assert "momentum at node (6, 4, 5)" in line
     assert f"(x, y, z) = ({xyz[0]:.6g}, {xyz[1]:.6g}, {xyz[2]:.6g})" in line
     code, again = run(tmp_path, "c2", "check", "--state", path, "--system", "mhd", "--threshold", "100", *mask)
     assert (out / "report.json").read_bytes() == (again / "report.json").read_bytes()
+    # the two-grid probe's coarse norms index the coarsened grid: the spike
+    # sits at its node (3, 2, 3) and the coarse residual peaks below it
+    code, probed = run(tmp_path, "c3", "check", "--state", path, "--system", "mhd", *mask)
+    report = read_report(probed)
+    assert report["norms"]["momentum"]["node"] == [6, 4, 5]
+    assert report["norms_coarse"]["momentum"]["node"] == [3, 2, 2]
 
 
 def test_check_stability_counts_nonpositive_pressure(tmp_path):

@@ -835,6 +835,18 @@ def test_residual_norms_locate_the_worst_node(mask_radius):
     assert norms["momentum"]["linf"] == pointwise[5, 2, 3] == pointwise.max()
 
 
+def test_residual_norms_ignore_a_spike_outside_the_mask():
+    # the spike at (-0.8, -0.8, -0.6) and the residual it causes lie outside the ball
+    state = _spiked_state((1, 1, 2))
+    assert residual_norms(state, "mhd")["momentum"]["node"] == (1, 1, 1)
+    entry = residual_norms(state, "mhd", mask_radius=0.7)["momentum"]
+    mask = fd.sphere_mask(state.grid.interior(), 0.7)
+    i, j, k = (c - 1 for c in entry["node"])
+    assert mask[i, j, k]
+    assert fd.magnitude(residual_fields(state, "mhd")["momentum"])[i, j, k] == entry["linf"]
+    assert entry["linf"] == pytest.approx(0.1)
+
+
 @pytest.mark.parametrize("mask_r", [None, 0.8])
 def test_residual_norms_match_fields_norm(vortex17, mask_r):
     norms = residual_norms(vortex17, "mhd", mask_radius=mask_r)
