@@ -388,6 +388,16 @@ def _field_line_map(b, pperp, ppar, tau, b2, plasma, m):
     return b, pperp, ppar, tau
 
 
+def _defined_m(spec: TransformSpec, psi: np.ndarray) -> np.ndarray:
+    """M on the label values ``psi``; a ValueError where M is undefined
+    (NaN).  An infinite M is left to the finite checks on the result."""
+    m = spec(psi)
+    undefined = np.isnan(m)
+    if undefined.any():
+        raise ValueError(f"M = {spec.text} is undefined (NaN) at psi = {float(psi[undefined][0]):.6g}")
+    return m
+
+
 def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
     """Rescale B by M(psi) along field lines, adjusting the anisotropy and
     the perpendicular pressure so the anisotropic balance is preserved.
@@ -399,7 +409,7 @@ def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
     b2 = state.b_squared()
     eps_b = _field_null_threshold(b2)
     inside = b2 > eps_b
-    attained = spec(state.psi.values[inside])
+    attained = _defined_m(spec, state.psi.values[inside])
     if attained.size and float(np.min(np.abs(attained))) < spec.m_min:
         raise ValueError(
             f"|M| falls to {float(np.min(np.abs(attained))):.3e} on the attained label range; "
@@ -427,7 +437,7 @@ def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
             b, pperp, ppar, tau, psi = (np.asarray(v, dtype=float) for v in source(X, Y, Z))
             b2l = np.einsum("c...,c...->...", b, b)
             plasma = b2l > eps_b
-            return (*_field_line_map(b, pperp, ppar, tau, b2l, plasma, spec(psi[plasma])), psi)
+            return (*_field_line_map(b, pperp, ppar, tau, b2l, plasma, _defined_m(spec, psi[plasma])), psi)
 
         evaluators = StateEvaluators(evaluate)
 

@@ -7,15 +7,20 @@ discretised by one five-point stencil whose coefficients depend on r only,
 so the operator is separable (the matrix-decomposition method of Buzbee,
 Golub & Nielson, SIAM J. Numer. Anal. 7 (1970) 627): an orthonormal sine
 transform (DST-I) along zu diagonalises its zu part, and each zu sine mode
-leaves one tridiagonal system in r.  The tridiagonal systems of all modes
-form one sparse matrix, factorized once per solve; every right-hand side
-then costs two sine transforms and one back-solve.  The Dirichlet data
-enter as the stencil applied to the boundary values, a fixed
-right-hand-side term, so the boundary values are imposed exactly and never
-touched by the iteration.  Constitutive terms (J J', the helical
+leaves one tridiagonal system in r.  The systems of all modes are
+eliminated together, row by row (the Thomas algorithm vectorised over the
+modes), with the multipliers and pivots computed once per solve; every
+right-hand side then costs two sine transforms and one sweep each way.
+The Dirichlet data enter as the stencil applied to the boundary values, a
+fixed right-hand-side term, so the boundary values are imposed exactly and
+never touched by the iteration.  Constitutive terms (J J', the helical
 2 gamma J/(r^2+gamma^2)^2 term, and the pressure profile derivative) are
 frozen at the previous iterate and relaxed: damped Picard iteration around
-the one factorization.
+the one elimination.
+
+The pressure profile N(psi) of a mapped state is integrated from dN by
+fixed 8-point Gauss-Legendre quadrature on 256 panels and interpolated by
+cubic Hermite polynomials through N and dN at the panel ends.
 """
 
 from __future__ import annotations
@@ -27,10 +32,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 from scipy.fft import dst
+from scipy.interpolate import RectBivariateSpline
+
+# never called: tracer hooks that perfbench/spans.py wraps by name until ROADMAP item 1
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline, RectBivariateSpline
 from scipy.sparse.linalg import splu
 
 from . import fields as fd
@@ -149,9 +155,20 @@ def _interior_solver(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: n
     diagonalises the zu neighbour matrix of the m interior zu nodes with
     eigenvalues 2 cos(k pi/(m+1)), k = 1..m, so zu sine mode k is one
     tridiagonal system in r with diagonal c_center + 2 cos(k pi/(m+1)) c_n.
-    With the unknowns ordered mode-major, each mode's r-line contiguous, all
-    modes form one tridiagonal matrix with zero couplings between modes; it
-    is factorized once, with almost no fill.
+    The transform leaves the n x m array with one row per interior r node
+    and one column per mode, so each step of the Thomas algorithm is one
+    contiguous row operation over all modes.  The multipliers and
+    reciprocal pivots are computed once, here; each right-hand side then
+    costs n - 1 forward and n - 1 backward row updates, in place.
+
+    No pivoting is needed: every row is strictly diagonally dominant.  In
+    both geometries c_center = -(c_w + c_e) - 2 c_n, so the diagonal of
+    mode k is -(c_w + c_e) - (2 - 2 cos(k pi/(m+1))) c_n, and with c_w,
+    c_e, c_n > 0 its magnitude exceeds |c_w| + |c_e|.  The helical
+    coefficients are positive for every r > 0; the axisymmetric c_e =
+    (2 r - hr)/(2 hr^2 r) is positive because every interior node has
+    r >= r0 + hr > hr/2.  The dominance is checked here all the same, and
+    a ValueError raised if rounding ever breaks it.
     """
     nr, nzu = len(r), len(zu)
     hr = r[1] - r[0]
@@ -184,15 +201,25 @@ def _interior_solver(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: n
 
     c_w, c_e, c_n, c_center = (c[1:-1] for c in (c_w, c_e, c_n, c_center))
     eigen = 2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
-    main = (c_center + eigen[:, None] * c_n).ravel()
-    lower = np.tile(np.append(c_w[1:], 0.0), m)[:-1]
-    upper = np.tile(np.append(c_e[:-1], 0.0), m)[:-1]
-    lu = splu(sparse.diags([lower, main, upper], [-1, 0, 1], format="csc"))
+    pivot = c_center[:, None] + c_n[:, None] * eigen
+    if not (np.abs(pivot) > (np.abs(c_w) + np.abs(c_e))[:, None]).all():
+        raise ValueError("the radial mode systems are not diagonally dominant on this grid")
+    # forward elimination of the sub-diagonal c_w, once per solve
+    multiplier = np.empty((n, m))
+    for i in range(1, n):
+        multiplier[i] = c_w[i] / pivot[i - 1]
+        pivot[i] -= multiplier[i] * c_e[i - 1]
+    inv_pivot = 1.0 / pivot
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        modes = dst(rhs - bterm, type=1, axis=1, norm="ortho")
-        modes = lu.solve(modes.T.ravel()).reshape(m, n).T
-        return dst(modes, type=1, axis=1, norm="ortho")
+        u = dst(rhs - bterm, type=1, axis=1, norm="ortho")
+        for i in range(1, n):
+            u[i] -= multiplier[i] * u[i - 1]
+        u[-1] *= inv_pivot[-1]
+        for i in range(n - 2, -1, -1):
+            u[i] -= c_e[i] * u[i + 1]
+            u[i] *= inv_pivot[i]
+        return dst(u, type=1, axis=1, norm="ortho")
 
     return solve
 
@@ -214,7 +241,7 @@ def solve_flux(
     max_iter: int = 500,
     omega: float = 0.8,
 ) -> FluxSolution:
-    """Damped Picard iteration around one factorized linear operator."""
+    """Damped Picard iteration around one linear solver, set up once."""
     nr, nzu = shape
     if nr < 9 or nzu < 9:
         raise ValueError("resolution must be at least 9 x 9")
@@ -324,17 +351,54 @@ def default_cartesian_box(problem: FluxProblem, counts: int | tuple[int, int, in
     )
 
 
+# 8-point Gauss-Legendre nodes and weights on [-1, 1]
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
 def _pressure_antiderivative(problem: FluxProblem, sol: FluxSolution):
-    """N(psi), the integral of dN from the smallest attained flux value,
-    as a spline over the attained range padded by 2 % on either side."""
+    """N(psi), the integral of dN from the smallest attained flux value lo,
+    over the attained range padded by 2 % on either side.
+
+    257 knots split the padded range into 256 panels, with one knot at lo
+    exactly.  Each panel's integral of dN is an 8-point Gauss-Legendre sum
+    (dN is evaluated once, at every node and knot), and the panels are
+    summed outward from lo in both directions, so N(lo) = 0 exactly.  N is
+    the cubic Hermite interpolant through N and its exact slope dN at the
+    knots, exact for dN of degree <= 2.
+    """
     lo, hi = sol.attained_range()
     pad = 0.02 * max(hi - lo, 1e-12)
-    checkpoints = np.linspace(lo - pad, hi + pad, 257)
-    values = np.empty_like(checkpoints)
-    integrand = lambda p: float(problem.dN(np.asarray(p, dtype=float)))
-    for idx, p in enumerate(checkpoints):
-        values[idx] = quad(integrand, lo, p, limit=200)[0]
-    return CubicSpline(checkpoints, values)
+    start, stop = lo - pad, hi + pad
+    below = round(256 * pad / (stop - start))  # panels below lo
+    knots = np.concatenate([np.linspace(start, lo, below + 1)[:-1], np.linspace(lo, stop, 257 - below)])
+    width = np.diff(knots)
+    nodes = 0.5 * (knots[:-1] + knots[1:])[:, None] + 0.5 * width[:, None] * _GAUSS_NODES
+    points = np.concatenate([knots, nodes.ravel()])
+    dn = np.broadcast_to(np.asarray(problem.dN(points), dtype=float), points.shape)
+    bad = ~np.isfinite(dn)
+    if bad.any():
+        raise ValueError(
+            f"dN is not finite at psi = {float(points[bad].min()):.6g} on the padded flux range "
+            f"[{start:.6g}, {stop:.6g}]"
+        )
+    slope = dn[: len(knots)]
+    panels = 0.5 * width * (dn[len(knots) :].reshape(-1, 8) @ _GAUSS_WEIGHTS)
+    values = np.zeros(len(knots))
+    values[below + 1 :] = np.cumsum(panels[below:])
+    values[:below] = -np.cumsum(panels[:below][::-1])[::-1]
+
+    def n_of(psi: np.ndarray) -> np.ndarray:
+        k = np.clip(np.searchsorted(knots, psi, side="right") - 1, 0, len(width) - 1)
+        h = width[k]
+        t = (psi - knots[k]) / h
+        t2 = t * t
+        return (
+            values[k] * ((2.0 * t - 3.0) * t2 + 1.0)
+            + values[k + 1] * ((3.0 - 2.0 * t) * t2)
+            + h * (slope[k] * (((t - 2.0) * t + 1.0) * t) + slope[k + 1] * ((t - 1.0) * t2))
+        )
+
+    return n_of
 
 
 def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:

@@ -332,10 +332,17 @@ def test_transform_with_vanishing_magnitude_fails_validation(tmp_path):
     assert read_report(out)["pass"] is False
 
 
-def _solution(tmp_path, drop=None, rows=None):
-    """Solve the bundled axisymmetric problem; optionally drop a manifest
-    key, or pass the psi.csv data rows through ``rows``."""
-    _, sol_out = run(tmp_path, "sol", "flux", "solve", data_path("flux_axisym_example.flux"))
+def _solution(tmp_path, drop=None, rows=None, profile=None):
+    """Solve the bundled axisymmetric problem, with its ``dN = -2`` line
+    replaced by ``profile`` if given; optionally drop a manifest key, or
+    pass the psi.csv data rows through ``rows``."""
+    problem_file = data_path("flux_axisym_example.flux")
+    if profile is not None:
+        text = Path(problem_file).read_text()
+        assert "\ndN = -2\n" in text
+        problem_file = _file(tmp_path, "problem.flux", text.replace("\ndN = -2\n", f"\n{profile}\n"))
+    code, sol_out = run(tmp_path, "sol", "flux", "solve", problem_file)
+    assert code == 0
     path = sol_out / "solution.json"
     if drop is not None:
         manifest = json.loads(path.read_text())
@@ -459,6 +466,16 @@ BAD_INPUTS = {
     "solution with a nan": (
         lambda tmp: ["flux", "tocgl", _solution(tmp, rows=lambda lines: _set_value(lines, 40, 2, "nan")), "--tau", "0.1"],
         "psi.csv: holds a non-finite psi (nan) in data row 41",
+    ),
+    "transform by an undefined M": (
+        lambda tmp: ["transform", "--state", _state(tmp, grid=17), "--M", "log(psi - 2)"],
+        "M = log(psi - 2) is undefined (NaN) at psi = ",
+    ),
+    "pressure profile undefined on the padded flux range": (
+        lambda tmp: [
+            "flux", "tocgl", _solution(tmp, profile="dN = -2 + 0.001*sqrt(psi)"), "--tau", "0.1", "--grid", "9",
+        ],
+        "dN is not finite at psi = -0.0",
     ),
     "transform to non-finite values": (
         lambda tmp: ["transform", "--state", _state(tmp, grid=17), "--M", "exp(1000*psi)"],

@@ -409,6 +409,20 @@ def test_m_undefined_off_the_plasma_raises_no_warning():
         assert np.array_equal(value, field.values)
 
 
+def test_m_undefined_on_the_plasma_is_rejected(vortex17):
+    # log(psi - 2) is NaN on every plasma node (psi <= 1), and NaN < m_min is False
+    with pytest.raises(ValueError, match=r"M = log\(psi - 2\) is undefined \(NaN\) at psi = 0\.9"):
+        apply_infinite_transform(vortex17, TransformSpec("log(psi - 2)"))
+
+
+def test_m_undefined_at_an_evaluated_plasma_point_is_rejected():
+    # 1 + sqrt(psi - 0.6) is defined on the sampled plasma nodes (psi >= 0.6), not below them
+    out = apply_infinite_transform(_half_plasma_state(), TransformSpec("1 + sqrt(psi - 0.6)"))
+    point = (np.array([-0.5]), np.array([-1.1]), np.array([0.0]))
+    with pytest.raises(ValueError, match=r"M = 1 \+ sqrt\(psi - 0\.6\) is undefined \(NaN\) at psi = 0\.58$"):
+        out.evaluators.evaluate(*point)
+
+
 # -- the field-line transform -----------------------------------------------------
 
 

@@ -248,35 +248,50 @@ def splu_reference_solve(problem, shape, tol_outer=1e-10, omega=0.8):
     return psi, len(updates)
 
 
+def _lu_reference_problem(geometry, r_range=DOMAIN["r_range"]):
+    return FluxProblem(
+        geometry, r_range, DOMAIN["zu_range"], boundary="r^2*zu", J="0.5*psi", dJ="0.5", dN=-1.0,
+        source="sin(3*r)*cos(2*zu)", gamma=0.7 if geometry == "helical" else 0.0,
+    )
+
+
 @pytest.mark.parametrize(
-    "problem",
+    "problem, shape",
     [
-        FluxProblem(
-            "axisymmetric", boundary="r^2*zu", J="0.5*psi", dJ="0.5", dN=-1.0,
-            source="sin(3*r)*cos(2*zu)", **DOMAIN,
-        ),
-        helical_mms_problem(),
+        pytest.param(_lu_reference_problem("axisymmetric"), (19, 14), id="axisymmetric"),
+        pytest.param(helical_mms_problem(), (19, 14), id="helical"),
+        # hr = 0.125 is far above 2 r0 = 0.002; the elimination needs no pivots
+        # all the same, because every interior node has r >= r0 + hr > hr/2
+        pytest.param(_lu_reference_problem("axisymmetric", (1e-3, 1.0)), (9, 14), id="axisymmetric near the axis"),
+        pytest.param(_lu_reference_problem("helical", (1e-3, 1.0)), (9, 14), id="helical near the axis"),
     ],
-    ids=["axisymmetric", "helical"],
 )
-def test_solve_matches_a_sparse_lu_reference(problem):
-    sol = solve_flux(problem, (19, 14))
-    want, iterations = splu_reference_solve(problem, (19, 14))
+def test_solve_matches_a_sparse_lu_reference(problem, shape):
+    sol = solve_flux(problem, shape)
+    want, iterations = splu_reference_solve(problem, shape)
     assert sol.iterations == iterations
     assert np.max(np.abs(sol.psi - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_solve_factorizes_once(monkeypatch):
-    factorize, calls = flux.splu, []
+    # the elimination is set up once per solve; its solve runs once per Picard iteration
+    setup, setups, solves = flux._interior_solver, [], []
 
-    def counting_splu(matrix):
-        calls.append(matrix.shape)
-        return factorize(matrix)
+    def counting_setup(problem, r, zu, psi):
+        setups.append(psi.shape)
+        solve = setup(problem, r, zu, psi)
 
-    monkeypatch.setattr(flux, "splu", counting_splu)
+        def counting_solve(rhs):
+            solves.append(rhs.shape)
+            return solve(rhs)
+
+        return counting_solve
+
+    monkeypatch.setattr(flux, "_interior_solver", counting_setup)
     sol = solve_flux(quartic_problem(), (17, 17))
     assert sol.iterations == 16
-    assert calls == [(15 * 15, 15 * 15)]
+    assert setups == [(17, 17)]
+    assert solves == [(15, 15)] * 16
 
 
 def test_update_history_is_recorded():
@@ -421,6 +436,41 @@ def test_pressure_vanishes_at_the_smallest_attained_flux(name):
     n = 0.5 * (state.p_perp.values + state.p_par.values)
     psi = state.psi.values * meta["psi_normalization"]
     assert np.max(np.abs(n + 2.0 * (psi - meta["psi_ref"]))) <= 1e-12
+
+
+def _antiderivative_over(dN, lo, hi):
+    """N(psi) of ``dN`` for a solution whose flux attains exactly [lo, hi],
+    with the padded range it covers sampled on and between its knots."""
+    problem = FluxProblem("axisymmetric", boundary="0", dN=dN, **DOMAIN)
+    sol = FluxSolution(problem, np.linspace(0.5, 1.5, 9), np.linspace(-0.5, 0.5, 9),
+                       np.linspace(lo, hi, 81).reshape(9, 9), (0.0,), True)
+    pad = 0.02 * (hi - lo)
+    # about 16 points per panel, plus the knot at lo
+    psi = np.append(np.linspace(lo - pad, hi + pad, 4097), lo)
+    return flux._pressure_antiderivative(problem, sol), psi
+
+
+@pytest.mark.parametrize("lo, hi", [(-0.3, 0.7), (0.4, 1.4), (-1.5, -1.0)])
+def test_pressure_antiderivative_of_a_cosine(lo, hi):
+    n_of, psi = _antiderivative_over("cos(3*psi)", lo, hi)
+    exact = (np.sin(3.0 * psi) - np.sin(3.0 * lo)) / 3.0
+    assert np.max(np.abs(n_of(psi) - exact)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "dN, N",
+    [
+        ("2.5", lambda p: 2.5 * p),
+        ("1 - 2*psi", lambda p: p - p**2),
+        ("1 - 2*psi + 3*psi^2", lambda p: p - p**2 + p**3),
+    ],
+    ids=["constant", "linear", "quadratic"],
+)
+def test_pressure_antiderivative_is_exact_for_quadratic_profiles(dN, N):
+    lo, hi = -0.3, 0.7
+    n_of, psi = _antiderivative_over(dN, lo, hi)
+    assert n_of(np.array([lo]))[0] == 0.0
+    assert np.max(np.abs(n_of(psi) - (N(psi) - N(lo)))) <= 1e-13
 
 
 def test_mapping_evaluates_the_spline_three_times(quartic_solutions, monkeypatch):
