@@ -389,12 +389,14 @@ def _field_line_map(b, pperp, ppar, tau, b2, plasma, m):
 
 
 def _defined_m(spec: TransformSpec, psi: np.ndarray) -> np.ndarray:
-    """M on the label values ``psi``; a ValueError where M is undefined
-    (NaN).  An infinite M is left to the finite checks on the result."""
+    """M on the label values ``psi``; a ValueError, naming M and the first
+    such label, where M is undefined (NaN) or infinite."""
     m = spec(psi)
-    undefined = np.isnan(m)
-    if undefined.any():
-        raise ValueError(f"M = {spec.text} is undefined (NaN) at psi = {float(psi[undefined][0]):.6g}")
+    bad = ~np.isfinite(m)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        kind = "undefined (NaN)" if np.isnan(m[i]) else "infinite"
+        raise ValueError(f"M = {spec.text} is {kind} at psi = {float(psi[i]):.6g}")
     return m
 
 
@@ -623,11 +625,12 @@ def stability_report(state: CGLState) -> StabilityReport:
     Fire-hose: unstable iff p_par - p_perp > B^2 (tau > 1).
     Mirror: unstable iff p_perp (p_perp / (6 p_par) - 1) > B^2 / 2; nodes
     with p_par = 0 are flagged indeterminate.  Nodes at field nulls are
-    not applicable.  Margins are the largest values of (criterion left
-    side minus right side) over applicable nodes, None where there are none.
-    Nodes with p_perp <= 0 or p_par <= 0 are counted as non-physical, and
-    when there are any, ``worst_pressure`` names the node of the smallest
-    min(p_perp, p_par).
+    not applicable.  Nodes with p_perp <= 0 or p_par <= 0 are counted as
+    non-physical, and when there are any, ``worst_pressure`` names the node
+    of the smallest min(p_perp, p_par).  Margins are the largest values of
+    (criterion left side minus right side) over the applicable nodes with
+    p_perp > 0 and p_par > 0, None where there are none; flags and counts
+    still cover every applicable node.
     """
     b2 = state.b_squared()
     applicable = b2 > _field_null_threshold(b2)
@@ -658,11 +661,12 @@ def stability_report(state: CGLState) -> StabilityReport:
         "indeterminate": int((mirror == FLAG_INDETERMINATE).sum()),
         "not_applicable": int((~applicable).sum()),
     }
-    margins = {
-        "fire_hose": margin(fire_lhs, applicable),
-        "mirror": margin(mirror_lhs, ok),
-    }
     p_min = np.minimum(pperp, ppar)
+    physical = applicable & (p_min > 0)
+    margins = {
+        "fire_hose": margin(fire_lhs, physical),
+        "mirror": margin(mirror_lhs, physical),
+    }
     counts["nonpositive_pressure"] = int((p_min <= 0).sum())
     worst_pressure = None
     if counts["nonpositive_pressure"]:

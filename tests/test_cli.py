@@ -479,7 +479,7 @@ BAD_INPUTS = {
     ),
     "transform to non-finite values": (
         lambda tmp: ["transform", "--state", _state(tmp, grid=17), "--M", "exp(1000*psi)"],
-        "transformed.csv: refusing to write a non-finite",
+        "M = exp(1000*psi) is infinite at psi = ",
     ),
     "state with an inf": (
         lambda tmp: [

@@ -1,3 +1,4 @@
+import io
 import math
 import warnings
 from importlib import resources
@@ -415,6 +416,20 @@ def test_m_undefined_on_the_plasma_is_rejected(vortex17):
         apply_infinite_transform(vortex17, TransformSpec("log(psi - 2)"))
 
 
+def test_m_infinite_on_the_plasma_is_rejected(vortex17):
+    # exp(1000*psi) overflows on the plasma nodes with psi above 0.71
+    with pytest.raises(ValueError, match=r"M = exp\(1000\*psi\) is infinite at psi = 0\.9"):
+        apply_infinite_transform(vortex17, TransformSpec("exp(1000*psi)"))
+
+
+def test_m_infinite_at_an_evaluated_plasma_point_is_rejected():
+    # finite on the sampled plasma nodes (psi >= 0.6), overflowing at psi = -0.2
+    out = apply_infinite_transform(_half_plasma_state(), TransformSpec("1 + exp(-1000*(psi - 0.6))"))
+    point = (np.array([-0.5]), np.array([-5.0]), np.array([0.0]))
+    with pytest.raises(ValueError, match=r"M = 1 \+ exp\(-1000\*\(psi - 0\.6\)\) is infinite at psi = -0\.2$"):
+        out.evaluators.evaluate(*point)
+
+
 def test_m_undefined_at_an_evaluated_plasma_point_is_rejected():
     # 1 + sqrt(psi - 0.6) is defined on the sampled plasma nodes (psi >= 0.6), not below them
     out = apply_infinite_transform(_half_plasma_state(), TransformSpec("1 + sqrt(psi - 0.6)"))
@@ -799,6 +814,25 @@ def test_stability_names_the_worst_nonpositive_pressure():
     assert min(worst["p_perp"], worst["p_par"]) == p_min.min()
 
 
+def test_stability_margins_skip_nonpositive_pressure_nodes():
+    state = uniform_state(b=(0.0, 0.0, 1.0), p_perp=1.0)
+    pperp, ppar = state.p_perp.values.copy(), state.p_par.values.copy()
+    # at this node both margins would be the largest: fire-hose 5 and mirror 8/15
+    pperp[1, 2, 3], ppar[1, 2, 3] = -1.0, 5.0
+    tau = (ppar - pperp) / state.b_squared()
+    rep = stability_report(CGLState(state.B, ScalarGrid(state.grid, pperp), ScalarGrid(state.grid, ppar),
+                                    ScalarGrid(state.grid, tau), state.psi))
+    assert rep.margins == {"fire_hose": -1.0, "mirror": pytest.approx(1.0 / 6.0 - 1.0 - 0.5, rel=1e-15)}
+    # flags and counts still cover the node
+    assert rep.fire_hose[1, 2, 3] == FLAG_UNSTABLE and rep.mirror[1, 2, 3] == FLAG_UNSTABLE
+    assert rep.counts["fire_hose_unstable"] == rep.counts["mirror_unstable"] == 1
+    assert rep.counts["nonpositive_pressure"] == 1
+    # with no positive-pressure node left there is no margin
+    everywhere = stability_report(uniform_state(b=(0.0, 0.0, 1.0), p_perp=-1.0, p_par=5.0, tau=6.0))
+    assert everywhere.counts["fire_hose_unstable"] == everywhere.counts["applicable"] == 7**3
+    assert everywhere.margins == {"fire_hose": None, "mirror": None}
+
+
 def test_stability_counts_a_nonpositive_parallel_pressure():
     state = uniform_state(b=(0.0, 0.0, 1.0), p_perp=1.0, p_par=0.0, tau=-1.0)
     rep = stability_report(state)
@@ -884,6 +918,21 @@ def test_state_csv_roundtrip(tmp_path, vortex17):
     assert np.array_equal(back.psi.values, vortex17.psi.values)
     header = path.read_text().splitlines()[0]
     assert header == "x,y,z,B1,B2,B3,p_perp,p_par,tau,psi"
+
+
+def test_state_csv_bytes_equal_savetxt(tmp_path, vortex17):
+    # 17^3 rows span several write blocks; the vortex repeats its outside
+    # values and its equal pressures, the transform splits p_perp from p_par
+    transformed = apply_infinite_transform(vortex17, TransformSpec("1 + psi*sin(psi)"))
+    for name, state in (("vortex", vortex17), ("transformed", transformed)):
+        path = tmp_path / f"{name}.csv"
+        write_state_csv(state, path)
+        columns = [*state.grid.meshgrid(), *state.B.values, state.p_perp.values, state.p_par.values,
+                   state.tau.values, state.psi.values]
+        reference = io.BytesIO()
+        reference.write(b"x,y,z,B1,B2,B3,p_perp,p_par,tau,psi\n")
+        np.savetxt(reference, np.column_stack([c.reshape(-1) for c in columns]), fmt="%.17g", delimiter=",")
+        assert path.read_bytes() == reference.getvalue(), name
 
 
 def test_state_csv_missing_columns(tmp_path):

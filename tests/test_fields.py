@@ -185,19 +185,7 @@ def test_csv_rejects_scrambled_rows(tmp_path):
         read_csv(bad, ("x", "y", "z"))
 
 
-@pytest.mark.parametrize("rows", [1, fields._ROW_BLOCK - 1, fields._ROW_BLOCK, fields._ROW_BLOCK + 1])
-@pytest.mark.parametrize(
-    "columns, delimiter",
-    [(10, ","), (3, " "), (None, " ")],
-    ids=["csv-10-columns", "vtk-vectors", "vtk-scalars"],
-)
-def test_row_writer_matches_savetxt(rows, columns, delimiter):
-    rng = np.random.default_rng(rows)
-    shape = (rows,) if columns is None else (rows, columns)
-    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
-    special = np.array([-0.0, 5e-324, 2.2e-310, 1e300, -1e-300, 0.1, 1.0 / 3.0, 0.0])
-    flat = values.reshape(-1)
-    flat[: special.size] = special[: flat.size]
+def _assert_rows_match_savetxt(values, delimiter):
     ours, reference = io.StringIO(), io.StringIO()
     fields._write_rows(ours, values, delimiter)
     np.savetxt(reference, values, fmt="%.17g", delimiter=delimiter)
@@ -205,9 +193,51 @@ def test_row_writer_matches_savetxt(rows, columns, delimiter):
     # instead of diffing megabytes of text
     ours_rows = ours.getvalue().splitlines(keepends=True)
     reference_rows = reference.getvalue().splitlines(keepends=True)
-    assert len(ours_rows) == len(reference_rows) == rows
+    assert len(ours_rows) == len(reference_rows) == len(values)
     mismatch = next((i for i, pair in enumerate(zip(ours_rows, reference_rows)) if pair[0] != pair[1]), None)
     assert mismatch is None, (mismatch, ours_rows[mismatch], reference_rows[mismatch])
+
+
+_LAYOUTS = pytest.mark.parametrize(
+    "columns, delimiter",
+    [(10, ","), (3, " "), (None, " ")],
+    ids=["csv-10-columns", "vtk-vectors", "vtk-scalars"],
+)
+
+
+# one row, the edges of the first block, and the edges of the fourth
+_BLOCK_EDGES = [1] + [n * fields._ROW_BLOCK + d for n in (1, 4) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("rows", _BLOCK_EDGES)
+@_LAYOUTS
+def test_row_writer_matches_savetxt(rows, columns, delimiter):
+    rng = np.random.default_rng(rows)
+    shape = (rows,) if columns is None else (rows, columns)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    special = np.array([-0.0, 5e-324, 2.2e-310, 1e300, -1e-300, 0.1, 1.0 / 3.0, 0.0])
+    flat = values.reshape(-1)
+    flat[: special.size] = special[: flat.size]
+    _assert_rows_match_savetxt(values, delimiter)
+
+
+@pytest.mark.parametrize("rows", [1, fields._ROW_BLOCK - 1, fields._ROW_BLOCK + 1])
+@_LAYOUTS
+def test_row_writer_matches_savetxt_on_repeated_values(rows, columns, delimiter):
+    # a small pool, so that every block repeats values: signed zeros,
+    # neighbours one ulp apart, subnormals and values near the top of the range
+    pool = np.array([
+        0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 0.1, np.nextafter(0.1, 1.0),
+        5e-324, np.nextafter(5e-324, 1.0), -2.2e-310, 1e300, np.nextafter(1e300, np.inf), -1e300,
+    ])
+    rng = np.random.default_rng(rows)
+    shape = (rows,) if columns is None else (rows, columns)
+    values = rng.choice(pool, shape)
+    flat = values.reshape(-1)
+    # 0.0 and -0.0 in one block, in the same column where there are two rows
+    width = 1 if columns is None else columns
+    flat[0], flat[width if rows > 1 else -1] = 0.0, -0.0
+    _assert_rows_match_savetxt(values, delimiter)
 
 
 def test_vtk_header_and_payload(tmp_path):
