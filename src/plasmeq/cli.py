@@ -260,6 +260,14 @@ def cmd_check(args) -> tuple[int, dict]:
     else:
         coarse = eq.residual_norms(state.coarsen(), args.system, mask_radius=mask_radius)
         report["norms_coarse"] = _norms_as_jsonable(coarse)
+        # a residual below this floor passes: an exact state's residuals are
+        # rounding (plus the flux solve's 1e-10 Picard tolerance) over h,
+        # noise that does not shrink with h; the floor scales with B^2 and the
+        # pressures (momentum), B (div B) and B tau (tau's advection)
+        b_max = math.sqrt(float(np.max(state.b_squared())))
+        p_max = float(max(np.max(np.abs(state.p_perp.values)), np.max(np.abs(state.p_par.values))))
+        scale = b_max**2 + p_max + b_max * (1.0 + float(np.max(np.abs(state.tau.values))))
+        floor = params["noise_floor"] = 1e-9 * scale / min(state.grid.spacing)
         ratios = {}
         for name in norms:
             fine_linf = norms[name]["linf"]
@@ -267,8 +275,9 @@ def cmd_check(args) -> tuple[int, dict]:
             # an exactly vanishing fine residual has no ratio
             ratios[name] = float(coarse_linf / fine_linf) if fine_linf > 0 else None
             # pass when the fine-grid residual sits below the second-order
-            # expectation (coarse/4) widened by the threshold factor
-            if fine_linf > args.threshold_factor * coarse_linf / 4.0:
+            # expectation (coarse/4) widened by the threshold factor, or
+            # below the noise floor
+            if fine_linf > max(args.threshold_factor * coarse_linf / 4.0, floor):
                 ok = False
         report["convergence_ratios"] = ratios
 

@@ -45,6 +45,7 @@ __all__ = [
     "residual_fields",
     "residual_norms",
     "tau_consistency_error",
+    "require_defined",
     "write_state_csv",
     "read_state_csv",
     "write_state_vtk",
@@ -353,17 +354,6 @@ class TransformSpec:
         values = np.asarray(self.compiled(psi_values), dtype=float)
         return np.broadcast_to(values, np.shape(psi_values)).copy()
 
-    def factor(self, psi_values: np.ndarray) -> tuple[int, np.ndarray]:
-        """Split into (sign, log-magnitude) on the given label values."""
-        m = self(psi_values)
-        if float(np.min(np.abs(m))) < self.m_min:
-            raise ValueError(f"|M| falls below {self.m_min}; no admissible factorization")
-        signs = np.sign(m)
-        if signs.size and (signs != signs.reshape(-1)[0]).any():
-            raise ValueError("M changes sign on the supplied label values")
-        alpha = int(signs.reshape(-1)[0]) if signs.size else 1
-        return alpha, np.log(np.abs(m))
-
 
 def _field_line_map(b, pperp, ppar, tau, b2, plasma, m):
     """The nodewise map B -> M B of ``apply_infinite_transform``, shared by
@@ -388,16 +378,16 @@ def _field_line_map(b, pperp, ppar, tau, b2, plasma, m):
     return b, pperp, ppar, tau
 
 
-def _defined_m(spec: TransformSpec, psi: np.ndarray) -> np.ndarray:
-    """M on the label values ``psi``; a ValueError, naming M and the first
-    such label, where M is undefined (NaN) or infinite."""
-    m = spec(psi)
-    bad = ~np.isfinite(m)
+def require_defined(name: str, values: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """``values``, a profile ``name`` on the label values ``psi``; a
+    ValueError, naming it and the first such label, where it is undefined
+    (NaN) or infinite."""
+    bad = ~np.isfinite(values)
     if bad.any():
         i = np.flatnonzero(bad)[0]
-        kind = "undefined (NaN)" if np.isnan(m[i]) else "infinite"
-        raise ValueError(f"M = {spec.text} is {kind} at psi = {float(psi[i]):.6g}")
-    return m
+        kind = "undefined (NaN)" if np.isnan(values[i]) else "infinite"
+        raise ValueError(f"{name} is {kind} at psi = {float(psi[i]):.6g}")
+    return values
 
 
 def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
@@ -411,7 +401,8 @@ def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
     b2 = state.b_squared()
     eps_b = _field_null_threshold(b2)
     inside = b2 > eps_b
-    attained = _defined_m(spec, state.psi.values[inside])
+    labels = state.psi.values[inside]
+    attained = require_defined(f"M = {spec.text}", spec(labels), labels)
     if attained.size and float(np.min(np.abs(attained))) < spec.m_min:
         raise ValueError(
             f"|M| falls to {float(np.min(np.abs(attained))):.3e} on the attained label range; "
@@ -439,7 +430,8 @@ def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
             b, pperp, ppar, tau, psi = (np.asarray(v, dtype=float) for v in source(X, Y, Z))
             b2l = np.einsum("c...,c...->...", b, b)
             plasma = b2l > eps_b
-            return (*_field_line_map(b, pperp, ppar, tau, b2l, plasma, _defined_m(spec, psi[plasma])), psi)
+            m = require_defined(f"M = {spec.text}", spec(psi[plasma]), psi[plasma])
+            return (*_field_line_map(b, pperp, ppar, tau, b2l, plasma, m), psi)
 
         evaluators = StateEvaluators(evaluate)
 

@@ -361,7 +361,11 @@ def read_csv(path, axis_names) -> tuple[tuple[np.ndarray, ...], dict[str, np.nda
 
 
 def write_vtk(path, grid: Grid3, scalars: dict[str, np.ndarray], vectors: dict[str, np.ndarray]) -> None:
-    """Legacy ASCII STRUCTURED_POINTS writer (x varies fastest on disk)."""
+    """Legacy ASCII STRUCTURED_POINTS writer (x varies fastest on disk);
+    refuses a non-finite value, naming its field, before opening the file."""
+    for name, values in (*vectors.items(), *scalars.items()):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: refusing to write a non-finite {name} ({values[~np.isfinite(values)][0]})")
     nx, ny, nz = grid.counts
 
     def flat(values):

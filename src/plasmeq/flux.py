@@ -1,22 +1,25 @@
-"""Finite-difference solvers for axially and helically symmetric flux
+"""Finite-difference solver for axially and helically symmetric flux
 functions, and the mapping from flux solutions to anisotropic states.
 
-The axisymmetric operator is ``psi_rr - psi_r/r + psi_zz``; the helical
-operator is ``psi_uu/r^2 + (1/r) d_r(r/(r^2+gamma^2) psi_r)``.  Both are
-discretised by one five-point stencil whose coefficients depend on r only,
-so the operator is separable (the matrix-decomposition method of Buzbee,
-Golub & Nielson, SIAM J. Numer. Anal. 7 (1970) 627): an orthonormal sine
-transform (DST-I) along zu diagonalises its zu part, and each zu sine mode
-leaves one tridiagonal system in r.  The systems of all modes are
-eliminated together, row by row (the Thomas algorithm vectorised over the
-modes), with the multipliers and pivots computed once per solve; every
-right-hand side then costs two sine transforms and one sweep each way.
-The Dirichlet data enter as the stencil applied to the boundary values, a
-fixed right-hand-side term, so the boundary values are imposed exactly and
-never touched by the iteration.  Constitutive terms (J J', the helical
-2 gamma J/(r^2+gamma^2)^2 term, and the pressure profile derivative) are
-frozen at the previous iterate and relaxed: damped Picard iteration around
-the one elimination.
+There is one operator, JFKO's with pitch length gamma, ``psi_uu/r^2 +
+(1/r) d_r(r/(r^2+gamma^2) psi_r) + J J'/(r^2+gamma^2) + 2 gamma
+J/(r^2+gamma^2)^2 + N'``.  At gamma = 0 it is the Grad-Shafranov operator
+``psi_rr - psi_r/r + psi_zz + J J' + r^2 N'`` divided by r^2, so an
+axisymmetric problem is the gamma = 0 problem, and an optional ``source``
+is added to this divided form.  The stencil is conservative (differences
+of ``r/(r^2+gamma^2) psi_r`` at r -+ hr/2) with coefficients that depend
+on r only, so the operator is separable (the matrix-decomposition method
+of Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970) 627): an
+orthonormal sine transform (DST-I) along zu diagonalises its zu part, and
+each zu sine mode leaves one tridiagonal system in r.  The systems of all
+modes are eliminated together, row by row (the Thomas algorithm
+vectorised over the modes), with the multipliers and pivots computed once
+per solve; every right-hand side then costs two sine transforms and one
+sweep each way.  The Dirichlet data enter as the stencil applied to the
+boundary values, a fixed right-hand-side term, so the boundary values are
+imposed exactly and never touched by the iteration.  The terms in J and N
+are frozen at the previous iterate and relaxed: damped Picard iteration
+around the one elimination.
 
 The pressure profile N(psi) of a mapped state is integrated from dN by
 fixed 8-point Gauss-Legendre quadrature on 256 panels and interpolated by
@@ -40,7 +43,7 @@ from scipy.integrate import quad
 from scipy.sparse.linalg import splu
 
 from . import fields as fd
-from .equilibria import CGLState, StateEvaluators, sample_state
+from .equilibria import CGLState, StateEvaluators, require_defined, sample_state
 from .expr import compile_numeric
 from .fields import Grid3
 
@@ -82,10 +85,11 @@ class FluxProblem:
     ``J``/``dJ`` are the poloidal-current profile and its derivative;
     ``dN`` is the pressure-profile derivative.  ``boundary`` supplies
     Dirichlet data as a function of (r, zu); ``source`` is an optional extra
-    term S(r, zu) added to the equation (used by manufactured-solution
-    tests).  Profile consistency (dJ against J) is probed numerically, not
-    enforced.  ``texts`` holds the expression text of every profile that
-    has one.
+    term S(r, zu) added to the JFKO form of the equation (used by
+    manufactured-solution tests).  ``geometry`` is ``helical`` for gamma !=
+    0, else ``axisymmetric``.  Profile consistency (dJ against J) is probed
+    numerically, not enforced.  ``texts`` holds the expression text of every
+    profile that has one.
     """
 
     geometry: str
@@ -100,16 +104,15 @@ class FluxProblem:
     texts: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.geometry not in GEOMETRIES:
-            raise ValueError(f"geometry must be one of {GEOMETRIES}")
+        if self.geometry != ("helical" if self.gamma else "axisymmetric"):
+            raise ValueError(f"geometry must be one of {GEOMETRIES} and agree with gamma = {self.gamma}: "
+                             "helical for a nonzero pitch length, axisymmetric for 0")
         r0, r1 = self.r_range
         if not (0.0 < r0 < r1):
             raise ValueError("radial domain requires 0 < r0 < r1 (the axis is excluded)")
         a, b = self.zu_range
         if not a < b:
             raise ValueError("empty zu range")
-        if self.geometry == "helical" and self.gamma == 0.0:
-            raise ValueError("helical geometry needs a nonzero pitch length gamma")
         self.texts = {}
         for key in ("J", "dJ", "dN", "boundary", "source"):
             fn, text = _as_profile(getattr(self, key), ("r", "zu") if key in ("boundary", "source") else ("psi",))
@@ -161,36 +164,23 @@ def _interior_solver(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: n
     reciprocal pivots are computed once, here; each right-hand side then
     costs n - 1 forward and n - 1 backward row updates, in place.
 
-    No pivoting is needed: every row is strictly diagonally dominant.  In
-    both geometries c_center = -(c_w + c_e) - 2 c_n, so the diagonal of
-    mode k is -(c_w + c_e) - (2 - 2 cos(k pi/(m+1))) c_n, and with c_w,
-    c_e, c_n > 0 its magnitude exceeds |c_w| + |c_e|.  The helical
-    coefficients are positive for every r > 0; the axisymmetric c_e =
-    (2 r - hr)/(2 hr^2 r) is positive because every interior node has
-    r >= r0 + hr > hr/2.  The dominance is checked here all the same, and
-    a ValueError raised if rounding ever breaks it.
+    No pivoting is needed: c_w, c_e, c_n > 0 for every r > 0, so the diagonal
+    -(c_w + c_e) - (2 - 2 cos(k pi/(m+1))) c_n of mode k exceeds |c_w| + |c_e|
+    in magnitude.  The dominance is checked here all the same, and a
+    ValueError raised if rounding ever breaks it.
     """
     nr, nzu = len(r), len(zu)
     hr = r[1] - r[0]
     hz = zu[1] - zu[0]
     # coefficients per radial node row (independent of zu)
-    if problem.geometry == "axisymmetric":
-        c_e = 1.0 / hr**2 - 1.0 / (2.0 * hr * r)  # east: +r neighbor
-        c_w = 1.0 / hr**2 + 1.0 / (2.0 * hr * r)
-        c_n = np.full(nr, 1.0 / hz**2)
-        c_center = -2.0 / hr**2 - 2.0 / hz**2 * np.ones(nr)
-    else:
-        g2 = problem.gamma**2
-
-        def c(rv):
-            return rv / (rv * rv + g2)
-
-        c_half_e = c(r + 0.5 * hr)
-        c_half_w = c(r - 0.5 * hr)
-        c_e = c_half_e / (r * hr**2)
-        c_w = c_half_w / (r * hr**2)
-        c_n = 1.0 / (hz**2 * r**2)
-        c_center = -(c_half_e + c_half_w) / (r * hr**2) - 2.0 / (hz**2 * r**2)
+    g2 = problem.gamma**2
+    half_e, half_w = r + 0.5 * hr, r - 0.5 * hr
+    c_half_e = half_e / (half_e * half_e + g2)
+    c_half_w = half_w / (half_w * half_w + g2)
+    c_e = c_half_e / (r * hr**2)
+    c_w = c_half_w / (r * hr**2)
+    c_n = 1.0 / (hz**2 * r**2)
+    c_center = -(c_half_e + c_half_w) / (r * hr**2) - 2.0 / (hz**2 * r**2)
 
     n, m = nr - 2, nzu - 2
     bterm = np.zeros((n, m))
@@ -224,14 +214,16 @@ def _interior_solver(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: n
     return solve
 
 
-def _nonlinear_term(problem: FluxProblem, R: np.ndarray, psi: np.ndarray, S: np.ndarray | None):
-    jj = problem.J(psi) * problem.dJ(psi)
-    if problem.geometry == "axisymmetric":
-        g = jj + R**2 * problem.dN(psi)
-    else:
-        denom = R**2 + problem.gamma**2
-        g = jj / denom + 2.0 * problem.gamma * problem.J(psi) / denom**2 + problem.dN(psi)
-    return g if S is None else g + S
+def _nonlinear_term(problem: FluxProblem, R: np.ndarray, S: np.ndarray | None):
+    """psi -> J dJ/(r^2+gamma^2) + 2 gamma J/(r^2+gamma^2)^2 + dN + S at the radii R; r-only factors once."""
+    inv = 1.0 / (R**2 + problem.gamma**2)
+    current = 2.0 * problem.gamma * inv**2
+
+    def g(psi: np.ndarray) -> np.ndarray:
+        out = problem.J(psi) * (problem.dJ(psi) * inv + current) + problem.dN(psi)
+        return out if S is None else out + S
+
+    return g
 
 
 def solve_flux(
@@ -265,11 +257,12 @@ def solve_flux(
 
     solve = _interior_solver(problem, r, zu, psi)
     S = problem.source(R[1:-1, 1:-1], ZU[1:-1, 1:-1]) if problem.source is not None else None
+    nonlinear = _nonlinear_term(problem, R[1:-1, 1:-1], S)
 
     updates: list[float] = []
     converged = False
     for _ in range(max_iter):
-        g = _nonlinear_term(problem, R[1:-1, 1:-1], psi[1:-1, 1:-1], S)
+        g = nonlinear(psi[1:-1, 1:-1])
         if not np.isfinite(g).all():
             raise ArithmeticError("constitutive profile evaluated to a non-finite value")
         tilde = solve(-g)
@@ -321,8 +314,8 @@ def _warn_on_inconsistent_profiles(problem: FluxProblem, sol: FluxSolution) -> N
 
 
 def default_cartesian_box(problem: FluxProblem, counts: int | tuple[int, int, int] = 33) -> Grid3:
-    """A Cartesian box strictly inside the revolved (or helically extended)
-    domain, so every node maps to valid (r, zu) coordinates."""
+    """A Cartesian box strictly inside the helically extended domain (revolved
+    at gamma = 0), so every node maps to valid (r, zu) coordinates."""
     r0, r1 = problem.r_range
     a, b = problem.zu_range
     m = 0.1 * (r1 - r0)
@@ -332,13 +325,11 @@ def default_cartesian_box(problem: FluxProblem, counts: int | tuple[int, int, in
     if x_hi <= x_lo:
         raise ValueError("radial domain too thin for the default box; pass an explicit grid")
     mz = 0.1 * (b - a)
-    z_lo, z_hi = a + mz, b - mz
-    if problem.geometry == "helical":
-        phi_max = math.atan2(y_max, x_lo)
-        pad = abs(problem.gamma) * phi_max
-        z_lo, z_hi = z_lo + pad, z_hi - pad
-        if z_lo >= z_hi:
-            raise ValueError("zu range too thin for the helical default box; pass an explicit grid")
+    # zu = z - gamma phi: the box's zu range widens by gamma times its phi range
+    pad = abs(problem.gamma) * math.atan2(y_max, x_lo)
+    z_lo, z_hi = a + mz + pad, b - mz - pad
+    if z_lo >= z_hi:
+        raise ValueError("zu range too thin for the helical default box; pass an explicit grid")
     if isinstance(counts, int):
         counts = (counts, counts, counts)
     if min(counts) < 2:
@@ -404,17 +395,20 @@ def _pressure_antiderivative(problem: FluxProblem, sol: FluxSolution):
 def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
     """Build a 3D anisotropic state from a flux solution.
 
-    ``tau`` (an expression in psi, a number, or a callable) must stay below
-    one on the attained flux range.  The field follows the symmetric-state
-    template with the overall 1/sqrt(1-tau) factor; pressures are
-    N(psi) -+ tau B^2/2 with N integrated from the stated profile
-    derivative, N = 0 at the smallest attained flux value.  The stored
-    label is psi normalized by its largest magnitude on the 2D solution.
+    ``tau`` (an expression in psi, a number, or a callable) must be finite
+    and stay below one on the attained flux range.  The field follows the
+    symmetric-state template with the overall 1/sqrt(1-tau) factor;
+    pressures are N(psi) -+ tau B^2/2 with N integrated from the stated
+    profile derivative, N = 0 at the smallest attained flux value.  The
+    stored label is psi normalized by its largest magnitude on the 2D
+    solution.
     """
     problem = sol.problem
     tau_fn, tau_text = _as_profile(tau, ("psi",))
     lo, hi = sol.attained_range()
-    probe = tau_fn(np.linspace(lo, hi, 513))
+    psi_probe = np.linspace(lo, hi, 513)
+    probe = np.broadcast_to(np.asarray(tau_fn(psi_probe), dtype=float), psi_probe.shape)
+    require_defined(f"tau = {tau_text}" if tau_text else "tau", probe, psi_probe)
     if float(np.max(probe)) >= 1.0:
         raise ValueError(
             f"tau reaches {float(np.max(probe)):.6g} on the attained flux range; the mapping needs tau < 1"
@@ -423,13 +417,12 @@ def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
     spline = sol.spline()
     psi_scale = max(abs(lo), abs(hi)) or 1.0
     gamma = problem.gamma
-    helical = problem.geometry == "helical"
 
     def evaluate(X, Y, Z):
         R = np.hypot(X, Y)
         phi = np.arctan2(Y, X)
-        ZU = Z - gamma * phi if helical else Z
-        rf, zf = R.reshape(-1), np.asarray(ZU).reshape(-1)
+        ZU = Z - gamma * phi
+        rf, zf = R.reshape(-1), ZU.reshape(-1)
         psi = spline.ev(rf, zf).reshape(R.shape)
         psi_r = spline.ev(rf, zf, dx=1).reshape(R.shape)
         psi_zu = spline.ev(rf, zf, dy=1).reshape(R.shape)
@@ -437,13 +430,9 @@ def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
         factor = 1.0 / np.sqrt(1.0 - tau_v)
         Jv = problem.J(psi)
         b_r = psi_zu / R
-        if helical:
-            denom = R**2 + gamma**2
-            b_z = (gamma * Jv - R * psi_r) / denom
-            b_phi = (R * Jv + gamma * psi_r) / denom
-        else:
-            b_phi = Jv / R
-            b_z = -psi_r / R
+        denom = R**2 + gamma**2
+        b_z = (gamma * Jv - R * psi_r) / denom
+        b_phi = (R * Jv + gamma * psi_r) / denom
         cos_p, sin_p = np.cos(phi), np.sin(phi)
         b = factor[None, ...] * np.stack([b_r * cos_p - b_phi * sin_p, b_r * sin_p + b_phi * cos_p, b_z])
         tau_v = tau_v * np.ones_like(psi)
@@ -509,7 +498,8 @@ def _number(value, key: str, where: str, kind=float):
 
 
 def _problem(entries: dict, where: str) -> FluxProblem:
-    """Build a problem from its entries: ``geometry``, the domain
+    """Build a problem from its entries: ``geometry`` (by default
+    ``helical`` for a nonzero ``gamma``, else ``axisymmetric``), the domain
     ``r0 r1 zu0 zu1``, ``gamma`` and the profiles, with numbers given as
     numbers or as text.  ``where`` names the source in error messages."""
     missing = [k for k in _DOMAIN_KEYS if k not in entries]
@@ -519,7 +509,7 @@ def _problem(entries: dict, where: str) -> FluxProblem:
         raise ValueError(f"{where} is missing the boundary expression")
     r0, r1, zu0, zu1, gamma = (_number(entries.get(k, 0.0), k, where) for k in (*_DOMAIN_KEYS, "gamma"))
     return FluxProblem(
-        entries.get("geometry", "axisymmetric"),
+        entries.get("geometry", "helical" if gamma else "axisymmetric"),
         (r0, r1),
         (zu0, zu1),
         gamma=gamma,
@@ -620,4 +610,8 @@ def load_solution(path) -> FluxSolution:
         raise ValueError(f"{csv_path}: expected columns r,zu,psi")
     if [len(r), len(zu)] != list(manifest["resolution"]):
         raise ValueError(f"{csv_path}: solution CSV does not match the recorded resolution")
+    for name, axis, (lo, hi) in (("r", r, problem.r_range), ("zu", zu, problem.zu_range)):
+        if max(abs(axis[0] - lo), abs(axis[-1] - hi)) > 1e-12 * max(abs(lo), abs(hi)):
+            raise ValueError(f"{csv_path}: {name} runs over [{axis[0]:.17g}, {axis[-1]:.17g}], "
+                             f"not over the domain [{lo:.17g}, {hi:.17g}] that {path.name} records")
     return FluxSolution(problem, r, zu, cols["psi"], updates, manifest["converged"])

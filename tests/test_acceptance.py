@@ -253,47 +253,53 @@ def test_criterion_7_flux_solvers():
     if exact_err > 1e-10:
         failures.append(f"exact case error {exact_err:.2e}")
 
+    # the flux-form stencil is exact on the quartic
     A = 2.0
     p_quartic = FluxProblem("axisymmetric", (0.5, 1.5), (-0.5, 0.5), boundary=f"{A/8}*r^4", dN=-A)
-    errs = {}
+    quartic_err = 0.0
     for n in (17, 33, 65):
         s = solve_flux(p_quartic, (n, n))
         Rg, _ = np.meshgrid(s.r, s.zu, indexing="ij")
-        errs[n] = float(np.max(np.abs(s.psi - A * Rg**4 / 8)))
-    orders = [np.log2(errs[a] / errs[b]) for a, b in ((17, 33), (33, 65))]
-    if not all(1.7 <= o <= 2.3 for o in orders):
-        failures.append(f"quartic orders {orders}")
+        quartic_err = max(quartic_err, float(np.max(np.abs(s.psi - A * Rg**4 / 8))))
+    if quartic_err > 1e-10:
+        failures.append(f"quartic error {quartic_err:.2e}")
 
-    gamma, amp = 0.5, 0.3
+    amp = 0.3
 
     def psis(r, u):
         return amp * np.sin(np.pi * r) * np.cos(np.pi * u)
 
-    def source(r, u):
-        ps = psis(r, u)
-        ps_r = amp * np.pi * np.cos(np.pi * r) * np.cos(np.pi * u)
-        ps_rr = -amp * np.pi**2 * np.sin(np.pi * r) * np.cos(np.pi * u)
-        ps_uu = -amp * np.pi**2 * np.sin(np.pi * r) * np.cos(np.pi * u)
-        c = r / (r * r + gamma * gamma)
-        cp = (gamma * gamma - r * r) / (r * r + gamma * gamma) ** 2
-        op = ps_uu / r**2 + (cp * ps_r + c * ps_rr) / r
-        extra = (
-            2.0 * ps**3 / (r * r + gamma * gamma)
-            + 2.0 * gamma * ps * ps / (r * r + gamma * gamma) ** 2
-            + np.cos(ps)
-        )
-        return -(op + extra)
+    def manufactured_orders(gamma):
+        def source(r, u):
+            ps = psis(r, u)
+            ps_r = amp * np.pi * np.cos(np.pi * r) * np.cos(np.pi * u)
+            ps_rr = -amp * np.pi**2 * np.sin(np.pi * r) * np.cos(np.pi * u)
+            ps_uu = -amp * np.pi**2 * np.sin(np.pi * r) * np.cos(np.pi * u)
+            c = r / (r * r + gamma * gamma)
+            cp = (gamma * gamma - r * r) / (r * r + gamma * gamma) ** 2
+            op = ps_uu / r**2 + (cp * ps_r + c * ps_rr) / r
+            extra = (
+                2.0 * ps**3 / (r * r + gamma * gamma)
+                + 2.0 * gamma * ps * ps / (r * r + gamma * gamma) ** 2
+                + np.cos(ps)
+            )
+            return -(op + extra)
 
-    p_jfko = FluxProblem(
-        "helical", (0.6, 1.6), (-0.5, 0.5), boundary=psis, J="psi^2", dJ="2*psi",
-        dN="cos(psi)", gamma=gamma, source=source,
-    )
-    errs2 = {}
-    for n in (17, 33, 65):
-        s = solve_flux(p_jfko, (n, n))
-        Rg, Ug = np.meshgrid(s.r, s.zu, indexing="ij")
-        errs2[n] = float(np.max(np.abs(s.psi - psis(Rg, Ug))))
-    orders2 = [np.log2(errs2[a] / errs2[b]) for a, b in ((17, 33), (33, 65))]
+        problem = FluxProblem(
+            "helical" if gamma else "axisymmetric", (0.6, 1.6), (-0.5, 0.5), boundary=psis, J="psi^2",
+            dJ="2*psi", dN="cos(psi)", gamma=gamma, source=source,
+        )
+        errs = {}
+        for n in (17, 33, 65):
+            s = solve_flux(problem, (n, n))
+            Rg, Ug = np.meshgrid(s.r, s.zu, indexing="ij")
+            errs[n] = float(np.max(np.abs(s.psi - psis(Rg, Ug))))
+        return [np.log2(errs[a] / errs[b]) for a, b in ((17, 33), (33, 65))]
+
+    orders = manufactured_orders(0.0)
+    if not all(1.7 <= o <= 2.3 for o in orders):
+        failures.append(f"axisymmetric orders {orders}")
+    orders2 = manufactured_orders(0.5)
     if not all(1.7 <= o <= 2.3 for o in orders2):
         failures.append(f"helical orders {orders2}")
 
@@ -304,7 +310,7 @@ def test_criterion_7_flux_solvers():
         7,
         "flux solvers",
         not failures,
-        f"exact={exact_err:.1e} orders={[f'{o:.2f}' for o in orders]} "
+        f"exact={exact_err:.1e} quartic={quartic_err:.1e} orders={[f'{o:.2f}' for o in orders]} "
         f"helical={[f'{o:.2f}' for o in orders2]} elapsed={elapsed:.1f}s {failures}",
     )
 
@@ -313,9 +319,14 @@ def test_criterion_7_flux_solvers():
 
 
 def test_criterion_8_flux_mapping():
+    # psi = A r^4/8 + zu/10 with a constant current: the solve is exact, and
+    # the mapped field's r and phi components leave a truncation error to
+    # converge (on the quartic alone, div B and B . grad tau are rounding)
     A = 2.0
-    problem = FluxProblem("axisymmetric", (0.5, 1.5), (-0.5, 0.5), boundary=f"{A/8}*r^4", dN=-A)
-    psi_max = A * 1.5**4 / 8.0
+    problem = FluxProblem(
+        "axisymmetric", (0.5, 1.5), (-0.5, 0.5), boundary=f"{A/8}*r^4 + 0.1*zu", J=0.3, dN=-A
+    )
+    psi_max = A * 1.5**4 / 8.0 + 0.05
     solutions = {n: solve_flux(problem, (n, n)) for n in (33, 65)}
     failures = []
 

@@ -584,6 +584,18 @@ BAD_INPUTS = {
         lambda tmp: ["flux", "tocgl", _solution_with(tmp, updates=[1e-11]), "--tau", "0.1"],
         "solution manifest: updates must hold one entry per iteration, the last equal to final_update",
     ),
+    "solution whose psi.csv misses the recorded domain": (
+        lambda tmp: ["flux", "tocgl", _solution_with(tmp, r1=4.5, zu1=5.5), "--tau", "0.1"],
+        "psi.csv: r runs over [0.5, 1.5], not over the domain [0.5, 4.5] that solution.json records",
+    ),
+    "tau undefined on the attained flux range": (
+        lambda tmp: ["flux", "tocgl", _solution(tmp), "--tau", "log(psi - 0.5)"],
+        "tau = log(psi - 0.5) is undefined (NaN) at psi = 0.015625",
+    ),
+    "axisymmetric flux file with a pitch length": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "geometry = axisymmetric\ngamma = 0.7\nboundary = r")],
+        "and agree with gamma = 0.7",
+    ),
     "check threshold of nan": (
         lambda tmp: ["check", "--state", _state(tmp), "--system", "mhd", "--threshold", "nan"],
         "--threshold must be a finite number, got nan",
@@ -642,6 +654,25 @@ def _uniform_state(tmp_path, b):
     path = tmp_path / "uniform.csv"
     fields.write_csv(path, dict(zip("xyz", grid.axes())), columns)
     return str(path)
+
+
+@pytest.mark.parametrize("half_width", [0.7, 1.2, 1.3])
+@pytest.mark.parametrize("n", [17, 21, 25, 33, 41, 65])
+def test_check_passes_an_exact_rigid_rotation(tmp_path, n, half_width):
+    # B = (-0.37 y, 0.37 x, 0.91) balances p = 2.3 - 0.1369 (x^2 + y^2), and
+    # central differences are exact on both: every residual is rounding
+    # noise on both grids of the two-grid probe
+    grid = fields.Grid3.cube(-half_width, half_width, n)
+    X, Y, _ = grid.meshgrid()
+    p = 2.3 - 0.1369 * (X**2 + Y**2)
+    columns = dict(B1=-0.37 * Y, B2=0.37 * X, B3=np.full(grid.counts, 0.91), p_perp=p, p_par=p)
+    columns.update(tau=np.zeros(grid.counts), psi=p / 2.3)
+    path = tmp_path / "rigid.csv"
+    fields.write_csv(path, dict(zip("xyz", grid.axes())), columns)
+    code, out = run(tmp_path, "c", "check", "--state", str(path), "--system", "cgl")
+    assert code == 0
+    report = read_report(out)
+    assert max(entry["linf"] for entry in report["norms"].values()) < report["params"]["noise_floor"]
 
 
 @pytest.mark.parametrize("b", [(1.0, 0.0, 0.0), (0.0, 0.0, 0.0)], ids=["uniform field", "field-free"])

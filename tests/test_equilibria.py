@@ -526,21 +526,6 @@ def test_group_law_and_inverse(vortex17):
         assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1.0), name
 
 
-def test_transform_factorization_gives_the_group_law(vortex17):
-    psi = vortex17.psi.values
-    m1 = TransformSpec("1 + psi^2")
-    m2 = TransformSpec("-(2 - psi)")
-    a1, h1 = m1.factor(psi)
-    a2, h2 = m2.factor(psi)
-    assert (a1, a2) == (1, -1)
-    product = TransformSpec("-(1 + psi^2)*(2 - psi)")
-    ap, hp = product.factor(psi)
-    assert ap == a1 * a2
-    assert np.allclose(hp, h1 + h2, atol=1e-13)
-    with pytest.raises(ValueError, match="changes sign"):
-        TransformSpec("psi - 0.99", m_min=0.0).factor(np.array([0.97, 1.0]))
-
-
 def test_transformed_state_satisfies_anisotropic_systems(vortex33, vortex65, params):
     spec = TransformSpec("1 + psi*sin(psi)")
     mask_r = params.R - 2 * vortex33.grid.spacing[0]

@@ -257,3 +257,18 @@ def test_vtk_header_and_payload(tmp_path):
     first, second = lines[vec_start].split(), lines[vec_start + 1].split()
     assert float(first[0]) == values[0, 0, 0]
     assert float(second[0]) == values[1, 0, 0]
+
+
+@pytest.mark.parametrize("field", ["p", "B"])
+def test_vtk_refuses_nonfinite_values(tmp_path, field):
+    g = Grid3((0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (3, 4, 5))
+    values = np.arange(60.0).reshape(g.counts)
+    vec = np.stack([values, 2 * values, -values])
+    if field == "p":
+        values[1, 2, 3] = np.nan
+    else:
+        vec[2, 0, 1, 4] = -np.inf
+    path = tmp_path / "f.vtk"
+    with pytest.raises(ValueError, match=f"refusing to write a non-finite {field} "):
+        write_vtk(path, g, scalars={"p": values}, vectors={"B": vec})
+    assert not path.exists()

@@ -32,6 +32,13 @@ def quartic_exact(R):
     return A * R**4 / 8
 
 
+def current_problem():
+    # psi = A r^4/8 + zu/10 with the constant current J = 0.3: solved exactly
+    # like the quartic, but the mapped field has r and phi components, so
+    # the mapped residuals keep a second-order truncation error
+    return FluxProblem("axisymmetric", boundary=f"{A / 8}*r^4 + 0.1*zu", J=0.3, dN=-A, **DOMAIN)
+
+
 # -- validation -----------------------------------------------------------------
 
 
@@ -42,6 +49,8 @@ def test_problem_validation():
         FluxProblem("spherical", (0.5, 1.0), (-1, 1), boundary="0")
     with pytest.raises(ValueError, match="pitch"):
         FluxProblem("helical", (0.5, 1.0), (-1, 1), boundary="0")
+    with pytest.raises(ValueError, match="and agree with gamma = 0.7"):
+        FluxProblem("axisymmetric", (0.5, 1.0), (-1, 1), boundary="0", gamma=0.7)
     with pytest.raises(ValueError, match="zu range"):
         FluxProblem("axisymmetric", (0.5, 1.0), (1, 1), boundary="0")
 
@@ -98,63 +107,89 @@ def test_homogeneous_case_respects_maximum_principle():
     assert sol.psi.min() >= boundary.min() - 1e-12
 
 
-def test_quartic_convergence_is_second_order():
-    errs = {}
+def test_quartic_is_solved_exactly():
+    # the flux-form stencil is exact on r^4, so only the Picard tolerance is left
     for n in (17, 33, 65):
         sol = solve_flux(quartic_problem(), (n, n))
         R, _ = np.meshgrid(sol.r, sol.zu, indexing="ij")
-        errs[n] = np.max(np.abs(sol.psi - quartic_exact(R)))
-    orders = [math.log2(errs[a] / errs[b]) for a, b in ((17, 33), (33, 65))]
-    assert all(1.7 <= o <= 2.3 for o in orders), orders
+        assert np.max(np.abs(sol.psi - quartic_exact(R))) <= 1e-10, n
 
 
-# -- helical manufactured solution --------------------------------------------------
+@pytest.mark.parametrize("name, exact, h2_factor", [
+    # the flux-form stencil is exact on the axisymmetric quartic
+    ("flux_axisym_example.flux", lambda r, zu: 0.25 * r**4, 0.0),
+    # but not on the helical r^4 + 2 gamma^2 r^2: the h^2 term of its
+    # half-node flux, h^2 r^2/(4 (r^2 + gamma^2)), varies with r
+    ("flux_helical_example.flux", lambda r, zu: (r**4 + 0.98 * r**2) / 4, 0.02),
+])
+def test_bundled_examples_are_solved_to_their_closed_forms(name, exact, h2_factor):
+    problem, params = parse_problem_file(resources.files("plasmeq.data").joinpath(name).read_text())
+    sol = solve_flux(problem, **params)
+    R, ZU = np.meshgrid(sol.r, sol.zu, indexing="ij")
+    h = max(sol.r[1] - sol.r[0], sol.zu[1] - sol.zu[0])
+    assert sol.iterations == 16
+    assert np.max(np.abs(sol.psi - exact(R, ZU))) <= 1e-10 + h2_factor * h * h
+
+
+# -- manufactured solutions ----------------------------------------------------------
 
 
 GAMMA = 0.5
 AMP = 0.3
 
 
-def helical_exact(r, u):
+def manufactured_exact(r, u):
     return AMP * np.sin(np.pi * r) * np.cos(np.pi * u)
 
 
-def helical_mms_problem():
+def manufactured_problem(gamma=GAMMA):
+    """``manufactured_exact`` with current and pressure profiles and the
+    source that makes it a solution; ``gamma = 0`` makes it axisymmetric."""
+
     def source(r, u):
-        ps = helical_exact(r, u)
+        ps = manufactured_exact(r, u)
         ps_r = AMP * np.pi * np.cos(np.pi * r) * np.cos(np.pi * u)
         ps_rr = -AMP * np.pi**2 * np.sin(np.pi * r) * np.cos(np.pi * u)
         ps_uu = -AMP * np.pi**2 * np.sin(np.pi * r) * np.cos(np.pi * u)
-        c = r / (r * r + GAMMA * GAMMA)
-        c_prime = (GAMMA * GAMMA - r * r) / (r * r + GAMMA * GAMMA) ** 2
+        c = r / (r * r + gamma * gamma)
+        c_prime = (gamma * gamma - r * r) / (r * r + gamma * gamma) ** 2
         operator = ps_uu / r**2 + (c_prime * ps_r + c * ps_rr) / r
         constitutive = (
-            ps * ps * 2.0 * ps / (r * r + GAMMA * GAMMA)
-            + 2.0 * GAMMA * ps * ps / (r * r + GAMMA * GAMMA) ** 2
+            ps * ps * 2.0 * ps / (r * r + gamma * gamma)
+            + 2.0 * gamma * ps * ps / (r * r + gamma * gamma) ** 2
             + np.cos(ps)
         )
         return -(operator + constitutive)
 
     return FluxProblem(
-        "helical",
+        "helical" if gamma else "axisymmetric",
         (0.6, 1.6),
         (-0.5, 0.5),
-        boundary=helical_exact,
+        boundary=manufactured_exact,
         J="psi^2",
         dJ="2*psi",
         dN="cos(psi)",
-        gamma=GAMMA,
+        gamma=gamma,
         source=source,
     )
 
 
-def test_helical_manufactured_convergence():
+def manufactured_orders(gamma):
     errs = {}
     for n in (17, 33, 65):
-        sol = solve_flux(helical_mms_problem(), (n, n))
+        sol = solve_flux(manufactured_problem(gamma), (n, n))
         R, U = np.meshgrid(sol.r, sol.zu, indexing="ij")
-        errs[n] = np.max(np.abs(sol.psi - helical_exact(R, U)))
-    orders = [math.log2(errs[a] / errs[b]) for a, b in ((17, 33), (33, 65))]
+        errs[n] = np.max(np.abs(sol.psi - manufactured_exact(R, U)))
+    return [math.log2(errs[a] / errs[b]) for a, b in ((17, 33), (33, 65))]
+
+
+def test_helical_manufactured_convergence():
+    orders = manufactured_orders(GAMMA)
+    assert all(1.7 <= o <= 2.3 for o in orders), orders
+
+
+def test_axisymmetric_manufactured_convergence():
+    orders = manufactured_orders(0.0)
     assert all(1.7 <= o <= 2.3 for o in orders), orders
 
 
@@ -191,13 +226,12 @@ def test_nonfinite_profile_evaluation_is_reported():
 
 
 def five_point_stencil(problem, r, zu, psi):
-    """The discrete operator on the interior nodes, written with array slices."""
+    """The discrete operator on the interior nodes, written with array
+    slices: flux differences of r/(r^2+gamma^2) psi_r between half nodes."""
     hr, hz = r[1] - r[0], zu[1] - zu[0]
     ri = r[1:-1, None]
     c, e, w = psi[1:-1, 1:-1], psi[2:, 1:-1], psi[:-2, 1:-1]
     zz = (psi[1:-1, 2:] - 2.0 * c + psi[1:-1, :-2]) / hz**2
-    if problem.geometry == "axisymmetric":
-        return (e - 2.0 * c + w) / hr**2 - (e - w) / (2.0 * hr * ri) + zz
     g2 = problem.gamma**2
     half_e, half_w = ri + 0.5 * hr, ri - 0.5 * hr
     flux_e = half_e / (half_e**2 + g2) * (e - c)
@@ -210,7 +244,7 @@ def five_point_stencil(problem, r, zu, psi):
 @pytest.mark.parametrize("geometry", ["axisymmetric", "helical"])
 def test_operator_and_dirichlet_term_match_the_stencil(geometry, shape):
     # the linear solve with psi's boundary values inverts the stencil applied to psi
-    problem = FluxProblem(geometry, (0.6, 1.6), (-0.4, 0.7), boundary="0", gamma=0.7)
+    problem = FluxProblem(geometry, (0.6, 1.6), (-0.4, 0.7), boundary="0", gamma=0.7 if geometry == "helical" else 0.0)
     r, zu = np.linspace(0.6, 1.6, shape[0]), np.linspace(-0.4, 0.7, shape[1])
     psi = np.random.default_rng(7).standard_normal(shape)
     solve = flux._interior_solver(problem, r, zu, psi)
@@ -237,10 +271,10 @@ def splu_reference_solve(problem, shape, tol_outer=1e-10, omega=0.8):
         columns.append(five_point_stencil(problem, r, zu, unit).ravel())
     lu = splu(sparse.csc_matrix(np.column_stack(columns)))
     bterm = five_point_stencil(problem, r, zu, psi)
-    S = problem.source(R[1:-1, 1:-1], ZU[1:-1, 1:-1])
+    nonlinear = flux._nonlinear_term(problem, R[1:-1, 1:-1], problem.source(R[1:-1, 1:-1], ZU[1:-1, 1:-1]))
     updates = []
     while not updates or updates[-1] >= tol_outer:
-        g = flux._nonlinear_term(problem, R[1:-1, 1:-1], psi[1:-1, 1:-1], S)
+        g = nonlinear(psi[1:-1, 1:-1])
         tilde = lu.solve((-g - bterm).ravel()).reshape(inner)
         new = (1.0 - omega) * psi[1:-1, 1:-1] + omega * tilde
         updates.append(np.max(np.abs(new - psi[1:-1, 1:-1])))
@@ -259,9 +293,9 @@ def _lu_reference_problem(geometry, r_range=DOMAIN["r_range"]):
     "problem, shape",
     [
         pytest.param(_lu_reference_problem("axisymmetric"), (19, 14), id="axisymmetric"),
-        pytest.param(helical_mms_problem(), (19, 14), id="helical"),
-        # hr = 0.125 is far above 2 r0 = 0.002; the elimination needs no pivots
-        # all the same, because every interior node has r >= r0 + hr > hr/2
+        pytest.param(manufactured_problem(), (19, 14), id="helical"),
+        # hr = 0.125 is far above 2 r0 = 0.002; the elimination needs no
+        # pivots all the same, because the stencil coefficients are positive
         pytest.param(_lu_reference_problem("axisymmetric", (1e-3, 1.0)), (9, 14), id="axisymmetric near the axis"),
         pytest.param(_lu_reference_problem("helical", (1e-3, 1.0)), (9, 14), id="helical near the axis"),
     ],
@@ -309,6 +343,11 @@ def quartic_solutions():
     return {n: solve_flux(quartic_problem(), (n, n)) for n in (33, 65)}
 
 
+@pytest.fixture(scope="module")
+def current_solutions():
+    return {n: solve_flux(current_problem(), (n, n)) for n in (33, 65)}
+
+
 def test_isotropic_mapping(quartic_solutions):
     state = flux_to_cgl(quartic_solutions[33], 0.0, grid=default_cartesian_box(quartic_problem(), 17))
     assert not state.tau.values.any()
@@ -337,25 +376,35 @@ def test_isotropic_mapping_satisfies_force_balance(quartic_solutions):
     assert errs[25] / errs[49] > 3.0
 
 
-def test_anisotropic_mapping_satisfies_balance_and_consistency(quartic_solutions):
-    psi_max = quartic_exact(DOMAIN["r_range"][1])
-    tau_text = f"psi/{2 * psi_max}"
+def test_anisotropic_mapping_satisfies_balance_and_consistency(current_solutions):
+    tau_text = f"psi/{2 * current_solutions[33].attained_range()[1]}"
     res = {}
     for n2d, n3d in ((33, 25), (65, 49)):
-        state = flux_to_cgl(quartic_solutions[n2d], tau_text, grid=default_cartesian_box(quartic_problem(), n3d))
+        state = flux_to_cgl(current_solutions[n2d], tau_text, grid=default_cartesian_box(current_problem(), n3d))
         assert tau_consistency_error(state) < 1e-12
         res[n3d] = residual_norms(state, "cgl")
     for eq in res[25]:
         assert res[25][eq]["linf"] / res[49][eq]["linf"] > 3.0, eq
 
 
-def test_anisotropy_constant_along_field(quartic_solutions):
-    psi_max = quartic_exact(DOMAIN["r_range"][1])
+def test_anisotropy_constant_along_field(current_solutions):
+    tau_text = f"psi/{2 * current_solutions[33].attained_range()[1]}"
     errs = {}
     for n2d, n3d in ((33, 25), (65, 49)):
-        state = flux_to_cgl(quartic_solutions[n2d], f"psi/{2 * psi_max}", grid=default_cartesian_box(quartic_problem(), n3d))
+        state = flux_to_cgl(current_solutions[n2d], tau_text, grid=default_cartesian_box(current_problem(), n3d))
         errs[n3d] = norm(directional(state.B, state.tau), "linf")
     assert errs[25] / errs[49] > 3.0
+
+
+def test_exact_quartic_maps_to_a_divergence_free_field_with_line_constant_tau(quartic_solutions):
+    # B = -(A/2) r^2 e_z times a function of psi: central differences are
+    # exact on it, so div B and B . grad tau are rounding and Picard noise
+    psi_max = quartic_exact(DOMAIN["r_range"][1])
+    for n2d, n3d in ((33, 25), (65, 49)):
+        state = flux_to_cgl(quartic_solutions[n2d], f"psi/{2 * psi_max}", grid=default_cartesian_box(quartic_problem(), n3d))
+        norms = residual_norms(state, "cgl")
+        assert norms["div_b"]["linf"] <= 1e-10
+        assert norms["tau_advection"]["linf"] <= 1e-10
 
 
 def test_helical_polynomial_case_maps_to_force_balance():
@@ -494,13 +543,14 @@ def test_mapping_evaluates_the_spline_three_times(quartic_solutions, monkeypatch
 
 
 def test_default_box_stays_inside_domain():
-    p = helical_mms_problem()
-    grid = default_cartesian_box(p, 9)
-    X, Y, Z = grid.meshgrid()
-    r = np.hypot(X, Y)
-    u = Z - GAMMA * np.arctan2(Y, X)
-    assert r.min() > p.r_range[0] and r.max() < p.r_range[1]
-    assert u.min() > p.zu_range[0] and u.max() < p.zu_range[1]
+    for gamma in (GAMMA, 0.0):
+        p = manufactured_problem(gamma)
+        grid = default_cartesian_box(p, 9)
+        X, Y, Z = grid.meshgrid()
+        r = np.hypot(X, Y)
+        u = Z - gamma * np.arctan2(Y, X)
+        assert r.min() > p.r_range[0] and r.max() < p.r_range[1]
+        assert u.min() > p.zu_range[0] and u.max() < p.zu_range[1]
 
 
 # -- problem files and artifacts -----------------------------------------------------
@@ -530,6 +580,13 @@ def test_parse_problem_file():
     assert params["tol_outer"] == 1e-11
     sol = solve_flux(problem, **params)
     assert sol.converged
+
+
+def test_geometry_defaults_from_gamma():
+    axisymmetric, _ = parse_problem_file(PROBLEM_TEXT.replace("geometry = axisymmetric\n", ""))
+    assert axisymmetric.geometry == "axisymmetric"
+    helical, _ = parse_problem_file(PROBLEM_TEXT.replace("geometry = axisymmetric\n", "gamma = 0.7\n"))
+    assert (helical.geometry, helical.gamma) == ("helical", 0.7)
 
 
 def test_parse_problem_file_errors():
@@ -568,7 +625,7 @@ def test_solution_files_round_trip_byte_identically(tmp_path, name):
 
 
 def test_solution_with_callable_profiles_cannot_serialize(tmp_path):
-    sol = solve_flux(helical_mms_problem(), (9, 9), max_iter=50)
+    sol = solve_flux(manufactured_problem(), (9, 9), max_iter=50)
     with pytest.raises(ValueError, match="callables"):
         write_solution(sol, tmp_path)
     assert list(tmp_path.iterdir()) == []
