@@ -272,8 +272,10 @@ def cmd_check(args) -> tuple[int, dict]:
         for name in norms:
             fine_linf = norms[name]["linf"]
             coarse_linf = coarse[name]["linf"]
-            # an exactly vanishing fine residual has no ratio
-            ratios[name] = float(coarse_linf / fine_linf) if fine_linf > 0 else None
+            # two residuals at the noise floor, or an exactly vanishing fine
+            # one, have no meaningful ratio
+            at_floor = max(fine_linf, coarse_linf) <= floor
+            ratios[name] = None if at_floor or fine_linf == 0 else float(coarse_linf / fine_linf)
             # pass when the fine-grid residual sits below the second-order
             # expectation (coarse/4) widened by the threshold factor, or
             # below the noise floor

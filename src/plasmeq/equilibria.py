@@ -7,9 +7,10 @@ point transformations (translations, rotations, scalings), pressure-
 anisotropy stability checks, and finite-difference residual evaluation of
 the governing systems on sampled states.
 
-All states are nodewise total: outside the plasma (where B vanishes) the
-anisotropy factor is set to zero and transforms pass values through
-unchanged.
+All states are nodewise total.  Only the field-line transform passes
+nodes outside the plasma (where B vanishes) through unchanged; the point
+transforms and the anisotropy rescaling act on every node, since the
+pressure would otherwise jump at the plasma edge.
 """
 
 from __future__ import annotations
@@ -484,44 +485,6 @@ def _trilinear(grid: Grid3, Xs: np.ndarray, Ys: np.ndarray, Zs: np.ndarray) -> C
     return interp
 
 
-def _resample(state: CGLState, pullback: Callable, push_b: Callable, push_pperp: Callable) -> CGLState:
-    """Rebuild the state on its own grid from mapped source coordinates.
-
-    ``pullback`` maps target coordinates to source coordinates; ``push_b``
-    and ``push_pperp`` adjust the field and the perpendicular pressure, and
-    tau and psi pass through.  Uses the analytic evaluators when available,
-    otherwise trilinear interpolation (flagged lossy).
-    """
-    grid = state.grid
-    Xs, Ys, Zs = pullback(*grid.meshgrid())
-    meta = dict(state.meta)
-
-    if state.evaluators is not None:
-        b, pperp, _ppar, tau, psi = state.evaluators.evaluate(Xs, Ys, Zs)
-    else:
-        meta["resampling"] = "trilinear (lossy)"
-        interp = _trilinear(grid, Xs, Ys, Zs)
-        b = np.stack([interp(state.B.values[c]) for c in range(3)])
-        pperp, tau, psi = (interp(f.values) for f in (state.p_perp, state.tau, state.psi))
-    b = push_b(np.asarray(b, dtype=float))
-    pperp = push_pperp(np.asarray(pperp, dtype=float))
-    b2 = np.einsum("cijk,cijk->ijk", b, b)
-    return _state(grid, (b, pperp, pperp + tau * b2, tau, psi), meta)
-
-
-def translate_state(state: CGLState, K: tuple[float, float, float] = (0.0, 0.0, 0.0), k4: float = 0.0, eps: float = 1.0) -> CGLState:
-    """x' = x + K*eps with the perpendicular pressure shifted by k4*eps."""
-    dx, dy, dz = (k * eps for k in K)
-    shift = k4 * eps
-
-    def pullback(X, Y, Z):
-        return X - dx, Y - dy, Z - dz
-
-    out = _resample(state, pullback, lambda b: b, lambda p: p + shift)
-    out.meta["transforms"] = [*state.meta.get("transforms", []), f"translate K={K} k4={k4} eps={eps}"]
-    return out
-
-
 def _euler_zxz(phi: float, theta: float, psi_angle: float) -> np.ndarray:
     c, s = math.cos(phi), math.sin(phi)
     m1 = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -532,24 +495,44 @@ def _euler_zxz(phi: float, theta: float, psi_angle: float) -> np.ndarray:
     return m1 @ m2 @ m3
 
 
+def _affine_state(state: CGLState, label: str, rot: np.ndarray, t: float, K, s: float, pf: float, shift: float) -> CGLState:
+    """The finite form shared by every translation, rotation and scaling:
+    x' = t rot x + K, B' = s rot B, p_perp' = pf p_perp + shift, with tau
+    and psi carried along and p_par' = p_perp' + tau |B'|^2.
+
+    Each node of the state's own grid is pulled back to rot^T (x' - K)/t
+    (rot is orthogonal) and the fields are taken there from the analytic
+    evaluator when there is one, otherwise by trilinear interpolation
+    (flagged lossy).  The result carries no evaluator.
+    """
+    grid = state.grid
+    # the pullback on the open mesh of axes; only the last sum is full-size
+    x, y, z = ((a - k) / t for a, k in zip(np.ix_(*grid.axes()), K))
+    Xs, Ys, Zs = (rot[0, r] * x + rot[1, r] * y + rot[2, r] * z for r in range(3))
+    meta = dict(state.meta)
+    if state.evaluators is not None:
+        b, pperp, _ppar, tau, psi = state.evaluators.evaluate(Xs, Ys, Zs)
+    else:
+        meta["resampling"] = "trilinear (lossy)"
+        interp = _trilinear(grid, Xs, Ys, Zs)
+        b = np.stack([interp(c) for c in state.B.values])
+        pperp, tau, psi = (interp(f.values) for f in (state.p_perp, state.tau, state.psi))
+    b = np.einsum("rc,c...->r...", s * rot, b)
+    pperp = pf * np.asarray(pperp, dtype=float) + shift
+    b2 = np.einsum("cijk,cijk->ijk", b, b)
+    meta["transforms"] = [*state.meta.get("transforms", []), label]
+    return _state(grid, (b, pperp, pperp + tau * b2, tau, psi), meta)
+
+
+def translate_state(state: CGLState, K: tuple[float, float, float] = (0.0, 0.0, 0.0), k4: float = 0.0) -> CGLState:
+    """x' = x + K with the perpendicular pressure shifted by k4."""
+    return _affine_state(state, f"translate K={K} k4={k4}", np.eye(3), 1.0, K, 1.0, 1.0, k4)
+
+
 def rotate_state(state: CGLState, phi: float, theta: float, psi_angle: float) -> CGLState:
     """Simultaneous z-x-z rotation of coordinates and field components."""
-    rot = _euler_zxz(phi, theta, psi_angle)
-    inv = rot.T
-
-    def pullback(X, Y, Z):
-        return (
-            inv[0, 0] * X + inv[0, 1] * Y + inv[0, 2] * Z,
-            inv[1, 0] * X + inv[1, 1] * Y + inv[1, 2] * Z,
-            inv[2, 0] * X + inv[2, 1] * Y + inv[2, 2] * Z,
-        )
-
-    def push_b(b):
-        return np.einsum("rc,c...->r...", rot, b)
-
-    out = _resample(state, pullback, push_b, lambda p: p)
-    out.meta["transforms"] = [*state.meta.get("transforms", []), f"rotate euler=({phi},{theta},{psi_angle})"]
-    return out
+    label = f"rotate euler=({phi},{theta},{psi_angle})"
+    return _affine_state(state, label, _euler_zxz(phi, theta, psi_angle), 1.0, (0.0, 0.0, 0.0), 1.0, 1.0, 0.0)
 
 
 def scale_state(state: CGLState, t: float, s: float, pressure_factor: str = "generator") -> CGLState:
@@ -565,13 +548,8 @@ def scale_state(state: CGLState, t: float, s: float, pressure_factor: str = "gen
         pf = factors[pressure_factor]
     except KeyError:
         raise ValueError("pressure_factor must be 'as-printed' or 'generator'") from None
-
-    def pullback(X, Y, Z):
-        return X / t, Y / t, Z / t
-
-    out = _resample(state, pullback, lambda b: s * b, lambda p: pf * p)
-    out.meta["transforms"] = [*state.meta.get("transforms", []), f"scale t={t} s={s} ({pressure_factor})"]
-    return out
+    label = f"scale t={t} s={s} ({pressure_factor})"
+    return _affine_state(state, label, np.eye(3), t, (0.0, 0.0, 0.0), s, pf, 0.0)
 
 
 def anisotropy_scale_state(state: CGLState, C: float) -> CGLState:

@@ -632,6 +632,8 @@ class Context:
         slots = {s: i for i, s in enumerate(self.unknowns[head])}
         tag = [0] * len(slots)
         for s in wrt:
+            if s not in slots:
+                raise ValueError(f"{head!r} does not depend on {s.name!r}")
             tag[slots[s]] += 1
         return FnAtom(head, tuple(Expr.from_atom(s) for s in self.unknowns[head]), tuple(tag))
 
@@ -803,10 +805,13 @@ class _Parser:
     def name_reference(self, name: str, tok: _Token) -> Expr:
         if name in self.ctx.unknowns:
             return Expr.from_atom(self.ctx.unknown_atom(name))
+        return Expr.from_atom(self.symbol(tok))
+
+    def symbol(self, tok: _Token) -> Symbol:
         try:
-            return self.ctx.var(name)
+            return self.ctx.symbol(tok.text)
         except KeyError:
-            raise ParseError(f"undeclared identifier {name!r}", tok.line, tok.col) from None
+            raise ParseError(f"undeclared identifier {tok.text!r}", tok.line, tok.col) from None
 
     def application(self, name: str, tok: _Token) -> Expr:
         self.expect("(")
@@ -842,37 +847,19 @@ class _Parser:
             vtok = self.next()
             if vtok.type != "ident":
                 raise ParseError("diff() differentiation variables must be identifiers", vtok.line, vtok.col)
-            try:
-                wrt.append(self.ctx.symbol(vtok.text))
-            except KeyError:
-                raise ParseError(f"undeclared identifier {vtok.text!r}", vtok.line, vtok.col) from None
+            wrt.append(self.symbol(vtok))
         self.expect(")")
         if not wrt:
             raise ParseError("diff() needs at least one differentiation variable", tok.line, tok.col)
-        if first.text in self.ctx.unknowns:
-            declared = set(self.ctx.unknowns[first.text])
-            for s in wrt:
-                if s not in declared:
-                    raise ParseError(
-                        f"{first.text!r} does not depend on {s.name!r}", tok.line, tok.col
-                    )
-            return Expr.from_atom(self.ctx.unknown_pdiff(first.text, wrt))
+        # the context validates; its errors are reported at the diff token
+        # for an unknown function and at the differentiated name otherwise
+        unknown = first.text in self.ctx.unknowns
+        at = tok if unknown else first
         try:
-            dep = self.ctx.symbol(first.text)
-        except KeyError:
-            raise ParseError(f"undeclared identifier {first.text!r}", first.line, first.col) from None
-        if dep.kind != "dependent":
-            raise ParseError(
-                f"cannot differentiate {first.text!r}: not a dependent variable", first.line, first.col
-            )
-        for s in wrt:
-            if s.kind != "independent":
-                raise ParseError(
-                    f"cannot differentiate with respect to {s.name!r}: not an independent variable",
-                    first.line,
-                    first.col,
-                )
-        return Expr.from_atom(self.ctx.jet(dep, wrt))
+            atom = self.ctx.unknown_pdiff(first.text, wrt) if unknown else self.ctx.jet(self.symbol(first), wrt)
+        except ValueError as err:
+            raise ParseError(str(err), at.line, at.col) from None
+        return Expr.from_atom(atom)
 
 
 # ---------------------------------------------------------------------------

@@ -86,13 +86,11 @@ class FluxProblem:
     ``dN`` is the pressure-profile derivative.  ``boundary`` supplies
     Dirichlet data as a function of (r, zu); ``source`` is an optional extra
     term S(r, zu) added to the JFKO form of the equation (used by
-    manufactured-solution tests).  ``geometry`` is ``helical`` for gamma !=
-    0, else ``axisymmetric``.  Profile consistency (dJ against J) is probed
+    manufactured-solution tests).  Profile consistency (dJ against J) is probed
     numerically, not enforced.  ``texts`` holds the expression text of every
     profile that has one.
     """
 
-    geometry: str
     r_range: tuple[float, float]
     zu_range: tuple[float, float]
     boundary: object
@@ -104,9 +102,6 @@ class FluxProblem:
     texts: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.geometry != ("helical" if self.gamma else "axisymmetric"):
-            raise ValueError(f"geometry must be one of {GEOMETRIES} and agree with gamma = {self.gamma}: "
-                             "helical for a nonzero pitch length, axisymmetric for 0")
         r0, r1 = self.r_range
         if not (0.0 < r0 < r1):
             raise ValueError("radial domain requires 0 < r0 < r1 (the axis is excluded)")
@@ -119,6 +114,11 @@ class FluxProblem:
             setattr(self, key, fn)
             if text is not None:
                 self.texts[key] = text
+
+    @property
+    def geometry(self) -> str:
+        """``helical`` for a nonzero pitch length gamma, else ``axisymmetric``."""
+        return "helical" if self.gamma else "axisymmetric"
 
 
 @dataclass(frozen=True)
@@ -498,23 +498,23 @@ def _number(value, key: str, where: str, kind=float):
 
 
 def _problem(entries: dict, where: str) -> FluxProblem:
-    """Build a problem from its entries: ``geometry`` (by default
-    ``helical`` for a nonzero ``gamma``, else ``axisymmetric``), the domain
-    ``r0 r1 zu0 zu1``, ``gamma`` and the profiles, with numbers given as
-    numbers or as text.  ``where`` names the source in error messages."""
+    """Build a problem from its entries: the domain ``r0 r1 zu0 zu1``,
+    ``gamma`` and the profiles, with numbers given as numbers or as text,
+    and optionally ``geometry``, which must agree with ``gamma``.  ``where``
+    names the source in error messages."""
     missing = [k for k in _DOMAIN_KEYS if k not in entries]
     if missing:
         raise ValueError(f"{where} is missing {', '.join(missing)}")
     if "boundary" not in entries:
         raise ValueError(f"{where} is missing the boundary expression")
     r0, r1, zu0, zu1, gamma = (_number(entries.get(k, 0.0), k, where) for k in (*_DOMAIN_KEYS, "gamma"))
-    return FluxProblem(
-        entries.get("geometry", "helical" if gamma else "axisymmetric"),
-        (r0, r1),
-        (zu0, zu1),
-        gamma=gamma,
-        **{k: entries[k] for k in _PROFILE_KEYS if k in entries},
+    problem = FluxProblem(
+        (r0, r1), (zu0, zu1), gamma=gamma, **{k: entries[k] for k in _PROFILE_KEYS if k in entries}
     )
+    if entries.get("geometry", problem.geometry) != problem.geometry:
+        raise ValueError(f"geometry must be one of {GEOMETRIES} and agree with gamma = {gamma}: "
+                         "helical for a nonzero pitch length, axisymmetric for 0")
+    return problem
 
 
 def parse_problem_file(text: str) -> tuple[FluxProblem, dict]:

@@ -246,7 +246,7 @@ def test_criterion_7_flux_solvers():
     t0 = time.perf_counter()
     failures = []
 
-    p_exact = FluxProblem("axisymmetric", (0.5, 1.5), (-0.5, 0.5), boundary="r^2*zu")
+    p_exact = FluxProblem((0.5, 1.5), (-0.5, 0.5), boundary="r^2*zu")
     sol = solve_flux(p_exact, (33, 33))
     R, ZU = np.meshgrid(sol.r, sol.zu, indexing="ij")
     exact_err = float(np.max(np.abs(sol.psi - R * R * ZU)))
@@ -255,7 +255,7 @@ def test_criterion_7_flux_solvers():
 
     # the flux-form stencil is exact on the quartic
     A = 2.0
-    p_quartic = FluxProblem("axisymmetric", (0.5, 1.5), (-0.5, 0.5), boundary=f"{A/8}*r^4", dN=-A)
+    p_quartic = FluxProblem((0.5, 1.5), (-0.5, 0.5), boundary=f"{A/8}*r^4", dN=-A)
     quartic_err = 0.0
     for n in (17, 33, 65):
         s = solve_flux(p_quartic, (n, n))
@@ -286,7 +286,7 @@ def test_criterion_7_flux_solvers():
             return -(op + extra)
 
         problem = FluxProblem(
-            "helical" if gamma else "axisymmetric", (0.6, 1.6), (-0.5, 0.5), boundary=psis, J="psi^2",
+            (0.6, 1.6), (-0.5, 0.5), boundary=psis, J="psi^2",
             dJ="2*psi", dN="cos(psi)", gamma=gamma, source=source,
         )
         errs = {}
@@ -324,7 +324,7 @@ def test_criterion_8_flux_mapping():
     # converge (on the quartic alone, div B and B . grad tau are rounding)
     A = 2.0
     problem = FluxProblem(
-        "axisymmetric", (0.5, 1.5), (-0.5, 0.5), boundary=f"{A/8}*r^4 + 0.1*zu", J=0.3, dN=-A
+        (0.5, 1.5), (-0.5, 0.5), boundary=f"{A/8}*r^4 + 0.1*zu", J=0.3, dN=-A
     )
     psi_max = A * 1.5**4 / 8.0 + 0.05
     solutions = {n: solve_flux(problem, (n, n)) for n in (33, 65)}

@@ -573,14 +573,14 @@ def test_transformed_field_stays_divergence_free(vortex17, vortex33, params):
 
 
 def test_translate_shifts_pressure_only(vortex17):
-    out = translate_state(vortex17, K=(0.0, 0.0, 0.0), k4=5.0, eps=1.0)
+    out = translate_state(vortex17, K=(0.0, 0.0, 0.0), k4=5.0)
     assert np.allclose(out.B.values, vortex17.B.values, atol=1e-14)
     assert np.allclose(out.p_perp.values, vortex17.p_perp.values + 5.0, atol=1e-12)
 
 
 def test_translate_moves_coordinates(vortex17):
     h = vortex17.grid.spacing[0]
-    out = translate_state(vortex17, K=(1.0, 0.0, 0.0), eps=h)
+    out = translate_state(vortex17, K=(h, 0.0, 0.0))
     # the shifted state evaluated one node to the right matches the original
     assert np.allclose(out.B.values[:, 1:, :, :], vortex17.B.values[:, :-1, :, :], atol=1e-12)
 
@@ -648,10 +648,23 @@ def test_anisotropy_scale_example():
         anisotropy_scale_state(state, 0.0)
 
 
+def test_anisotropy_and_pressure_shift_act_on_field_free_nodes(vortex17):
+    # unlike the field-line transform, these move the pressure outside the
+    # plasma too, so that it stays continuous across the plasma edge
+    b2 = vortex17.b_squared()
+    free = b2 <= equilibria._field_null_threshold(b2)
+    assert free.sum() == 3676 and np.all(vortex17.p_perp.values[free] == 1.0)
+    scaled = anisotropy_scale_state(vortex17, 2.0)
+    assert np.all(scaled.tau.values[free] == -1.0)
+    assert np.all(scaled.p_perp.values[free] == 2.0) and np.all(scaled.p_par.values[free] == 2.0)
+    shifted = translate_state(vortex17, k4=0.5)
+    assert np.all(shifted.p_perp.values[free] == 1.5) and np.all(shifted.p_par.values[free] == 1.5)
+
+
 def test_trilinear_resample_path_flags_lossy():
     state = uniform_state(n=9)
     stripped = CGLState(state.B, state.p_perp, state.p_par, state.tau, state.psi, {}, None)
-    out = translate_state(stripped, K=(0.5, 0.0, 0.0), k4=0.0, eps=0.1)
+    out = translate_state(stripped, K=(0.05, 0.0, 0.0), k4=0.0)
     assert out.meta["resampling"].startswith("trilinear")
     assert np.allclose(out.B.values[2], 1.0, atol=1e-12)  # constant fields survive exactly
 
@@ -702,7 +715,7 @@ def test_trilinear_path_matches_regular_grid_interpolator():
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("move", ["rotate", "translate"])
+@pytest.mark.parametrize("move", ["rotate", "translate", "scale"])
 def test_trilinear_path_is_exact_on_multilinear_fields(move):
     coeffs = [(0.3, -1.2, 0.7, 2.1, -0.9), (1.0, 0.5, -0.25, 0.125, 3.0), (-2.0, 0.0, 1.5, -0.5, 0.75)]
 
@@ -711,20 +724,52 @@ def test_trilinear_path_is_exact_on_multilinear_fields(move):
         return a + b * X + cy * Y + d * Z + e * X * Y * Z
 
     state = _sampled_only_state(TRILINEAR_GRID, multilinear)
-    rot = equilibria._euler_zxz(*EULER) if move == "rotate" else np.eye(3)
+    rot, s, pf = np.eye(3), 1.0, 1.0
     if move == "rotate":
         out = rotate_state(state, *EULER)
+        rot = equilibria._euler_zxz(*EULER)
         Xs, Ys, Zs = _rotated_points(TRILINEAR_GRID)
-    else:
+    elif move == "translate":
         # a shift of more than a cell, so the nodes on one side extrapolate
         out = translate_state(state, K=(0.13, -0.2, 0.11))
         X, Y, Z = TRILINEAR_GRID.meshgrid()
         Xs, Ys, Zs = X - 0.13, Y + 0.2, Z - 0.11
-    want_b = np.einsum("rc,c...->r...", rot, np.stack([multilinear(Xs, Ys, Zs, c) for c in range(3)]))
+    else:
+        # a contraction, so the outer nodes pull back outside the grid
+        out = scale_state(state, t=0.8, s=1.5)
+        Xs, Ys, Zs = (c / 0.8 for c in TRILINEAR_GRID.meshgrid())
+        s, pf = 1.5, 1.5**2
+    want_b = s * np.einsum("rc,c...->r...", rot, np.stack([multilinear(Xs, Ys, Zs, c) for c in range(3)]))
     assert np.max(np.abs(out.B.values - want_b)) <= 1e-12 * np.max(np.abs(want_b))
-    for name, c in (("p_perp", 3), ("tau", 4), ("psi", 5)):
-        want = multilinear(Xs, Ys, Zs, c)
+    for name, c, factor in (("p_perp", 3, pf), ("tau", 4, 1.0), ("psi", 5, 1.0)):
+        want = factor * multilinear(Xs, Ys, Zs, c)
         assert np.max(np.abs(getattr(out, name).values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("move", ["rotate", "translate", "scale generator", "scale as-printed"])
+def test_point_transforms_match_the_pushed_forward_evaluator(params, move):
+    # x' = t R x + K, B' = s R B, p_perp' = pf p_perp + k4 against the
+    # source's evaluator at R^T (x' - K)/t, on an anisotropic source
+    src = apply_infinite_transform(vortex_state(params, Grid3.cube(-1.2, 1.2, 17)), TransformSpec("1 + 0.3*psi*sin(psi)"))
+    rot, t, K, s, pf, k4 = np.eye(3), 1.0, np.zeros(3), 1.0, 1.0, 0.0
+    if move == "rotate":
+        rot = equilibria._euler_zxz(*EULER)
+        out = rotate_state(src, *EULER)
+    elif move == "translate":
+        K, k4 = np.array([0.13, -0.2, 0.11]), 0.4
+        out = translate_state(src, tuple(K), k4)
+    else:
+        factor = move.split()[1]
+        t, s = 1.3, 0.7
+        pf = {"generator": s * s, "as-printed": 2.0 * s}[factor]
+        out = scale_state(src, t, s, pressure_factor=factor)
+    pulled = np.einsum("cr,c...->r...", rot, np.stack(src.grid.meshgrid()) - K[:, None, None, None]) / t
+    b, p_perp, _, tau, psi = src.evaluators.evaluate(*pulled)
+    b = s * np.einsum("rc,c...->r...", rot, b)
+    p_perp = pf * p_perp + k4
+    want = (b, p_perp, p_perp + tau * np.einsum("c...,c...->...", b, b), tau, psi)
+    for got, w in zip((out.B, out.p_perp, out.p_par, out.tau, out.psi), want):
+        assert np.max(np.abs(got.values - w)) <= 1e-13 * np.max(np.abs(w))
 
 
 def test_trilinear_path_needs_two_nodes_per_axis():

@@ -59,6 +59,24 @@ def test_parse_errors_carry_position(ctx):
         ctx.parse("diff(B1, B2)")
 
 
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        ("diff(x, y)", "cannot differentiate 'x': not a dependent variable", 1, 6),
+        ("diff(c, x)", "cannot differentiate 'c': not a dependent variable", 1, 6),
+        ("u + diff(u, v)", "cannot differentiate with respect to 'v': not an independent variable", 1, 10),
+        ("diff(u, c)", "cannot differentiate with respect to 'c': not an independent variable", 1, 6),
+        ("2*diff(f, y)", "'f' does not depend on 'y'", 1, 3),
+    ],
+)
+def test_diff_errors_name_the_cause_and_position(text, message, line, col):
+    ctx = Context(["x", "y"], ["u", "v"], ["c"], {"f": ("x",)})
+    with pytest.raises(ParseError) as err:
+        ctx.parse(text)
+    assert str(err.value) == f"{message} (line {line}, column {col})"
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 def test_rational_and_decimal_literals(ctx):
     assert ctx.parse("3/2").constant_value() == Fraction(3, 2)
     assert ctx.parse("0.5*B1") == ctx.var("B1") / 2

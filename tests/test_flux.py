@@ -25,7 +25,7 @@ DOMAIN = dict(r_range=(0.5, 1.5), zu_range=(-0.5, 0.5))
 
 def quartic_problem():
     # psi = A r^4 / 8 solves the axisymmetric equation with dN = -A
-    return FluxProblem("axisymmetric", boundary=f"{A / 8}*r^4", dN=-A, **DOMAIN)
+    return FluxProblem(boundary=f"{A / 8}*r^4", dN=-A, **DOMAIN)
 
 
 def quartic_exact(R):
@@ -36,7 +36,7 @@ def current_problem():
     # psi = A r^4/8 + zu/10 with the constant current J = 0.3: solved exactly
     # like the quartic, but the mapped field has r and phi components, so
     # the mapped residuals keep a second-order truncation error
-    return FluxProblem("axisymmetric", boundary=f"{A / 8}*r^4 + 0.1*zu", J=0.3, dN=-A, **DOMAIN)
+    return FluxProblem(boundary=f"{A / 8}*r^4 + 0.1*zu", J=0.3, dN=-A, **DOMAIN)
 
 
 # -- validation -----------------------------------------------------------------
@@ -44,15 +44,16 @@ def current_problem():
 
 def test_problem_validation():
     with pytest.raises(ValueError, match="axis is excluded"):
-        FluxProblem("axisymmetric", (0.0, 1.0), (-1, 1), boundary="0")
+        FluxProblem((0.0, 1.0), (-1, 1), boundary="0")
+    domain = "r0 = 0.5\nr1 = 1.0\nzu0 = -1\nzu1 = 1\nboundary = 0\n"
     with pytest.raises(ValueError, match="geometry"):
-        FluxProblem("spherical", (0.5, 1.0), (-1, 1), boundary="0")
+        parse_problem_file(domain + "geometry = spherical")
     with pytest.raises(ValueError, match="pitch"):
-        FluxProblem("helical", (0.5, 1.0), (-1, 1), boundary="0")
+        parse_problem_file(domain + "geometry = helical")
     with pytest.raises(ValueError, match="and agree with gamma = 0.7"):
-        FluxProblem("axisymmetric", (0.5, 1.0), (-1, 1), boundary="0", gamma=0.7)
+        parse_problem_file(domain + "geometry = axisymmetric\ngamma = 0.7")
     with pytest.raises(ValueError, match="zu range"):
-        FluxProblem("axisymmetric", (0.5, 1.0), (1, 1), boundary="0")
+        FluxProblem((0.5, 1.0), (1, 1), boundary="0")
 
 
 def test_solver_parameter_validation():
@@ -81,7 +82,7 @@ def test_solver_settings_must_be_usable(settings, message):
 
 
 def test_harmonic_quadratic_is_exact_discrete_solution():
-    p = FluxProblem("axisymmetric", boundary="r^2*zu", **DOMAIN)
+    p = FluxProblem(boundary="r^2*zu", **DOMAIN)
     sol = solve_flux(p, (33, 33))
     R, ZU = np.meshgrid(sol.r, sol.zu, indexing="ij")
     assert sol.converged
@@ -100,7 +101,7 @@ def test_boundary_rows_match_data_exactly():
 
 
 def test_homogeneous_case_respects_maximum_principle():
-    p = FluxProblem("axisymmetric", boundary="zu + 0.3*r^2*zu", **DOMAIN)
+    p = FluxProblem(boundary="zu + 0.3*r^2*zu", **DOMAIN)
     sol = solve_flux(p, (17, 17))
     boundary = np.concatenate([sol.psi[0, :], sol.psi[-1, :], sol.psi[:, 0], sol.psi[:, -1]])
     assert sol.psi.max() <= boundary.max() + 1e-12
@@ -162,7 +163,6 @@ def manufactured_problem(gamma=GAMMA):
         return -(operator + constitutive)
 
     return FluxProblem(
-        "helical" if gamma else "axisymmetric",
         (0.6, 1.6),
         (-0.5, 0.5),
         boundary=manufactured_exact,
@@ -195,7 +195,7 @@ def test_axisymmetric_manufactured_convergence():
 
 def test_divergence_is_detected():
     p = FluxProblem(
-        "axisymmetric", boundary="zu", J="40*psi", dJ="40", dN=0.0, **DOMAIN
+        boundary="zu", J="40*psi", dJ="40", dN=0.0, **DOMAIN
     )
     with pytest.raises(SolverDiverged):
         solve_flux(p, (17, 17), max_iter=200, omega=1.0)
@@ -209,7 +209,7 @@ def test_iteration_cap_warns_and_flags():
 
 def test_inconsistent_profiles_warn():
     p = FluxProblem(
-        "axisymmetric", boundary="r^2*zu", J="psi^2", dJ="3*psi", dN=0.0, **DOMAIN
+        boundary="r^2*zu", J="psi^2", dJ="3*psi", dN=0.0, **DOMAIN
     )
     with pytest.warns(RuntimeWarning, match="numeric derivative"):
         solve_flux(p, (9, 9), max_iter=60)
@@ -217,7 +217,7 @@ def test_inconsistent_profiles_warn():
 
 def test_nonfinite_profile_evaluation_is_reported():
     # the zero initial iterate sends 1/psi to infinity
-    p = FluxProblem("axisymmetric", boundary="r^2*zu", dN="1/psi", **DOMAIN)
+    p = FluxProblem(boundary="r^2*zu", dN="1/psi", **DOMAIN)
     with pytest.raises(ArithmeticError, match="non-finite"):
         solve_flux(p, (9, 9))
 
@@ -244,7 +244,7 @@ def five_point_stencil(problem, r, zu, psi):
 @pytest.mark.parametrize("geometry", ["axisymmetric", "helical"])
 def test_operator_and_dirichlet_term_match_the_stencil(geometry, shape):
     # the linear solve with psi's boundary values inverts the stencil applied to psi
-    problem = FluxProblem(geometry, (0.6, 1.6), (-0.4, 0.7), boundary="0", gamma=0.7 if geometry == "helical" else 0.0)
+    problem = FluxProblem((0.6, 1.6), (-0.4, 0.7), boundary="0", gamma=0.7 if geometry == "helical" else 0.0)
     r, zu = np.linspace(0.6, 1.6, shape[0]), np.linspace(-0.4, 0.7, shape[1])
     psi = np.random.default_rng(7).standard_normal(shape)
     solve = flux._interior_solver(problem, r, zu, psi)
@@ -284,7 +284,7 @@ def splu_reference_solve(problem, shape, tol_outer=1e-10, omega=0.8):
 
 def _lu_reference_problem(geometry, r_range=DOMAIN["r_range"]):
     return FluxProblem(
-        geometry, r_range, DOMAIN["zu_range"], boundary="r^2*zu", J="0.5*psi", dJ="0.5", dN=-1.0,
+        r_range, DOMAIN["zu_range"], boundary="r^2*zu", J="0.5*psi", dJ="0.5", dN=-1.0,
         source="sin(3*r)*cos(2*zu)", gamma=0.7 if geometry == "helical" else 0.0,
     )
 
@@ -415,7 +415,7 @@ def test_helical_polynomial_case_maps_to_force_balance():
     def exact(r, u):
         return (A / 8.0) * (r**4 + 2.0 * gamma**2 * r**2)
 
-    problem = FluxProblem("helical", (0.6, 1.6), (-0.6, 0.6), boundary=exact, dN=-A, gamma=gamma)
+    problem = FluxProblem((0.6, 1.6), (-0.6, 0.6), boundary=exact, dN=-A, gamma=gamma)
     errs = {}
     for n2d, n3d in ((33, 21), (65, 41)):
         sol = solve_flux(problem, (n2d, n2d))
@@ -432,7 +432,6 @@ def test_helical_current_carrying_case_maps_to_force_balance():
     gamma, c = 0.7, 0.8
 
     problem = FluxProblem(
-        "helical",
         (0.6, 1.6),
         (-0.6, 0.6),
         boundary=f"{A/2}*(r^4/4 + {gamma**2/2}*r^2) + {gamma*c}*log(r)",
@@ -451,7 +450,7 @@ def test_helical_current_carrying_case_maps_to_force_balance():
 
 def current_carrying_helical_problem():
     return FluxProblem(
-        "helical", (0.6, 1.6), (-0.6, 0.6), boundary="r^2 + 0.1*zu", J=0.8, dJ=0.0, dN=0.0, gamma=0.7
+        (0.6, 1.6), (-0.6, 0.6), boundary="r^2 + 0.1*zu", J=0.8, dJ=0.0, dN=0.0, gamma=0.7
     )
 
 
@@ -490,7 +489,7 @@ def test_pressure_vanishes_at_the_smallest_attained_flux(name):
 def _antiderivative_over(dN, lo, hi):
     """N(psi) of ``dN`` for a solution whose flux attains exactly [lo, hi],
     with the padded range it covers sampled on and between its knots."""
-    problem = FluxProblem("axisymmetric", boundary="0", dN=dN, **DOMAIN)
+    problem = FluxProblem(boundary="0", dN=dN, **DOMAIN)
     sol = FluxSolution(problem, np.linspace(0.5, 1.5, 9), np.linspace(-0.5, 0.5, 9),
                        np.linspace(lo, hi, 81).reshape(9, 9), (0.0,), True)
     pad = 0.02 * (hi - lo)
