@@ -10,20 +10,29 @@ is added to this divided form.  The stencil is conservative (differences
 of ``r/(r^2+gamma^2) psi_r`` at r -+ hr/2) with coefficients that depend
 on r only, so the operator is separable (the matrix-decomposition method
 of Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970) 627): an
-orthonormal sine transform (DST-I) along zu diagonalises its zu part, and
-each zu sine mode leaves one tridiagonal system in r.  The systems of all
-modes are eliminated together, row by row (the Thomas algorithm
+orthonormal sine transform (DST-I, by numpy's real FFT of each row of m
+values zero-padded to length 2(m+1)) along zu diagonalises its zu part,
+and each zu sine mode leaves one tridiagonal system in r.  The systems of
+all modes are eliminated together, row by row (the Thomas algorithm
 vectorised over the modes), with the multipliers and pivots computed once
 per solve; every right-hand side then costs two sine transforms and one
-sweep each way.  The Dirichlet data enter as the stencil applied to the
-boundary values, a fixed right-hand-side term, so the boundary values are
-imposed exactly and never touched by the iteration.  The terms in J and N
-are frozen at the previous iterate and relaxed: damped Picard iteration
-around the one elimination.
+sweep each way, and a right-hand side equal to the previous one costs one
+comparison (profiles J, dJ and dN that do not depend on psi give the same
+one at every iteration).  The Dirichlet data enter as the stencil applied
+to the boundary values, a fixed right-hand-side term, so the boundary
+values are imposed exactly and never touched by the iteration.  The terms in J and N are frozen at
+the previous iterate and relaxed: damped Picard iteration around the one
+elimination.
 
-The pressure profile N(psi) of a mapped state is integrated from dN by
-fixed 8-point Gauss-Legendre quadrature on 256 panels and interpolated by
-cubic Hermite polynomials through N and dN at the panel ends.
+A mapped state evaluates psi through the tensor-product not-a-knot
+bicubic interpolant of the solution (de Boor, A Practical Guide to
+Splines), the interpolant FITPACK's s = 0 bicubic spline also is, and
+refuses points outside the solution domain.  Its pressure profile N(psi)
+is integrated from dN by fixed 8-point Gauss-Legendre quadrature on 256
+panels and interpolated by cubic Hermite polynomials through N and dN at
+the panel ends.
+
+The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -35,12 +44,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import dst
-from scipy.interpolate import RectBivariateSpline
-
-# never called: tracer hooks that perfbench/spans.py wraps by name until ROADMAP item 1
-from scipy.integrate import quad
-from scipy.sparse.linalg import splu
 
 from . import fields as fd
 from .equilibria import CGLState, StateEvaluators, require_defined, sample_state
@@ -64,6 +67,21 @@ GEOMETRIES = ("axisymmetric", "helical")
 
 class SolverDiverged(RuntimeError):
     pass
+
+
+def __getattr__(name: str):
+    """``splu`` and ``quad``, never called here: the benchmark's tracer
+    (perfbench/spans.py) wraps them by name until ROADMAP item 1 retires
+    those hooks, so they import scipy only when asked for."""
+    if name == "splu":
+        from scipy.sparse.linalg import splu
+
+        return splu
+    if name == "quad":
+        from scipy.integrate import quad
+
+        return quad
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _as_profile(spec, variables: tuple[str, ...]):
@@ -141,11 +159,110 @@ class FluxSolution:
     def final_update(self) -> float:
         return self.updates[-1]
 
-    def spline(self) -> RectBivariateSpline:
-        return RectBivariateSpline(self.r, self.zu, self.psi, kx=3, ky=3)
+    def spline(self) -> BicubicSpline:
+        return BicubicSpline(self.r, self.zu, self.psi)
 
     def attained_range(self) -> tuple[float, float]:
         return float(self.psi.min()), float(self.psi.max())
+
+
+def _spline_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The slopes at the knots x of the not-a-knot cubic spline through
+    each column of y (third derivative continuous at x[1] and x[-2]; de
+    Boor's conditions, as in scipy's CubicSpline), by one dense solve.
+
+    Interior rows are the C2 conditions h_i s_(i-1) + 2 (h_(i-1) + h_i) s_i
+    + h_(i-1) s_(i+1) = 3 (h_i d_(i-1) + h_(i-1) d_i), d_i the secant slope
+    (y_(i+1) - y_i)/h_i.
+    """
+    n = len(x)
+    h = np.diff(x)
+    hc = h[:, None]
+    secant = np.diff(y, axis=0) / hc
+    A = np.zeros((n, n))
+    rhs = np.empty(y.shape)
+    i = np.arange(1, n - 1)
+    A[i, i - 1], A[i, i], A[i, i + 1] = h[1:], 2.0 * (h[:-1] + h[1:]), h[:-1]
+    rhs[1:-1] = 3.0 * (hc[1:] * secant[:-1] + hc[:-1] * secant[1:])
+    d = h[0] + h[1]
+    A[0, :2] = h[1], d
+    rhs[0] = ((h[0] + 2.0 * d) * h[1] * secant[0] + h[0] ** 2 * secant[1]) / d
+    d = h[-2] + h[-1]
+    A[-1, -2:] = d, h[-2]
+    rhs[-1] = (h[-1] ** 2 * secant[-2] + (2.0 * d + h[-1]) * h[-2] * secant[-1]) / d
+    return np.linalg.solve(A, rhs)
+
+
+def _hermite(values: np.ndarray, slopes: np.ndarray, h: np.ndarray, axis: int) -> list[np.ndarray]:
+    """The power-basis coefficients c0..c3 of the cubic on each interval
+    [x_i, x_i + h_i] along ``axis`` that takes the given values and slopes
+    at both ends, as polynomials in x - x_i."""
+    lead = (slice(None),) * axis
+    v0, v1 = values[(*lead, slice(None, -1))], values[(*lead, slice(1, None))]
+    s0, s1 = slopes[(*lead, slice(None, -1))], slopes[(*lead, slice(1, None))]
+    h = h.reshape((-1,) + (1,) * (values.ndim - axis - 1))
+    secant = (v1 - v0) / h
+    return [v0, s0, (3.0 * secant - 2.0 * s0 - s1) / h, (s0 + s1 - 2.0 * secant) / (h * h)]
+
+
+def _horner(coefficients: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
+    """The ``order``-th derivative (order <= 3) at t of the cubics whose
+    power-basis coefficients run along the last axis."""
+    out = coefficients[..., 3] * math.perm(3, order)
+    for k in range(2, order - 1, -1):
+        out *= t
+        out += coefficients[..., k] if order == 0 else math.perm(k, order) * coefficients[..., k]
+    return out
+
+
+class BicubicSpline:
+    """The tensor-product not-a-knot cubic spline interpolant of ``z`` on
+    the knots ``x`` x ``y`` (at least 4 each): FITPACK's s = 0, kx = ky = 3
+    interpolant (``RectBivariateSpline``), whose interior knots x[2:-2]
+    make it not-a-knot, up to rounding.
+
+    It is held in piecewise-polynomial form, 16 coefficients per cell, and
+    ``ev`` evaluates by Horner's rule in the cell of each point.  Points
+    outside the knot box are clamped to it, as FITPACK clamps them.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, z: np.ndarray):
+        if min(len(x), len(y)) < 4:
+            raise ValueError("a bicubic spline needs at least 4 knots per axis")
+        self.x, self.y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        hx, hy = np.diff(self.x), np.diff(self.y)
+        z_x = _spline_slopes(self.x, z)
+        z_y, z_xy = np.split(_spline_slopes(self.y, np.concatenate([z, z_x]).T).T, 2)
+        along_x = zip(_hermite(z, z_x, hx, 0), _hermite(z_y, z_xy, hx, 0))
+        # coefficient of (x - x_i)^p (y - y_j)^q at [i (len(y) - 1) + j, p, q]
+        self.coefficients = np.stack(
+            [np.stack(_hermite(c, c_y, hy, 1), axis=-1) for c, c_y in along_x], axis=-2
+        ).reshape(-1, 4, 4)
+
+    def ev(self, xi, yi, dx: int = 0, dy: int = 0) -> np.ndarray:
+        """The spline, or its partial derivative of order (dx, dy), each at
+        most 3, at the points (xi, yi)."""
+        xi, yi = np.broadcast_arrays(np.asarray(xi, dtype=float), np.asarray(yi, dtype=float))
+        shape = xi.shape
+        cells = []
+        for knots, points in ((self.x, xi.ravel()), (self.y, yi.ravel())):
+            points = np.clip(points, knots[0], knots[-1])
+            i = np.clip(np.searchsorted(knots, points, side="right") - 1, 0, len(knots) - 2)
+            cells.append((i, points - knots[i]))
+        (i, t), (j, u) = cells
+        coefficients = np.take(self.coefficients, i * (len(self.y) - 1) + j, axis=0)
+        return _horner(_horner(coefficients, u[:, None], dy), t, dx).reshape(shape)
+
+
+def _sine_transform(padded: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndarray:
+    """scale times the DST-I sum_j x_j sin(pi j k/(m+1)), k = 1..m, of each
+    row x = padded[:, 1:m+1] of an n x 2(m+1) array that is zero elsewhere:
+    minus the imaginary part of the real FFT of the rows.  (That is half the
+    transform of the odd extension [0, x, 0, -x reversed], which needs a
+    second copy of x.)  scale = sqrt(2/(m+1)) gives the orthonormal DST-I,
+    its own inverse."""
+    m = padded.shape[1] // 2 - 1
+    return np.multiply(np.fft.rfft(padded, axis=1).imag[:, 1 : m + 1], -scale, out=out)
 
 
 def _interior_solver(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: np.ndarray):
@@ -162,7 +279,12 @@ def _interior_solver(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: n
     and one column per mode, so each step of the Thomas algorithm is one
     contiguous row operation over all modes.  The multipliers and
     reciprocal pivots are computed once, here; each right-hand side then
-    costs n - 1 forward and n - 1 backward row updates, in place.
+    costs n - 1 forward and n - 1 backward row updates, in place.  A
+    right-hand side bit-identical to the previous one costs one comparison:
+    profiles J, dJ and dN that do not depend on psi give the same one at
+    every iteration.  So the solver keeps the last right-hand side it was
+    given, which the caller must not change, and returns a read-only view
+    of its own result buffer, valid until the next call.
 
     No pivoting is needed: c_w, c_e, c_n > 0 for every r > 0, so the diagonal
     -(c_w + c_e) - (2 - 2 cos(k pi/(m+1))) c_n of mode k exceeds |c_w| + |c_e|
@@ -200,16 +322,31 @@ def _interior_solver(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: n
         multiplier[i] = c_w[i] / pivot[i - 1]
         pivot[i] -= multiplier[i] * c_e[i - 1]
     inv_pivot = 1.0 / pivot
+    # the sine transforms and the elimination work in place on u, the
+    # nonzero columns of the zero-padded rows that _sine_transform takes
+    padded = np.zeros((n, 2 * (m + 1)))
+    u = padded[:, 1 : m + 1]
+    scale = 2.0 / (m + 1)  # both orthonormal factors sqrt(2/(m+1)), applied once
+    result = np.empty((n, m))
+    returned = result.view()
+    returned.flags.writeable = False
+    last_rhs = None
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        u = dst(rhs - bterm, type=1, axis=1, norm="ortho")
+        nonlocal last_rhs
+        if last_rhs is not None and np.array_equal(rhs, last_rhs):
+            return returned
+        np.subtract(rhs, bterm, out=u)
+        _sine_transform(padded, scale, out=u)
         for i in range(1, n):
             u[i] -= multiplier[i] * u[i - 1]
         u[-1] *= inv_pivot[-1]
         for i in range(n - 2, -1, -1):
             u[i] -= c_e[i] * u[i + 1]
             u[i] *= inv_pivot[i]
-        return dst(u, type=1, axis=1, norm="ortho")
+        _sine_transform(padded, 1.0, out=result)
+        last_rhs = rhs
+        return returned
 
     return solve
 
@@ -392,6 +529,22 @@ def _pressure_antiderivative(problem: FluxProblem, sol: FluxSolution):
     return n_of
 
 
+def _require_in_domain(problem: FluxProblem, R: np.ndarray, ZU: np.ndarray) -> None:
+    """Refuse points (r, zu) outside the solution domain by more than
+    rounding (1e-12 relative): the spline would clamp them to its edge."""
+    extents = [(float(v.min()), float(v.max())) for v in (R, ZU)]
+    domain = (problem.r_range, problem.zu_range)
+    for (lo, hi), (a, b) in zip(extents, domain):
+        slack = 1e-12 * max(abs(a), abs(b))
+        if lo < a - slack or hi > b + slack:
+            (r_lo, r_hi), (z_lo, z_hi) = extents
+            (r0, r1), (zu0, zu1) = domain
+            raise ValueError(
+                f"the points reach r in [{r_lo:.6g}, {r_hi:.6g}] and zu in [{z_lo:.6g}, {z_hi:.6g}], "
+                f"outside the solution domain r in [{r0:.6g}, {r1:.6g}], zu in [{zu0:.6g}, {zu1:.6g}]"
+            )
+
+
 def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
     """Build a 3D anisotropic state from a flux solution.
 
@@ -401,7 +554,9 @@ def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
     pressures are N(psi) -+ tau B^2/2 with N integrated from the stated
     profile derivative, N = 0 at the smallest attained flux value.  The
     stored label is psi normalized by its largest magnitude on the 2D
-    solution.
+    solution.  The state's evaluator refuses points outside the solution
+    domain [r0, r1] x [zu0, zu1] with a ValueError, whether they are the
+    nodes of ``grid`` or the points of a later point transform.
     """
     problem = sol.problem
     tau_fn, tau_text = _as_profile(tau, ("psi",))
@@ -422,6 +577,7 @@ def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
         R = np.hypot(X, Y)
         phi = np.arctan2(Y, X)
         ZU = Z - gamma * phi
+        _require_in_domain(problem, R, ZU)
         rf, zf = R.reshape(-1), ZU.reshape(-1)
         psi = spline.ev(rf, zf).reshape(R.shape)
         psi_r = spline.ev(rf, zf, dx=1).reshape(R.shape)
@@ -491,7 +647,7 @@ def _number(value, key: str, where: str, kind=float):
     try:
         number = kind(value)
     except (TypeError, ValueError):
-        raise ValueError(f"{where}: {key} is not a number: {value!r}") from None
+        raise ValueError(f"{where}: {key} is not {'an integer' if kind is int else 'a number'}: {value!r}") from None
     if not math.isfinite(number):
         raise ValueError(f"{where}: {key} must be finite, got {number}")
     return number

@@ -251,7 +251,8 @@ def test_helical_flux_pipeline(tmp_path):
 
 
 # Runs in a fresh interpreter: records the exit code of each command and the
-# scipy modules loaded after it, as JSON in <out>/steps.json.
+# scipy modules loaded after it, as JSON in <out>/steps.json.  The last step
+# imports scipy.sparse explicitly, to show that the probe would see scipy.
 STARTUP_SCRIPT = """
 import json, sys
 from importlib import resources
@@ -270,25 +271,30 @@ for name, argv in [
     ("transform", ["transform", "--state", str(out / "vortex" / "state.csv"), "--M", "1 + 0.5*psi"]),
     ("check", ["check", "--state", str(out / "vortex" / "state.csv"), "--system", "mhd"]),
     ("flux solve", ["flux", "solve", str(data / "flux_axisym_example.flux")]),
+    ("flux tocgl", ["flux", "tocgl", str(out / "solve" / "solution.json"), "--tau", "psi/2.6", "--grid", "9"]),
 ]:
     code = plasmeq.cli.main(["--out", str(out / name.split()[-1]), *argv])
     steps.append([name, code, scipy_modules()])
+import scipy.sparse
+steps.append(["import scipy.sparse", 0, scipy_modules()])
 (out / "steps.json").write_text(json.dumps(steps))
 """
 
 
-def test_only_flux_commands_import_scipy(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(plasmeq.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path)], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     steps = json.loads((tmp_path / "steps.json").read_text())
-    assert [name for name, _, _ in steps] == ["import", "lie verify", "vortex", "transform", "check", "flux solve"]
+    assert [name for name, _, _ in steps] == [
+        "import", "lie verify", "vortex", "transform", "check", "flux solve", "flux tocgl", "import scipy.sparse"
+    ]
     assert all(code == 0 for _, code, _ in steps)
     for name, _, scipy_modules in steps[:-1]:
         assert scipy_modules == [], name
-    # the probe does see scipy once a flux command has loaded it
+    # the probe does see scipy once it is imported
     assert "scipy.sparse" in steps[-1][2]
 
 
@@ -531,6 +537,10 @@ BAD_INPUTS = {
     "iteration cap of zero": (
         lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\nmax_iter = 0")],
         "iteration cap must be at least 1, got 0",
+    ),
+    "fractional iteration cap": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\nmax_iter = 9.5")],
+        "problem file: max_iter is not an integer: '9.5'",
     ),
     "tolerance of zero": (
         lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ntol = 0")],

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from plasmeq import flux
-from plasmeq.equilibria import residual_norms, tau_consistency_error
-from plasmeq.fields import directional, norm
+from plasmeq.equilibria import residual_norms, tau_consistency_error, translate_state
+from plasmeq.fields import Grid3, directional, norm
 from plasmeq.flux import (
     FluxProblem,
     FluxSolution,
@@ -328,6 +328,51 @@ def test_solve_factorizes_once(monkeypatch):
     assert solves == [(15, 15)] * 16
 
 
+def _count_sine_transforms(monkeypatch):
+    calls, rfft = [], np.fft.rfft
+
+    def counting_rfft(*args, **kwargs):
+        calls.append(args[0].shape)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    return calls
+
+
+def test_psi_independent_profiles_are_eliminated_once(monkeypatch):
+    # constant J, dJ and dN give the same right-hand side at every iteration:
+    # one elimination (two sine transforms) serves all of them
+    transforms = _count_sine_transforms(monkeypatch)
+    sol = solve_flux(quartic_problem(), (17, 17))
+    assert sol.iterations == 16
+    assert len(transforms) == 2
+
+
+def test_psi_dependent_profiles_are_eliminated_at_every_iteration(monkeypatch):
+    transforms = _count_sine_transforms(monkeypatch)
+    sol = solve_flux(manufactured_problem(), (17, 17))
+    assert sol.iterations > 1
+    assert len(transforms) == 2 * sol.iterations
+
+
+@pytest.mark.parametrize(
+    "problem", [quartic_problem(), manufactured_problem()], ids=["psi-independent", "psi-dependent"]
+)
+def test_reuse_leaves_the_iteration_bit_identical(problem, monkeypatch):
+    want = solve_flux(problem, (17, 17))
+    setup = flux._interior_solver
+
+    def forgetful_setup(problem, r, zu, psi):
+        # a new solver, with nothing to reuse, for every right-hand side
+        boundary = psi.copy()
+        return lambda rhs: setup(problem, r, zu, boundary)(rhs)
+
+    monkeypatch.setattr(flux, "_interior_solver", forgetful_setup)
+    got = solve_flux(problem, (17, 17))
+    assert got.updates == want.updates
+    assert np.array_equal(got.psi, want.psi)
+
+
 def test_update_history_is_recorded():
     sol = solve_flux(quartic_problem(), (17, 17))
     assert len(sol.updates) == sol.iterations == 16
@@ -552,6 +597,73 @@ def test_default_box_stays_inside_domain():
         assert u.min() > p.zu_range[0] and u.max() < p.zu_range[1]
 
 
+@pytest.mark.parametrize("name", ["flux_axisym_example.flux", "flux_helical_example.flux"])
+def test_mapping_refuses_points_outside_the_solution_domain(name):
+    problem, _ = parse_problem_file(resources.files("plasmeq.data").joinpath(name).read_text())
+    sol = solve_flux(problem, (17, 17))
+    (r0, r1), (zu0, zu1) = problem.r_range, problem.zu_range
+    # x reaches 1.9, beyond r1 = 1.5 (1.6 helical): the spline would clamp
+    grid = Grid3((0.7, -0.1, -0.2), (0.1, 0.1, 0.1), (13, 3, 5))
+    domain = f"outside the solution domain r in [{r0:.6g}, {r1:.6g}], zu in [{zu0:.6g}, {zu1:.6g}]"
+    with pytest.raises(ValueError, match=r"the points reach r in \[0\.7, 1\.90263\] and zu in \[") as err:
+        flux_to_cgl(sol, 0.1, grid=grid)
+    assert domain in str(err.value)
+    # the evaluator refuses the points of a point transform that leaves the domain
+    state = flux_to_cgl(sol, 0.1, grid=default_cartesian_box(problem, 9))
+    with pytest.raises(ValueError, match="outside the solution domain"):
+        translate_state(state, (1.0, 0.0, 0.0))
+
+
+def test_mapping_accepts_a_grid_on_the_domain_edge():
+    # x runs over [r0, r1] and overshoots r1 = 1.5 by an ulp; zu runs over [zu0, zu1]
+    sol = solve_flux(quartic_problem(), (17, 17))
+    grid = Grid3((0.5, 0.0, -0.5), (0.125 + 2.0**-55, 1.0, 0.125), (9, 1, 9))
+    assert grid.axes()[0][-1] > 1.5
+    state = flux_to_cgl(sol, 0.0, grid=grid)
+    psi = state.psi.values[:, 0, :] * state.meta["psi_normalization"]
+    assert np.max(np.abs(psi[[0, -1]] - sol.psi[[0, -1], ::2])) <= 1e-14 * np.max(np.abs(sol.psi))
+
+
+# -- the numpy kernels against scipy ---------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [7, 8, 31, 127, 383])
+def test_sine_transform_is_the_orthonormal_dst1(m):
+    from scipy.fft import dst
+
+    x = np.random.default_rng(m).standard_normal((5, m))
+    want = dst(x, type=1, axis=1, norm="ortho")
+    padded = np.zeros((5, 2 * (m + 1)))
+    padded[:, 1 : m + 1] = x
+    got = flux._sine_transform(padded, math.sqrt(2.0 / (m + 1)))
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("gamma", [0.0, GAMMA], ids=["axisymmetric", "helical"])
+@pytest.mark.parametrize("shape", [(9, 13), (33, 17), (40, 65), (129, 129)])
+def test_spline_matches_fitpack(gamma, shape):
+    from scipy.interpolate import RectBivariateSpline
+
+    sol = solve_flux(manufactured_problem(gamma), shape)
+    want = RectBivariateSpline(sol.r, sol.zu, sol.psi, kx=3, ky=3)
+    got = sol.spline()
+    rng = np.random.default_rng(shape[0] * shape[1])
+    (r0, r1), (zu0, zu1) = sol.problem.r_range, sol.problem.zu_range
+    nodes = np.meshgrid(sol.r, sol.zu, indexing="ij")
+    inside = (rng.uniform(r0, r1, 2000), rng.uniform(zu0, zu1, 2000))
+    # FITPACK clamps points outside the knot box to it
+    outside = (
+        np.array([r0 - 0.3, r1 + 0.2, 0.5 * (r0 + r1), r1 + 1.0]),
+        np.array([zu0, zu1 + 0.4, zu0 - 0.1, zu1 + 1.0]),
+    )
+    grad = np.hypot(want.ev(*nodes, dx=1), want.ev(*nodes, dy=1)).max()
+    for r, zu in (nodes, inside, outside):
+        assert np.max(np.abs(got.ev(r, zu) - want.ev(r, zu))) <= 1e-13 * np.max(np.abs(sol.psi))
+        for d in ({"dx": 1}, {"dy": 1}):
+            assert np.max(np.abs(got.ev(r, zu, **d) - want.ev(r, zu, **d))) <= 1e-11 * grad
+    assert np.max(np.abs(got.ev(*nodes) - sol.psi)) <= 1e-14 * np.max(np.abs(sol.psi))
+
+
 # -- problem files and artifacts -----------------------------------------------------
 
 
@@ -599,6 +711,12 @@ def test_parse_problem_file_errors():
         parse_problem_file(PROBLEM_TEXT + "\nr0 = 0.5")
     with pytest.raises(ValueError, match="not both"):
         parse_problem_file(PROBLEM_TEXT + "\ndL = 1")
+    for key in ("nr", "nzu", "max_iter"):
+        with pytest.raises(ValueError, match=f"problem file: {key} is not an integer: '9.5'"):
+            parse_problem_file("\n".join(line for line in PROBLEM_TEXT.splitlines() if not line.startswith(key))
+                               + f"\n{key} = 9.5")
+    with pytest.raises(ValueError, match="problem file: tol is not a number: 'small'"):
+        parse_problem_file(PROBLEM_TEXT.replace("tol = 1e-11", "tol = small"))
 
 
 def test_solution_artifacts_roundtrip(tmp_path):
