@@ -24,12 +24,9 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import equilibria as eq
-from . import fields as fd
 from .expr import ExprError, pretty
 from .lie import LieError, PdeSystem, build_determining_system, parse_generator, verify_generator
+from .systems import RESIDUAL_SYSTEMS
 
 __all__ = ["main"]
 
@@ -110,9 +107,15 @@ def cmd_lie_verify(args) -> tuple[int, dict]:
 # ---------------------------------------------------------------------------
 # vortex / transform
 # ---------------------------------------------------------------------------
+#
+# The numeric commands import the numeric modules, and with them numpy,
+# when they run: the lie commands never load numpy.
 
 
 def cmd_vortex(args) -> tuple[int, dict]:
+    from . import equilibria as eq
+    from . import fields as fd
+
     params = eq.vortex_params(R=args.R, n=args.n, B0=args.B0, P0=args.P0)
     grid = fd.Grid3.cube(-args.extent, args.extent, args.grid)
     state = eq.vortex_state(params, grid, pressure_profile=args.pressure_profile)
@@ -144,6 +147,8 @@ def cmd_vortex(args) -> tuple[int, dict]:
 
 
 def cmd_transform(args) -> tuple[int, dict]:
+    from . import equilibria as eq
+
     state = eq.read_state_csv(args.state)
     spec = eq.TransformSpec(args.M, m_min=args.m_min)
     transformed = eq.apply_infinite_transform(state, spec)
@@ -198,6 +203,7 @@ def cmd_flux_solve(args) -> tuple[int, dict]:
 
 
 def cmd_flux_tocgl(args) -> tuple[int, dict]:
+    from . import equilibria as eq
     from . import flux as fx
 
     sol = fx.load_solution(args.solution)
@@ -227,6 +233,10 @@ def _norms_as_jsonable(norms: dict) -> dict:
 
 
 def cmd_check(args) -> tuple[int, dict]:
+    import numpy as np
+
+    from . import equilibria as eq
+
     state = eq.read_state_csv(args.state)
     can_coarsen = all(n % 2 == 1 and n >= 9 for n in state.grid.counts)
     if not can_coarsen and args.threshold is None:
@@ -354,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="residual norms of a sampled state")
     check.add_argument("--state", required=True)
-    check.add_argument("--system", required=True, choices=eq.RESIDUAL_SYSTEMS)
+    check.add_argument("--system", required=True, choices=RESIDUAL_SYSTEMS)
     check.add_argument("--stability", action="store_true")
     check.add_argument(
         "--mask-sphere",
@@ -393,10 +403,15 @@ def main(argv=None) -> int:
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"--{name.replace('_', '-')} must be a finite number, got {value}")
-        # numpy's floating-point warnings stay off stderr: the finite checks
-        # on sampled values and on written files report those cases
-        with np.errstate(all="ignore"):
+        if args.command == "lie":
             code, report = args.handler(args)
+        else:
+            import numpy as np
+
+            # numpy's floating-point warnings stay off stderr: the finite
+            # checks on sampled values and on written files report those cases
+            with np.errstate(all="ignore"):
+                code, report = args.handler(args)
     except (ExprError, LieError, ValueError, ArithmeticError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         _write_report(out_dir, {"command": command, "error": str(err), "assumptions": [], "pass": False})

@@ -26,12 +26,11 @@ structurally equal expression.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
-
-import numpy as np
 
 __all__ = [
     "ExprError",
@@ -424,12 +423,13 @@ class Expr:
         Out-of-domain inputs yield inf/nan rather than warnings; callers
         that need totality check finiteness themselves.
         """
+        rules, errstate = _numeric()
         total = 0.0
-        with np.errstate(all="ignore"):
+        with errstate(all="ignore"):
             for m, c in self._terms.items():
                 term = float(c)
                 for a, k in m:
-                    term = term * _atom_value(a, env) ** k
+                    term = term * _atom_value(a, env, rules) ** k
                 total = total + term
         return total
 
@@ -463,7 +463,7 @@ def _chain_rule(atom: FnAtom, derive: Callable[[Expr], Expr]) -> Expr:
     return out
 
 
-def _atom_value(atom: Atom, env):
+def _atom_value(atom: Atom, env, rules: Mapping[str, Callable]):
     if isinstance(atom, Symbol):
         try:
             return env[atom.name]
@@ -472,24 +472,26 @@ def _atom_value(atom: Atom, env):
     if any(atom.dtag):
         raise EvalError(f"cannot evaluate derivative-tagged atom {atom!r}")
     try:
-        fn = NUMERIC_FUNCTIONS[atom.head]
+        fn = rules[atom.head]
     except KeyError:
         raise EvalError(f"no numeric rule for function {atom.head!r}") from None
     return fn(*[a.evaluate(env) for a in atom.args])
 
 
-NUMERIC_FUNCTIONS: dict[str, Callable] = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-    "tanh": np.tanh,
-    "inv": lambda x: 1.0 / x,
-}
+# the functions with a numeric rule, by name
+NUMERIC_FUNCTIONS = frozenset({"sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "tanh", "inv"})
+
+
+@functools.cache
+def _numeric() -> tuple[dict[str, Callable], Callable]:
+    """The numeric rules of ``NUMERIC_FUNCTIONS`` (numpy's function of the
+    same name, and 1/x for ``inv``) and numpy's ``errstate``, built on
+    first numeric use, so that the symbolic half never imports numpy."""
+    import numpy as np
+
+    rules = {name: getattr(np, name) for name in NUMERIC_FUNCTIONS - {"inv"}}
+    rules["inv"] = lambda x: 1.0 / x
+    return rules, np.errstate
 
 
 def quotient(num: Expr, den: Expr) -> Expr:

@@ -221,9 +221,11 @@ class BicubicSpline:
     interpolant (``RectBivariateSpline``), whose interior knots x[2:-2]
     make it not-a-knot, up to rounding.
 
-    It is held in piecewise-polynomial form, 16 coefficients per cell, and
-    ``ev`` evaluates by Horner's rule in the cell of each point.  Points
-    outside the knot box are clamped to it, as FITPACK clamps them.
+    It is held in piecewise-polynomial form, 16 coefficients per cell.
+    ``locate`` finds the cell of each point and ``horner`` evaluates there
+    by Horner's rule, so several derivatives at the same points share one
+    lookup; ``ev`` does both.  Points outside the knot box are clamped to
+    it, as FITPACK clamps them.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, z: np.ndarray):
@@ -239,19 +241,31 @@ class BicubicSpline:
             [np.stack(_hermite(c, c_y, hy, 1), axis=-1) for c, c_y in along_x], axis=-2
         ).reshape(-1, 4, 4)
 
-    def ev(self, xi, yi, dx: int = 0, dy: int = 0) -> np.ndarray:
-        """The spline, or its partial derivative of order (dx, dy), each at
-        most 3, at the points (xi, yi)."""
+    def locate(self, xi, yi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cell lookup of the points (xi, yi), flattened: the gathered
+        coefficients of each point's cell and its offsets t, u from the
+        cell's corner, for any number of ``horner`` calls."""
         xi, yi = np.broadcast_arrays(np.asarray(xi, dtype=float), np.asarray(yi, dtype=float))
-        shape = xi.shape
         cells = []
         for knots, points in ((self.x, xi.ravel()), (self.y, yi.ravel())):
             points = np.clip(points, knots[0], knots[-1])
             i = np.clip(np.searchsorted(knots, points, side="right") - 1, 0, len(knots) - 2)
             cells.append((i, points - knots[i]))
         (i, t), (j, u) = cells
-        coefficients = np.take(self.coefficients, i * (len(self.y) - 1) + j, axis=0)
-        return _horner(_horner(coefficients, u[:, None], dy), t, dx).reshape(shape)
+        return np.take(self.coefficients, i * (len(self.y) - 1) + j, axis=0), t, u
+
+    @staticmethod
+    def horner(located: tuple[np.ndarray, np.ndarray, np.ndarray], dx: int = 0, dy: int = 0) -> np.ndarray:
+        """The spline, or its partial derivative of order (dx, dy), each at
+        most 3, at the points of ``locate``, flattened."""
+        coefficients, t, u = located
+        return _horner(_horner(coefficients, u[:, None], dy), t, dx)
+
+    def ev(self, xi, yi, dx: int = 0, dy: int = 0) -> np.ndarray:
+        """The spline, or its partial derivative of order (dx, dy), each at
+        most 3, at the points (xi, yi)."""
+        shape = np.broadcast_shapes(np.shape(xi), np.shape(yi))
+        return self.horner(self.locate(xi, yi), dx, dy).reshape(shape)
 
 
 def _sine_transform(padded: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -555,8 +569,11 @@ def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
     profile derivative, N = 0 at the smallest attained flux value.  The
     stored label is psi normalized by its largest magnitude on the 2D
     solution.  The state's evaluator refuses points outside the solution
-    domain [r0, r1] x [zu0, zu1] with a ValueError, whether they are the
-    nodes of ``grid`` or the points of a later point transform.
+    domain [r0, r1] x [zu0, zu1] with a ValueError naming the extent of the
+    points it was given.  For the nodes of ``grid``, sampled in one call,
+    that is the extent of all of them.  A later point transform evaluates
+    in x-slab blocks and raises from the first block that leaves the
+    domain, naming that block's extent.
     """
     problem = sol.problem
     tau_fn, tau_text = _as_profile(tau, ("psi",))
@@ -578,10 +595,9 @@ def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
         phi = np.arctan2(Y, X)
         ZU = Z - gamma * phi
         _require_in_domain(problem, R, ZU)
-        rf, zf = R.reshape(-1), ZU.reshape(-1)
-        psi = spline.ev(rf, zf).reshape(R.shape)
-        psi_r = spline.ev(rf, zf, dx=1).reshape(R.shape)
-        psi_zu = spline.ev(rf, zf, dy=1).reshape(R.shape)
+        # one cell lookup serves psi and both first derivatives
+        located = spline.locate(R, ZU)
+        psi, psi_r, psi_zu = (spline.horner(located, *d).reshape(ZU.shape) for d in ((0, 0), (1, 0), (0, 1)))
         tau_v = tau_fn(psi)
         factor = 1.0 / np.sqrt(1.0 - tau_v)
         Jv = problem.J(psi)

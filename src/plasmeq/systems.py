@@ -16,6 +16,7 @@ from .expr import Context, Expr
 from .lie import CandidateGenerator, PdeSystem
 
 __all__ = [
+    "RESIDUAL_SYSTEMS",
     "load_system",
     "mhd_system",
     "cgl_system",
@@ -27,6 +28,10 @@ __all__ = [
     "line_function_generator",
     "classical_generators",
 ]
+
+# the governing systems whose residuals ``equilibria.residual_fields``
+# evaluates on sampled states
+RESIDUAL_SYSTEMS = ("mhd", "cgl", "alt")
 
 
 def _data_text(name: str) -> str:

@@ -298,6 +298,39 @@ def test_no_command_imports_scipy(tmp_path):
     assert "scipy.sparse" in steps[-1][2]
 
 
+# Runs in a fresh interpreter: records the exit code of each step and
+# whether numpy is loaded after it, as JSON in <out>/numpy.json.
+NUMPY_SCRIPT = """
+import json, sys
+from importlib import resources
+from pathlib import Path
+
+import plasmeq.cli
+
+out, data = Path(sys.argv[1]), resources.files("plasmeq.data")
+steps = [["import", 0, "numpy" in sys.modules]]
+for name, argv in [
+    ("lie detsys", ["lie", "detsys", str(data / "mhd_static.pde")]),
+    ("lie verify", ["lie", "verify", str(data / "mhd_static.pde"), str(data / "mhd_rotations.gen")]),
+    ("vortex", ["vortex", "--grid", "9"]),
+]:
+    code = plasmeq.cli.main(["--out", str(out / name.split()[-1]), *argv])
+    steps.append([name, code, "numpy" in sys.modules])
+(out / "numpy.json").write_text(json.dumps(steps))
+"""
+
+
+def test_lie_commands_load_no_numpy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(plasmeq.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_SCRIPT, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads((tmp_path / "numpy.json").read_text())
+    # the probe sees numpy once a numeric command has run
+    assert steps == [["import", 0, False], ["lie detsys", 0, False], ["lie verify", 0, False], ["vortex", 0, True]]
+
+
 def test_check_absolute_threshold_failure(tmp_path):
     _, vortex_out = run(tmp_path, "vortex", "vortex", "--grid", "17")
     code, check_out = run(

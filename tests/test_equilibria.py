@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -777,6 +778,159 @@ def test_trilinear_path_needs_two_nodes_per_axis():
     state = _sampled_only_state(flat, lambda X, Y, Z, c: X + Y + c)
     with pytest.raises(ValueError, match="at least 2 nodes"):
         translate_state(state, K=(0.0, 0.5, 0.0))
+
+
+# -- blocked evaluation ----------------------------------------------------------------
+
+
+def _whole_grid_affine(state, rot, t, K, s, pf, shift):
+    """The finite form of ``_affine_state`` on the whole grid at once: the
+    pullback, the source's evaluator or ``_trilinear`` on the full
+    pullback, then the field rotation, the pressures and |B|^2."""
+    x, y, z = ((a - k) / t for a, k in zip(np.ix_(*state.grid.axes()), K))
+    Xs, Ys, Zs = (rot[0, r] * x + rot[1, r] * y + rot[2, r] * z for r in range(3))
+    if state.evaluators is not None:
+        b, pperp, _, tau, psi = state.evaluators.evaluate(Xs, Ys, Zs)
+    else:
+        interp = equilibria._trilinear(state.grid, Xs, Ys, Zs)
+        b = np.stack([interp(c) for c in state.B.values])
+        pperp, tau, psi = (interp(f.values) for f in (state.p_perp, state.tau, state.psi))
+    b = np.einsum("rc,c...->r...", s * rot, b)
+    pperp = pf * np.asarray(pperp, dtype=float) + shift
+    b2 = np.einsum("cijk,cijk->ijk", b, b)
+    return b, pperp, pperp + tau * b2, tau, psi
+
+
+def _blocked_move(move, small):
+    """A point transform and its finite form (rot, t, K, s, pf, shift);
+    the small ones keep a mapped state's points inside its domain."""
+    if move == "rotate":
+        euler = (0.02, 0.0, 0.0) if small else EULER
+        return (lambda st: rotate_state(st, *euler)), (equilibria._euler_zxz(*euler), 1.0, (0.0, 0.0, 0.0), 1.0, 1.0, 0.0)
+    if move == "translate":
+        K = (0.03, -0.02, 0.02) if small else (0.13, -0.2, 0.11)
+        return (lambda st: translate_state(st, K, 0.4)), (np.eye(3), 1.0, K, 1.0, 1.0, 0.4)
+    t, s = (1.02, 0.9) if small else (1.3, 0.7)
+    return (lambda st: scale_state(st, t, s)), (np.eye(3), t, (0.0, 0.0, 0.0), s, s * s, 0.0)
+
+
+@pytest.fixture(scope="module")
+def helical_solution():
+    from plasmeq import flux
+
+    text = resources.files("plasmeq.data").joinpath("flux_helical_example.flux").read_text()
+    problem, _ = flux.parse_problem_file(text)
+    return flux.solve_flux(problem, (17, 17))
+
+
+def _blocked_source(kind, counts, params, solution):
+    """A state of the given kind on a grid of ``counts`` nodes."""
+    if kind == "flux_to_cgl":
+        from plasmeq import flux
+
+        return flux.flux_to_cgl(solution, "psi/4", grid=flux.default_cartesian_box(solution.problem, counts))
+    grid = Grid3((-1.2, -1.2, -1.2), tuple(2.4 / (n - 1) for n in counts), counts)
+    base = vortex_state(params, grid)
+    if kind == "constant M":
+        return apply_infinite_transform(base, TransformSpec("2"))
+    state = apply_infinite_transform(base, TransformSpec("1 + 0.3*psi*sin(psi)"))
+    if kind == "trilinear":
+        return CGLState(state.B, state.p_perp, state.p_par, state.tau, state.psi, {}, None)
+    return state
+
+
+def _counting(state, calls):
+    """``state`` with its evaluator wrapped to record the shape of each call."""
+    source = state.evaluators.evaluate
+
+    def evaluate(X, Y, Z):
+        calls.append(np.shape(X))
+        return source(X, Y, Z)
+
+    return CGLState(state.B, state.p_perp, state.p_par, state.tau, state.psi, state.meta, StateEvaluators(evaluate))
+
+
+# grid counts and x-slabs per block (None: the default block); no slab
+# count divides its grid's x count
+BLOCKED_GRIDS = {
+    "9^3 by 2": ((9, 9, 9), 2),
+    "17x5x33 by 3": ((17, 5, 33), 3),
+    "65^3 by 7": ((65, 65, 65), 7),
+    "65^3 by default": ((65, 65, 65), None),
+}
+
+
+def _set_block(monkeypatch, counts, slabs):
+    """Blocks of ``slabs`` x-slabs, or the default block; returns the slabs."""
+    _nx, ny, nz = counts
+    if slabs is None:
+        return max(1, equilibria.BLOCK_NODES // (ny * nz))
+    monkeypatch.setattr(equilibria, "BLOCK_NODES", slabs * ny * nz + ny)
+    return slabs
+
+
+@pytest.mark.parametrize("move", ["rotate", "translate", "scale"])
+@pytest.mark.parametrize("kind", ["analytic", "constant M", "trilinear", "flux_to_cgl"])
+@pytest.mark.parametrize("grid_name", BLOCKED_GRIDS)
+def test_point_transforms_in_blocks_are_bit_identical_to_the_whole_grid(
+    params, helical_solution, monkeypatch, grid_name, kind, move
+):
+    counts, slabs = BLOCKED_GRIDS[grid_name]
+    src = _blocked_source(kind, counts, params, helical_solution)
+    slabs = _set_block(monkeypatch, counts, slabs)
+    transform, finite_form = _blocked_move(move, small=kind == "flux_to_cgl")
+    want = _whole_grid_affine(src, *finite_form)
+    calls = []
+    out = transform(src if src.evaluators is None else _counting(src, calls))
+    got = (out.B.values, out.p_perp.values, out.p_par.values, out.tau.values, out.psi.values)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, np.broadcast_to(w, g.shape))
+    if src.evaluators is not None:
+        # one evaluator call per block of at most ``slabs`` whole x-slabs
+        nx, ny, nz = counts
+        assert calls == [(min(slabs, nx - i), ny, nz) for i in range(0, nx, slabs)]
+
+
+@pytest.mark.parametrize("profile", ["balanced", "unscaled"])
+@pytest.mark.parametrize("grid_name", BLOCKED_GRIDS)
+def test_vortex_sampled_in_blocks_is_bit_identical_to_the_whole_grid(params, monkeypatch, grid_name, profile):
+    counts, slabs = BLOCKED_GRIDS[grid_name]
+    _set_block(monkeypatch, counts, slabs)
+    grid = Grid3((-1.2, -1.2, -1.2), tuple(2.4 / (n - 1) for n in counts), counts)
+    state = vortex_state(params, grid, pressure_profile=profile)
+    b, p = equilibria._vortex_fields(params, profile)(*grid.meshgrid())
+    p_max = float(np.max(np.abs(p)))
+    assert state.meta["psi_normalization"] == p_max
+    for got, want in ((state.B, b), (state.p_perp, p), (state.p_par, p), (state.psi, p / p_max)):
+        assert np.array_equal(got.values, want)
+
+
+def test_mapped_state_transform_raises_from_the_first_block_out_of_domain(helical_solution, monkeypatch):
+    from plasmeq import flux
+
+    src = flux.flux_to_cgl(helical_solution, 0.1, grid=flux.default_cartesian_box(helical_solution.problem, 9))
+    monkeypatch.setattr(equilibria, "BLOCK_NODES", 3 * 81)
+    # the last x-slab pulls back beyond r1 = 1.6; the first block that
+    # reaches it is the third (slabs 6 to 8), and the extent named is that
+    # block's, not the whole grid's
+    x = src.grid.axes()[0]
+    with pytest.raises(ValueError, match=rf"the points reach r in \[{x[6] + 0.2:.6g}, ") as err:
+        translate_state(src, (-0.2, 0.0, 0.0))
+    assert "outside the solution domain" in str(err.value)
+
+
+@pytest.mark.parametrize("kind", ["analytic", "trilinear"])
+def test_rotation_at_65_holds_little_beyond_its_result(params, kind):
+    src = _blocked_source(kind, (65, 65, 65), params, None)
+    tracemalloc.start()
+    try:
+        out = rotate_state(src, *EULER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result_bytes = sum(f.values.base.nbytes for f in (out.B, out.p_perp, out.p_par, out.tau, out.psi))
+    assert result_bytes == 7 * 65**3 * 8
+    assert peak < 1.3 * result_bytes
 
 
 # -- stability ------------------------------------------------------------------------

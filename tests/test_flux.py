@@ -4,7 +4,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from plasmeq import flux
+from plasmeq import equilibria, flux
 from plasmeq.equilibria import residual_norms, tau_consistency_error, translate_state
 from plasmeq.fields import Grid3, directional, norm
 from plasmeq.flux import (
@@ -566,24 +566,30 @@ def test_pressure_antiderivative_is_exact_for_quadratic_profiles(dN, N):
     assert np.max(np.abs(n_of(psi) - (N(psi) - N(lo)))) <= 1e-13
 
 
-def test_mapping_evaluates_the_spline_three_times(quartic_solutions, monkeypatch):
+def test_mapping_locates_the_points_once_per_evaluator_call(quartic_solutions, monkeypatch):
     calls = []
     spline = FluxSolution.spline
 
     def counting_spline(sol):
         s = spline(sol)
-        ev = s.ev
+        for name in ("locate", "ev"):
+            method = getattr(s, name)
 
-        def counted_ev(*args, **kwargs):
-            calls.append(kwargs)
-            return ev(*args, **kwargs)
+            def counted(*args, _name=name, _method=method, **kwargs):
+                calls.append(_name)
+                return _method(*args, **kwargs)
 
-        s.ev = counted_ev
+            setattr(s, name, counted)
         return s
 
     monkeypatch.setattr(FluxSolution, "spline", counting_spline)
-    flux_to_cgl(quartic_solutions[33], 0.25, grid=default_cartesian_box(quartic_problem(), 9))
-    assert calls == [{}, {"dx": 1}, {"dy": 1}]
+    state = flux_to_cgl(quartic_solutions[33], 0.25, grid=default_cartesian_box(quartic_problem(), 9))
+    # one lookup serves psi and both first derivatives at the sampled nodes
+    assert calls == ["locate"]
+    # and at each block of a point transform: three blocks of 3 x-slabs
+    monkeypatch.setattr(equilibria, "BLOCK_NODES", 3 * 81)
+    translate_state(state, (0.01, 0.0, 0.0))
+    assert calls == ["locate"] * 4
 
 
 def test_default_box_stays_inside_domain():
