@@ -251,6 +251,11 @@ def cmd_check(args) -> tuple[int, dict]:
         h = max(state.grid.spacing)
         margin = 2.0 * (2.0 * h if can_coarsen else h)
         mask_radius = args.mask_sphere - margin
+        if mask_radius <= 0:
+            raise ValueError(
+                f"--mask-sphere {args.mask_sphere:.6g} must exceed its margin of two "
+                f"{'coarse ' if can_coarsen else ''}stencil widths, {margin:.6g}"
+            )
         params["mask_sphere"] = args.mask_sphere
         params["mask_radius_used"] = mask_radius
 
@@ -370,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mask-sphere",
         type=float,
         default=None,
-        help="restrict norms to a ball of this radius shrunk by two stencil widths",
+        help="restrict norms to a ball of this radius shrunk by two stencil widths (it must exceed them)",
     )
     check.add_argument(
         "--threshold-factor",

@@ -142,6 +142,13 @@ def _sampled_state(grid: Grid3, values, meta: dict, evaluators: StateEvaluators)
 # nodes, seven slabs at 65^3, were 3-6 % faster there but held a peak of
 # 1.36 times a rotation's result against 1.16; 2**13, one slab at 65^3,
 # was slower than both; at 129^3 both larger sizes give one slab.
+# ``residual_norms`` blocks its interior the same way but takes at least
+# three slabs, the fewest a stencil check passes with the halo; that is
+# three at 65^3 and at 129^3.  There one-slab blocks (with the check
+# skipped) were no faster at 129^3 and 50 % slower at 65^3, where a block
+# recomputes its two halo slabs for every interior one; five slabs were
+# within a few percent of three at both sizes, and 8 or more slower at
+# 129^3 (two-grid cgl check, one pinned CPU).
 BLOCK_NODES = 2**14
 
 
@@ -707,6 +714,15 @@ def stability_report(state: CGLState) -> StabilityReport:
 # ---------------------------------------------------------------------------
 
 
+def _require_residual_room(state: CGLState, system: str) -> None:
+    """The checks a residual evaluation makes on the whole state first."""
+    if system not in RESIDUAL_SYSTEMS:
+        raise ValueError(f"unknown system {system!r}; choose from {RESIDUAL_SYSTEMS}")
+    fd._require_stencil_room(state.grid)
+    if system == "alt" and float(np.max(state.tau.values)) >= 1.0:
+        raise ValueError("the recast system needs tau < 1 everywhere on the grid")
+
+
 def residual_fields(state: CGLState, system: str) -> dict[str, ScalarGrid | VectorGrid]:
     """Assemble each governing equation's left-minus-right side on the
     interior grid with central differences.
@@ -714,13 +730,12 @@ def residual_fields(state: CGLState, system: str) -> dict[str, ScalarGrid | Vect
     ``mhd``: curl(B) x B - grad(p_perp); div(B).
     ``cgl``: the anisotropic balance, div(B), and B . grad tau.
     ``alt``: the recast balance for the scaled field sqrt(1-tau) B with the
-    combined pressure p_perp + tau B^2/2, plus its line-constancy.
+    combined pressure p_perp + tau B^2/2, plus its line-constancy; it
+    requires tau < 1 everywhere.
     """
-    if system not in RESIDUAL_SYSTEMS:
-        raise ValueError(f"unknown system {system!r}; choose from {RESIDUAL_SYSTEMS}")
+    _require_residual_room(state, system)
     grid = state.grid
     B = state.B
-    b2 = state.b_squared()
     divb = fd.divergence(B)
 
     if system == "mhd":
@@ -730,6 +745,7 @@ def residual_fields(state: CGLState, system: str) -> dict[str, ScalarGrid | Vect
         return {"momentum": mom, "div_b": divb}
 
     tau = state.tau
+    b2 = state.b_squared()
     if system == "cgl":
         jxb = fd.cross(fd.curl(B), B.interior())
         gp = fd.gradient(state.p_perp)
@@ -744,9 +760,6 @@ def residual_fields(state: CGLState, system: str) -> dict[str, ScalarGrid | Vect
             "tau_advection": line,
         }
 
-    # alternative representation: requires tau < 1 where evaluated
-    if float(np.max(tau.values)) >= 1.0:
-        raise ValueError("the recast system needs tau < 1 everywhere on the grid")
     scaled = VectorGrid(grid, np.sqrt(1.0 - tau.values)[None] * B.values)
     combined = ScalarGrid(grid, state.p_perp.values + 0.5 * tau.values * b2)
     momentum = fd.cross(fd.curl(scaled), scaled.interior())
@@ -760,26 +773,63 @@ def residual_fields(state: CGLState, system: str) -> dict[str, ScalarGrid | Vect
     }
 
 
+def _slabs(state: CGLState, start: int, stop: int) -> CGLState:
+    """The sub-state of x-slabs ``start:stop``: views of the scalar arrays
+    and a copy of B's block (its components are not contiguous)."""
+    g = state.grid
+    grid = Grid3((g.origin[0] + g.spacing[0] * start, *g.origin[1:]), g.spacing, (stop - start, *g.counts[1:]))
+    scalars = (ScalarGrid(grid, f.values[start:stop]) for f in (state.p_perp, state.p_par, state.tau, state.psi))
+    return CGLState(VectorGrid(grid, state.B.values[:, start:stop]), *scalars)
+
+
 def residual_norms(
     state: CGLState, system: str, mask_radius: float | None = None
 ) -> dict[str, dict]:
     """Linf and L2 norms of every residual, optionally restricted to the
-    ball of the given radius (for states smooth only inside a sphere), and
-    ``node``, the (i, j, k) index on the state's grid of the Linf maximum."""
-    residuals = residual_fields(state, system)
-    # every residual lives on the same one-node interior grid
-    mask = fd.sphere_mask(state.grid.interior(), mask_radius) if mask_radius is not None else None
+    ball of the given (positive) radius, for states smooth only inside a
+    sphere, and ``node``, the (i, j, k) index on the state's grid of the
+    Linf maximum.
+
+    The residuals are evaluated by ``residual_fields`` over blocks of whole
+    x-slabs of the interior, each block a sub-state with one halo slab on
+    either side, and each residual's pointwise magnitude is written once
+    into an interior-sized array.  Every stencil is nodewise, so the
+    norms are bit-identical to a whole-grid pass (``fields.norm`` of each
+    of ``residual_fields``); the checks on the system, the grid, tau and
+    the mask are made on the whole state before the first block.
+    """
+    _require_residual_room(state, system)
+    interior = state.grid.interior()
+    mask = None
+    if mask_radius is not None:
+        mask = fd.sphere_mask(interior, mask_radius)
+        if not mask.any():
+            raise ValueError("norm over an empty node set")
+
+    nx, ny, nz = state.grid.counts
+    # at least 3 interior slabs, so that a block passes the stencil check
+    step = min(nx - 2, max(3, BLOCK_NODES // (ny * nz)))
+    pointwise: dict[str, np.ndarray] = {}
+    for start in range(0, nx - 2, step):
+        # a short last block borrows slabs from the one before it
+        start = min(start, nx - 2 - step)
+        for name, res in residual_fields(_slabs(state, start, start + step + 2), system).items():
+            if name not in pointwise:
+                pointwise[name] = np.empty(interior.counts)
+            pointwise[name][start : start + step] = fd.magnitude(res)
+        res = None  # the next block starts with this one's arrays freed
+
     out = {}
-    for name, res in residuals.items():
-        pointwise = fd.magnitude(res)
-        if mask is not None:
-            # magnitudes are >= 0, so -1 keeps the maximum on the masked nodes
-            pointwise = np.where(mask, pointwise, -1.0)
+    for name, values in pointwise.items():
+        # the same reductions as ``fields.norm``; magnitudes are >= 0, so
+        # -1 keeps the maximum on the masked nodes for the node's index
+        selected = values if mask is None else values[mask]
+        located = values if mask is None else np.where(mask, values, -1.0)
         # interior index + 1 is the index on the state's grid
-        node = np.unravel_index(int(np.argmax(pointwise)), pointwise.shape)
+        node = np.unravel_index(int(np.argmax(located)), located.shape)
         out[name] = {
-            "linf": fd.norm(res, "linf", mask),
-            "l2": fd.norm(res, "l2", mask),
+            "linf": float(np.max(selected)),
+            "l2": float(np.sqrt(np.mean(selected**2))),
             "node": tuple(int(i) + 1 for i in node),
         }
     return out

@@ -262,6 +262,9 @@ def norm(field: ScalarGrid | VectorGrid, kind: str = "linf", mask: np.ndarray | 
 
 
 def sphere_mask(grid: Grid3, radius: float) -> np.ndarray:
+    """The nodes within ``radius`` of the origin; the radius must be positive."""
+    if not radius > 0:
+        raise ValueError(f"sphere radius must be positive, got {radius:.6g}")
     x, y, z = grid.axes()
     return (x * x)[:, None, None] + (y * y)[None, :, None] + (z * z)[None, None, :] <= radius * radius
 

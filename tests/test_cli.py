@@ -825,3 +825,52 @@ def test_check_stability_counts_nonpositive_pressure(tmp_path):
     worst = stability["worst_pressure"]
     assert sorted(worst) == ["node", "p_par", "p_perp", "xyz"]
     assert min(worst["p_perp"], worst["p_par"]) < 0
+
+
+@pytest.mark.parametrize("radius", ["0.05", "0", "-1"])
+def test_check_refuses_a_mask_within_its_margin(tmp_path, radius):
+    # on 17^3 over [-1.2, 1.2] two coarse stencil widths are 4 h = 0.6
+    state = _state(tmp_path, grid=17)
+    code, out = run(tmp_path, "c", "check", "--state", state, "--system", "mhd", "--mask-sphere", radius)
+    assert code == 2
+    report = read_report(out)
+    assert report["pass"] is False
+    assert report["error"] == (
+        f"--mask-sphere {float(radius):.6g} must exceed its margin of two coarse stencil widths, 0.6"
+    )
+
+
+def _uniform_state_csv(tmp_path, counts, tau=0.0):
+    """A uniform state (B = e_z, p_perp = 1, p_par = 1 + tau) on ``counts``
+    nodes of spacing 0.1, centred on the origin."""
+    axes = [0.1 * (np.arange(n) - (n - 1) / 2) for n in counts]
+    zero = np.zeros(counts)
+    columns = {"B1": zero, "B2": zero, "B3": zero + 1.0, "p_perp": zero + 1.0, "p_par": zero + 1.0 + tau,
+               "tau": zero + tau, "psi": zero}
+    path = tmp_path / "uniform.csv"
+    fields.write_csv(path, dict(zip("xyz", axes)), columns)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "counts, tau, argv, message",
+    [
+        ((9, 9, 9), 1.5, ["--system", "alt"], "the recast system needs tau < 1 everywhere on the grid"),
+        ((9, 4, 9), 0.0, ["--system", "mhd"], "stencil requires at least 5 nodes along every axis"),
+        # 2 h = 0.2 leaves a radius of 0.01, within which a 10^3 grid has no node
+        ((10, 10, 10), 0.0, ["--system", "mhd", "--mask-sphere", "0.21"], "norm over an empty node set"),
+    ],
+    ids=["alt with tau >= 1", "4-node axis", "empty mask"],
+)
+def test_check_residual_errors_exit_two(tmp_path, counts, tau, argv, message):
+    path = _uniform_state_csv(tmp_path, counts, tau)
+    code, out = run(tmp_path, "c", "check", "--state", path, "--threshold", "1", *argv)
+    assert code == 2
+    assert read_report(out)["error"] == message
+
+
+def test_check_rejects_an_unknown_system(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), "check", "--state", "s.csv", "--system", "qqq"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'qqq'" in capsys.readouterr().err

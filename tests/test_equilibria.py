@@ -1091,6 +1091,137 @@ def test_residual_norms_match_fields_norm(vortex17, mask_r):
         assert fd.magnitude(res)[i, j, k] == norms[name]["linf"]
 
 
+def _whole_grid_norms(state, system, mask_radius):
+    """The norms of one whole-grid pass: ``fields.norm`` of each of
+    ``residual_fields``, located by the masked ``argmax``."""
+    mask = None if mask_radius is None else fd.sphere_mask(state.grid.interior(), mask_radius)
+    out = {}
+    for name, res in residual_fields(state, system).items():
+        pointwise = fd.magnitude(res)
+        located = pointwise if mask is None else np.where(mask, pointwise, -1.0)
+        node = np.unravel_index(int(np.argmax(located)), located.shape)
+        out[name] = {
+            "linf": fd.norm(res, "linf", mask),
+            "l2": fd.norm(res, "l2", mask),
+            "node": tuple(int(i) + 1 for i in node),
+        }
+    return out
+
+
+# grid counts and interior x-slabs per block (None: the default block); a
+# patched block leaves a short last block, which borrows slabs before it
+RESIDUAL_GRIDS = {
+    "5^3": ((5, 5, 5), None),
+    "9^3 by 3": ((9, 9, 9), 3),
+    "17x9x33 by 4": ((17, 9, 33), 4),
+    "65^3 by 5": ((65, 65, 65), 5),
+}
+
+
+@pytest.fixture(scope="module")
+def residual_source(params, helical_solution):
+    cache = {}
+
+    def source(kind, counts):
+        if (kind, counts) not in cache:
+            if kind == "vortex":
+                grid = Grid3((-1.2, -1.2, -1.2), tuple(2.4 / (n - 1) for n in counts), counts)
+                cache[kind, counts] = vortex_state(params, grid)
+            else:
+                base = "analytic" if kind == "transformed vortex" else kind
+                cache[kind, counts] = _blocked_source(base, counts, params, helical_solution)
+        return cache[kind, counts]
+
+    return source
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["whole interior", "masked"])
+@pytest.mark.parametrize("system", ["mhd", "cgl", "alt"])
+@pytest.mark.parametrize("kind", ["vortex", "transformed vortex", "flux_to_cgl"])
+@pytest.mark.parametrize("grid_name", RESIDUAL_GRIDS)
+def test_residual_norms_in_blocks_are_bit_identical_to_the_whole_grid(
+    residual_source, monkeypatch, grid_name, kind, system, masked
+):
+    counts, slabs = RESIDUAL_GRIDS[grid_name]
+    state = residual_source(kind, counts)
+    assert float(np.max(state.tau.values)) < 1.0
+    mask_radius = None
+    if masked:
+        # about half of the interior nodes, wherever the box lies
+        X, Y, Z = state.grid.interior().meshgrid()
+        mask_radius = float(np.median(np.sqrt(X * X + Y * Y + Z * Z)))
+    want = _whole_grid_norms(state, system, mask_radius)
+    nx, ny, nz = counts
+    if slabs is not None:
+        monkeypatch.setattr(equilibria, "BLOCK_NODES", slabs * ny * nz + ny)
+    step = min(nx - 2, max(3, equilibria.BLOCK_NODES // (ny * nz)))
+    blocks = []
+
+    def recording(sub, name):
+        blocks.append(sub.grid.counts)
+        return residual_fields(sub, name)
+
+    monkeypatch.setattr(equilibria, "residual_fields", recording)
+    assert residual_norms(state, system, mask_radius=mask_radius) == want
+    # every block, the short last one too, is ``step`` interior slabs plus a halo
+    assert blocks == [(step + 2, ny, nz)] * -(-(nx - 2) // step)
+    if slabs is not None:
+        assert (nx - 2) % slabs != 0
+
+
+def test_residual_norms_at_65_hold_few_node_arrays(residual_source):
+    state = residual_source("transformed vortex", (65, 65, 65))
+    tracemalloc.start()
+    try:
+        residual_norms(state, "cgl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a whole-grid pass peaks at about 20 node arrays; the blocked one
+    # keeps one interior array per residual and a few block temporaries
+    assert peak < 7 * 65**3 * 8
+
+
+def _tau_spike_state():
+    """A uniform 9^3 state with tau = 1.5 at one node of the last x-slabs."""
+    state = uniform_state(n=9)
+    tau = np.zeros(state.grid.counts)
+    tau[7, 4, 4] = 1.5
+    return CGLState(state.B, state.p_perp, state.p_par, ScalarGrid(state.grid, tau), state.psi)
+
+
+def _thin_state():
+    g = Grid3((0.0, 0.0, 0.0), (0.1, 0.1, 0.1), (9, 4, 9))
+    b = np.zeros((3, *g.counts))
+    b[2] = 1.0
+    one = ScalarGrid(g, np.ones(g.counts))
+    return CGLState(VectorGrid(g, b), one, one, one, one)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        (lambda: (_tau_spike_state(), "alt", None), "the recast system needs tau < 1 everywhere on the grid"),
+        (lambda: (_thin_state(), "mhd", None), "stencil requires at least 5 nodes along every axis"),
+        (lambda: (uniform_state(n=9), "qqq", None), "unknown system 'qqq'; choose from ('mhd', 'cgl', 'alt')"),
+        # a 10^3 grid has no node within 0.01 of the origin
+        (lambda: (uniform_state(n=10), "mhd", 0.01), "norm over an empty node set"),
+        (lambda: (uniform_state(n=9), "mhd", 0.0), "sphere radius must be positive, got 0"),
+        (lambda: (uniform_state(n=9), "mhd", -0.5), "sphere radius must be positive, got -0.5"),
+    ],
+    ids=["alt with tau >= 1", "4-node axis", "unknown system", "empty mask", "zero radius", "negative radius"],
+)
+def test_residual_norms_check_the_whole_state_before_the_first_block(monkeypatch, case, message):
+    state, system, mask_radius = case()
+    monkeypatch.setattr(equilibria, "BLOCK_NODES", 3 * 81)
+    blocks = []
+    monkeypatch.setattr(equilibria, "residual_fields", lambda sub, name: blocks.append(sub) or {})
+    with pytest.raises(ValueError) as err:
+        residual_norms(state, system, mask_radius=mask_radius)
+    assert str(err.value) == message
+    assert blocks == []
+
+
 # -- state IO --------------------------------------------------------------------------
 
 

@@ -143,6 +143,13 @@ def test_norm_with_mask():
         norm(f, "linf", mask=np.zeros(g.counts, dtype=bool))
 
 
+@pytest.mark.parametrize("radius", [0.0, -0.5])
+def test_sphere_mask_refuses_a_radius_that_is_not_positive(radius):
+    # squaring a negative radius would select the ball of radius |radius|
+    with pytest.raises(ValueError, match="sphere radius must be positive"):
+        sphere_mask(cube(9), radius)
+
+
 def test_cross_and_dot():
     g = cube(5)
     a = sample_vector(lambda X, Y, Z: np.stack([np.ones_like(X), np.zeros_like(X), np.zeros_like(X)]), g)
