@@ -34,6 +34,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_VERIFICATION = 3
 
+# ``check``'s two-grid probe passes a fine Linf up to this times coarse Linf / 4
+THRESHOLD_FACTOR = 10.0
+
 
 def _write_report(out_dir: Path, report: dict) -> None:
     with open(out_dir / "report.json", "w") as fh:
@@ -246,7 +249,7 @@ def cmd_check(args) -> tuple[int, dict]:
         )
 
     mask_radius = None
-    params: dict = {"system": args.system, "threshold_factor": args.threshold_factor}
+    params: dict = {"system": args.system, "threshold_factor": THRESHOLD_FACTOR}
     if args.mask_sphere is not None:
         h = max(state.grid.spacing)
         margin = 2.0 * (2.0 * h if can_coarsen else h)
@@ -255,6 +258,12 @@ def cmd_check(args) -> tuple[int, dict]:
             raise ValueError(
                 f"--mask-sphere {args.mask_sphere:.6g} must exceed its margin of two "
                 f"{'coarse ' if can_coarsen else ''}stencil widths, {margin:.6g}"
+            )
+        if args.threshold is None and mask_radius < 2.0 * h:
+            # a smaller ball holds a few nodes of the coarse grid, or only its centre
+            raise ValueError(
+                f"--mask-sphere {args.mask_sphere:.6g} leaves a radius of {mask_radius:.6g} after its margin, "
+                f"below one coarse spacing, {2.0 * h:.6g}, for the two-grid probe"
             )
         params["mask_sphere"] = args.mask_sphere
         params["mask_radius_used"] = mask_radius
@@ -293,9 +302,9 @@ def cmd_check(args) -> tuple[int, dict]:
             at_floor = max(fine_linf, coarse_linf) <= floor
             ratios[name] = None if at_floor or fine_linf == 0 else float(coarse_linf / fine_linf)
             # pass when the fine-grid residual sits below the second-order
-            # expectation (coarse/4) widened by the threshold factor, or
+            # expectation (coarse/4) widened by ``THRESHOLD_FACTOR``, or
             # below the noise floor
-            if fine_linf > max(args.threshold_factor * coarse_linf / 4.0, floor):
+            if fine_linf > max(THRESHOLD_FACTOR * coarse_linf / 4.0, floor):
                 ok = False
         report["convergence_ratios"] = ratios
 
@@ -376,12 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="restrict norms to a ball of this radius shrunk by two stencil widths (it must exceed them)",
-    )
-    check.add_argument(
-        "--threshold-factor",
-        type=float,
-        default=10.0,
-        help="pass when fine Linf < factor * (coarse Linf / 4) from the two-grid probe",
     )
     check.add_argument(
         "--threshold",

@@ -124,66 +124,110 @@ def _state(grid: Grid3, values, meta: dict, evaluators: StateEvaluators | None =
     return CGLState(VectorGrid(grid, np.broadcast_to(b, (3, *grid.counts))), pperp, ppar, tau, psi, meta, evaluators)
 
 
-def _sampled_state(grid: Grid3, values, meta: dict, evaluators: StateEvaluators) -> CGLState:
-    """``_state`` with the non-finite check of ``fields.sample_*``."""
-    state = _state(grid, values, meta, evaluators)
-    fd._check_finite(state.B.values, grid, "sampled vector field")
+def _require_finite(state: CGLState) -> CGLState:
+    """``state``, after the non-finite check of ``fields.sample_*``."""
+    fd._check_finite(state.B.values, state.grid, "sampled vector field")
     for f in (state.p_perp, state.p_par, state.tau, state.psi):
-        fd._check_finite(f.values, grid, "sampled scalar field")
+        fd._check_finite(f.values, state.grid, "sampled scalar field")
     return state
 
 
-# Nodes per block of ``_evaluate_in_blocks``, which takes as many whole
-# x-slabs as fit, and at least one.  A point transform holds about twenty
-# block-sized float temporaries at once; at 2**14 nodes (128 KiB each) they
-# fit in a 2 MiB L2 cache, where a whole-grid pass streams each of them
-# through memory.  That is one slab at 129^2 nodes per slab and three at
-# 65^2.  Measured on one pinned CPU (Xeon, 2 MiB L2), blocks of 2**15
-# nodes, seven slabs at 65^3, were 3-6 % faster there but held a peak of
-# 1.36 times a rotation's result against 1.16; 2**13, one slab at 65^3,
-# was slower than both; at 129^3 both larger sizes give one slab.
-# ``residual_norms`` blocks its interior the same way but takes at least
-# three slabs, the fewest a stencil check passes with the halo; that is
-# three at 65^3 and at 129^3.  There one-slab blocks (with the check
-# skipped) were no faster at 129^3 and 50 % slower at 65^3, where a block
-# recomputes its two halo slabs for every interior one; five slabs were
-# within a few percent of three at both sizes, and 8 or more slower at
-# 129^3 (two-grid cgl check, one pinned CPU).
+# Nodes per block of ``_evaluate_in_blocks`` (whole x-slabs, at least one).
+# A point transform holds about twenty block-sized float temporaries; at
+# 2**14 nodes (128 KiB each) they fit a 2 MiB L2 cache, where a whole-grid
+# pass streams each through memory: one slab at 129^3, three at 65^3.  On
+# one pinned CPU (Xeon, 2 MiB L2), 2**15 (seven slabs at 65^3) was 3-6 %
+# faster there but peaked at 1.36 times a rotation's result against 1.16;
+# 2**13 was slower than both; at 129^3 both larger sizes give one slab.
+# ``residual_norms`` blocks its interior the same way with at least three
+# slabs, the fewest a stencil check passes with the halo.  One-slab blocks
+# (check skipped) were no faster at 129^3 and 50 % slower at 65^3, where a
+# block recomputes two halo slabs per interior one; five slabs were within
+# a few percent of three, and 8 or more slower at 129^3 (two-grid cgl
+# check, one pinned CPU).
 BLOCK_NODES = 2**14
 
 
-def _evaluate_in_blocks(grid: Grid3, fn: Callable) -> tuple[np.ndarray, ...]:
-    """Evaluate ``fn(x, y, z)``, a pointwise function of the open mesh
-    (``np.ix_``) of ``grid``'s axes, over blocks of whole x-slabs of at
-    most ``BLOCK_NODES`` nodes (or one slab), and write each block into
-    node arrays.
+def _evaluate_in_blocks(grid: Grid3, fn: Callable) -> tuple[np.ndarray | None, ...]:
+    """Evaluate ``fn(block, x, y, z)``, a nodewise function of the x-slabs
+    ``block`` (a slice) and their open mesh (``np.ix_``), over blocks of at
+    most ``BLOCK_NODES`` nodes (or one slab) into node arrays.
 
-    ``fn`` returns a tuple of values that broadcast to ``(..., bx, ny, nz)``
-    for a block of ``bx`` slabs, with any leading axes (the 3 components of
-    B) ahead of the node axes; the first block fixes those shapes.  The
-    result is bit-identical to one call of ``fn`` on the whole mesh, since
-    every value is computed node by node.  An error raised by ``fn`` comes
-    from the first block that raises it.
+    ``fn`` returns values that broadcast to ``(..., bx, ny, nz)`` for ``bx``
+    slabs (B's components lead), or None for an output left None; the first
+    block fixes the shapes.  The result is bit-identical to one call on the
+    whole mesh, and an error comes from the first block that raises it.
     """
     nx, ny, nz = grid.counts
     step = max(1, BLOCK_NODES // (ny * nz))
     x, y, z = np.ix_(*grid.axes())
-    outputs: list[np.ndarray] = []
+    outputs: list[np.ndarray | None] = []
     for start in range(0, nx, step):
         block = slice(start, start + step)
-        values = fn(x[block], y, z)
+        values = fn(block, x[block], y, z)
         if not outputs:
-            outputs = [np.empty((*np.shape(v)[:-3], nx, ny, nz)) for v in values]
+            outputs = [None if v is None else np.empty((*np.shape(v)[:-3], nx, ny, nz)) for v in values]
         for out, v in zip(outputs, values):
-            out[..., block, :, :] = v
+            if out is not None:
+                out[..., block, :, :] = v
         values = v = None  # the next block starts with this one's arrays freed
     return tuple(outputs)
 
 
+def _kept(old, new) -> tuple:
+    """The fields ``new``, with the one of ``old`` wherever ``new`` holds None."""
+    return tuple(o if n is None else n for o, n in zip(old, new))
+
+def _map_state(state: CGLState, label: str, fn: Callable, pullback: Callable | None = None) -> CGLState:
+    """``state`` mapped in x-slab blocks by ``fn``, a nodewise map of
+    (B, p_perp, p_par, tau, psi) that returns None for each field it keeps.
+
+    Without ``pullback``, ``fn`` runs on the node arrays, kept fields stay
+    shared, and ``fn`` after the source's evaluator is the result's.  With
+    one, each node takes the fields at ``pullback(x, y, z)`` from the
+    source's evaluator, else by trilinear interpolation (flagged lossy;
+    p_par, which no such map reads, is None); the result has no evaluator.
+    """
+    grid, source = state.grid, state.evaluators
+    fields = (state.B.values, state.p_perp.values, state.p_par.values, state.tau.values, state.psi.values)
+    meta = dict(state.meta)
+    evaluators = None
+    if pullback is None:
+
+        def at_nodes(block, *_xyz):
+            return fn(*(v[..., block, :, :] for v in fields))
+
+        if source is not None:
+
+            def evaluate(X, Y, Z):
+                values = source.evaluate(X, Y, Z)
+                return _kept(values, fn(*values))
+
+            evaluators = StateEvaluators(evaluate)
+    elif source is not None:
+
+        def at_nodes(_block, *xyz):
+            return fn(*source.evaluate(*pullback(*xyz)))
+
+    else:
+        meta["resampling"] = "trilinear (lossy)"
+
+        def at_nodes(_block, *xyz):
+            interp = _trilinear(grid, *pullback(*xyz))
+            b, pperp, _ppar, tau, psi = fields
+            return fn(np.stack([interp(c) for c in b]), interp(pperp), None, interp(tau), interp(psi))
+
+    meta["transforms"] = [*state.meta.get("transforms", []), label]
+    return _state(grid, _kept(fields, _evaluate_in_blocks(grid, at_nodes)), meta, evaluators)
+
+
 def sample_state(evaluators: StateEvaluators, grid: Grid3, meta: dict) -> CGLState:
-    """Sample every field of an analytic state with one ``evaluate`` call
-    on the grid's nodes; rejects non-finite values."""
-    return _sampled_state(grid, evaluators.evaluate(*grid.meshgrid()), meta, evaluators)
+    """Sample every field of an analytic state on the grid's nodes, one
+    ``evaluate`` call per x-slab block (``_evaluate_in_blocks``); rejects
+    non-finite values.  An evaluator that refuses points raises for the
+    first block that holds one."""
+    values = _evaluate_in_blocks(grid, lambda _block, *xyz: evaluators.evaluate(*np.broadcast_arrays(*xyz)))
+    return _require_finite(_state(grid, values, meta, evaluators))
 
 
 def tau_consistency_error(state: CGLState) -> float:
@@ -352,7 +396,7 @@ def vortex_state(params: VortexParams, grid: Grid3, pressure_profile: str = "bal
     would serve equally, since the pressure is constant on field lines.
     """
     b_and_p = _vortex_fields(params, pressure_profile)
-    b, p = _evaluate_in_blocks(grid, b_and_p)
+    b, p = _evaluate_in_blocks(grid, lambda _block, *xyz: b_and_p(*xyz))
     p_max = float(np.max(np.abs(p)))
     if p_max == 0.0:
         raise ValueError("degenerate state: pressure vanishes on the whole grid")
@@ -374,7 +418,7 @@ def vortex_state(params: VortexParams, grid: Grid3, pressure_profile: str = "bal
         "pressure_profile": pressure_profile,
         "psi_normalization": p_max,
     }
-    return _sampled_state(grid, with_label(b, p), meta, StateEvaluators(evaluate))
+    return _require_finite(_state(grid, with_label(b, p), meta, StateEvaluators(evaluate)))
 
 
 # ---------------------------------------------------------------------------
@@ -405,29 +449,6 @@ class TransformSpec:
         return np.broadcast_to(values, np.shape(psi_values)).copy()
 
 
-def _field_line_map(b, pperp, ppar, tau, b2, plasma, m):
-    """The nodewise map B -> M B of ``apply_infinite_transform``, shared by
-    the sampled arrays and the evaluator.  ``m`` holds M on the ``plasma``
-    nodes only, in their order; returns updated copies of (B, p_perp,
-    p_par, tau), with every other node passed through."""
-    b, pperp, ppar, tau = (np.array(v, dtype=float) for v in (b, pperp, ppar, tau))
-    # nodes where M is exactly one stay bit-identical (the identity element)
-    moved = m != 1.0
-    active = np.array(plasma)
-    active[plasma] = moved
-    m = m[moved]
-    m2 = m**2
-    b2_old = np.asarray(b2)[active]
-    b2_new = m2 * b2_old
-    tau_new = 1.0 - (1.0 - tau[active]) / m2
-    pperp_new = pperp[active] + 0.5 * (b2_old - b2_new)
-    b[:, active] = m * b[:, active]
-    pperp[active] = pperp_new
-    ppar[active] = pperp_new + tau_new * b2_new
-    tau[active] = tau_new
-    return b, pperp, ppar, tau
-
-
 def require_defined(name: str, values: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """``values``, a profile ``name`` on the label values ``psi``; a
     ValueError, naming it and the first such label, where it is undefined
@@ -444,48 +465,48 @@ def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
     """Rescale B by M(psi) along field lines, adjusting the anisotropy and
     the perpendicular pressure so the anisotropic balance is preserved.
 
-    Nodes outside the plasma (B below the field-null threshold) pass
-    through unchanged.  The combination p_perp + tau*B^2/2 is a nodewise
-    algebraic invariant of this map.
+    M is evaluated on the plasma only; other nodes (B below the sampled
+    state's field-null threshold) pass through unchanged.  The combination
+    p_perp + tau*B^2/2 is a nodewise algebraic invariant of this map.
+    |M| < ``spec.m_min`` is refused after the blocked pass, naming its minimum.
     """
-    b2 = state.b_squared()
-    eps_b = _field_null_threshold(b2)
-    inside = b2 > eps_b
-    labels = state.psi.values[inside]
-    attained = require_defined(f"M = {spec.text}", spec(labels), labels)
-    if attained.size and float(np.min(np.abs(attained))) < spec.m_min:
+    eps_b = _field_null_threshold(state.b_squared())
+    name = f"M = {spec.text}"
+    m_low, tau_high = math.inf, False
+
+    def field_line(b, pperp, ppar, tau, psi):
+        nonlocal m_low, tau_high
+        b, pperp, ppar, tau = (np.array(v, dtype=float) for v in (b, pperp, ppar, tau))
+        b2 = np.einsum("c...,c...->...", b, b)
+        plasma = b2 > eps_b
+        labels = np.asarray(psi)[plasma]
+        m = require_defined(name, spec(labels), labels)
+        m_low = min(m_low, float(np.min(np.abs(m), initial=math.inf)))
+        tau_high = tau_high or bool(np.any(tau[plasma] >= 1.0))
+        # nodes where M is exactly one stay bit-identical (the identity element)
+        moved = m != 1.0
+        active = np.array(plasma)
+        active[plasma] = moved
+        m = m[moved]
+        m2 = m**2
+        b2_old = b2[active]
+        b2_new = m2 * b2_old
+        tau_new = 1.0 - (1.0 - tau[active]) / m2
+        pperp_new = pperp[active] + 0.5 * (b2_old - b2_new)
+        b[:, active] = m * b[:, active]
+        pperp[active] = pperp_new
+        ppar[active] = pperp_new + tau_new * b2_new
+        tau[active] = tau_new
+        return b, pperp, ppar, tau, None
+
+    out = _map_state(state, name, field_line)
+    if m_low < spec.m_min:
         raise ValueError(
-            f"|M| falls to {float(np.min(np.abs(attained))):.3e} on the attained label range; "
-            f"the transform requires |M| >= {spec.m_min}"
+            f"|M| falls to {m_low:.3e} on the attained label range; the transform requires |M| >= {spec.m_min}"
         )
-    if np.any(state.tau.values[inside] >= 1.0):
-        note = "input state has tau >= 1 somewhere"
-    else:
-        note = None
-
-    sampled = (state.B.values, state.p_perp.values, state.p_par.values, state.tau.values)
-    b_new, pperp_new, ppar_new, tau_new = _field_line_map(*sampled, b2, inside, attained)
-
-    meta = dict(state.meta)
-    meta.setdefault("transforms", [])
-    meta["transforms"] = [*meta["transforms"], f"M = {spec.text}"]
-    if note:
-        meta["warnings"] = [*meta.get("warnings", []), note]
-
-    evaluators = None
-    if state.evaluators is not None:
-        source = state.evaluators.evaluate
-
-        def evaluate(X, Y, Z):
-            b, pperp, ppar, tau, psi = (np.asarray(v, dtype=float) for v in source(X, Y, Z))
-            b2l = np.einsum("c...,c...->...", b, b)
-            plasma = b2l > eps_b
-            m = require_defined(f"M = {spec.text}", spec(psi[plasma]), psi[plasma])
-            return (*_field_line_map(b, pperp, ppar, tau, b2l, plasma, m), psi)
-
-        evaluators = StateEvaluators(evaluate)
-
-    return _state(state.grid, (b_new, pperp_new, ppar_new, tau_new, state.psi.values), meta, evaluators)
+    if tau_high:
+        out.meta["warnings"] = [*out.meta.get("warnings", []), "input state has tau >= 1 somewhere"]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -547,40 +568,22 @@ def _euler_zxz(phi: float, theta: float, psi_angle: float) -> np.ndarray:
 def _affine_state(state: CGLState, label: str, rot: np.ndarray, t: float, K, s: float, pf: float, shift: float) -> CGLState:
     """The finite form shared by every translation, rotation and scaling:
     x' = t rot x + K, B' = s rot B, p_perp' = pf p_perp + shift, with tau
-    and psi carried along and p_par' = p_perp' + tau |B'|^2.
-
-    Each node of the state's own grid is pulled back to rot^T (x' - K)/t
-    (rot is orthogonal) and the fields are taken there from the analytic
-    evaluator when there is one, otherwise by trilinear interpolation
-    (flagged lossy).  The whole map runs in x-slab blocks
-    (``_evaluate_in_blocks``), bit-identical to a whole-grid pass, so an
-    evaluator that refuses points (a mapped state's, outside its domain)
-    raises for the first block that holds one.  The result carries no
-    evaluator.
+    and psi carried along and p_par' = p_perp' + tau |B'|^2, each node
+    pulled back to rot^T (x' - K)/t (rot is orthogonal) by ``_map_state``.
     """
-    grid = state.grid
-    meta = dict(state.meta)
-    if state.evaluators is None:
-        meta["resampling"] = "trilinear (lossy)"
-    sampled = (*state.B.values, state.p_perp.values, state.tau.values, state.psi.values)
 
-    def affine(x, y, z):
-        # the pullback on the open mesh of axes; only the last sum is full-size
+    def pullback(x, y, z):
+        # on the open mesh of a block's axes; only the last sum is full-size
         x, y, z = ((a - k) / t for a, k in zip((x, y, z), K))
-        Xs, Ys, Zs = (rot[0, r] * x + rot[1, r] * y + rot[2, r] * z for r in range(3))
-        if state.evaluators is not None:
-            b, pperp, _ppar, tau, psi = state.evaluators.evaluate(Xs, Ys, Zs)
-        else:
-            interp = _trilinear(grid, Xs, Ys, Zs)
-            *b, pperp, tau, psi = (interp(v) for v in sampled)
-            b = np.stack(b)
+        return (rot[0, r] * x + rot[1, r] * y + rot[2, r] * z for r in range(3))
+
+    def affine(b, pperp, _ppar, tau, psi):
         b = np.einsum("rc,c...->r...", s * rot, b)
         pperp = pf * np.asarray(pperp, dtype=float) + shift
         b2 = np.einsum("cijk,cijk->ijk", b, b)
         return b, pperp, pperp + tau * b2, tau, psi
 
-    meta["transforms"] = [*state.meta.get("transforms", []), label]
-    return _state(grid, _evaluate_in_blocks(grid, affine), meta)
+    return _map_state(state, label, affine, pullback)
 
 
 def translate_state(state: CGLState, K: tuple[float, float, float] = (0.0, 0.0, 0.0), k4: float = 0.0) -> CGLState:
@@ -615,12 +618,14 @@ def anisotropy_scale_state(state: CGLState, C: float) -> CGLState:
     """Rescale (p_perp + B^2/2) and (1 - tau) by C > 0, holding B and x."""
     if C <= 0:
         raise ValueError("the rescaling constant must be positive to preserve tau < 1")
-    b2 = state.b_squared()
-    pperp = C * (state.p_perp.values + 0.5 * b2) - 0.5 * b2
-    tau = 1.0 - C * (1.0 - state.tau.values)
-    meta = dict(state.meta)
-    meta["transforms"] = [*state.meta.get("transforms", []), f"anisotropy_scale C={C}"]
-    return _state(state.grid, (state.B.values, pperp, pperp + tau * b2, tau, state.psi.values), meta)
+
+    def rescaled(b, pperp, _ppar, tau, _psi):
+        b2 = np.einsum("c...,c...->...", b, b)
+        pperp = C * (pperp + 0.5 * b2) - 0.5 * b2
+        tau = 1.0 - C * (1.0 - tau)
+        return None, pperp, pperp + tau * b2, tau, None
+
+    return _map_state(state, f"anisotropy_scale C={C}", rescaled)
 
 
 # ---------------------------------------------------------------------------

@@ -570,10 +570,9 @@ def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
     stored label is psi normalized by its largest magnitude on the 2D
     solution.  The state's evaluator refuses points outside the solution
     domain [r0, r1] x [zu0, zu1] with a ValueError naming the extent of the
-    points it was given.  For the nodes of ``grid``, sampled in one call,
-    that is the extent of all of them.  A later point transform evaluates
-    in x-slab blocks and raises from the first block that leaves the
-    domain, naming that block's extent.
+    points it was given.  ``grid`` is sampled in x-slab blocks
+    (``equilibria.sample_state``), as a later point transform is, so the
+    extent named is that of the first block that leaves the domain.
     """
     problem = sol.problem
     tau_fn, tau_text = _as_profile(tau, ("psi",))

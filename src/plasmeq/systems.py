@@ -18,8 +18,6 @@ from .lie import CandidateGenerator, PdeSystem
 __all__ = [
     "RESIDUAL_SYSTEMS",
     "load_system",
-    "mhd_system",
-    "cgl_system",
     "translations",
     "rotations",
     "space_scaling",
@@ -49,14 +47,6 @@ def load_system(name: str) -> PdeSystem:
         return PdeSystem.from_text(_data_text(files[name]))
     except KeyError:
         raise ValueError(f"unknown bundled system {name!r}; choose from {sorted(files)}") from None
-
-
-def mhd_system() -> PdeSystem:
-    return load_system("mhd")
-
-
-def cgl_system(closed: bool = True) -> PdeSystem:
-    return load_system("cgl_closed" if closed else "cgl")
 
 
 def _pressure_name(ctx: Context) -> str:

@@ -29,10 +29,8 @@ from plasmeq.flux import FluxProblem, default_cartesian_box, flux_to_cgl, solve_
 from plasmeq.lie import CandidateGenerator, build_determining_system, verify_generator
 from plasmeq.systems import (
     classical_generators,
-    cgl_system,
     line_function_generator,
     load_system,
-    mhd_system,
     pressure_anisotropy_scaling,
 )
 
@@ -99,15 +97,15 @@ def test_criterion_2_generator_verification():
         if bad:
             failures.append(f"{label}: {bad} nonzero residuals")
 
-    mhd = mhd_system()
+    mhd = load_system("mhd")
     for gen in classical_generators(mhd):
         expect_all_zero(mhd, gen, f"mhd/{gen.label}")
 
-    cgl_open = cgl_system(closed=False)
+    cgl_open = load_system("cgl")
     for gen in classical_generators(cgl_open) + [pressure_anisotropy_scaling(cgl_open)]:
         expect_all_zero(cgl_open, gen, f"cgl/{gen.label}")
 
-    cgl_closed = cgl_system(closed=True)
+    cgl_closed = load_system("cgl_closed")
     for mult in ("1", "tau"):
         expect_all_zero(cgl_closed, line_function_generator(cgl_closed, mult), f"cgl_closed/F={mult}")
 

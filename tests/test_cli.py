@@ -840,6 +840,29 @@ def test_check_refuses_a_mask_within_its_margin(tmp_path, radius):
     )
 
 
+def test_check_refuses_a_probe_mask_below_one_coarse_spacing(tmp_path):
+    # on 17^3 over [-1.2, 1.2] the margin is 0.6 and one coarse spacing 0.3:
+    # 0.61 leaves a radius of 0.01, a ball that holds only the centre node
+    state = _state(tmp_path, grid=17)
+    code, out = run(tmp_path, "c", "check", "--state", state, "--system", "mhd", "--mask-sphere", "0.61")
+    assert code == 2
+    assert read_report(out)["error"] == (
+        "--mask-sphere 0.61 leaves a radius of 0.01 after its margin, below one coarse spacing, 0.3, "
+        "for the two-grid probe"
+    )
+    # a radius just above the limit is probed, with a ratio for every residual
+    code, out = run(tmp_path, "c2", "check", "--state", state, "--system", "mhd", "--mask-sphere", "0.91")
+    assert code == 0
+    report = read_report(out)
+    assert report["params"]["mask_radius_used"] == pytest.approx(0.31)
+    assert all(ratio is not None for ratio in report["convergence_ratios"].values())
+    # an absolute threshold replaces the probe, and the small ball stays allowed there
+    code, out = run(tmp_path, "c3", "check", "--state", state, "--system", "mhd", "--mask-sphere", "0.61",
+                    "--threshold", "1")
+    assert code == 0
+    assert read_report(out)["params"]["mask_radius_used"] == pytest.approx(0.01)
+
+
 def _uniform_state_csv(tmp_path, counts, tau=0.0):
     """A uniform state (B = e_z, p_perp = 1, p_par = 1 + tau) on ``counts``
     nodes of spacing 0.1, centred on the origin."""

@@ -933,6 +933,210 @@ def test_rotation_at_65_holds_little_beyond_its_result(params, kind):
     assert peak < 1.3 * result_bytes
 
 
+def _whole_grid_field_line(state, spec):
+    """``apply_infinite_transform`` on the whole grid at once, as earlier
+    releases applied it: M on every plasma node in one call, then the map
+    on updated copies of (B, p_perp, p_par, tau)."""
+    b2 = state.b_squared()
+    plasma = b2 > 1e-12 * float(np.max(b2))
+    m = spec(state.psi.values[plasma])
+    b, pperp, ppar, tau = (np.array(f.values) for f in (state.B, state.p_perp, state.p_par, state.tau))
+    moved = m != 1.0
+    active = np.array(plasma)
+    active[plasma] = moved
+    m = m[moved]
+    m2 = m**2
+    b2_old = b2[active]
+    b2_new = m2 * b2_old
+    tau_new = 1.0 - (1.0 - tau[active]) / m2
+    pperp_new = pperp[active] + 0.5 * (b2_old - b2_new)
+    b[:, active] = m * b[:, active]
+    pperp[active] = pperp_new
+    ppar[active] = pperp_new + tau_new * b2_new
+    tau[active] = tau_new
+    return b, pperp, ppar, tau, state.psi.values
+
+
+def _whole_grid_anisotropy(state, C):
+    """``anisotropy_scale_state`` on the whole grid at once."""
+    b2 = state.b_squared()
+    pperp = C * (state.p_perp.values + 0.5 * b2) - 0.5 * b2
+    tau = 1.0 - C * (1.0 - state.tau.values)
+    return state.B.values, pperp, pperp + tau * b2, tau, state.psi.values
+
+
+@pytest.fixture(scope="module")
+def node_map_source(params, tmp_path_factory):
+    """A vortex on ``counts`` nodes with psi = 0 where x < 0, so that M = 1
+    there for an M with M(0) = 1: analytic, or read back from its CSV."""
+    cache = {}
+
+    def source(kind, counts):
+        if (kind, counts) not in cache:
+            grid = Grid3((-1.2, -1.2, -1.2), tuple(2.4 / (n - 1) for n in counts), counts)
+            vortex = vortex_state(params, grid).evaluators.evaluate
+
+            def evaluate(X, Y, Z):
+                *values, psi = vortex(X, Y, Z)
+                return (*values, np.where(X < 0.0, 0.0, psi))
+
+            state = sample_state(StateEvaluators(evaluate), grid, {})
+            if kind == "csv":
+                path = tmp_path_factory.mktemp("source") / "state.csv"
+                write_state_csv(state, path)
+                state = read_state_csv(path)
+            cache[(kind, counts)] = state
+        return cache[(kind, counts)]
+
+    return source
+
+
+def _fields(state):
+    return state.B.values, state.p_perp.values, state.p_par.values, state.tau.values, state.psi.values
+
+
+NODE_MAP_GRIDS = {name: BLOCKED_GRIDS[name] for name in ("9^3 by 2", "17x5x33 by 3", "65^3 by default")}
+
+
+@pytest.mark.parametrize("text", ["2", "1 + 0.3*psi*sin(psi)"], ids=["constant M", "M = 1 on some nodes"])
+@pytest.mark.parametrize("kind", ["analytic", "csv"])
+@pytest.mark.parametrize("grid_name", NODE_MAP_GRIDS)
+def test_field_line_transform_in_blocks_is_bit_identical_to_the_whole_grid(
+    node_map_source, monkeypatch, grid_name, kind, text
+):
+    counts, slabs = NODE_MAP_GRIDS[grid_name]
+    src = node_map_source(kind, counts)
+    slabs = _set_block(monkeypatch, counts, slabs)
+    spec = TransformSpec(text)
+    want = _whole_grid_field_line(src, spec)
+    b2 = src.b_squared()
+    plasma = b2 > 1e-12 * b2.max()
+    m = spec(src.psi.values[plasma])
+    assert (m != 1.0).any() and ((m == 1.0).any() or text == "2")
+    sizes = []
+    call = TransformSpec.__call__
+    monkeypatch.setattr(TransformSpec, "__call__", lambda self, psi: sizes.append(np.size(psi)) or call(self, psi))
+    out = apply_infinite_transform(src, spec)
+    for got, w in zip(_fields(out), want):
+        assert np.array_equal(got, w)
+    # M once per plasma node, one call per block; psi stays the source's array
+    assert len(sizes) == len(range(0, counts[0], slabs)) and sum(sizes) == plasma.sum()
+    assert np.shares_memory(out.psi.values, src.psi.values)
+    assert (out.evaluators is None) == (kind == "csv")
+    if kind == "analytic":
+        assert_evaluator_matches_samples(out)
+
+
+@pytest.mark.parametrize("text, m_min", [("psi - 0.99", 0.05), ("log(psi - 0.98)", 1e-8), ("exp(1000*psi)", 1e-8)])
+def test_field_line_errors_in_blocks_are_the_whole_grid_errors(vortex17, monkeypatch, text, m_min):
+    # |M| too small names the minimum over every plasma node, and an
+    # undefined or infinite M the first such plasma node in C order, as a
+    # whole-grid pass does, however the blocks fall
+    spec = TransformSpec(text, m_min=m_min)
+    b2 = vortex17.b_squared()
+    labels = vortex17.psi.values[b2 > 1e-12 * b2.max()]
+    with np.errstate(all="ignore"):
+        m = spec(labels)
+    if np.isfinite(m).all():
+        message = f"|M| falls to {np.min(np.abs(m)):.3e} on the attained label range"
+    else:
+        with pytest.raises(ValueError) as whole:
+            equilibria.require_defined(f"M = {text}", m, labels)
+        message = str(whole.value)
+    monkeypatch.setattr(equilibria, "BLOCK_NODES", 2 * 17 * 17)
+    with np.errstate(all="ignore"), pytest.raises(ValueError) as err:
+        apply_infinite_transform(vortex17, spec)
+    assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("kind", ["analytic", "csv"])
+@pytest.mark.parametrize("grid_name", NODE_MAP_GRIDS)
+def test_anisotropy_rescaling_in_blocks_is_bit_identical_to_the_whole_grid(
+    node_map_source, monkeypatch, grid_name, kind
+):
+    counts, slabs = NODE_MAP_GRIDS[grid_name]
+    src = apply_infinite_transform(node_map_source(kind, counts), TransformSpec("2 - psi"))
+    _set_block(monkeypatch, counts, slabs)
+    out = anisotropy_scale_state(src, 1.7)
+    for got, w in zip(_fields(out), _whole_grid_anisotropy(src, 1.7)):
+        assert np.array_equal(got, w)
+    assert np.shares_memory(out.B.values, src.B.values) and np.shares_memory(out.psi.values, src.psi.values)
+    if kind == "analytic":
+        assert_evaluator_matches_samples(out)
+    else:
+        assert out.evaluators is None
+
+
+@pytest.mark.parametrize("grid_name", NODE_MAP_GRIDS)
+def test_flux_mapping_in_blocks_is_bit_identical_to_the_whole_grid(helical_solution, monkeypatch, grid_name):
+    from plasmeq import flux
+
+    counts, slabs = NODE_MAP_GRIDS[grid_name]
+    slabs = _set_block(monkeypatch, counts, slabs)
+    grid = flux.default_cartesian_box(helical_solution.problem, counts)
+    out = flux.flux_to_cgl(helical_solution, "psi/4", grid=grid)
+    # the whole-grid reference: one evaluator call on every node
+    want = out.evaluators.evaluate(*grid.meshgrid())
+    for got, w in zip(_fields(out), want):
+        assert np.array_equal(got, w)
+    calls = []
+    sample_state(_counting(out, calls).evaluators, grid, {})
+    assert calls == [(min(slabs, counts[0] - i), *counts[1:]) for i in range(0, counts[0], slabs)]
+
+
+def test_flux_mapping_raises_from_the_first_block_out_of_domain(monkeypatch):
+    from plasmeq import flux
+
+    text = resources.files("plasmeq.data").joinpath("flux_axisym_example.flux").read_text()
+    problem, _ = flux.parse_problem_file(text)
+    sol = flux.solve_flux(problem, (17, 17))
+    # x runs over 0.7..1.9 in steps of 0.1 and |y| <= 0.1, in blocks of 3
+    # x-slabs; r1 = 1.5 is first passed in the third block (x 1.3 to 1.5, at
+    # y = +-0.1), and the extent named is that block's
+    grid = Grid3((0.7, -0.1, -0.2), (0.1, 0.1, 0.1), (13, 3, 5))
+    monkeypatch.setattr(equilibria, "BLOCK_NODES", 3 * 15)
+    with pytest.raises(ValueError) as err:
+        flux.flux_to_cgl(sol, 0.1, grid=grid)
+    assert str(err.value).startswith(f"the points reach r in [1.3, {math.hypot(1.5, 0.1):.6g}] and zu in [-0.2, 0.2]")
+
+
+def test_rotation_of_an_anisotropy_rescaled_vortex_is_exact(vortex17):
+    # the rescaling keeps an evaluator, so a later point transform is
+    # analytic: it commutes with a rotation to rounding, not to O(h^2)
+    rotated = rotate_state(anisotropy_scale_state(vortex17, 1.7), *EULER)
+    assert "resampling" not in rotated.meta
+    want = anisotropy_scale_state(rotate_state(vortex17, *EULER), 1.7)
+    for got, w in zip(_fields(rotated), _fields(want)):
+        assert np.max(np.abs(got - w)) <= 1e-13 * max(np.max(np.abs(w)), 1.0)
+
+
+def _traced_peak(fn, *args):
+    fn(*args)  # compile M and warm every cache first
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak / (65**3 * 8)
+
+
+def test_field_line_transform_at_65_holds_few_node_arrays(vortex65):
+    # the whole-grid map peaked at 11.4 node arrays for the 6 it keeps
+    out, peak = _traced_peak(apply_infinite_transform, vortex65, TransformSpec("1 + psi*sin(psi)"))
+    assert np.shares_memory(out.psi.values, vortex65.psi.values)
+    assert peak < 8.0
+
+
+def test_flux_mapping_at_65_holds_few_node_arrays(helical_solution):
+    from plasmeq import flux
+
+    # the one-call sampling peaked at 46 node arrays for the 7 it keeps
+    grid = flux.default_cartesian_box(helical_solution.problem, 65)
+    _, peak = _traced_peak(flux.flux_to_cgl, helical_solution, 0.2, grid)
+    assert peak < 11.0
+
+
 # -- stability ------------------------------------------------------------------------
 
 

@@ -16,10 +16,8 @@ from plasmeq.lie import (
 )
 from plasmeq.systems import (
     classical_generators,
-    cgl_system,
     line_function_generator,
     load_system,
-    mhd_system,
     pressure_anisotropy_scaling,
     rotations,
     translations,
@@ -29,7 +27,7 @@ from plasmeq.lie import CandidateGenerator
 
 @pytest.fixture(scope="module")
 def mhd():
-    return mhd_system()
+    return load_system("mhd")
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +37,7 @@ def det_mhd(mhd):
 
 @pytest.fixture(scope="module")
 def cgl_closed():
-    return cgl_system(closed=True)
+    return load_system("cgl_closed")
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +106,7 @@ def test_solved_pairs_are_free_of_leading_coordinates():
         eq diff(w,x) = diff(u,x);
         """
     )
-    for system in (chained, mhd_system(), cgl_system(closed=True)):
+    for system in (chained, load_system("mhd"), load_system("cgl_closed")):
         for num, den in system.solved.values():
             assert not any(num.mentions(j) or den.mentions(j) for j in system.leading)
     assert chained.solved[chained.leading[1]] == (chained.context.var("w"), Expr.number(1))
@@ -135,7 +133,7 @@ def test_closed_system_records_genericity(cgl_closed):
 
 def test_determining_counts_match_targets(mhd, det_mhd):
     assert det_mhd.count == 133 == mhd.target_count
-    cgl_open = cgl_system(closed=False)
+    cgl_open = load_system("cgl")
     assert build_determining_system(cgl_open).count == 253 == cgl_open.target_count
 
 
@@ -193,7 +191,7 @@ def test_classical_generators_on_mhd(mhd):
 
 
 def test_classical_and_anisotropy_generators_on_open_cgl():
-    system = cgl_system(closed=False)
+    system = load_system("cgl")
     for gen in classical_generators(system) + [pressure_anisotropy_scaling(system)]:
         assert _all_zero(verify_generator(system, gen)), gen.label
 
