@@ -101,6 +101,15 @@ class Symbol:
     def __hash__(self):
         return self._hash
 
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not Symbol:
+            return NotImplemented
+        return self._hash == other._hash and (self.name, self.kind, self.base, self.wrt) == (
+            other.name, other.kind, other.base, other.wrt
+        )
+
     @property
     def is_jet(self) -> bool:
         return self.kind == "jet"
@@ -140,6 +149,13 @@ class FnAtom:
     def __hash__(self):
         return self._hash
 
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not FnAtom:
+            return NotImplemented
+        return self._hash == other._hash and (self.head, self.dtag, self.args) == (other.head, other.dtag, other.args)
+
     def bump(self, slot: int) -> "FnAtom":
         tag = list(self.dtag)
         tag[slot] += 1
@@ -163,25 +179,54 @@ def _mono_key(mono: Monomial) -> tuple:
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """The product of two monomials: one merge of their sorted factors."""
     if not a:
         return b
     if not b:
         return a
-    powers: dict = {}
-    for atom, k in a:
-        powers[atom] = powers.get(atom, 0) + k
-    for atom, k in b:
-        powers[atom] = powers.get(atom, 0) + k
-    return tuple(sorted(powers.items(), key=lambda it: it[0].sort_key))
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        x, kx = a[i]
+        y, ky = b[j]
+        if x == y:
+            out.append((x, kx + ky))
+            i += 1
+            j += 1
+        elif y.sort_key < x.sort_key:
+            out.append(b[j])
+            j += 1
+        else:
+            out.append(a[i])
+            i += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
+def _coefficient(value) -> int | Fraction:
+    """``value`` as an exact coefficient: an ``int`` when it is integral,
+    else a ``Fraction``."""
+    if type(value) is int:
+        return value
+    q = value if isinstance(value, Fraction) else Fraction(value)
+    return q.numerator if q.denominator == 1 else q
 
 
 class Expr:
-    """Immutable expression in expanded normal form."""
+    """Immutable expression in expanded normal form.
+
+    Every coefficient is exact: an ``int`` when it is integral, a
+    ``Fraction`` only when it is not, and never a float or a bool.  The
+    constructors and the arithmetic keep that invariant, so integral
+    coefficients take Python's machine-integer arithmetic.
+    """
 
     __slots__ = ("_terms", "_key", "_hash")
 
-    def __init__(self, terms: Mapping[Monomial, Fraction]):
-        clean = {m: c for m, c in terms.items() if c}
+    def __init__(self, terms: Mapping[Monomial, int | Fraction]):
+        clean = {m: _coefficient(c) for m, c in terms.items() if c}
         self._terms = clean
         # the sorted term tuple and the hash are built on first use; most
         # intermediate expressions never need either
@@ -200,8 +245,8 @@ class Expr:
     # -- construction -----------------------------------------------------
     @staticmethod
     def number(value) -> "Expr":
-        q = value if isinstance(value, Fraction) else Fraction(value)
-        return Expr({(): q}) if q else ZERO
+        q = _coefficient(value)
+        return Expr._trusted({(): q}) if q else ZERO
 
     @staticmethod
     def from_atom(atom: Atom, exp: int = 1) -> "Expr":
@@ -209,7 +254,7 @@ class Expr:
             return ONE
         if exp < 0:
             raise ValueError("atoms carry positive exponents only")
-        return Expr._trusted({((atom, exp),): Fraction(1)})
+        return Expr._trusted({((atom, exp),): 1})
 
     # -- basic queries ------------------------------------------------------
     @property
@@ -222,14 +267,14 @@ class Expr:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def terms(self) -> Iterator[tuple[Monomial, int | Fraction]]:
         for _k, m, c in self.sort_key:
             yield m, c
 
-    def constant_value(self) -> Fraction | None:
+    def constant_value(self) -> int | Fraction | None:
         """The rational value if the expression is constant, else None."""
         if not self._terms:
-            return Fraction(0)
+            return 0
         if len(self._terms) == 1 and () in self._terms:
             return self._terms[()]
         return None
@@ -294,7 +339,10 @@ class Expr:
             if acc is None:
                 terms[m] = c
             else:
-                terms[m] = acc = acc + c
+                acc = acc + c
+                if type(acc) is not int and acc.denominator == 1:
+                    acc = acc.numerator
+                terms[m] = acc
                 cancelled = cancelled or not acc
         # only a sum of two coefficients can be zero
         return Expr(terms) if cancelled else Expr._trusted(terms)
@@ -312,6 +360,10 @@ class Expr:
 
     def __mul__(self, other) -> "Expr":
         other = _as_expr(other)
+        if self is ONE:
+            return other
+        if other is ONE:
+            return self
         if self.is_zero or other.is_zero:
             return ZERO
         out: dict = {}
@@ -321,11 +373,12 @@ class Expr:
                 m = _mono_mul(m1, m2)
                 c = c1 * c2
                 acc = out.get(m)
-                if acc is None:
-                    out[m] = c
-                else:
-                    out[m] = acc = acc + c
-                    cancelled = cancelled or not acc
+                if acc is not None:
+                    c = acc + c
+                    cancelled = cancelled or not c
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+                out[m] = c
         # a product of nonzero coefficients is nonzero; only a sum can vanish
         return Expr(out) if cancelled else Expr._trusted(out)
 
@@ -340,7 +393,8 @@ class Expr:
                 raise ValueError("negative powers require a constant base")
             if q == 0:
                 raise ZeroDivisionError("0 to a negative power")
-            return Expr.number(q**n)
+            # an int to a negative power is a float; a Fraction's stays exact
+            return Expr.number(Fraction(q) ** n)
         result = ONE
         base = self
         while n:
@@ -366,8 +420,7 @@ class Expr:
 
     def __hash__(self):
         if self._hash is None:
-            # integer parts instead of Fraction.__hash__, which costs a modular inverse
-            self._hash = hash(frozenset((m, c.numerator, c.denominator) for m, c in self._terms.items()))
+            self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
     def __repr__(self):
@@ -409,33 +462,40 @@ class Expr:
                 da = atom_rule(a)
                 if da.is_zero:
                     continue
-                rest = list(m[:i] + m[i + 1 :])
-                if k > 1:
-                    rest.append((a, k - 1))
-                rest.sort(key=lambda it: it[0].sort_key)
-                out = out + Expr({tuple(rest): c * k}) * da
+                # lowering one exponent keeps the factors in order
+                rest = m[:i] + ((a, k - 1),) + m[i + 1 :] if k > 1 else m[:i] + m[i + 1 :]
+                out = out + Expr._trusted({rest: _coefficient(c * k)}) * da
         return out
 
     # -- numeric evaluation ---------------------------------------------------
     def evaluate(self, env: Mapping[str, object]):
         """Evaluate numerically; values may be scalars or numpy arrays.
 
-        Out-of-domain inputs yield inf/nan rather than warnings; callers
-        that need totality check finiteness themselves.
+        Each atom, including those inside function arguments, is evaluated
+        once per call.  Out-of-domain inputs yield inf/nan rather than
+        warnings; callers that need totality check finiteness themselves.
         """
         rules, errstate = _numeric()
-        total = 0.0
         with errstate(all="ignore"):
-            for m, c in self._terms.items():
-                term = float(c)
-                for a, k in m:
-                    term = term * _atom_value(a, env, rules) ** k
-                total = total + term
+            return self._evaluate(env, rules, {})
+
+    def _evaluate(self, env, rules, values: dict):
+        """The float sum of the terms; ``values`` holds the atom values of
+        the current call."""
+        total = 0.0
+        for m, c in self._terms.items():
+            term = float(c)
+            for a, k in m:
+                value = values.get(a)
+                if value is None:
+                    value = values[a] = _atom_value(a, env, rules, values)
+                term = term * value**k
+            total = total + term
         return total
 
 
 ZERO = Expr({})
-ONE = Expr({(): Fraction(1)})
+ONE = Expr({(): 1})
 
 
 def _as_expr(value) -> Expr:
@@ -463,7 +523,7 @@ def _chain_rule(atom: FnAtom, derive: Callable[[Expr], Expr]) -> Expr:
     return out
 
 
-def _atom_value(atom: Atom, env, rules: Mapping[str, Callable]):
+def _atom_value(atom: Atom, env, rules: Mapping[str, Callable], values: dict):
     if isinstance(atom, Symbol):
         try:
             return env[atom.name]
@@ -475,7 +535,7 @@ def _atom_value(atom: Atom, env, rules: Mapping[str, Callable]):
         fn = rules[atom.head]
     except KeyError:
         raise EvalError(f"no numeric rule for function {atom.head!r}") from None
-    return fn(*[a.evaluate(env) for a in atom.args])
+    return fn(*[a._evaluate(env, rules, values) for a in atom.args])
 
 
 # the functions with a numeric rule, by name
@@ -515,6 +575,7 @@ def collect(e: Expr, basis: Iterable[Symbol]) -> dict[Expr, Expr]:
     """
     basis_set = set(basis)
     buckets: dict[Monomial, dict] = {}
+    checked: set[FnAtom] = set()
     for m, c in e._terms.items():
         in_basis = []
         rest = []
@@ -522,7 +583,8 @@ def collect(e: Expr, basis: Iterable[Symbol]) -> dict[Expr, Expr]:
             if isinstance(a, Symbol) and a in basis_set:
                 in_basis.append((a, k))
             else:
-                if isinstance(a, FnAtom):
+                if isinstance(a, FnAtom) and a not in checked:
+                    checked.add(a)
                     for arg in a.args:
                         hidden = arg.symbols() & basis_set
                         if hidden:
@@ -535,8 +597,8 @@ def collect(e: Expr, basis: Iterable[Symbol]) -> dict[Expr, Expr]:
         key = tuple(in_basis)
         bucket = buckets.setdefault(key, {})
         rk = tuple(rest)
-        bucket[rk] = bucket.get(rk, Fraction(0)) + c
-    return {Expr({m: Fraction(1)}): Expr(t) for m, t in buckets.items() if any(t.values())}
+        bucket[rk] = bucket.get(rk, 0) + c
+    return {Expr._trusted({m: 1}): Expr(t) for m, t in buckets.items() if any(t.values())}
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +847,7 @@ class _Parser:
             if q is not None:
                 if q == 0:
                     raise ParseError("zero to a negative power", tok.line, tok.col)
-                return Expr.number(q ** (-n))
+                return Expr.number(Fraction(q) ** (-n))
             return Expr.from_atom(FnAtom("inv", (base**n,)))
         return base**n
 
@@ -1006,10 +1068,10 @@ def _atom_text(atom: Atom) -> str:
 
 
 def _single_symbol(e: Expr) -> Symbol | None:
-    terms = list(e.terms())
-    if len(terms) != 1:
+    # read the term map directly: a single term needs no sorting
+    if len(e._terms) != 1:
         return None
-    mono, c = terms[0]
+    ((mono, c),) = e._terms.items()
     if c != 1 or len(mono) != 1:
         return None
     atom, k = mono[0]

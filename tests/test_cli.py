@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 import warnings
@@ -63,6 +64,33 @@ def test_detsys_listing_is_pinned(tmp_path, name):
     code, out = run(tmp_path, "d", "lie", "detsys", data_path(f"{name}.pde"))
     assert code == 0
     assert hashlib.sha256((out / "detsys.txt").read_bytes()).hexdigest() == DETSYS_SHA256[name]
+
+
+# SHA-256 of report.json of `lie detsys` on each bundled system and of `lie
+# verify` on the bundled generator files, run from a directory holding copies
+# of the inputs so that the reports name bare file names
+LIE_REPORT_SHA256 = {
+    ("mhd_static.pde",): "17d4619beeba97d4d422496a01b26aa3ed7e7aeef4bf591eef52979fde575a71",
+    ("cgl_static.pde",): "2772051d4add10ab6957c0d097c624f81915c50ac6f99e2eb34d9531eb57b9da",
+    ("cgl_static_closed.pde",): "ba07023615837dd50586bf83773ff6516aa80c74dd2832cc2cb3bd7bf29d62a0",
+    ("mhd_static.pde", "mhd_translations.gen"): "0d009767dd30956d533acb62fcc8e3f0c9039cc26edd76607907521916ca5e05",
+    ("mhd_static.pde", "mhd_rotations.gen"): "bdb3c9f38065696b20c75455ae7572c2d0f93bff8106b430aca346a58a47fd0f",
+    ("mhd_static.pde", "mhd_scalings.gen"): "5ca31a18d3e6414ce696d712a98e26e127bae97e71656c9c7a9d8d1a7ab2e8e6",
+    ("mhd_static.pde", "mhd_bogus.gen"): "8f3bf15ef9a17b09fdeea7024dac8c7bc7aa1bb6a1797dbb229ecab190b8ca9a",
+    ("cgl_static_closed.pde", "cgl_line_function.gen"): "09b336321ac8c283a24148c49bb73c2db18be35dc582b69ec0f463cc9d3f3343",
+    ("cgl_static.pde", "cgl_line_function.gen"): "9ee3bacc8d0954b6dbb52a82464fa6b94691204b49cf792bf3708a0a57294d7e",
+}
+
+
+@pytest.mark.parametrize("files", list(LIE_REPORT_SHA256), ids="+".join)
+def test_lie_reports_are_pinned(tmp_path, monkeypatch, files):
+    for name in files:
+        shutil.copy(data_path(name), tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    command = "detsys" if len(files) == 1 else "verify"
+    code = main(["--out", "out", "lie", command, *files])
+    assert code == (3 if "mhd_bogus.gen" in files else 0)
+    assert hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest() == LIE_REPORT_SHA256[files]
 
 
 def test_detsys_open_anisotropic_count(tmp_path):

@@ -10,6 +10,7 @@ from plasmeq.expr import (
     EvalError,
     Expr,
     ParseError,
+    Symbol,
     collect,
     compile_numeric,
     parse_program,
@@ -306,3 +307,200 @@ def test_hash_and_term_order_do_not_depend_on_construction(poly, rnd):
         assert other == forward
         assert hash(other) == hash(forward)
         assert list(other.terms()) == list(forward.terms())
+
+
+# -- exact coefficients ---------------------------------------------------------
+
+
+def _coefficients(e):
+    return [c for _m, c in e.terms()]
+
+
+def _is_exact(c):
+    # an int when integral, a Fraction only when not; never a float or a bool
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def test_negative_powers_of_integers_stay_exact(ctx):
+    # int ** -n is a float in Python; the kernel must not take that path
+    assert _coefficients(Expr.number(3) ** -1) == [Fraction(1, 3)]
+    assert _coefficients(ctx.parse("3^-2")) == [Fraction(1, 9)]
+    assert _coefficients(ctx.parse("B1*2^-1")) == [Fraction(1, 2)]
+    assert _coefficients(Expr.number(Fraction(1, 2)) ** -2) == [4]
+    for e in (Expr.number(3) ** -1, ctx.parse("3^-2"), Expr.number(Fraction(1, 2)) ** -2):
+        assert all(_is_exact(c) for c in _coefficients(e))
+
+
+def test_division_by_an_integer_constant_stays_exact(ctx):
+    b = ctx.var("B1")
+    assert _coefficients(b / 3) == [Fraction(1, 3)]
+    assert _coefficients(b / Expr.number(3)) == [Fraction(1, 3)]
+    assert _coefficients(ctx.parse("B1/3")) == [Fraction(1, 3)]
+    assert _coefficients(quotient(b, Expr.number(4))) == [Fraction(1, 4)]
+    # and back to an int once the quotient is integral
+    for e in (b / 3 * 3, Expr.number(6) / 3, ctx.parse("6*B1/3"), (b / 2 + b / 2)):
+        assert all(type(c) is int for c in _coefficients(e))
+    assert (Expr.number(6) / 3).constant_value() == 2
+
+
+@pytest.mark.parametrize("value, expected", [(True, 1), (2.0, 2), (Fraction(4, 2), 2), (7, 7), (-3.0, -3)])
+def test_integral_numbers_store_int_coefficients(value, expected):
+    (c,) = _coefficients(Expr.number(value))
+    assert type(c) is int and c == expected
+
+
+# reference arithmetic on {exponent tuple over _hatoms: Fraction}, with no
+# use of the kernel
+def _ref_clean(p):
+    return {e: c for e, c in p.items() if c}
+
+
+def _ref_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return _ref_clean(out)
+
+
+def _ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return _ref_clean(out)
+
+
+def _ref_pdiff(p, i):
+    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in p.items() if e[i]}
+
+
+_hatom_index = {next(h.atoms()): i for i, h in enumerate(_hatoms)}
+
+
+def _exponents(mono):
+    exps = [0] * len(_hatoms)
+    for atom, k in mono:
+        exps[_hatom_index[atom]] += k
+    return tuple(exps)
+
+
+def _as_ref(e):
+    """The kernel's result in reference form, after checking every coefficient."""
+    out = {}
+    for mono, c in e.terms():
+        assert _is_exact(c), (c, type(c))
+        out[_exponents(mono)] = c
+    return out
+
+
+_coefficient_values = st.one_of(
+    st.integers(-6, 6),
+    st.booleans(),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+    st.integers(-6, 6).map(float),
+)
+_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(_hatoms)), _coefficient_values, max_size=5)
+
+
+def _build(poly):
+    out = Expr.number(0)
+    for exps, q in poly.items():
+        mono = Expr.number(q)
+        for atom, k in zip(_hatoms, exps):
+            mono = mono * atom**k
+        out = out + mono
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys, _polys, st.integers(0, 3), _coefficient_values.filter(bool), st.integers(1, 3))
+def test_arithmetic_keeps_coefficients_exact_and_equal_to_fraction_arithmetic(p, q, n, k, m):
+    a, b = _build(p), _build(q)
+    ra = _ref_clean({e: Fraction(c) for e, c in p.items()})
+    rb = _ref_clean({e: Fraction(c) for e, c in q.items()})
+    assert _as_ref(a) == ra and _as_ref(b) == rb
+    assert _as_ref(a + b) == _ref_add(ra, rb)
+    assert _as_ref(a - b) == _ref_add(ra, {e: -c for e, c in rb.items()})
+    assert _as_ref(-a) == {e: -c for e, c in ra.items()}
+    assert _as_ref(a * b) == _ref_mul(ra, rb)
+    power = {(0,) * len(_hatoms): Fraction(1)}
+    for _ in range(n):
+        power = _ref_mul(power, ra)
+    assert _as_ref(a**n) == power
+    assert _as_ref(Expr.number(k) ** -m) == {(0,) * len(_hatoms): Fraction(k) ** -m}
+    assert _as_ref(a / Expr.number(k)) == {e: c / Fraction(k) for e, c in ra.items()}
+    # d/dc scales by the exponent, so (1/2)*c^2 gives an integral c
+    c_sym = next(_hatoms[2].atoms())
+    assert _as_ref(a.pdiff(c_sym)) == _ref_pdiff(ra, 2)
+    assert _as_ref((a * b).pdiff(c_sym)) == _ref_pdiff(_ref_mul(ra, rb), 2)
+    # collect on u and u_y: every coefficient exact, and the split recombines
+    basis = [next(_hatoms[1].atoms()), next(_hatoms[3].atoms())]
+    recombined = {}
+    for mono, coeff in collect(a * b, basis).items():
+        (key_mono, key_c), = mono.terms()
+        assert type(key_c) is int and key_c == 1
+        for e, c in _as_ref(coeff).items():
+            whole = tuple(i + j for i, j in zip(e, _exponents(key_mono)))
+            assert whole not in recombined
+            recombined[whole] = c
+    assert recombined == _ref_mul(ra, rb)
+
+
+# -- numeric evaluation -------------------------------------------------------
+
+
+def _evaluate_term_by_term(e, env):
+    """The reference walk: every term evaluates each of its atoms afresh."""
+    total = 0.0
+    for mono, c in e._terms.items():
+        term = float(c)
+        for atom, k in mono:
+            if isinstance(atom, Symbol):
+                value = env[atom.name]
+            else:
+                fn = (lambda x: 1.0 / x) if atom.head == "inv" else getattr(np, atom.head)
+                value = fn(*[_evaluate_term_by_term(arg, env) for arg in atom.args])
+            term = term * value**k
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("text", ["(1 + psi*sin(psi))^3", "1 + psi*sin(psi)", "(1 + 0.3*psi*exp(-psi) + 0.1*cos(2*psi))^2"])
+def test_evaluation_is_bit_identical_to_a_term_by_term_walk(text):
+    f = compile_numeric(text, ["psi"])
+    psi = np.linspace(-2.5, 3.5, 4097).reshape(17, 241)
+    with np.errstate(all="ignore"):
+        expected = _evaluate_term_by_term(f.expression, {"psi": psi})
+    assert np.array_equal(f(psi), expected)
+    assert np.array_equal(f(0.75), _evaluate_term_by_term(f.expression, {"psi": 0.75}))
+
+
+def test_each_atom_is_evaluated_once_per_call(monkeypatch):
+    from plasmeq import expr
+
+    calls = {}
+    rules, errstate = expr._numeric()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(expr, "_numeric", lambda: ({n: counted(n, fn) for n, fn in rules.items()}, errstate))
+
+    class Env(dict):
+        def __getitem__(self, name):
+            calls[name] = calls.get(name, 0) + 1
+            return super().__getitem__(name)
+
+    e = compile_numeric("(1 + psi*sin(psi))^3 + cos(psi)*sin(psi)", ["psi"]).expression
+    psi = np.array([0.25, 0.5, 2.0])
+    value = e.evaluate(Env(psi=psi))
+    assert calls == {"psi": 1, "sin": 1, "cos": 1}
+    assert np.array_equal(value, _evaluate_term_by_term(e, {"psi": psi}))
+    # a second call evaluates afresh
+    e.evaluate(Env(psi=psi))
+    assert calls == {"psi": 2, "sin": 2, "cos": 2}

@@ -156,6 +156,17 @@ def test_determining_equations_jet_free_and_linear(det_mhd):
             assert unknown_deg == 1
 
 
+@pytest.mark.parametrize("name, n_coefficients", [("mhd", 483), ("cgl", 2196), ("cgl_closed", 1671)])
+def test_determining_coefficients_are_machine_integers(name, n_coefficients):
+    # every coefficient of the bundled determining systems is integral, so the
+    # kernel must hold each as an int: a fall back to Fraction arithmetic, which
+    # is several times slower, fails here and not only on the clock
+    det = build_determining_system(load_system(name))
+    coefficients = [c for eqn in det.equations for _m, c in eqn.terms()]
+    assert len(coefficients) == n_coefficients
+    assert all(type(c) is int for c in coefficients)
+
+
 def test_determinism(mhd):
     a = build_determining_system(mhd)
     b = build_determining_system(mhd)
