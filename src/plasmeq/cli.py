@@ -13,7 +13,9 @@ Subcommands
 Every run writes ``report.json`` (machine-readable, deterministic for
 identical inputs) into the output directory.  Exit codes: 0 success, 2
 validation error, 3 verification failure (nonzero symbolic residual,
-residual norms over threshold, or an unconverged solve).
+residual norms over threshold, or an unconverged solve).  A warning raised
+during a run is printed as one ``warning: <message>`` line on stderr and
+listed under ``warnings`` in ``report.json``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from .expr import ExprError, pretty
@@ -407,23 +410,31 @@ def main(argv=None) -> int:
         print(f"error: cannot create output directory {out_dir}: {err.strerror or err}", file=sys.stderr)
         return EXIT_VALIDATION
     command = " ".join(filter(None, (args.command, vars(args).get("subcommand"))))
-    try:
-        for name, value in vars(args).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"--{name.replace('_', '-')} must be a finite number, got {value}")
-        if args.command == "lie":
-            code, report = args.handler(args)
-        else:
-            import numpy as np
-
-            # numpy's floating-point warnings stay off stderr: the finite
-            # checks on sampled values and on written files report those cases
-            with np.errstate(all="ignore"):
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            for name, value in vars(args).items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"--{name.replace('_', '-')} must be a finite number, got {value}")
+            if args.command == "lie":
                 code, report = args.handler(args)
-    except (ExprError, LieError, ValueError, ArithmeticError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        _write_report(out_dir, {"command": command, "error": str(err), "assumptions": [], "pass": False})
-        return EXIT_VALIDATION
+            else:
+                import numpy as np
+
+                # numpy's floating-point warnings stay off stderr: the finite
+                # checks on sampled values and on written files report those cases
+                with np.errstate(all="ignore"):
+                    code, report = args.handler(args)
+        except (ExprError, LieError, ValueError, ArithmeticError, OSError) as err:
+            error = err
+            code, report = EXIT_VALIDATION, {"error": str(err), "assumptions": [], "pass": False}
+    notes = [str(w.message) for w in caught]
+    for note in notes:
+        print(f"warning: {note}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    if notes:
+        report["warnings"] = notes
     _write_report(out_dir, {"command": command, **report})
     return code
 

@@ -276,38 +276,78 @@ def write_csv(path, axes: dict[str, np.ndarray], columns: dict[str, np.ndarray])
     """One tensor-grid node per row: the coordinate columns named by
     ``axes`` first, then ``columns``; row-major with the last axis fastest,
     floats at 17 significant digits so a read-back is bit-faithful.
-    Refuses a non-finite value before the file is opened."""
+    Refuses a non-finite value before the file is opened.
+
+    No whole table is built: each block of ``_ROW_BLOCK`` rows is assembled
+    from its coordinates and the column slices it needs."""
     counts = tuple(len(a) for a in axes.values())
     names = [*axes, *columns]
-    data = [*np.meshgrid(*axes.values(), indexing="ij")]
     for name, values in columns.items():
         if values.shape != counts:
             raise ValueError(f"column {name!r} has shape {values.shape}, expected {counts}")
-        data.append(values)
-    flat = np.column_stack([d.reshape(-1) for d in data])
-    _require_finite(flat, names, path, "refusing to write")
+    coordinates = [np.asarray(a, dtype=float) for a in axes.values()]
+    flat = [np.asarray(v, dtype=float).reshape(-1) for v in columns.values()]
+    # rows between consecutive values of each axis
+    strides = [math.prod(counts[k + 1 :]) for k in range(len(counts))]
+    firsts = []  # (data row, column, value) of each column's first non-finite value
+    for k, (axis, stride) in enumerate(zip(coordinates, strides)):
+        finite = np.isfinite(axis)
+        if not finite.all():
+            i = int(finite.argmin())
+            firsts.append((i * stride, k, axis[i]))
+    for k, values in enumerate(flat, start=len(coordinates)):
+        finite = np.isfinite(values)
+        if not finite.all():
+            row = int(finite.argmin())
+            firsts.append((row, k, values[row]))
+    if firsts:
+        row, col, value = min(firsts)
+        raise ValueError(f"{path}: refusing to write a non-finite {names[col]} ({value}) in data row {row + 1}")
+    # the coordinate column of axis k > 0 repeats every strides[k - 1] rows:
+    # one period of it, extended by a block, gives every block as a slice
+    periodic = [
+        np.resize(np.repeat(axis, stride), strides[k - 1] + _ROW_BLOCK)
+        for k, (axis, stride) in enumerate(zip(coordinates, strides))
+        if k
+    ]
+    n_rows = math.prod(counts)
+    block = np.empty((min(_ROW_BLOCK, n_rows), len(names)))
+    row_fmt = ",".join(["%s"] * len(names)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        _write_rows(fh, flat, ",")
+        for start in range(0, n_rows, _ROW_BLOCK):
+            rows = block[: min(_ROW_BLOCK, n_rows - start)]
+            rows[:, 0] = coordinates[0][np.arange(start, start + len(rows)) // strides[0]]
+            for k, table in enumerate(periodic, start=1):
+                offset = start % strides[k - 1]
+                rows[:, k] = table[offset : offset + len(rows)]
+            for k, values in enumerate(flat, start=len(coordinates)):
+                rows[:, k] = values[start : start + len(rows)]
+            _write_block(fh, rows, row_fmt)
 
 
 def _write_rows(fh, values: np.ndarray, delimiter: str) -> None:
     """Write a 2-D array (a 1-D one as a column) one row per line, floats at
     17 significant digits; the bytes equal ``np.savetxt(fh, values,
-    fmt=_FLOAT_FMT, delimiter=delimiter)``.
-
-    Rows go out in blocks of ``_ROW_BLOCK``.  Each distinct value of a block
-    is formatted once: values are told apart by their bit pattern, so that
-    ``-0.0`` and ``0.0`` keep their own text, and the rows are assembled from
-    those strings.  Coordinates, the constant fields outside a plasma and
-    equal pressures repeat within a block, which is where the saving lies."""
+    fmt=_FLOAT_FMT, delimiter=delimiter)``.  Rows go out in blocks of
+    ``_ROW_BLOCK`` through ``_write_block``."""
     rows = np.asarray(values, dtype=float).reshape(len(values), -1)
     row_fmt = delimiter.join(["%s"] * rows.shape[1]) + "\n"
     for start in range(0, len(rows), _ROW_BLOCK):
-        block = np.ascontiguousarray(rows[start : start + _ROW_BLOCK])
-        bits, inverse = np.unique(block.reshape(-1).view(np.int64), return_inverse=True)
-        text = np.array([_FLOAT_FMT % v for v in bits.view(float).tolist()], dtype=object)
-        fh.write((row_fmt * len(block)) % tuple(text[inverse].tolist()))
+        _write_block(fh, np.ascontiguousarray(rows[start : start + _ROW_BLOCK]), row_fmt)
+
+
+def _write_block(fh, block: np.ndarray, row_fmt: str) -> None:
+    """Write the rows of a C-contiguous 2-D float block by ``row_fmt``.
+
+    Each distinct value of the block is formatted once: values are told
+    apart by their bit pattern, so that ``-0.0`` and ``0.0`` keep their own
+    text, and the rows are assembled from those strings.  Coordinates, the
+    constant fields outside a plasma and equal pressures repeat within a
+    block, which is where the saving lies."""
+    bits, inverse = np.unique(block.reshape(-1).view(np.int64), return_inverse=True)
+    text = np.array([_FLOAT_FMT % v for v in bits.view(float).tolist()], dtype=object)
+    fh.write((row_fmt * len(block)) % tuple(text[inverse].tolist()))
 
 
 def _require_finite(rows: np.ndarray, names: list[str], path, verb: str) -> None:

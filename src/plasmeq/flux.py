@@ -16,12 +16,12 @@ and each zu sine mode leaves one tridiagonal system in r.  The systems of
 all modes are eliminated together, row by row (the Thomas algorithm
 vectorised over the modes), with the multipliers and pivots computed once
 per solve; every right-hand side then costs two sine transforms and one
-sweep each way, and a right-hand side equal to the previous one costs one
-comparison (profiles J, dJ and dN that do not depend on psi give the same
-one at every iteration).  The Dirichlet data enter as the stencil applied
-to the boundary values, a fixed right-hand-side term, so the boundary
-values are imposed exactly and never touched by the iteration.  The terms in J and N are frozen at
-the previous iterate and relaxed: damped Picard iteration around the one
+sweep each way.  When no profile J, dJ or dN depends on psi, the
+right-hand side is the same at every iteration and is eliminated once.
+The Dirichlet data enter as the stencil applied to the boundary values, a
+fixed right-hand-side term, so the boundary values are imposed exactly and
+never touched by the iteration.  The terms in J and N are frozen at the
+previous iterate and relaxed: damped Picard iteration around the one
 elimination.
 
 A mapped state evaluates psi through the tensor-product not-a-knot
@@ -293,12 +293,12 @@ def _interior_solver(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: n
     and one column per mode, so each step of the Thomas algorithm is one
     contiguous row operation over all modes.  The multipliers and
     reciprocal pivots are computed once, here; each right-hand side then
-    costs n - 1 forward and n - 1 backward row updates, in place.  A
-    right-hand side bit-identical to the previous one costs one comparison:
-    profiles J, dJ and dN that do not depend on psi give the same one at
-    every iteration.  So the solver keeps the last right-hand side it was
-    given, which the caller must not change, and returns a read-only view
-    of its own result buffer, valid until the next call.
+    costs n - 1 forward and n - 1 backward row updates, in place.  The
+    solver keeps no right-hand side: f may be any array that broadcasts to
+    the n x m interior (an n x 1 column for one that depends on r only),
+    and the caller decides when a right-hand side needs solving again.  It
+    returns a read-only view of its own result buffer, valid until the next
+    call.
 
     No pivoting is needed: c_w, c_e, c_n > 0 for every r > 0, so the diagonal
     -(c_w + c_e) - (2 - 2 cos(k pi/(m+1))) c_n of mode k exceeds |c_w| + |c_e|
@@ -344,12 +344,8 @@ def _interior_solver(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: n
     result = np.empty((n, m))
     returned = result.view()
     returned.flags.writeable = False
-    last_rhs = None
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        nonlocal last_rhs
-        if last_rhs is not None and np.array_equal(rhs, last_rhs):
-            return returned
         np.subtract(rhs, bterm, out=u)
         _sine_transform(padded, scale, out=u)
         for i in range(1, n):
@@ -359,22 +355,35 @@ def _interior_solver(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: n
             u[i] -= c_e[i] * u[i + 1]
             u[i] *= inv_pivot[i]
         _sine_transform(padded, 1.0, out=result)
-        last_rhs = rhs
         return returned
 
     return solve
 
 
-def _nonlinear_term(problem: FluxProblem, R: np.ndarray, S: np.ndarray | None):
-    """psi -> J dJ/(r^2+gamma^2) + 2 gamma J/(r^2+gamma^2)^2 + dN + S at the radii R; r-only factors once."""
-    inv = 1.0 / (R**2 + problem.gamma**2)
+def _nonlinear_term(problem: FluxProblem, r: np.ndarray, S: np.ndarray | None):
+    """psi -> J dJ/(r^2+gamma^2) + 2 gamma J/(r^2+gamma^2)^2 + dN + S at the
+    radii r, an n x 1 column of the interior radii (or any array that
+    broadcasts against psi); the r-only factors are computed once.  Raises
+    ArithmeticError where the value is not finite."""
+    inv = 1.0 / (r**2 + problem.gamma**2)
     current = 2.0 * problem.gamma * inv**2
 
     def g(psi: np.ndarray) -> np.ndarray:
         out = problem.J(psi) * (problem.dJ(psi) * inv + current) + problem.dN(psi)
-        return out if S is None else out + S
+        if S is not None:
+            out = out + S
+        if not np.isfinite(out).all():
+            raise ArithmeticError("constitutive profile evaluated to a non-finite value")
+        return out
 
     return g
+
+
+def _depends_on_psi(profile) -> bool:
+    """Whether a compiled profile may vary with psi: a callable without an
+    expression is taken to."""
+    expression = getattr(profile, "expression", None)
+    return expression is None or any(s.name == "psi" for s in expression.symbols())
 
 
 def solve_flux(
@@ -384,7 +393,12 @@ def solve_flux(
     max_iter: int = 500,
     omega: float = 0.8,
 ) -> FluxSolution:
-    """Damped Picard iteration around one linear solver, set up once."""
+    """Damped Picard iteration around one linear solver, set up once.
+
+    When no profile depends on psi, the right-hand side is evaluated,
+    eliminated and damped once, and each iteration is the damped update
+    alone.  The iterate and its successor live in two interior buffers
+    that swap; psi's interior is written once, at the end."""
     nr, nzu = shape
     if nr < 9 or nzu < 9:
         raise ValueError("resolution must be at least 9 x 9")
@@ -396,30 +410,34 @@ def solve_flux(
         raise ValueError(f"tolerance must be a positive finite number, got {tol_outer}")
     r = np.linspace(*problem.r_range, nr)
     zu = np.linspace(*problem.zu_range, nzu)
-    R, ZU = np.meshgrid(r, zu, indexing="ij")
 
     psi = np.zeros((nr, nzu))
-    psi[0, :] = problem.boundary(R[0, :], ZU[0, :])
-    psi[-1, :] = problem.boundary(R[-1, :], ZU[-1, :])
-    psi[:, 0] = problem.boundary(R[:, 0], ZU[:, 0])
-    psi[:, -1] = problem.boundary(R[:, -1], ZU[:, -1])
+    psi[0, :] = problem.boundary(np.full(nzu, r[0]), zu)
+    psi[-1, :] = problem.boundary(np.full(nzu, r[-1]), zu)
+    psi[:, 0] = problem.boundary(r, np.full(nr, zu[0]))
+    psi[:, -1] = problem.boundary(r, np.full(nr, zu[-1]))
     if not np.isfinite(psi).all():
         raise ValueError("boundary data is not finite")
 
     solve = _interior_solver(problem, r, zu, psi)
-    S = problem.source(R[1:-1, 1:-1], ZU[1:-1, 1:-1]) if problem.source is not None else None
-    nonlinear = _nonlinear_term(problem, R[1:-1, 1:-1], S)
+    S = None
+    if problem.source is not None:
+        S = problem.source(*np.meshgrid(r[1:-1], zu[1:-1], indexing="ij"))
+    nonlinear = _nonlinear_term(problem, r[1:-1, None], S)
 
+    current, following = np.zeros((nr - 2, nzu - 2)), np.empty((nr - 2, nzu - 2))
+    step = None
+    if not any(_depends_on_psi(f) for f in (problem.J, problem.dJ, problem.dN)):
+        step = omega * solve(-nonlinear(current))
     updates: list[float] = []
     converged = False
     for _ in range(max_iter):
-        g = nonlinear(psi[1:-1, 1:-1])
-        if not np.isfinite(g).all():
-            raise ArithmeticError("constitutive profile evaluated to a non-finite value")
-        tilde = solve(-g)
-        new_interior = (1.0 - omega) * psi[1:-1, 1:-1] + omega * tilde
-        updates.append(float(np.max(np.abs(new_interior - psi[1:-1, 1:-1]))))
-        psi[1:-1, 1:-1] = new_interior
+        np.multiply(current, 1.0 - omega, out=following)
+        following += step if step is not None else omega * solve(-nonlinear(current))
+        # current turns into the update, following into the iterate
+        np.subtract(following, current, out=current)
+        updates.append(float(np.max(np.abs(current, out=current))))
+        current, following = following, current
         if updates[-1] < tol_outer:
             converged = True
             break
@@ -427,6 +445,7 @@ def solve_flux(
             raise SolverDiverged(
                 f"update norm grew from {updates[-21]:.3e} to {updates[-1]:.3e} over 20 iterations"
             )
+    psi[1:-1, 1:-1] = current
     if not converged:
         warnings.warn(
             f"flux solve stopped at the iteration cap ({max_iter}) with update {updates[-1]:.3e}",

@@ -787,6 +787,50 @@ def test_numpy_warnings_stay_off_stderr(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_iteration_cap_warning_is_one_line_on_stderr_and_in_the_report(tmp_path, capsys):
+    problem = _flux_file(tmp_path, "boundary = 0.25*r^4\ndN = -2\nmax_iter = 3")
+    capsys.readouterr()
+    code, out = run(tmp_path, "sol", "flux", "solve", problem)
+    assert code == 3
+    warning = "flux solve stopped at the iteration cap (3) with update "
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"warning: {warning}")
+    (note,) = read_report(out)["warnings"]
+    assert err[0] == f"warning: {note}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["transform", "--M", "2"], ["check", "--system", "cgl"]],
+    ids=["transform", "check"],
+)
+def test_tau_mismatch_warning_is_one_line_on_stderr_and_in_the_report(tmp_path, capsys, argv):
+    state = Path(_state(tmp_path))
+    tau = state.read_text().split("\n", 1)[0].split(",").index("tau")
+
+    def disagreeing_tau(lines):
+        # every tau replaced by 0.3, which (p_par - p_perp)/B^2 is not
+        for line in lines:
+            values = line.rstrip("\n").split(",")
+            values[tau] = "0.3"
+            yield ",".join(values) + "\n"
+
+    _edit_rows(state, disagreeing_tau)
+    capsys.readouterr()
+    code, out = run(tmp_path, "out", *argv, "--state", str(state))
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"warning: {state}: tau column disagrees with (p_par - p_perp)/B^2 (scaled mismatch 3.00e-01)"]
+    assert read_report(out)["warnings"] == [err[0].removeprefix("warning: ")]
+
+
+def test_report_has_no_warnings_key_without_warnings(tmp_path, capsys):
+    code, out = run(tmp_path, "sol", "flux", "solve", data_path("flux_axisym_example.flux"))
+    assert code == 0
+    assert "warnings" not in read_report(out)
+    assert capsys.readouterr().err == ""
+
+
 def test_number_profile_round_trips_as_decimal_text(tmp_path):
     problem = flux.FluxProblem(
         (0.5, 1.5), (-0.5, 0.5), boundary="0.25*r^4", dN=np.float64(-2.0)

@@ -192,6 +192,53 @@ def test_csv_rejects_scrambled_rows(tmp_path):
         read_csv(bad, ("x", "y", "z"))
 
 
+def _whole_table(axes, columns):
+    """The table ``write_csv`` writes, built whole: coordinates then columns."""
+    return np.column_stack([v.reshape(-1) for v in (*np.meshgrid(*axes.values(), indexing="ij"), *columns.values())])
+
+
+# one block, a z period and a y period shorter than a block, a y period longer
+@pytest.mark.parametrize("counts", [(1, 1, 1), (2, 3, 5), (3, 7, 200), (2, 3000, 1)])
+def test_csv_writer_matches_savetxt_of_the_whole_table(tmp_path, counts):
+    rng = np.random.default_rng(sum(counts))
+    axes = {name: np.sort(rng.standard_normal(n)) for name, n in zip("xyz", counts)}
+    columns = {"a": rng.standard_normal(counts), "b": rng.choice([0.0, -0.0, 1.5], counts)}
+    path = tmp_path / "f.csv"
+    write_csv(path, axes, columns)
+    reference = io.StringIO()
+    np.savetxt(reference, _whole_table(axes, columns), fmt="%.17g", delimiter=",", header="x,y,z,a,b", comments="")
+    assert path.read_text() == reference.getvalue()
+
+
+@pytest.mark.parametrize(
+    "coordinate, values",
+    [
+        (None, [((1, 2, 3), np.nan), ((1, 2, 4), np.inf)]),
+        (None, [((1, 0, 0), -np.inf), ((0, 3, 1), np.nan)]),
+        (("y", 2), [((0, 2, 0), np.inf)]),
+        (("y", 2), [((0, 1, 4), np.nan)]),
+        (("z", 4), [((0, 0, 4), np.nan)]),
+    ],
+    ids=["first of two", "earlier row, later column", "coordinate first", "value first", "same row"],
+)
+def test_csv_writer_names_the_first_nonfinite_value(tmp_path, coordinate, values):
+    # the first in row order, then column order, of the whole table
+    axes = {name: np.linspace(0.0, 1.0, n) for name, n in zip("xyz", (3, 4, 5))}
+    columns = {"a": np.zeros((3, 4, 5)), "b": np.ones((3, 4, 5))}
+    if coordinate is not None:
+        axes[coordinate[0]][coordinate[1]] = np.nan
+    for k, (node, value) in enumerate(values):
+        columns["ab"[k % 2]][node] = value
+    table = _whole_table(axes, columns)
+    row, col = np.argwhere(~np.isfinite(table))[0]
+    path = tmp_path / "f.csv"
+    message = f"{path}: refusing to write a non-finite {'xyzab'[col]} ({table[row, col]}) in data row {row + 1}"
+    with pytest.raises(ValueError) as caught:
+        write_csv(path, axes, columns)
+    assert str(caught.value) == message
+    assert not path.exists()
+
+
 def _assert_rows_match_savetxt(values, delimiter):
     ours, reference = io.StringIO(), io.StringIO()
     fields._write_rows(ours, values, delimiter)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -307,8 +308,7 @@ def test_solve_matches_a_sparse_lu_reference(problem, shape):
     assert np.max(np.abs(sol.psi - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_solve_factorizes_once(monkeypatch):
-    # the elimination is set up once per solve; its solve runs once per Picard iteration
+def _count_solver_calls(monkeypatch):
     setup, setups, solves = flux._interior_solver, [], []
 
     def counting_setup(problem, r, zu, psi):
@@ -322,10 +322,98 @@ def test_solve_factorizes_once(monkeypatch):
         return counting_solve
 
     monkeypatch.setattr(flux, "_interior_solver", counting_setup)
-    sol = solve_flux(quartic_problem(), (17, 17))
-    assert sol.iterations == 16
+    return setups, solves
+
+
+@pytest.mark.parametrize(
+    "problem, psi_dependent",
+    [(quartic_problem(), False), (manufactured_problem(), True)],
+    ids=["psi-independent", "psi-dependent"],
+)
+def test_solve_factorizes_once(problem, psi_dependent, monkeypatch):
+    # the elimination is set up once per solve; a right-hand side that
+    # depends on psi is solved at every Picard iteration, one that does not
+    # (here an (n, 1) column in r) once
+    setups, solves = _count_solver_calls(monkeypatch)
+    sol = solve_flux(problem, (17, 17))
+    assert sol.iterations > 1
     assert setups == [(17, 17)]
-    assert solves == [(15, 15)] * 16
+    assert len(solves) == (sol.iterations if psi_dependent else 1)
+
+
+def test_profile_without_an_expression_is_solved_at_every_iteration(monkeypatch):
+    # a callable dN may depend on psi, so it takes the per-iteration path;
+    # with the values of the text form it gives the same psi bit for bit
+    text = quartic_problem()
+    callable_dn = FluxProblem(boundary=f"{A / 8}*r^4", dN=lambda psi: -A, **DOMAIN)
+    want = solve_flux(text, (17, 17))
+    setups, solves = _count_solver_calls(monkeypatch)
+    got = solve_flux(callable_dn, (17, 17))
+    assert setups == [(17, 17)]
+    assert len(solves) == got.iterations == want.iterations == 16
+    assert got.updates == want.updates
+    assert np.array_equal(got.psi, want.psi)
+
+
+def reference_solve_flux(problem, shape, tol_outer=1e-10, max_iter=500, omega=0.8):
+    """Damped Picard iteration that solves the right-hand side at every
+    iteration on whole-domain arrays (the full meshgrid, the nonlinear term
+    on the interior mesh, whole-array temporaries): the loop that
+    ``solve_flux`` must match bit for bit."""
+    nr, nzu = shape
+    r = np.linspace(*problem.r_range, nr)
+    zu = np.linspace(*problem.zu_range, nzu)
+    R, ZU = np.meshgrid(r, zu, indexing="ij")
+    psi = np.zeros((nr, nzu))
+    psi[0, :] = problem.boundary(R[0, :], ZU[0, :])
+    psi[-1, :] = problem.boundary(R[-1, :], ZU[-1, :])
+    psi[:, 0] = problem.boundary(R[:, 0], ZU[:, 0])
+    psi[:, -1] = problem.boundary(R[:, -1], ZU[:, -1])
+    solve = flux._interior_solver(problem, r, zu, psi)
+    S = problem.source(R[1:-1, 1:-1], ZU[1:-1, 1:-1]) if problem.source is not None else None
+    nonlinear = flux._nonlinear_term(problem, R[1:-1, 1:-1], S)
+    updates, converged = [], False
+    for _ in range(max_iter):
+        g = nonlinear(psi[1:-1, 1:-1])
+        tilde = solve(-g)
+        new_interior = (1.0 - omega) * psi[1:-1, 1:-1] + omega * tilde
+        updates.append(float(np.max(np.abs(new_interior - psi[1:-1, 1:-1]))))
+        psi[1:-1, 1:-1] = new_interior
+        if updates[-1] < tol_outer:
+            converged = True
+            break
+    return psi, tuple(updates), converged
+
+
+def _bundled_problem(name):
+    return parse_problem_file(resources.files("plasmeq.data").joinpath(name).read_text())[0]
+
+
+@pytest.mark.parametrize("shape", [(33, 33), (19, 14)])
+@pytest.mark.parametrize(
+    "problem, settings",
+    [
+        (quartic_problem(), {}),
+        (_bundled_problem("flux_axisym_example.flux"), {}),
+        (_bundled_problem("flux_helical_example.flux"), {}),
+        (manufactured_problem(), {}),
+        (_lu_reference_problem("helical"), {}),
+        (quartic_problem(), dict(max_iter=4)),
+        (manufactured_problem(), dict(max_iter=4)),
+    ],
+    ids=[
+        "quartic", "axisymmetric example", "helical example", "manufactured", "source",
+        "psi-independent iteration cap", "psi-dependent iteration cap",
+    ],
+)
+def test_solve_is_bit_identical_to_the_whole_domain_loop(problem, settings, shape):
+    want_psi, want_updates, want_converged = reference_solve_flux(problem, shape, **settings)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        sol = solve_flux(problem, shape, **settings)
+    assert sol.converged == want_converged == ("max_iter" not in settings)
+    assert sol.updates == want_updates
+    assert np.array_equal(sol.psi, want_psi)
 
 
 def _count_sine_transforms(monkeypatch):
