@@ -16,20 +16,25 @@ validation error, 3 verification failure (nonzero symbolic residual,
 residual norms over threshold, or an unconverged solve).  A warning raised
 during a run is printed as one ``warning: <message>`` line on stderr and
 listed under ``warnings`` in ``report.json``.
+
+Each command imports what it runs when it runs: the ``lie`` commands load
+the symbolic kernel (``expr``, ``lie``) and no numpy; ``vortex`` and
+``check`` load ``equilibria`` and ``fields``; ``transform`` adds ``expr``;
+``flux solve`` loads ``flux``, ``fields`` and ``expr``; ``flux tocgl`` adds
+``equilibria``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
 import warnings
 from pathlib import Path
 
-from .expr import ExprError, pretty
-from .lie import LieError, PdeSystem, build_determining_system, parse_generator, verify_generator
-from .systems import RESIDUAL_SYSTEMS
+from . import RESIDUAL_SYSTEMS
 
 __all__ = ["main"]
 
@@ -58,15 +63,35 @@ def _read_text(path: str) -> str:
 # lie
 # ---------------------------------------------------------------------------
 
+# the symbolic kernel's names that the lie commands call: attributes of this
+# module that import their own module on first use (``__getattr__``).  The
+# commands look them up on this module, so that a function re-bound here
+# (the benchmark's self-test injects a fault as ``cli.verify_generator``)
+# or on its own module (its tracer) is the one that runs.
+_KERNEL_NAMES = {
+    "pretty": "expr",
+    "PdeSystem": "lie",
+    "build_determining_system": "lie",
+    "parse_generator": "lie",
+    "verify_generator": "lie",
+}
+
+
+def __getattr__(name: str):
+    if name in _KERNEL_NAMES:
+        return getattr(importlib.import_module(f"{__package__}.{_KERNEL_NAMES[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 def cmd_lie_detsys(args) -> tuple[int, dict]:
-    system = PdeSystem.from_text(_read_text(args.pde_file))
-    det = build_determining_system(system)
+    kernel = sys.modules[__name__]
+    system = kernel.PdeSystem.from_text(_read_text(args.pde_file))
+    det = kernel.build_determining_system(system)
     listing = Path(args.out) / "detsys.txt"
     with open(listing, "w") as fh:
         fh.write(f"# count={det.count} assumptions={list(det.assumptions)}\n")
         for eqn in det.equations:
-            fh.write(pretty(eqn) + "\n")
+            fh.write(kernel.pretty(eqn) + "\n")
     counts = {
         "count": det.count,
         "count_up_to_scale": det.stats["count_up_to_scale"],
@@ -90,10 +115,13 @@ def cmd_lie_detsys(args) -> tuple[int, dict]:
 
 
 def cmd_lie_verify(args) -> tuple[int, dict]:
-    system = PdeSystem.from_text(_read_text(args.pde_file))
-    gen = parse_generator(system.context, _read_text(args.generator_file), label=Path(args.generator_file).stem)
-    verification = verify_generator(system, gen)
-    nonzero = [pretty(r) for r in verification if not r.is_zero]
+    kernel = sys.modules[__name__]
+    system = kernel.PdeSystem.from_text(_read_text(args.pde_file))
+    gen = kernel.parse_generator(
+        system.context, _read_text(args.generator_file), label=Path(args.generator_file).stem
+    )
+    verification = kernel.verify_generator(system, gen)
+    nonzero = [kernel.pretty(r) for r in verification if not r.is_zero]
     ok = not nonzero
     report = {
         "inputs": {"pde_file": str(args.pde_file), "generator_file": str(args.generator_file)},
@@ -113,9 +141,6 @@ def cmd_lie_verify(args) -> tuple[int, dict]:
 # ---------------------------------------------------------------------------
 # vortex / transform
 # ---------------------------------------------------------------------------
-#
-# The numeric commands import the numeric modules, and with them numpy,
-# when they run: the lie commands never load numpy.
 
 
 def cmd_vortex(args) -> tuple[int, dict]:
@@ -176,9 +201,6 @@ def cmd_transform(args) -> tuple[int, dict]:
 
 
 def cmd_flux_solve(args) -> tuple[int, dict]:
-    # importing flux here keeps its import (about 15 ms: numpy.polynomial,
-    # the Gauss-Legendre nodes, the dataclasses) off every other command's
-    # start-up
     from . import flux as fx
 
     problem, params = fx.parse_problem_file(_read_text(args.problem_file))
@@ -239,6 +261,9 @@ def _norms_as_jsonable(norms: dict) -> dict:
 
 
 def cmd_check(args) -> tuple[int, dict]:
+    if args.threshold is not None and args.threshold < 0:
+        raise ValueError(f"--threshold must not be negative, got {args.threshold}")
+
     import numpy as np
 
     from . import equilibria as eq
@@ -425,9 +450,22 @@ def main(argv=None) -> int:
                 # checks on sampled values and on written files report those cases
                 with np.errstate(all="ignore"):
                     code, report = args.handler(args)
-        except (ExprError, LieError, ValueError, ArithmeticError, OSError) as err:
-            error = err
-            code, report = EXIT_VALIDATION, {"error": str(err), "assumptions": [], "pass": False}
+        except (ValueError, ArithmeticError, OSError) as err:
+            error = str(err)
+        except MemoryError as err:
+            # numpy's message names the allocation; a bare MemoryError has none
+            error = str(err) or "out of memory"
+        except Exception as err:
+            # the symbolic kernel's own errors, imported only on this path so
+            # that the commands which never load the kernel stay without it
+            from .expr import ExprError
+            from .lie import LieError
+
+            if not isinstance(err, (ExprError, LieError)):
+                raise
+            error = str(err)
+        if error is not None:
+            code, report = EXIT_VALIDATION, {"error": error, "assumptions": [], "pass": False}
     notes = [str(w.message) for w in caught]
     for note in notes:
         print(f"warning: {note}", file=sys.stderr)

@@ -23,10 +23,9 @@ from typing import Callable
 
 import numpy as np
 
+from . import RESIDUAL_SYSTEMS
 from . import fields as fd
-from .expr import compile_numeric
 from .fields import Grid3, ScalarGrid, VectorGrid
-from .systems import RESIDUAL_SYSTEMS
 
 __all__ = [
     "CGLState",
@@ -441,7 +440,11 @@ class TransformSpec:
 
     @functools.cached_property
     def compiled(self) -> Callable:
-        """M compiled once per spec; may return a scalar for constant M."""
+        """M compiled once per spec; may return a scalar for constant M.
+        The symbolic kernel is imported here, on first use, so that the
+        commands that never compile an expression do not load it."""
+        from .expr import compile_numeric
+
         return compile_numeric(self.text, ["psi"])
 
     def __call__(self, psi_values: np.ndarray) -> np.ndarray:

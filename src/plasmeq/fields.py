@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 _FLOAT_FMT = "%.17g"
-# rows per block of ``_write_rows``: each distinct value of a block is
+# rows per block of ``_write_block``: each distinct value of a block is
 # formatted once and held as one Python string until the block is written,
 # so a larger block formats less but holds more; a 65^3 state writes as fast
 # at 2048 rows as at 8192, with a smaller peak memory
@@ -326,19 +326,10 @@ def write_csv(path, axes: dict[str, np.ndarray], columns: dict[str, np.ndarray])
             _write_block(fh, rows, row_fmt)
 
 
-def _write_rows(fh, values: np.ndarray, delimiter: str) -> None:
-    """Write a 2-D array (a 1-D one as a column) one row per line, floats at
-    17 significant digits; the bytes equal ``np.savetxt(fh, values,
-    fmt=_FLOAT_FMT, delimiter=delimiter)``.  Rows go out in blocks of
-    ``_ROW_BLOCK`` through ``_write_block``."""
-    rows = np.asarray(values, dtype=float).reshape(len(values), -1)
-    row_fmt = delimiter.join(["%s"] * rows.shape[1]) + "\n"
-    for start in range(0, len(rows), _ROW_BLOCK):
-        _write_block(fh, np.ascontiguousarray(rows[start : start + _ROW_BLOCK]), row_fmt)
-
-
 def _write_block(fh, block: np.ndarray, row_fmt: str) -> None:
-    """Write the rows of a C-contiguous 2-D float block by ``row_fmt``.
+    """Write the rows of a C-contiguous 2-D float block by ``row_fmt``,
+    floats at 17 significant digits; the bytes equal ``np.savetxt`` of the
+    block with ``fmt=_FLOAT_FMT`` and the delimiter of ``row_fmt``.
 
     Each distinct value of the block is formatted once: values are told
     apart by their bit pattern, so that ``-0.0`` and ``0.0`` keep their own
@@ -403,17 +394,44 @@ def read_csv(path, axis_names) -> tuple[tuple[np.ndarray, ...], dict[str, np.nda
     return axes, {name: data[:, i].reshape(counts) for i, name in enumerate(header[k:], start=k)}
 
 
+def _x_fastest_blocks(nx: int, ny: int, nz: int):
+    """(j0, j1, k0, k1): index ranges that cut a grid, in x-fastest order,
+    into blocks of at most ``_ROW_BLOCK`` nodes (or one x-row, where that is
+    longer): several whole z-planes where a plane fits, else runs of whole
+    x-rows of one plane."""
+    if nx * ny <= _ROW_BLOCK:
+        step = _ROW_BLOCK // (nx * ny)
+        for k in range(0, nz, step):
+            yield 0, ny, k, min(k + step, nz)
+    else:
+        step = max(1, _ROW_BLOCK // nx)
+        for k in range(nz):
+            for j in range(0, ny, step):
+                yield j, min(j + step, ny), k, k + 1
+
+
 def write_vtk(path, grid: Grid3, scalars: dict[str, np.ndarray], vectors: dict[str, np.ndarray]) -> None:
     """Legacy ASCII STRUCTURED_POINTS writer (x varies fastest on disk);
-    refuses a non-finite value, naming its field, before opening the file."""
+    refuses a non-finite value, naming its field, before opening the file.
+
+    Each field goes out in blocks of ``_ROW_BLOCK`` rows, each assembled in
+    one reused buffer from the (i, j, k) C-order values, so that no
+    transposed copy of a whole field is made."""
     for name, values in (*vectors.items(), *scalars.items()):
         if not np.isfinite(values).all():
             raise ValueError(f"{path}: refusing to write a non-finite {name} ({values[~np.isfinite(values)][0]})")
     nx, ny, nz = grid.counts
+    buffer = np.empty(3 * max(nx, min(_ROW_BLOCK, grid.n_nodes)))
 
-    def flat(values):
-        # (i, j, k) C-order -> VTK x-fastest ordering
-        return values.transpose(2, 1, 0).reshape(-1)
+    def write_field(fh, components) -> None:
+        row_fmt = " ".join(["%s"] * len(components)) + "\n"
+        for j0, j1, k0, k1 in _x_fastest_blocks(nx, ny, nz):
+            shape = (k1 - k0, j1 - j0, nx)
+            rows = buffer[: math.prod(shape) * len(components)].reshape(-1, len(components))
+            for c, values in enumerate(components):
+                # column c seen as (k, j, i): x varies fastest down the rows
+                np.copyto(rows[:, c].reshape(shape), values[:, j0:j1, k0:k1].transpose(2, 1, 0))
+            _write_block(fh, rows, row_fmt)
 
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
@@ -426,9 +444,8 @@ def write_vtk(path, grid: Grid3, scalars: dict[str, np.ndarray], vectors: dict[s
         fh.write(f"POINT_DATA {grid.n_nodes}\n")
         for name, values in vectors.items():
             fh.write(f"VECTORS {name} double\n")
-            stacked = np.column_stack([flat(values[c]) for c in range(3)])
-            _write_rows(fh, stacked, " ")
+            write_field(fh, [values[c] for c in range(3)])
         for name, values in scalars.items():
             fh.write(f"SCALARS {name} double\n")
             fh.write("LOOKUP_TABLE default\n")
-            _write_rows(fh, flat(values), " ")
+            write_field(fh, [values])

@@ -37,18 +37,22 @@ The module needs numpy alone.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import fields as fd
-from .equilibria import CGLState, StateEvaluators, require_defined, sample_state
 from .expr import compile_numeric
 from .fields import Grid3
+
+if TYPE_CHECKING:
+    from .equilibria import CGLState
 
 __all__ = [
     "FluxProblem",
@@ -512,8 +516,11 @@ def default_cartesian_box(problem: FluxProblem, counts: int | tuple[int, int, in
     )
 
 
-# 8-point Gauss-Legendre nodes and weights on [-1, 1]
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """8-point Gauss-Legendre nodes and weights on [-1, 1], computed on the
+    first ``flux tocgl`` rather than on every import of this module."""
+    return np.polynomial.legendre.leggauss(8)
 
 
 def _pressure_antiderivative(problem: FluxProblem, sol: FluxSolution):
@@ -533,7 +540,8 @@ def _pressure_antiderivative(problem: FluxProblem, sol: FluxSolution):
     below = round(256 * pad / (stop - start))  # panels below lo
     knots = np.concatenate([np.linspace(start, lo, below + 1)[:-1], np.linspace(lo, stop, 257 - below)])
     width = np.diff(knots)
-    nodes = 0.5 * (knots[:-1] + knots[1:])[:, None] + 0.5 * width[:, None] * _GAUSS_NODES
+    gauss_nodes, gauss_weights = _gauss_legendre()
+    nodes = 0.5 * (knots[:-1] + knots[1:])[:, None] + 0.5 * width[:, None] * gauss_nodes
     points = np.concatenate([knots, nodes.ravel()])
     dn = np.broadcast_to(np.asarray(problem.dN(points), dtype=float), points.shape)
     bad = ~np.isfinite(dn)
@@ -543,7 +551,7 @@ def _pressure_antiderivative(problem: FluxProblem, sol: FluxSolution):
             f"[{start:.6g}, {stop:.6g}]"
         )
     slope = dn[: len(knots)]
-    panels = 0.5 * width * (dn[len(knots) :].reshape(-1, 8) @ _GAUSS_WEIGHTS)
+    panels = 0.5 * width * (dn[len(knots) :].reshape(-1, 8) @ gauss_weights)
     values = np.zeros(len(knots))
     values[below + 1 :] = np.cumsum(panels[below:])
     values[:below] = -np.cumsum(panels[:below][::-1])[::-1]
@@ -593,6 +601,9 @@ def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
     (``equilibria.sample_state``), as a later point transform is, so the
     extent named is that of the first block that leaves the domain.
     """
+    # imported here: ``flux solve`` needs none of the equilibria module
+    from .equilibria import StateEvaluators, require_defined, sample_state
+
     problem = sol.problem
     tau_fn, tau_text = _as_profile(tau, ("psi",))
     lo, hi = sol.attained_range()

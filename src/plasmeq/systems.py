@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from importlib import resources
 
+from . import RESIDUAL_SYSTEMS
 from .expr import Context, Expr
 from .lie import CandidateGenerator, PdeSystem
 
@@ -26,10 +27,6 @@ __all__ = [
     "line_function_generator",
     "classical_generators",
 ]
-
-# the governing systems whose residuals ``equilibria.residual_fields``
-# evaluates on sampled states
-RESIDUAL_SYSTEMS = ("mhd", "cgl", "alt")
 
 
 def _data_text(name: str) -> str:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import plasmeq
-from plasmeq import fields, flux
+from plasmeq import cli, fields, flux
 from plasmeq.cli import main
 
 
@@ -278,85 +278,163 @@ def test_helical_flux_pipeline(tmp_path):
     assert read_report(check_out)["pass"] is True
 
 
-# Runs in a fresh interpreter: records the exit code of each command and the
-# scipy modules loaded after it, as JSON in <out>/steps.json.  The last step
-# imports scipy.sparse explicitly, to show that the probe would see scipy.
-STARTUP_SCRIPT = """
+# Runs ``plasmeq.cli.main`` on the argv given in a fresh interpreter (no
+# call for an empty argv), then imports the modules named, and prints as
+# the last line of stdout the exit code and the plasmeq, numpy and scipy
+# modules loaded, as JSON.
+PROBE_SCRIPT = """
 import json, sys
-from importlib import resources
-from pathlib import Path
 
 import plasmeq.cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-out, data = Path(sys.argv[1]), resources.files("plasmeq.data")
-steps = [["import", 0, scipy_modules()]]
-for name, argv in [
-    ("lie verify", ["lie", "verify", str(data / "mhd_static.pde"), str(data / "mhd_rotations.gen")]),
-    ("vortex", ["vortex", "--grid", "9"]),
-    ("transform", ["transform", "--state", str(out / "vortex" / "state.csv"), "--M", "1 + 0.5*psi"]),
-    ("check", ["check", "--state", str(out / "vortex" / "state.csv"), "--system", "mhd"]),
-    ("flux solve", ["flux", "solve", str(data / "flux_axisym_example.flux")]),
-    ("flux tocgl", ["flux", "tocgl", str(out / "solve" / "solution.json"), "--tau", "psi/2.6", "--grid", "9"]),
-]:
-    code = plasmeq.cli.main(["--out", str(out / name.split()[-1]), *argv])
-    steps.append([name, code, scipy_modules()])
-import scipy.sparse
-steps.append(["import scipy.sparse", 0, scipy_modules()])
-(out / "steps.json").write_text(json.dumps(steps))
+argv, imports = json.loads(sys.argv[1])
+code = plasmeq.cli.main(argv) if argv else 0
+for name in imports:
+    __import__(name)
+loaded = sorted(sys.modules)
+print(json.dumps({
+    "code": code,
+    "plasmeq": [m for m in loaded if m.startswith("plasmeq.")],
+    "numpy": "numpy" in loaded,
+    "scipy": [m for m in loaded if m.split(".")[0] == "scipy"],
+}))
 """
 
 
-def test_no_command_imports_scipy(tmp_path):
+def probe(argv, imports=()):
+    """(exit code, stderr, modules loaded) of one fresh-interpreter run."""
     env = dict(os.environ, PYTHONPATH=str(Path(plasmeq.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path)], env=env, capture_output=True, text=True
+        [sys.executable, "-c", PROBE_SCRIPT, json.dumps([argv, list(imports)])],
+        env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    steps = json.loads((tmp_path / "steps.json").read_text())
-    assert [name for name, _, _ in steps] == [
-        "import", "lie verify", "vortex", "transform", "check", "flux solve", "flux tocgl", "import scipy.sparse"
-    ]
-    assert all(code == 0 for _, code, _ in steps)
-    for name, _, scipy_modules in steps[:-1]:
-        assert scipy_modules == [], name
-    # the probe does see scipy once it is imported
-    assert "scipy.sparse" in steps[-1][2]
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    return loaded.pop("code"), proc.stderr, loaded
 
 
-# Runs in a fresh interpreter: records the exit code of each step and
-# whether numpy is loaded after it, as JSON in <out>/numpy.json.
-NUMPY_SCRIPT = """
-import json, sys
-from importlib import resources
-from pathlib import Path
-
-import plasmeq.cli
-
-out, data = Path(sys.argv[1]), resources.files("plasmeq.data")
-steps = [["import", 0, "numpy" in sys.modules]]
-for name, argv in [
-    ("lie detsys", ["lie", "detsys", str(data / "mhd_static.pde")]),
-    ("lie verify", ["lie", "verify", str(data / "mhd_static.pde"), str(data / "mhd_rotations.gen")]),
-    ("vortex", ["vortex", "--grid", "9"]),
-]:
-    code = plasmeq.cli.main(["--out", str(out / name.split()[-1]), *argv])
-    steps.append([name, code, "numpy" in sys.modules])
-(out / "numpy.json").write_text(json.dumps(steps))
-"""
+@pytest.fixture(scope="module")
+def probe_inputs(tmp_path_factory):
+    """A 9^3 vortex state and a flux solution, the inputs of the probed
+    commands that read one."""
+    out = tmp_path_factory.mktemp("probe-inputs")
+    assert main(["--out", str(out / "vortex"), "vortex", "--grid", "9"]) == 0
+    assert main(["--out", str(out / "solve"), "flux", "solve", data_path("flux_axisym_example.flux")]) == 0
+    (out / "empty.pde").write_text("")
+    return out
 
 
-def test_lie_commands_load_no_numpy(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(Path(plasmeq.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_SCRIPT, str(tmp_path)], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    steps = json.loads((tmp_path / "numpy.json").read_text())
-    # the probe sees numpy once a numeric command has run
-    assert steps == [["import", 0, False], ["lie detsys", 0, False], ["lie verify", 0, False], ["vortex", 0, True]]
+# each command's argv (given the probe inputs), the plasmeq modules besides
+# cli it loads, and whether it loads numpy
+COMMAND_MODULES = {
+    "import": (lambda d: [], set(), False),
+    "lie detsys": (lambda d: ["lie", "detsys", data_path("mhd_static.pde")], {"expr", "lie"}, False),
+    "lie verify": (
+        lambda d: ["lie", "verify", data_path("mhd_static.pde"), data_path("mhd_rotations.gen")],
+        {"expr", "lie"},
+        False,
+    ),
+    "vortex": (lambda d: ["vortex", "--grid", "9"], {"equilibria", "fields"}, True),
+    "check": (
+        lambda d: ["check", "--state", str(d / "vortex" / "state.csv"), "--system", "mhd"],
+        {"equilibria", "fields"},
+        True,
+    ),
+    "transform": (
+        lambda d: ["transform", "--state", str(d / "vortex" / "state.csv"), "--M", "1 + 0.5*psi"],
+        {"equilibria", "fields", "expr"},
+        True,
+    ),
+    "flux solve": (
+        lambda d: ["flux", "solve", data_path("flux_axisym_example.flux")], {"flux", "fields", "expr"}, True
+    ),
+    "flux tocgl": (
+        lambda d: ["flux", "tocgl", str(d / "solve" / "solution.json"), "--tau", "psi/2.6", "--grid", "9"],
+        {"flux", "fields", "expr", "equilibria"},
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_MODULES))
+def test_each_command_loads_only_what_it_runs(tmp_path, probe_inputs, command):
+    argv, modules, numpy_loaded = COMMAND_MODULES[command]
+    argv = argv(probe_inputs)
+    code, _, loaded = probe(["--out", str(tmp_path), *argv] if argv else [])
+    assert code == 0
+    assert loaded["plasmeq"] == sorted(f"plasmeq.{name}" for name in {"cli", *modules})
+    assert loaded["numpy"] is numpy_loaded
+    # no command imports scipy
+    assert loaded["scipy"] == []
+
+
+def test_the_startup_probe_sees_scipy_once_imported():
+    _, _, loaded = probe([], imports=["scipy.sparse"])
+    assert "scipy.sparse" in loaded["scipy"]
+
+
+# errors raised by the symbolic kernel, which cli imports only on the error
+# path: a fresh interpreter meets them with the kernel not yet loaded
+LAZY_ERRORS = {
+    "transform magnitude that ends early": (
+        lambda d: ["transform", "--state", str(d / "vortex" / "state.csv"), "--M", "psi+"],
+        "expected a value, found 'end of input' (line 1, column 5)",
+    ),
+    "tocgl tau with a missing exponent": (
+        lambda d: ["flux", "tocgl", str(d / "solve" / "solution.json"), "--tau", "psi^"],
+        "exponent must be an integer literal (line 1, column 5)",
+    ),
+    "detsys of an empty file": (lambda d: ["lie", "detsys", str(d / "empty.pde")], "system declares no equations"),
+}
+
+
+@pytest.mark.parametrize("case", list(LAZY_ERRORS))
+def test_lazily_imported_errors_exit_two(tmp_path, probe_inputs, case):
+    argv, message = LAZY_ERRORS[case]
+    code, err, _ = probe(["--out", str(tmp_path), *argv(probe_inputs)])
+    assert code == 2
+    assert err == f"error: {message}\n"
+    report = read_report(tmp_path)
+    assert report["error"] == message
+    assert report["pass"] is False
+
+
+def test_lie_commands_call_the_kernel_names_rebound_on_cli(tmp_path, monkeypatch):
+    # a tracer or an injected fault re-binds the kernel functions on cli
+    calls = []
+    build = cli.build_determining_system
+
+    def counted(system):
+        calls.append(system)
+        return build(system)
+
+    monkeypatch.setattr(cli, "build_determining_system", counted)
+    code, _ = run(tmp_path, "det", "lie", "detsys", data_path("mhd_static.pde"))
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "raised, message",
+    [
+        (
+            MemoryError("Unable to allocate 59.6 TiB for an array with shape (200000, 200000, 200000)"),
+            "Unable to allocate 59.6 TiB for an array with shape (200000, 200000, 200000)",
+        ),
+        (MemoryError(), "out of memory"),
+    ],
+    ids=["numpy-message", "bare"],
+)
+def test_memory_error_exits_two_without_a_traceback(tmp_path, capsys, monkeypatch, raised, message):
+    def exhausted(args):
+        raise raised
+
+    # the parser binds the handler by its module-level name when main runs
+    monkeypatch.setattr(cli, "cmd_vortex", exhausted)
+    code, out = run(tmp_path, "oom", "vortex", "--grid", "9")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert read_report(out) == {"command": "vortex", "error": message, "assumptions": [], "pass": False}
 
 
 def test_check_absolute_threshold_failure(tmp_path):
@@ -670,6 +748,10 @@ BAD_INPUTS = {
     "axisymmetric flux file with a pitch length": (
         lambda tmp: ["flux", "solve", _flux_file(tmp, "geometry = axisymmetric\ngamma = 0.7\nboundary = r")],
         "and agree with gamma = 0.7",
+    ),
+    "check threshold below zero": (
+        lambda tmp: ["check", "--state", _state(tmp), "--system", "mhd", "--threshold", "-1"],
+        "--threshold must not be negative, got -1.0",
     ),
     "check threshold of nan": (
         lambda tmp: ["check", "--state", _state(tmp), "--system", "mhd", "--threshold", "nan"],

@@ -10,7 +10,7 @@ import pytest
 from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import brentq
 
-from plasmeq import equilibria
+from plasmeq import equilibria, expr
 from plasmeq import fields as fd
 from plasmeq.equilibria import (
     CGLState,
@@ -190,13 +190,14 @@ def test_transformed_evaluator_matches_samples(vortex17):
 
 def test_transform_spec_compiles_once(vortex17, monkeypatch):
     calls = []
-    compile_numeric = equilibria.compile_numeric
+    compile_numeric = expr.compile_numeric
 
     def counted(*args):
         calls.append(args)
         return compile_numeric(*args)
 
-    monkeypatch.setattr(equilibria, "compile_numeric", counted)
+    # TransformSpec imports compile_numeric from expr when it first compiles
+    monkeypatch.setattr(expr, "compile_numeric", counted)
     spec = TransformSpec("1 + psi^2")
     apply_infinite_transform(apply_infinite_transform(vortex17, spec), spec)
     spec(np.linspace(0.0, 1.0, 5))

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,7 +242,11 @@ def test_csv_writer_names_the_first_nonfinite_value(tmp_path, coordinate, values
 
 def _assert_rows_match_savetxt(values, delimiter):
     ours, reference = io.StringIO(), io.StringIO()
-    fields._write_rows(ours, values, delimiter)
+    # the writers' path: blocks of ``_ROW_BLOCK`` rows through ``_write_block``
+    rows = values.reshape(len(values), -1)
+    row_fmt = delimiter.join(["%s"] * rows.shape[1]) + "\n"
+    for start in range(0, len(rows), fields._ROW_BLOCK):
+        fields._write_block(ours, np.ascontiguousarray(rows[start : start + fields._ROW_BLOCK]), row_fmt)
     np.savetxt(reference, values, fmt="%.17g", delimiter=delimiter)
     # compare line by line so that a failure names the first differing row
     # instead of diffing megabytes of text
@@ -311,6 +316,45 @@ def test_vtk_header_and_payload(tmp_path):
     first, second = lines[vec_start].split(), lines[vec_start + 1].split()
     assert float(first[0]) == values[0, 0, 0]
     assert float(second[0]) == values[1, 0, 0]
+
+
+# whole planes per block, runs of x-rows of one plane (ny not a multiple of
+# the run), and x-rows longer than a block
+@pytest.mark.parametrize("counts", [(3, 4, 5), (70, 40, 3), (2 * fields._ROW_BLOCK + 5, 2, 3)])
+def test_vtk_payload_equals_savetxt_of_the_transposed_fields(tmp_path, counts):
+    g = Grid3((0.0, -1.0, 2.0), (0.5, 0.25, 0.125), counts)
+    rng = np.random.default_rng(len(counts) + sum(counts))
+    p, q = rng.standard_normal((2, *counts))
+    vec = rng.standard_normal((3, *counts))
+    path = tmp_path / "f.vtk"
+    write_vtk(path, g, scalars={"p": p, "q": q}, vectors={"B": vec})
+    def flat(values):
+        # the whole-grid reference: an x-fastest copy of a field
+        return values.transpose(2, 1, 0).reshape(-1)
+
+    reference = io.StringIO()
+    reference.write("VECTORS B double\n")
+    np.savetxt(reference, np.column_stack([flat(vec[c]) for c in range(3)]), fmt="%.17g", delimiter=" ")
+    for name, values in (("p", p), ("q", q)):
+        reference.write(f"SCALARS {name} double\nLOOKUP_TABLE default\n")
+        np.savetxt(reference, flat(values), fmt="%.17g")
+    lines = path.read_text().splitlines(keepends=True)
+    assert "".join(lines[8:]) == reference.getvalue()
+
+
+def test_vtk_writer_builds_no_whole_field_copy(tmp_path):
+    g = Grid3.cube(-1.0, 1.0, 65)
+    rng = np.random.default_rng(65)
+    p = rng.standard_normal(g.counts)
+    vec = rng.standard_normal((3, *g.counts))
+    tracemalloc.start()
+    try:
+        write_vtk(tmp_path / "f.vtk", g, scalars={"p": p}, vectors={"B": vec})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a transposed copy of one field alone is one node array
+    assert peak < g.n_nodes * 8
 
 
 @pytest.mark.parametrize("field", ["p", "B"])
