@@ -977,6 +977,8 @@ def parse_program(text: str) -> ProgramFile:
             rhs = _parse_token_slice(body[eq_idx[0] + 1 :], ctx, equals)
             equations.append(lhs - rhs)
         elif head.type == "ident" and head.text == "solve_for":
+            if solve_for:
+                raise ParseError("solve_for is declared twice", head.line, head.col)
             if len(stmt) < 3 or stmt[1].text != ":":
                 raise ParseError("solve_for must be followed by ':'", head.line, head.col)
             body = stmt[2:]
@@ -986,7 +988,9 @@ def parse_program(text: str) -> ProgramFile:
                     raise ParseError("solve_for entries must be single derivative coordinates", head.line, head.col)
                 solve_for.append(jet)
         elif head.type == "ident" and head.text == "target_count":
-            if len(stmt) != 3 or stmt[1].text != ":" or stmt[2].type != "number":
+            if target_count is not None:
+                raise ParseError("target_count is declared twice", head.line, head.col)
+            if len(stmt) != 3 or stmt[1].text != ":" or not re.fullmatch(r"\d+", stmt[2].text):
                 raise ParseError("target_count must be 'target_count: <integer>'", head.line, head.col)
             target_count = int(stmt[2].text)
         else:

@@ -1,32 +1,43 @@
-"""Bundled equilibrium systems and their known symmetry generators.
+"""Bundled equilibrium systems and their catalogue of known generators.
 
-The PDE declarations live in ``plasmeq/data`` as plain text in the
-expression grammar; loaders here return ready ``PdeSystem`` objects.  The
-generator catalog builds the classical candidates (translations, rotations,
-two scalings, the pressure/anisotropy rescaling of the anisotropic system,
-and the field-line transform family) as concrete components over each
-system's variables.
+The PDE declarations and the generators both live in ``plasmeq/data`` as
+plain text in the expression grammar.  ``load_system`` returns a ready
+``PdeSystem``; the catalogue loaders read the bundled ``.gen`` files with
+``lie.parse_generator``, the reader that ``lie verify`` runs, so each known
+generator is written down once, in the file a user verifies.
 """
 
 from __future__ import annotations
 
 from importlib import resources
 
-from . import RESIDUAL_SYSTEMS
-from .expr import Context, Expr
-from .lie import CandidateGenerator, PdeSystem
+from .expr import Expr
+from .lie import CandidateGenerator, PdeSystem, parse_generator
 
 __all__ = [
-    "RESIDUAL_SYSTEMS",
     "load_system",
-    "translations",
-    "rotations",
-    "space_scaling",
-    "field_scaling",
     "pressure_anisotropy_scaling",
     "line_function_generator",
     "classical_generators",
 ]
+
+# catalogue label -> generator file, by the pressure variable of the system
+_CATALOGUE = {
+    "P": {
+        "translations": "mhd_translations.gen",
+        "rotations": "mhd_rotations.gen",
+        "space_scaling": "space_scaling.gen",
+        "field_scaling": "mhd_field_scaling.gen",
+    },
+    "pperp": {
+        "translations": "cgl_translations.gen",
+        "rotations": "mhd_rotations.gen",
+        "space_scaling": "space_scaling.gen",
+        "field_scaling": "cgl_field_scaling.gen",
+        "pressure_anisotropy_scaling": "cgl_pressure_anisotropy_scaling.gen",
+        "line_function": "cgl_line_function.gen",
+    },
+}
 
 
 def _data_text(name: str) -> str:
@@ -46,94 +57,32 @@ def load_system(name: str) -> PdeSystem:
         raise ValueError(f"unknown bundled system {name!r}; choose from {sorted(files)}") from None
 
 
-def _pressure_name(ctx: Context) -> str:
-    for cand in ("P", "pperp"):
-        try:
-            if ctx.symbol(cand).kind == "dependent":
-                return cand
-        except KeyError:
-            continue
-    raise ValueError("system declares neither P nor pperp")
-
-
-def translations(system: PdeSystem) -> CandidateGenerator:
-    """Coordinate translations plus a constant pressure shift (K1..K4)."""
-    ctx = system.context.extended(parameters=["K1", "K2", "K3", "K4"])
-    xi = {x: ctx.var(f"K{i + 1}") for i, x in enumerate(ctx.independents)}
-    eta = {ctx.symbol(_pressure_name(ctx)): ctx.var("K4")}
-    return CandidateGenerator(ctx, xi, eta, "translations")
-
-
-def rotations(system: PdeSystem) -> CandidateGenerator:
-    """Simultaneous rotation of coordinates and field components (b, c, d)."""
-    ctx = system.context.extended(parameters=["b", "c", "d"])
-    x1, x2, x3 = (ctx.var(s.name) for s in ctx.independents)
-    B1, B2, B3 = (ctx.var(n) for n in ("B1", "B2", "B3"))
-    b, c, d = ctx.var("b"), ctx.var("c"), ctx.var("d")
-    xi = {
-        ctx.independents[0]: c * x2 + d * x3,
-        ctx.independents[1]: -c * x1 - b * x3,
-        ctx.independents[2]: -d * x1 + b * x2,
-    }
-    eta = {
-        ctx.symbol("B1"): c * B2 + d * B3,
-        ctx.symbol("B2"): -c * B1 - b * B3,
-        ctx.symbol("B3"): -d * B1 + b * B2,
-    }
-    return CandidateGenerator(ctx, xi, eta, "rotations")
-
-
-def space_scaling(system: PdeSystem) -> CandidateGenerator:
-    """Uniform scaling of the coordinates alone."""
-    ctx = system.context
-    xi = {x: ctx.var(x.name) for x in ctx.independents}
-    return CandidateGenerator(ctx, xi, {}, "space_scaling")
-
-
-def field_scaling(system: PdeSystem) -> CandidateGenerator:
-    """Scaling of the field with the pressure scaled twice as fast."""
-    ctx = system.context
-    p = ctx.symbol(_pressure_name(ctx))
-    eta = {ctx.symbol(n): ctx.var(n) for n in ("B1", "B2", "B3")}
-    eta[p] = Expr.number(2) * ctx.var(p.name)
-    return CandidateGenerator(ctx, {}, eta, "field_scaling")
-
-
-def pressure_anisotropy_scaling(system: PdeSystem) -> CandidateGenerator:
-    """Rescaling of (pperp + B^2/2) against (1 - tau); anisotropic systems only."""
-    ctx = system.context
-    pperp = ctx.symbol("pperp")
-    tau = ctx.var("tau")
-    b_sq = sum((ctx.var(n) ** 2 for n in ("B1", "B2", "B3")), Expr.number(0))
-    eta = {
-        pperp: ctx.var("pperp") + b_sq / 2,
-        ctx.symbol("tau"): tau - Expr.number(1),
-    }
-    return CandidateGenerator(ctx, {}, eta, "pressure_anisotropy_scaling")
-
-
-def line_function_generator(system: PdeSystem, multiplier: Expr | str = "1") -> CandidateGenerator:
-    """The field-line transform family of the anisotropic system.
-
-    ``multiplier`` is an expression in quantities constant on field lines
-    (``tau`` and ``pperp + tau*B^2/2``); component template:
-    F * (B_i d/dB_i + 2(1 - tau) d/dtau - B^2 d/dpperp).
-    """
-    ctx = system.context
-    F = ctx.parse(multiplier) if isinstance(multiplier, str) else multiplier
-    tau = ctx.var("tau")
-    b_sq = sum((ctx.var(n) ** 2 for n in ("B1", "B2", "B3")), Expr.number(0))
-    eta = {ctx.symbol(n): F * ctx.var(n) for n in ("B1", "B2", "B3")}
-    eta[ctx.symbol("tau")] = F * Expr.number(2) * (Expr.number(1) - tau)
-    eta[ctx.symbol("pperp")] = -F * b_sq
-    return CandidateGenerator(ctx, {}, eta, "line_function")
+def _load(system: PdeSystem, label: str) -> CandidateGenerator:
+    """The catalogue generator ``label`` of a system whose pressure is P or pperp."""
+    names = {u.name for u in system.context.dependents}
+    files = next((files for pressure, files in _CATALOGUE.items() if pressure in names), {})
+    if label not in files:
+        raise ValueError(f"the generator catalogue has no {label!r} entry for this system")
+    return parse_generator(system.context, _data_text(files[label]), label)
 
 
 def classical_generators(system: PdeSystem) -> list[CandidateGenerator]:
     """Translations, rotations and both scalings for any bundled system."""
-    return [
-        translations(system),
-        rotations(system),
-        space_scaling(system),
-        field_scaling(system),
-    ]
+    return [_load(system, label) for label in ("translations", "rotations", "space_scaling", "field_scaling")]
+
+
+def pressure_anisotropy_scaling(system: PdeSystem) -> CandidateGenerator:
+    """Rescaling of (pperp + B^2/2) against (1 - tau); anisotropic systems only."""
+    return _load(system, "pressure_anisotropy_scaling")
+
+
+def line_function_generator(system: PdeSystem, multiplier: Expr | str = "1") -> CandidateGenerator:
+    """The field-line transform family of the anisotropic system: the unit
+    generator of ``cgl_line_function.gen`` times ``multiplier``, an
+    expression in quantities constant on field lines (``tau`` and
+    ``pperp + tau*B^2/2``)."""
+    unit = _load(system, "line_function")
+    F = system.context.parse(multiplier) if isinstance(multiplier, str) else multiplier
+    return CandidateGenerator(
+        unit.context, {x: F * v for x, v in unit.xi.items()}, {u: F * v for u, v in unit.eta.items()}, unit.label
+    )

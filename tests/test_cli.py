@@ -79,6 +79,22 @@ LIE_REPORT_SHA256 = {
     ("mhd_static.pde", "mhd_bogus.gen"): "8f3bf15ef9a17b09fdeea7024dac8c7bc7aa1bb6a1797dbb229ecab190b8ca9a",
     ("cgl_static_closed.pde", "cgl_line_function.gen"): "09b336321ac8c283a24148c49bb73c2db18be35dc582b69ec0f463cc9d3f3343",
     ("cgl_static.pde", "cgl_line_function.gen"): "9ee3bacc8d0954b6dbb52a82464fa6b94691204b49cf792bf3708a0a57294d7e",
+    ("mhd_static.pde", "space_scaling.gen"): "f1ab7c5a49314e37af6de8d521e189a561c867becdc7b0d028d204f5cf5a0cbe",
+    ("mhd_static.pde", "mhd_field_scaling.gen"): "f1517103c6eb242394fb56014a8e2a5aba5c394e07996b9f219a619f0fdbccfc",
+    ("cgl_static.pde", "cgl_translations.gen"): "50463b400088dc26378f6e74a6d9905b869ea0b9b49577f39037255645ac02ac",
+    ("cgl_static.pde", "mhd_rotations.gen"): "e86f5d9c343809bf172ad4475599f5e9d52efc139e1a286ee2c83be3ecc098d7",
+    ("cgl_static.pde", "space_scaling.gen"): "863708ac966d9d96a448e1e6efaea4ecd238b0ed0f3cd1be472b142554ae90fe",
+    ("cgl_static.pde", "cgl_field_scaling.gen"): "028ac550739b054a41a458718fc1901e66a4272f8bad963c677495e9829c11da",
+    ("cgl_static.pde", "cgl_pressure_anisotropy_scaling.gen"): (
+        "da80ef63f6c6f108b498560b5cff669b3cf8feb7018bf0d09671c35c5bf71460"
+    ),
+    ("cgl_static_closed.pde", "cgl_translations.gen"): "ebfa514d1dfdaead8b9565103d554bd54f47b72029391732d73cb6e114ff1614",
+    ("cgl_static_closed.pde", "mhd_rotations.gen"): "d9a90cefb0a3d15f2116e9ce5ded521202ca26005035533ece0952266b24ba8d",
+    ("cgl_static_closed.pde", "space_scaling.gen"): "a6613bc93a0974f633609925a3b4b584c249df37e82d9b04de245339857e391c",
+    ("cgl_static_closed.pde", "cgl_field_scaling.gen"): "4c2df5250ad0a5062f5f8774cb272f4ca7d4b51e02ca59f406595f3f4e30e344",
+    ("cgl_static_closed.pde", "cgl_pressure_anisotropy_scaling.gen"): (
+        "67073fac207cb9a3f81045282a89b67b779a0fb2b70708ee35bf808a66f6b82c"
+    ),
 }
 
 
@@ -560,7 +576,7 @@ def _out_is_a_file(tmp_path):
     return ["vortex", "--grid", "9"]
 
 
-UNKNOWN_PDE = "indep x, y;\ndep u;\n{}\neq diff(u,x) = 0;\n"
+SMALL_PDE = "indep x, y;\ndep u;\n{}\neq diff(u,x) = 0;\n"
 
 
 STATE_HEADER = "x,y,z,B1,B2,B3,p_perp,p_par,tau,psi\n"
@@ -638,12 +654,30 @@ BAD_INPUTS = {
     ),
     "--out names an existing file": (_out_is_a_file, "cannot create output directory"),
     "unknown arguments joined by an operator": (
-        lambda tmp: ["lie", "detsys", _file(tmp, "u.pde", UNKNOWN_PDE.format("unknown f(x + 3 u);"))],
+        lambda tmp: ["lie", "detsys", _file(tmp, "u.pde", SMALL_PDE.format("unknown f(x + 3 u);"))],
         "malformed unknown declaration (line 3, column 1)",
     ),
     "unknown arguments with an empty slot": (
-        lambda tmp: ["lie", "detsys", _file(tmp, "u.pde", UNKNOWN_PDE.format("unknown f(x,, y u);"))],
+        lambda tmp: ["lie", "detsys", _file(tmp, "u.pde", SMALL_PDE.format("unknown f(x,, y u);"))],
         "malformed unknown declaration (line 3, column 1)",
+    ),
+    "target_count given twice": (
+        lambda tmp: ["lie", "detsys", _file(tmp, "t.pde", SMALL_PDE.format("target_count: 1;\ntarget_count: 5;"))],
+        "target_count is declared twice (line 4, column 1)",
+    ),
+    "fractional target_count": (
+        lambda tmp: ["lie", "detsys", _file(tmp, "t.pde", SMALL_PDE.format("target_count: 1.5;"))],
+        "target_count must be 'target_count: <integer>' (line 3, column 1)",
+    ),
+    "target_count in exponent notation": (
+        lambda tmp: ["lie", "detsys", _file(tmp, "t.pde", SMALL_PDE.format("target_count: 1e3;"))],
+        "target_count must be 'target_count: <integer>' (line 3, column 1)",
+    ),
+    "solve_for given twice": (
+        lambda tmp: [
+            "lie", "detsys", _file(tmp, "s.pde", SMALL_PDE.format("solve_for: diff(u,x);\nsolve_for: diff(u,y);")),
+        ],
+        "solve_for is declared twice (line 4, column 1)",
     ),
     "generator statement without ';'": (
         lambda tmp: ["lie", "verify", data_path("mhd_static.pde"), _file(tmp, "g.gen", "param a\nxi(x) = 1;\n")],

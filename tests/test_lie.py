@@ -19,8 +19,6 @@ from plasmeq.systems import (
     line_function_generator,
     load_system,
     pressure_anisotropy_scaling,
-    rotations,
-    translations,
 )
 from plasmeq.lie import CandidateGenerator
 
@@ -226,7 +224,8 @@ def test_bogus_generator_rejected(mhd):
 
 
 def test_superposition_of_verified_generators(mhd):
-    combined = translations(mhd) + rotations(mhd)
+    translations, rotations = classical_generators(mhd)[:2]
+    combined = translations + rotations
     assert _all_zero(verify_generator(mhd, combined))
 
 
@@ -261,11 +260,21 @@ def test_parse_generator_file(mhd):
 
 # the parameters and components of every bundled generator file
 BUNDLED_GENERATORS = {
+    "cgl_field_scaling.gen": ([], {"eta(B1)": "B1", "eta(B2)": "B2", "eta(B3)": "B3", "eta(pperp)": "2*pperp"}),
     "cgl_line_function.gen": (
         [],
         {"eta(B1)": "B1", "eta(B2)": "B2", "eta(B3)": "B3", "eta(tau)": "2 - 2*tau", "eta(pperp)": "-B1^2 - B2^2 - B3^2"},
     ),
+    "cgl_pressure_anisotropy_scaling.gen": (
+        [],
+        {"eta(pperp)": "1/2*B1^2 + 1/2*B2^2 + 1/2*B3^2 + pperp", "eta(tau)": "-1 + tau"},
+    ),
+    "cgl_translations.gen": (
+        ["K1", "K2", "K3", "K4"],
+        {"xi(x)": "K1", "xi(y)": "K2", "xi(z)": "K3", "eta(pperp)": "K4"},
+    ),
     "mhd_bogus.gen": ([], {"eta(P)": "x"}),
+    "mhd_field_scaling.gen": ([], {"eta(B1)": "B1", "eta(B2)": "B2", "eta(B3)": "B3", "eta(P)": "2*P"}),
     "mhd_rotations.gen": (
         ["b", "c", "d"],
         {
@@ -290,6 +299,7 @@ BUNDLED_GENERATORS = {
         },
     ),
     "mhd_translations.gen": (["K1", "K2", "K3", "K4"], {"xi(x)": "K1", "xi(y)": "K2", "xi(z)": "K3", "eta(P)": "K4"}),
+    "space_scaling.gen": ([], {"xi(x)": "x", "xi(y)": "y", "xi(z)": "z"}),
 }
 
 
@@ -303,6 +313,61 @@ def test_bundled_generator_files_parse_to_their_components():
         parsed = {f"xi({s.name})": pretty(v) for s, v in gen.xi.items()}
         parsed.update({f"eta({s.name})": pretty(v) for s, v in gen.eta.items()})
         assert parsed == components, name
+
+
+# label, parameters and file of each catalogue entry, in catalogue order; the
+# symbolic benchmark zips its coefficients against this order and names its
+# generator files by label
+CATALOGUE = {
+    "mhd": [
+        ("translations", ["K1", "K2", "K3", "K4"], "mhd_translations.gen"),
+        ("rotations", ["b", "c", "d"], "mhd_rotations.gen"),
+        ("space_scaling", [], "space_scaling.gen"),
+        ("field_scaling", [], "mhd_field_scaling.gen"),
+    ],
+    "cgl": [
+        ("translations", ["K1", "K2", "K3", "K4"], "cgl_translations.gen"),
+        ("rotations", ["b", "c", "d"], "mhd_rotations.gen"),
+        ("space_scaling", [], "space_scaling.gen"),
+        ("field_scaling", [], "cgl_field_scaling.gen"),
+        ("pressure_anisotropy_scaling", [], "cgl_pressure_anisotropy_scaling.gen"),
+        ("line_function", [], "cgl_line_function.gen"),
+    ],
+}
+CATALOGUE["cgl_closed"] = CATALOGUE["cgl"]
+
+
+@pytest.mark.parametrize("name", list(CATALOGUE))
+def test_catalogue_entries_are_the_bundled_files(name):
+    system = load_system(name)
+    gens = _catalogue(system)
+    assert [(g.label, [p.name for p in g.context.parameters]) for g in gens] == [e[:2] for e in CATALOGUE[name]]
+    data = resources.files("plasmeq.data")
+    for gen, (label, _params, file) in zip(gens, CATALOGUE[name]):
+        stated = parse_generator(system.context, data.joinpath(file).read_text())
+        assert (gen.xi, gen.eta) == (stated.xi, stated.eta), label
+
+
+@pytest.mark.parametrize("name", ["cgl", "cgl_closed"])
+@pytest.mark.parametrize("multiplier", ["1", "tau", "-3/7 + 5/2*tau"])
+def test_line_function_generator_scales_the_unit_generator(name, multiplier):
+    # F * (B_i d/dB_i + 2(1 - tau) d/dtau - B^2 d/dpperp)
+    system = load_system(name)
+    ctx = system.context
+    F = ctx.parse(multiplier)
+    expected = {n: F * ctx.var(n) for n in ("B1", "B2", "B3")}
+    expected["tau"] = F * ctx.parse("2*(1 - tau)")
+    expected["pperp"] = -F * ctx.parse("B1^2 + B2^2 + B3^2")
+    for gen in (line_function_generator(system, multiplier), line_function_generator(system, F)):
+        assert gen.label == "line_function"
+        assert gen.context.parameters == ()
+        assert gen.xi == {}
+        assert {u.name: v for u, v in gen.eta.items()} == expected
+
+
+def test_catalogue_has_no_anisotropic_entries_for_mhd(mhd):
+    with pytest.raises(ValueError, match="no 'line_function' entry"):
+        line_function_generator(mhd)
 
 
 def test_parse_generator_rejects_bad_slot(mhd):
@@ -427,5 +492,5 @@ def test_closed_cgl_verdicts_do_not_depend_on_the_solved_form(replaced, leading)
     assert len(catalogue) == 6
     for gen in catalogue:
         assert _direct_verdict(system, gen), gen.label
-    perturbed = translations(system) + _pressure_shift(system, "y")
+    perturbed = catalogue[0] + _pressure_shift(system, "y")
     assert not _direct_verdict(system, perturbed)
