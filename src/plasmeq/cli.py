@@ -54,9 +54,11 @@ def _write_report(out_dir: Path, report: dict) -> None:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise ValueError(f"cannot read {path}: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        raise ValueError(f"cannot read {path}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +117,17 @@ def cmd_lie_detsys(args) -> tuple[int, dict]:
 
 
 def cmd_lie_verify(args) -> tuple[int, dict]:
+    from .expr import ExprError
+    from .lie import LieError
+
     kernel = sys.modules[__name__]
     system = kernel.PdeSystem.from_text(_read_text(args.pde_file))
-    gen = kernel.parse_generator(
-        system.context, _read_text(args.generator_file), label=Path(args.generator_file).stem
-    )
+    text = _read_text(args.generator_file)
+    try:
+        gen = kernel.parse_generator(system.context, text, label=Path(args.generator_file).stem)
+    except (ValueError, ExprError, LieError) as err:
+        # an error in the generator, the command's second file, names it
+        raise ValueError(f"{args.generator_file}: {err}") from None
     verification = kernel.verify_generator(system, gen)
     nonzero = [kernel.pretty(r) for r in verification if not r.is_zero]
     ok = not nonzero

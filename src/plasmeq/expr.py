@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -72,8 +73,34 @@ class EvalError(ExprError):
 _KIND_RANK = {"independent": 0, "dependent": 1, "jet": 2, "parameter": 3}
 
 
-@dataclass(frozen=True)
-class Symbol:
+# The live atoms, one object per distinct atom, keyed by the fields that tell
+# atoms apart: ``(name, kind, base, wrt)`` for a Symbol and ``(head, args,
+# dtag)`` for an FnAtom (keys of four and of three fields, which never meet).
+# Equal atoms are therefore one object, and atoms compare and hash by
+# identity, in C.  The values are weak: an atom that no expression holds any
+# more leaves the table.
+_ATOMS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class _Atom:
+    """Immutable, interned: construct through the subclass, never mutate."""
+
+    __slots__ = ("sort_key", "__weakref__")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _register(self, key: tuple, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        _ATOMS[key] = self
+        return self
+
+
+class Symbol(_Atom):
     """A named coordinate of the jet space.
 
     ``kind`` is one of ``independent``, ``dependent``, ``jet`` or
@@ -82,33 +109,24 @@ class Symbol:
     ``wrt``.
     """
 
-    name: str
-    kind: str
-    base: str = ""
-    wrt: tuple[str, ...] = ()
-    sort_key: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "kind", "base", "wrt")
 
-    def __post_init__(self):
-        if self.kind not in _KIND_RANK:
-            raise ValueError(f"unknown symbol kind {self.kind!r}")
-        if self.kind == "jet" and (not self.base or not self.wrt):
+    def __new__(cls, name: str, kind: str, base: str = "", wrt: Iterable[str] = ()):
+        wrt = tuple(wrt)
+        key = (name, kind, base, wrt)
+        atom = _ATOMS.get(key)
+        if atom is not None:
+            return atom
+        if kind not in _KIND_RANK:
+            raise ValueError(f"unknown symbol kind {kind!r}")
+        if kind == "jet" and (not base or not wrt):
             raise ValueError("jet symbol requires base and wrt")
-        key = (0, _KIND_RANK[self.kind], self.base or self.name, self.wrt, self.name)
-        object.__setattr__(self, "sort_key", key)
-        object.__setattr__(self, "_hash", hash((self.name, self.kind, self.base, self.wrt)))
+        sort_key = (0, _KIND_RANK[kind], base or name, wrt, name)
+        return object.__new__(cls)._register(key, name=name, kind=kind, base=base, wrt=wrt, sort_key=sort_key)
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not Symbol:
-            return NotImplemented
-        return self._hash == other._hash and (self.name, self.kind, self.base, self.wrt) == (
-            other.name, other.kind, other.base, other.wrt
-        )
+    def __reduce__(self):
+        # copies and unpickled atoms come back through the table
+        return Symbol, (self.name, self.kind, self.base, self.wrt)
 
     @property
     def is_jet(self) -> bool:
@@ -122,44 +140,35 @@ class Symbol:
         return self.name
 
 
-@dataclass(frozen=True)
-class FnAtom:
+class FnAtom(_Atom):
     """An opaque function application, optionally derivative-tagged.
 
     ``dtag[k]`` counts differentiations with respect to the k-th argument
-    slot.  A tagged atom is never evaluated symbolically; it only compares
-    and prints.
+    slot; an empty ``dtag`` means no differentiation.  A tagged atom is
+    never evaluated symbolically; it only compares and prints.
     """
 
-    head: str
-    args: tuple
-    dtag: tuple[int, ...] = ()
-    sort_key: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("head", "args", "dtag")
 
-    def __post_init__(self):
-        dtag = self.dtag or (0,) * len(self.args)
-        if len(dtag) != len(self.args):
+    def __new__(cls, head: str, args: Iterable["Expr"], dtag: Iterable[int] = ()):
+        args = tuple(args)
+        dtag = tuple(dtag) or (0,) * len(args)
+        key = (head, args, dtag)
+        atom = _ATOMS.get(key)
+        if atom is not None:
+            return atom
+        if len(dtag) != len(args):
             raise ValueError("derivative tag length must match argument count")
-        object.__setattr__(self, "dtag", tuple(dtag))
-        key = (1, self.head, self.dtag, tuple(a.sort_key for a in self.args))
-        object.__setattr__(self, "sort_key", key)
-        object.__setattr__(self, "_hash", hash((self.head, self.args, self.dtag)))
+        sort_key = (1, head, dtag, tuple(a.sort_key for a in args))
+        return object.__new__(cls)._register(key, head=head, args=args, dtag=dtag, sort_key=sort_key)
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not FnAtom:
-            return NotImplemented
-        return self._hash == other._hash and (self.head, self.dtag, self.args) == (other.head, other.dtag, other.args)
+    def __reduce__(self):
+        return FnAtom, (self.head, self.args, self.dtag)
 
     def bump(self, slot: int) -> "FnAtom":
         tag = list(self.dtag)
         tag[slot] += 1
-        return FnAtom(self.head, self.args, tuple(tag))
+        return FnAtom(self.head, self.args, tag)
 
     def __repr__(self):
         inner = ",".join(repr(a) for a in self.args)
@@ -190,7 +199,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     while i < na and j < nb:
         x, kx = a[i]
         y, ky = b[j]
-        if x == y:
+        if x is y:
             out.append((x, kx + ky))
             i += 1
             j += 1
@@ -302,7 +311,7 @@ class Expr:
     def mentions(self, sym: Symbol, recurse: bool = True) -> bool:
         for m in self._terms:
             for a, _k in m:
-                if a == sym:
+                if a is sym:
                     return True
                 if recurse and isinstance(a, FnAtom):
                     if any(arg.mentions(sym, True) for arg in a.args):
@@ -318,7 +327,7 @@ class Expr:
             power = 0
             rest = []
             for a, k in m:
-                if a == atom:
+                if a is atom:
                     power = k
                 else:
                     rest.append((a, k))
@@ -426,6 +435,10 @@ class Expr:
     def __repr__(self):
         return pretty(self)
 
+    def __reduce__(self):
+        # the terms only: the cached hash is of this process's atoms
+        return Expr, (self._terms,)
+
     # -- rewriting ----------------------------------------------------------
     def substitute_atoms(self, resolver: Callable[[Atom], "Expr | None"]) -> "Expr":
         """Replace atoms via ``resolver`` (None keeps the atom).
@@ -508,7 +521,7 @@ def _as_expr(value) -> Expr:
 
 def _atom_pdiff(atom: Atom, sym: Symbol) -> Expr:
     if isinstance(atom, Symbol):
-        return ONE if atom == sym else ZERO
+        return ONE if atom is sym else ZERO
     return _chain_rule(atom, lambda arg: arg.pdiff(sym))
 
 
@@ -713,7 +726,7 @@ class Context:
         def rule(atom: Atom) -> Expr:
             if isinstance(atom, Symbol):
                 if atom.kind == "independent":
-                    return ONE if atom == x else ZERO
+                    return ONE if atom is x else ZERO
                 if atom.kind in ("dependent", "jet"):
                     return Expr.from_atom(self.jet(atom, (x,)))
                 return ZERO

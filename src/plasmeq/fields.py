@@ -360,20 +360,59 @@ def _axis_step(values: np.ndarray) -> float | None:
     return float(h) if np.allclose(np.diff(values), h, rtol=1e-12, atol=tol) else None
 
 
+def _first_bad_row(path, header: list[str]) -> str | None:
+    """Describe the first data row of a CSV file, counted as ``np.loadtxt``
+    counts them (blank lines and ``#`` comments skipped, from 1), that does
+    not hold one number per header column; None if every row does."""
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        row = 0
+        for line in fh:
+            line = line.split("#", 1)[0]
+            if not line.strip():
+                continue
+            row += 1
+            cells = line.split(",")
+            if len(cells) != len(header):
+                return f"data row {row} has {len(cells)} columns, the header has {len(header)}"
+            for name, cell in zip(header, cells):
+                try:
+                    float(cell)
+                except ValueError:
+                    return f"data row {row} holds {cell.strip()!r} for {name}, not a number"
+    return None
+
+
 def read_csv(path, axis_names) -> tuple[tuple[np.ndarray, ...], dict[str, np.ndarray]]:
     """Read a file of ``write_csv``'s layout whose coordinate columns are
     ``axis_names``; returns the file's own axis values and the remaining
     columns shaped to them.  Rejects a file that is not a full, ordered,
     uniformly spaced tensor grid or that holds a non-finite value."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        with warnings.catch_warnings():
-            # an empty body is reported below, with the file name
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            with warnings.catch_warnings():
+                # an empty body is reported below, with the file name
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except UnicodeDecodeError as err:
+        # numpy decodes the body in chunks, so ``err`` counts from the start of
+        # one; decoding the whole file again gives the offset in the file
+        try:
+            with open(path, "rb") as fh:
+                fh.read().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            err = whole
+        raise ValueError(f"cannot read {path}: {err}") from None
+    except ValueError as err:
+        # numpy counts rows its own way and advises an argument of its own
+        raise ValueError(f"{path}: {_first_bad_row(path, header) or err}") from None
     k = len(axis_names)
     if header[:k] != list(axis_names):
         raise ValueError(f"{path}: expected {','.join(axis_names)} coordinate columns first")
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:
+        raise ValueError(f"{path}: column {repeated[0]} appears twice in the header")
     if data.size == 0:
         raise ValueError(f"{path}: no data rows")
     if data.shape[1] != len(header):

@@ -790,8 +790,13 @@ def write_solution(sol: FluxSolution, directory) -> dict:
 
 def load_solution(path) -> FluxSolution:
     path = Path(path)
-    with open(path) as fh:
-        manifest = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except UnicodeDecodeError as err:
+        raise ValueError(f"cannot read {path}: {err}") from None
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: not JSON: {err}") from None
     missing = [k for k in _MANIFEST_KEYS if k not in manifest]
     if missing:
         raise ValueError(f"{path}: solution manifest is missing {', '.join(missing)}")

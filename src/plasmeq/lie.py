@@ -456,7 +456,8 @@ def parse_generator(base: Context, text: str, label: str = "") -> CandidateGener
     Grammar: ``param a, b;`` statements plus ``xi(<independent>) = <expr>;``
     and ``eta(<dependent>) = <expr>;`` assignments, with ``#`` comments, as
     in PDE files.  Components not assigned are zero; assigning one twice is
-    an error.
+    an error, and so is a text that assigns none (it would verify as a
+    symmetry of any system).
     """
     params: list[str] = []
     assigns = []
@@ -465,6 +466,8 @@ def parse_generator(base: Context, text: str, label: str = "") -> CandidateGener
             params.extend(_name_list(stmt))
         else:
             assigns.append(stmt)
+    if not assigns:
+        raise LieError("no xi(...) or eta(...) assignment")
     ctx = base.extended(parameters=params) if params else base
     components: dict[str, dict[Symbol, Expr]] = {"xi": {}, "eta": {}}
     for stmt in assigns:

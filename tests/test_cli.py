@@ -170,7 +170,7 @@ def test_verify_undeclared_component_is_validation_error(tmp_path):
     assert code == 2
     report = read_report(out)
     assert report["pass"] is False
-    assert report["error"] == "xi(q): undeclared variable 'q'"
+    assert report["error"] == f"{gen}: xi(q): undeclared variable 'q'"
 
 
 def test_vortex_transform_check_pipeline(tmp_path):
@@ -560,6 +560,13 @@ def _file(tmp_path, name, text):
     return str(path)
 
 
+def _undecodable(path):
+    """Put a byte that is not UTF-8 in front of a file; returns its path."""
+    path = Path(path)
+    path.write_bytes(b"\xff" + path.read_bytes())
+    return str(path)
+
+
 def _flux_file(tmp_path, profiles):
     return _file(tmp_path, "problem.flux", f"r0 = 0.5\nr1 = 1.5\nzu0 = -0.5\nzu1 = 0.5\nnr = 9\nnzu = 9\n{profiles}\n")
 
@@ -569,6 +576,20 @@ def _state(tmp_path, grid=9, rows=None):
     if rows is not None:
         _edit_rows(out / "state.csv", rows)
     return str(out / "state.csv")
+
+
+def _state_with_column(tmp_path, name):
+    """A vortex state.csv with a last column of zeros headed ``name``."""
+    path = Path(_state(tmp_path))
+    header, *lines = path.read_text().splitlines()
+    path.write_text(f"{header},{name}\n" + "".join(f"{line},0\n" for line in lines))
+    return str(path)
+
+
+def _solution_with_undecodable_psi(tmp_path):
+    sol = _solution(tmp_path)
+    _undecodable(Path(sol).parent / "psi.csv")
+    return sol
 
 
 def _out_is_a_file(tmp_path):
@@ -696,6 +717,63 @@ BAD_INPUTS = {
             "lie", "detsys", _file(tmp, "empty.pde", "indep x;\ndep u;\nsolve_for: diff(u,x);\neq = diff(u,x);\n"),
         ],
         "empty expression (line 4, column 4)",
+    ),
+    "generator with no assignment": (
+        lambda tmp: ["lie", "verify", data_path("mhd_static.pde"), _file(tmp, "empty.gen", "")],
+        "empty.gen: no xi(...) or eta(...) assignment",
+    ),
+    "generator of parameters only": (
+        lambda tmp: ["lie", "verify", data_path("mhd_static.pde"), _file(tmp, "params.gen", "param a;\n")],
+        "params.gen: no xi(...) or eta(...) assignment",
+    ),
+    "PDE file that is not UTF-8": (
+        lambda tmp: [
+            "lie", "verify", _undecodable(_file(tmp, "s.pde", SMALL_PDE.format(""))), data_path("mhd_rotations.gen"),
+        ],
+        "s.pde: 'utf-8' codec can't decode byte 0xff in position 0",
+    ),
+    "generator file that is not UTF-8": (
+        lambda tmp: ["lie", "verify", data_path("mhd_static.pde"), _undecodable(_file(tmp, "g.gen", "xi(x) = 1;\n"))],
+        "g.gen: 'utf-8' codec can't decode byte 0xff in position 0",
+    ),
+    "flux file that is not UTF-8": (
+        lambda tmp: ["flux", "solve", _undecodable(_flux_file(tmp, "boundary = r"))],
+        "problem.flux: 'utf-8' codec can't decode byte 0xff in position 0",
+    ),
+    "state that is not UTF-8": (
+        lambda tmp: ["transform", "--state", _undecodable(_state(tmp)), "--M", "1"],
+        "state.csv: 'utf-8' codec can't decode byte 0xff in position 0",
+    ),
+    "solution manifest that is not UTF-8": (
+        lambda tmp: ["flux", "tocgl", _undecodable(_solution(tmp)), "--tau", "0.1"],
+        "solution.json: 'utf-8' codec can't decode byte 0xff in position 0",
+    ),
+    "solution manifest that is not JSON": (
+        lambda tmp: ["flux", "tocgl", _file(tmp, "solution.json", "{r0: 0.5}\n"), "--tau", "0.1"],
+        "solution.json: not JSON: Expecting property name enclosed in double quotes",
+    ),
+    "solution psi.csv that is not UTF-8": (
+        lambda tmp: ["flux", "tocgl", _solution_with_undecodable_psi(tmp), "--tau", "0.1"],
+        "psi.csv: 'utf-8' codec can't decode byte 0xff in position 0",
+    ),
+    "state with a repeated column": (
+        lambda tmp: ["check", "--state", _state_with_column(tmp, "B1"), "--system", "mhd"],
+        "state.csv: column B1 appears twice in the header",
+    ),
+    "state row with one column too many": (
+        lambda tmp: ["check", "--state", _state(tmp, rows=lambda lines: _set_value(lines, 4, 9, "0,0")),
+                     "--system", "mhd"],
+        "state.csv: data row 5 has 11 columns, the header has 10",
+    ),
+    "state with an empty cell": (
+        lambda tmp: ["check", "--state", _state(tmp, rows=lambda lines: _set_value(lines, 2, 9, "")),
+                     "--system", "mhd"],
+        "state.csv: data row 3 holds '' for psi, not a number",
+    ),
+    "state whose rows end in a comma": (
+        lambda tmp: ["transform", "--state", _state(tmp, rows=lambda lines: [l.rstrip("\n") + ",\n" for l in lines]),
+                     "--M", "1"],
+        "state.csv: data row 1 has 11 columns, the header has 10",
     ),
     "state with no data rows": (
         lambda tmp: ["check", "--state", _file(tmp, "empty.csv", STATE_HEADER), "--system", "mhd"],

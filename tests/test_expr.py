@@ -1,3 +1,12 @@
+import copy
+import gc
+import os
+import pickle
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -9,6 +18,7 @@ from plasmeq.expr import (
     Context,
     EvalError,
     Expr,
+    FnAtom,
     ParseError,
     Symbol,
     collect,
@@ -504,3 +514,128 @@ def test_each_atom_is_evaluated_once_per_call(monkeypatch):
     # a second call evaluates afresh
     e.evaluate(Env(psi=psi))
     assert calls == {"psi": 2, "sin": 2, "cos": 2}
+
+
+# -- interned atoms ---------------------------------------------------------------
+
+
+def test_equal_atoms_are_one_object():
+    a, b = Context(["x", "y"], ["u"]), Context(["x", "y"], ["u"])
+    assert a.jet("u", ["y", "x"]) is b.jet("u", ["x", "y"])
+    assert a.symbol("x") is b.symbol("x")
+    wider = a.extended(parameters=["k"], unknowns={"f": ("x", "u")})
+    again = b.extended(parameters=["k"], unknowns={"f": ("x", "u")})
+    assert wider.symbol("k") is again.symbol("k")
+    assert wider.unknown_atom("f") is again.unknown_atom("f")
+    x = a.var("x")
+    assert FnAtom("sin", (x,)) is FnAtom("sin", [x], (0,))
+    assert FnAtom("sin", (x,)) is next(b.parse("sin(x)").atoms())
+    assert FnAtom("sin", (x,)).bump(0) is FnAtom("sin", (x,), [1])
+    # fields that differ give another atom
+    assert Symbol("x", "independent") is not Symbol("x", "parameter")
+    assert FnAtom("sin", (x,)) is not FnAtom("cos", (x,))
+
+
+def test_copies_and_pickles_return_the_interned_atom():
+    ctx = Context(["x", "y"], ["u"], ["c"])
+    e = ctx.parse("sin(c*x)*diff(u,x,y) + u")
+    for atom in e.atoms():
+        assert copy.copy(atom) is atom
+        assert copy.deepcopy(atom) is atom
+        assert pickle.loads(pickle.dumps(atom)) is atom
+    assert copy.deepcopy(e) == e
+    assert pickle.loads(pickle.dumps(e)) == e
+
+
+def test_an_expression_pickled_in_another_process_keeps_its_hash():
+    text = "sin(c*x)*diff(u,x,y) + u"
+    child = (
+        "import pickle, sys\n"
+        "from plasmeq.expr import Context\n"
+        f"e = Context(['x', 'y'], ['u'], ['c']).parse({text!r})\n"
+        "hash(e)\n"
+        "sys.stdout.buffer.write(pickle.dumps(e))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    loaded = pickle.loads(done.stdout)
+    here = Context(["x", "y"], ["u"], ["c"]).parse(text)
+    assert loaded == here and hash(loaded) == hash(here)
+    assert loaded in {here}
+
+
+def test_an_atom_no_one_holds_leaves_the_table():
+    from plasmeq import expr
+
+    key = ("only_here", "parameter", "", ())
+    atom = FnAtom("gone", (Expr.from_atom(Symbol(*key)),))
+    ref = weakref.ref(atom)
+    assert key in expr._ATOMS and atom in expr._ATOMS.values()
+    del atom
+    gc.collect()
+    assert ref() is None
+    assert key not in expr._ATOMS
+
+
+def test_an_invalid_atom_is_not_registered():
+    from plasmeq import expr
+
+    one = Expr.number(1)
+    invalid = {
+        ("w", "nonsense", "", ()): (lambda: Symbol("w", "nonsense"), "unknown symbol kind"),
+        ("u_x", "jet", "u", ()): (lambda: Symbol("u_x", "jet", base="u"), "jet symbol requires base and wrt"),
+        ("sin", (one,), (0, 1)): (lambda: FnAtom("sin", (one,), (0, 1)), "derivative tag length"),
+    }
+    # each failure is held, so that a half-built atom that its traceback
+    # holds would still be alive, and in the table, had it been registered
+    held = []
+    for build, message in invalid.values():
+        with pytest.raises(ValueError, match=message) as failure:
+            build()
+        held.append(failure.value)
+    for key in invalid:
+        assert key not in expr._ATOMS
+    # and the table still refuses them the second time
+    with pytest.raises(ValueError, match="unknown symbol kind"):
+        Symbol("w", "nonsense")
+
+
+def test_atoms_are_immutable():
+    x = Symbol("x", "independent")
+    with pytest.raises(AttributeError):
+        x.name = "y"
+    assert x.name == "x"
+
+
+def test_atoms_compare_and_hash_by_identity():
+    # no Python-level __eq__/__hash__: both are object's, run in C
+    for cls in (Symbol, FnAtom):
+        assert cls.__eq__ is object.__eq__
+        assert cls.__hash__ is object.__hash__
+
+
+def _structure(e):
+    """The terms of ``e`` with every atom spelled out field by field."""
+
+    def atom(a):
+        if isinstance(a, Symbol):
+            return ("symbol", a.name, a.kind, a.base, a.wrt)
+        return ("fn", a.head, tuple(_structure(arg) for arg in a.args), a.dtag)
+
+    return tuple((tuple((atom(a), k) for a, k in m), c) for m, c in e.terms())
+
+
+_pctx_again = Context(["x", "y"], ["u"], ["c"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_expr_strategy(_pctx), _expr_strategy(_pctx))
+def test_equality_and_hash_agree_with_structure(e1, e2):
+    # the same text read in a second context builds its atoms afresh
+    again = _pctx_again.parse(pretty(e1))
+    assert _structure(again) == _structure(e1)
+    assert again == e1 and hash(again) == hash(e1)
+    assert (e1 == e2) == (_structure(e1) == _structure(e2))
+    if e1 == e2:
+        assert hash(e1) == hash(e2)

@@ -193,6 +193,31 @@ def test_csv_rejects_scrambled_rows(tmp_path):
         read_csv(bad, ("x", "y", "z"))
 
 
+@pytest.mark.parametrize("header", ["x,y,z,a,a", "x,y,z,x,a"])
+def test_csv_refuses_a_repeated_column_name(tmp_path, header):
+    # a later column of the same name would silently replace the first
+    g = cube(3)
+    path = tmp_path / "f.csv"
+    write_csv(path, dict(zip("xyz", g.axes())), {"a": np.ones(g.counts), "b": np.zeros(g.counts)})
+    _, *lines = path.read_text().splitlines(keepends=True)
+    path.write_text(header + "\n" + "".join(lines))
+    name = header.split(",")[3]
+    with pytest.raises(ValueError, match=f"f.csv: column {name} appears twice in the header"):
+        read_csv(path, ("x", "y", "z"))
+
+
+@pytest.mark.parametrize("row", [0, 1, 5000])
+def test_csv_names_the_file_offset_of_a_byte_that_is_not_utf8(tmp_path, row):
+    g = cube(17)
+    path = tmp_path / "f.csv"
+    write_csv(path, dict(zip("xyz", g.axes())), {"a": np.zeros(g.counts)})
+    lines = path.read_bytes().splitlines(keepends=True)
+    offset = sum(len(line) for line in lines[: row + 1])
+    path.write_bytes(b"".join(lines[: row + 1]) + b"\xff" + b"".join(lines[row + 1 :]))
+    with pytest.raises(ValueError, match=f"f.csv: 'utf-8' codec can't decode byte 0xff in position {offset}:"):
+        read_csv(path, ("x", "y", "z"))
+
+
 def _whole_table(axes, columns):
     """The table ``write_csv`` writes, built whole: coordinates then columns."""
     return np.column_stack([v.reshape(-1) for v in (*np.meshgrid(*axes.values(), indexing="ij"), *columns.values())])
