@@ -11,3 +11,11 @@ __version__ = "0.1.0"
 # evaluates on sampled states; defined here so that ``cli`` and
 # ``equilibria`` name them without importing the symbolic kernel
 RESIDUAL_SYSTEMS = ("mhd", "cgl", "alt")
+
+
+def data_text(name: str) -> str:
+    """The text of ``name``, a file bundled in ``plasmeq/data``."""
+    from importlib import resources
+
+    # anchored at this package, so that no ``plasmeq.data`` module is imported
+    return (resources.files(__name__) / "data" / name).read_text()

@@ -18,9 +18,10 @@ during a run is printed as one ``warning: <message>`` line on stderr and
 listed under ``warnings`` in ``report.json``.
 
 Each command imports what it runs when it runs: the ``lie`` commands load
-the symbolic kernel (``expr``, ``lie``) and no numpy; ``vortex`` and
-``check`` load ``equilibria`` and ``fields``; ``transform`` adds ``expr``;
-``flux solve`` loads ``flux``, ``fields`` and ``expr``; ``flux tocgl`` adds
+the symbolic kernel (``expr``, ``lie``) and no numpy; ``vortex`` loads
+``equilibria`` and ``fields``; ``transform`` and ``check`` add ``expr``
+(``check`` evaluates the equations of a bundled ``.pde`` file); ``flux
+solve`` loads ``flux``, ``fields`` and ``expr``; ``flux tocgl`` adds
 ``equilibria``.
 """
 
@@ -85,9 +86,21 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _read_system(path: str):
+    """The PDE system of the file at ``path``; an error in it names the file."""
+    from .expr import ExprError
+    from .lie import LieError
+
+    text = _read_text(path)
+    try:
+        return sys.modules[__name__].PdeSystem.from_text(text)
+    except (ValueError, ExprError, LieError) as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
 def cmd_lie_detsys(args) -> tuple[int, dict]:
     kernel = sys.modules[__name__]
-    system = kernel.PdeSystem.from_text(_read_text(args.pde_file))
+    system = _read_system(args.pde_file)
     det = kernel.build_determining_system(system)
     listing = Path(args.out) / "detsys.txt"
     with open(listing, "w") as fh:
@@ -121,12 +134,11 @@ def cmd_lie_verify(args) -> tuple[int, dict]:
     from .lie import LieError
 
     kernel = sys.modules[__name__]
-    system = kernel.PdeSystem.from_text(_read_text(args.pde_file))
+    system = _read_system(args.pde_file)
     text = _read_text(args.generator_file)
     try:
         gen = kernel.parse_generator(system.context, text, label=Path(args.generator_file).stem)
     except (ValueError, ExprError, LieError) as err:
-        # an error in the generator, the command's second file, names it
         raise ValueError(f"{args.generator_file}: {err}") from None
     verification = kernel.verify_generator(system, gen)
     nonzero = [kernel.pretty(r) for r in verification if not r.is_zero]
@@ -188,6 +200,8 @@ def cmd_vortex(args) -> tuple[int, dict]:
 def cmd_transform(args) -> tuple[int, dict]:
     from . import equilibria as eq
 
+    if not args.m_min > 0:
+        raise ValueError(f"--m-min must be positive, got {args.m_min}")
     state = eq.read_state_csv(args.state)
     spec = eq.TransformSpec(args.M, m_min=args.m_min)
     transformed = eq.apply_infinite_transform(state, spec)
@@ -211,7 +225,7 @@ def cmd_transform(args) -> tuple[int, dict]:
 def cmd_flux_solve(args) -> tuple[int, dict]:
     from . import flux as fx
 
-    problem, params = fx.parse_problem_file(_read_text(args.problem_file))
+    problem, params = fx.parse_problem_file(_read_text(args.problem_file), args.problem_file)
     try:
         sol = fx.solve_flux(problem, **params)
     except fx.SolverDiverged as err:
@@ -398,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     transform = sub.add_parser("transform", help="apply a field-line transform")
     transform.add_argument("--state", required=True, help="input state CSV")
     transform.add_argument("--M", required=True, help="magnitude expression in psi")
-    transform.add_argument("--m-min", type=float, default=1e-8)
+    transform.add_argument("--m-min", type=float, default=1e-8, help="smallest |M| accepted (positive)")
     transform.set_defaults(handler=cmd_transform)
 
     flux = sub.add_parser("flux", help="flux-function solvers")

@@ -427,7 +427,7 @@ def vortex_state(params: VortexParams, grid: Grid3, pressure_profile: str = "bal
 
 @dataclass(frozen=True)
 class TransformSpec:
-    """Magnitude function M of the field-line label, |M| bounded away from 0.
+    """Magnitude function M of the field-line label, |M| >= ``m_min`` > 0.
 
     ``text`` is an expression in ``psi`` evaluated numerically, e.g.
     ``1 + psi*sin(psi)``.  Each admissible M factors uniquely as
@@ -437,6 +437,11 @@ class TransformSpec:
 
     text: str
     m_min: float = 1e-8
+
+    def __post_init__(self):
+        # |M| >= m_min > 0 keeps tau' = 1 - (1 - tau)/M^2 finite
+        if not self.m_min > 0:
+            raise ValueError(f"m_min must be positive, got {self.m_min}")
 
     @functools.cached_property
     def compiled(self) -> Callable:
@@ -731,12 +736,49 @@ def _require_residual_room(state: CGLState, system: str) -> None:
         raise ValueError("the recast system needs tau < 1 everywhere on the grid")
 
 
+# the bundled file each compiled system reads; its equation 1 is div(B),
+# equations 2-4 the momentum balance, and a fifth B . grad tau
+_SYSTEM_FILES = {"mhd": "mhd_static.pde", "cgl": "cgl_static_closed.pde"}
+
+
+@functools.cache
+def _system_program(system: str):
+    """The parsed ``.pde`` file of ``system``, once per process."""
+    from . import data_text
+    from .expr import parse_program
+
+    return parse_program(data_text(_SYSTEM_FILES[system]))
+
+
+def _compiled_residuals(state: CGLState, system: str) -> list:
+    """Each equation of ``system``'s file, left minus right side, evaluated
+    on the interior: a dependent is its node array there (``P`` and
+    ``pperp`` are p_perp), and a first-order jet its central difference."""
+    program = _system_program(system)
+    b1, b2, b3 = state.B.values
+    p_perp = state.p_perp.values
+    nodes = {"B1": b1, "B2": b2, "B3": b3, "P": p_perp, "pperp": p_perp, "tau": state.tau.values}
+    axis = {x.name: i for i, x in enumerate(program.context.independents)}
+    h = state.grid.spacing
+    env = {}
+    for sym in set().union(*(e.symbols() for e in program.equations)):
+        if sym.is_jet:
+            (x,) = sym.wrt
+            env[sym.name] = fd._axis_diff(nodes[sym.base], axis[x], h[axis[x]])
+        else:
+            # a contiguous copy: every term that reads it runs faster
+            env[sym.name] = np.ascontiguousarray(nodes[sym.name][1:-1, 1:-1, 1:-1])
+    return [e.evaluate(env) for e in program.equations]
+
+
 def residual_fields(state: CGLState, system: str) -> dict[str, ScalarGrid | VectorGrid]:
     """Assemble each governing equation's left-minus-right side on the
     interior grid with central differences.
 
-    ``mhd``: curl(B) x B - grad(p_perp); div(B).
-    ``cgl``: the anisotropic balance, div(B), and B . grad tau.
+    ``mhd`` and ``cgl`` evaluate the equations of the bundled
+    ``mhd_static.pde`` and ``cgl_static_closed.pde``, the files the
+    symbolic half reads: ``momentum`` is equations 2-4, ``div_b``
+    equation 1 and (``cgl``) ``tau_advection`` equation 5.
     ``alt``: the recast balance for the scaled field sqrt(1-tau) B with the
     combined pressure p_perp + tau B^2/2, plus its line-constancy; it
     requires tau < 1 everywhere.
@@ -744,30 +786,17 @@ def residual_fields(state: CGLState, system: str) -> dict[str, ScalarGrid | Vect
     _require_residual_room(state, system)
     grid = state.grid
     B = state.B
-    divb = fd.divergence(B)
 
-    if system == "mhd":
-        momentum = fd.cross(fd.curl(B), B.interior())
-        gp = fd.gradient(state.p_perp)
-        mom = VectorGrid(momentum.grid, momentum.values - gp.values)
-        return {"momentum": mom, "div_b": divb}
+    if system in _SYSTEM_FILES:
+        div_b, *rest = _compiled_residuals(state, system)
+        interior = grid.interior()
+        out = {"momentum": VectorGrid(interior, np.stack(rest[:3])), "div_b": ScalarGrid(interior, div_b)}
+        if rest[3:]:
+            out["tau_advection"] = ScalarGrid(interior, rest[3])
+        return out
 
     tau = state.tau
     b2 = state.b_squared()
-    if system == "cgl":
-        jxb = fd.cross(fd.curl(B), B.interior())
-        gp = fd.gradient(state.p_perp)
-        gb2h = fd.gradient(ScalarGrid(grid, 0.5 * b2))
-        line = fd.directional(B, tau)
-        ti = tau.interior().values
-        bi = B.interior().values
-        mom = (1.0 - ti)[None] * jxb.values - gp.values - ti[None] * gb2h.values - bi * line.values[None]
-        return {
-            "momentum": VectorGrid(jxb.grid, mom),
-            "div_b": divb,
-            "tau_advection": line,
-        }
-
     scaled = VectorGrid(grid, np.sqrt(1.0 - tau.values)[None] * B.values)
     combined = ScalarGrid(grid, state.p_perp.values + 0.5 * tau.values * b2)
     momentum = fd.cross(fd.curl(scaled), scaled.interior())
@@ -775,7 +804,7 @@ def residual_fields(state: CGLState, system: str) -> dict[str, ScalarGrid | Vect
     mom = VectorGrid(momentum.grid, momentum.values - gc.values)
     return {
         "momentum": mom,
-        "div_b": divb,
+        "div_b": fd.divergence(B),
         "tau_advection": fd.directional(B, tau),
         "label_advection": fd.directional(B, combined),
     }

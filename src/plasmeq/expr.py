@@ -493,8 +493,14 @@ class Expr:
             return self._evaluate(env, rules, {})
 
     def _evaluate(self, env, rules, values: dict):
-        """The float sum of the terms; ``values`` holds the atom values of
-        the current call."""
+        """The float sum ``0.0 + t1 + t2 + ...`` of the terms, each the float
+        coefficient times its atom powers in monomial order; ``values``
+        holds the atom values of the current call.
+
+        A running product or sum that is an array was allocated here, so it
+        takes the next factor or term in place wherever the result keeps
+        its shape and dtype; every IEEE operation is the one out of place.
+        """
         total = 0.0
         for m, c in self._terms.items():
             term = float(c)
@@ -502,8 +508,16 @@ class Expr:
                 value = values.get(a)
                 if value is None:
                     value = values[a] = _atom_value(a, env, rules, values)
-                term = term * value**k
-            total = total + term
+                # x**1 is x, and leaves the atom's value unallocated
+                factor = value if k == 1 else value**k
+                if _takes_in_place(term, factor):
+                    term *= factor
+                else:
+                    term = term * factor
+            if _takes_in_place(total, term):
+                total += term
+            else:
+                total = total + term
         return total
 
 
@@ -534,6 +548,25 @@ def _chain_rule(atom: FnAtom, derive: Callable[[Expr], Expr]) -> Expr:
         if not darg.is_zero:
             out = out + Expr.from_atom(atom.bump(slot)) * darg
     return out
+
+
+def _takes_in_place(acc, value) -> bool:
+    """Whether ``acc``, a running product or sum, is an array whose shape
+    and dtype ``acc op value`` keeps: a scalar ``value``, or one of
+    ``acc``'s own shape and of a dtype that does not widen it."""
+    shape = getattr(acc, "shape", ())
+    return (
+        shape != ()
+        and getattr(value, "shape", ()) in (shape, ())
+        and _numpy().result_type(acc, value) == acc.dtype
+    )
+
+
+@functools.cache
+def _numpy():
+    import numpy
+
+    return numpy
 
 
 def _atom_value(atom: Atom, env, rules: Mapping[str, Callable], values: dict):

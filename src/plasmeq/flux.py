@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import fields as fd
-from .expr import compile_numeric
+from .expr import ExprError, compile_numeric
 from .fields import Grid3
 
 if TYPE_CHECKING:
@@ -132,7 +132,10 @@ class FluxProblem:
             raise ValueError("empty zu range")
         self.texts = {}
         for key in ("J", "dJ", "dN", "boundary", "source"):
-            fn, text = _as_profile(getattr(self, key), ("r", "zu") if key in ("boundary", "source") else ("psi",))
+            try:
+                fn, text = _as_profile(getattr(self, key), ("r", "zu") if key in ("boundary", "source") else ("psi",))
+            except ExprError as err:
+                raise ValueError(f"{key}: {err}") from None
             setattr(self, key, fn)
             if text is not None:
                 self.texts[key] = text
@@ -702,28 +705,32 @@ def _problem(entries: dict, where: str) -> FluxProblem:
     """Build a problem from its entries: the domain ``r0 r1 zu0 zu1``,
     ``gamma`` and the profiles, with numbers given as numbers or as text,
     and optionally ``geometry``, which must agree with ``gamma``.  ``where``
-    names the source in error messages."""
+    names the source in every error message."""
     missing = [k for k in _DOMAIN_KEYS if k not in entries]
     if missing:
         raise ValueError(f"{where} is missing {', '.join(missing)}")
     if "boundary" not in entries:
         raise ValueError(f"{where} is missing the boundary expression")
     r0, r1, zu0, zu1, gamma = (_number(entries.get(k, 0.0), k, where) for k in (*_DOMAIN_KEYS, "gamma"))
-    problem = FluxProblem(
-        (r0, r1), (zu0, zu1), gamma=gamma, **{k: entries[k] for k in _PROFILE_KEYS if k in entries}
-    )
+    try:
+        problem = FluxProblem(
+            (r0, r1), (zu0, zu1), gamma=gamma, **{k: entries[k] for k in _PROFILE_KEYS if k in entries}
+        )
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
     if entries.get("geometry", problem.geometry) != problem.geometry:
-        raise ValueError(f"geometry must be one of {GEOMETRIES} and agree with gamma = {gamma}: "
+        raise ValueError(f"{where}: geometry must be one of {GEOMETRIES} and agree with gamma = {gamma}: "
                          "helical for a nonzero pitch length, axisymmetric for 0")
     return problem
 
 
-def parse_problem_file(text: str) -> tuple[FluxProblem, dict]:
+def parse_problem_file(text: str, where: str = "problem file") -> tuple[FluxProblem, dict]:
     """Parse ``key = value`` lines; expression values stay text until use.
 
     Returns the problem plus solver parameters (resolution, tolerance,
     iteration cap, relaxation weight).  ``dL`` (the helical name) is an
-    alias of ``dN``.
+    alias of ``dN``.  ``where``, the file's path, leads every error
+    message, and an expression's error names its key too.
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -731,21 +738,21 @@ def parse_problem_file(text: str) -> tuple[FluxProblem, dict]:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key = value, got {raw!r}")
+            raise ValueError(f"{where}: line {lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in entries:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+            raise ValueError(f"{where}: line {lineno}: duplicate key {key!r}")
         entries[key] = value
 
     unknown = entries.keys() - {"geometry", "gamma", "dL", *_DOMAIN_KEYS, *_PROFILE_KEYS, *_SOLVER_KEYS}
     if unknown:
-        raise ValueError(f"unrecognized problem keys: {sorted(unknown)}")
+        raise ValueError(f"{where}: unrecognized problem keys: {sorted(unknown)}")
     if "dL" in entries:
         if "dN" in entries:
-            raise ValueError("give either dN (axisymmetric) or dL (helical), not both")
+            raise ValueError(f"{where}: give either dN (axisymmetric) or dL (helical), not both")
         entries["dN"] = entries.pop("dL")
-    problem = _problem(entries, "problem file")
-    solver = {k: _number(entries[k], k, "problem file", kind) for k, kind in _SOLVER_KEYS.items() if k in entries}
+    problem = _problem(entries, where)
+    solver = {k: _number(entries[k], k, where, kind) for k, kind in _SOLVER_KEYS.items() if k in entries}
     params = {
         "shape": (solver.get("nr", 33), solver.get("nzu", 33)),
         "tol_outer": solver.get("tol", 1e-10),

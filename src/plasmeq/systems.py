@@ -9,8 +9,7 @@ generator is written down once, in the file a user verifies.
 
 from __future__ import annotations
 
-from importlib import resources
-
+from . import data_text
 from .expr import Expr
 from .lie import CandidateGenerator, PdeSystem, parse_generator
 
@@ -40,10 +39,6 @@ _CATALOGUE = {
 }
 
 
-def _data_text(name: str) -> str:
-    return resources.files("plasmeq.data").joinpath(name).read_text()
-
-
 def load_system(name: str) -> PdeSystem:
     """Load a bundled system: ``mhd``, ``cgl`` or ``cgl_closed``."""
     files = {
@@ -52,7 +47,7 @@ def load_system(name: str) -> PdeSystem:
         "cgl_closed": "cgl_static_closed.pde",
     }
     try:
-        return PdeSystem.from_text(_data_text(files[name]))
+        return PdeSystem.from_text(data_text(files[name]))
     except KeyError:
         raise ValueError(f"unknown bundled system {name!r}; choose from {sorted(files)}") from None
 
@@ -63,7 +58,7 @@ def _load(system: PdeSystem, label: str) -> CandidateGenerator:
     files = next((files for pressure, files in _CATALOGUE.items() if pressure in names), {})
     if label not in files:
         raise ValueError(f"the generator catalogue has no {label!r} entry for this system")
-    return parse_generator(system.context, _data_text(files[label]), label)
+    return parse_generator(system.context, data_text(files[label]), label)
 
 
 def classical_generators(system: PdeSystem) -> list[CandidateGenerator]:

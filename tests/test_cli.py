@@ -353,7 +353,7 @@ COMMAND_MODULES = {
     "vortex": (lambda d: ["vortex", "--grid", "9"], {"equilibria", "fields"}, True),
     "check": (
         lambda d: ["check", "--state", str(d / "vortex" / "state.csv"), "--system", "mhd"],
-        {"equilibria", "fields"},
+        {"equilibria", "fields", "expr"},
         True,
     ),
     "transform": (
@@ -400,13 +400,19 @@ LAZY_ERRORS = {
         lambda d: ["flux", "tocgl", str(d / "solve" / "solution.json"), "--tau", "psi^"],
         "exponent must be an integer literal (line 1, column 5)",
     ),
-    "detsys of an empty file": (lambda d: ["lie", "detsys", str(d / "empty.pde")], "system declares no equations"),
+    # an error in a PDE file names the file
+    "detsys of an empty file": (
+        lambda d: ["lie", "detsys", str(d / "empty.pde")],
+        lambda d: f"{d / 'empty.pde'}: system declares no equations",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(LAZY_ERRORS))
 def test_lazily_imported_errors_exit_two(tmp_path, probe_inputs, case):
     argv, message = LAZY_ERRORS[case]
+    if callable(message):
+        message = message(probe_inputs)
     code, err, _ = probe(["--out", str(tmp_path), *argv(probe_inputs)])
     assert code == 2
     assert err == f"error: {message}\n"
@@ -716,7 +722,13 @@ BAD_INPUTS = {
         lambda tmp: [
             "lie", "detsys", _file(tmp, "empty.pde", "indep x;\ndep u;\nsolve_for: diff(u,x);\neq = diff(u,x);\n"),
         ],
-        "empty expression (line 4, column 4)",
+        "empty.pde: empty expression (line 4, column 4)",
+    ),
+    "PDE file error in lie verify": (
+        lambda tmp: [
+            "lie", "verify", _file(tmp, "bad.pde", "indep x;\ndep u;\neq = diff(u,x);\n"), data_path("mhd_rotations.gen"),
+        ],
+        "bad.pde: empty expression (line 3, column 4)",
     ),
     "generator with no assignment": (
         lambda tmp: ["lie", "verify", data_path("mhd_static.pde"), _file(tmp, "empty.gen", "")],
@@ -791,7 +803,7 @@ BAD_INPUTS = {
     ),
     "fractional iteration cap": (
         lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\nmax_iter = 9.5")],
-        "problem file: max_iter is not an integer: '9.5'",
+        "problem.flux: max_iter is not an integer: '9.5'",
     ),
     "tolerance of zero": (
         lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ntol = 0")],
@@ -799,11 +811,23 @@ BAD_INPUTS = {
     ),
     "tolerance of nan": (
         lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ntol = nan")],
-        "problem file: tol must be finite, got nan",
+        "problem.flux: tol must be finite, got nan",
+    ),
+    "flux file with an undeclared name": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = x")],
+        "problem.flux: boundary: undeclared identifier 'x' (line 1, column 1)",
+    ),
+    "flux file with a malformed line": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\nomega 0.5")],
+        "problem.flux: line 8: expected key = value, got 'omega 0.5'",
+    ),
+    "flux file with an empty radial range": (
+        lambda tmp: ["flux", "solve", _file(tmp, "thin.flux", "r0 = 1\nr1 = 1\nzu0 = 0\nzu1 = 1\nboundary = r\n")],
+        "thin.flux: radial domain requires 0 < r0 < r1 (the axis is excluded)",
     ),
     "pitch length of nan": (
         lambda tmp: ["flux", "solve", _flux_file(tmp, "geometry = helical\nboundary = r\ngamma = nan")],
-        "problem file: gamma must be finite, got nan",
+        "problem.flux: gamma must be finite, got nan",
     ),
     "solution with an infinite r1": (
         lambda tmp: ["flux", "tocgl", _solution_with(tmp, r1=math.inf), "--tau", "0.1"],
@@ -870,6 +894,14 @@ BAD_INPUTS = {
         "--threshold must be a finite number, got nan",
     ),
     "vortex radius of inf": (lambda tmp: ["vortex", "--R", "inf", "--grid", "9"], "--R must be a finite number, got inf"),
+    "transform floor of zero": (
+        lambda tmp: ["transform", "--state", _state(tmp), "--M", "0", "--m-min", "0"],
+        "--m-min must be positive, got 0.0",
+    ),
+    "transform floor below zero": (
+        lambda tmp: ["transform", "--state", _state(tmp), "--M", "psi - 0.5", "--m-min", "-1"],
+        "--m-min must be positive, got -1.0",
+    ),
     "transform floor of nan": (
         lambda tmp: ["transform", "--state", _state(tmp), "--M", "1", "--m-min", "nan"],
         "--m-min must be a finite number, got nan",

@@ -508,6 +508,13 @@ def test_transform_rejects_vanishing_magnitude(vortex17):
         apply_infinite_transform(vortex17, TransformSpec("psi - 0.99", m_min=0.05))
 
 
+@pytest.mark.parametrize("m_min", [0.0, -1.0, math.nan])
+def test_transform_spec_refuses_a_floor_that_is_not_positive(m_min):
+    # a zero or negative floor would let |M| = 0 through to a non-finite tau
+    with pytest.raises(ValueError, match="m_min must be positive"):
+        TransformSpec("psi", m_min=m_min)
+
+
 def test_group_law_and_inverse(vortex17):
     m1 = TransformSpec("1 + psi^2")
     m2 = TransformSpec("2 - psi")
@@ -558,6 +565,88 @@ def test_recast_momentum_recombines_cgl_residuals(vortex33, vortex65):
         mask = fd.sphere_mask(gap.grid, 0.85)
         gaps[state.grid.counts[0]] = fd.norm(gap, "linf", mask)
     assert gaps[33] / gaps[65] > 3.0
+
+
+# -- the compiled residuals against numpy statements of the same systems ---------------
+
+
+def _numpy_mhd_momentum(state):
+    """curl(B) x B - grad(p_perp), the isotropic balance written in numpy."""
+    jxb = fd.cross(fd.curl(state.B), state.B.interior())
+    return jxb.values - fd.gradient(state.p_perp).values
+
+
+def _numpy_cgl_momentum(state, tau_grad_b2):
+    """(1 - tau) curl(B) x B - grad(p_perp) - tau_grad_b2 - B (B . grad tau),
+    the anisotropic balance written in numpy, given its tau term."""
+    jxb = fd.cross(fd.curl(state.B), state.B.interior()).values
+    ti = state.tau.interior().values
+    bi = state.B.interior().values
+    line = fd.directional(state.B, state.tau).values
+    return (1.0 - ti)[None] * jxb - fd.gradient(state.p_perp).values - tau_grad_b2 - bi * line[None]
+
+
+def _tau_b_grad_b(state):
+    """tau sum_j B_j d_i B_j, the tau term as ``cgl_static_closed.pde`` writes it."""
+    h = state.grid.spacing
+    db = np.stack([np.stack([fd._axis_diff(c, i, h[i]) for c in state.B.values]) for i in range(3)])
+    bi = state.B.interior().values
+    return state.tau.interior().values[None] * np.einsum("jxyz,ijxyz->ixyz", bi, db)
+
+
+def _tau_grad_half_b2(state):
+    """tau grad(B^2/2): the tau term of the hand-coded ``cgl`` residual
+    that the compiled file replaced, a different second-order stencil."""
+    gb2h = fd.gradient(ScalarGrid(state.grid, 0.5 * state.b_squared())).values
+    return state.tau.interior().values[None] * gb2h
+
+
+def _relative_gap(got, want):
+    return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+
+
+def test_compiled_mhd_momentum_is_curl_b_cross_b_minus_grad_p(vortex33, vortex65):
+    for state in (vortex33, vortex65):
+        res = residual_fields(state, "mhd")
+        want = _numpy_mhd_momentum(state)
+        # the residual is a small difference of O(1) terms; measure against those
+        scale = float(np.max(np.abs(fd.gradient(state.p_perp).values)))
+        assert float(np.max(np.abs(res["momentum"].values - want))) <= 1e-12 * scale
+        assert np.array_equal(res["div_b"].values, fd.divergence(state.B).values)
+
+
+@pytest.fixture(scope="module")
+def transformed_pair(vortex33, vortex65):
+    spec = TransformSpec("1 + psi*sin(psi)")
+    return {state.grid.counts[0]: apply_infinite_transform(state, spec) for state in (vortex33, vortex65)}
+
+
+def test_compiled_cgl_div_b_and_tau_advection_are_the_numpy_stencils_bit_for_bit(transformed_pair):
+    for state in transformed_pair.values():
+        res = residual_fields(state, "cgl")
+        assert np.array_equal(res["div_b"].values, fd.divergence(state.B).values)
+        assert np.array_equal(res["tau_advection"].values, fd.directional(state.B, state.tau).values)
+
+
+def test_compiled_cgl_momentum_is_the_file_balance(transformed_pair):
+    for state in transformed_pair.values():
+        got = residual_fields(state, "cgl")["momentum"].values
+        scale = float(np.max(np.abs(fd.gradient(state.p_perp).values)))
+        assert float(np.max(np.abs(got - _numpy_cgl_momentum(state, _tau_b_grad_b(state))))) <= 1e-12 * scale
+
+
+def test_compiled_cgl_momentum_converges_at_second_order(transformed_pair):
+    mask_r = 0.9
+    linf, gaps = {}, {}
+    for n, state in transformed_pair.items():
+        mask = fd.sphere_mask(state.grid.interior(), mask_r)
+        mom = residual_fields(state, "cgl")["momentum"]
+        linf[n] = fd.norm(mom, "linf", mask)
+        # the two stencils of tau grad(B^2/2) agree to second order too
+        old = VectorGrid(mom.grid, _numpy_cgl_momentum(state, _tau_grad_half_b2(state)))
+        gaps[n] = fd.norm(VectorGrid(mom.grid, mom.values - old.values), "linf", mask)
+    assert linf[33] / linf[65] == pytest.approx(4.0, abs=0.5)
+    assert gaps[33] / gaps[65] == pytest.approx(4.0, abs=0.5)
 
 
 def test_transformed_field_stays_divergence_free(vortex17, vortex33, params):

@@ -486,6 +486,36 @@ def test_evaluation_is_bit_identical_to_a_term_by_term_walk(text):
     assert np.array_equal(f(0.75), _evaluate_term_by_term(f.expression, {"psi": 0.75}))
 
 
+# the shapes an input may take: a Python float, broadcasting rows and
+# columns, and full arrays
+_INPUT_SHAPES = [(), (5,), (4, 1), (1, 5), (4, 5)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    _expr_strategy(_pctx),
+    st.lists(st.sampled_from(_INPUT_SHAPES), min_size=6, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_in_place_evaluation_is_bit_identical_to_a_plain_sum(e, shapes, seed):
+    rng = np.random.default_rng(seed)
+    env = {}
+    for name, shape in zip(("x", "y", "u", "c", "u_x", "u_y"), shapes):
+        values = rng.uniform(-3.0, 3.0, shape)
+        # signed zeros: a sum that did not start at 0.0 could keep a -0.0
+        values = np.where(rng.random(shape) < 0.2, -0.0, values)
+        env[name] = float(values) if shape == () else values
+    inputs = {name: np.copy(v) for name, v in env.items()}
+    with np.errstate(all="ignore"):
+        want = _evaluate_term_by_term(e, env)
+    got = e.evaluate(env)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+    # products and sums went in place only into arrays the evaluation made
+    for name, value in env.items():
+        assert np.asarray(value).tobytes() == inputs[name].tobytes()
+
+
 def test_each_atom_is_evaluated_once_per_call(monkeypatch):
     from plasmeq import expr
 
