@@ -230,6 +230,8 @@ def cmd_flux_solve(args) -> tuple[int, dict]:
         sol = fx.solve_flux(problem, **params)
     except fx.SolverDiverged as err:
         raise ValueError(f"solver diverged: {err}") from None
+    except ValueError as err:
+        raise ValueError(f"{args.problem_file}: {err}") from None
     manifest = fx.write_solution(sol, args.out)
     report = {
         "inputs": {"problem_file": str(args.problem_file)},
@@ -329,9 +331,7 @@ def cmd_check(args) -> tuple[int, dict]:
     ok = True
     if args.threshold is not None:
         params["threshold"] = args.threshold
-        for name, entry in norms.items():
-            if entry["linf"] > args.threshold:
-                ok = False
+        ok = not any(entry["linf"] > args.threshold for entry in norms.values())
     else:
         coarse = eq.residual_norms(state.coarsen(), args.system, mask_radius=mask_radius)
         report["norms_coarse"] = _norms_as_jsonable(coarse)

@@ -138,12 +138,11 @@ def _require_finite(state: CGLState) -> CGLState:
 # one pinned CPU (Xeon, 2 MiB L2), 2**15 (seven slabs at 65^3) was 3-6 %
 # faster there but peaked at 1.36 times a rotation's result against 1.16;
 # 2**13 was slower than both; at 129^3 both larger sizes give one slab.
-# ``residual_norms`` blocks its interior the same way with at least three
-# slabs, the fewest a stencil check passes with the halo.  One-slab blocks
-# (check skipped) were no faster at 129^3 and 50 % slower at 65^3, where a
-# block recomputes two halo slabs per interior one; five slabs were within
-# a few percent of three, and 8 or more slower at 129^3 (two-grid cgl
-# check, one pinned CPU).
+# ``residual_norms`` windows its interior the same way with at least three
+# slabs besides the halo.  One-slab windows were no faster at 129^3 and
+# 50 % slower at 65^3, where a window recomputes two halo slabs per
+# interior one; five slabs were within a few percent of three, and 8 or
+# more slower at 129^3 (two-grid cgl check, one pinned CPU).
 BLOCK_NODES = 2**14
 
 
@@ -736,87 +735,79 @@ def _require_residual_room(state: CGLState, system: str) -> None:
         raise ValueError("the recast system needs tau < 1 everywhere on the grid")
 
 
-# the bundled file each compiled system reads; its equation 1 is div(B),
-# equations 2-4 the momentum balance, and a fifth B . grad tau
-_SYSTEM_FILES = {"mhd": "mhd_static.pde", "cgl": "cgl_static_closed.pde"}
+# Each residual of each system: a bundled file, the (0-based) equations of
+# it that the residual evaluates (three make a vector), and the node array
+# each of the file's dependents is bound to.  ``alt`` is the isotropic image
+# of the closed CGL balance under the field-line map with M = sqrt(1 - tau):
+# the isotropic balance of S = sqrt(1 - tau) B and the combined pressure
+# p_perp + tau |B|^2 / 2, plus B . grad of tau and of the combined pressure.
+_NODES = {"B1": "B1", "B2": "B2", "B3": "B3", "P": "p_perp", "pperp": "p_perp", "tau": "tau"}
+_MHD, _CGL = "mhd_static.pde", "cgl_static_closed.pde"
+_RESIDUALS = {
+    "mhd": {"momentum": (_MHD, (1, 2, 3), _NODES), "div_b": (_MHD, (0,), _NODES)},
+    "cgl": {"momentum": (_CGL, (1, 2, 3), _NODES), "div_b": (_CGL, (0,), _NODES), "tau_advection": (_CGL, (4,), _NODES)},
+    "alt": {
+        "momentum": (_MHD, (1, 2, 3), {"B1": "S1", "B2": "S2", "B3": "S3", "P": "combined"}),
+        "div_b": (_MHD, (0,), _NODES),
+        "tau_advection": (_CGL, (4,), _NODES),
+        "label_advection": (_CGL, (4,), {**_NODES, "tau": "combined"}),
+    },
+}
 
 
 @functools.cache
-def _system_program(system: str):
-    """The parsed ``.pde`` file of ``system``, once per process."""
+def _program(name: str):
+    """The parsed bundled ``.pde`` file ``name``, once per process."""
     from . import data_text
     from .expr import parse_program
 
-    return parse_program(data_text(_SYSTEM_FILES[system]))
+    return parse_program(data_text(name))
 
 
-def _compiled_residuals(state: CGLState, system: str) -> list:
-    """Each equation of ``system``'s file, left minus right side, evaluated
-    on the interior: a dependent is its node array there (``P`` and
-    ``pperp`` are p_perp), and a first-order jet its central difference."""
-    program = _system_program(system)
-    b1, b2, b3 = state.B.values
-    p_perp = state.p_perp.values
-    nodes = {"B1": b1, "B2": b2, "B3": b3, "P": p_perp, "pperp": p_perp, "tau": state.tau.values}
-    axis = {x.name: i for i, x in enumerate(program.context.independents)}
-    h = state.grid.spacing
-    env = {}
-    for sym in set().union(*(e.symbols() for e in program.equations)):
-        if sym.is_jet:
-            (x,) = sym.wrt
-            env[sym.name] = fd._axis_diff(nodes[sym.base], axis[x], h[axis[x]])
-        else:
-            # a contiguous copy: every term that reads it runs faster
-            env[sym.name] = np.ascontiguousarray(nodes[sym.name][1:-1, 1:-1, 1:-1])
-    return [e.evaluate(env) for e in program.equations]
+def _window_residuals(state: CGLState, system: str, start: int, stop: int) -> dict[str, ScalarGrid | VectorGrid]:
+    """Every residual of ``system`` on the interior of the x-slabs
+    ``start:stop`` of the state's arrays: each equation's left minus right
+    side, with a dependent bound to its node array and a first-order jet to
+    that array's central difference, each computed once per window."""
+    window = slice(start, stop)
+    b, tau = state.B.values[:, window], state.tau.values[window]
+    nodes = {"B1": b[0], "B2": b[1], "B3": b[2], "p_perp": state.p_perp.values[window], "tau": tau}
+    if system == "alt":
+        scaled = np.sqrt(1.0 - tau)[None] * b
+        combined = nodes["p_perp"] + 0.5 * tau * np.einsum("cijk,cijk->ijk", b, b)
+        nodes.update(S1=scaled[0], S2=scaled[1], S3=scaled[2], combined=combined)
+    g, h = state.grid, state.grid.spacing
+    interior = Grid3((g.origin[0] + h[0] * start, *g.origin[1:]), h, (stop - start, *g.counts[1:])).interior()
+    env, out = {}, {}
+    for name, (file, which, binding) in _RESIDUALS[system].items():
+        program = _program(file)
+        equations = [program.equations[i] for i in which]
+        axis = {x.name: i for i, x in enumerate(program.context.independents)}
+        bound = {}
+        for sym in set().union(*(e.symbols() for e in equations)):
+            key = (binding[sym.base or sym.name], sym.wrt)
+            if key not in env:
+                if sym.wrt:
+                    i = axis[sym.wrt[0]]
+                    env[key] = fd._axis_diff(nodes[key[0]], i, h[i])
+                else:
+                    # a contiguous copy: every term that reads it runs faster
+                    env[key] = np.ascontiguousarray(nodes[key[0]][1:-1, 1:-1, 1:-1])
+            bound[sym.name] = env[key]
+        values = [e.evaluate(bound) for e in equations]
+        out[name] = VectorGrid(interior, np.stack(values)) if len(values) == 3 else ScalarGrid(interior, values[0])
+    return out
 
 
 def residual_fields(state: CGLState, system: str) -> dict[str, ScalarGrid | VectorGrid]:
-    """Assemble each governing equation's left-minus-right side on the
-    interior grid with central differences.
-
-    ``mhd`` and ``cgl`` evaluate the equations of the bundled
-    ``mhd_static.pde`` and ``cgl_static_closed.pde``, the files the
-    symbolic half reads: ``momentum`` is equations 2-4, ``div_b``
-    equation 1 and (``cgl``) ``tau_advection`` equation 5.
-    ``alt``: the recast balance for the scaled field sqrt(1-tau) B with the
-    combined pressure p_perp + tau B^2/2, plus its line-constancy; it
-    requires tau < 1 everywhere.
-    """
+    """Each residual of ``system`` on the interior grid, with central
+    differences: equations of the bundled ``.pde`` files that the symbolic
+    half reads, left minus right side.  ``mhd`` and ``cgl`` bind them to the
+    state's fields; ``alt`` (tau < 1 only) binds ``mhd_static.pde`` to the
+    isotropic image B' = sqrt(1 - tau) B, P' = p_perp + tau |B|^2 / 2, and
+    adds B . grad of tau and of P' (``label_advection``)."""
     _require_residual_room(state, system)
-    grid = state.grid
-    B = state.B
-
-    if system in _SYSTEM_FILES:
-        div_b, *rest = _compiled_residuals(state, system)
-        interior = grid.interior()
-        out = {"momentum": VectorGrid(interior, np.stack(rest[:3])), "div_b": ScalarGrid(interior, div_b)}
-        if rest[3:]:
-            out["tau_advection"] = ScalarGrid(interior, rest[3])
-        return out
-
-    tau = state.tau
-    b2 = state.b_squared()
-    scaled = VectorGrid(grid, np.sqrt(1.0 - tau.values)[None] * B.values)
-    combined = ScalarGrid(grid, state.p_perp.values + 0.5 * tau.values * b2)
-    momentum = fd.cross(fd.curl(scaled), scaled.interior())
-    gc = fd.gradient(combined)
-    mom = VectorGrid(momentum.grid, momentum.values - gc.values)
-    return {
-        "momentum": mom,
-        "div_b": fd.divergence(B),
-        "tau_advection": fd.directional(B, tau),
-        "label_advection": fd.directional(B, combined),
-    }
-
-
-def _slabs(state: CGLState, start: int, stop: int) -> CGLState:
-    """The sub-state of x-slabs ``start:stop``: views of the scalar arrays
-    and a copy of B's block (its components are not contiguous)."""
-    g = state.grid
-    grid = Grid3((g.origin[0] + g.spacing[0] * start, *g.origin[1:]), g.spacing, (stop - start, *g.counts[1:]))
-    scalars = (ScalarGrid(grid, f.values[start:stop]) for f in (state.p_perp, state.p_par, state.tau, state.psi))
-    return CGLState(VectorGrid(grid, state.B.values[:, start:stop]), *scalars)
+    return _window_residuals(state, system, 0, state.grid.counts[0])
 
 
 def residual_norms(
@@ -825,16 +816,10 @@ def residual_norms(
     """Linf and L2 norms of every residual, optionally restricted to the
     ball of the given (positive) radius, for states smooth only inside a
     sphere, and ``node``, the (i, j, k) index on the state's grid of the
-    Linf maximum.
-
-    The residuals are evaluated by ``residual_fields`` over blocks of whole
-    x-slabs of the interior, each block a sub-state with one halo slab on
-    either side, and each residual's pointwise magnitude is written once
-    into an interior-sized array.  Every stencil is nodewise, so the
-    norms are bit-identical to a whole-grid pass (``fields.norm`` of each
-    of ``residual_fields``); the checks on the system, the grid, tau and
-    the mask are made on the whole state before the first block.
-    """
+    Linf maximum.  The residuals are evaluated on windows of whole x-slabs
+    of the state's arrays with one halo slab on either side, bit-identical
+    to a whole-grid pass (``fields.norm`` of each of ``residual_fields``),
+    after the checks on the system, the grid, tau and the mask."""
     _require_residual_room(state, system)
     interior = state.grid.interior()
     mask = None
@@ -844,17 +829,17 @@ def residual_norms(
             raise ValueError("norm over an empty node set")
 
     nx, ny, nz = state.grid.counts
-    # at least 3 interior slabs, so that a block passes the stencil check
+    # at least 3 interior slabs besides the halo (see ``BLOCK_NODES``)
     step = min(nx - 2, max(3, BLOCK_NODES // (ny * nz)))
     pointwise: dict[str, np.ndarray] = {}
     for start in range(0, nx - 2, step):
-        # a short last block borrows slabs from the one before it
+        # a short last window borrows slabs from the one before it
         start = min(start, nx - 2 - step)
-        for name, res in residual_fields(_slabs(state, start, start + step + 2), system).items():
+        for name, res in _window_residuals(state, system, start, start + step + 2).items():
             if name not in pointwise:
                 pointwise[name] = np.empty(interior.counts)
             pointwise[name][start : start + step] = fd.magnitude(res)
-        res = None  # the next block starts with this one's arrays freed
+        res = None  # the next window starts with this one's arrays freed
 
     out = {}
     for name, values in pointwise.items():

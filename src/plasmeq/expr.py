@@ -1165,6 +1165,7 @@ def compile_numeric(text: str, variables: Iterable[str]):
     """
     names = list(variables)
     e = Context(independents=names).parse(text)
+    _require_float_constants(e, text)
 
     def fn(*args, **kwargs):
         env = dict(zip(names, args), **kwargs)
@@ -1176,3 +1177,15 @@ def compile_numeric(text: str, variables: Iterable[str]):
     fn.expression = e
     fn.text = text
     return fn
+
+
+def _require_float_constants(e: Expr, text: str) -> None:
+    """Refuse a coefficient of ``e``, or of a function argument in it, that
+    no float can hold: numeric evaluation could only overflow on it."""
+    for m, c in e._terms.items():
+        try:
+            float(c)
+        except OverflowError:
+            raise ExprError(f"constant beyond the float range in {text!r}") from None
+        for arg in (arg for a, _k in m if isinstance(a, FnAtom) for arg in a.args):
+            _require_float_constants(arg, text)

@@ -799,7 +799,7 @@ BAD_INPUTS = {
     ),
     "iteration cap of zero": (
         lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\nmax_iter = 0")],
-        "iteration cap must be at least 1, got 0",
+        "problem.flux: iteration cap must be at least 1, got 0",
     ),
     "fractional iteration cap": (
         lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\nmax_iter = 9.5")],
@@ -807,7 +807,29 @@ BAD_INPUTS = {
     ),
     "tolerance of zero": (
         lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ntol = 0")],
-        "tolerance must be a positive finite number, got 0.0",
+        "problem.flux: tolerance must be a positive finite number, got 0.0",
+    ),
+    "relaxation weight above one": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\nomega = 2")],
+        "problem.flux: relaxation weight must lie in (0, 1]",
+    ),
+    "radial resolution below nine": (
+        lambda tmp: [
+            "flux", "solve", _file(tmp, "coarse.flux", "r0 = 0.5\nr1 = 1.5\nzu0 = -0.5\nzu1 = 0.5\nnr = 5\nboundary = r\n"),
+        ],
+        "coarse.flux: resolution must be at least 9 x 9",
+    ),
+    "flux profile beyond the float range": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ndN = -1e400")],
+        "problem.flux: dN: constant beyond the float range in '-1e400'",
+    ),
+    "tocgl tau beyond the float range": (
+        lambda tmp: ["flux", "tocgl", _solution(tmp), "--tau", "1e400*psi"],
+        "constant beyond the float range in '1e400*psi'",
+    ),
+    "transform magnitude beyond the float range": (
+        lambda tmp: ["transform", "--state", _state(tmp), "--M", "1e400"],
+        "constant beyond the float range in '1e400'",
     ),
     "tolerance of nan": (
         lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ntol = nan")],

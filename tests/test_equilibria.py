@@ -649,6 +649,26 @@ def test_compiled_cgl_momentum_converges_at_second_order(transformed_pair):
     assert gaps[33] / gaps[65] == pytest.approx(4.0, abs=0.5)
 
 
+def _numpy_alt(state):
+    """(curl S) x S - grad P' for S = sqrt(1 - tau) B and P' = p_perp +
+    tau B^2/2, the recast balance written in numpy, and P' itself."""
+    scaled = VectorGrid(state.grid, np.sqrt(1.0 - state.tau.values)[None] * state.B.values)
+    combined = ScalarGrid(state.grid, state.p_perp.values + 0.5 * state.tau.values * state.b_squared())
+    return fd.cross(fd.curl(scaled), scaled.interior()).values - fd.gradient(combined).values, combined
+
+
+def test_alt_is_the_compiled_isotropic_balance_of_the_scaled_field(transformed_pair, residual_source):
+    flux_states = [residual_source("flux_to_cgl", (n, n, n)) for n in (33, 65)]
+    for state in [*transformed_pair.values(), *flux_states]:
+        res = residual_fields(state, "alt")
+        momentum, combined = _numpy_alt(state)
+        scale = float(np.max(np.abs(fd.gradient(combined).values)))
+        assert float(np.max(np.abs(res["momentum"].values - momentum))) <= 1e-12 * scale
+        assert np.array_equal(res["div_b"].values, fd.divergence(state.B).values)
+        assert np.array_equal(res["tau_advection"].values, fd.directional(state.B, state.tau).values)
+        assert np.array_equal(res["label_advection"].values, fd.directional(state.B, combined).values)
+
+
 def test_transformed_field_stays_divergence_free(vortex17, vortex33, params):
     spec = TransformSpec("1 + psi*sin(psi)")
     mask_r = params.R - 2 * vortex17.grid.spacing[0]
@@ -1450,14 +1470,16 @@ def test_residual_norms_in_blocks_are_bit_identical_to_the_whole_grid(
         monkeypatch.setattr(equilibria, "BLOCK_NODES", slabs * ny * nz + ny)
     step = min(nx - 2, max(3, equilibria.BLOCK_NODES // (ny * nz)))
     blocks = []
+    window_residuals = equilibria._window_residuals
 
-    def recording(sub, name):
-        blocks.append(sub.grid.counts)
-        return residual_fields(sub, name)
+    def recording(whole, name, start, stop):
+        assert whole is state
+        blocks.append((stop - start, ny, nz))
+        return window_residuals(whole, name, start, stop)
 
-    monkeypatch.setattr(equilibria, "residual_fields", recording)
+    monkeypatch.setattr(equilibria, "_window_residuals", recording)
     assert residual_norms(state, system, mask_radius=mask_radius) == want
-    # every block, the short last one too, is ``step`` interior slabs plus a halo
+    # every window, the short last one too, is ``step`` interior slabs plus a halo
     assert blocks == [(step + 2, ny, nz)] * -(-(nx - 2) // step)
     if slabs is not None:
         assert (nx - 2) % slabs != 0
@@ -1509,7 +1531,7 @@ def test_residual_norms_check_the_whole_state_before_the_first_block(monkeypatch
     state, system, mask_radius = case()
     monkeypatch.setattr(equilibria, "BLOCK_NODES", 3 * 81)
     blocks = []
-    monkeypatch.setattr(equilibria, "residual_fields", lambda sub, name: blocks.append(sub) or {})
+    monkeypatch.setattr(equilibria, "_window_residuals", lambda *window: blocks.append(window) or {})
     with pytest.raises(ValueError) as err:
         residual_norms(state, system, mask_radius=mask_radius)
     assert str(err.value) == message

@@ -18,6 +18,7 @@ from plasmeq.expr import (
     Context,
     EvalError,
     Expr,
+    ExprError,
     FnAtom,
     ParseError,
     Symbol,
@@ -157,6 +158,17 @@ def test_numeric_evaluation_vectorized():
     g = compile_numeric("psi", ["psi"])
     with pytest.raises(EvalError):
         g.expression.evaluate({})
+
+
+@pytest.mark.parametrize("text", ["1e400", "psi - 1e400", "exp(10^400*psi)", "sin(1 + psi/3*10^309)"])
+def test_compile_numeric_refuses_a_constant_beyond_the_float_range(text):
+    with pytest.raises(ExprError, match=r"^constant beyond the float range in "):
+        compile_numeric(text, ["psi"])
+
+
+def test_compile_numeric_keeps_constants_a_float_can_hold():
+    # 1e-400 rounds to zero and 10^308 is finite: neither is refused
+    assert compile_numeric("psi + 1e-400 + 10^308", ["psi"])(1.0) == 1.0 + 1e308
 
 
 def test_program_file_parsing():
