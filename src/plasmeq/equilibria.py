@@ -235,9 +235,10 @@ def tau_consistency_error(state: CGLState) -> float:
     if not mask.any():
         return 0.0
     lhs = state.p_par.values - state.p_perp.values
-    rhs = state.tau.values * b2
+    rhs = np.multiply(state.tau.values, b2, out=b2)  # b2 is not needed past the mask
     scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-    return float(np.max(np.abs(lhs - rhs)[mask])) / scale
+    lhs -= rhs
+    return float(np.max(np.abs(lhs, out=lhs)[mask])) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -877,7 +878,7 @@ def read_state_csv(path) -> CGLState:
     missing = [c for c in STATE_COLUMNS if c not in cols]
     if missing:
         raise ValueError(f"{path}: missing state columns {missing}")
-    b = np.stack([cols[c] for c in STATE_COLUMNS[:3]])
+    b = np.stack([cols.pop(c) for c in STATE_COLUMNS[:3]])
     state = _state(Grid3.from_axes(*axes), (b, *(cols[c] for c in STATE_COLUMNS[3:])), {"source": str(path)})
     mismatch = tau_consistency_error(state)
     if mismatch > 1e-6:

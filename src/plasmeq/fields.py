@@ -40,6 +40,9 @@ _FLOAT_FMT = "%.17g"
 # so a larger block formats less but holds more; a 65^3 state writes as fast
 # at 2048 rows as at 8192, with a smaller peak memory
 _ROW_BLOCK = 2048
+# rows per ``np.loadtxt`` call of ``read_csv``: the parse of one block
+# (about 1.3 MB for a 10-column state) is held beside the columns it fills
+_READ_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -341,13 +344,6 @@ def _write_block(fh, block: np.ndarray, row_fmt: str) -> None:
     fh.write((row_fmt * len(block)) % tuple(text[inverse].tolist()))
 
 
-def _require_finite(rows: np.ndarray, names: list[str], path, verb: str) -> None:
-    """Name the file, column and data row of the first non-finite value."""
-    if not np.isfinite(rows).all():
-        row, col = np.argwhere(~np.isfinite(rows))[0]
-        raise ValueError(f"{path}: {verb} a non-finite {names[col]} ({rows[row, col]}) in data row {row + 1}")
-
-
 def _axis_step(values: np.ndarray) -> float | None:
     """The spacing of a sorted axis, or None where its steps are not uniform.
 
@@ -383,18 +379,29 @@ def _first_bad_row(path, header: list[str]) -> str | None:
     return None
 
 
-def read_csv(path, axis_names) -> tuple[tuple[np.ndarray, ...], dict[str, np.ndarray]]:
-    """Read a file of ``write_csv``'s layout whose coordinate columns are
-    ``axis_names``; returns the file's own axis values and the remaining
-    columns shaped to them.  Rejects a file that is not a full, ordered,
-    uniformly spaced tensor grid or that holds a non-finite value."""
+def _line_bound(path) -> int:
+    """An upper bound on the lines of a file, from its raw bytes: every line
+    but the last ends in a line feed, a carriage return or both, as universal
+    newlines read them.  It is at most one over for a file of line feeds;
+    for CR LF line ends it is twice the lines."""
+    breaks = 0
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            breaks += chunk.count(b"\n") + (chunk.count(b"\r") if b"\r" in chunk else 0)
+    return breaks + 1
+
+
+def _unparsable(path, header: list[str]) -> str:
+    """The refusal of a CSV body that does not parse: the first error of one
+    ``np.loadtxt`` call over the whole body.
+
+    A block-wise parse can neither number a row as that call does nor see a
+    change of width at a block's first row before it decodes the rest of
+    that block, so a body that fails is parsed whole once more."""
     try:
         with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            with warnings.catch_warnings():
-                # an empty body is reported below, with the file name
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            fh.readline()
+            np.loadtxt(fh, delimiter=",", ndmin=2)
     except UnicodeDecodeError as err:
         # numpy decodes the body in chunks, so ``err`` counts from the start of
         # one; decoding the whole file again gives the offset in the file
@@ -403,34 +410,87 @@ def read_csv(path, axis_names) -> tuple[tuple[np.ndarray, ...], dict[str, np.nda
                 fh.read().decode("utf-8")
         except UnicodeDecodeError as whole:
             err = whole
-        raise ValueError(f"cannot read {path}: {err}") from None
+        return f"cannot read {path}: {err}"
     except ValueError as err:
         # numpy counts rows its own way and advises an argument of its own
-        raise ValueError(f"{path}: {_first_bad_row(path, header) or err}") from None
+        return f"{path}: {_first_bad_row(path, header) or err}"
+    # the body parses whole: it changed since the block-wise parse
+    return f"{path}: the file changed while it was read"
+
+
+def read_csv(path, axis_names) -> tuple[tuple[np.ndarray, ...], dict[str, np.ndarray]]:
+    """Read a file of ``write_csv``'s layout whose coordinate columns are
+    ``axis_names``; returns the file's own axis values and the remaining
+    columns shaped to them.  Rejects a file that is not a full, ordered,
+    uniformly spaced tensor grid or that holds a non-finite value.
+
+    The body is parsed ``_READ_BLOCK`` rows at a time straight into one
+    contiguous array per column, sized by a count of the file's line ends,
+    so the reader holds its columns and one row block: no row-major table
+    and no node mesh.  The coordinate columns are checked and dropped, and
+    each value column comes back as a view of its own array."""
+    n_bound = _line_bound(path)
+    header: list[str] = []
+    columns: list[np.ndarray] = []
+    n = 0
+    first_nonfinite = None  # (data row, column, value) in row-major order
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            while True:
+                with warnings.catch_warnings():
+                    # an empty body is reported below, with the file name; blank
+                    # and comment lines are skipped as a whole-body parse skips them
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                    warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
+                    block = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=_READ_BLOCK)
+                rows = len(block)
+                if rows:
+                    if not columns:
+                        # one line is the header; pages past the last row are never written
+                        columns = [np.empty(n_bound - 1) for _ in range(block.shape[1])]
+                    elif block.shape[1] != len(columns):
+                        raise ValueError("the number of columns changed")
+                    if first_nonfinite is None and not np.isfinite(block).all():
+                        row, col = np.argwhere(~np.isfinite(block))[0]
+                        first_nonfinite = (n + row, col, block[row, col])
+                    for j, column in enumerate(columns):
+                        column[n : n + rows] = block[:, j]
+                    n += rows
+                block = None  # freed before the next block is parsed
+                if rows < _READ_BLOCK:
+                    break
+    except (UnicodeDecodeError, ValueError):
+        raise ValueError(_unparsable(path, header)) from None
     k = len(axis_names)
     if header[:k] != list(axis_names):
         raise ValueError(f"{path}: expected {','.join(axis_names)} coordinate columns first")
     repeated = [name for i, name in enumerate(header) if name in header[:i]]
     if repeated:
         raise ValueError(f"{path}: column {repeated[0]} appears twice in the header")
-    if data.size == 0:
+    if n == 0:
         raise ValueError(f"{path}: no data rows")
-    if data.shape[1] != len(header):
-        raise ValueError(f"{path}: data rows have {data.shape[1]} columns, the header has {len(header)}")
-    _require_finite(data, header, path, "holds")
-    coords = data[:, :k].T
+    if len(columns) != len(header):
+        raise ValueError(f"{path}: data rows have {len(columns)} columns, the header has {len(header)}")
+    if first_nonfinite is not None:
+        row, col, value = first_nonfinite
+        raise ValueError(f"{path}: holds a non-finite {header[col]} ({value}) in data row {row + 1}")
+    columns = [c[:n] for c in columns]
+    coords = columns[:k]
     axes = tuple(np.unique(c) for c in coords)
     counts = tuple(len(a) for a in axes)
-    if math.prod(counts) != len(data):
+    if math.prod(counts) != n:
         raise ValueError(f"{path}: nodes do not form a full tensor grid")
-    # compare against the file's own coordinate values, not regenerated ones
-    nodes = np.meshgrid(*axes, indexing="ij")
-    if not all(np.array_equal(n.reshape(-1), c) for n, c in zip(nodes, coords)):
-        raise ValueError(f"{path}: rows are not in row-major {axis_names[-1]}-fastest order")
+    # compare against the file's own coordinate values, not regenerated ones:
+    # column i holds each value of its axis for prod(counts[i + 1:]) rows in a
+    # row, through the axis once per node of the slower axes
+    for i, (c, axis) in enumerate(zip(coords, axes)):
+        if not (c.reshape(math.prod(counts[:i]), counts[i], -1) == axis[:, None]).all():
+            raise ValueError(f"{path}: rows are not in row-major {axis_names[-1]}-fastest order")
     for name, axis in zip(axis_names, axes):
         if _axis_step(axis) is None:
             raise ValueError(f"{path}: {name} coordinates are not uniformly spaced")
-    return axes, {name: data[:, i].reshape(counts) for i, name in enumerate(header[k:], start=k)}
+    return axes, {name: c.reshape(counts) for name, c in zip(header[k:], columns[k:])}
 
 
 def _x_fastest_blocks(nx: int, ny: int, nz: int):

@@ -688,6 +688,9 @@ _MANIFEST_VALUES = {
     "final_update": ("a finite number", _is_finite),
     "converged": ("true or false", lambda v: isinstance(v, bool)),
     "updates": ("a list of finite numbers", lambda v: isinstance(v, list) and all(map(_is_finite, v))),
+    # the grid file is read from beside the manifest, and only from there
+    "psi_csv": ("a file name with no directory part",
+                lambda v: isinstance(v, str) and v not in ("", "..") and Path(v).name == v),
 }
 
 

@@ -895,6 +895,22 @@ BAD_INPUTS = {
         lambda tmp: ["flux", "tocgl", _solution_with(tmp, updates=[1e-11]), "--tau", "0.1"],
         "solution manifest: updates must hold one entry per iteration, the last equal to final_update",
     ),
+    "solution with a number for its grid file": (
+        lambda tmp: ["flux", "tocgl", _solution_with(tmp, psi_csv=5), "--tau", "0.1"],
+        "solution manifest: psi_csv must be a file name with no directory part, got 5",
+    ),
+    "solution with a null grid file": (
+        lambda tmp: ["flux", "tocgl", _solution_with(tmp, psi_csv=None), "--tau", "0.1"],
+        "solution manifest: psi_csv must be a file name with no directory part, got None",
+    ),
+    "solution with a list for its grid file": (
+        lambda tmp: ["flux", "tocgl", _solution_with(tmp, psi_csv=["psi.csv"]), "--tau", "0.1"],
+        "solution manifest: psi_csv must be a file name with no directory part, got ['psi.csv']",
+    ),
+    "solution with a grid file in another directory": (
+        lambda tmp: ["flux", "tocgl", _solution_with(tmp, psi_csv="../psi.csv"), "--tau", "0.1"],
+        "solution manifest: psi_csv must be a file name with no directory part, got '../psi.csv'",
+    ),
     "solution whose psi.csv misses the recorded domain": (
         lambda tmp: ["flux", "tocgl", _solution_with(tmp, r1=4.5, zu1=5.5), "--tau", "0.1"],
         "psi.csv: r runs over [0.5, 1.5], not over the domain [0.5, 4.5] that solution.json records",

@@ -1566,6 +1566,26 @@ def test_state_csv_bytes_equal_savetxt(tmp_path, vortex17):
         assert path.read_bytes() == reference.getvalue(), name
 
 
+def test_state_csv_read_holds_little_beyond_its_table(tmp_path, vortex17, vortex65):
+    # 65^3 rows are about 17 read blocks; a reader that held the row-major
+    # table, a node mesh and contiguous copies of its columns peaked at 2.2
+    # times the table
+    assert 65**3 >= 8 * fd._READ_BLOCK
+    small, path = tmp_path / "small.csv", tmp_path / "state.csv"
+    write_state_csv(vortex17, small)
+    write_state_csv(vortex65, path)
+    read_state_csv(small)  # warm every cache first
+    tracemalloc.start()
+    try:
+        back = read_state_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = 65**3 * 10 * 8  # x, y, z and the seven state columns
+    assert peak <= 1.3 * table_bytes
+    assert np.array_equal(back.B.values, vortex65.B.values)
+
+
 def test_state_csv_missing_columns(tmp_path):
     g = Grid3.cube(-1, 1, 5)
     fd.write_csv(tmp_path / "bad.csv", dict(zip("xyz", g.axes())), {"B1": np.zeros(g.counts)})

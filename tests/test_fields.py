@@ -218,6 +218,133 @@ def test_csv_names_the_file_offset_of_a_byte_that_is_not_utf8(tmp_path, row):
         read_csv(path, ("x", "y", "z"))
 
 
+BLOCK = 8  # rows per read block in the tests below; the reader's own is far larger
+
+
+def _blocked_file(tmp_path, counts):
+    """A CSV file of ``counts`` nodes with columns ``a`` and ``b``; returns
+    its path, axes and columns."""
+    rng = np.random.default_rng(sum(counts))
+    axes = {name: np.linspace(rng.uniform(-2, -1), rng.uniform(1, 2), n) for name, n in zip("xyz", counts)}
+    columns = {"a": rng.standard_normal(counts), "b": rng.choice([0.0, -0.0, 1.5], counts)}
+    path = tmp_path / "f.csv"
+    write_csv(path, axes, columns)
+    return path, axes, columns
+
+
+def _straddled(data: bytes) -> bytes:
+    """Blank and comment lines before and after the end of the first block."""
+    header, *rows = data.splitlines(keepends=True)
+    filler = [b"\n", b"# a comment\n", b"\n", b"#\n"]
+    return header + b"".join(rows[: BLOCK - 1] + filler + rows[BLOCK - 1 : BLOCK + 1] + filler + rows[BLOCK + 1 :])
+
+
+LAYOUTS = {
+    "lf": lambda data: data,
+    "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+    "no final newline": lambda data: data[:-1],
+    "blank and comment lines": _straddled,
+}
+
+
+# one block - 1, one block, one block + 1 and two blocks + 1 rows
+@pytest.mark.parametrize("counts", [(1, 1, BLOCK - 1), (2, 2, 2), (3, 1, 3), (1, 2 * BLOCK + 1, 1)])
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_csv_reads_bit_exactly_across_row_blocks(tmp_path, monkeypatch, counts, layout):
+    monkeypatch.setattr(fields, "_READ_BLOCK", BLOCK)
+    path, axes, columns = _blocked_file(tmp_path, counts)
+    path.write_bytes(LAYOUTS[layout](path.read_bytes()))
+    axes2, columns2 = read_csv(path, ("x", "y", "z"))
+    assert [a.tobytes() for a in axes2] == [a.tobytes() for a in axes.values()]
+    assert list(columns2) == ["a", "b"]
+    for name, values in columns.items():
+        assert columns2[name].shape == counts
+        assert columns2[name].tobytes() == values.tobytes()
+
+
+def _cells(row: int, column: int, text: str):
+    """Put ``text`` into one cell of data row ``row`` (from 1)."""
+
+    def edit(data: bytes) -> bytes:
+        lines = data.splitlines(keepends=True)
+        cells = lines[row].rstrip(b"\n").split(b",")
+        cells[column] = text.encode()
+        lines[row] = b",".join(cells) + b"\n"
+        return b"".join(lines)
+
+    return edit
+
+
+def _byte_before_row(row: int):
+    def edit(data: bytes) -> bytes:
+        lines = data.splitlines(keepends=True)
+        return b"".join(lines[:row]) + b"\xff" + b"".join(lines[row:])
+
+    return edit
+
+
+# data row 20 of 27 lies in the third block of BLOCK rows
+LATER_BLOCK_REFUSALS = {
+    "row of the wrong width": (_cells(20, 4, "0,0"), "f.csv: data row 20 has 6 columns, the header has 5"),
+    "empty cell": (_cells(20, 3, ""), "f.csv: data row 20 holds '' for a, not a number"),
+    "nan": (_cells(20, 3, "nan"), "f.csv: holds a non-finite a (nan) in data row 20"),
+    "byte that is not UTF-8": (_byte_before_row(20), "f.csv: 'utf-8' codec can't decode byte 0xff in position {}:"),
+}
+
+
+@pytest.mark.parametrize("case", list(LATER_BLOCK_REFUSALS))
+def test_csv_refusal_in_a_later_block_names_its_row_and_offset(tmp_path, monkeypatch, case):
+    path, _, _ = _blocked_file(tmp_path, (3, 3, 3))
+    data = path.read_bytes()
+    edit, message = LATER_BLOCK_REFUSALS[case]
+    message = message.format(sum(map(len, data.splitlines(keepends=True)[:20])))  # the offset of data row 20
+    path.write_bytes(edit(data))
+    with pytest.raises(ValueError) as whole:
+        read_csv(path, ("x", "y", "z"))  # all 27 rows in one block
+    assert message in str(whole.value)
+    monkeypatch.setattr(fields, "_READ_BLOCK", BLOCK)
+    with pytest.raises(ValueError) as blocked:
+        read_csv(path, ("x", "y", "z"))
+    assert str(blocked.value) == str(whole.value)
+
+
+def _loadtxt_refusal(path) -> str:
+    """The message of ``np.loadtxt`` on the body of a CSV file."""
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        with pytest.raises(ValueError) as err:
+            np.loadtxt(fh, delimiter=",", ndmin=2)
+    return str(err.value)
+
+
+def test_csv_refusal_is_that_of_one_parse_of_the_whole_body(tmp_path, monkeypatch):
+    monkeypatch.setattr(fields, "_READ_BLOCK", BLOCK)
+    path, _, _ = _blocked_file(tmp_path, (3, 3, 3))
+    header, *rows = path.read_bytes().splitlines(keepends=True)
+    # a line of spaces is a one-column row to numpy, but no row to the row
+    # finder: numpy's own message, with its own row number, stands
+    path.write_bytes(header + b"".join(rows[:18] + [b"   \n"] + rows[18:]))
+    with pytest.raises(ValueError) as err:
+        read_csv(path, ("x", "y", "z"))
+    assert str(err.value) == f"{path}: {_loadtxt_refusal(path)}"
+    assert "at row 19" in str(err.value)
+
+
+def test_csv_width_change_at_a_block_start_comes_before_a_later_bad_byte(tmp_path, monkeypatch):
+    # the reader parses a block whole before it compares its width with the
+    # last block's, and here decodes the bad byte in between
+    monkeypatch.setattr(fields, "_READ_BLOCK", 200)
+    path, _, _ = _blocked_file(tmp_path, (9, 9, 9))
+    header, *rows = path.read_bytes().splitlines(keepends=True)
+    wider = [row.rstrip(b"\n") + b",0\n" for row in rows[400:]]
+    body = b"".join(rows[:400] + wider[:199]) + b"\xff" + b"".join(wider[199:])
+    # the bad byte lies well past the text decoder's first read of block 3
+    assert body.index(b"\xff") - len(b"".join(rows[:400])) > 2 * 8192
+    path.write_bytes(header + body)
+    with pytest.raises(ValueError, match=r"f.csv: data row 401 has 6 columns, the header has 5$"):
+        read_csv(path, ("x", "y", "z"))
+
+
 def _whole_table(axes, columns):
     """The table ``write_csv`` writes, built whole: coordinates then columns."""
     return np.column_stack([v.reshape(-1) for v in (*np.meshgrid(*axes.values(), indexing="ij"), *columns.values())])
