@@ -320,45 +320,43 @@ class VortexParams:
     def __post_init__(self):
         if abs(_mode_equation(self.lam, self.R)) >= 1e-10:
             raise ValueError("lam does not satisfy the mode equation")
-        if abs(1.0 - _v0(np.array(2.0 * self.lam * self.R))) < 1e-14:
+        if abs(1.0 - _v0_profile(2.0 * self.lam * self.R)[0]) < 1e-14:
             raise ValueError("degenerate mode: V0(2 lam R) = 1")
 
 
 def vortex_params(R: float = 1.0, n: int = 3, B0: float = 1.0, P0: float = 1.0) -> VortexParams:
     lam = find_lambda(R, n)
-    v0r = float(_v0(np.array(2.0 * lam * R)))
+    v0r = float(_v0_profile(2.0 * lam * R)[0])
     gamma_b = B0 * v0r / (1.0 - v0r)
     return VortexParams(R, B0, P0, n, lam, gamma_b)
 
 
-def _v0(x: np.ndarray) -> np.ndarray:
-    """3 (sin x / x^3 - cos x / x^2), with a series branch near zero."""
+def _v0_profile(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V0(x) = 3 (sin x / x^3 - cos x / x^2) and V0'(x)/x = 3 ((x^2 - 3)
+    sin x + 3 x cos x) / x^5 from one sine and one cosine pass, each with
+    its series where |x| < 1e-2, where the direct forms cancel badly."""
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1e-2
     xs = np.where(small, 1.0, x)
-    direct = 3.0 * (np.sin(xs) / xs**3 - np.cos(xs) / xs**2)
-    x2 = x * x
-    series = 1.0 - x2 / 10.0 + x2 * x2 / 280.0 - x2 * x2 * x2 / 15120.0
-    return np.where(small, series, direct)
-
-
-def _v0_prime_over_x(x: np.ndarray) -> np.ndarray:
-    """V0'(x)/x = 3 ((x^2 - 3) sin x + 3 x cos x) / x^5; finite at zero."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-2
-    xs = np.where(small, 1.0, x)
-    direct = 3.0 * ((xs * xs - 3.0) * np.sin(xs) + 3.0 * xs * np.cos(xs)) / xs**5
-    x2 = x * x
-    series = -0.2 + x2 / 70.0 - x2 * x2 / 2520.0
-    return np.where(small, series, direct)
+    sin, cos = np.sin(xs), np.cos(xs)
+    v0 = np.asarray(3.0 * (sin / xs**3 - cos / xs**2))
+    q = np.asarray(3.0 * ((xs * xs - 3.0) * sin + 3.0 * xs * cos) / xs**5)
+    if small.any():
+        x2 = x[small] * x[small]
+        v0[small] = 1.0 - x2 / 10.0 + x2 * x2 / 280.0 - x2 * x2 * x2 / 15120.0
+        q[small] = -0.2 + x2 / 70.0 - x2 * x2 / 2520.0
+    return v0, q
 
 
 def _vortex_fields(params: VortexParams, pressure_profile: str) -> Callable:
-    """The vortex's ``(B, p)`` at given points, from one radial-profile pass."""
+    """The vortex's ``(B, p)`` at given points (0-d and up), from one
+    radial-profile pass (``_v0_profile``: one sine and one cosine per point)
+    over the points inside the ball; B's components and p are stored there
+    one plain mask at a time."""
     if pressure_profile not in ("balanced", "unscaled"):
         raise ValueError("pressure_profile must be 'balanced' or 'unscaled'")
     R, B0, P0, lam, gamma_b = params.R, params.B0, params.P0, params.lam, params.gamma_b
-    v0r = float(_v0(np.array(2.0 * lam * R)))
+    v0r = float(_v0_profile(2.0 * lam * R)[0])
     amp = B0 / (1.0 - v0r)
 
     def b_and_p(X, Y, Z):
@@ -367,13 +365,16 @@ def _vortex_fields(params: VortexParams, pressure_profile: str) -> Callable:
         # B = 0 and p = P0 outside the ball, so the profile is evaluated inside only
         inside = rho <= R
         x, y, z = X[inside], Y[inside], Z[inside]
-        arg = 2.0 * lam * rho[inside]
-        V = amp * _v0(arg) - gamma_b
+        v0, v0_prime_over_x = _v0_profile(2.0 * lam * rho[inside])
+        V = amp * v0 - gamma_b
         # Q = V'(rho)/rho, regular on the axis and at the center
-        Q = 4.0 * lam * lam * amp * _v0_prime_over_x(arg)
+        Q = 4.0 * lam * lam * amp * v0_prime_over_x
         s2 = x * x + y * y
         b = np.zeros((3, *rho.shape))
-        b[:, inside] = (-0.5 * Q * z * x - lam * V * y, -0.5 * Q * z * y + lam * V * x, V + 0.5 * Q * s2)
+        # one plain mask store per component: ``b[:, inside]`` mixes a slice
+        # with a mask and takes numpy's general fancy-index path
+        for c, v in enumerate((-0.5 * Q * z * x - lam * V * y, -0.5 * Q * z * y + lam * V * x, V + 0.5 * Q * s2)):
+            b[c, ...][inside] = v
         p = np.full(rho.shape, P0)
         if pressure_profile == "balanced":
             p[inside] = P0 + gamma_b * lam * lam * V * s2
@@ -501,7 +502,12 @@ def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
         b2_new = m2 * b2_old
         tau_new = 1.0 - (1.0 - tau[active]) / m2
         pperp_new = pperp[active] + 0.5 * (b2_old - b2_new)
-        b[:, active] = m * b[:, active]
+        # B times M where active and times 1.0 elsewhere, which leaves every
+        # value as it was (signed zeros too): a dense product in place of
+        # ``b[:, active]``, a slice mixed with a mask and numpy's slow path
+        scale = np.ones(b2.shape)
+        scale[active] = m
+        b *= scale
         pperp[active] = pperp_new
         ppar[active] = pperp_new + tau_new * b2_new
         tau[active] = tau_new
@@ -594,13 +600,24 @@ def _affine_state(state: CGLState, label: str, rot: np.ndarray, t: float, K, s: 
     return _map_state(state, label, affine, pullback)
 
 
+def _require_finite_parameters(**parameters) -> None:
+    """A ValueError naming the first of ``parameters`` (numbers or tuples of
+    them) that is not finite, so that a transform refuses it before any
+    evaluation."""
+    for name, value in parameters.items():
+        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def translate_state(state: CGLState, K: tuple[float, float, float] = (0.0, 0.0, 0.0), k4: float = 0.0) -> CGLState:
     """x' = x + K with the perpendicular pressure shifted by k4."""
+    _require_finite_parameters(K=K, k4=k4)
     return _affine_state(state, f"translate K={K} k4={k4}", np.eye(3), 1.0, K, 1.0, 1.0, k4)
 
 
 def rotate_state(state: CGLState, phi: float, theta: float, psi_angle: float) -> CGLState:
     """Simultaneous z-x-z rotation of coordinates and field components."""
+    _require_finite_parameters(phi=phi, theta=theta, psi_angle=psi_angle)
     label = f"rotate euler=({phi},{theta},{psi_angle})"
     return _affine_state(state, label, _euler_zxz(phi, theta, psi_angle), 1.0, (0.0, 0.0, 0.0), 1.0, 1.0, 0.0)
 
@@ -611,6 +628,7 @@ def scale_state(state: CGLState, t: float, s: float, pressure_factor: str = "gen
     field-scaling generator and preserves the force balance) or by 2s
     (``as-printed``, the paper's literal factor, which breaks the force
     balance unless s = 2)."""
+    _require_finite_parameters(t=t, s=s)
     if t == 0:
         raise ValueError("coordinate scale t must be nonzero")
     factors = {"as-printed": 2.0 * s, "generator": s * s}
@@ -624,6 +642,7 @@ def scale_state(state: CGLState, t: float, s: float, pressure_factor: str = "gen
 
 def anisotropy_scale_state(state: CGLState, C: float) -> CGLState:
     """Rescale (p_perp + B^2/2) and (1 - tau) by C > 0, holding B and x."""
+    _require_finite_parameters(C=C)
     if C <= 0:
         raise ValueError("the rescaling constant must be positive to preserve tau < 1")
 

@@ -356,19 +356,33 @@ def _axis_step(values: np.ndarray) -> float | None:
     return float(h) if np.allclose(np.diff(values), h, rtol=1e-12, atol=tol) else None
 
 
+def _loadtxt_skips(line: str) -> bool:
+    """Whether ``np.loadtxt``, called as ``_unparsable`` calls it, skips
+    ``line`` as holding no row.  Numpy is asked itself: it skips an empty
+    line or a bare comment, but reads a line of spaces or tabs as a row of
+    one column."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        try:
+            return np.loadtxt([line], delimiter=",", ndmin=2).size == 0
+        except ValueError:
+            return False
+
+
 def _first_bad_row(path, header: list[str]) -> str | None:
     """Describe the first data row of a CSV file, counted as ``np.loadtxt``
-    counts them (blank lines and ``#`` comments skipped, from 1), that does
-    not hold one number per header column; None if every row does."""
+    counts them (the lines it skips left out, from 1), that does not hold
+    one number per header column; None if every row does."""
     with open(path, encoding="utf-8") as fh:
         fh.readline()
         row = 0
         for line in fh:
-            line = line.split("#", 1)[0]
-            if not line.strip():
+            data = line.split("#", 1)[0]
+            # numpy skips some of the lines with only blanks before any comment
+            if not data.strip() and _loadtxt_skips(line):
                 continue
             row += 1
-            cells = line.split(",")
+            cells = data.split(",")
             if len(cells) != len(header):
                 return f"data row {row} has {len(cells)} columns, the header has {len(header)}"
             for name, cell in zip(header, cells):

@@ -787,6 +787,17 @@ BAD_INPUTS = {
                      "--M", "1"],
         "state.csv: data row 1 has 11 columns, the header has 10",
     ),
+    # numpy reads a line of blanks as a row of one column, not as a blank line
+    "state with a line of spaces": (
+        lambda tmp: ["check", "--state", _state(tmp, rows=lambda lines: [*lines[:3], "   \n", *lines[3:]]),
+                     "--system", "mhd"],
+        "state.csv: data row 4 has 1 columns, the header has 10",
+    ),
+    "state with a line of tabs": (
+        lambda tmp: ["transform", "--state", _state(tmp, rows=lambda lines: [*lines[:3], "\t\t\n", *lines[3:]]),
+                     "--M", "1"],
+        "state.csv: data row 4 has 1 columns, the header has 10",
+    ),
     "state with no data rows": (
         lambda tmp: ["check", "--state", _file(tmp, "empty.csv", STATE_HEADER), "--system", "mhd"],
         "empty.csv: no data rows",

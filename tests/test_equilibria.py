@@ -1,9 +1,11 @@
 import io
 import math
+import re
 import tracemalloc
 import warnings
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -146,15 +148,73 @@ def test_radial_profile_series_branch_matches_high_precision():
     # agree to near machine precision where the direct form cancels badly
     import mpmath
 
-    from plasmeq.equilibria import _v0, _v0_prime_over_x
+    from plasmeq.equilibria import _v0_profile
 
     mpmath.mp.dps = 50
     for x in (1e-6, 1e-4, 2e-3, 9.9e-3):
         mx = mpmath.mpf(x)
         exact_v0 = float(3 * (mpmath.sin(mx) / mx**3 - mpmath.cos(mx) / mx**2))
         exact_q = float(3 * ((mx**2 - 3) * mpmath.sin(mx) + 3 * mx * mpmath.cos(mx)) / mx**5)
-        assert _v0(np.array(x)) == pytest.approx(exact_v0, rel=1e-14)
-        assert _v0_prime_over_x(np.array(x)) == pytest.approx(exact_q, rel=1e-12, abs=1e-15)
+        v0, v0_prime_over_x = _v0_profile(np.array(x))
+        assert v0 == pytest.approx(exact_v0, rel=1e-14)
+        assert v0_prime_over_x == pytest.approx(exact_q, rel=1e-12, abs=1e-15)
+
+
+def _former_v0(x):
+    """V0 as a function of its own, as earlier releases computed it."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 1e-2
+    xs = np.where(small, 1.0, x)
+    direct = 3.0 * (np.sin(xs) / xs**3 - np.cos(xs) / xs**2)
+    x2 = x * x
+    series = 1.0 - x2 / 10.0 + x2 * x2 / 280.0 - x2 * x2 * x2 / 15120.0
+    return np.where(small, series, direct)
+
+
+def _former_v0_prime_over_x(x):
+    """V0'(x)/x as a function of its own, as earlier releases computed it."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 1e-2
+    xs = np.where(small, 1.0, x)
+    direct = 3.0 * ((xs * xs - 3.0) * np.sin(xs) + 3.0 * xs * np.cos(xs)) / xs**5
+    x2 = x * x
+    series = -0.2 + x2 / 70.0 - x2 * x2 / 2520.0
+    return np.where(small, series, direct)
+
+
+def _bits(values):
+    """The bit patterns of float values, which tell -0.0 from 0.0."""
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+# zeros, both sides of the series threshold |x| = 1e-2 and the threshold
+# itself, negative values, and values across the vortex's argument range
+_EDGE = 1e-2
+PROFILE_ARGUMENTS = np.concatenate(
+    [
+        [0.0, -0.0, _EDGE, -_EDGE, np.nextafter(_EDGE, 0.0), np.nextafter(-_EDGE, 0.0), np.nextafter(_EDGE, 1.0)],
+        [np.nextafter(-_EDGE, -1.0), 1e-300, -1e-300, 1e-8, -5e-3],
+        np.random.default_rng(7).uniform(-1.5e-2, 1.5e-2, 24),
+        np.random.default_rng(8).uniform(-40.0, 40.0, 27),
+    ]
+)
+
+
+@pytest.mark.parametrize("shape", ["0-d", "1-D", "3-D"])
+def test_v0_profile_is_bit_identical_to_the_former_two_functions(shape):
+    # the merged profile shares one sine and one cosine pass and fills its
+    # series only where |x| < 1e-2; each value must keep its every bit
+    if shape == "0-d":
+        points = [np.array(x) for x in PROFILE_ARGUMENTS]
+    elif shape == "1-D":
+        points = [PROFILE_ARGUMENTS]
+    else:
+        points = [PROFILE_ARGUMENTS[:60].reshape(3, 4, 5)]
+    for x in points:
+        v0, v0_prime_over_x = equilibria._v0_profile(x)
+        assert np.shape(v0) == np.shape(v0_prime_over_x) == np.shape(x)
+        assert np.array_equal(_bits(v0), _bits(_former_v0(x)))
+        assert np.array_equal(_bits(v0_prime_over_x), _bits(_former_v0_prime_over_x(x)))
 
 
 # -- vortex state ---------------------------------------------------------------
@@ -266,14 +326,14 @@ def _full_grid_vortex(params, pressure_profile):
     """The vortex formulas evaluated on every point and masked afterwards,
     as earlier releases did: the oracle for the ball-only evaluation."""
     R, B0, P0, lam, gamma_b = params.R, params.B0, params.P0, params.lam, params.gamma_b
-    v0r = float(equilibria._v0(np.array(2.0 * lam * R)))
+    v0r = float(equilibria._v0_profile(2.0 * lam * R)[0])
     amp = B0 / (1.0 - v0r)
 
     def b_and_p(X, Y, Z):
         rho = np.sqrt(X * X + Y * Y + Z * Z)
-        arg = 2.0 * lam * rho
-        V = amp * equilibria._v0(arg) - gamma_b
-        Q = 4.0 * lam * lam * amp * equilibria._v0_prime_over_x(arg)
+        v0, v0_prime_over_x = equilibria._v0_profile(2.0 * lam * rho)
+        V = amp * v0 - gamma_b
+        Q = 4.0 * lam * lam * amp * v0_prime_over_x
         inside = rho <= R
         bx = -0.5 * Q * Z * X - lam * V * Y
         by = -0.5 * Q * Z * Y + lam * V * X
@@ -890,6 +950,35 @@ def test_trilinear_path_needs_two_nodes_per_axis():
         translate_state(state, K=(0.0, 0.5, 0.0))
 
 
+# move -> (the transform with one non-finite parameter, the error's text)
+NON_FINITE_MOVES = {
+    "translate K": (lambda state: translate_state(state, (math.nan, 0.0, 0.0)), "K must be finite, got (nan, 0.0, 0.0)"),
+    "translate k4": (lambda state: translate_state(state, (0.1, 0.0, 0.0), math.inf), "k4 must be finite, got inf"),
+    "rotate phi": (lambda state: rotate_state(state, math.nan, 0.1, 0.2), "phi must be finite, got nan"),
+    "rotate theta": (lambda state: rotate_state(state, 0.1, math.inf, 0.2), "theta must be finite, got inf"),
+    "rotate psi_angle": (lambda state: rotate_state(state, 0.1, 0.2, -math.inf), "psi_angle must be finite, got -inf"),
+    "scale t": (lambda state: scale_state(state, math.nan, 1.0), "t must be finite, got nan"),
+    "scale s": (lambda state: scale_state(state, 1.1, math.inf), "s must be finite, got inf"),
+    "anisotropy C": (lambda state: anisotropy_scale_state(state, math.nan), "C must be finite, got nan"),
+}
+
+
+@pytest.mark.parametrize("sampled_only", [False, True], ids=["analytic", "sampled only"])
+@pytest.mark.parametrize("move", NON_FINITE_MOVES)
+def test_point_transforms_refuse_non_finite_parameters_before_evaluating(vortex17, move, sampled_only):
+    # without the check a NaN shift or scale gave B = 0, an infinite one
+    # NaN fields, and a NaN t an IndexError from the trilinear cell search
+    transform, message = NON_FINITE_MOVES[move]
+    calls = []
+    state = _counting(vortex17, calls)
+    if sampled_only:
+        state = CGLState(state.B, state.p_perp, state.p_par, state.tau, state.psi, {}, None)
+    with mock.patch.object(equilibria, "_evaluate_in_blocks", side_effect=AssertionError("evaluated")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            transform(state)
+    assert calls == []
+
+
 # -- blocked evaluation ----------------------------------------------------------------
 
 
@@ -1038,6 +1127,22 @@ def test_rotation_at_65_holds_little_beyond_its_result(params, kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    result_bytes = sum(f.values.base.nbytes for f in (out.B, out.p_perp, out.p_par, out.tau, out.psi))
+    assert result_bytes == 7 * 65**3 * 8
+    assert peak < 1.3 * result_bytes
+
+
+def test_translation_at_65_holds_little_beyond_its_result(params):
+    # a trilinear move holds one block's pullback and gathers at a time,
+    # within the rotation's bound
+    src = _blocked_source("trilinear", (65, 65, 65), params, None)
+    tracemalloc.start()
+    try:
+        out = translate_state(src, (0.03, -0.02, 0.01))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.meta["resampling"] == "trilinear (lossy)"
     result_bytes = sum(f.values.base.nbytes for f in (out.B, out.p_perp, out.p_par, out.tau, out.psi))
     assert result_bytes == 7 * 65**3 * 8
     assert peak < 1.3 * result_bytes

@@ -321,13 +321,27 @@ def test_csv_refusal_is_that_of_one_parse_of_the_whole_body(tmp_path, monkeypatc
     monkeypatch.setattr(fields, "_READ_BLOCK", BLOCK)
     path, _, _ = _blocked_file(tmp_path, (3, 3, 3))
     header, *rows = path.read_bytes().splitlines(keepends=True)
-    # a line of spaces is a one-column row to numpy, but no row to the row
-    # finder: numpy's own message, with its own row number, stands
-    path.write_bytes(header + b"".join(rows[:18] + [b"   \n"] + rows[18:]))
+    # Python's float reads 1_0 as ten and numpy refuses it, so the row
+    # finder finds no bad row: numpy's own message, with its own row and
+    # column numbers, stands
+    rows[18] = b"1_0" + rows[18][rows[18].index(b","):]
+    path.write_bytes(header + b"".join(rows))
     with pytest.raises(ValueError) as err:
         read_csv(path, ("x", "y", "z"))
     assert str(err.value) == f"{path}: {_loadtxt_refusal(path)}"
-    assert "at row 19" in str(err.value)
+    assert "'1_0'" in str(err.value)
+
+
+@pytest.mark.parametrize("blank", [b"   ", b"\t", b" \t "])
+def test_csv_line_of_blanks_is_a_row_of_one_column(tmp_path, monkeypatch, blank):
+    # numpy skips an empty line but reads one of spaces or tabs as a row of
+    # one column; the row finder counts it as numpy does
+    monkeypatch.setattr(fields, "_READ_BLOCK", BLOCK)
+    path, _, _ = _blocked_file(tmp_path, (3, 3, 3))
+    header, *rows = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(header + b"".join(rows[:18] + [b"\n", blank + b"\n"] + rows[18:]))
+    with pytest.raises(ValueError, match=r"f.csv: data row 19 has 1 columns, the header has 5$"):
+        read_csv(path, ("x", "y", "z"))
 
 
 def test_csv_width_change_at_a_block_start_comes_before_a_later_bad_byte(tmp_path, monkeypatch):
