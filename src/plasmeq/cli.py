@@ -23,11 +23,18 @@ the symbolic kernel (``expr``, ``lie``) and no numpy; ``vortex`` loads
 (``check`` evaluates the equations of a bundled ``.pde`` file); ``flux
 solve`` loads ``flux``, ``fields`` and ``expr``; ``flux tocgl`` adds
 ``equilibria``.
+
+The argument parser is built once per process, on the first call of
+``main``, and every call parses into a fresh namespace.  Each command is
+bound to its handler's name, not to the function: ``main`` looks the name
+up on this module when it runs, so that a handler re-bound here is the one
+that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import json
 import math
@@ -378,7 +385,11 @@ def cmd_check(args) -> tuple[int, dict]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call of a process.  Each
+    command names its handler, which ``main`` looks up on this module when
+    it runs."""
     parser = argparse.ArgumentParser(prog="plasmeq", description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=".", help="output directory for artifacts and report.json")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -387,11 +398,11 @@ def _build_parser() -> argparse.ArgumentParser:
     lie_sub = lie.add_subparsers(dest="subcommand", required=True)
     detsys = lie_sub.add_parser("detsys", help="derive the determining equations")
     detsys.add_argument("pde_file")
-    detsys.set_defaults(handler=cmd_lie_detsys)
+    detsys.set_defaults(handler="cmd_lie_detsys")
     verify = lie_sub.add_parser("verify", help="verify generator candidates")
     verify.add_argument("pde_file")
     verify.add_argument("generator_file")
-    verify.set_defaults(handler=cmd_lie_verify)
+    verify.set_defaults(handler="cmd_lie_verify")
 
     vortex = sub.add_parser("vortex", help="sample the spherical-vortex equilibrium")
     vortex.add_argument("--R", type=float, default=1.0)
@@ -407,24 +418,24 @@ def _build_parser() -> argparse.ArgumentParser:
         help="'balanced' satisfies the force balance; 'unscaled' keeps the historical profile",
     )
     vortex.add_argument("--vtk", action="store_true", help="also write a legacy VTK file")
-    vortex.set_defaults(handler=cmd_vortex)
+    vortex.set_defaults(handler="cmd_vortex")
 
     transform = sub.add_parser("transform", help="apply a field-line transform")
     transform.add_argument("--state", required=True, help="input state CSV")
     transform.add_argument("--M", required=True, help="magnitude expression in psi")
     transform.add_argument("--m-min", type=float, default=1e-8, help="smallest |M| accepted (positive)")
-    transform.set_defaults(handler=cmd_transform)
+    transform.set_defaults(handler="cmd_transform")
 
     flux = sub.add_parser("flux", help="flux-function solvers")
     flux_sub = flux.add_subparsers(dest="subcommand", required=True)
     fsolve = flux_sub.add_parser("solve", help="solve a flux problem file")
     fsolve.add_argument("problem_file")
-    fsolve.set_defaults(handler=cmd_flux_solve)
+    fsolve.set_defaults(handler="cmd_flux_solve")
     tocgl = flux_sub.add_parser("tocgl", help="map a solution to an anisotropic state")
     tocgl.add_argument("solution", help="solution.json from flux solve")
     tocgl.add_argument("--tau", required=True, help="anisotropy expression in psi")
     tocgl.add_argument("--grid", type=int, default=33, help="nodes per axis of the sampling box")
-    tocgl.set_defaults(handler=cmd_flux_tocgl)
+    tocgl.set_defaults(handler="cmd_flux_tocgl")
 
     check = sub.add_parser("check", help="residual norms of a sampled state")
     check.add_argument("--state", required=True)
@@ -442,13 +453,13 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="absolute Linf pass threshold (replaces the two-grid probe)",
     )
-    check.set_defaults(handler=cmd_check)
+    check.set_defaults(handler="cmd_check")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    handler = getattr(sys.modules[__name__], args.handler)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -464,14 +475,14 @@ def main(argv=None) -> int:
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ValueError(f"--{name.replace('_', '-')} must be a finite number, got {value}")
             if args.command == "lie":
-                code, report = args.handler(args)
+                code, report = handler(args)
             else:
                 import numpy as np
 
                 # numpy's floating-point warnings stay off stderr: the finite
                 # checks on sampled values and on written files report those cases
                 with np.errstate(all="ignore"):
-                    code, report = args.handler(args)
+                    code, report = handler(args)
         except (ValueError, ArithmeticError, OSError) as err:
             error = str(err)
         except MemoryError as err:

@@ -31,7 +31,7 @@ import re
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
     "ExprError",
@@ -83,9 +83,12 @@ _ATOMS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class _Atom:
-    """Immutable, interned: construct through the subclass, never mutate."""
+    """Immutable, interned: construct through the subclass, never mutate.
 
-    __slots__ = ("sort_key", "__weakref__")
+    ``_text`` holds the atom's printed form once ``pretty`` has printed it,
+    and dies with the atom."""
+
+    __slots__ = ("sort_key", "_text", "__weakref__")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -96,6 +99,7 @@ class _Atom:
     def _register(self, key: tuple, **fields):
         for name, value in fields.items():
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_text", None)
         _ATOMS[key] = self
         return self
 
@@ -461,12 +465,51 @@ class Expr:
         return out
 
     def pdiff(self, sym: Symbol) -> "Expr":
-        """Partial derivative treating every other atom as constant.
+        """Partial derivative treating every other atom as constant: the
+        one-symbol case of ``gradient``.
 
         Derivatives of opaque applications follow the chain rule through
         their arguments, producing derivative-tagged atoms.
         """
-        return self._derive(lambda atom: _atom_pdiff(atom, sym))
+        return self.gradient((sym,))[sym]
+
+    def gradient(self, symbols: Iterable[Symbol]) -> dict[Symbol, "Expr"]:
+        """The partial derivative along each of ``symbols``, from one walk of
+        the terms: symbol -> derivative, zero where the expression does not
+        depend on the symbol.
+
+        Each derivative's terms come in the order of a sum built term by
+        term and factor by factor, as ``_derive`` builds a total derivative:
+        a monomial whose coefficient cancels leaves the sum, and comes back
+        at its end if a later factor brings it again.
+        """
+        maps: dict[Symbol, dict] = {s: {} for s in symbols}
+        for m, c in self._terms.items():
+            for i, (a, k) in enumerate(m):
+                if isinstance(a, Symbol):
+                    target = maps.get(a)
+                    if target is None:
+                        continue
+                    parts = ((target, ONE),)
+                else:
+                    dargs = [arg.gradient(maps) for arg in a.args]
+                    parts = []
+                    for s, target in maps.items():
+                        da = _chain_rule(a, [g[s] for g in dargs])
+                        if not da.is_zero:
+                            parts.append((target, da))
+                    if not parts:
+                        continue
+                # lowering one exponent keeps the factors in order
+                rest = m[:i] + ((a, k - 1),) + m[i + 1 :] if k > 1 else m[:i] + m[i + 1 :]
+                ck = _coefficient(c * k)
+                for target, da in parts:
+                    if da is ONE:
+                        _accumulate(target, rest, ck)
+                        continue
+                    for dm, dc in da._terms.items():
+                        _accumulate(target, _mono_mul(rest, dm), _coefficient(ck * dc))
+        return {s: Expr._trusted(t) if t else ZERO for s, t in maps.items()}
 
     def _derive(self, atom_rule: Callable[[Atom], "Expr"]) -> "Expr":
         out = ZERO
@@ -533,18 +576,27 @@ def _as_expr(value) -> Expr:
     raise TypeError(f"cannot coerce {type(value).__name__} to Expr")
 
 
-def _atom_pdiff(atom: Atom, sym: Symbol) -> Expr:
-    if isinstance(atom, Symbol):
-        return ONE if atom is sym else ZERO
-    return _chain_rule(atom, lambda arg: arg.pdiff(sym))
+def _accumulate(terms: dict, mono: Monomial, c) -> None:
+    """Add ``c * mono`` into a term map in place, as ``Expr.__add__`` adds a
+    term: a new monomial goes to the end, and one that cancels leaves."""
+    acc = terms.get(mono)
+    if acc is None:
+        terms[mono] = c
+        return
+    acc = acc + c
+    if type(acc) is not int and acc.denominator == 1:
+        acc = acc.numerator
+    if acc:
+        terms[mono] = acc
+    else:
+        del terms[mono]
 
 
-def _chain_rule(atom: FnAtom, derive: Callable[[Expr], Expr]) -> Expr:
+def _chain_rule(atom: FnAtom, dargs: list[Expr]) -> Expr:
     """Derivative of an opaque application: the sum over argument slots of
-    the slot-tagged atom times ``derive(argument)``."""
+    the slot-tagged atom times that argument's derivative, ``dargs[slot]``."""
     out = ZERO
-    for slot, arg in enumerate(atom.args):
-        darg = derive(arg)
+    for slot, darg in enumerate(dargs):
         if not darg.is_zero:
             out = out + Expr.from_atom(atom.bump(slot)) * darg
     return out
@@ -676,6 +728,7 @@ class Context:
                 raise ValueError(f"duplicate declaration of {s.name!r}")
             self._by_name[s.name] = s
         self._indep_rank = {s.name: i for i, s in enumerate(self.independents)}
+        self._jets: dict[tuple, Symbol] = {}  # (dep, wrt) as ``jet`` was called -> jet
         self.unknowns: dict[str, tuple[Symbol, ...]] = {}
         for head, argnames in (unknowns or {}).items():
             if head in self._by_name:
@@ -711,7 +764,16 @@ class Context:
 
     # -- jet coordinates -----------------------------------------------------
     def jet(self, dep: Symbol | str, wrt: Iterable[Symbol | str]) -> Symbol:
-        """The derivative coordinate of ``dep`` with canonical multi-index."""
+        """The derivative coordinate of ``dep`` with canonical multi-index.
+
+        Each distinct call is worked out once per context."""
+        wrt = tuple(wrt)
+        jet = self._jets.get((dep, wrt))
+        if jet is None:
+            jet = self._jets[dep, wrt] = self._jet(dep, wrt)
+        return jet
+
+    def _jet(self, dep: Symbol | str, wrt: tuple[Symbol | str, ...]) -> Symbol:
         if isinstance(dep, str):
             dep = self._resolve(dep)
         if dep.kind == "jet":
@@ -763,7 +825,7 @@ class Context:
                 if atom.kind in ("dependent", "jet"):
                     return Expr.from_atom(self.jet(atom, (x,)))
                 return ZERO
-            return _chain_rule(atom, lambda arg: self.total_derivative(arg, x))
+            return _chain_rule(atom, [self.total_derivative(arg, x) for arg in atom.args])
 
         return e._derive(rule)
 
@@ -788,8 +850,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     type: str
     text: str
     line: int
@@ -797,25 +858,28 @@ class _Token:
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text``, each with its line and column (from 1), and a
+    closing ``eof`` token.  A column is counted from the start of the
+    current line; only blanks hold line ends."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+    line, line_start = 1, 0
+    pos, end = 0, len(text)
+    match = _TOKEN_RE.match
+    while pos < end:
+        m = match(text, pos)
         if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
         kind = m.lastgroup
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+        stop = m.end()
+        if kind == "ws":
+            newlines = text.count("\n", pos, stop)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, stop) + 1
+        elif kind != "comment":
+            tokens.append(_Token(kind, m.group(), line, pos - line_start + 1))
+        pos = stop
+    tokens.append(_Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -1099,6 +1163,16 @@ def _parse_token_slice(body: list[_Token], ctx: Context, at: _Token) -> Expr:
 
 
 def _atom_text(atom: Atom) -> str:
+    """The atom as ``pretty`` prints it, worked out on its first print and
+    kept on the atom from then on."""
+    text = atom._text
+    if text is None:
+        text = _print_atom(atom)
+        object.__setattr__(atom, "_text", text)
+    return text
+
+
+def _print_atom(atom: Atom) -> str:
     if isinstance(atom, Symbol):
         if atom.is_jet:
             return f"diff({atom.base},{','.join(atom.wrt)})"
@@ -1130,7 +1204,10 @@ def _single_symbol(e: Expr) -> Symbol | None:
 
 def pretty(e: Expr) -> str:
     """Render in the expression grammar; parsing the result (in a context
-    declaring the same names) returns a structurally equal expression."""
+    declaring the same names) returns a structurally equal expression.
+
+    Terms come in canonical order; each atom's text is worked out on its
+    first print and kept on the atom (``_atom_text``)."""
     if e.is_zero:
         return "0"
     parts: list[str] = []

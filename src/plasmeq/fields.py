@@ -356,17 +356,18 @@ def _axis_step(values: np.ndarray) -> float | None:
     return float(h) if np.allclose(np.diff(values), h, rtol=1e-12, atol=tol) else None
 
 
-def _loadtxt_skips(line: str) -> bool:
-    """Whether ``np.loadtxt``, called as ``_unparsable`` calls it, skips
-    ``line`` as holding no row.  Numpy is asked itself: it skips an empty
-    line or a bare comment, but reads a line of spaces or tabs as a row of
-    one column."""
+def _loadtxt_values(lines: list[str]) -> int | None:
+    """How many numbers ``np.loadtxt``, called as ``_unparsable`` calls it,
+    reads from ``lines``; None if it refuses them.  Numpy is asked itself:
+    it skips an empty line or a bare comment, but reads a line of spaces or
+    tabs as a row of one column, and it refuses ``1_0`` and ``١``, which
+    Python's ``float`` reads."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
         try:
-            return np.loadtxt([line], delimiter=",", ndmin=2).size == 0
+            return np.loadtxt(lines, delimiter=",", ndmin=2).size
         except ValueError:
-            return False
+            return None
 
 
 def _first_bad_row(path, header: list[str]) -> str | None:
@@ -376,20 +377,45 @@ def _first_bad_row(path, header: list[str]) -> str | None:
     with open(path, encoding="utf-8") as fh:
         fh.readline()
         row = 0
+        block: list[tuple[int, str]] = []  # rows of the right width, not yet read as numbers
         for line in fh:
             data = line.split("#", 1)[0]
             # numpy skips some of the lines with only blanks before any comment
-            if not data.strip() and _loadtxt_skips(line):
+            if not data.strip() and _loadtxt_values([line]) == 0:
                 continue
             row += 1
-            cells = data.split(",")
-            if len(cells) != len(header):
-                return f"data row {row} has {len(cells)} columns, the header has {len(header)}"
-            for name, cell in zip(header, cells):
-                try:
-                    float(cell)
-                except ValueError:
-                    return f"data row {row} holds {cell.strip()!r} for {name}, not a number"
+            cells = data.count(",") + 1
+            if cells != len(header):
+                return _first_bad_cell(block, header) or (
+                    f"data row {row} has {cells} columns, the header has {len(header)}"
+                )
+            block.append((row, data))
+            if len(block) == _READ_BLOCK:
+                bad = _first_bad_cell(block, header)
+                if bad:
+                    return bad
+                block = []
+    return _first_bad_cell(block, header)
+
+
+def _first_bad_cell(rows: list[tuple[int, str]], header: list[str]) -> str | None:
+    """Describe the first cell of ``rows``, (data row, text) pairs, that numpy
+    does not read as a number; None if it reads them all.  The rows are read
+    in one call; rows that fail are halved until one row is left, which is
+    read cell by cell."""
+
+    def read(part):
+        return _loadtxt_values([data for _row, data in part]) == len(part) * len(header)
+
+    if read(rows):
+        return None
+    while len(rows) > 1:
+        first = rows[: len(rows) // 2]
+        rows = rows[len(first) :] if read(first) else first
+    ((row, data),) = rows
+    for name, cell in zip(header, data.split(",")):
+        if _loadtxt_values([cell]) != 1:
+            return f"data row {row} holds {cell.strip()!r} for {name}, not a number"
     return None
 
 

@@ -33,6 +33,7 @@ from .expr import (
     ProgramFile,
     Symbol,
     ZERO,
+    _mono_key,
     _name_list,
     _parse_token_slice,
     _statements,
@@ -181,9 +182,13 @@ def _substitute_fraction(e: Expr, jet: Symbol, num: Expr, den: Expr) -> tuple[Ex
     deg = max(parts) if parts else 0
     if deg == 0:
         return e, 0
+    # a denominator of 1, as every solved pair of mhd_static.pde and of
+    # cgl_static.pde has, leaves each term as it is: its powers are skipped
+    unit = den.constant_value() == 1
     out = ZERO
     for k, coeff in parts.items():
-        out = out + coeff * num**k * den ** (deg - k)
+        term = coeff * num**k
+        out = out + (term if unit else term * den ** (deg - k))
     return out, deg
 
 
@@ -258,13 +263,14 @@ def _apply_and_split(
     assumptions = list(system.assumptions)
     splits = []
     for eqn in system.equations:
+        grad = eqn.gradient((*ctx.independents, *ctx.dependents, *jets))
         applied = ZERO
         for x in ctx.independents:
-            applied = applied + xi[x] * eqn.pdiff(x)
+            applied = applied + xi[x] * grad[x]
         for u in ctx.dependents:
-            applied = applied + eta[u] * eqn.pdiff(u)
+            applied = applied + eta[u] * grad[u]
         for jet in jets:
-            d = eqn.pdiff(jet)
+            d = grad[jet]
             if not d.is_zero:
                 applied = applied + prolonged[jet] * d
         reduced, used = reduce_on_manifold(applied, system.solved)
@@ -305,10 +311,10 @@ class DeterminingSystem:
 def _scalar_normalize(e: Expr) -> Expr:
     """Divide by the coefficient of the canonically largest monomial so that
     rational multiples of the same equation coincide structurally."""
-    lead = None
-    for m, c in e.terms():
-        lead = c
-    if lead is None or lead == 1:
+    if e.is_zero:
+        return e
+    lead = e._terms[max(e._terms, key=_mono_key)]
+    if lead == 1:
         return e
     return e * Expr.number(Fraction(1) / lead)
 
@@ -361,7 +367,7 @@ def _check_determining_invariants(det: DeterminingSystem, system: PdeSystem) -> 
     for eqn in det.equations:
         if eqn.is_zero:
             raise LieError("determining system contains an identically zero equation")
-        for mono, _c in eqn.terms():
+        for mono in eqn._terms:
             unknown_degree = 0
             for a, k in mono:
                 if isinstance(a, Symbol) and a.is_jet:

@@ -329,6 +329,38 @@ def probe(argv, imports=()):
     return loaded.pop("code"), proc.stderr, loaded
 
 
+# argv pairs run one after the other in one process, the first with an
+# option that the second leaves out
+REPEATED_COMMANDS = {
+    "check with and then without --stability": lambda state: [
+        ["check", "--state", state, "--system", "mhd", "--stability"],
+        ["check", "--state", state, "--system", "mhd"],
+    ],
+    "vortex with and then without --vtk": lambda state: [
+        ["vortex", "--grid", "9", "--vtk"],
+        ["vortex", "--grid", "9"],
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(REPEATED_COMMANDS))
+def test_a_call_of_main_reports_as_a_fresh_process_does(tmp_path, case):
+    # main parses with one parser per process: nothing of a call may reach
+    # the next.  No report names its output directory, so the reports of
+    # the two processes compare byte for byte.
+    assert main(["--out", str(tmp_path / "input"), "vortex", "--grid", "9"]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(plasmeq.__file__).parents[1]))
+    for i, argv in enumerate(REPEATED_COMMANDS[case](str(tmp_path / "input" / "state.csv"))):
+        here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+        code = main(["--out", str(here), *argv])
+        proc = subprocess.run(
+            [sys.executable, "-m", "plasmeq.cli", "--out", str(fresh), *argv], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == code, proc.stderr
+        assert (here / "report.json").read_bytes() == (fresh / "report.json").read_bytes()
+        assert sorted(p.name for p in here.iterdir()) == sorted(p.name for p in fresh.iterdir())
+
+
 @pytest.fixture(scope="module")
 def probe_inputs(tmp_path_factory):
     """A 9^3 vortex state and a flux solution, the inputs of the probed
@@ -781,6 +813,22 @@ BAD_INPUTS = {
         lambda tmp: ["check", "--state", _state(tmp, rows=lambda lines: _set_value(lines, 2, 9, "")),
                      "--system", "mhd"],
         "state.csv: data row 3 holds '' for psi, not a number",
+    ),
+    # Python's float reads each of these three as a number, numpy none of them
+    "state with an underscore in a number": (
+        lambda tmp: ["check", "--state", _state(tmp, rows=lambda lines: _set_value(lines, 18, 0, "1_0")),
+                     "--system", "mhd"],
+        "state.csv: data row 19 holds '1_0' for x, not a number",
+    ),
+    "state with a digit that is not ASCII": (
+        lambda tmp: ["check", "--state", _state(tmp, rows=lambda lines: _set_value(lines, 18, 5, "\u0661")),
+                     "--system", "mhd"],
+        "state.csv: data row 19 holds '\u0661' for B3, not a number",
+    ),
+    "state with a blank before an underscore": (
+        lambda tmp: ["transform", "--state", _state(tmp, rows=lambda lines: _set_value(lines, 18, 9, " 1_0")),
+                     "--M", "1"],
+        "state.csv: data row 19 holds '1_0' for psi, not a number",
     ),
     "state whose rows end in a comma": (
         lambda tmp: ["transform", "--state", _state(tmp, rows=lambda lines: [l.rstrip("\n") + ",\n" for l in lines]),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plasmeq.expr import (
     CollectError,
@@ -612,11 +612,15 @@ def test_an_atom_no_one_holds_leaves_the_table():
 
     key = ("only_here", "parameter", "", ())
     atom = FnAtom("gone", (Expr.from_atom(Symbol(*key)),))
-    ref = weakref.ref(atom)
+    printed = FnAtom("sin", atom.args)
+    refs = [weakref.ref(atom), weakref.ref(printed)]
     assert key in expr._ATOMS and atom in expr._ATOMS.values()
-    del atom
+    # a printed atom keeps its text on itself, and leaves the table all the same
+    assert pretty(Expr.from_atom(printed) * Expr.from_atom(atom)) == "gone*sin(only_here)"
+    assert (atom._text, printed._text) == ("gone", "sin(only_here)")
+    del atom, printed
     gc.collect()
-    assert ref() is None
+    assert [ref() for ref in refs] == [None, None]
     assert key not in expr._ATOMS
 
 
@@ -681,3 +685,134 @@ def test_equality_and_hash_agree_with_structure(e1, e2):
     assert (e1 == e2) == (_structure(e1) == _structure(e2))
     if e1 == e2:
         assert hash(e1) == hash(e2)
+
+
+# -- gradient -------------------------------------------------------------------
+
+_gctx = Context(["x", "y"], ["u"], ["c"])
+# an opaque atom whose argument mentions wanted symbols, and two of its derivatives
+_gsin = FnAtom("sin", (_gctx.parse("x + c*u"),))
+_gatoms = [
+    Expr.from_atom(a)
+    for a in (_gctx.symbol("x"), _gctx.symbol("u"), _gctx.jet("u", "x"), _gsin, _gsin.bump(0), _gsin.bump(0).bump(0))
+]
+_gwanted = (*_gctx.independents, *_gctx.dependents, _gctx.jet("u", "x"), _gctx.jet("u", "y"), *_gctx.parameters)
+_gterms = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([-2, -1, 1, 2]), st.fractions(min_value=-3, max_value=3, max_denominator=3)),
+        st.tuples(*[st.integers(0, 2)] * len(_gatoms)),
+    ),
+    max_size=8,
+)
+# d/dx of the second term gives -2*sin'(.)*sin''(.)^2, that of the fourth
+# cancels it, and that of the sixth brings it back
+_CANCELLING = [
+    (2, (1, 0, 0, 1, 0, 0)),
+    (-2, (1, 0, 0, 0, 1, 2)),
+    (2, (1, 0, 0, 1, 2, 2)),
+    (2, (0, 0, 0, 1, 0, 2)),
+    (-2, (0, 0, 0, 0, 2, 0)),
+    (1, (0, 0, 0, 0, 2, 1)),
+]
+
+
+def _gbuild(terms):
+    e = Expr.number(0)
+    for q, exps in terms:
+        mono = Expr.number(q)
+        for atom, k in zip(_gatoms, exps):
+            mono = mono * atom**k
+        e = e + mono
+    return e
+
+
+def _walk_pdiff(e, sym):
+    """The partial derivative as a total-derivative walk builds it: one
+    symbol at a time, each factor's term added to a running sum."""
+    from plasmeq.expr import ONE, ZERO, _chain_rule
+
+    def rule(atom):
+        if isinstance(atom, Symbol):
+            return ONE if atom is sym else ZERO
+        return _chain_rule(atom, [_walk_pdiff(arg, sym) for arg in atom.args])
+
+    return e._derive(rule)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_gterms)
+@example(_CANCELLING)
+def test_gradient_is_each_pdiff_in_value_and_term_order(terms):
+    e = _gbuild(terms)
+    grad = e.gradient(_gwanted)
+    assert list(grad) == list(_gwanted)
+    for s in _gwanted:
+        walked = list(_walk_pdiff(e, s)._terms.items())
+        assert list(grad[s]._terms.items()) == walked
+        assert list(e.pdiff(s)._terms.items()) == walked
+
+
+def test_a_monomial_that_cancels_mid_walk_comes_back_at_the_end():
+    e = _gbuild(_CANCELLING)
+    x = _gctx.symbol("x")
+    back = (_gsin.bump(0), 1), (_gsin.bump(0).bump(0), 2)
+    # summed with cancelled monomials kept in place, it would come third of
+    # twelve; the walk drops it and appends it again
+    order = list(e.gradient([x])[x]._terms)
+    assert len(order) == 12 and order.index(back) == 10 and e.pdiff(x)._terms[back] == 2
+    assert e.gradient([x])[x] == e.pdiff(x) == _walk_pdiff(e, x)
+
+
+# -- error positions ----------------------------------------------------------------
+
+# kind -> {case: (text, (line, column) of the ParseError)}: tabs count one
+# column, a comment runs to its line's end, and a statement may span lines
+PARSE_ERROR_POSITIONS = {
+    "pde": {
+        "tab and blank line before a bad character": ("indep x;\n\tdep u;\n\neq diff(u,x) = $;\n", (4, 16)),
+        "comment at a line end, then a statement over two lines": (
+            "indep x; # the coordinate\ndep u;\neq diff(u,x)\n   + diff(u,y) = 0;\n",
+            (4, 13),
+        ),
+        "operator at the end of a statement over two lines": ("indep x;\ndep u;\n\n\teq diff(u,x) = u\n\t\t+ ;\n", (5, 3)),
+        "missing semicolon before a closing comment": ("indep x;\ndep u;\neq diff(u,x) = 0\n# no semicolon\n", (3, 16)),
+        "tabs between the names": ("indep\tx,\ty;\ndep u;\neq diff(u,x)^x = 0;\n", (3, 14)),
+        "carriage returns": ("indep x;\r\ndep u;\r\neq u = 1/0;\r\n", (3, 9)),
+        "unrecognized statement": ("indep x;\ndep u;\n  foo u;\n", (3, 3)),
+        "differentiation by a dependent": ("indep x;\ndep u;\neq diff(u, x) = diff(u,\n\tu);\n", (3, 22)),
+        "bad character after blank lines": ("indep x;\n\n\n   \t@", (4, 5)),
+        "malformed unknown after a tab": ("indep x;\ndep u;\n\tunknown f x;\n", (3, 2)),
+    },
+    "gen": {
+        "bad character on a continued line": ("xi(x) = x\n  + @;\n", (2, 5)),
+        "undeclared name after a comment and a tab": ("param a;\n# a comment\neta(u) = a*\n\tb;\n", (4, 2)),
+        "component assigned twice": ("xi(x) = 1;\n\txi(x) = 2;\n", (2, 2)),
+        "statement without parentheses": ("  xi x = 1;\n", (1, 3)),
+        "empty component over two lines": ("xi(x) =\n\n  ;\n", (1, 7)),
+    },
+    "M": {
+        "unclosed call after a tab": ("1 + psi*\tsin(psi", (1, 17)),
+        "exponent that is a name": ("psi^-x", (1, 6)),
+        "bad character on a second line": ("1 +\n psi $", (2, 6)),
+        "undeclared name after a comment": ("psi # comment\n + q", (2, 4)),
+        "division by zero": ("psi / (1 - 1)", (1, 5)),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "kind, case", [(kind, case) for kind, cases in PARSE_ERROR_POSITIONS.items() for case in cases]
+)
+def test_parse_error_positions(kind, case):
+    from plasmeq.lie import parse_generator
+
+    text, where = PARSE_ERROR_POSITIONS[kind][case]
+    parse = {
+        "pde": parse_program,
+        "gen": lambda t: parse_generator(parse_program("indep x, y;\ndep u;\neq diff(u,x) = 0;\n").context, t),
+        "M": Context(independents=["psi"]).parse,
+    }[kind]
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == where
+    assert str(err.value).endswith(f"(line {where[0]}, column {where[1]})")

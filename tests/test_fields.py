@@ -288,6 +288,13 @@ LATER_BLOCK_REFUSALS = {
     "row of the wrong width": (_cells(20, 4, "0,0"), "f.csv: data row 20 has 6 columns, the header has 5"),
     "empty cell": (_cells(20, 3, ""), "f.csv: data row 20 holds '' for a, not a number"),
     "nan": (_cells(20, 3, "nan"), "f.csv: holds a non-finite a (nan) in data row 20"),
+    # Python's float reads both as numbers; numpy, which reads the file, does not
+    "underscore": (_cells(20, 3, "1_0"), "f.csv: data row 20 holds '1_0' for a, not a number"),
+    "digit that is not ASCII": (_cells(20, 4, "\u0661"), "f.csv: data row 20 holds '\u0661' for b, not a number"),
+    "two bad cells, the first named": (
+        lambda data: _cells(18, 3, "1_0")(_cells(22, 4, "\u0661")(data)),
+        "f.csv: data row 18 holds '1_0' for a, not a number",
+    ),
     "byte that is not UTF-8": (_byte_before_row(20), "f.csv: 'utf-8' codec can't decode byte 0xff in position {}:"),
 }
 
@@ -321,11 +328,13 @@ def test_csv_refusal_is_that_of_one_parse_of_the_whole_body(tmp_path, monkeypatc
     monkeypatch.setattr(fields, "_READ_BLOCK", BLOCK)
     path, _, _ = _blocked_file(tmp_path, (3, 3, 3))
     header, *rows = path.read_bytes().splitlines(keepends=True)
-    # Python's float reads 1_0 as ten and numpy refuses it, so the row
-    # finder finds no bad row: numpy's own message, with its own row and
-    # column numbers, stands
     rows[18] = b"1_0" + rows[18][rows[18].index(b","):]
     path.write_bytes(header + b"".join(rows))
+    with pytest.raises(ValueError, match=r"f.csv: data row 19 holds '1_0' for x, not a number$"):
+        read_csv(path, ("x", "y", "z"))
+    # where the row finder finds no bad row, numpy's own message, with its
+    # own row and column numbers, stands
+    monkeypatch.setattr(fields, "_first_bad_row", lambda path, header: None)
     with pytest.raises(ValueError) as err:
         read_csv(path, ("x", "y", "z"))
     assert str(err.value) == f"{path}: {_loadtxt_refusal(path)}"
