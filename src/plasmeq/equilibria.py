@@ -124,7 +124,7 @@ def _state(grid: Grid3, values, meta: dict, evaluators: StateEvaluators | None =
 
 
 def _require_finite(state: CGLState) -> CGLState:
-    """``state``, after the non-finite check of ``fields.sample_*``."""
+    """``state``, once every node value is finite (else the first bad node is named)."""
     fd._check_finite(state.B.values, state.grid, "sampled vector field")
     for f in (state.p_perp, state.p_par, state.tau, state.psi):
         fd._check_finite(f.values, state.grid, "sampled scalar field")
@@ -470,14 +470,24 @@ def require_defined(name: str, values: np.ndarray, psi: np.ndarray) -> np.ndarra
     return values
 
 
+def _field_line_image(m2, b2, p_perp, tau) -> tuple:
+    """``(p_perp', p_par', tau')`` under the field-line map B' = M B (which
+    each caller applies) at nodes with M^2 = ``m2`` and |B|^2 = ``b2``.
+    p_perp + tau|B|^2/2 and M^2 (1 - tau') = 1 - tau are its invariants."""
+    b2_new = m2 * b2
+    tau_new = 1.0 - (1.0 - tau) / m2
+    pperp_new = p_perp + 0.5 * (b2 - b2_new)
+    return pperp_new, pperp_new + tau_new * b2_new, tau_new
+
+
 def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
     """Rescale B by M(psi) along field lines, adjusting the anisotropy and
-    the perpendicular pressure so the anisotropic balance is preserved.
+    the perpendicular pressure by ``_field_line_image`` so the anisotropic
+    balance is preserved.
 
     M is evaluated on the plasma only; other nodes (B below the sampled
-    state's field-null threshold) pass through unchanged.  The combination
-    p_perp + tau*B^2/2 is a nodewise algebraic invariant of this map.
-    |M| < ``spec.m_min`` is refused after the blocked pass, naming its minimum.
+    state's field-null threshold) pass through unchanged.  |M| <
+    ``spec.m_min`` is refused after the blocked pass, naming its minimum.
     """
     eps_b = _field_null_threshold(state.b_squared())
     name = f"M = {spec.text}"
@@ -497,20 +507,13 @@ def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
         active = np.array(plasma)
         active[plasma] = moved
         m = m[moved]
-        m2 = m**2
-        b2_old = b2[active]
-        b2_new = m2 * b2_old
-        tau_new = 1.0 - (1.0 - tau[active]) / m2
-        pperp_new = pperp[active] + 0.5 * (b2_old - b2_new)
+        pperp[active], ppar[active], tau[active] = _field_line_image(m**2, b2[active], pperp[active], tau[active])
         # B times M where active and times 1.0 elsewhere, which leaves every
         # value as it was (signed zeros too): a dense product in place of
         # ``b[:, active]``, a slice mixed with a mask and numpy's slow path
         scale = np.ones(b2.shape)
         scale[active] = m
         b *= scale
-        pperp[active] = pperp_new
-        ppar[active] = pperp_new + tau_new * b2_new
-        tau[active] = tau_new
         return b, pperp, ppar, tau, None
 
     out = _map_state(state, name, field_line)

@@ -47,15 +47,15 @@ _READ_BLOCK = 16384
 
 @dataclass(frozen=True)
 class Grid3:
-    """Uniform Cartesian grid: origin, positive spacing, node counts."""
+    """Uniform Cartesian grid: finite origin, finite positive spacing, node counts."""
 
     origin: tuple[float, float, float]
     spacing: tuple[float, float, float]
     counts: tuple[int, int, int]
 
     def __post_init__(self):
-        if any(h <= 0 for h in self.spacing):
-            raise ValueError("grid spacing must be positive")
+        if not (all(map(math.isfinite, self.origin)) and all(0 < h < math.inf for h in self.spacing)):
+            raise ValueError(f"grid origin {self.origin} and spacing {self.spacing} must be finite, the spacing positive")
         if any(n < 1 for n in self.counts):
             raise ValueError("grid counts must be positive")
 
@@ -348,12 +348,12 @@ def _axis_step(values: np.ndarray) -> float | None:
     """The spacing of a sorted axis, or None where its steps are not uniform.
 
     The whole-axis quotient recovers the spacing a writer used to build the
-    axis far more often than the first step does."""
+    axis far more often than the first step does; inf where it overflows."""
     if len(values) == 1:
         return 1.0
     h = (values[-1] - values[0]) / (len(values) - 1)
     tol = 1e-12 * max(1.0, abs(values[-1] - values[0]))
-    return float(h) if np.allclose(np.diff(values), h, rtol=1e-12, atol=tol) else None
+    return float(h) if not math.isfinite(h) or np.allclose(np.diff(values), h, rtol=1e-12, atol=tol) else None
 
 
 def _loadtxt_values(lines: list[str]) -> int | None:

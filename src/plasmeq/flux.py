@@ -24,13 +24,14 @@ never touched by the iteration.  The terms in J and N are frozen at the
 previous iterate and relaxed: damped Picard iteration around the one
 elimination.
 
-A mapped state evaluates psi through the tensor-product not-a-knot
+A mapped state is the field-line image (M = (1 - tau)^(-1/2)) of the
+isotropic Grad-Shafranov/JFKO state B, P = N(psi), which ``check --system
+alt`` inverts.  It evaluates psi through the tensor-product not-a-knot
 bicubic interpolant of the solution (de Boor, A Practical Guide to
 Splines), the interpolant FITPACK's s = 0 bicubic spline also is, and
-refuses points outside the solution domain.  Its pressure profile N(psi)
-is integrated from dN by fixed 8-point Gauss-Legendre quadrature on 256
-panels and interpolated by cubic Hermite polynomials through N and dN at
-the panel ends.
+refuses points outside the solution domain.  N(psi) is integrated from dN
+by fixed 8-point Gauss-Legendre quadrature on 256 panels and interpolated
+by cubic Hermite polynomials through N and dN at the panel ends.
 
 The module needs numpy alone.
 """
@@ -593,30 +594,29 @@ def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
     """Build a 3D anisotropic state from a flux solution.
 
     ``tau`` (an expression in psi, a number, or a callable) must be finite
-    and stay below one on the attained flux range.  The field follows the
-    symmetric-state template with the overall 1/sqrt(1-tau) factor;
-    pressures are N(psi) -+ tau B^2/2 with N integrated from the stated
-    profile derivative, N = 0 at the smallest attained flux value.  The
-    stored label is psi normalized by its largest magnitude on the 2D
-    solution.  The state's evaluator refuses points outside the solution
-    domain [r0, r1] x [zu0, zu1] with a ValueError naming the extent of the
-    points it was given.  ``grid`` is sampled in x-slab blocks
+    and stay below one on the attained flux range.  The state is the
+    field-line image (``equilibria._field_line_image``) with M =
+    (1 - tau)^(-1/2) of the isotropic state: the symmetric-state template
+    field and the pressure N(psi), integrated from the stated profile
+    derivative with N = 0 at the smallest attained flux value.  The stored
+    label is psi normalized by its largest magnitude on the 2D solution.
+    The state's evaluator refuses points outside the solution domain [r0,
+    r1] x [zu0, zu1] with a ValueError naming the extent of the points it
+    was given.  ``grid`` is sampled in x-slab blocks
     (``equilibria.sample_state``), as a later point transform is, so the
     extent named is that of the first block that leaves the domain.
     """
     # imported here: ``flux solve`` needs none of the equilibria module
-    from .equilibria import StateEvaluators, require_defined, sample_state
+    from .equilibria import StateEvaluators, _field_line_image, require_defined, sample_state
 
     problem = sol.problem
     tau_fn, tau_text = _as_profile(tau, ("psi",))
     lo, hi = sol.attained_range()
     psi_probe = np.linspace(lo, hi, 513)
     probe = np.broadcast_to(np.asarray(tau_fn(psi_probe), dtype=float), psi_probe.shape)
-    require_defined(f"tau = {tau_text}" if tau_text else "tau", probe, psi_probe)
-    if float(np.max(probe)) >= 1.0:
-        raise ValueError(
-            f"tau reaches {float(np.max(probe)):.6g} on the attained flux range; the mapping needs tau < 1"
-        )
+    tau_max = float(np.max(require_defined(f"tau = {tau_text}" if tau_text else "tau", probe, psi_probe)))
+    if tau_max >= 1.0:
+        raise ValueError(f"tau reaches {tau_max:.6g} on the attained flux range; the mapping needs tau < 1")
     n_of = _pressure_antiderivative(problem, sol)
     spline = sol.spline()
     psi_scale = max(abs(lo), abs(hi)) or 1.0
@@ -630,19 +630,17 @@ def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
         # one cell lookup serves psi and both first derivatives
         located = spline.locate(R, ZU)
         psi, psi_r, psi_zu = (spline.horner(located, *d).reshape(ZU.shape) for d in ((0, 0), (1, 0), (0, 1)))
-        tau_v = tau_fn(psi)
-        factor = 1.0 / np.sqrt(1.0 - tau_v)
+        m = np.broadcast_to(1.0 / np.sqrt(1.0 - tau_fn(psi)), psi.shape)
         Jv = problem.J(psi)
         b_r = psi_zu / R
         denom = R**2 + gamma**2
         b_z = (gamma * Jv - R * psi_r) / denom
         b_phi = (R * Jv + gamma * psi_r) / denom
         cos_p, sin_p = np.cos(phi), np.sin(phi)
-        b = factor[None, ...] * np.stack([b_r * cos_p - b_phi * sin_p, b_r * sin_p + b_phi * cos_p, b_z])
-        tau_v = tau_v * np.ones_like(psi)
-        half_tau_b2 = 0.5 * tau_v * np.einsum("c...,c...->...", b, b)
-        n_v = n_of(psi)
-        return b, n_v - half_tau_b2, n_v + half_tau_b2, tau_v, psi / psi_scale
+        b = np.stack([b_r * cos_p - b_phi * sin_p, b_r * sin_p + b_phi * cos_p, b_z])
+        pperp, ppar, tau_v = _field_line_image(m * m, np.einsum("c...,c...->...", b, b), n_of(psi), 0.0)
+        b *= m
+        return b, pperp, ppar, tau_v, psi / psi_scale
 
     if grid is None:
         grid = default_cartesian_box(problem)

@@ -663,6 +663,12 @@ BAD_INPUTS = {
         lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = -1\ndN = log(psi)")],
         "non-finite",
     ),
+    # the extent 2e308 overflows the grid spacing, which the grid refuses
+    # before a node is sampled
+    "vortex extent beyond the float range": (
+        lambda tmp: ["vortex", "--extent", "1e308", "--grid", "5"],
+        "grid origin (-1e+308, -1e+308, -1e+308) and spacing (inf, inf, inf) must be finite, the spacing positive",
+    ),
     "mode index out of reach": (lambda tmp: ["vortex", "--n", "100000", "--grid", "9"], "mode index 100000"),
     "solution without r0": (
         lambda tmp: ["flux", "tocgl", _solution(tmp, drop="r0"), "--tau", "0.1"],

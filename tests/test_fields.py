@@ -1,4 +1,5 @@
 import io
+import math
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,27 @@ def test_grid_validation():
         Grid3((0, 0, 0), (0.1, -0.1, 0.1), (5, 5, 5))
     with pytest.raises(ValueError):
         Grid3((0, 0, 0), (0.1, 0.1, 0.1), (5, 0, 5))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Grid3((0, 0, 0), (math.nan, 1, 1), (5, 5, 5)), r"spacing \(nan, 1, 1\) must be finite"),
+        (lambda: Grid3((0, 0, 0), (1, math.inf, 1), (5, 5, 5)), r"spacing \(1, inf, 1\) must be finite"),
+        (lambda: Grid3((0, 0, 0), (1, 1, 0.0), (5, 5, 5)), r"spacing \(1, 1, 0.0\) must be finite, the spacing positive"),
+        (lambda: Grid3((0, 0, math.nan), (1, 1, 1), (5, 5, 5)), r"origin \(0, 0, nan\) and spacing \(1, 1, 1\) must be finite"),
+        (lambda: Grid3((-math.inf, 0, 0), (1, 1, 1), (5, 5, 5)), r"origin \(-inf, 0, 0\) and"),
+        # the extent 2e308 overflows: the spacing would be inf
+        (lambda: Grid3.cube(-1e308, 1e308, 5), r"spacing \(inf, inf, inf\) must be finite"),
+        (lambda: Grid3.from_axes(np.array([-1.7e308, 1.7e308]), np.arange(3.0), np.arange(3.0)), r"spacing \(inf, 1.0, 1.0\) must be finite"),
+        # a uniform axis with finite nodes whose extent overflows
+        (lambda: Grid3.from_axes(np.array([-1.5e308, 0.0, 1.5e308]), np.arange(3.0), np.arange(3.0)), r"spacing \(inf, 1.0, 1.0\) must be finite"),
+    ],
+    ids=["nan spacing", "inf spacing", "zero spacing", "nan origin", "infinite origin", "cube", "from_axes", "from_axes finite nodes"],
+)
+def test_grid_geometry_must_be_finite(build, message):
+    with pytest.raises(ValueError, match=message), np.errstate(over="ignore"):
+        build()
 
 
 def test_sampling_constant_and_coordinate():

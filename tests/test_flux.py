@@ -619,6 +619,46 @@ def test_pressure_vanishes_at_the_smallest_attained_flux(name):
     assert np.max(np.abs(n + 2.0 * (psi - meta["psi_ref"]))) <= 1e-12
 
 
+@pytest.fixture(scope="module")
+def bundled_solutions():
+    # both files state the solver defaults
+    return {name: solve_flux(_bundled_problem(name)) for name in ("flux_axisym_example.flux", "flux_helical_example.flux")}
+
+
+BUNDLED_TAUS = [
+    ("flux_axisym_example.flux", "0.2"),
+    ("flux_axisym_example.flux", "psi/2.6"),
+    ("flux_helical_example.flux", "0.2"),
+    ("flux_helical_example.flux", "psi/5"),
+]
+
+
+@pytest.mark.parametrize("name, tau", BUNDLED_TAUS)
+def test_mapped_state_is_the_field_line_image_of_the_isotropic_one(bundled_solutions, name, tau):
+    # M = (1 - tau)^(-1/2) as a function of the stored label, psi over its
+    # largest magnitude, applied by ``transform`` to the tau = 0 state
+    sol = bundled_solutions[name]
+    grid = default_cartesian_box(sol.problem, 33)
+    iso = flux_to_cgl(sol, 0.0, grid=grid)
+    label_tau = tau.replace("psi", f"(psi*{iso.meta['psi_normalization']!r})")
+    image = equilibria.apply_infinite_transform(iso, equilibria.TransformSpec(f"1/sqrt(1 - {label_tau})"))
+    state = flux_to_cgl(sol, tau, grid=grid)
+    assert np.array_equal(state.psi.values, image.psi.values)
+    for got, want in ((state.B, image.B), (state.p_perp, image.p_perp), (state.p_par, image.p_par), (state.tau, image.tau)):
+        scale = np.max(np.abs(want.values))
+        assert np.max(np.abs(got.values - want.values)) <= 4e-15 * scale
+
+
+@pytest.mark.parametrize("name, tau", BUNDLED_TAUS)
+def test_alt_inverts_the_field_line_image(bundled_solutions, name, tau):
+    sol = bundled_solutions[name]
+    grid = default_cartesian_box(sol.problem, 33)
+    alt = residual_norms(flux_to_cgl(sol, tau, grid=grid), "alt")["momentum"]
+    mhd = residual_norms(flux_to_cgl(sol, 0.0, grid=grid), "mhd")["momentum"]
+    assert alt["linf"] == pytest.approx(mhd["linf"], rel=1e-10, abs=0.0)
+    assert alt["node"] == mhd["node"]
+
+
 def _antiderivative_over(dN, lo, hi):
     """N(psi) of ``dN`` for a solution whose flux attains exactly [lo, hi],
     with the padded range it covers sampled on and between its knots."""
