@@ -61,8 +61,8 @@ STATE_COLUMNS = ("B1", "B2", "B3", "p_perp", "p_par", "tau", "psi")
 class StateEvaluators:
     """The pointwise analytic evaluator backing a sampled state, when known.
 
-    ``evaluate(X, Y, Z)`` returns ``(B, p_perp, p_par, tau, psi)`` and does
-    the work the fields share once; ``B`` and ``p_perp`` pick one item.
+    ``evaluate(X, Y, Z)`` returns ``(B, p_perp, tau, psi)`` and does the
+    work the fields share once; ``B`` and ``p_perp`` pick one item.
     """
 
     evaluate: Callable
@@ -80,18 +80,19 @@ def _field_null_threshold(b2: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class CGLState:
-    """Sampled anisotropic equilibrium state on one shared grid."""
+    """Sampled anisotropic equilibrium state on one shared grid: the
+    closed-CGL unknowns B, p_perp and tau = (p_par - p_perp)/|B|^2, and the
+    field-line label psi.  ``p_par`` is derived from them on each read."""
 
     B: VectorGrid
     p_perp: ScalarGrid
-    p_par: ScalarGrid
     tau: ScalarGrid
     psi: ScalarGrid
     meta: dict = field(default_factory=dict)
     evaluators: StateEvaluators | None = None
 
     def __post_init__(self):
-        grids = {g.grid for g in (self.p_perp, self.p_par, self.tau, self.psi)}
+        grids = {g.grid for g in (self.p_perp, self.tau, self.psi)}
         grids.add(self.B.grid)
         if len(grids) != 1:
             raise ValueError("all state fields must share one grid")
@@ -103,11 +104,15 @@ class CGLState:
     def b_squared(self) -> np.ndarray:
         return np.einsum("cijk,cijk->ijk", self.B.values, self.B.values)
 
+    @property
+    def p_par(self) -> ScalarGrid:
+        """p_perp + tau |B|^2, computed anew on each read (not kept)."""
+        return ScalarGrid(self.grid, self.p_perp.values + self.tau.values * self.b_squared())
+
     def coarsen(self) -> "CGLState":
         return CGLState(
             self.B.coarsen(),
             self.p_perp.coarsen(),
-            self.p_par.coarsen(),
             self.tau.coarsen(),
             self.psi.coarsen(),
             dict(self.meta, coarsened=True),
@@ -116,17 +121,17 @@ class CGLState:
 
 
 def _state(grid: Grid3, values, meta: dict, evaluators: StateEvaluators | None = None) -> CGLState:
-    """Wrap ``(B, p_perp, p_par, tau, psi)`` node arrays (or values that
-    broadcast to them) as a state on ``grid``."""
+    """Wrap ``(B, p_perp, tau, psi)`` node arrays (or values that broadcast
+    to them) as a state on ``grid``."""
     b, *scalars = (np.asarray(v, dtype=float) for v in values)
-    pperp, ppar, tau, psi = (ScalarGrid(grid, np.broadcast_to(v, grid.counts)) for v in scalars)
-    return CGLState(VectorGrid(grid, np.broadcast_to(b, (3, *grid.counts))), pperp, ppar, tau, psi, meta, evaluators)
+    pperp, tau, psi = (ScalarGrid(grid, np.broadcast_to(v, grid.counts)) for v in scalars)
+    return CGLState(VectorGrid(grid, np.broadcast_to(b, (3, *grid.counts))), pperp, tau, psi, meta, evaluators)
 
 
 def _require_finite(state: CGLState) -> CGLState:
     """``state``, once every node value is finite (else the first bad node is named)."""
     fd._check_finite(state.B.values, state.grid, "sampled vector field")
-    for f in (state.p_perp, state.p_par, state.tau, state.psi):
+    for f in (state.p_perp, state.tau, state.psi):
         fd._check_finite(f.values, state.grid, "sampled scalar field")
     return state
 
@@ -178,16 +183,16 @@ def _kept(old, new) -> tuple:
 
 def _map_state(state: CGLState, label: str, fn: Callable, pullback: Callable | None = None) -> CGLState:
     """``state`` mapped in x-slab blocks by ``fn``, a nodewise map of
-    (B, p_perp, p_par, tau, psi) that returns None for each field it keeps.
+    (B, p_perp, tau, psi) that returns None for each field it keeps.
 
     Without ``pullback``, ``fn`` runs on the node arrays, kept fields stay
     shared, and ``fn`` after the source's evaluator is the result's.  With
     one, each node takes the fields at ``pullback(x, y, z)`` from the
-    source's evaluator, else by trilinear interpolation (flagged lossy;
-    p_par, which no such map reads, is None); the result has no evaluator.
+    source's evaluator, else by trilinear interpolation (flagged lossy);
+    the result has no evaluator.
     """
     grid, source = state.grid, state.evaluators
-    fields = (state.B.values, state.p_perp.values, state.p_par.values, state.tau.values, state.psi.values)
+    fields = (state.B.values, state.p_perp.values, state.tau.values, state.psi.values)
     meta = dict(state.meta)
     evaluators = None
     if pullback is None:
@@ -212,8 +217,8 @@ def _map_state(state: CGLState, label: str, fn: Callable, pullback: Callable | N
 
         def at_nodes(_block, *xyz):
             interp = _trilinear(grid, *pullback(*xyz))
-            b, pperp, _ppar, tau, psi = fields
-            return fn(np.stack([interp(c) for c in b]), interp(pperp), None, interp(tau), interp(psi))
+            b, *scalars = fields
+            return fn(np.stack([interp(c) for c in b]), *map(interp, scalars))
 
     meta["transforms"] = [*state.meta.get("transforms", []), label]
     return _state(grid, _kept(fields, _evaluate_in_blocks(grid, at_nodes)), meta, evaluators)
@@ -228,13 +233,14 @@ def sample_state(evaluators: StateEvaluators, grid: Grid3, meta: dict) -> CGLSta
     return _require_finite(_state(grid, values, meta, evaluators))
 
 
-def tau_consistency_error(state: CGLState) -> float:
-    """Worst scaled violation of tau = (p_par - p_perp)/B^2 over the plasma."""
+def tau_consistency_error(state: CGLState, p_par: np.ndarray | None = None) -> float:
+    """Worst scaled violation of tau = (p_par - p_perp)/B^2 over the plasma,
+    for the node values ``p_par`` (a file's column), else the state's own."""
     b2 = state.b_squared()
     mask = b2 > _field_null_threshold(b2)
     if not mask.any():
         return 0.0
-    lhs = state.p_par.values - state.p_perp.values
+    lhs = (state.p_par.values if p_par is None else p_par) - state.p_perp.values
     rhs = np.multiply(state.tau.values, b2, out=b2)  # b2 is not needed past the mask
     scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
     lhs -= rhs
@@ -402,7 +408,7 @@ def vortex_state(params: VortexParams, grid: Grid3, pressure_profile: str = "bal
         raise ValueError("degenerate state: pressure vanishes on the whole grid")
 
     def with_label(b, p):
-        return b, p, p, np.zeros(p.shape), p / p_max
+        return b, p, np.zeros(p.shape), p / p_max
 
     def evaluate(X, Y, Z):
         return with_label(*b_and_p(X, Y, Z))
@@ -471,13 +477,10 @@ def require_defined(name: str, values: np.ndarray, psi: np.ndarray) -> np.ndarra
 
 
 def _field_line_image(m2, b2, p_perp, tau) -> tuple:
-    """``(p_perp', p_par', tau')`` under the field-line map B' = M B (which
-    each caller applies) at nodes with M^2 = ``m2`` and |B|^2 = ``b2``.
+    """``(p_perp', tau')`` under the field-line map B' = M B (which each
+    caller applies) at nodes with M^2 = ``m2`` and |B|^2 = ``b2``.
     p_perp + tau|B|^2/2 and M^2 (1 - tau') = 1 - tau are its invariants."""
-    b2_new = m2 * b2
-    tau_new = 1.0 - (1.0 - tau) / m2
-    pperp_new = p_perp + 0.5 * (b2 - b2_new)
-    return pperp_new, pperp_new + tau_new * b2_new, tau_new
+    return p_perp + 0.5 * (b2 - m2 * b2), 1.0 - (1.0 - tau) / m2
 
 
 def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
@@ -493,9 +496,9 @@ def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
     name = f"M = {spec.text}"
     m_low, tau_high = math.inf, False
 
-    def field_line(b, pperp, ppar, tau, psi):
+    def field_line(b, pperp, tau, psi):
         nonlocal m_low, tau_high
-        b, pperp, ppar, tau = (np.array(v, dtype=float) for v in (b, pperp, ppar, tau))
+        b, pperp, tau = (np.array(v, dtype=float) for v in (b, pperp, tau))
         b2 = np.einsum("c...,c...->...", b, b)
         plasma = b2 > eps_b
         labels = np.asarray(psi)[plasma]
@@ -507,14 +510,14 @@ def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
         active = np.array(plasma)
         active[plasma] = moved
         m = m[moved]
-        pperp[active], ppar[active], tau[active] = _field_line_image(m**2, b2[active], pperp[active], tau[active])
+        pperp[active], tau[active] = _field_line_image(m**2, b2[active], pperp[active], tau[active])
         # B times M where active and times 1.0 elsewhere, which leaves every
         # value as it was (signed zeros too): a dense product in place of
         # ``b[:, active]``, a slice mixed with a mask and numpy's slow path
         scale = np.ones(b2.shape)
         scale[active] = m
         b *= scale
-        return b, pperp, ppar, tau, None
+        return b, pperp, tau, None
 
     out = _map_state(state, name, field_line)
     if m_low < spec.m_min:
@@ -585,8 +588,8 @@ def _euler_zxz(phi: float, theta: float, psi_angle: float) -> np.ndarray:
 def _affine_state(state: CGLState, label: str, rot: np.ndarray, t: float, K, s: float, pf: float, shift: float) -> CGLState:
     """The finite form shared by every translation, rotation and scaling:
     x' = t rot x + K, B' = s rot B, p_perp' = pf p_perp + shift, with tau
-    and psi carried along and p_par' = p_perp' + tau |B'|^2, each node
-    pulled back to rot^T (x' - K)/t (rot is orthogonal) by ``_map_state``.
+    and psi carried along, each node pulled back to rot^T (x' - K)/t (rot
+    is orthogonal) by ``_map_state``.
     """
 
     def pullback(x, y, z):
@@ -594,11 +597,8 @@ def _affine_state(state: CGLState, label: str, rot: np.ndarray, t: float, K, s: 
         x, y, z = ((a - k) / t for a, k in zip((x, y, z), K))
         return (rot[0, r] * x + rot[1, r] * y + rot[2, r] * z for r in range(3))
 
-    def affine(b, pperp, _ppar, tau, psi):
-        b = np.einsum("rc,c...->r...", s * rot, b)
-        pperp = pf * np.asarray(pperp, dtype=float) + shift
-        b2 = np.einsum("cijk,cijk->ijk", b, b)
-        return b, pperp, pperp + tau * b2, tau, psi
+    def affine(b, pperp, tau, psi):
+        return np.einsum("rc,c...->r...", s * rot, b), pf * np.asarray(pperp, dtype=float) + shift, tau, psi
 
     return _map_state(state, label, affine, pullback)
 
@@ -649,11 +649,9 @@ def anisotropy_scale_state(state: CGLState, C: float) -> CGLState:
     if C <= 0:
         raise ValueError("the rescaling constant must be positive to preserve tau < 1")
 
-    def rescaled(b, pperp, _ppar, tau, _psi):
+    def rescaled(b, pperp, tau, _psi):
         b2 = np.einsum("c...,c...->...", b, b)
-        pperp = C * (pperp + 0.5 * b2) - 0.5 * b2
-        tau = 1.0 - C * (1.0 - tau)
-        return None, pperp, pperp + tau * b2, tau, None
+        return None, C * (pperp + 0.5 * b2) - 0.5 * b2, 1.0 - C * (1.0 - tau), None
 
     return _map_state(state, f"anisotropy_scale C={C}", rescaled)
 
@@ -699,7 +697,7 @@ def stability_report(state: CGLState) -> StabilityReport:
     b2 = state.b_squared()
     applicable = b2 > _field_null_threshold(b2)
     pperp = state.p_perp.values
-    ppar = state.p_par.values
+    ppar = pperp + state.tau.values * b2
 
     fire = np.full(state.grid.counts, FLAG_NOT_APPLICABLE, dtype=np.int8)
     fire_lhs = ppar - pperp - b2
@@ -901,8 +899,9 @@ def read_state_csv(path) -> CGLState:
     if missing:
         raise ValueError(f"{path}: missing state columns {missing}")
     b = np.stack([cols.pop(c) for c in STATE_COLUMNS[:3]])
-    state = _state(Grid3.from_axes(*axes), (b, *(cols[c] for c in STATE_COLUMNS[3:])), {"source": str(path)})
-    mismatch = tau_consistency_error(state)
+    state = _state(Grid3.from_axes(*axes), (b, cols["p_perp"], cols["tau"], cols["psi"]), {"source": str(path)})
+    # the file's p_par column is checked against tau, then not kept
+    mismatch = tau_consistency_error(state, cols.pop("p_par"))
     if mismatch > 1e-6:
         warnings.warn(
             f"{path}: tau column disagrees with (p_par - p_perp)/B^2 "

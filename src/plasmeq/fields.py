@@ -47,7 +47,8 @@ _READ_BLOCK = 16384
 
 @dataclass(frozen=True)
 class Grid3:
-    """Uniform Cartesian grid: finite origin, finite positive spacing, node counts."""
+    """Uniform Cartesian grid: finite origin, finite positive spacing, node
+    counts, and every node finite as ``axes()`` computes it."""
 
     origin: tuple[float, float, float]
     spacing: tuple[float, float, float]
@@ -58,6 +59,11 @@ class Grid3:
             raise ValueError(f"grid origin {self.origin} and spacing {self.spacing} must be finite, the spacing positive")
         if any(n < 1 for n in self.counts):
             raise ValueError("grid counts must be positive")
+        last = (float(o) + float(h) * (int(n) - 1) for o, h, n in zip(self.origin, self.spacing, self.counts))
+        if not all(map(math.isfinite, last)):
+            raise ValueError(
+                f"grid origin {self.origin}, spacing {self.spacing} and counts {self.counts} put the last node beyond the float range"
+            )
 
     @staticmethod
     def cube(lo: float, hi: float, n: int) -> "Grid3":

@@ -638,9 +638,9 @@ def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
         b_phi = (R * Jv + gamma * psi_r) / denom
         cos_p, sin_p = np.cos(phi), np.sin(phi)
         b = np.stack([b_r * cos_p - b_phi * sin_p, b_r * sin_p + b_phi * cos_p, b_z])
-        pperp, ppar, tau_v = _field_line_image(m * m, np.einsum("c...,c...->...", b, b), n_of(psi), 0.0)
+        pperp, tau_v = _field_line_image(m * m, np.einsum("c...,c...->...", b, b), n_of(psi), 0.0)
         b *= m
-        return b, pperp, ppar, tau_v, psi / psi_scale
+        return b, pperp, tau_v, psi / psi_scale
 
     if grid is None:
         grid = default_cartesian_box(problem)

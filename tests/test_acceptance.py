@@ -374,7 +374,6 @@ def test_criterion_9_stability_checker():
         return CGLState(
             VectorGrid(g, np.stack([np.full(g.counts, c) for c in b])),
             ScalarGrid(g, np.full(g.counts, p_perp)),
-            ScalarGrid(g, np.full(g.counts, p_par)),
             ScalarGrid(g, np.full(g.counts, tau)),
             ScalarGrid(g, np.zeros(g.counts)),
         )

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import re
@@ -59,17 +60,24 @@ def vortex65(params):
     return vortex_state(params, Grid3.cube(-1.2, 1.2, 65))
 
 
-def uniform_state(n=7, b=(0.0, 0.0, 1.0), p_perp=1.0, p_par=None, tau=0.0):
+def uniform_state(n=7, b=(0.0, 0.0, 1.0), p_perp=1.0, tau=0.0):
     g = Grid3.cube(-1.0, 1.0, n)
     B = VectorGrid(g, np.stack([np.full(g.counts, c) for c in b]))
     pp = ScalarGrid(g, np.full(g.counts, p_perp))
-    b2 = sum(c * c for c in b)
-    if p_par is None:
-        p_par = p_perp + tau * b2
-    ppa = ScalarGrid(g, np.full(g.counts, p_par))
     t = ScalarGrid(g, np.full(g.counts, tau))
     psi = ScalarGrid(g, np.zeros(g.counts))
-    return CGLState(B, pp, ppa, t, psi)
+    return CGLState(B, pp, t, psi)
+
+
+def assert_p_par_derived(state, want=None):
+    """``state`` stores no p_par and reads it as p_perp + tau |B|^2 bit for
+    bit; ``want``, a map's own p_par formula, agrees within 1e-14 of its
+    largest magnitude."""
+    assert "p_par" not in {f.name for f in dataclasses.fields(CGLState)}
+    p_par = state.p_par.values
+    assert np.array_equal(p_par, state.p_perp.values + state.tau.values * state.b_squared())
+    if want is not None:
+        assert np.max(np.abs(p_par - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def assert_evaluator_matches_samples(state):
@@ -78,7 +86,7 @@ def assert_evaluator_matches_samples(state):
     ev = state.evaluators
     X, Y, Z = state.grid.meshgrid()
     values = ev.evaluate(X, Y, Z)
-    sampled = (state.B, state.p_perp, state.p_par, state.tau, state.psi)
+    sampled = (state.B, state.p_perp, state.tau, state.psi)
     assert len(values) == len(sampled)
     for value, field in zip(values, sampled):
         assert np.array_equal(np.broadcast_to(value, field.values.shape), field.values)
@@ -270,7 +278,7 @@ def test_sample_state_rejects_nonfinite_values():
     def evaluate(X, Y, Z):
         zero = np.zeros_like(X)
         p = np.where((X > 0.9) & (Y > 0.9) & (Z > 0.9), np.inf, 1.0)
-        return np.stack([zero, zero, zero + 1.0]), p, p, zero, zero
+        return np.stack([zero, zero, zero + 1.0]), p, zero, zero
 
     with pytest.raises(ValueError, match="sampled scalar field is not finite at node \\(4, 4, 4\\)"):
         sample_state(StateEvaluators(evaluate), g, {})
@@ -350,9 +358,10 @@ def _full_grid_vortex(params, pressure_profile):
     return b_and_p
 
 
-def _full_grid_field_line_map(b, pperp, ppar, tau, b2, inside, m):
+def _full_grid_field_line_map(b, pperp, tau, ppar, b2, inside, m):
     """The field-line map with M given on every node, as earlier releases
-    applied it: the oracle for the plasma-only update."""
+    applied it: the oracle for the plasma-only update.  Returns (B, p_perp,
+    tau) and the map's own p_par' = p_perp' + tau' M^2 |B|^2."""
     active = inside & (m != 1.0)
     m_safe = np.where(active, m, 1.0)
     b_new = np.where(active[None, ...], m_safe[None, ...] * b, b)
@@ -360,7 +369,7 @@ def _full_grid_field_line_map(b, pperp, ppar, tau, b2, inside, m):
     tau_new = np.where(active, 1.0 - (1.0 - tau) / m_safe**2, tau)
     pperp_new = np.where(active, pperp + 0.5 * (b2 - b2_new), pperp)
     ppar_new = np.where(active, pperp_new + tau_new * b2_new, ppar)
-    return b_new, pperp_new, ppar_new, tau_new
+    return (b_new, pperp_new, tau_new), ppar_new
 
 
 def _probe_points(R):
@@ -406,17 +415,20 @@ def test_field_line_image_matches_the_full_grid_map(vortex33, params, texts):
         out = apply_infinite_transform(state, spec)
         b2 = state.b_squared()
         inside = b2 > 1e-12 * np.max(b2)
-        sampled = (state.B.values, state.p_perp.values, state.p_par.values, state.tau.values)
-        want = _full_grid_field_line_map(*sampled, b2, inside, spec(state.psi.values))
-        for got, expected in zip((out.B, out.p_perp, out.p_par, out.tau), want):
+        sampled = (state.B.values, state.p_perp.values, state.tau.values, state.p_par.values)
+        want, want_ppar = _full_grid_field_line_map(*sampled, b2, inside, spec(state.psi.values))
+        for got, expected in zip((out.B, out.p_perp, out.tau), want):
             _assert_same(got.values, expected)
+        assert_p_par_derived(out, want_ppar)
         eps_b = 1e-12 * float(np.max(b2))
         for points in (_probe_points(params.R), *_zero_d_points(params.R)):
             source = [np.asarray(v, dtype=float) for v in state.evaluators.evaluate(*points)]
             b2l = np.einsum("c...,c...->...", source[0], source[0])
-            want = _full_grid_field_line_map(*source[:4], b2l, b2l > eps_b, spec(source[4]))
+            ppar = source[1] + source[2] * b2l
+            want, _ = _full_grid_field_line_map(*source[:3], ppar, b2l, b2l > eps_b, spec(source[3]))
             got = out.evaluators.evaluate(*points)
-            for g, w in zip(got, (*want, source[4])):
+            assert len(got) == 4
+            for g, w in zip(got, (*want, source[3])):
                 _assert_same(g, w)
         state = out
 
@@ -448,7 +460,7 @@ def _half_plasma_state():
         b = np.stack([zero, zero, np.where(plasma, 1.0, 0.0)])
         p = 1.0 + 0.1 * Y
         psi = np.where(plasma, 0.8 + 0.2 * Y, -1.0)
-        return b, p, p, zero, psi
+        return b, p, zero, psi
 
     return sample_state(StateEvaluators(evaluate), Grid3.cube(-1.0, 1.0, 9), {})
 
@@ -468,7 +480,7 @@ def test_m_undefined_off_the_plasma_raises_no_warning():
         before, after = getattr(state, name).values, getattr(out, name).values
         assert np.array_equal(after[..., outside], before[..., outside]), name
         assert np.all(np.isfinite(after)), name
-    for value, field in zip(values, (out.B, out.p_perp, out.p_par, out.tau, out.psi)):
+    for value, field in zip(values, (out.B, out.p_perp, out.tau, out.psi)):
         assert np.array_equal(value, field.values)
 
 
@@ -834,7 +846,7 @@ def test_anisotropy_and_pressure_shift_act_on_field_free_nodes(vortex17):
 
 def test_trilinear_resample_path_flags_lossy():
     state = uniform_state(n=9)
-    stripped = CGLState(state.B, state.p_perp, state.p_par, state.tau, state.psi, {}, None)
+    stripped = CGLState(state.B, state.p_perp, state.tau, state.psi, {}, None)
     out = translate_state(stripped, K=(0.05, 0.0, 0.0), k4=0.0)
     assert out.meta["resampling"].startswith("trilinear")
     assert np.allclose(out.B.values[2], 1.0, atol=1e-12)  # constant fields survive exactly
@@ -846,7 +858,7 @@ def _sampled_only_state(grid, f):
     cols = [f(X, Y, Z, c) for c in range(6)]
     B = VectorGrid(grid, np.stack(cols[:3]))
     p_perp, tau, psi = (ScalarGrid(grid, v) for v in cols[3:])
-    return CGLState(B, p_perp, p_perp, tau, psi, {}, None)
+    return CGLState(B, p_perp, tau, psi, {}, None)
 
 
 # an anisotropic grid with an off-centre origin; rotating it about the
@@ -935,7 +947,7 @@ def test_point_transforms_match_the_pushed_forward_evaluator(params, move):
         pf = {"generator": s * s, "as-printed": 2.0 * s}[factor]
         out = scale_state(src, t, s, pressure_factor=factor)
     pulled = np.einsum("cr,c...->r...", rot, np.stack(src.grid.meshgrid()) - K[:, None, None, None]) / t
-    b, p_perp, _, tau, psi = src.evaluators.evaluate(*pulled)
+    b, p_perp, tau, psi = src.evaluators.evaluate(*pulled)
     b = s * np.einsum("rc,c...->r...", rot, b)
     p_perp = pf * p_perp + k4
     want = (b, p_perp, p_perp + tau * np.einsum("c...,c...->...", b, b), tau, psi)
@@ -972,7 +984,7 @@ def test_point_transforms_refuse_non_finite_parameters_before_evaluating(vortex1
     calls = []
     state = _counting(vortex17, calls)
     if sampled_only:
-        state = CGLState(state.B, state.p_perp, state.p_par, state.tau, state.psi, {}, None)
+        state = CGLState(state.B, state.p_perp, state.tau, state.psi, {}, None)
     with mock.patch.object(equilibria, "_evaluate_in_blocks", side_effect=AssertionError("evaluated")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             transform(state)
@@ -989,7 +1001,7 @@ def _whole_grid_affine(state, rot, t, K, s, pf, shift):
     x, y, z = ((a - k) / t for a, k in zip(np.ix_(*state.grid.axes()), K))
     Xs, Ys, Zs = (rot[0, r] * x + rot[1, r] * y + rot[2, r] * z for r in range(3))
     if state.evaluators is not None:
-        b, pperp, _, tau, psi = state.evaluators.evaluate(Xs, Ys, Zs)
+        b, pperp, tau, psi = state.evaluators.evaluate(Xs, Ys, Zs)
     else:
         interp = equilibria._trilinear(state.grid, Xs, Ys, Zs)
         b = np.stack([interp(c) for c in state.B.values])
@@ -1034,7 +1046,7 @@ def _blocked_source(kind, counts, params, solution):
         return apply_infinite_transform(base, TransformSpec("2"))
     state = apply_infinite_transform(base, TransformSpec("1 + 0.3*psi*sin(psi)"))
     if kind == "trilinear":
-        return CGLState(state.B, state.p_perp, state.p_par, state.tau, state.psi, {}, None)
+        return CGLState(state.B, state.p_perp, state.tau, state.psi, {}, None)
     return state
 
 
@@ -1046,7 +1058,7 @@ def _counting(state, calls):
         calls.append(np.shape(X))
         return source(X, Y, Z)
 
-    return CGLState(state.B, state.p_perp, state.p_par, state.tau, state.psi, state.meta, StateEvaluators(evaluate))
+    return CGLState(state.B, state.p_perp, state.tau, state.psi, state.meta, StateEvaluators(evaluate))
 
 
 # grid counts and x-slabs per block (None: the default block); no slab
@@ -1127,8 +1139,8 @@ def test_rotation_at_65_holds_little_beyond_its_result(params, kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    result_bytes = sum(f.values.base.nbytes for f in (out.B, out.p_perp, out.p_par, out.tau, out.psi))
-    assert result_bytes == 7 * 65**3 * 8
+    result_bytes = sum(f.values.base.nbytes for f in (out.B, out.p_perp, out.tau, out.psi))
+    assert result_bytes == 6 * 65**3 * 8
     assert peak < 1.3 * result_bytes
 
 
@@ -1143,15 +1155,15 @@ def test_translation_at_65_holds_little_beyond_its_result(params):
     finally:
         tracemalloc.stop()
     assert out.meta["resampling"] == "trilinear (lossy)"
-    result_bytes = sum(f.values.base.nbytes for f in (out.B, out.p_perp, out.p_par, out.tau, out.psi))
-    assert result_bytes == 7 * 65**3 * 8
+    result_bytes = sum(f.values.base.nbytes for f in (out.B, out.p_perp, out.tau, out.psi))
+    assert result_bytes == 6 * 65**3 * 8
     assert peak < 1.3 * result_bytes
 
 
 def _whole_grid_field_line(state, spec):
     """``apply_infinite_transform`` on the whole grid at once, as earlier
     releases applied it: M on every plasma node in one call, then the map
-    on updated copies of (B, p_perp, p_par, tau)."""
+    on updated copies of (B, p_perp, tau), and the map's own p_par'."""
     b2 = state.b_squared()
     plasma = b2 > 1e-12 * float(np.max(b2))
     m = spec(state.psi.values[plasma])
@@ -1169,7 +1181,7 @@ def _whole_grid_field_line(state, spec):
     pperp[active] = pperp_new
     ppar[active] = pperp_new + tau_new * b2_new
     tau[active] = tau_new
-    return b, pperp, ppar, tau, state.psi.values
+    return (b, pperp, tau, state.psi.values), ppar
 
 
 def _whole_grid_anisotropy(state, C):
@@ -1177,7 +1189,7 @@ def _whole_grid_anisotropy(state, C):
     b2 = state.b_squared()
     pperp = C * (state.p_perp.values + 0.5 * b2) - 0.5 * b2
     tau = 1.0 - C * (1.0 - state.tau.values)
-    return state.B.values, pperp, pperp + tau * b2, tau, state.psi.values
+    return state.B.values, pperp, tau, state.psi.values
 
 
 @pytest.fixture(scope="module")
@@ -1207,7 +1219,7 @@ def node_map_source(params, tmp_path_factory):
 
 
 def _fields(state):
-    return state.B.values, state.p_perp.values, state.p_par.values, state.tau.values, state.psi.values
+    return state.B.values, state.p_perp.values, state.tau.values, state.psi.values
 
 
 NODE_MAP_GRIDS = {name: BLOCKED_GRIDS[name] for name in ("9^3 by 2", "17x5x33 by 3", "65^3 by default")}
@@ -1223,7 +1235,7 @@ def test_field_line_transform_in_blocks_is_bit_identical_to_the_whole_grid(
     src = node_map_source(kind, counts)
     slabs = _set_block(monkeypatch, counts, slabs)
     spec = TransformSpec(text)
-    want = _whole_grid_field_line(src, spec)
+    want, want_ppar = _whole_grid_field_line(src, spec)
     b2 = src.b_squared()
     plasma = b2 > 1e-12 * b2.max()
     m = spec(src.psi.values[plasma])
@@ -1234,6 +1246,7 @@ def test_field_line_transform_in_blocks_is_bit_identical_to_the_whole_grid(
     out = apply_infinite_transform(src, spec)
     for got, w in zip(_fields(out), want):
         assert np.array_equal(got, w)
+    assert_p_par_derived(out, want_ppar)
     # M once per plasma node, one call per block; psi stays the source's array
     assert len(sizes) == len(range(0, counts[0], slabs)) and sum(sizes) == plasma.sum()
     assert np.shares_memory(out.psi.values, src.psi.values)
@@ -1275,6 +1288,7 @@ def test_anisotropy_rescaling_in_blocks_is_bit_identical_to_the_whole_grid(
     out = anisotropy_scale_state(src, 1.7)
     for got, w in zip(_fields(out), _whole_grid_anisotropy(src, 1.7)):
         assert np.array_equal(got, w)
+    assert_p_par_derived(out)
     assert np.shares_memory(out.B.values, src.B.values) and np.shares_memory(out.psi.values, src.psi.values)
     if kind == "analytic":
         assert_evaluator_matches_samples(out)
@@ -1325,6 +1339,27 @@ def test_rotation_of_an_anisotropy_rescaled_vortex_is_exact(vortex17):
         assert np.max(np.abs(got - w)) <= 1e-13 * max(np.max(np.abs(w)), 1.0)
 
 
+def test_every_state_path_derives_p_par(vortex17, helical_solution, tmp_path):
+    image = apply_infinite_transform(vortex17, TransformSpec("1 + psi*sin(psi)"))
+    write_state_csv(image, tmp_path / "state.csv")
+    states = {
+        "vortex": vortex17,
+        "field-line transform": image,
+        "rotate": rotate_state(image, *EULER),
+        "translate": translate_state(image, (0.05, -0.02, 0.03), 0.1),
+        "trilinear translate": translate_state(rotate_state(image, *EULER), (0.05, 0.0, 0.0)),
+        "scale generator": scale_state(image, 1.1, 0.9),
+        "scale as-printed": scale_state(image, 1.1, 0.9, "as-printed"),
+        "anisotropy rescaling": anisotropy_scale_state(image, 1.3),
+        "flux_to_cgl": _blocked_source("flux_to_cgl", (9, 9, 9), None, helical_solution),
+        "csv read": read_state_csv(tmp_path / "state.csv"),
+    }
+    for name, state in states.items():
+        assert_p_par_derived(state)
+        if state.evaluators is not None:
+            assert len(state.evaluators.evaluate(*state.grid.meshgrid())) == 4, name
+
+
 def _traced_peak(fn, *args):
     fn(*args)  # compile M and warm every cache first
     tracemalloc.start()
@@ -1364,28 +1399,28 @@ def test_stability_tau_half_is_firehose_stable():
 
 def test_stability_strong_anisotropy_is_firehose_unstable():
     # p_par - p_perp = 2 B^2
-    state = uniform_state(b=(0.0, 0.0, 1.0), p_perp=1.0, p_par=3.0, tau=2.0)
+    state = uniform_state(b=(0.0, 0.0, 1.0), p_perp=1.0, tau=2.0)
     rep = stability_report(state)
     assert np.all(rep.fire_hose == FLAG_UNSTABLE)
 
 
 def test_stability_mirror_example():
     # p_perp (p_perp / (6 p_par) - 1) = 12 > 1 = B^2/2
-    state = uniform_state(b=(0.0, 0.0, np.sqrt(2.0)), p_perp=12.0, p_par=1.0, tau=-11.0 / 2.0)
+    state = uniform_state(b=(0.0, 0.0, np.sqrt(2.0)), p_perp=12.0, tau=-11.0 / 2.0)
     rep = stability_report(state)
     assert np.all(rep.mirror == FLAG_UNSTABLE)
     assert rep.margins["mirror"] == pytest.approx(11.0, rel=1e-12)
 
 
 def test_stability_zero_parallel_pressure_indeterminate():
-    state = uniform_state(b=(0.0, 0.0, 1.0), p_perp=1.0, p_par=0.0, tau=-1.0)
+    state = uniform_state(b=(0.0, 0.0, 1.0), p_perp=1.0, tau=-1.0)
     rep = stability_report(state)
     assert np.all(rep.mirror == FLAG_INDETERMINATE)
     assert rep.counts["indeterminate"] == state.grid.n_nodes
 
 
 def test_stability_field_null_not_applicable():
-    state = uniform_state(b=(0.0, 0.0, 0.0), p_perp=1.0, p_par=1.0)
+    state = uniform_state(b=(0.0, 0.0, 0.0), p_perp=1.0)
     rep = stability_report(state)
     assert rep.counts["applicable"] == 0
 
@@ -1423,21 +1458,20 @@ def test_stability_margins_skip_nonpositive_pressure_nodes():
     # at this node both margins would be the largest: fire-hose 5 and mirror 8/15
     pperp[1, 2, 3], ppar[1, 2, 3] = -1.0, 5.0
     tau = (ppar - pperp) / state.b_squared()
-    rep = stability_report(CGLState(state.B, ScalarGrid(state.grid, pperp), ScalarGrid(state.grid, ppar),
-                                    ScalarGrid(state.grid, tau), state.psi))
+    rep = stability_report(CGLState(state.B, ScalarGrid(state.grid, pperp), ScalarGrid(state.grid, tau), state.psi))
     assert rep.margins == {"fire_hose": -1.0, "mirror": pytest.approx(1.0 / 6.0 - 1.0 - 0.5, rel=1e-15)}
     # flags and counts still cover the node
     assert rep.fire_hose[1, 2, 3] == FLAG_UNSTABLE and rep.mirror[1, 2, 3] == FLAG_UNSTABLE
     assert rep.counts["fire_hose_unstable"] == rep.counts["mirror_unstable"] == 1
     assert rep.counts["nonpositive_pressure"] == 1
     # with no positive-pressure node left there is no margin
-    everywhere = stability_report(uniform_state(b=(0.0, 0.0, 1.0), p_perp=-1.0, p_par=5.0, tau=6.0))
+    everywhere = stability_report(uniform_state(b=(0.0, 0.0, 1.0), p_perp=-1.0, tau=6.0))
     assert everywhere.counts["fire_hose_unstable"] == everywhere.counts["applicable"] == 7**3
     assert everywhere.margins == {"fire_hose": None, "mirror": None}
 
 
 def test_stability_counts_a_nonpositive_parallel_pressure():
-    state = uniform_state(b=(0.0, 0.0, 1.0), p_perp=1.0, p_par=0.0, tau=-1.0)
+    state = uniform_state(b=(0.0, 0.0, 1.0), p_perp=1.0, tau=-1.0)
     rep = stability_report(state)
     assert rep.counts["nonpositive_pressure"] == state.grid.n_nodes
     assert rep.worst_pressure["node"] == [0, 0, 0]
@@ -1474,7 +1508,7 @@ def _spiked_state(spike_node, n=11):
     b = np.zeros((3, *g.counts))
     b[2] = 1.0
     zero = ScalarGrid(g, np.zeros(g.counts))
-    return CGLState(VectorGrid(g, b), ScalarGrid(g, p), ScalarGrid(g, p), zero, zero)
+    return CGLState(VectorGrid(g, b), ScalarGrid(g, p), zero, zero)
 
 
 @pytest.mark.parametrize("mask_radius", [None, 0.7])
@@ -1608,7 +1642,7 @@ def _tau_spike_state():
     state = uniform_state(n=9)
     tau = np.zeros(state.grid.counts)
     tau[7, 4, 4] = 1.5
-    return CGLState(state.B, state.p_perp, state.p_par, ScalarGrid(state.grid, tau), state.psi)
+    return CGLState(state.B, state.p_perp, ScalarGrid(state.grid, tau), state.psi)
 
 
 def _thin_state():
@@ -1616,7 +1650,7 @@ def _thin_state():
     b = np.zeros((3, *g.counts))
     b[2] = 1.0
     one = ScalarGrid(g, np.ones(g.counts))
-    return CGLState(VectorGrid(g, b), one, one, one, one)
+    return CGLState(VectorGrid(g, b), one, one, one)
 
 
 @pytest.mark.parametrize(
@@ -1699,25 +1733,35 @@ def test_state_csv_missing_columns(tmp_path):
 
 
 def test_state_csv_warns_on_inconsistent_tau(tmp_path):
-    state = uniform_state(b=(0.0, 0.0, 1.0), p_perp=1.0, p_par=2.0, tau=1.0)
-    bad = CGLState(
-        state.B,
-        state.p_perp,
-        state.p_par,
-        ScalarGrid(state.grid, np.full(state.grid.counts, 0.25)),  # should be 1.0
-        state.psi,
-    )
+    # a state derives its p_par from tau, so only a file's column can disagree
+    state = uniform_state(b=(0.0, 0.0, 1.0), p_perp=1.0, tau=1.0)
+    columns = equilibria._columns(state)
+    columns["p_par"] = np.full(state.grid.counts, 1.25)  # should be 2.0
     path = tmp_path / "inconsistent.csv"
-    write_state_csv(bad, path)
-    with pytest.warns(RuntimeWarning, match="disagrees"):
-        read_state_csv(path)
+    fd.write_csv(path, dict(zip("xyz", state.grid.axes())), columns)
+    with pytest.warns(RuntimeWarning) as record:
+        back = read_state_csv(path)
+    message = f"{path}: tau column disagrees with (p_par - p_perp)/B^2 (scaled mismatch 7.50e-01)"
+    assert [str(w.message) for w in record] == [message]
+    # the column is checked, then not kept
+    assert_p_par_derived(back)
+    assert np.all(back.p_par.values == 2.0)
+
+
+def test_state_csv_written_here_reads_and_writes_back_byte_identically(tmp_path, vortex17):
+    transformed = apply_infinite_transform(vortex17, TransformSpec("1 + psi*sin(psi)"))
+    for name, state in (("vortex", vortex17), ("transformed", transformed)):
+        first, second = tmp_path / f"{name}.csv", tmp_path / f"{name}-again.csv"
+        write_state_csv(state, first)
+        write_state_csv(read_state_csv(first), second)
+        assert second.read_bytes() == first.read_bytes(), name
 
 
 def test_zero_state_csv_has_one_row_per_node(tmp_path):
     g = Grid3.cube(0.0, 1.0, 2)
     zero_s = ScalarGrid(g, np.zeros(g.counts))
     zero_v = VectorGrid(g, np.zeros((3, *g.counts)))
-    state = CGLState(zero_v, zero_s, zero_s, zero_s, zero_s)
+    state = CGLState(zero_v, zero_s, zero_s, zero_s)
     path = tmp_path / "zero.csv"
     write_state_csv(state, path)
     lines = path.read_text().splitlines()
@@ -1733,7 +1777,7 @@ def test_state_fields_must_share_grid():
     s2 = ScalarGrid(g2, np.zeros(g2.counts))
     v1 = VectorGrid(g1, np.zeros((3, *g1.counts)))
     with pytest.raises(ValueError, match="share one grid"):
-        CGLState(v1, s1, s1, s2, s1)
+        CGLState(v1, s1, s2, s1)
 
 
 def test_vortex_parameters_validate_mode_number(params):

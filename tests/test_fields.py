@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -54,6 +55,27 @@ def test_grid_validation():
 def test_grid_geometry_must_be_finite(build, message):
     with pytest.raises(ValueError, match=message), np.errstate(over="ignore"):
         build()
+
+
+@pytest.mark.parametrize(
+    "origin, spacing, counts",
+    [
+        # a finite last node (1.5e308) that ``axes()`` computes as -1.5e308 + 3e308 = inf
+        ((-1.5e308, 0, 0), (1.5e308, 1, 1), (3, 2, 2)),
+        # a last node at 2e308
+        ((0, 0, 0), (1e308, 1, 1), (3, 2, 2)),
+    ],
+    ids=["finite node computed as inf", "node beyond the float range"],
+)
+def test_grid_nodes_must_be_finite(origin, spacing, counts):
+    message = f"grid origin {origin}, spacing {spacing} and counts {counts} put the last node beyond the float range"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Grid3(origin, spacing, counts)
+
+
+def test_grid_of_two_nodes_spanning_the_float_range():
+    grid = Grid3((-1.5e308, 0, 0), (1.5e308, 1, 1), (2, 2, 2))
+    assert grid.axes()[0].tolist() == [-1.5e308, 0.0]
 
 
 def test_sampling_constant_and_coordinate():
