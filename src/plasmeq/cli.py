@@ -93,21 +93,27 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _read_system(path: str):
-    """The PDE system of the file at ``path``; an error in it names the file."""
+def _naming(source: str, errors: type | tuple[type, ...], fn, *args):
+    """``fn(*args)``, with one of ``errors`` that it raises reported as a
+    ValueError naming ``source``, the file or option the input came from."""
+    try:
+        return fn(*args)
+    except errors as err:
+        raise ValueError(f"{source}: {err}") from None
+
+
+def _read_kernel_file(path: str, parse):
+    """``parse`` of the text of the file at ``path``, a PDE or generator
+    file; an error in it names the file."""
     from .expr import ExprError
     from .lie import LieError
 
-    text = _read_text(path)
-    try:
-        return sys.modules[__name__].PdeSystem.from_text(text)
-    except (ValueError, ExprError, LieError) as err:
-        raise ValueError(f"{path}: {err}") from None
+    return _naming(path, (ValueError, ExprError, LieError), parse, _read_text(path))
 
 
 def cmd_lie_detsys(args) -> tuple[int, dict]:
     kernel = sys.modules[__name__]
-    system = _read_system(args.pde_file)
+    system = _read_kernel_file(args.pde_file, kernel.PdeSystem.from_text)
     det = kernel.build_determining_system(system)
     listing = Path(args.out) / "detsys.txt"
     with open(listing, "w") as fh:
@@ -137,16 +143,10 @@ def cmd_lie_detsys(args) -> tuple[int, dict]:
 
 
 def cmd_lie_verify(args) -> tuple[int, dict]:
-    from .expr import ExprError
-    from .lie import LieError
-
     kernel = sys.modules[__name__]
-    system = _read_system(args.pde_file)
-    text = _read_text(args.generator_file)
-    try:
-        gen = kernel.parse_generator(system.context, text, label=Path(args.generator_file).stem)
-    except (ValueError, ExprError, LieError) as err:
-        raise ValueError(f"{args.generator_file}: {err}") from None
+    system = _read_kernel_file(args.pde_file, kernel.PdeSystem.from_text)
+    label = Path(args.generator_file).stem
+    gen = _read_kernel_file(args.generator_file, lambda text: kernel.parse_generator(system.context, text, label))
     verification = kernel.verify_generator(system, gen)
     nonzero = [kernel.pretty(r) for r in verification if not r.is_zero]
     ok = not nonzero
@@ -206,12 +206,13 @@ def cmd_vortex(args) -> tuple[int, dict]:
 
 def cmd_transform(args) -> tuple[int, dict]:
     from . import equilibria as eq
+    from .expr import ExprError
 
     if not args.m_min > 0:
         raise ValueError(f"--m-min must be positive, got {args.m_min}")
     state = eq.read_state_csv(args.state)
     spec = eq.TransformSpec(args.M, m_min=args.m_min)
-    transformed = eq.apply_infinite_transform(state, spec)
+    transformed = _naming("--M", ExprError, eq.apply_infinite_transform, state, spec)
     eq.write_state_csv(transformed, Path(args.out) / "transformed.csv")
     report = {
         "inputs": {"state": str(args.state)},
@@ -264,10 +265,11 @@ def cmd_flux_solve(args) -> tuple[int, dict]:
 def cmd_flux_tocgl(args) -> tuple[int, dict]:
     from . import equilibria as eq
     from . import flux as fx
+    from .expr import ExprError
 
     sol = fx.load_solution(args.solution)
     grid = fx.default_cartesian_box(sol.problem, args.grid)
-    state = fx.flux_to_cgl(sol, args.tau, grid=grid)
+    state = _naming("--tau", ExprError, fx.flux_to_cgl, sol, args.tau, grid)
     eq.write_state_csv(state, Path(args.out) / "state.csv")
     report = {
         "inputs": {"solution": str(args.solution)},

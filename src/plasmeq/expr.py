@@ -7,7 +7,9 @@ independent variable, a dependent variable, a derivative coordinate, or a
 free parameter) or an opaque ``FnAtom`` application such as ``sin(psi)`` or
 an undetermined tangent-field component ``xi_x(x, y, z, B1, ...)``.
 Opaque applications are never rewritten; their partial derivatives are
-fresh atoms carrying a derivative multi-index.  Structural equality of
+fresh atoms carrying a derivative multi-index.  Partial and total
+derivatives come from one walk of the terms, ``Expr.derivatives``, which
+takes a rule for the derivative of each atom.  Structural equality of
 normal forms therefore decides equality for all expression classes handled
 here (polynomials in jet coordinates with atomic unknowns).
 
@@ -464,64 +466,39 @@ class Expr:
             out = out + term
         return out
 
-    def pdiff(self, sym: Symbol) -> "Expr":
-        """Partial derivative treating every other atom as constant: the
-        one-symbol case of ``gradient``.
-
-        Derivatives of opaque applications follow the chain rule through
-        their arguments, producing derivative-tagged atoms.
-        """
-        return self.gradient((sym,))[sym]
-
     def gradient(self, symbols: Iterable[Symbol]) -> dict[Symbol, "Expr"]:
         """The partial derivative along each of ``symbols``, from one walk of
-        the terms: symbol -> derivative, zero where the expression does not
-        depend on the symbol.
+        the terms (``derivatives``): symbol -> derivative.  Opaque
+        applications chain through their arguments to tagged atoms."""
+        wanted = dict.fromkeys(symbols)
 
-        Each derivative's terms come in the order of a sum built term by
-        term and factor by factor, as ``_derive`` builds a total derivative:
-        a monomial whose coefficient cancels leaves the sum, and comes back
-        at its end if a later factor brings it again.
-        """
-        maps: dict[Symbol, dict] = {s: {} for s in symbols}
+        def rule(atom: Atom):
+            if isinstance(atom, Symbol):
+                return ((atom, ONE),) if atom in wanted else ()
+            return _chain_rule(atom, [arg.derivatives(wanted, rule) for arg in atom.args], wanted)
+
+        return self.derivatives(wanted, rule)
+
+    def derivatives(self, keys: Iterable, rule: Callable[[Atom], Iterable[tuple]]) -> dict:
+        """One derivative per key, from one walk of the terms: key ->
+        derivative.  ``rule(atom)`` gives the pairs (key, derivative of the
+        atom) whose derivative is nonzero; the product rule does the rest.
+        The terms come in the order of a sum built term by term and factor
+        by factor: a monomial whose coefficient cancels leaves the sum, and
+        comes back at its end if a later factor brings it again."""
+        maps: dict = {key: {} for key in keys}
         for m, c in self._terms.items():
             for i, (a, k) in enumerate(m):
-                if isinstance(a, Symbol):
-                    target = maps.get(a)
-                    if target is None:
-                        continue
-                    parts = ((target, ONE),)
-                else:
-                    dargs = [arg.gradient(maps) for arg in a.args]
-                    parts = []
-                    for s, target in maps.items():
-                        da = _chain_rule(a, [g[s] for g in dargs])
-                        if not da.is_zero:
-                            parts.append((target, da))
-                    if not parts:
-                        continue
-                # lowering one exponent keeps the factors in order
-                rest = m[:i] + ((a, k - 1),) + m[i + 1 :] if k > 1 else m[:i] + m[i + 1 :]
-                ck = _coefficient(c * k)
-                for target, da in parts:
-                    if da is ONE:
-                        _accumulate(target, rest, ck)
-                        continue
-                    for dm, dc in da._terms.items():
-                        _accumulate(target, _mono_mul(rest, dm), _coefficient(ck * dc))
-        return {s: Expr._trusted(t) if t else ZERO for s, t in maps.items()}
-
-    def _derive(self, atom_rule: Callable[[Atom], "Expr"]) -> "Expr":
-        out = ZERO
-        for m, c in self._terms.items():
-            for i, (a, k) in enumerate(m):
-                da = atom_rule(a)
-                if da.is_zero:
+                parts = rule(a)
+                if not parts:
                     continue
                 # lowering one exponent keeps the factors in order
                 rest = m[:i] + ((a, k - 1),) + m[i + 1 :] if k > 1 else m[:i] + m[i + 1 :]
-                out = out + Expr._trusted({rest: _coefficient(c * k)}) * da
-        return out
+                ck = _coefficient(c * k)
+                for key, da in parts:
+                    for dm, dc in da._terms.items():
+                        _accumulate(maps[key], _mono_mul(rest, dm), _coefficient(ck * dc))
+        return {key: Expr._trusted(t) if t else ZERO for key, t in maps.items()}
 
     # -- numeric evaluation ---------------------------------------------------
     def evaluate(self, env: Mapping[str, object]):
@@ -592,14 +569,19 @@ def _accumulate(terms: dict, mono: Monomial, c) -> None:
         del terms[mono]
 
 
-def _chain_rule(atom: FnAtom, dargs: list[Expr]) -> Expr:
-    """Derivative of an opaque application: the sum over argument slots of
-    the slot-tagged atom times that argument's derivative, ``dargs[slot]``."""
-    out = ZERO
-    for slot, darg in enumerate(dargs):
-        if not darg.is_zero:
-            out = out + Expr.from_atom(atom.bump(slot)) * darg
-    return out
+def _chain_rule(atom: FnAtom, dargs: list[dict], keys: Iterable) -> list[tuple]:
+    """The nonzero derivatives of an opaque application along ``keys``, as
+    (key, derivative) pairs: each the sum over argument slots of the
+    slot-tagged atom times that argument's derivative, ``dargs[slot][key]``."""
+    parts = []
+    for key in keys:
+        out = ZERO
+        for slot, darg in enumerate(dargs):
+            if not darg[key].is_zero:
+                out = out + Expr.from_atom(atom.bump(slot)) * darg[key]
+        if not out.is_zero:
+            parts.append((key, out))
+    return parts
 
 
 def _takes_in_place(acc, value) -> bool:
@@ -733,19 +715,16 @@ class Context:
         for head, argnames in (unknowns or {}).items():
             if head in self._by_name:
                 raise ValueError(f"unknown function {head!r} collides with a variable")
-            self.unknowns[head] = tuple(self._resolve(n) for n in argnames)
+            self.unknowns[head] = tuple(self.symbol(n) for n in argnames)
 
-    def _resolve(self, name: str) -> Symbol:
+    def symbol(self, name: str) -> Symbol:
         try:
             return self._by_name[name]
         except KeyError:
             raise KeyError(f"undeclared identifier {name!r}") from None
 
-    def symbol(self, name: str) -> Symbol:
-        return self._resolve(name)
-
     def var(self, name: str) -> Expr:
-        return Expr.from_atom(self._resolve(name))
+        return Expr.from_atom(self.symbol(name))
 
     def extended(
         self,
@@ -775,7 +754,7 @@ class Context:
 
     def _jet(self, dep: Symbol | str, wrt: tuple[Symbol | str, ...]) -> Symbol:
         if isinstance(dep, str):
-            dep = self._resolve(dep)
+            dep = self.symbol(dep)
         if dep.kind == "jet":
             base = dep.base
             names = list(dep.wrt)
@@ -794,10 +773,8 @@ class Context:
         names.sort(key=lambda n: self._indep_rank[n])
         return Symbol("_".join([base, *names]), "jet", base=base, wrt=tuple(names))
 
-    def unknown_atom(self, head: str, dtag: Iterable[int] | None = None) -> FnAtom:
-        args = tuple(Expr.from_atom(s) for s in self.unknowns[head])
-        tag = tuple(dtag) if dtag is not None else (0,) * len(args)
-        return FnAtom(head, args, tag)
+    def unknown_atom(self, head: str, dtag: Iterable[int] = ()) -> FnAtom:
+        return FnAtom(head, (Expr.from_atom(s) for s in self.unknowns[head]), dtag)
 
     def unknown_pdiff(self, head: str, wrt: Iterable[Symbol]) -> FnAtom:
         """Derivative-tagged atom for an unknown function."""
@@ -807,27 +784,32 @@ class Context:
             if s not in slots:
                 raise ValueError(f"{head!r} does not depend on {s.name!r}")
             tag[slots[s]] += 1
-        return FnAtom(head, tuple(Expr.from_atom(s) for s in self.unknowns[head]), tuple(tag))
+        return self.unknown_atom(head, tag)
 
     # -- total derivative ------------------------------------------------------
     def total_derivative(self, e: Expr, x: Symbol | str) -> Expr:
-        """Total derivative D_x: promotes dependents and jets, chains through
-        opaque arguments, annihilates other independents and parameters."""
-        if isinstance(x, str):
-            x = self._resolve(x)
-        if x not in self.independents:
-            raise ValueError(f"total derivative is taken along an independent variable, got {x.name!r}")
+        """Total derivative D_x: the one-variable case of ``total_derivatives``."""
+        (d,) = self.total_derivatives(e, (x,)).values()
+        return d
 
-        def rule(atom: Atom) -> Expr:
-            if isinstance(atom, Symbol):
-                if atom.kind == "independent":
-                    return ONE if atom is x else ZERO
-                if atom.kind in ("dependent", "jet"):
-                    return Expr.from_atom(self.jet(atom, (x,)))
-                return ZERO
-            return _chain_rule(atom, [self.total_derivative(arg, x) for arg in atom.args])
+    def total_derivatives(self, e: Expr, along: Iterable[Symbol | str]) -> dict[Symbol, Expr]:
+        """The total derivative D_x along each independent ``x`` of
+        ``along``, from one walk of the terms (``Expr.derivatives``):
+        promotes dependents and jets, chains through opaque arguments,
+        annihilates other independents and parameters."""
+        xs = dict.fromkeys(self.symbol(x) if isinstance(x, str) else x for x in along)
+        for x in xs:
+            if x not in self.independents:
+                raise ValueError(f"total derivative is taken along an independent variable, got {x.name!r}")
 
-        return e._derive(rule)
+        def rule(atom: Atom):
+            if isinstance(atom, FnAtom):
+                return _chain_rule(atom, [arg.derivatives(xs, rule) for arg in atom.args], xs)
+            if atom.kind in ("independent", "parameter"):
+                return ((atom, ONE),) if atom in xs else ()
+            return [(x, Expr.from_atom(self.jet(atom, (x,)))) for x in xs]
+
+        return e.derivatives(xs, rule)
 
     # -- parsing ----------------------------------------------------------------
     def parse(self, text: str) -> Expr:
@@ -848,6 +830,15 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+
+def _literal_too_long(text: str) -> bool:
+    """Whether the literal ``text`` has more digits plus exponent magnitude
+    than 4300, Python's bound on an int's digits in text, judged without
+    big-integer work: an exponent of five digits is over it."""
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.lstrip("+-").lstrip("0")
+    return len(exponent) > 4 or len(mantissa.replace(".", "")) + int(exponent or 0) > 4300
 
 
 class _Token(NamedTuple):
@@ -877,6 +868,8 @@ def _tokenize(text: str) -> list[_Token]:
                 line += newlines
                 line_start = text.rindex("\n", pos, stop) + 1
         elif kind != "comment":
+            if kind == "number" and _literal_too_long(m.group()):
+                raise ParseError("number literal of more than 4300 digits when written out", line, pos - line_start + 1)
             tokens.append(_Token(kind, m.group(), line, pos - line_start + 1))
         pos = stop
     tokens.append(_Token("eof", "", line, pos - line_start + 1))

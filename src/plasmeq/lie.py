@@ -5,7 +5,9 @@ leading derivative coordinates (one per equation), this module
 
 1. forms the tangent-field ansatz ``xi_x(x, u), ..., eta_u(x, u), ...`` as
    opaque unknowns,
-2. prolongs it to first-order derivative coordinates,
+2. prolongs it to first-order derivative coordinates, from the total
+   derivatives of each component, taken in one walk of its terms
+   (``Context.total_derivatives``); those of the xi serve every dependent,
 3. applies the prolonged field to every equation and restricts the result
    to the solution manifold by eliminating the leading coordinates,
 4. splits on monomials in the surviving derivative coordinates, producing
@@ -94,12 +96,7 @@ class PdeSystem:
         for e in eqs:
             _check_first_order_polynomial(e)
         solved = _triangular_solved_form(ctx, eqs, leading)
-        assumptions = []
-        for _jet, (_num, den) in solved.items():
-            if den.constant_value() is None:
-                note = f"{pretty(den)} != 0"
-                if note not in assumptions:
-                    assumptions.append(note)
+        assumptions = dict.fromkeys(_nonzero(den) for _num, den in solved.values() if den.constant_value() is None)
         system = PdeSystem(ctx, tuple(eqs), tuple(leading), solved, tuple(assumptions), prog.target_count)
         for e in eqs:
             residual, _ = reduce_on_manifold(e, solved)
@@ -146,10 +143,7 @@ def _triangular_solved_form(
             )
         num = -parts.get(0, ZERO)
         den = parts[1]
-        lead = None
-        for _m, c in den.terms():
-            lead = c
-        if lead is not None and lead < 0:
+        if _leading_coefficient(den) < 0:
             num, den = -num, -den
         solved[jet] = (num, den)
 
@@ -215,15 +209,18 @@ def reduce_on_manifold(
     to zero under the recorded genericity assumptions, which are returned.
     One pass suffices: the solved pairs mention no leading coordinate.
     """
-    used: list[str] = []
+    used: dict[str, None] = {}
     for jet, (num, den) in solved.items():
         if e.mentions(jet, recurse=False):
             e, power = _substitute_fraction(e, jet, num, den)
             if power and den.constant_value() is None:
-                note = f"{pretty(den)} != 0"
-                if note not in used:
-                    used.append(note)
-    return e, used
+                used[_nonzero(den)] = None
+    return e, list(used)
+
+
+def _nonzero(den: Expr) -> str:
+    """The genericity assumption that a solved denominator is nonzero."""
+    return f"{pretty(den)} != 0"
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +233,23 @@ def prolong_coefficients(
 ) -> dict[Symbol, Expr]:
     """First-prolongation coefficients for one dependent variable:
     the coefficient on d/d(u_i) is D_i(eta) - sum_j u_j * D_i(xi_j)."""
-    if isinstance(dep, str):
-        dep = ctx.symbol(dep)
+    return _prolong(ctx, xi, {ctx.symbol(dep) if isinstance(dep, str) else dep: eta})
+
+
+def _prolong(ctx: Context, xi: list[Expr], eta: dict[Symbol, Expr]) -> dict[Symbol, Expr]:
+    """``prolong_coefficients`` for each dependent u, of component ``eta[u]``,
+    from one D_i walk per component: those of the xi serve every u."""
+    along = ctx.independents
+    dxi = [ctx.total_derivatives(xi_j, along) for xi_j in xi]
     out: dict[Symbol, Expr] = {}
-    for x in ctx.independents:
-        value = ctx.total_derivative(eta, x)
-        for xj, xi_j in zip(ctx.independents, xi):
-            value = value - Expr.from_atom(ctx.jet(dep, (xj,))) * ctx.total_derivative(xi_j, x)
-        out[ctx.jet(dep, (x,))] = value
+    for u, eta_u in eta.items():
+        deta = ctx.total_derivatives(eta_u, along)
+        jets = [Expr.from_atom(ctx.jet(u, (xj,))) for xj in along]
+        for x in along:
+            value = deta[x]
+            for u_j, d in zip(jets, dxi):
+                value = value - u_j * d[x]
+            out[ctx.jet(u, (x,))] = value
     return out
 
 
@@ -255,12 +261,10 @@ def _apply_and_split(
     surviving derivative coordinates.  Also returns the system's assumptions
     extended by the denominators the reduction divided out."""
     ctx = system.context
-    prolonged: dict[Symbol, Expr] = {}
-    for u in ctx.dependents:
-        prolonged.update(prolong_coefficients(ctx, [xi[x] for x in ctx.independents], eta[u], u))
+    prolonged = _prolong(ctx, [xi[x] for x in ctx.independents], {u: eta[u] for u in ctx.dependents})
     jets = system.jets()
     surviving = system.surviving_jets()
-    assumptions = list(system.assumptions)
+    assumptions = dict.fromkeys(system.assumptions)
     splits = []
     for eqn in system.equations:
         grad = eqn.gradient((*ctx.independents, *ctx.dependents, *jets))
@@ -274,11 +278,9 @@ def _apply_and_split(
             if not d.is_zero:
                 applied = applied + prolonged[jet] * d
         reduced, used = reduce_on_manifold(applied, system.solved)
-        for note in used:
-            if note not in assumptions:
-                assumptions.append(note)
+        assumptions.update(dict.fromkeys(used))
         splits.append(collect(reduced, surviving))
-    return splits, assumptions
+    return splits, list(assumptions)
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +310,17 @@ class DeterminingSystem:
         return len(self.equations)
 
 
+def _leading_coefficient(e: Expr) -> int | Fraction:
+    """The coefficient of the canonically largest monomial of a nonzero ``e``."""
+    return e._terms[max(e._terms, key=_mono_key)]
+
+
 def _scalar_normalize(e: Expr) -> Expr:
-    """Divide by the coefficient of the canonically largest monomial so that
-    rational multiples of the same equation coincide structurally."""
+    """Divide by the leading coefficient so that rational multiples of the
+    same equation coincide structurally."""
     if e.is_zero:
         return e
-    lead = e._terms[max(e._terms, key=_mono_key)]
+    lead = _leading_coefficient(e)
     if lead == 1:
         return e
     return e * Expr.number(Fraction(1) / lead)

@@ -422,15 +422,16 @@ def test_the_startup_probe_sees_scipy_once_imported():
 
 
 # errors raised by the symbolic kernel, which cli imports only on the error
-# path: a fresh interpreter meets them with the kernel not yet loaded
+# path: a fresh interpreter meets them with the kernel not yet loaded.  An
+# error in an option's expression names the option
 LAZY_ERRORS = {
     "transform magnitude that ends early": (
         lambda d: ["transform", "--state", str(d / "vortex" / "state.csv"), "--M", "psi+"],
-        "expected a value, found 'end of input' (line 1, column 5)",
+        "--M: expected a value, found 'end of input' (line 1, column 5)",
     ),
     "tocgl tau with a missing exponent": (
         lambda d: ["flux", "tocgl", str(d / "solve" / "solution.json"), "--tau", "psi^"],
-        "exponent must be an integer literal (line 1, column 5)",
+        "--tau: exponent must be an integer literal (line 1, column 5)",
     ),
     # an error in a PDE file names the file
     "detsys of an empty file": (
@@ -639,6 +640,8 @@ SMALL_PDE = "indep x, y;\ndep u;\n{}\neq diff(u,x) = 0;\n"
 
 
 STATE_HEADER = "x,y,z,B1,B2,B3,p_perp,p_par,tau,psi\n"
+
+LONG_LITERAL = "number literal of more than 4300 digits when written out"
 
 # case -> (argv builder, fragment of the error message)
 BAD_INPUTS = {
@@ -896,6 +899,29 @@ BAD_INPUTS = {
         lambda tmp: ["transform", "--state", _state(tmp), "--M", "1e400"],
         "constant beyond the float range in '1e400'",
     ),
+    # a literal is refused from its text, before any big-integer work on it
+    "transform magnitude of ten million digits": (
+        lambda tmp: ["transform", "--state", _state(tmp), "--M", "1e10000000"],
+        f"--M: {LONG_LITERAL} (line 1, column 1)",
+    ),
+    "tocgl tau of 5000 digits": (
+        lambda tmp: ["flux", "tocgl", _solution(tmp), "--tau", "psi/" + "7" * 5000],
+        f"--tau: {LONG_LITERAL} (line 1, column 5)",
+    ),
+    "PDE file with a literal of three million digits": (
+        lambda tmp: ["lie", "detsys", _file(tmp, "big.pde", SMALL_PDE.format("eq diff(u,y) = 1e3000000*u;"))],
+        f"big.pde: {LONG_LITERAL} (line 3, column 16)",
+    ),
+    "generator file with a literal of three million digits": (
+        lambda tmp: [
+            "lie", "verify", data_path("mhd_static.pde"), _file(tmp, "big.gen", "xi(x) = 1;\neta(P) = 1e3000000;\n"),
+        ],
+        f"big.gen: {LONG_LITERAL} (line 2, column 10)",
+    ),
+    "flux profile of ten million digits": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ndN = 1e10000000")],
+        f"problem.flux: dN: {LONG_LITERAL} (line 1, column 1)",
+    ),
     "tolerance of nan": (
         lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ntol = nan")],
         "problem.flux: tol must be finite, got nan",
@@ -1021,6 +1047,8 @@ def test_bad_input_exits_two_with_an_error(tmp_path, capsys, case):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [err.splitlines()[0]]
+    assert "Traceback" not in err
     assert message in err
     if out.is_file():
         # --out names a file: it stays as it was and no report can be written

@@ -166,6 +166,19 @@ def test_compile_numeric_refuses_a_constant_beyond_the_float_range(text):
         compile_numeric(text, ["psi"])
 
 
+def test_a_literal_is_refused_past_4300_digits_written_out():
+    ctx = Context(independents=["psi"])
+    # digits plus the magnitude of the exponent: 4300 is read, 4301 is not
+    for text in ("1e4299", "1.5e4298", "1e-4299", "9" * 4300, "1e999"):
+        ctx.parse(text)
+    for text in ("1e4300", "1.5e4299", "1e-4300", "9" * 4301, "1e" + "9" * 5000, "1e0000000000000000000005000"):
+        with pytest.raises(ParseError, match=r"^number literal of more than 4300 digits when written out \(line 1"):
+            ctx.parse(text)
+    # 1e999 is read, and refused as a float constant
+    with pytest.raises(ExprError, match=r"^constant beyond the float range in '1e999'"):
+        compile_numeric("1e999", ["psi"])
+
+
 def test_compile_numeric_keeps_constants_a_float_can_hold():
     # 1e-400 rounds to zero and 10^308 is finite: neither is refused
     assert compile_numeric("psi + 1e-400 + 10^308", ["psi"])(1.0) == 1.0 + 1e308
@@ -454,8 +467,8 @@ def test_arithmetic_keeps_coefficients_exact_and_equal_to_fraction_arithmetic(p,
     assert _as_ref(a / Expr.number(k)) == {e: c / Fraction(k) for e, c in ra.items()}
     # d/dc scales by the exponent, so (1/2)*c^2 gives an integral c
     c_sym = next(_hatoms[2].atoms())
-    assert _as_ref(a.pdiff(c_sym)) == _ref_pdiff(ra, 2)
-    assert _as_ref((a * b).pdiff(c_sym)) == _ref_pdiff(_ref_mul(ra, rb), 2)
+    assert _as_ref(a.gradient([c_sym])[c_sym]) == _ref_pdiff(ra, 2)
+    assert _as_ref((a * b).gradient([c_sym])[c_sym]) == _ref_pdiff(_ref_mul(ra, rb), 2)
     # collect on u and u_y: every coefficient exact, and the split recombines
     basis = [next(_hatoms[1].atoms()), next(_hatoms[3].atoms())]
     recombined = {}
@@ -697,13 +710,20 @@ _gatoms = [
     for a in (_gctx.symbol("x"), _gctx.symbol("u"), _gctx.jet("u", "x"), _gsin, _gsin.bump(0), _gsin.bump(0).bump(0))
 ]
 _gwanted = (*_gctx.independents, *_gctx.dependents, _gctx.jet("u", "x"), _gctx.jet("u", "y"), *_gctx.parameters)
-_gterms = st.lists(
-    st.tuples(
-        st.one_of(st.sampled_from([-2, -1, 1, 2]), st.fractions(min_value=-3, max_value=3, max_denominator=3)),
-        st.tuples(*[st.integers(0, 2)] * len(_gatoms)),
-    ),
-    max_size=8,
-)
+
+
+def _term_lists(n_atoms):
+    """Lists of (coefficient, exponent of each atom) terms."""
+    return st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([-2, -1, 1, 2]), st.fractions(min_value=-3, max_value=3, max_denominator=3)),
+            st.tuples(*[st.integers(0, 2)] * n_atoms),
+        ),
+        max_size=8,
+    )
+
+
+_gterms = _term_lists(len(_gatoms))
 # d/dx of the second term gives -2*sin'(.)*sin''(.)^2, that of the fourth
 # cancels it, and that of the sixth brings it back
 _CANCELLING = [
@@ -716,27 +736,66 @@ _CANCELLING = [
 ]
 
 
-def _gbuild(terms):
+def _gbuild(terms, atoms=_gatoms):
     e = Expr.number(0)
     for q, exps in terms:
         mono = Expr.number(q)
-        for atom, k in zip(_gatoms, exps):
+        for atom, k in zip(atoms, exps):
             mono = mono * atom**k
         e = e + mono
     return e
 
 
+def _ref_derive(e, atom_rule):
+    """A derivative as a running sum, the reference for the kernel's walk:
+    each factor's term is added to the sum built so far."""
+    from plasmeq.expr import _coefficient
+
+    out = Expr.number(0)
+    for m, c in e._terms.items():
+        for i, (a, k) in enumerate(m):
+            da = atom_rule(a)
+            if da.is_zero:
+                continue
+            # lowering one exponent keeps the factors in order
+            rest = m[:i] + ((a, k - 1),) + m[i + 1 :] if k > 1 else m[:i] + m[i + 1 :]
+            out = out + Expr._trusted({rest: _coefficient(c * k)}) * da
+    return out
+
+
+def _ref_chain_rule(atom, dargs):
+    out = Expr.number(0)
+    for slot, darg in enumerate(dargs):
+        if not darg.is_zero:
+            out = out + Expr.from_atom(atom.bump(slot)) * darg
+    return out
+
+
 def _walk_pdiff(e, sym):
     """The partial derivative as a total-derivative walk builds it: one
     symbol at a time, each factor's term added to a running sum."""
-    from plasmeq.expr import ONE, ZERO, _chain_rule
 
     def rule(atom):
         if isinstance(atom, Symbol):
-            return ONE if atom is sym else ZERO
-        return _chain_rule(atom, [_walk_pdiff(arg, sym) for arg in atom.args])
+            return Expr.number(1 if atom is sym else 0)
+        return _ref_chain_rule(atom, [_walk_pdiff(arg, sym) for arg in atom.args])
 
-    return e._derive(rule)
+    return _ref_derive(e, rule)
+
+
+def _walk_total(ctx, e, x):
+    """D_x as a running sum, one independent at a time."""
+
+    def rule(atom):
+        if isinstance(atom, Symbol):
+            if atom.kind == "independent":
+                return Expr.number(1 if atom is x else 0)
+            if atom.kind in ("dependent", "jet"):
+                return Expr.from_atom(ctx.jet(atom, (x,)))
+            return Expr.number(0)
+        return _ref_chain_rule(atom, [_walk_total(ctx, arg, x) for arg in atom.args])
+
+    return _ref_derive(e, rule)
 
 
 @settings(max_examples=80, deadline=None)
@@ -749,7 +808,7 @@ def test_gradient_is_each_pdiff_in_value_and_term_order(terms):
     for s in _gwanted:
         walked = list(_walk_pdiff(e, s)._terms.items())
         assert list(grad[s]._terms.items()) == walked
-        assert list(e.pdiff(s)._terms.items()) == walked
+        assert list(e.gradient([s])[s]._terms.items()) == walked
 
 
 def test_a_monomial_that_cancels_mid_walk_comes_back_at_the_end():
@@ -759,8 +818,63 @@ def test_a_monomial_that_cancels_mid_walk_comes_back_at_the_end():
     # summed with cancelled monomials kept in place, it would come third of
     # twelve; the walk drops it and appends it again
     order = list(e.gradient([x])[x]._terms)
-    assert len(order) == 12 and order.index(back) == 10 and e.pdiff(x)._terms[back] == 2
-    assert e.gradient([x])[x] == e.pdiff(x) == _walk_pdiff(e, x)
+    assert len(order) == 12 and order.index(back) == 10 and e.gradient([x])[x]._terms[back] == 2
+    assert e.gradient([x])[x] == e.gradient(_gwanted)[x] == _walk_pdiff(e, x)
+
+
+# -- total derivative ---------------------------------------------------------------
+
+_tctx = Context(["x", "y"], ["u", "v"], ["c"], {"f": ("x", "u")})
+# the first six slots follow _gatoms, with sin(x + c*u) and two of its
+# derivatives; then a second independent, a parameter, an unknown function
+# and one of its derivatives, and a nested sin
+_tsin = FnAtom("sin", (_tctx.parse("x + c*u"),))
+_tatoms = [
+    Expr.from_atom(a)
+    for a in (
+        _tctx.symbol("x"),
+        _tctx.symbol("u"),
+        _tctx.jet("v", "x"),
+        _tsin,
+        _tsin.bump(0),
+        _tsin.bump(0).bump(0),
+        _tctx.symbol("y"),
+        _tctx.symbol("c"),
+        _tctx.unknown_atom("f"),
+        _tctx.unknown_pdiff("f", [_tctx.symbol("u")]),
+        FnAtom("sin", (_tctx.parse("y*sin(u*v) + c"),)),
+    )
+]
+_tterms = _term_lists(len(_tatoms))
+# D_x multiplies the derivative of each sin atom by 1 + c*u_x, so the terms
+# of _CANCELLING cancel and bring back a monomial of D_x as they do one of d/dx
+_TOTAL_CANCELLING = [(q, exps + (0,) * 5) for q, exps in _CANCELLING]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_tterms)
+@example(_TOTAL_CANCELLING)
+def test_total_derivative_is_the_running_sum_in_value_and_term_order(terms):
+    e = _gbuild(terms, _tatoms)
+    for x in _tctx.independents:
+        walked = list(_walk_total(_tctx, e, x)._terms.items())
+        assert list(_tctx.total_derivative(e, x)._terms.items()) == walked
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tterms)
+@example(_TOTAL_CANCELLING)
+def test_total_derivatives_are_each_total_derivative_in_term_order(terms):
+    e = _gbuild(terms, _tatoms)
+    both = _tctx.total_derivatives(e, ["y", _tctx.symbol("x")])
+    assert list(both) == [_tctx.symbol("y"), _tctx.symbol("x")]
+    for x, d in both.items():
+        assert list(d._terms.items()) == list(_tctx.total_derivative(e, x)._terms.items())
+
+
+def test_total_derivatives_refuse_a_dependent():
+    with pytest.raises(ValueError, match="along an independent variable, got 'u'"):
+        _tctx.total_derivatives(_tctx.var("x"), ["x", "u"])
 
 
 # -- error positions ----------------------------------------------------------------
@@ -782,6 +896,7 @@ PARSE_ERROR_POSITIONS = {
         "differentiation by a dependent": ("indep x;\ndep u;\neq diff(u, x) = diff(u,\n\tu);\n", (3, 22)),
         "bad character after blank lines": ("indep x;\n\n\n   \t@", (4, 5)),
         "malformed unknown after a tab": ("indep x;\ndep u;\n\tunknown f x;\n", (3, 2)),
+        "number literal too long to write out": ("indep x;\ndep u;\neq diff(u,x) =\n\t2*1e3000000*u;\n", (4, 4)),
     },
     "gen": {
         "bad character on a continued line": ("xi(x) = x\n  + @;\n", (2, 5)),
@@ -789,6 +904,7 @@ PARSE_ERROR_POSITIONS = {
         "component assigned twice": ("xi(x) = 1;\n\txi(x) = 2;\n", (2, 2)),
         "statement without parentheses": ("  xi x = 1;\n", (1, 3)),
         "empty component over two lines": ("xi(x) =\n\n  ;\n", (1, 7)),
+        "number literal of 5000 digits": ("xi(x) = 1;\neta(u) = x - " + "9" * 5000 + ";\n", (2, 14)),
     },
     "M": {
         "unclosed call after a tab": ("1 + psi*\tsin(psi", (1, 17)),
@@ -796,6 +912,8 @@ PARSE_ERROR_POSITIONS = {
         "bad character on a second line": ("1 +\n psi $", (2, 6)),
         "undeclared name after a comment": ("psi # comment\n + q", (2, 4)),
         "division by zero": ("psi / (1 - 1)", (1, 5)),
+        "number literal too long to write out": ("psi*1e10000000", (1, 5)),
+        "number literal with a small exponent over many digits": ("1 + 0." + "0" * 4300 + "1e4", (1, 5)),
     },
 }
 

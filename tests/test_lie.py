@@ -80,6 +80,25 @@ def test_prolonged_coefficients_quadratic_in_jets(mhd):
                 assert jet_degree <= 2
 
 
+@pytest.mark.parametrize("name, walks", [("mhd", 7), ("cgl_closed", 8)])
+def test_prolongation_walks_each_component_once(monkeypatch, name, walks):
+    # one walk per xi_j and per eta_u: D_i(xi_j) serves every dependent
+    system = load_system(name)
+    gen = classical_generators(system)[0]
+    calls = []
+    walk = Context.total_derivatives
+
+    def counted(self, e, along):
+        calls.append(tuple(along))
+        return walk(self, e, along)
+
+    monkeypatch.setattr(Context, "total_derivatives", counted)
+    verify_generator(system, gen)
+    ctx = system.context
+    assert walks == len(ctx.independents) + len(ctx.dependents)
+    assert calls == [ctx.independents] * walks
+
+
 # -- solved form ----------------------------------------------------------------
 
 
@@ -395,7 +414,7 @@ def _substitution_verdict(system, det, cand):
             value = components[atom.head]
             for slot, count in enumerate(atom.dtag):
                 for _ in range(count):
-                    value = value.pdiff(args[slot])
+                    value = value.gradient((args[slot],))[args[slot]]
             cache[key] = value
         return cache[key]
 
