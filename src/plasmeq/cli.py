@@ -268,6 +268,7 @@ def cmd_flux_tocgl(args) -> tuple[int, dict]:
     from .expr import ExprError
 
     sol = fx.load_solution(args.solution)
+    _naming(args.solution, ValueError, sol.pressure)  # a dN with no exact N
     grid = fx.default_cartesian_box(sol.problem, args.grid)
     state = _naming("--tau", ExprError, fx.flux_to_cgl, sol, args.tau, grid)
     eq.write_state_csv(state, Path(args.out) / "state.csv")

@@ -7,7 +7,8 @@ independent variable, a dependent variable, a derivative coordinate, or a
 free parameter) or an opaque ``FnAtom`` application such as ``sin(psi)`` or
 an undetermined tangent-field component ``xi_x(x, y, z, B1, ...)``.
 Opaque applications are never rewritten; their partial derivatives are
-fresh atoms carrying a derivative multi-index.  Partial and total
+fresh atoms carrying a derivative multi-index, or for the numeric
+functions, with ``exact``, the entries of one table.  Partial and total
 derivatives come from one walk of the terms, ``Expr.derivatives``, which
 takes a rule for the derivative of each atom.  Structural equality of
 normal forms therefore decides equality for all expression classes handled
@@ -29,6 +30,7 @@ structurally equal expression.
 from __future__ import annotations
 
 import functools
+import math
 import re
 import weakref
 from dataclasses import dataclass
@@ -466,18 +468,27 @@ class Expr:
             out = out + term
         return out
 
-    def gradient(self, symbols: Iterable[Symbol]) -> dict[Symbol, "Expr"]:
+    def gradient(self, symbols: Iterable[Symbol], exact: bool = False) -> dict[Symbol, "Expr"]:
         """The partial derivative along each of ``symbols``, from one walk of
         the terms (``derivatives``): symbol -> derivative.  Opaque
-        applications chain through their arguments to tagged atoms."""
+        applications chain through their arguments to tagged atoms, or with
+        ``exact``, the ``NUMERIC_FUNCTIONS`` to their ``_DERIVATIVES``."""
         wanted = dict.fromkeys(symbols)
 
         def rule(atom: Atom):
             if isinstance(atom, Symbol):
                 return ((atom, ONE),) if atom in wanted else ()
-            return _chain_rule(atom, [arg.derivatives(wanted, rule) for arg in atom.args], wanted)
+            return _chain_rule(atom, [arg.derivatives(wanted, rule) for arg in atom.args], wanted, exact)
 
         return self.derivatives(wanted, rule)
+
+    def antiderivative(self, sym: Symbol) -> "Expr":
+        """The antiderivative in ``sym``, zero at sym = 0, of a polynomial in
+        ``sym``; a CollectError when ``sym`` is inside a function argument."""
+        parts = self.coefficients_in(sym)
+        if any(c.mentions(sym) for c in parts.values()):
+            raise CollectError(f"not a polynomial in {sym.name}: it appears inside a function application")
+        return sum((c * Expr.from_atom(sym, k + 1) / (k + 1) for k, c in parts.items()), ZERO)
 
     def derivatives(self, keys: Iterable, rule: Callable[[Atom], Iterable[tuple]]) -> dict:
         """One derivative per key, from one walk of the terms: key ->
@@ -569,16 +580,19 @@ def _accumulate(terms: dict, mono: Monomial, c) -> None:
         del terms[mono]
 
 
-def _chain_rule(atom: FnAtom, dargs: list[dict], keys: Iterable) -> list[tuple]:
-    """The nonzero derivatives of an opaque application along ``keys``, as
-    (key, derivative) pairs: each the sum over argument slots of the
-    slot-tagged atom times that argument's derivative, ``dargs[slot][key]``."""
+def _chain_rule(atom: FnAtom, dargs: list[dict], keys: Iterable, exact: bool = False) -> list[tuple]:
+    """The nonzero derivatives of an application along ``keys``, as (key,
+    derivative) pairs: each the sum over argument slots of the slot-tagged
+    atom, or with ``exact`` a numeric function's ``_DERIVATIVES`` entry,
+    times that argument's derivative, ``dargs[slot][key]``."""
+    numeric = exact and atom.head in _DERIVATIVES and not any(atom.dtag)
     parts = []
     for key in keys:
         out = ZERO
         for slot, darg in enumerate(dargs):
             if not darg[key].is_zero:
-                out = out + Expr.from_atom(atom.bump(slot)) * darg[key]
+                outer = _DERIVATIVES[atom.head](atom.args[slot]) if numeric else Expr.from_atom(atom.bump(slot))
+                out = out + outer * darg[key]
         if not out.is_zero:
             parts.append((key, out))
     return parts
@@ -618,8 +632,24 @@ def _atom_value(atom: Atom, env, rules: Mapping[str, Callable], values: dict):
     return fn(*[a._evaluate(env, rules, values) for a in atom.args])
 
 
-# the functions with a numeric rule, by name
-NUMERIC_FUNCTIONS = frozenset({"sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "tanh", "inv"})
+def _apply(head: str, u: Expr) -> Expr:
+    return Expr.from_atom(FnAtom(head, (u,)))
+
+
+# the functions with a numeric rule, by name: u -> the derivative f'(u)
+_DERIVATIVES: dict[str, Callable[[Expr], Expr]] = {
+    "sin": lambda u: _apply("cos", u),
+    "cos": lambda u: -_apply("sin", u),
+    "tan": lambda u: ONE + _apply("tan", u) ** 2,
+    "exp": lambda u: _apply("exp", u),
+    "log": lambda u: _apply("inv", u),
+    "sqrt": lambda u: _apply("inv", 2 * _apply("sqrt", u)),
+    "inv": lambda u: -_apply("inv", u) ** 2,
+    "sinh": lambda u: _apply("cosh", u),
+    "cosh": lambda u: _apply("sinh", u),
+    "tanh": lambda u: ONE - _apply("tanh", u) ** 2,
+}
+NUMERIC_FUNCTIONS = frozenset(_DERIVATIVES)
 
 
 @functools.cache
@@ -841,6 +871,19 @@ def _literal_too_long(text: str) -> bool:
     return len(exponent) > 4 or len(mantissa.replace(".", "")) + int(exponent or 0) > 4300
 
 
+def _bound_constants(op: "_Token", operands: Iterable[Expr], n: int = 1) -> None:
+    """A ParseError at ``op`` where a coefficient of the product of
+    ``operands``, to the n-th power, may pass the 4300 digits of printing an
+    int: judged by log2 of their term counts and coefficients, not built."""
+    bits = n * sum(
+        math.log2(len(e._terms) or 1)
+        + max((math.log2(max(abs(c.numerator), c.denominator)) for c in e._terms.values()), default=0.0)
+        for e in operands
+    )
+    if bits >= 4300 * math.log2(10):
+        raise ParseError("constant of more than 4300 digits when written out", op.line, op.col)
+
+
 class _Token(NamedTuple):
     type: str
     text: str
@@ -917,6 +960,7 @@ class _Parser:
         while self.peek().text in ("*", "/"):
             op = self.next()
             rhs = self.factor()
+            _bound_constants(op, (e, rhs))
             if op.text == "*":
                 e = e * rhs
             elif rhs.constant_value() == 0:
@@ -937,7 +981,7 @@ class _Parser:
         base = self.primary()
         if self.peek().text != "^":
             return base
-        self.next()
+        op = self.next()
         neg = False
         while self.peek().text in ("+", "-"):
             neg ^= self.next().text == "-"
@@ -945,6 +989,7 @@ class _Parser:
         if tok.type != "number" or not re.fullmatch(r"\d+", tok.text):
             raise ParseError("exponent must be an integer literal", tok.line, tok.col)
         n = int(tok.text)
+        _bound_constants(op, (base,), n)
         if neg:
             q = base.constant_value()
             if q is not None:
@@ -1234,7 +1279,13 @@ def compile_numeric(text: str, variables: Iterable[str]):
     arbitrary code execution.
     """
     names = list(variables)
-    e = Context(independents=names).parse(text)
+    return _numeric_function(Context(independents=names).parse(text), names, text)
+
+
+def _numeric_function(e: Expr, names: list[str], text: str | None = None):
+    """The callable of ``e`` (``text`` by ``pretty`` if not given), with its
+    exact ``derivative(name)`` and, if polynomial, ``antiderivative(name)``."""
+    text = pretty(e) if text is None else text
     _require_float_constants(e, text)
 
     def fn(*args, **kwargs):
@@ -1244,8 +1295,10 @@ def compile_numeric(text: str, variables: Iterable[str]):
             raise EvalError(f"missing values for {missing}")
         return e.evaluate(env)
 
-    fn.expression = e
-    fn.text = text
+    symbol = {name: Symbol(name, "independent") for name in names}
+    fn.expression, fn.text = e, text
+    fn.derivative = lambda name: _numeric_function(e.gradient([symbol[name]], exact=True)[symbol[name]], names)
+    fn.antiderivative = lambda name: _numeric_function(e.antiderivative(symbol[name]), names)
     return fn
 
 

@@ -16,10 +16,11 @@ and each zu sine mode leaves one tridiagonal system in r.  The systems of
 all modes are eliminated together, row by row (the Thomas algorithm
 vectorised over the modes), with the multipliers and pivots computed once
 per solve; every right-hand side then costs two sine transforms and one
-sweep each way.  When no profile J, dJ or dN depends on psi, the
-right-hand side is the same at every iteration and is eliminated once.
-The Dirichlet data enter as the stencil applied to the boundary values, a
-fixed right-hand-side term, so the boundary values are imposed exactly and
+sweep each way.  The kernel differentiates the stated J and N exactly,
+and when no profile J, J' or N' depends on psi, the right-hand side is
+the same at every iteration and is eliminated once.  The Dirichlet data
+enter as the stencil applied to the boundary values, a fixed
+right-hand-side term, so the boundary values are imposed exactly and
 never touched by the iteration.  The terms in J and N are frozen at the
 previous iterate and relaxed: damped Picard iteration around the one
 elimination.
@@ -29,16 +30,15 @@ isotropic Grad-Shafranov/JFKO state B, P = N(psi), which ``check --system
 alt`` inverts.  It evaluates psi through the tensor-product not-a-knot
 bicubic interpolant of the solution (de Boor, A Practical Guide to
 Splines), the interpolant FITPACK's s = 0 bicubic spline also is, and
-refuses points outside the solution domain.  N(psi) is integrated from dN
-by fixed 8-point Gauss-Legendre quadrature on 256 panels and interpolated
-by cubic Hermite polynomials through N and dN at the panel ends.
+refuses points outside the solution domain.  N(psi) is the stated N, or
+the exact antiderivative of a polynomial dN, zero at the smallest attained
+flux value.
 
 The module needs numpy alone.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import warnings
@@ -90,9 +90,8 @@ def __getattr__(name: str):
 
 
 def _as_profile(spec, variables: tuple[str, ...]):
-    """Normalize a profile, a callable or an expression (a number is the
-    expression of its decimal text), into a vectorized callable plus its
-    text form (None for a callable without one)."""
+    """A callable, or an expression (a number is that of its decimal text),
+    as a vectorized callable and its text (None for a callable without)."""
     if spec is None:
         return None, None
     if callable(spec):
@@ -105,23 +104,25 @@ def _as_profile(spec, variables: tuple[str, ...]):
 class FluxProblem:
     """Elliptic problem for the flux function on [r0, r1] x [zu0, zu1].
 
-    ``J``/``dJ`` are the poloidal-current profile and its derivative;
-    ``dN`` is the pressure-profile derivative.  ``boundary`` supplies
-    Dirichlet data as a function of (r, zu); ``source`` is an optional extra
-    term S(r, zu) added to the JFKO form of the equation (used by
-    manufactured-solution tests).  Profile consistency (dJ against J) is probed
-    numerically, not enforced.  ``texts`` holds the expression text of every
-    profile that has one.
+    ``J`` (the poloidal current) and ``N`` (the pressure) are expressions
+    in psi (a number is the expression of its decimal text), and the solve
+    takes their exact derivatives ``dJ`` and ``dN``.  A stated ``dJ`` must
+    be J' as the kernel writes it; ``dN`` may be stated in place of N
+    (``FluxSolution.pressure``).  ``boundary`` (Dirichlet data) and the
+    optional ``source`` (a term added to the JFKO form of the equation)
+    are expressions or functions of (r, zu).  ``texts`` holds the
+    expression text of every stated profile.
     """
 
     r_range: tuple[float, float]
     zu_range: tuple[float, float]
     boundary: object
     J: object = 0.0
-    dJ: object = 0.0
-    dN: object = 0.0
+    dJ: object = None
+    dN: object = None
     gamma: float = 0.0
     source: object = None
+    N: object = None
     texts: dict = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -131,15 +132,27 @@ class FluxProblem:
         a, b = self.zu_range
         if not a < b:
             raise ValueError("empty zu range")
+        if self.N is not None and self.dN is not None:
+            raise ValueError("the pressure is stated twice: give N or dN, not both")
+        if self.N is None and self.dN is None:
+            self.N = 0.0
         self.texts = {}
-        for key in ("J", "dJ", "dN", "boundary", "source"):
+        for key in ("J", "dJ", "N", "dN", "boundary", "source"):
+            spec = getattr(self, key)
+            if callable(spec) and key not in ("boundary", "source"):
+                raise ValueError(f"{key}: a profile is an expression in psi, not a Python callable")
             try:
-                fn, text = _as_profile(getattr(self, key), ("r", "zu") if key in ("boundary", "source") else ("psi",))
+                fn, text = _as_profile(spec, ("r", "zu") if key in ("boundary", "source") else ("psi",))
             except ExprError as err:
                 raise ValueError(f"{key}: {err}") from None
             setattr(self, key, fn)
             if text is not None:
                 self.texts[key] = text
+        stated, self.dJ = self.dJ, self.J.derivative("psi")
+        if stated is not None and stated.expression != self.dJ.expression:
+            raise ValueError(f"dJ = {stated.text} is not the derivative of J = {self.J.text}, which is "
+                             f"{self.dJ.text}: omit dJ, which is taken from J")
+        self.dN = self.dN if self.N is None else self.N.derivative("psi")
 
     @property
     def geometry(self) -> str:
@@ -172,6 +185,19 @@ class FluxSolution:
 
     def attained_range(self) -> tuple[float, float]:
         return float(self.psi.min()), float(self.psi.max())
+
+    def pressure(self):
+        """N(psi): the stated N, or else P(psi) - P(lo), with P the exact
+        antiderivative of a polynomial dN and lo the smallest attained flux."""
+        if "N" in self.problem.texts:
+            return self.problem.N
+        try:
+            antiderivative = self.problem.dN.antiderivative("psi")
+        except ExprError:
+            raise ValueError(f"dN = {self.problem.dN.text} is not a polynomial in psi, so N is not its exact "
+                             "antiderivative: state the pressure profile itself as N") from None
+        level = antiderivative(self.attained_range()[0])
+        return lambda psi: antiderivative(psi) - level
 
 
 def _spline_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -388,10 +414,7 @@ def _nonlinear_term(problem: FluxProblem, r: np.ndarray, S: np.ndarray | None):
 
 
 def _depends_on_psi(profile) -> bool:
-    """Whether a compiled profile may vary with psi: a callable without an
-    expression is taken to."""
-    expression = getattr(profile, "expression", None)
-    return expression is None or any(s.name == "psi" for s in expression.symbols())
+    return any(s.name == "psi" for s in profile.expression.symbols())
 
 
 def solve_flux(
@@ -461,29 +484,7 @@ def solve_flux(
             stacklevel=2,
         )
 
-    solution = FluxSolution(problem, r, zu, psi, tuple(updates), converged)
-    _warn_on_inconsistent_profiles(problem, solution)
-    return solution
-
-
-def _warn_on_inconsistent_profiles(problem: FluxProblem, sol: FluxSolution) -> None:
-    """Probe dJ against a numeric derivative of J at five attained values."""
-    lo, hi = sol.attained_range()
-    if hi - lo <= 0:
-        return
-    samples = np.linspace(lo, hi, 5)
-    step = (hi - lo) * 1e-6
-    numeric = (problem.J(samples + step) - problem.J(samples - step)) / (2.0 * step)
-    stated = problem.dJ(samples)
-    scale = max(1.0, float(np.max(np.abs(numeric))), float(np.max(np.abs(stated))))
-    worst = float(np.max(np.abs(numeric - stated))) / scale
-    if worst > 1e-4:
-        warnings.warn(
-            f"profile dJ deviates from the numeric derivative of J "
-            f"(relative mismatch {worst:.2e} on the attained range)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    return FluxSolution(problem, r, zu, psi, tuple(updates), converged)
 
 
 # ---------------------------------------------------------------------------
@@ -520,60 +521,6 @@ def default_cartesian_box(problem: FluxProblem, counts: int | tuple[int, int, in
     )
 
 
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """8-point Gauss-Legendre nodes and weights on [-1, 1], computed on the
-    first ``flux tocgl`` rather than on every import of this module."""
-    return np.polynomial.legendre.leggauss(8)
-
-
-def _pressure_antiderivative(problem: FluxProblem, sol: FluxSolution):
-    """N(psi), the integral of dN from the smallest attained flux value lo,
-    over the attained range padded by 2 % on either side.
-
-    257 knots split the padded range into 256 panels, with one knot at lo
-    exactly.  Each panel's integral of dN is an 8-point Gauss-Legendre sum
-    (dN is evaluated once, at every node and knot), and the panels are
-    summed outward from lo in both directions, so N(lo) = 0 exactly.  N is
-    the cubic Hermite interpolant through N and its exact slope dN at the
-    knots, exact for dN of degree <= 2.
-    """
-    lo, hi = sol.attained_range()
-    pad = 0.02 * max(hi - lo, 1e-12)
-    start, stop = lo - pad, hi + pad
-    below = round(256 * pad / (stop - start))  # panels below lo
-    knots = np.concatenate([np.linspace(start, lo, below + 1)[:-1], np.linspace(lo, stop, 257 - below)])
-    width = np.diff(knots)
-    gauss_nodes, gauss_weights = _gauss_legendre()
-    nodes = 0.5 * (knots[:-1] + knots[1:])[:, None] + 0.5 * width[:, None] * gauss_nodes
-    points = np.concatenate([knots, nodes.ravel()])
-    dn = np.broadcast_to(np.asarray(problem.dN(points), dtype=float), points.shape)
-    bad = ~np.isfinite(dn)
-    if bad.any():
-        raise ValueError(
-            f"dN is not finite at psi = {float(points[bad].min()):.6g} on the padded flux range "
-            f"[{start:.6g}, {stop:.6g}]"
-        )
-    slope = dn[: len(knots)]
-    panels = 0.5 * width * (dn[len(knots) :].reshape(-1, 8) @ gauss_weights)
-    values = np.zeros(len(knots))
-    values[below + 1 :] = np.cumsum(panels[below:])
-    values[:below] = -np.cumsum(panels[:below][::-1])[::-1]
-
-    def n_of(psi: np.ndarray) -> np.ndarray:
-        k = np.clip(np.searchsorted(knots, psi, side="right") - 1, 0, len(width) - 1)
-        h = width[k]
-        t = (psi - knots[k]) / h
-        t2 = t * t
-        return (
-            values[k] * ((2.0 * t - 3.0) * t2 + 1.0)
-            + values[k + 1] * ((3.0 - 2.0 * t) * t2)
-            + h * (slope[k] * (((t - 2.0) * t + 1.0) * t) + slope[k + 1] * ((t - 1.0) * t2))
-        )
-
-    return n_of
-
-
 def _require_in_domain(problem: FluxProblem, R: np.ndarray, ZU: np.ndarray) -> None:
     """Refuse points (r, zu) outside the solution domain by more than
     rounding (1e-12 relative): the spline would clamp them to its edge."""
@@ -597,8 +544,7 @@ def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
     and stay below one on the attained flux range.  The state is the
     field-line image (``equilibria._field_line_image``) with M =
     (1 - tau)^(-1/2) of the isotropic state: the symmetric-state template
-    field and the pressure N(psi), integrated from the stated profile
-    derivative with N = 0 at the smallest attained flux value.  The stored
+    field and the pressure N(psi) (``FluxSolution.pressure``).  The stored
     label is psi normalized by its largest magnitude on the 2D solution.
     The state's evaluator refuses points outside the solution domain [r0,
     r1] x [zu0, zu1] with a ValueError naming the extent of the points it
@@ -617,7 +563,7 @@ def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
     tau_max = float(np.max(require_defined(f"tau = {tau_text}" if tau_text else "tau", probe, psi_probe)))
     if tau_max >= 1.0:
         raise ValueError(f"tau reaches {tau_max:.6g} on the attained flux range; the mapping needs tau < 1")
-    n_of = _pressure_antiderivative(problem, sol)
+    n_of = sol.pressure()
     spline = sol.spline()
     psi_scale = max(abs(lo), abs(hi)) or 1.0
     gamma = problem.gamma
@@ -661,7 +607,7 @@ def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
 # ---------------------------------------------------------------------------
 
 _DOMAIN_KEYS = ("r0", "r1", "zu0", "zu1")
-_PROFILE_KEYS = ("J", "dJ", "dN", "boundary", "source")
+_PROFILE_KEYS = ("J", "dJ", "N", "dN", "boundary", "source")
 _SOLVER_KEYS = {"nr": int, "nzu": int, "max_iter": int, "tol": float, "omega": float}
 _MANIFEST_KEYS = ("geometry", "profiles", "psi_csv", "resolution", "iterations", "final_update", "converged", "updates")
 
@@ -729,9 +675,10 @@ def parse_problem_file(text: str, where: str = "problem file") -> tuple[FluxProb
     """Parse ``key = value`` lines; expression values stay text until use.
 
     Returns the problem plus solver parameters (resolution, tolerance,
-    iteration cap, relaxation weight).  ``dL`` (the helical name) is an
-    alias of ``dN``.  ``where``, the file's path, leads every error
-    message, and an expression's error names its key too.
+    iteration cap, relaxation weight).  ``L`` and ``dL`` (the helical
+    names) are aliases of ``N`` and ``dN``, and one of the four states the
+    pressure.  ``where``, the file's path, leads every error message, and
+    an expression's error names its key too.
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -745,13 +692,15 @@ def parse_problem_file(text: str, where: str = "problem file") -> tuple[FluxProb
             raise ValueError(f"{where}: line {lineno}: duplicate key {key!r}")
         entries[key] = value
 
-    unknown = entries.keys() - {"geometry", "gamma", "dL", *_DOMAIN_KEYS, *_PROFILE_KEYS, *_SOLVER_KEYS}
+    unknown = entries.keys() - {"geometry", "gamma", "L", "dL", *_DOMAIN_KEYS, *_PROFILE_KEYS, *_SOLVER_KEYS}
     if unknown:
         raise ValueError(f"{where}: unrecognized problem keys: {sorted(unknown)}")
-    if "dL" in entries:
-        if "dN" in entries:
-            raise ValueError(f"{where}: give either dN (axisymmetric) or dL (helical), not both")
-        entries["dN"] = entries.pop("dL")
+    pressure = [k for k in ("N", "L", "dN", "dL") if k in entries]
+    if len(pressure) > 1:
+        raise ValueError(f"{where}: the pressure is stated by both {pressure[0]} and {pressure[1]}: give one of "
+                         "N (the profile; helical L) or dN (its derivative; helical dL), not both")
+    if pressure:  # the helical names L and dL become N and dN
+        entries[pressure[0].replace("L", "N")] = entries.pop(pressure[0])
     problem = _problem(entries, where)
     solver = {k: _number(entries[k], k, where, kind) for k, kind in _SOLVER_KEYS.items() if k in entries}
     params = {
@@ -767,21 +716,16 @@ def write_solution(sol: FluxSolution, directory) -> dict:
     """Write psi.csv (r, zu, psi; zu fastest) plus solution.json and return
     the manifest; writes nothing for a problem it cannot serialize."""
     problem = sol.problem
-    missing = [k for k in ("J", "dJ", "dN", "boundary") if k not in problem.texts]
+    missing = [k for k in ("boundary", "source") if getattr(problem, k) is not None and k not in problem.texts]
     if missing:
-        raise ValueError(
-            f"cannot serialize a problem whose profiles {missing} were supplied as callables"
-        )
+        raise ValueError(f"cannot serialize a problem whose {missing} were supplied as callables")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     csv_path = directory / "psi.csv"
     fd.write_csv(csv_path, {"r": sol.r, "zu": sol.zu}, {"psi": sol.psi})
     manifest = {
         "geometry": problem.geometry,
-        "r0": problem.r_range[0],
-        "r1": problem.r_range[1],
-        "zu0": problem.zu_range[0],
-        "zu1": problem.zu_range[1],
+        **dict(zip(_DOMAIN_KEYS, (*problem.r_range, *problem.zu_range))),
         "gamma": problem.gamma,
         "profiles": problem.texts,
         "resolution": [len(sol.r), len(sol.zu)],

@@ -6,6 +6,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -536,15 +537,19 @@ def test_transform_with_vanishing_magnitude_fails_validation(tmp_path):
     assert read_report(out)["pass"] is False
 
 
+def _solution_file(tmp_path, profile):
+    """The bundled axisymmetric problem with its ``N = 4 - 2*psi`` line
+    replaced by ``profile``."""
+    text = Path(data_path("flux_axisym_example.flux")).read_text()
+    assert "\nN = 4 - 2*psi\n" in text
+    return _file(tmp_path, "problem.flux", text.replace("\nN = 4 - 2*psi\n", f"\n{profile}\n"))
+
+
 def _solution(tmp_path, drop=None, rows=None, profile=None):
-    """Solve the bundled axisymmetric problem, with its ``dN = -2`` line
+    """Solve the bundled axisymmetric problem, with its pressure line
     replaced by ``profile`` if given; optionally drop a manifest key, or
     pass the psi.csv data rows through ``rows``."""
-    problem_file = data_path("flux_axisym_example.flux")
-    if profile is not None:
-        text = Path(problem_file).read_text()
-        assert "\ndN = -2\n" in text
-        problem_file = _file(tmp_path, "problem.flux", text.replace("\ndN = -2\n", f"\n{profile}\n"))
+    problem_file = data_path("flux_axisym_example.flux") if profile is None else _solution_file(tmp_path, profile)
     code, sol_out = run(tmp_path, "sol", "flux", "solve", problem_file)
     assert code == 0
     path = sol_out / "solution.json"
@@ -704,11 +709,30 @@ BAD_INPUTS = {
         lambda tmp: ["transform", "--state", _state(tmp, grid=17), "--M", "log(psi - 2)"],
         "M = log(psi - 2) is undefined (NaN) at psi = ",
     ),
-    "pressure profile undefined on the padded flux range": (
+    # the solve takes dN itself; only the map to a state needs N
+    "pressure derivative that is not a polynomial": (
         lambda tmp: [
             "flux", "tocgl", _solution(tmp, profile="dN = -2 + 0.001*sqrt(psi)"), "--tau", "0.1", "--grid", "9",
         ],
-        "dN is not finite at psi = -0.0",
+        "sol/solution.json: dN = -2 + 0.001*sqrt(psi) is not a polynomial in psi, so N is not its exact "
+        "antiderivative: state the pressure profile itself as N",
+    ),
+    "pressure stated by N and by dN": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\nN = 1 - psi\ndN = -1")],
+        "problem.flux: the pressure is stated by both N and dN: give one of N (the profile; helical L) "
+        "or dN (its derivative; helical dL), not both",
+    ),
+    "pressure stated by the helical L and dN": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "gamma = 0.7\nboundary = r\ndN = -1\nL = 1 - psi")],
+        "problem.flux: the pressure is stated by both L and dN",
+    ),
+    "current derivative that is not J'": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\nJ = psi^2\ndJ = 3*psi")],
+        "problem.flux: dJ = 3*psi is not the derivative of J = psi^2, which is 2*psi: omit dJ, which is taken from J",
+    ),
+    "current derivative that is J' only after simplification": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\nJ = sqrt(psi)\ndJ = 0.5/sqrt(psi)")],
+        "problem.flux: dJ = 0.5/sqrt(psi) is not the derivative of J = sqrt(psi), which is inv(2*sqrt(psi))",
     ),
     "transform to non-finite values": (
         lambda tmp: ["transform", "--state", _state(tmp, grid=17), "--M", "exp(1000*psi)"],
@@ -918,6 +942,21 @@ BAD_INPUTS = {
         ],
         f"big.gen: {LONG_LITERAL} (line 2, column 10)",
     ),
+    # a constant that an operator builds is bounded as a literal is, before it is built
+    "PDE file squaring a literal of three thousand digits": (
+        lambda tmp: ["lie", "detsys", _file(tmp, "big.pde", SMALL_PDE.format("eq diff(u,y) = (1e3000)^2*u;"))],
+        "big.pde: constant of more than 4300 digits when written out (line 3, column 24)",
+    ),
+    "generator file multiplying two literals of three thousand digits": (
+        lambda tmp: [
+            "lie", "verify", data_path("mhd_static.pde"), _file(tmp, "big.gen", "xi(x) = 1;\neta(P) = 1e3000*1e3000;\n"),
+        ],
+        "big.gen: constant of more than 4300 digits when written out (line 2, column 16)",
+    ),
+    "transform magnitude of a power of ten million": (
+        lambda tmp: ["transform", "--state", _state(tmp), "--M", "3^10000000"],
+        "--M: constant of more than 4300 digits when written out (line 1, column 2)",
+    ),
     "flux profile of ten million digits": (
         lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ndN = 1e10000000")],
         f"problem.flux: dN: {LONG_LITERAL} (line 1, column 1)",
@@ -1061,6 +1100,19 @@ def test_bad_input_exits_two_with_an_error(tmp_path, capsys, case):
     assert report["command"] == " ".join(argv[:2] if argv[0] in ("lie", "flux") else argv[:1])
     # a failed command leaves its report and nothing else
     assert [p.name for p in out.iterdir()] == ["report.json"]
+
+
+def test_a_power_of_ten_million_is_refused_within_a_second(tmp_path):
+    # the size of 3^10000000 is judged before it is built, which takes seconds
+    state = _state(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(plasmeq.__file__).parents[1]))
+    argv = [sys.executable, "-m", "plasmeq.cli", "--out", str(tmp_path / "t"), "transform", "--state", state]
+    start = time.perf_counter()
+    proc = subprocess.run([*argv, "--M", "3^10000000"], env=env, capture_output=True, text=True)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --M: constant of more than 4300 digits when written out (line 1, column 2)\n"
+    assert elapsed < 1.0
 
 
 def test_unknown_subcommand_exits_two(tmp_path):
@@ -1243,13 +1295,13 @@ def test_check_reports_the_node_of_the_worst_residual(tmp_path, capsys, mask):
 
 
 def test_check_stability_counts_nonpositive_pressure(tmp_path):
-    code, sol = run(tmp_path, "sol", "flux", "solve", data_path("flux_axisym_example.flux"))
+    # the bundled example with N = -2 psi, negative at every node since psi > 0
+    code, sol = run(tmp_path, "sol", "flux", "solve", _solution_file(tmp_path, "N = -2*psi"))
     assert code == 0
     code, state = run(tmp_path, "state", "flux", "tocgl", str(sol / "solution.json"), "--tau", "psi/2.6", "--grid", "9")
     assert code == 0
     code, out = run(tmp_path, "c", "check", "--state", str(state / "state.csv"), "--system", "cgl", "--stability")
     stability = read_report(out)["stability"]
-    # the bundled example has negative pressures at every node
     assert stability["counts"]["nonpositive_pressure"] == 9**3
     worst = stability["worst_pressure"]
     assert sorted(worst) == ["node", "p_par", "p_perp", "xyz"]

@@ -693,6 +693,23 @@ def transformed_pair(vortex33, vortex65):
     return {state.grid.counts[0]: apply_infinite_transform(state, spec) for state in (vortex33, vortex65)}
 
 
+def test_power_of_two_scaling_moves_the_residual_norms_by_exact_factors(transformed_pair):
+    # x -> 2x, B -> 4B, p_perp -> 16 p_perp (tau and psi kept) maps an
+    # equilibrium to one; each residual scales by s^2/t = 8 (momentum) or
+    # s/t = 2 (div_b, tau_advection), exactly, since powers of two are
+    src = transformed_pair[33]
+    g = src.grid
+    grid = Grid3(tuple(2.0 * o for o in g.origin), tuple(2.0 * h for h in g.spacing), g.counts)
+    scaled = equilibria._state(grid, (4.0 * src.B.values, 16.0 * src.p_perp.values, src.tau.values, src.psi.values), {})
+    factors = {"momentum": 8.0, "div_b": 2.0, "tau_advection": 2.0}
+    for system in ("mhd", "cgl"):
+        want, got = residual_norms(src, system), residual_norms(scaled, system)
+        assert got.keys() == want.keys() <= factors.keys()
+        for name, norms in want.items():
+            assert got[name]["linf"] == factors[name] * norms["linf"], (system, name)
+            assert got[name]["node"] == norms["node"]
+
+
 def test_compiled_cgl_div_b_and_tau_advection_are_the_numpy_stencils_bit_for_bit(transformed_pair):
     for state in transformed_pair.values():
         res = residual_fields(state, "cgl")
@@ -1436,11 +1453,13 @@ def test_stability_names_the_worst_nonpositive_pressure():
     from plasmeq import flux
 
     text = Path(str(resources.files("plasmeq.data").joinpath("flux_axisym_example.flux"))).read_text()
-    problem, _ = flux.parse_problem_file(text)
+    # the bundled example with its pressure level taken off: N = -2 psi is
+    # negative at every node, since psi > 0
+    problem, _ = flux.parse_problem_file(text.replace("\nN = 4 - 2*psi\n", "\nN = -2*psi\n"))
+    assert problem.texts["N"] == "-2*psi"
     sol = flux.solve_flux(problem, (33, 33))
     state = flux.flux_to_cgl(sol, "psi/2.6", grid=flux.default_cartesian_box(problem, 9))
     rep = stability_report(state)
-    # N = 0 at the smallest attained flux and dN = -2: negative at every node
     assert rep.counts["nonpositive_pressure"] == state.grid.n_nodes
     p_min = np.minimum(state.p_perp.values, state.p_par.values)
     node = np.unravel_index(np.argmin(p_min), p_min.shape)

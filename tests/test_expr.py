@@ -14,6 +14,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from plasmeq.expr import (
+    NUMERIC_FUNCTIONS,
     CollectError,
     Context,
     EvalError,
@@ -177,6 +178,16 @@ def test_a_literal_is_refused_past_4300_digits_written_out():
     # 1e999 is read, and refused as a float constant
     with pytest.raises(ExprError, match=r"^constant beyond the float range in '1e999'"):
         compile_numeric("1e999", ["psi"])
+
+
+def test_a_built_constant_is_refused_past_4300_digits_written_out():
+    ctx = Context(independents=["psi"])
+    # 2^14000 has 4215 digits, 3^9000 4295 and 10^4000 4001: each is built and printed
+    for text in ("2^14000", "(1/3)^9000", "1e2000*1e2000", "(1 + psi)^200"):
+        pretty(ctx.parse(text))
+    for text in ("2^14300", "(1/3)^9100", "1e2200*1e2200"):
+        with pytest.raises(ParseError, match=r"^constant of more than 4300 digits when written out \(line 1"):
+            ctx.parse(text)
 
 
 def test_compile_numeric_keeps_constants_a_float_can_hold():
@@ -700,6 +711,105 @@ def test_equality_and_hash_agree_with_structure(e1, e2):
         assert hash(e1) == hash(e2)
 
 
+# -- exact derivatives of the numeric functions ------------------------------------
+
+# f(u) -> f'(u), as the kernel writes each
+DERIVATIVE_TABLE = {
+    "sin(u)": "cos(u)",
+    "cos(u)": "-sin(u)",
+    "tan(u)": "1 + tan(u)^2",
+    "exp(u)": "exp(u)",
+    "log(u)": "1/u",
+    "sqrt(u)": "1/(2*sqrt(u))",
+    "inv(u)": "-inv(u)^2",
+    "sinh(u)": "cosh(u)",
+    "cosh(u)": "sinh(u)",
+    "tanh(u)": "1 - tanh(u)^2",
+}
+
+
+def test_the_derivative_table_covers_the_numeric_functions():
+    assert {f.split("(")[0] for f in DERIVATIVE_TABLE} == NUMERIC_FUNCTIONS
+
+
+@pytest.mark.parametrize("f, df", list(DERIVATIVE_TABLE.items()))
+def test_each_numeric_function_has_its_exact_derivative(f, df):
+    ctx = Context(independents=["u", "v"])
+    u = ctx.symbol("u")
+    assert ctx.parse(f).gradient([u], exact=True)[u] == ctx.parse(df)
+    # the chain rule through the argument: d f(u^2 v) = 2 u v f'(u^2 v)
+    chained = ctx.parse(f.replace("u", "(u^2*v)")).gradient([u], exact=True)[u]
+    assert chained == ctx.parse(f"2*u*v*({df.replace('u', '(u^2*v)')})")
+    # without ``exact``, as lie differentiates, the application stays opaque
+    (tagged,) = ctx.parse(f).gradient([u])[u].atoms()
+    assert tagged == FnAtom(f.split("(")[0], (ctx.var("u"),)).bump(0)
+
+
+_SAFE_INNER = ["", "sin", "tanh"]  # values in (0.3, 1) on the arguments below
+
+
+@st.composite
+def _profiles(draw):
+    """The text of a sum of products of numeric functions of affine
+    arguments in psi, defined and smooth for psi in [0.1, 0.5]."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = [f"psi^{draw(st.integers(0, 2))}"]
+        for _ in range(draw(st.integers(1, 2))):
+            outer, inner = draw(st.sampled_from(sorted(NUMERIC_FUNCTIONS))), draw(st.sampled_from(_SAFE_INNER))
+            c, d = draw(st.sampled_from(["0.6", "0.8", "1"])), draw(st.sampled_from(["-0.5", "0.25", "0.5"]))
+            factors.append(f"{outer}({inner}({c} + {d}*psi))^{draw(st.integers(1, 2))}")
+        terms.append("*".join(factors))
+    return " + ".join(terms)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_profiles())
+def test_compiled_derivatives_match_central_differences(text):
+    f = compile_numeric(text, ["psi"])
+    df = f.derivative("psi")
+    psi, h = np.linspace(0.1, 0.5, 9), 1e-5
+    central = (f(psi + h) - f(psi - h)) / (2.0 * h)
+    assert np.max(np.abs(df(psi) - central)) <= 1e-8 * max(1.0, np.max(np.abs(central))), (text, df.text)
+
+
+_antiderivative_ctx = Context(independents=["psi", "x"])
+_antiderivative_atoms = [_antiderivative_ctx.var("psi"), _antiderivative_ctx.var("x"), _antiderivative_ctx.parse("sin(x)")]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(
+            st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+            st.tuples(st.integers(0, 6), st.integers(0, 2), st.integers(0, 1)),
+        ),
+        max_size=6,
+    )
+)
+def test_the_antiderivative_of_a_polynomial_differentiates_back_to_it(terms):
+    # polynomials in psi whose coefficients hold x and sin(x)
+    psi = _antiderivative_ctx.symbol("psi")
+    p = Expr.number(0)
+    for c, exponents in terms:
+        mono = Expr.number(c)
+        for atom, k in zip(_antiderivative_atoms, exponents):
+            mono = mono * atom**k
+        p = p + mono
+    integral = p.antiderivative(psi)
+    assert integral.gradient([psi], exact=True)[psi] == p
+    assert integral.substitute_atoms(lambda a: Expr.number(0) if a is psi else None).is_zero
+
+
+def test_the_antiderivative_refuses_a_function_of_the_variable():
+    ctx = Context(independents=["psi"])
+    with pytest.raises(CollectError, match="^not a polynomial in psi"):
+        ctx.parse("1 + cos(3*psi)").antiderivative(ctx.symbol("psi"))
+    with pytest.raises(CollectError):
+        compile_numeric("psi*inv(1 + psi)", ["psi"]).antiderivative("psi")
+    assert compile_numeric("2*psi*sin(2)", ["psi"]).antiderivative("psi").text == "psi^2*sin(2)"
+
+
 # -- gradient -------------------------------------------------------------------
 
 _gctx = Context(["x", "y"], ["u"], ["c"])
@@ -897,6 +1007,8 @@ PARSE_ERROR_POSITIONS = {
         "bad character after blank lines": ("indep x;\n\n\n   \t@", (4, 5)),
         "malformed unknown after a tab": ("indep x;\ndep u;\n\tunknown f x;\n", (3, 2)),
         "number literal too long to write out": ("indep x;\ndep u;\neq diff(u,x) =\n\t2*1e3000000*u;\n", (4, 4)),
+        "square of a literal of three thousand digits": ("indep x;\ndep u;\neq diff(u,x) = (1e3000)^2*u;\n", (3, 24)),
+        "product of two literals of three thousand digits": ("indep x;\ndep u;\neq u = 2*\n  1e3000 * 1e3000;\n", (4, 10)),
     },
     "gen": {
         "bad character on a continued line": ("xi(x) = x\n  + @;\n", (2, 5)),
@@ -914,6 +1026,9 @@ PARSE_ERROR_POSITIONS = {
         "division by zero": ("psi / (1 - 1)", (1, 5)),
         "number literal too long to write out": ("psi*1e10000000", (1, 5)),
         "number literal with a small exponent over many digits": ("1 + 0." + "0" * 4300 + "1e4", (1, 5)),
+        "power of ten million": ("1 + 3^10000000", (1, 6)),
+        "negative power of a literal of three thousand digits": ("psi*1e3000^-2", (1, 11)),
+        "power of a sum": ("(1 + psi)^20000", (1, 10)),
     },
 }
 

@@ -208,12 +208,28 @@ def test_iteration_cap_warns_and_flags():
     assert not sol.converged
 
 
-def test_inconsistent_profiles_warn():
-    p = FluxProblem(
-        boundary="r^2*zu", J="psi^2", dJ="3*psi", dN=0.0, **DOMAIN
-    )
-    with pytest.warns(RuntimeWarning, match="numeric derivative"):
-        solve_flux(p, (9, 9), max_iter=60)
+def test_a_stated_dJ_must_be_the_derivative_of_J():
+    with pytest.raises(ValueError, match=r"^dJ = 3\*psi is not the derivative of J = psi\^2, which is 2\*psi: omit dJ"):
+        FluxProblem(boundary="r^2*zu", J="psi^2", dJ="3*psi", **DOMAIN)
+    # a dJ that is J' once expanded stands; an omitted dJ is J'
+    stated = FluxProblem(boundary="r^2*zu", J="(1 + psi)^2", dJ="2 + 2*psi", **DOMAIN)
+    omitted = FluxProblem(boundary="r^2*zu", J="(1 + psi)^2", **DOMAIN)
+    assert stated.dJ.expression == omitted.dJ.expression
+    assert stated.texts["dJ"] == "2 + 2*psi" and "dJ" not in omitted.texts
+
+
+@pytest.mark.parametrize("key", ["J", "dJ", "N", "dN"])
+def test_a_profile_given_as_a_callable_is_refused_naming_its_key(key):
+    with pytest.raises(ValueError, match=f"^{key}: a profile is an expression in psi, not a Python callable$"):
+        FluxProblem(boundary="0", **{key: lambda psi: psi}, **DOMAIN)
+
+
+def test_the_pressure_is_stated_once():
+    with pytest.raises(ValueError, match="the pressure is stated twice: give N or dN, not both"):
+        FluxProblem(boundary="0", N="1 - psi", dN=-1, **DOMAIN)
+    # the solve takes N' where N is stated, and N = 0 where nothing is
+    assert FluxProblem(boundary="0", N="1 + psi*sin(psi)", **DOMAIN).dN.text == "psi*cos(psi) + sin(psi)"
+    assert FluxProblem(boundary="0", **DOMAIN).texts["N"] == "0.0"
 
 
 def test_nonfinite_profile_evaluation_is_reported():
@@ -341,14 +357,13 @@ def test_solve_factorizes_once(problem, psi_dependent, monkeypatch):
     assert len(solves) == (sol.iterations if psi_dependent else 1)
 
 
-def test_profile_without_an_expression_is_solved_at_every_iteration(monkeypatch):
-    # a callable dN may depend on psi, so it takes the per-iteration path;
-    # with the values of the text form it gives the same psi bit for bit
-    text = quartic_problem()
-    callable_dn = FluxProblem(boundary=f"{A / 8}*r^4", dN=lambda psi: -A, **DOMAIN)
-    want = solve_flux(text, (17, 17))
+def test_the_per_iteration_path_gives_the_single_elimination_bit_for_bit(monkeypatch):
+    # profiles taken to depend on psi take the per-iteration path; the
+    # quartic's are constant, so that path gives the same psi bit for bit
+    want = solve_flux(quartic_problem(), (17, 17))
+    monkeypatch.setattr(flux, "_depends_on_psi", lambda profile: True)
     setups, solves = _count_solver_calls(monkeypatch)
-    got = solve_flux(callable_dn, (17, 17))
+    got = solve_flux(quartic_problem(), (17, 17))
     assert setups == [(17, 17)]
     assert len(solves) == got.iterations == want.iterations == 16
     assert got.updates == want.updates
@@ -607,17 +622,28 @@ def test_mapped_state_evaluator_matches_samples(quartic_solutions, geometry):
     assert state.tau.values.any()
 
 
-@pytest.mark.parametrize("name", ["flux_axisym_example.flux", "flux_helical_example.flux"])
-def test_pressure_vanishes_at_the_smallest_attained_flux(name):
-    # both bundled problems have dN = -2, so N(psi) = -2 (psi - psi_ref)
+@pytest.mark.parametrize(
+    "name, level", [("flux_axisym_example.flux", 4.0), ("flux_helical_example.flux", 6.0)]
+)
+def test_mapped_pressure_is_the_stated_N(name, level):
+    # both bundled problems state N = level - 2 psi; the field-line map
+    # keeps (p_perp + p_par)/2 = N
     problem, params = parse_problem_file(resources.files("plasmeq.data").joinpath(name).read_text())
     sol = solve_flux(problem, **params)
     state = flux_to_cgl(sol, 0.2, grid=default_cartesian_box(problem, 9))
+    n = 0.5 * (state.p_perp.values + state.p_par.values)
+    psi = state.psi.values * state.meta["psi_normalization"]
+    assert np.max(np.abs(n - (level - 2.0 * psi))) <= 1e-12
+
+
+def test_pressure_from_dN_vanishes_at_the_smallest_attained_flux(quartic_solutions):
+    # the quartic states dN = -A, so N(psi) = -A (psi - psi_ref)
+    state = flux_to_cgl(quartic_solutions[33], 0.2, grid=default_cartesian_box(quartic_problem(), 9))
     meta = state.meta
-    assert meta["psi_ref"] == sol.attained_range()[0]
+    assert meta["psi_ref"] == quartic_solutions[33].attained_range()[0]
     n = 0.5 * (state.p_perp.values + state.p_par.values)
     psi = state.psi.values * meta["psi_normalization"]
-    assert np.max(np.abs(n + 2.0 * (psi - meta["psi_ref"]))) <= 1e-12
+    assert np.max(np.abs(n + A * (psi - meta["psi_ref"]))) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -632,6 +658,36 @@ BUNDLED_TAUS = [
     ("flux_helical_example.flux", "0.2"),
     ("flux_helical_example.flux", "psi/5"),
 ]
+
+
+@pytest.mark.parametrize("name, tau", BUNDLED_TAUS)
+def test_bundled_examples_map_to_positive_pressures(bundled_solutions, name, tau):
+    # the pressure levels of the bundled N keep both pressures positive on
+    # the default box of flux tocgl, at the README's tau values and more
+    state = flux_to_cgl(bundled_solutions[name], tau, grid=default_cartesian_box(bundled_solutions[name].problem))
+    assert state.p_perp.values.min() > 0.0
+    assert state.p_par.values.min() > 0.0
+
+
+def test_a_pressure_level_moves_the_pressures_alone():
+    # N and N + 3 solve to the same psi, map to the same B, tau and psi,
+    # and check alike: the level is the pressure shift, a symmetry
+    text = resources.files("plasmeq.data").joinpath("flux_axisym_example.flux").read_text()
+    (problem, params), (raised, _) = (parse_problem_file(t) for t in (text, text.replace("N = 4 - 2*psi", "N = 7 - 2*psi")))
+    sols = [solve_flux(p, **params) for p in (problem, raised)]
+    assert sols[0].updates == sols[1].updates
+    assert np.array_equal(sols[0].psi, sols[1].psi)
+    grid = default_cartesian_box(problem, 17)
+    low, high = (flux_to_cgl(sol, "psi/2.6", grid=grid) for sol in sols)
+    for name in ("B", "tau", "psi"):
+        assert np.array_equal(getattr(low, name).values, getattr(high, name).values)
+    scale = np.max(np.abs(high.p_perp.values))
+    assert np.max(np.abs(high.p_perp.values - low.p_perp.values - 3.0)) <= 1e-15 * scale
+    for system in ("mhd", "cgl", "alt"):
+        want, got = residual_norms(low, system), residual_norms(high, system)
+        for residual, norms in want.items():
+            assert abs(got[residual]["linf"] - norms["linf"]) <= 1e-12 * scale, (system, residual)
+            assert got[residual]["node"] == norms["node"]
 
 
 @pytest.mark.parametrize("name, tau", BUNDLED_TAUS)
@@ -660,23 +716,13 @@ def test_alt_inverts_the_field_line_image(bundled_solutions, name, tau):
     assert alt["node"] == mhd["node"]
 
 
-def _antiderivative_over(dN, lo, hi):
-    """N(psi) of ``dN`` for a solution whose flux attains exactly [lo, hi],
-    with the padded range it covers sampled on and between its knots."""
-    problem = FluxProblem(boundary="0", dN=dN, **DOMAIN)
+def _solution_over(lo, hi, **profiles):
+    """A solution of the problem with ``profiles`` whose flux attains
+    exactly [lo, hi], and points over that range."""
+    problem = FluxProblem(boundary="0", **profiles, **DOMAIN)
     sol = FluxSolution(problem, np.linspace(0.5, 1.5, 9), np.linspace(-0.5, 0.5, 9),
                        np.linspace(lo, hi, 81).reshape(9, 9), (0.0,), True)
-    pad = 0.02 * (hi - lo)
-    # about 16 points per panel, plus the knot at lo
-    psi = np.append(np.linspace(lo - pad, hi + pad, 4097), lo)
-    return flux._pressure_antiderivative(problem, sol), psi
-
-
-@pytest.mark.parametrize("lo, hi", [(-0.3, 0.7), (0.4, 1.4), (-1.5, -1.0)])
-def test_pressure_antiderivative_of_a_cosine(lo, hi):
-    n_of, psi = _antiderivative_over("cos(3*psi)", lo, hi)
-    exact = (np.sin(3.0 * psi) - np.sin(3.0 * lo)) / 3.0
-    assert np.max(np.abs(n_of(psi) - exact)) <= 1e-10
+    return sol, np.append(np.linspace(lo, hi, 4097), lo)
 
 
 @pytest.mark.parametrize(
@@ -685,14 +731,29 @@ def test_pressure_antiderivative_of_a_cosine(lo, hi):
         ("2.5", lambda p: 2.5 * p),
         ("1 - 2*psi", lambda p: p - p**2),
         ("1 - 2*psi + 3*psi^2", lambda p: p - p**2 + p**3),
+        ("psi^7/7 - 1e-3*psi", lambda p: p**8 / 56 - 5e-4 * p**2),
     ],
-    ids=["constant", "linear", "quadratic"],
+    ids=["constant", "linear", "quadratic", "degree 7"],
 )
-def test_pressure_antiderivative_is_exact_for_quadratic_profiles(dN, N):
+def test_pressure_from_a_polynomial_dN_is_its_exact_antiderivative(dN, N):
     lo, hi = -0.3, 0.7
-    n_of, psi = _antiderivative_over(dN, lo, hi)
+    sol, psi = _solution_over(lo, hi, dN=dN)
+    n_of = sol.pressure()
     assert n_of(np.array([lo]))[0] == 0.0
-    assert np.max(np.abs(n_of(psi) - (N(psi) - N(lo)))) <= 1e-13
+    assert np.max(np.abs(n_of(psi) - (N(psi) - N(lo)))) <= 1e-15
+
+
+@pytest.mark.parametrize("lo, hi", [(-0.3, 0.7), (0.4, 1.4), (-1.5, -1.0)])
+def test_pressure_of_a_cosine_is_stated_as_N(lo, hi):
+    # a dN with no exact antiderivative is refused, and its N is stated instead
+    sol, psi = _solution_over(lo, hi, dN="cos(3*psi)")
+    message = "^dN = cos\\(3\\*psi\\) is not a polynomial in psi, so N is not its exact antiderivative: state"
+    with pytest.raises(ValueError, match=message):
+        sol.pressure()
+    with pytest.raises(ValueError, match=message):
+        flux_to_cgl(sol, 0.1, grid=default_cartesian_box(sol.problem, 5))
+    sol, psi = _solution_over(lo, hi, N="sin(3*psi)/3")
+    assert np.max(np.abs(sol.pressure()(psi) - np.sin(3.0 * psi) / 3.0)) <= 1e-16
 
 
 def test_mapping_locates_the_points_once_per_evaluator_call(quartic_solutions, monkeypatch):
