@@ -196,7 +196,6 @@ def cmd_vortex(args) -> tuple[int, dict]:
             "lam": params.lam,
             "gamma_b": params.gamma_b,
         },
-        "assumptions": [],
         "artifacts": artifacts,
         "pass": True,
     }
@@ -217,7 +216,6 @@ def cmd_transform(args) -> tuple[int, dict]:
     report = {
         "inputs": {"state": str(args.state)},
         "params": {"M": args.M, "m_min": args.m_min},
-        "assumptions": transformed.meta.get("warnings", []),
         "artifacts": {"state": "transformed.csv"},
         "pass": True,
     }
@@ -251,7 +249,6 @@ def cmd_flux_solve(args) -> tuple[int, dict]:
         },
         "norms": {"final_update": sol.final_update, "updates": list(sol.updates)},
         "counts": {"iterations": sol.iterations},
-        "assumptions": [],
         "artifacts": {"solution": "solution.json", "psi": manifest["psi_csv"]},
         "pass": sol.converged,
     }
@@ -275,7 +272,6 @@ def cmd_flux_tocgl(args) -> tuple[int, dict]:
     report = {
         "inputs": {"solution": str(args.solution)},
         "params": {"tau": args.tau, "grid": args.grid},
-        "assumptions": [],
         "artifacts": {"state": "state.csv"},
         "pass": True,
     }
@@ -286,12 +282,6 @@ def cmd_flux_tocgl(args) -> tuple[int, dict]:
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
-
-
-def _norms_as_jsonable(norms: dict) -> dict:
-    return {
-        name: {k: list(v) if k == "node" else float(v) for k, v in entry.items()} for name, entry in norms.items()
-    }
 
 
 def cmd_check(args) -> tuple[int, dict]:
@@ -334,8 +324,7 @@ def cmd_check(args) -> tuple[int, dict]:
     report: dict = {
         "inputs": {"state": str(args.state)},
         "params": params,
-        "norms": _norms_as_jsonable(norms),
-        "assumptions": [],
+        "norms": norms,
     }
 
     ok = True
@@ -344,7 +333,7 @@ def cmd_check(args) -> tuple[int, dict]:
         ok = not any(entry["linf"] > args.threshold for entry in norms.values())
     else:
         coarse = eq.residual_norms(state.coarsen(), args.system, mask_radius=mask_radius)
-        report["norms_coarse"] = _norms_as_jsonable(coarse)
+        report["norms_coarse"] = coarse
         # a residual below this floor passes: an exact state's residuals are
         # rounding (plus the flux solve's 1e-10 Picard tolerance) over h,
         # noise that does not shrink with h; the floor scales with B^2 and the
@@ -375,7 +364,7 @@ def cmd_check(args) -> tuple[int, dict]:
     worst = max(norms, key=lambda name: norms[name]["linf"])
     linf, node = norms[worst]["linf"], norms[worst]["node"]
     xyz = state.grid.point(node)
-    report["worst"] = {"residual": worst, "linf": float(linf), "node": list(node), "xyz": list(xyz)}
+    report["worst"] = {"residual": worst, "linf": linf, "node": node, "xyz": xyz}
     print(
         f"check {args.system}: worst Linf {linf:.3e} ({worst} at node {node}, "
         f"(x, y, z) = ({xyz[0]:.6g}, {xyz[1]:.6g}, {xyz[2]:.6g})) -> {'pass' if ok else 'FAIL'}"
@@ -501,7 +490,7 @@ def main(argv=None) -> int:
                 raise
             error = str(err)
         if error is not None:
-            code, report = EXIT_VALIDATION, {"error": error, "assumptions": [], "pass": False}
+            code, report = EXIT_VALIDATION, {"error": error, "pass": False}
     notes = [str(w.message) for w in caught]
     for note in notes:
         print(f"warning: {note}", file=sys.stderr)
@@ -509,7 +498,8 @@ def main(argv=None) -> int:
         print(f"error: {error}", file=sys.stderr)
     if notes:
         report["warnings"] = notes
-    _write_report(out_dir, {"command": command, **report})
+    # a command that states no assumptions (every numeric one) lists none
+    _write_report(out_dir, {"command": command, "assumptions": [], **report})
     return code
 
 

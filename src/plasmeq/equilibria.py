@@ -115,7 +115,7 @@ class CGLState:
             self.p_perp.coarsen(),
             self.tau.coarsen(),
             self.psi.coarsen(),
-            dict(self.meta, coarsened=True),
+            dict(self.meta),
             self.evaluators,
         )
 
@@ -181,7 +181,7 @@ def _kept(old, new) -> tuple:
     """The fields ``new``, with the one of ``old`` wherever ``new`` holds None."""
     return tuple(o if n is None else n for o, n in zip(old, new))
 
-def _map_state(state: CGLState, label: str, fn: Callable, pullback: Callable | None = None) -> CGLState:
+def _map_state(state: CGLState, fn: Callable, pullback: Callable | None = None) -> CGLState:
     """``state`` mapped in x-slab blocks by ``fn``, a nodewise map of
     (B, p_perp, tau, psi) that returns None for each field it keeps.
 
@@ -220,7 +220,6 @@ def _map_state(state: CGLState, label: str, fn: Callable, pullback: Callable | N
             b, *scalars = fields
             return fn(np.stack([interp(c) for c in b]), *map(interp, scalars))
 
-    meta["transforms"] = [*state.meta.get("transforms", []), label]
     return _state(grid, _kept(fields, _evaluate_in_blocks(grid, at_nodes)), meta, evaluators)
 
 
@@ -413,17 +412,7 @@ def vortex_state(params: VortexParams, grid: Grid3, pressure_profile: str = "bal
     def evaluate(X, Y, Z):
         return with_label(*b_and_p(X, Y, Z))
 
-    meta = {
-        "family": "spherical-vortex",
-        "R": params.R,
-        "B0": params.B0,
-        "P0": params.P0,
-        "n": params.n,
-        "lam": params.lam,
-        "gamma_b": params.gamma_b,
-        "pressure_profile": pressure_profile,
-        "psi_normalization": p_max,
-    }
+    meta = {"psi_normalization": p_max}
     return _require_finite(_state(grid, with_label(b, p), meta, StateEvaluators(evaluate)))
 
 
@@ -519,13 +508,13 @@ def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
         b *= scale
         return b, pperp, tau, None
 
-    out = _map_state(state, name, field_line)
+    out = _map_state(state, field_line)
     if m_low < spec.m_min:
         raise ValueError(
             f"|M| falls to {m_low:.3e} on the attained label range; the transform requires |M| >= {spec.m_min}"
         )
     if tau_high:
-        out.meta["warnings"] = [*out.meta.get("warnings", []), "input state has tau >= 1 somewhere"]
+        warnings.warn("input state has tau >= 1 somewhere", RuntimeWarning, stacklevel=2)
     return out
 
 
@@ -585,7 +574,7 @@ def _euler_zxz(phi: float, theta: float, psi_angle: float) -> np.ndarray:
     return m1 @ m2 @ m3
 
 
-def _affine_state(state: CGLState, label: str, rot: np.ndarray, t: float, K, s: float, pf: float, shift: float) -> CGLState:
+def _affine_state(state: CGLState, rot: np.ndarray, t: float, K, s: float, pf: float, shift: float) -> CGLState:
     """The finite form shared by every translation, rotation and scaling:
     x' = t rot x + K, B' = s rot B, p_perp' = pf p_perp + shift, with tau
     and psi carried along, each node pulled back to rot^T (x' - K)/t (rot
@@ -600,7 +589,7 @@ def _affine_state(state: CGLState, label: str, rot: np.ndarray, t: float, K, s: 
     def affine(b, pperp, tau, psi):
         return np.einsum("rc,c...->r...", s * rot, b), pf * np.asarray(pperp, dtype=float) + shift, tau, psi
 
-    return _map_state(state, label, affine, pullback)
+    return _map_state(state, affine, pullback)
 
 
 def _require_finite_parameters(**parameters) -> None:
@@ -615,14 +604,13 @@ def _require_finite_parameters(**parameters) -> None:
 def translate_state(state: CGLState, K: tuple[float, float, float] = (0.0, 0.0, 0.0), k4: float = 0.0) -> CGLState:
     """x' = x + K with the perpendicular pressure shifted by k4."""
     _require_finite_parameters(K=K, k4=k4)
-    return _affine_state(state, f"translate K={K} k4={k4}", np.eye(3), 1.0, K, 1.0, 1.0, k4)
+    return _affine_state(state, np.eye(3), 1.0, K, 1.0, 1.0, k4)
 
 
 def rotate_state(state: CGLState, phi: float, theta: float, psi_angle: float) -> CGLState:
     """Simultaneous z-x-z rotation of coordinates and field components."""
     _require_finite_parameters(phi=phi, theta=theta, psi_angle=psi_angle)
-    label = f"rotate euler=({phi},{theta},{psi_angle})"
-    return _affine_state(state, label, _euler_zxz(phi, theta, psi_angle), 1.0, (0.0, 0.0, 0.0), 1.0, 1.0, 0.0)
+    return _affine_state(state, _euler_zxz(phi, theta, psi_angle), 1.0, (0.0, 0.0, 0.0), 1.0, 1.0, 0.0)
 
 
 def scale_state(state: CGLState, t: float, s: float, pressure_factor: str = "generator") -> CGLState:
@@ -639,8 +627,7 @@ def scale_state(state: CGLState, t: float, s: float, pressure_factor: str = "gen
         pf = factors[pressure_factor]
     except KeyError:
         raise ValueError("pressure_factor must be 'as-printed' or 'generator'") from None
-    label = f"scale t={t} s={s} ({pressure_factor})"
-    return _affine_state(state, label, np.eye(3), t, (0.0, 0.0, 0.0), s, pf, 0.0)
+    return _affine_state(state, np.eye(3), t, (0.0, 0.0, 0.0), s, pf, 0.0)
 
 
 def anisotropy_scale_state(state: CGLState, C: float) -> CGLState:
@@ -653,7 +640,7 @@ def anisotropy_scale_state(state: CGLState, C: float) -> CGLState:
         b2 = np.einsum("c...,c...->...", b, b)
         return None, C * (pperp + 0.5 * b2) - 0.5 * b2, 1.0 - C * (1.0 - tau), None
 
-    return _map_state(state, f"anisotropy_scale C={C}", rescaled)
+    return _map_state(state, rescaled)
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +886,7 @@ def read_state_csv(path) -> CGLState:
     if missing:
         raise ValueError(f"{path}: missing state columns {missing}")
     b = np.stack([cols.pop(c) for c in STATE_COLUMNS[:3]])
-    state = _state(Grid3.from_axes(*axes), (b, cols["p_perp"], cols["tau"], cols["psi"]), {"source": str(path)})
+    state = _state(Grid3.from_axes(*axes), (b, cols["p_perp"], cols["tau"], cols["psi"]), {})
     # the file's p_par column is checked against tau, then not kept
     mismatch = tau_consistency_error(state, cols.pop("p_par"))
     if mismatch > 1e-6:

@@ -11,8 +11,16 @@ fresh atoms carrying a derivative multi-index, or for the numeric
 functions, with ``exact``, the entries of one table.  Partial and total
 derivatives come from one walk of the terms, ``Expr.derivatives``, which
 takes a rule for the derivative of each atom.  Structural equality of
-normal forms therefore decides equality for all expression classes handled
-here (polynomials in jet coordinates with atomic unknowns).
+normal forms therefore decides equality of polynomials in jet coordinates
+with atomic unknowns, the class the symmetry analysis works in.
+
+A reciprocal has one normal form however it is written (``a/b``,
+``b^-n``, ``inv(b)``): 1/(c a^k P) = (1/c) inv(a)^k inv(P), with c the
+signed rational content, a^k the monomial common to every term, and P
+primitive with a positive first coefficient; so ``0.5/sqrt(psi)`` is
+``1/(2*sqrt(psi))``.  Left undecided: a polynomial factor of a multi-term
+denominator stays in it (``(x + 1)^-2`` is not ``(1/(x + 1))^2``), and
+``x*inv(x)`` does not cancel.
 
 Text input and output use a small declaration grammar::
 
@@ -642,9 +650,9 @@ _DERIVATIVES: dict[str, Callable[[Expr], Expr]] = {
     "cos": lambda u: -_apply("sin", u),
     "tan": lambda u: ONE + _apply("tan", u) ** 2,
     "exp": lambda u: _apply("exp", u),
-    "log": lambda u: _apply("inv", u),
-    "sqrt": lambda u: _apply("inv", 2 * _apply("sqrt", u)),
-    "inv": lambda u: -_apply("inv", u) ** 2,
+    "log": lambda u: _reciprocal(u),
+    "sqrt": lambda u: _reciprocal(2 * _apply("sqrt", u)),
+    "inv": lambda u: -_reciprocal(u) ** 2,
     "sinh": lambda u: _apply("cosh", u),
     "cosh": lambda u: _apply("sinh", u),
     "tanh": lambda u: ONE - _apply("tanh", u) ** 2,
@@ -664,14 +672,32 @@ def _numeric() -> tuple[dict[str, Callable], Callable]:
     return rules, np.errstate
 
 
-def quotient(num: Expr, den: Expr) -> Expr:
-    """num / den; a non-constant denominator becomes an ``inv`` atom."""
+def _reciprocal(den: Expr) -> Expr:
+    """1/den in the normal form of the module docstring, "first" meaning
+    first in canonical term order; every ``inv`` atom is built here."""
     q = den.constant_value()
     if q is not None:
         if q == 0:
             raise ZeroDivisionError("division by zero")
-        return num * Expr.number(Fraction(1) / q)
-    return num * Expr.from_atom(FnAtom("inv", (den,)))
+        return Expr.number(Fraction(1) / q)
+    terms = [(m, Fraction(c)) for m, c in den.terms()]
+    content = Fraction(math.gcd(*(c.numerator for _m, c in terms)), math.lcm(*(c.denominator for _m, c in terms)))
+    content = content if terms[0][1] > 0 else -content
+    # each atom of the first term at its least power over all terms (maybe 0)
+    common = {a: min(dict(m).get(a, 0) for m, _c in terms) for a, _k in terms[0][0]}
+    out = Expr.number(1 / content)
+    for a, k in common.items():
+        out = out * _apply("inv", Expr.from_atom(a)) ** k
+    if len(terms) > 1:
+        rest = {tuple((a, k - common.get(a, 0)) for a, k in m if k > common.get(a, 0)): c / content for m, c in terms}
+        out = out * _apply("inv", Expr(rest))
+    return out
+
+
+def quotient(num: Expr, den: Expr) -> Expr:
+    """num / den; a non-constant denominator gives ``inv`` atoms
+    (``_reciprocal``)."""
+    return num * _reciprocal(den)
 
 
 def collect(e: Expr, basis: Iterable[Symbol]) -> dict[Expr, Expr]:
@@ -991,12 +1017,9 @@ class _Parser:
         n = int(tok.text)
         _bound_constants(op, (base,), n)
         if neg:
-            q = base.constant_value()
-            if q is not None:
-                if q == 0:
-                    raise ParseError("zero to a negative power", tok.line, tok.col)
-                return Expr.number(Fraction(q) ** (-n))
-            return Expr.from_atom(FnAtom("inv", (base**n,)))
+            if base.constant_value() == 0:
+                raise ParseError("zero to a negative power", tok.line, tok.col)
+            return _reciprocal(base**n)
         return base**n
 
     def primary(self) -> Expr:
@@ -1046,7 +1069,9 @@ class _Parser:
         if name in NUMERIC_FUNCTIONS:
             if len(args) != 1:
                 raise ParseError(f"{name} takes one argument", tok.line, tok.col)
-            return Expr.from_atom(FnAtom(name, tuple(args)))
+            if name == "inv" and args[0].constant_value() == 0:
+                raise ParseError("division by zero", tok.line, tok.col)
+            return _reciprocal(args[0]) if name == "inv" else _apply(name, args[0])
         raise ParseError(f"undeclared function {name!r}", tok.line, tok.col)
 
     def diff_application(self, tok: _Token) -> Expr:

@@ -545,8 +545,9 @@ def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
     field-line image (``equilibria._field_line_image``) with M =
     (1 - tau)^(-1/2) of the isotropic state: the symmetric-state template
     field and the pressure N(psi) (``FluxSolution.pressure``).  The stored
-    label is psi normalized by its largest magnitude on the 2D solution.
-    The state's evaluator refuses points outside the solution domain [r0,
+    label is psi normalized by its largest magnitude on the 2D solution;
+    ``meta`` records that scale (``psi_normalization``) and the gauge of N,
+    the flux ``psi_ref`` where N vanishes.  The state's evaluator refuses points outside the solution domain [r0,
     r1] x [zu0, zu1] with a ValueError naming the extent of the points it
     was given.  ``grid`` is sampled in x-slab blocks
     (``equilibria.sample_state``), as a later point transform is, so the
@@ -590,16 +591,7 @@ def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
 
     if grid is None:
         grid = default_cartesian_box(problem)
-    meta = {
-        "family": f"flux-{problem.geometry}",
-        "gamma": gamma,
-        "tau_profile": tau_text,
-        "psi_ref": lo,
-        "psi_normalization": psi_scale,
-        "profiles": dict(problem.texts),
-        "solution_converged": sol.converged,
-    }
-    return sample_state(StateEvaluators(evaluate), grid, meta)
+    return sample_state(StateEvaluators(evaluate), grid, {"psi_ref": lo, "psi_normalization": psi_scale})
 
 
 # ---------------------------------------------------------------------------

@@ -641,6 +641,41 @@ def _out_is_a_file(tmp_path):
     return ["vortex", "--grid", "9"]
 
 
+def _detsys(tmp_path, text):
+    return ["lie", "detsys", _file(tmp_path, "s.pde", text)]
+
+
+def _state_with_header(tmp_path, header):
+    """A vortex state.csv with its header passed through ``header``."""
+    path = Path(_state(tmp_path))
+    first, rest = path.read_text().split("\n", 1)
+    path.write_text(f"{header(first)}\n{rest}")
+    return str(path)
+
+
+def _solved(tmp_path, problem_file):
+    code, out = run(tmp_path, "sol", "flux", "solve", problem_file)
+    assert code == 0
+    return str(out / "solution.json")
+
+
+def _solution_with_psi_header(tmp_path, header):
+    sol = _solution(tmp_path)
+    path = Path(sol).parent / "psi.csv"
+    first, rest = path.read_text().split("\n", 1)
+    path.write_text(f"{header}\n{rest}")
+    return sol
+
+
+def _solution_of_radii_near_1e_200(tmp_path):
+    """The bundled solution moved to r in [1e-200, 1.5e-200], its psi.csv
+    rewritten on that domain."""
+    sol = _solution_with(tmp_path, r0=1e-200, r1=1.5e-200)
+    (r, zu), cols = fields.read_csv(Path(sol).parent / "psi.csv", ("r", "zu"))
+    fields.write_csv(Path(sol).parent / "psi.csv", {"r": np.linspace(1e-200, 1.5e-200, len(r)), "zu": zu}, cols)
+    return ["flux", "tocgl", sol, "--tau", "0.1"]
+
+
 SMALL_PDE = "indep x, y;\ndep u;\n{}\neq diff(u,x) = 0;\n"
 
 
@@ -730,9 +765,10 @@ BAD_INPUTS = {
         lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\nJ = psi^2\ndJ = 3*psi")],
         "problem.flux: dJ = 3*psi is not the derivative of J = psi^2, which is 2*psi: omit dJ, which is taken from J",
     ),
-    "current derivative that is J' only after simplification": (
-        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\nJ = sqrt(psi)\ndJ = 0.5/sqrt(psi)")],
-        "problem.flux: dJ = 0.5/sqrt(psi) is not the derivative of J = sqrt(psi), which is inv(2*sqrt(psi))",
+    # J' printed in the normal form of a reciprocal
+    "current derivative of a square root off by a factor of two": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\nJ = sqrt(psi)\ndJ = 1/sqrt(psi)")],
+        "problem.flux: dJ = 1/sqrt(psi) is not the derivative of J = sqrt(psi), which is 1/2*inv(sqrt(psi))",
     ),
     "transform to non-finite values": (
         lambda tmp: ["transform", "--state", _state(tmp, grid=17), "--M", "exp(1000*psi)"],
@@ -1074,13 +1110,155 @@ BAD_INPUTS = {
         lambda tmp: ["transform", "--state", _state(tmp), "--M", "1", "--m-min", "nan"],
         "--m-min must be a finite number, got nan",
     ),
+    # the .pde grammar
+    "equation with two '='": (
+        lambda tmp: _detsys(tmp, SMALL_PDE.format("eq diff(u,y) = 0 = u;")),
+        "s.pde: eq statement needs exactly one '=' (line 3, column 1)",
+    ),
+    "solve_for without ':'": (
+        lambda tmp: _detsys(tmp, SMALL_PDE.format("solve_for diff(u,x);")),
+        "s.pde: solve_for must be followed by ':' (line 3, column 1)",
+    ),
+    "solve_for of a dependent": (
+        lambda tmp: _detsys(tmp, SMALL_PDE.format("solve_for: u;")),
+        "s.pde: solve_for entries must be single derivative coordinates (line 3, column 1)",
+    ),
+    "trailing input in an equation": (
+        lambda tmp: _detsys(tmp, SMALL_PDE.format("eq diff(u,y) = u u;")),
+        "s.pde: trailing input starting at 'u' (line 3, column 18)",
+    ),
+    "diff of a number": (
+        lambda tmp: _detsys(tmp, SMALL_PDE.format("eq diff(1, x) = 0;")),
+        "s.pde: diff() expects a dependent variable or unknown function first (line 3, column 9)",
+    ),
+    "diff by a number": (
+        lambda tmp: _detsys(tmp, SMALL_PDE.format("eq diff(u, 1) = 0;")),
+        "s.pde: diff() differentiation variables must be identifiers (line 3, column 12)",
+    ),
+    "diff by nothing": (
+        lambda tmp: _detsys(tmp, SMALL_PDE.format("eq diff(u) = 0;")),
+        "s.pde: diff() needs at least one differentiation variable (line 3, column 4)",
+    ),
+    "unknown function applied to other arguments": (
+        lambda tmp: _detsys(tmp, SMALL_PDE.format("unknown f(x);\neq diff(u,y) = f(y);")),
+        "s.pde: unknown function 'f' must be applied to its declared arguments (line 4, column 16)",
+    ),
+    "sine of two arguments": (
+        lambda tmp: _detsys(tmp, SMALL_PDE.format("eq diff(u,y) = sin(u, x);")),
+        "s.pde: sin takes one argument (line 3, column 16)",
+    ),
+    "undeclared function": (
+        lambda tmp: _detsys(tmp, SMALL_PDE.format("eq diff(u,y) = g(u);")),
+        "s.pde: undeclared function 'g' (line 3, column 16)",
+    ),
+    "zero to a negative power": (
+        lambda tmp: _detsys(tmp, SMALL_PDE.format("eq diff(u,y) = 0^-1;")),
+        "s.pde: zero to a negative power (line 3, column 19)",
+    ),
+    # systems the symmetry analysis refuses
+    "system of no equations": (lambda tmp: _detsys(tmp, "indep x;\ndep u;\n"), "s.pde: system declares no equations"),
+    "leading coordinate solved for twice": (
+        lambda tmp: _detsys(
+            tmp, "indep x;\ndep u;\nsolve_for: diff(u,x), diff(u,x);\neq diff(u,x) = 0;\neq diff(u,x) = u;\n"
+        ),
+        "s.pde: leading derivative coordinates must be pairwise distinct",
+    ),
+    "second-order coordinate": (
+        lambda tmp: _detsys(tmp, "indep x, y;\ndep u;\nsolve_for: diff(u,x);\neq diff(u,x) = diff(u,x,y);\n"),
+        "s.pde: equation contains a higher-order coordinate u_x_y",
+    ),
+    "sine of a derivative coordinate": (
+        lambda tmp: _detsys(tmp, "indep x, y;\ndep u;\nsolve_for: diff(u,x);\neq diff(u,x) = sin(diff(u,y));\n"),
+        "s.pde: equation applies sin(...) to a derivative coordinate; not polynomial in the jet coordinates",
+    ),
+    "leading coordinate of degree two": (
+        lambda tmp: _detsys(tmp, "indep x;\ndep u;\nsolve_for: diff(u,x);\neq diff(u,x)^2 = u;\n"),
+        "s.pde: equation is not linear in its leading coordinate u_x (degree 2)",
+    ),
+    "circular solved form": (
+        lambda tmp: _detsys(
+            tmp,
+            "indep x;\ndep u, v;\nsolve_for: diff(u,x), diff(v,x);\n"
+            "eq diff(u,x) = diff(v,x);\neq diff(v,x) = diff(u,x) + u;\n",
+        ),
+        "s.pde: solved form is circular; cannot reduce to triangular form",
+    ),
+    # generator components on the wrong kind of variable
+    "eta of an independent": (
+        lambda tmp: ["lie", "verify", data_path("mhd_static.pde"), _file(tmp, "g.gen", "eta(x) = 1;\n")],
+        "g.gen: eta(x) requires a dependent variable",
+    ),
+    "xi of a dependent": (
+        lambda tmp: ["lie", "verify", data_path("mhd_static.pde"), _file(tmp, "g.gen", "xi(B1) = 1;\n")],
+        "g.gen: xi(B1) requires an independent variable",
+    ),
+    # state files
+    "state whose coordinate columns are not first": (
+        lambda tmp: ["check", "--state", _state_with_header(tmp, lambda h: h.replace("x,y,z", "y,x,z", 1)),
+                     "--system", "mhd"],
+        "state.csv: expected x,y,z coordinate columns first",
+    ),
+    "state that misses a node": (
+        lambda tmp: ["check", "--state", _state(tmp, rows=lambda lines: lines[:-1]), "--system", "mhd"],
+        "state.csv: nodes do not form a full tensor grid",
+    ),
+    # flux solve
+    "diverging flux solve": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ndN = 50*psi")],
+        "solver diverged: update norm grew from ",
+    ),
+    "boundary data that is not finite": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = log(zu)")],
+        "problem.flux: boundary data is not finite",
+    ),
+    # flux tocgl
+    "solution manifest without its iteration count": (
+        lambda tmp: ["flux", "tocgl", _solution(tmp, drop="iterations"), "--tau", "0.1"],
+        "sol/solution.json: solution manifest is missing iterations",
+    ),
+    "solution psi.csv with another value column": (
+        lambda tmp: ["flux", "tocgl", _solution_with_psi_header(tmp, "r,zu,phi"), "--tau", "0.1"],
+        "sol/psi.csv: expected columns r,zu,psi",
+    ),
+    "solution psi.csv of another resolution": (
+        lambda tmp: ["flux", "tocgl", _solution_with(tmp, resolution=[33, 17]), "--tau", "0.1"],
+        "sol/psi.csv: solution CSV does not match the recorded resolution",
+    ),
+    # squares of radii near 1e-200 underflow to zero, which no box fits between
+    "solution domain too thin for the default box": (
+        _solution_of_radii_near_1e_200,
+        "radial domain too thin for the default box; pass an explicit grid",
+    ),
+    # a pitch length of 10 widens the box's zu range past the domain's
+    "helical solution too steep for the default box": (
+        lambda tmp: [
+            "flux", "tocgl", _solved(tmp, _flux_file(tmp, "gamma = 10\nboundary = r")), "--tau", "0.1",
+        ],
+        "zu range too thin for the helical default box; pass an explicit grid",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_exits_two_with_an_error(tmp_path, capsys, case):
     build, message = BAD_INPUTS[case]
-    argv = build(tmp_path)
+    _assert_refused(tmp_path, capsys, build(tmp_path), message)
+
+
+def test_state_whose_column_count_changes_between_read_blocks(tmp_path, capsys, monkeypatch):
+    # rows 1-4 form one read block of ten columns, and the blocks after it
+    # have eleven: the row that first breaks the header's count is named
+    monkeypatch.setattr(fields, "_READ_BLOCK", 4)
+    state = _state(tmp_path, rows=lambda lines: lines[:4] + [line.rstrip("\n") + ",0\n" for line in lines[4:]])
+    _assert_refused(
+        tmp_path, capsys, ["check", "--state", state, "--system", "mhd"],
+        "state.csv: data row 5 has 11 columns, the header has 10",
+    )
+
+
+def _assert_refused(tmp_path, capsys, argv, message):
+    """``argv`` exits 2 with one ``error:`` line holding ``message``, no
+    traceback, and a report of the error as the only output."""
     capsys.readouterr()
     code, out = run(tmp_path, "bad", *argv)
     assert code == 2
@@ -1292,6 +1470,43 @@ def test_check_reports_the_node_of_the_worst_residual(tmp_path, capsys, mask):
     report = read_report(probed)
     assert report["norms"]["momentum"]["node"] == [6, 4, 5]
     assert report["norms_coarse"]["momentum"]["node"] == [3, 2, 2]
+
+
+@pytest.mark.parametrize("system", ["mhd", "cgl"])
+def test_check_fails_a_spike_that_the_coarse_grid_does_not_see(tmp_path, capsys, system):
+    # a uniform state (B = e_z, p = 1) on 17^3 over [-1, 1] with p += 0.5 at
+    # node (7, 7, 7), odd on every axis: the coarse grid (the even nodes)
+    # misses the spike, so its momentum residual is exactly 0 and the fine
+    # one, 0.5 / (2 h) = 2, fails the two-grid rule
+    grid = fields.Grid3.cube(-1.0, 1.0, 17)
+    p = np.ones(grid.counts)
+    p[7, 7, 7] += 0.5
+    zero = np.zeros(grid.counts)
+    columns = {"B1": zero, "B2": zero, "B3": zero + 1.0, "p_perp": p, "p_par": p, "tau": zero, "psi": zero}
+    path = tmp_path / "spike.csv"
+    fields.write_csv(path, dict(zip("xyz", grid.axes())), columns)
+    capsys.readouterr()
+    code, out = run(tmp_path, "c", "check", "--state", str(path), "--system", system)
+    assert code == 3
+    report = read_report(out)
+    assert report["pass"] is False
+    assert report["worst"] == {"residual": "momentum", "linf": 2.0, "node": [6, 7, 7], "xyz": [-0.25, -0.125, -0.125]}
+    assert report["norms_coarse"]["momentum"]["linf"] == 0.0
+    assert report["convergence_ratios"]["momentum"] == 0.0
+    assert capsys.readouterr().out.endswith("-> FAIL\n")
+
+
+def test_transform_of_a_state_with_tau_of_one_or_more_warns_once(tmp_path, capsys):
+    # the note is one warning line on stderr and one entry under warnings;
+    # the command still passes and states no assumptions
+    capsys.readouterr()
+    code, out = run(tmp_path, "t", "transform", "--state", _uniform_state_csv(tmp_path, (9, 9, 9), tau=1.5),
+                    "--M", "2")
+    assert code == 0
+    assert capsys.readouterr().err == "warning: input state has tau >= 1 somewhere\n"
+    report = read_report(out)
+    assert report["warnings"] == ["input state has tau >= 1 somewhere"]
+    assert report["assumptions"] == [] and report["pass"] is True
 
 
 def test_check_stability_counts_nonpositive_pressure(tmp_path):

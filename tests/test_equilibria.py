@@ -539,6 +539,38 @@ def test_transform_constant_two():
     assert np.allclose(out.p_par.values, out.p_perp.values + 3.0)
 
 
+def test_transform_of_a_state_with_tau_of_one_or_more_warns_once():
+    # 33^3 maps in three blocks, each of which sees tau >= 1: one warning
+    state = uniform_state(n=33, tau=1.5)
+    assert len(range(0, 33, equilibria.BLOCK_NODES // 33**2)) == 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        apply_infinite_transform(state, TransformSpec("2"))
+        apply_infinite_transform(uniform_state(n=33, tau=0.99), TransformSpec("2"))
+    assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning, "input state has tau >= 1 somewhere")]
+
+
+def test_a_state_keeps_only_the_metadata_that_is_read(vortex17, tmp_path):
+    # the vortex records the scale of its label; every map keeps it, and a
+    # trilinear resampling adds its flag and nothing else
+    assert vortex17.meta == {"psi_normalization": vortex17.meta["psi_normalization"]}
+    maps = [
+        lambda s: apply_infinite_transform(s, TransformSpec("1 + psi*sin(psi)")),
+        lambda s: anisotropy_scale_state(s, 1.3),
+        lambda s: rotate_state(s, *EULER),
+        lambda s: translate_state(s, (0.1, 0.0, 0.0), 0.2),
+        lambda s: scale_state(s, 1.5, 0.7),
+        lambda s: s.coarsen(),
+    ]
+    for move in maps:
+        assert move(vortex17).meta == vortex17.meta
+    write_state_csv(vortex17, tmp_path / "s.csv")
+    read = read_state_csv(tmp_path / "s.csv")
+    assert read.meta == {}
+    assert maps[0](read).meta == {}
+    assert [move(read).meta for move in maps[2:5]] == [{"resampling": "trilinear (lossy)"}] * 3
+
+
 def test_transform_preserves_combined_pressure(vortex33):
     spec = TransformSpec("1 + psi*sin(psi)")
     out = apply_infinite_transform(vortex33, spec)

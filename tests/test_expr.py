@@ -149,6 +149,41 @@ def test_quotient_constant_vs_opaque(uctx):
     assert e.evaluate({"u": 1.0}) == pytest.approx(0.5)
 
 
+# spellings of one reciprocal -> its normal form, as ``pretty`` prints it
+RECIPROCAL_SPELLINGS = {
+    ("1/(2*sqrt(psi))", "0.5/sqrt(psi)", "inv(2*sqrt(psi))"): "1/2*inv(sqrt(psi))",
+    ("x^-2", "(1/x)^2", "inv(x^2)", "1/x^2"): "inv(x)^2",
+    ("1/(-x)", "-1/x", "inv(-x)", "(-x)^-1"): "-inv(x)",
+    ("1/(x^2*y - 2*x)", "inv(x)*inv(x*y - 2)", "0.5/(0.5*x^2*y - x)"): "-inv(2 - x*y)*inv(x)",
+    ("1/(x/2 + y/3)", "6/(3*x + 2*y)"): "6*inv(3*x + 2*y)",
+    ("1/(1 - x)", "-1/(x - 1)"): "inv(1 - x)",
+    ("inv(4)", "2^-2", "1/4"): "1/4",
+}
+
+
+@pytest.mark.parametrize("spellings", list(RECIPROCAL_SPELLINGS))
+def test_every_spelling_of_a_reciprocal_has_one_normal_form(spellings):
+    ctx = Context(independents=["psi", "x", "y"])
+    want = RECIPROCAL_SPELLINGS[spellings]
+    for text in spellings:
+        e = ctx.parse(text)
+        assert pretty(e) == want, text
+        # the printed form reads back to itself
+        assert ctx.parse(pretty(e)) == e
+    # the normal form evaluates to the reciprocal of the first spelling
+    at = {"psi": 0.7, "x": 1.3, "y": -0.4}
+    assert ctx.parse(want).evaluate(at) == pytest.approx(ctx.parse(spellings[0]).evaluate(at), rel=1e-14)
+
+
+def test_a_reciprocal_of_zero_is_refused():
+    ctx = Context(independents=["x"])
+    with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+        quotient(ctx.var("x"), Expr.number(0))
+    for text, col in (("inv(0)", 1), ("x*inv(x - x)", 3), ("0^-1", 4)):
+        with pytest.raises(ParseError, match=f"\\(line 1, column {col}\\)$"):
+            ctx.parse(text)
+
+
 def test_numeric_evaluation_vectorized():
     f = compile_numeric("1 + psi*sin(psi)", ["psi"])
     psi = np.linspace(-1, 1, 11)
@@ -737,9 +772,10 @@ def test_each_numeric_function_has_its_exact_derivative(f, df):
     ctx = Context(independents=["u", "v"])
     u = ctx.symbol("u")
     assert ctx.parse(f).gradient([u], exact=True)[u] == ctx.parse(df)
-    # the chain rule through the argument: d f(u^2 v) = 2 u v f'(u^2 v)
-    chained = ctx.parse(f.replace("u", "(u^2*v)")).gradient([u], exact=True)[u]
-    assert chained == ctx.parse(f"2*u*v*({df.replace('u', '(u^2*v)')})")
+    # the chain rule through the argument: d f(1 + u^2 v) = 2 u v f'(1 + u^2 v),
+    # on an argument of two terms, which a reciprocal keeps whole
+    chained = ctx.parse(f.replace("u", "(1 + u^2*v)")).gradient([u], exact=True)[u]
+    assert chained == ctx.parse(f"2*u*v*({df.replace('u', '(1 + u^2*v)')})")
     # without ``exact``, as lie differentiates, the application stays opaque
     (tagged,) = ctx.parse(f).gradient([u])[u].atoms()
     assert tagged == FnAtom(f.split("(")[0], (ctx.var("u"),)).bump(0)

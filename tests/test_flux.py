@@ -218,6 +218,15 @@ def test_a_stated_dJ_must_be_the_derivative_of_J():
     assert stated.texts["dJ"] == "2 + 2*psi" and "dJ" not in omitted.texts
 
 
+@pytest.mark.parametrize(
+    "J, dJ", [("1/psi", "-1/psi^2"), ("sqrt(psi)", "0.5/sqrt(psi)"), ("sqrt(psi)", "1/(2*sqrt(psi))")]
+)
+def test_a_stated_dJ_stands_however_its_reciprocals_are_written(J, dJ):
+    stated = FluxProblem(boundary="r^2*zu", J=J, dJ=dJ, **DOMAIN)
+    assert stated.dJ.expression == FluxProblem(boundary="r^2*zu", J=J, **DOMAIN).dJ.expression
+    assert stated.texts["dJ"] == dJ
+
+
 @pytest.mark.parametrize("key", ["J", "dJ", "N", "dN"])
 def test_a_profile_given_as_a_callable_is_refused_naming_its_key(key):
     with pytest.raises(ValueError, match=f"^{key}: a profile is an expression in psi, not a Python callable$"):
@@ -634,6 +643,15 @@ def test_mapped_pressure_is_the_stated_N(name, level):
     n = 0.5 * (state.p_perp.values + state.p_par.values)
     psi = state.psi.values * state.meta["psi_normalization"]
     assert np.max(np.abs(n - (level - 2.0 * psi))) <= 1e-12
+
+
+def test_a_mapped_flux_state_records_the_gauge_and_scale_of_its_label(quartic_solutions):
+    sol = quartic_solutions[33]
+    state = flux_to_cgl(sol, 0.2, grid=default_cartesian_box(quartic_problem(), 9))
+    lo, hi = sol.attained_range()
+    assert state.meta == {"psi_ref": lo, "psi_normalization": max(abs(lo), abs(hi))}
+    # a point transform with the state's evaluator adds nothing to it
+    assert translate_state(state, (0.0, 0.0, 0.01)).meta == state.meta
 
 
 def test_pressure_from_dN_vanishes_at_the_smallest_attained_flux(quartic_solutions):
