@@ -212,6 +212,8 @@ def cmd_transform(args) -> tuple[int, dict]:
     state = eq.read_state_csv(args.state)
     spec = eq.TransformSpec(args.M, m_min=args.m_min)
     transformed = _naming("--M", ExprError, eq.apply_infinite_transform, state, spec)
+    # the write runs beside the image alone, which shares psi with the input
+    del state
     eq.write_state_csv(transformed, Path(args.out) / "transformed.csv")
     report = {
         "inputs": {"state": str(args.state)},
@@ -236,7 +238,7 @@ def cmd_flux_solve(args) -> tuple[int, dict]:
         sol = fx.solve_flux(problem, **params)
     except fx.SolverDiverged as err:
         raise ValueError(f"solver diverged: {err}") from None
-    except ValueError as err:
+    except (ValueError, ArithmeticError) as err:
         raise ValueError(f"{args.problem_file}: {err}") from None
     manifest = fx.write_solution(sol, args.out)
     report = {
@@ -266,7 +268,7 @@ def cmd_flux_tocgl(args) -> tuple[int, dict]:
 
     sol = fx.load_solution(args.solution)
     _naming(args.solution, ValueError, sol.pressure)  # a dN with no exact N
-    grid = fx.default_cartesian_box(sol.problem, args.grid)
+    grid = _naming(args.solution, ValueError, fx.default_cartesian_box, sol.problem, args.grid)
     state = _naming("--tau", ExprError, fx.flux_to_cgl, sol, args.tau, grid)
     eq.write_state_csv(state, Path(args.out) / "state.csv")
     report = {

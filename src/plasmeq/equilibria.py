@@ -151,6 +151,13 @@ def _require_finite(state: CGLState) -> CGLState:
 BLOCK_NODES = 2**14
 
 
+def _x_blocks(grid: Grid3) -> list[slice]:
+    """The x-slab blocks of at most ``BLOCK_NODES`` nodes (or one slab) of ``grid``."""
+    nx, ny, nz = grid.counts
+    step = max(1, BLOCK_NODES // (ny * nz))
+    return [slice(start, start + step) for start in range(0, nx, step)]
+
+
 def _evaluate_in_blocks(grid: Grid3, fn: Callable) -> tuple[np.ndarray | None, ...]:
     """Evaluate ``fn(block, x, y, z)``, a nodewise function of the x-slabs
     ``block`` (a slice) and their open mesh (``np.ix_``), over blocks of at
@@ -161,15 +168,12 @@ def _evaluate_in_blocks(grid: Grid3, fn: Callable) -> tuple[np.ndarray | None, .
     block fixes the shapes.  The result is bit-identical to one call on the
     whole mesh, and an error comes from the first block that raises it.
     """
-    nx, ny, nz = grid.counts
-    step = max(1, BLOCK_NODES // (ny * nz))
     x, y, z = np.ix_(*grid.axes())
     outputs: list[np.ndarray | None] = []
-    for start in range(0, nx, step):
-        block = slice(start, start + step)
+    for block in _x_blocks(grid):
         values = fn(block, x[block], y, z)
         if not outputs:
-            outputs = [None if v is None else np.empty((*np.shape(v)[:-3], nx, ny, nz)) for v in values]
+            outputs = [None if v is None else np.empty((*np.shape(v)[:-3], *grid.counts)) for v in values]
         for out, v in zip(outputs, values):
             if out is not None:
                 out[..., block, :, :] = v
@@ -675,56 +679,82 @@ def stability_report(state: CGLState) -> StabilityReport:
     Mirror: unstable iff p_perp (p_perp / (6 p_par) - 1) > B^2 / 2; nodes
     with p_par = 0 are flagged indeterminate.  Nodes at field nulls are
     not applicable.  Nodes with p_perp <= 0 or p_par <= 0 are counted as
-    non-physical, and when there are any, ``worst_pressure`` names the node
-    of the smallest min(p_perp, p_par).  Margins are the largest values of
-    (criterion left side minus right side) over the applicable nodes with
-    p_perp > 0 and p_par > 0, None where there are none; flags and counts
-    still cover every applicable node.
+    non-physical, and when there are any, ``worst_pressure`` names the
+    (first) node of the smallest min(p_perp, p_par).  Margins are the
+    largest values of (criterion left side minus right side) over the
+    applicable nodes with p_perp > 0 and p_par > 0, None where there are
+    none; flags and counts still cover every applicable node.
+
+    Two passes over the x-slab blocks of ``_x_blocks`` hold the flags and
+    one block's temporaries: the first finds the field-null threshold, the
+    second flags, counts and reduces, bit-identical to a whole-grid pass.
     """
-    b2 = state.b_squared()
-    applicable = b2 > _field_null_threshold(b2)
-    pperp = state.p_perp.values
-    ppar = pperp + state.tau.values * b2
+    grid = state.grid
+    _nx, ny, nz = grid.counts
+    blocks = _x_blocks(grid)
 
-    fire = np.full(state.grid.counts, FLAG_NOT_APPLICABLE, dtype=np.int8)
-    fire_lhs = ppar - pperp - b2
-    fire[applicable & (fire_lhs > 0)] = FLAG_UNSTABLE
-    fire[applicable & (fire_lhs <= 0)] = FLAG_STABLE
+    def b_squared(block):
+        b = state.B.values[:, block]
+        return np.einsum("cijk,cijk->ijk", b, b)
 
-    mirror = np.full(state.grid.counts, FLAG_NOT_APPLICABLE, dtype=np.int8)
-    zero_par = applicable & (ppar == 0)
-    ok = applicable & ~zero_par
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mirror_lhs = pperp * (pperp / (6.0 * ppar) - 1.0) - 0.5 * b2
-    mirror[ok & (mirror_lhs > 0)] = FLAG_UNSTABLE
-    mirror[ok & (mirror_lhs <= 0)] = FLAG_STABLE
-    mirror[zero_par] = FLAG_INDETERMINATE
+    eps_b = _field_null_threshold(np.array([np.max(b_squared(block)) for block in blocks]))
+    fire = np.full(grid.counts, FLAG_NOT_APPLICABLE, dtype=np.int8)
+    mirror = np.full(grid.counts, FLAG_NOT_APPLICABLE, dtype=np.int8)
+    applicable_count = nonpositive = 0
+    fire_margins, mirror_margins = [], []
+    # each block's smallest min(p_perp, p_par) and its (flat node, p_perp, p_par)
+    lowest, lowest_at = [], []
+    for block in blocks:
+        b2 = b_squared(block)
+        applicable = b2 > eps_b
+        pperp = state.p_perp.values[block]
+        ppar = pperp + state.tau.values[block] * b2
 
-    def margin(lhs, mask):
-        return float(np.max(lhs[mask])) if mask.any() else None
+        fire_lhs = ppar - pperp - b2
+        fire[block][applicable & (fire_lhs > 0)] = FLAG_UNSTABLE
+        fire[block][applicable & (fire_lhs <= 0)] = FLAG_STABLE
+
+        zero_par = applicable & (ppar == 0)
+        ok = applicable & ~zero_par
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mirror_lhs = pperp * (pperp / (6.0 * ppar) - 1.0) - 0.5 * b2
+        mirror[block][ok & (mirror_lhs > 0)] = FLAG_UNSTABLE
+        mirror[block][ok & (mirror_lhs <= 0)] = FLAG_STABLE
+        mirror[block][zero_par] = FLAG_INDETERMINATE
+
+        p_min = np.minimum(pperp, ppar)
+        physical = applicable & (p_min > 0)
+        if physical.any():
+            fire_margins.append(np.max(fire_lhs[physical]))
+            mirror_margins.append(np.max(mirror_lhs[physical]))
+        applicable_count += int(np.count_nonzero(applicable))
+        nonpositive += int(np.count_nonzero(p_min <= 0))
+        i = int(np.argmin(p_min))
+        lowest.append(p_min.flat[i])
+        lowest_at.append((block.start * ny * nz + i, pperp.flat[i], ppar.flat[i]))
+
+    def margin(maxima):
+        return float(np.max(maxima)) if maxima else None
 
     counts = {
-        "applicable": int(applicable.sum()),
-        "fire_hose_unstable": int((fire == FLAG_UNSTABLE).sum()),
-        "mirror_unstable": int((mirror == FLAG_UNSTABLE).sum()),
-        "indeterminate": int((mirror == FLAG_INDETERMINATE).sum()),
-        "not_applicable": int((~applicable).sum()),
+        "applicable": applicable_count,
+        "fire_hose_unstable": int(np.count_nonzero(fire == FLAG_UNSTABLE)),
+        "mirror_unstable": int(np.count_nonzero(mirror == FLAG_UNSTABLE)),
+        "indeterminate": int(np.count_nonzero(mirror == FLAG_INDETERMINATE)),
+        "not_applicable": grid.n_nodes - applicable_count,
+        "nonpositive_pressure": nonpositive,
     }
-    p_min = np.minimum(pperp, ppar)
-    physical = applicable & (p_min > 0)
-    margins = {
-        "fire_hose": margin(fire_lhs, physical),
-        "mirror": margin(mirror_lhs, physical),
-    }
-    counts["nonpositive_pressure"] = int((p_min <= 0).sum())
+    margins = {"fire_hose": margin(fire_margins), "mirror": margin(mirror_margins)}
     worst_pressure = None
-    if counts["nonpositive_pressure"]:
-        node = tuple(int(i) for i in np.unravel_index(int(np.argmin(p_min)), p_min.shape))
+    if nonpositive:
+        # the first block holding the smallest value holds np.argmin's node
+        flat, p_perp, p_par = lowest_at[int(np.argmin(lowest))]
+        node = tuple(int(i) for i in np.unravel_index(flat, grid.counts))
         worst_pressure = {
             "node": list(node),
-            "xyz": list(state.grid.point(node)),
-            "p_perp": float(pperp[node]),
-            "p_par": float(ppar[node]),
+            "xyz": list(grid.point(node)),
+            "p_perp": float(p_perp),
+            "p_par": float(p_par),
         }
     return StabilityReport(fire, mirror, counts, margins, worst_pressure)
 
@@ -850,16 +880,22 @@ def residual_norms(
         res = None  # the next window starts with this one's arrays freed
 
     out = {}
+    outside = None if mask is None else ~mask
     for name, values in pointwise.items():
-        # the same reductions as ``fields.norm``; magnitudes are >= 0, so
-        # -1 keeps the maximum on the masked nodes for the node's index
-        selected = values if mask is None else values[mask]
-        located = values if mask is None else np.where(mask, values, -1.0)
-        # interior index + 1 is the index on the state's grid
-        node = np.unravel_index(int(np.argmax(located)), located.shape)
+        # the same reductions as ``fields.norm``, made in place on the
+        # pointwise arrays, which nothing reads after them
+        selected = values
+        if mask is not None:
+            selected = values[mask]
+            # magnitudes are >= 0, so -1 keeps the maximum on the masked nodes
+            values[outside] = -1.0
+        node = np.unravel_index(int(np.argmax(values)), values.shape)
+        linf = float(np.max(selected))
+        selected **= 2
         out[name] = {
-            "linf": float(np.max(selected)),
-            "l2": float(np.sqrt(np.mean(selected**2))),
+            "linf": linf,
+            "l2": float(np.sqrt(np.mean(selected))),
+            # interior index + 1 is the index on the state's grid
             "node": tuple(int(i) + 1 for i in node),
         }
     return out

@@ -502,13 +502,16 @@ def default_cartesian_box(problem: FluxProblem, counts: int | tuple[int, int, in
     x_lo = r0 + m
     x_hi = math.sqrt((r1 - m) ** 2 - y_max**2)
     if x_hi <= x_lo:
-        raise ValueError("radial domain too thin for the default box; pass an explicit grid")
+        raise ValueError(f"radial domain r in [{r0:.6g}, {r1:.6g}] is too thin to hold the default sampling box")
     mz = 0.1 * (b - a)
     # zu = z - gamma phi: the box's zu range widens by gamma times its phi range
     pad = abs(problem.gamma) * math.atan2(y_max, x_lo)
     z_lo, z_hi = a + mz + pad, b - mz - pad
     if z_lo >= z_hi:
-        raise ValueError("zu range too thin for the helical default box; pass an explicit grid")
+        raise ValueError(
+            f"zu range [{a:.6g}, {b:.6g}] is too short for the default sampling box at pitch length "
+            f"gamma = {problem.gamma:.6g}, which shifts zu by up to {pad:.6g} across the box"
+        )
     if isinstance(counts, int):
         counts = (counts, counts, counts)
     if min(counts) < 2:

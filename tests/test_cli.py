@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import plasmeq
-from plasmeq import cli, fields, flux
+from plasmeq import cli, equilibria, fields, flux
 from plasmeq.cli import main
 
 
@@ -1207,6 +1208,11 @@ BAD_INPUTS = {
         lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ndN = 50*psi")],
         "solver diverged: update norm grew from ",
     ),
+    # the iterate blows up before the divergence test can see it grow
+    "flux profile that blows up": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ndN = -50*psi^3")],
+        "problem.flux: constitutive profile evaluated to a non-finite value",
+    ),
     "boundary data that is not finite": (
         lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = log(zu)")],
         "problem.flux: boundary data is not finite",
@@ -1227,14 +1233,15 @@ BAD_INPUTS = {
     # squares of radii near 1e-200 underflow to zero, which no box fits between
     "solution domain too thin for the default box": (
         _solution_of_radii_near_1e_200,
-        "radial domain too thin for the default box; pass an explicit grid",
+        "sol/solution.json: radial domain r in [1e-200, 1.5e-200] is too thin to hold the default sampling box",
     ),
     # a pitch length of 10 widens the box's zu range past the domain's
     "helical solution too steep for the default box": (
         lambda tmp: [
             "flux", "tocgl", _solved(tmp, _flux_file(tmp, "gamma = 10\nboundary = r")), "--tau", "0.1",
         ],
-        "zu range too thin for the helical default box; pass an explicit grid",
+        "sol/solution.json: zu range [-0.5, 0.5] is too short for the default sampling box at pitch length "
+        "gamma = 10, which shifts zu by up to ",
     ),
 }
 
@@ -1507,6 +1514,42 @@ def test_transform_of_a_state_with_tau_of_one_or_more_warns_once(tmp_path, capsy
     report = read_report(out)
     assert report["warnings"] == ["input state has tau >= 1 somewhere"]
     assert report["assumptions"] == [] and report["pass"] is True
+
+
+def _array_refs(values):
+    """Weak references to ``values`` and every array it is a view of."""
+    refs = []
+    while values is not None:
+        refs.append(weakref.ref(values))
+        values = values.base
+    return refs
+
+
+def test_transform_lets_go_of_its_input_before_it_writes(tmp_path, monkeypatch):
+    # the write runs beside the image alone: the input's B, p_perp and tau
+    # are freed when the map returns, and its psi lives on in the image
+    state_csv = _state(tmp_path)
+    read, write = equilibria.read_state_csv, equilibria.write_state_csv
+    freed, shared = [], []
+
+    def reading(path):
+        state = read(path)
+        freed.append(weakref.ref(state))
+        for f in (state.B, state.p_perp, state.tau):
+            freed.extend(_array_refs(f.values))
+        shared.append(_array_refs(state.psi.values)[-1])
+        return state
+
+    def writing(state, path):
+        assert [r() for r in freed] == [None] * len(freed)
+        assert np.shares_memory(state.psi.values, shared[0]())
+        write(state, path)
+
+    monkeypatch.setattr(equilibria, "read_state_csv", reading)
+    monkeypatch.setattr(equilibria, "write_state_csv", writing)
+    code, out = run(tmp_path, "t", "transform", "--state", state_csv, "--M", "1 + psi*sin(psi)")
+    assert code == 0 and (out / "transformed.csv").is_file()
+    assert len(freed) > 1
 
 
 def test_check_stability_counts_nonpositive_pressure(tmp_path):

@@ -1528,6 +1528,155 @@ def test_stability_counts_a_nonpositive_parallel_pressure():
     assert rep.worst_pressure["node"] == [0, 0, 0]
 
 
+def _whole_grid_stability(state):
+    """``stability_report`` as one whole-grid pass, as earlier releases
+    made it: (fire-hose flags, mirror flags, counts, margins, worst_pressure)."""
+    b2 = state.b_squared()
+    applicable = b2 > equilibria.EPS_B_RELATIVE * float(np.max(b2))
+    pperp = state.p_perp.values
+    ppar = pperp + state.tau.values * b2
+    fire = np.full(state.grid.counts, equilibria.FLAG_NOT_APPLICABLE, dtype=np.int8)
+    fire_lhs = ppar - pperp - b2
+    fire[applicable & (fire_lhs > 0)] = FLAG_UNSTABLE
+    fire[applicable & (fire_lhs <= 0)] = equilibria.FLAG_STABLE
+    mirror = np.full(state.grid.counts, equilibria.FLAG_NOT_APPLICABLE, dtype=np.int8)
+    zero_par = applicable & (ppar == 0)
+    ok = applicable & ~zero_par
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mirror_lhs = pperp * (pperp / (6.0 * ppar) - 1.0) - 0.5 * b2
+    mirror[ok & (mirror_lhs > 0)] = FLAG_UNSTABLE
+    mirror[ok & (mirror_lhs <= 0)] = equilibria.FLAG_STABLE
+    mirror[zero_par] = FLAG_INDETERMINATE
+    p_min = np.minimum(pperp, ppar)
+    physical = applicable & (p_min > 0)
+    counts = {
+        "applicable": int(applicable.sum()),
+        "fire_hose_unstable": int((fire == FLAG_UNSTABLE).sum()),
+        "mirror_unstable": int((mirror == FLAG_UNSTABLE).sum()),
+        "indeterminate": int((mirror == FLAG_INDETERMINATE).sum()),
+        "not_applicable": int((~applicable).sum()),
+        "nonpositive_pressure": int((p_min <= 0).sum()),
+    }
+    margins = {
+        name: float(np.max(lhs[physical])) if physical.any() else None
+        for name, lhs in (("fire_hose", fire_lhs), ("mirror", mirror_lhs))
+    }
+    worst = None
+    if counts["nonpositive_pressure"]:
+        node = tuple(int(i) for i in np.unravel_index(int(np.argmin(p_min)), p_min.shape))
+        worst = {
+            "node": list(node),
+            "xyz": list(state.grid.point(node)),
+            "p_perp": float(pperp[node]),
+            "p_par": float(ppar[node]),
+        }
+    return fire, mirror, counts, margins, worst
+
+
+def _crafted_stability_state():
+    """An anisotropic 11x7x9 state, in blocks of two x-slabs, with field
+    nulls, p_par = 0 nodes, non-positive pressures on both sides of the
+    boundary between the first two blocks, and its smallest min(p_perp,
+    p_par), -2, at (3, 4, 4) in the second block and again at (6, 1, 1) in
+    the fourth."""
+    g = Grid3((-1.0, -0.6, -0.8), (0.2, 0.2, 0.2), (11, 7, 9))
+    X, Y, Z = g.meshgrid()
+    b = np.stack([np.sin(2 * Y + Z), np.cos(X - Z), 1.0 + 0.3 * X * Y])
+    pperp = 1.0 + 0.5 * np.cos(X + 2 * Z)
+    tau = 0.5 + 0.6 * np.sin(3 * X * Z + Y)
+    b[:, 0, 0, 0] = b[:, 5, 3, 3] = 0.0  # field nulls
+    b[:, 8, 1, 1] = 1e-7  # |B|^2 below the null threshold
+    for node, (p, t) in {
+        (4, 2, 2): (3.0, -3.0),  # p_par = 3 - 3 |B|^2 = 0
+        (9, 5, 7): (0.0, 0.0),  # p_par = p_perp = 0
+        (1, 2, 2): (-0.5, 0.0),  # last slab of the first block
+        (2, 2, 2): (0.5, -1.0),  # first slab of the second: p_par = -0.5
+        (3, 4, 4): (1.0, -3.0),  # p_par = -2, first
+        (6, 1, 1): (-2.0, 0.5),  # p_perp = -2, later
+    }.items():
+        b[(slice(None), *node)] = (0.0, 0.0, 1.0)
+        pperp[node], tau[node] = p, t
+    return CGLState(VectorGrid(g, b), ScalarGrid(g, pperp), ScalarGrid(g, tau), ScalarGrid(g, np.zeros(g.counts)))
+
+
+@pytest.fixture(scope="module")
+def axisym_solution():
+    from plasmeq import flux
+
+    text = resources.files("plasmeq.data").joinpath("flux_axisym_example.flux").read_text()
+    problem, _ = flux.parse_problem_file(text)
+    return flux.solve_flux(problem, (17, 17))
+
+
+@pytest.fixture(scope="module")
+def reduced_states(params, vortex33, vortex65, axisym_solution, helical_solution):
+    from plasmeq import flux
+
+    def tocgl(solution, tau):
+        return flux.flux_to_cgl(solution, tau, grid=flux.default_cartesian_box(solution.problem, 33))
+
+    return {
+        "vortex 33^3": vortex33,
+        "vortex 65^3": vortex65,
+        "transformed vortex": apply_infinite_transform(vortex33, TransformSpec("1 + psi*sin(psi)")),
+        "axisymmetric tocgl": tocgl(axisym_solution, "psi/2.6"),
+        "helical tocgl": tocgl(helical_solution, "psi/4"),
+        "crafted": _crafted_stability_state(),
+    }
+
+
+REDUCED_STATES = [
+    "vortex 33^3", "vortex 65^3", "transformed vortex", "axisymmetric tocgl", "helical tocgl", "crafted",
+]
+
+
+@pytest.mark.parametrize("name", REDUCED_STATES)
+def test_stability_in_blocks_is_bit_identical_to_the_whole_grid(reduced_states, monkeypatch, name):
+    state = reduced_states[name]
+    fire, mirror, counts, margins, worst = _whole_grid_stability(state)
+    _nx, ny, nz = state.grid.counts
+    # two x-slabs a block (a 33^3 grid has 17 blocks), the last one short
+    monkeypatch.setattr(equilibria, "BLOCK_NODES", 2 * ny * nz + ny)
+    rep = stability_report(state)
+    assert np.array_equal(rep.fire_hose, fire) and rep.fire_hose.dtype == np.int8
+    assert np.array_equal(rep.mirror, mirror) and rep.mirror.dtype == np.int8
+    assert rep.counts == counts and rep.margins == margins
+    assert rep.worst_pressure == worst
+    if name == "crafted":
+        assert counts["not_applicable"] == 3 and counts["indeterminate"] == 2
+        assert counts["nonpositive_pressure"] == 6
+        assert worst["node"] == [3, 4, 4] and (worst["p_perp"], worst["p_par"]) == (1.0, -2.0)
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["whole interior", "masked"])
+@pytest.mark.parametrize("system", ["mhd", "cgl"])
+@pytest.mark.parametrize("name", REDUCED_STATES)
+def test_residual_norms_reduce_as_the_whole_grid_does(reduced_states, monkeypatch, name, system, masked):
+    state = reduced_states[name]
+    mask_radius = None
+    if masked:
+        X, Y, Z = state.grid.interior().meshgrid()
+        mask_radius = float(np.median(np.sqrt(X * X + Y * Y + Z * Z)))
+    want = _whole_grid_norms(state, system, mask_radius)
+    _nx, ny, nz = state.grid.counts
+    monkeypatch.setattr(equilibria, "BLOCK_NODES", 2 * ny * nz + ny)
+    assert residual_norms(state, system, mask_radius=mask_radius) == want
+
+
+def test_stability_at_65_holds_its_flags_and_one_node_array(vortex65):
+    state = apply_infinite_transform(vortex65, TransformSpec("1 + psi*sin(psi)"))
+    stability_report(state)
+    tracemalloc.start()
+    try:
+        rep = stability_report(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a whole-grid pass peaked at about six node arrays
+    assert rep.fire_hose.nbytes == rep.mirror.nbytes == 65**3
+    assert peak < rep.fire_hose.nbytes + rep.mirror.nbytes + 65**3 * 8
+
+
 # -- residual evaluation ----------------------------------------------------------------
 
 
@@ -1686,6 +1835,28 @@ def test_residual_norms_at_65_hold_few_node_arrays(residual_source):
     # a whole-grid pass peaks at about 20 node arrays; the blocked one
     # keeps one interior array per residual and a few block temporaries
     assert peak < 7 * 65**3 * 8
+
+
+def _norms_peak(state, system, mask_radius):
+    tracemalloc.start()
+    try:
+        residual_norms(state, system, mask_radius=mask_radius)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_masked_residual_norms_at_65_reduce_in_place(residual_source):
+    state = residual_source("transformed vortex", (65, 65, 65))
+    X, Y, Z = state.grid.interior().meshgrid()
+    mask_radius = float(np.median(np.sqrt(X * X + Y * Y + Z * Z)))
+    node, pointwise = 65**3 * 8, 3 * 63**3 * 8  # cgl has three residuals
+    whole, masked = (_norms_peak(state, "cgl", r) for r in (None, mask_radius))
+    # the windows' own temporaries, about 1.2 node arrays at 65^3, set both
+    # peaks; the masked reductions add the mask alone, where a masked copy,
+    # its square and a ``np.where`` copy once added two node arrays
+    assert whole < pointwise + 1.25 * node
+    assert masked < whole + 63**3 + node / 16
 
 
 def _tau_spike_state():
