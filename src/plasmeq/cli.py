@@ -236,9 +236,7 @@ def cmd_flux_solve(args) -> tuple[int, dict]:
     problem, params = fx.parse_problem_file(_read_text(args.problem_file), args.problem_file)
     try:
         sol = fx.solve_flux(problem, **params)
-    except fx.SolverDiverged as err:
-        raise ValueError(f"solver diverged: {err}") from None
-    except (ValueError, ArithmeticError) as err:
+    except (ValueError, ArithmeticError, fx.SolverDiverged) as err:
         raise ValueError(f"{args.problem_file}: {err}") from None
     manifest = fx.write_solution(sol, args.out)
     report = {
@@ -255,8 +253,8 @@ def cmd_flux_solve(args) -> tuple[int, dict]:
         "pass": sol.converged,
     }
     print(
-        f"flux solve: {sol.iterations} iterations, final update {sol.final_update:.3e}, "
-        + ("converged" if sol.converged else "NOT converged")
+        f"flux solve: {sol.iterations} iteration{'s' * (sol.iterations != 1)}, "
+        f"final update {sol.final_update:.3e}, " + ("converged" if sol.converged else "NOT converged")
     )
     return (EXIT_OK if sol.converged else EXIT_VERIFICATION), report
 

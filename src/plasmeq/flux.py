@@ -16,14 +16,13 @@ and each zu sine mode leaves one tridiagonal system in r.  The systems of
 all modes are eliminated together, row by row (the Thomas algorithm
 vectorised over the modes), with the multipliers and pivots computed once
 per solve; every right-hand side then costs two sine transforms and one
-sweep each way.  The kernel differentiates the stated J and N exactly,
-and when no profile J, J' or N' depends on psi, the right-hand side is
-the same at every iteration and is eliminated once.  The Dirichlet data
-enter as the stencil applied to the boundary values, a fixed
-right-hand-side term, so the boundary values are imposed exactly and
-never touched by the iteration.  The terms in J and N are frozen at the
-previous iterate and relaxed: damped Picard iteration around the one
-elimination.
+sweep each way.  The kernel differentiates the stated J and N exactly.
+The Dirichlet data enter as the stencil applied to the boundary values, a
+fixed right-hand-side term, so the boundary values are imposed exactly.
+When no profile J, J' or N' depends on psi, the right-hand side is fixed
+and one solve is the discrete solution.  Otherwise the terms in J and N
+are frozen at the previous iterate and relaxed: damped Picard iteration
+around the one elimination.
 
 A mapped state is the field-line image (M = (1 - tau)^(-1/2)) of the
 isotropic Grad-Shafranov/JFKO state B, P = N(psi), which ``check --system
@@ -163,7 +162,9 @@ class FluxProblem:
 @dataclass(frozen=True)
 class FluxSolution:
     """A solved problem; ``updates`` holds the max-norm update of each
-    Picard iteration, in order."""
+    Picard iteration, in order.  A problem whose right-hand side does not
+    depend on psi is solved once and records ``(0.0,)``, the change a
+    further Picard step would make."""
 
     problem: FluxProblem
     r: np.ndarray
@@ -426,10 +427,10 @@ def solve_flux(
 ) -> FluxSolution:
     """Damped Picard iteration around one linear solver, set up once.
 
-    When no profile depends on psi, the right-hand side is evaluated,
-    eliminated and damped once, and each iteration is the damped update
-    alone.  The iterate and its successor live in two interior buffers
-    that swap; psi's interior is written once, at the end."""
+    When no profile depends on psi, the right-hand side is fixed: one solve
+    is the discrete solution, recorded as one iteration whose update is 0.0
+    (a further step would change nothing), and ``tol_outer``, ``max_iter``
+    and ``omega`` are validated but do not act."""
     nr, nzu = shape
     if nr < 9 or nzu < 9:
         raise ValueError("resolution must be at least 9 x 9")
@@ -456,25 +457,22 @@ def solve_flux(
         S = problem.source(*np.meshgrid(r[1:-1], zu[1:-1], indexing="ij"))
     nonlinear = _nonlinear_term(problem, r[1:-1, None], S)
 
-    current, following = np.zeros((nr - 2, nzu - 2)), np.empty((nr - 2, nzu - 2))
-    step = None
+    current = np.zeros((nr - 2, nzu - 2))
     if not any(_depends_on_psi(f) for f in (problem.J, problem.dJ, problem.dN)):
-        step = omega * solve(-nonlinear(current))
+        psi[1:-1, 1:-1] = solve(-nonlinear(current))
+        return FluxSolution(problem, r, zu, psi, (0.0,), True)
     updates: list[float] = []
     converged = False
     for _ in range(max_iter):
-        np.multiply(current, 1.0 - omega, out=following)
-        following += step if step is not None else omega * solve(-nonlinear(current))
-        # current turns into the update, following into the iterate
-        np.subtract(following, current, out=current)
-        updates.append(float(np.max(np.abs(current, out=current))))
-        current, following = following, current
+        following = (1.0 - omega) * current + omega * solve(-nonlinear(current))
+        updates.append(float(np.max(np.abs(following - current))))
+        current = following
         if updates[-1] < tol_outer:
             converged = True
             break
         if len(updates) > 20 and updates[-1] > 10.0 * updates[-21]:
             raise SolverDiverged(
-                f"update norm grew from {updates[-21]:.3e} to {updates[-1]:.3e} over 20 iterations"
+                f"solver diverged: update norm grew from {updates[-21]:.3e} to {updates[-1]:.3e} over 20 iterations"
             )
     psi[1:-1, 1:-1] = current
     if not converged:

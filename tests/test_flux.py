@@ -110,7 +110,7 @@ def test_homogeneous_case_respects_maximum_principle():
 
 
 def test_quartic_is_solved_exactly():
-    # the flux-form stencil is exact on r^4, so only the Picard tolerance is left
+    # the flux-form stencil is exact on r^4, so only rounding is left
     for n in (17, 33, 65):
         sol = solve_flux(quartic_problem(), (n, n))
         R, _ = np.meshgrid(sol.r, sol.zu, indexing="ij")
@@ -129,7 +129,7 @@ def test_bundled_examples_are_solved_to_their_closed_forms(name, exact, h2_facto
     sol = solve_flux(problem, **params)
     R, ZU = np.meshgrid(sol.r, sol.zu, indexing="ij")
     h = max(sol.r[1] - sol.r[0], sol.zu[1] - sol.zu[0])
-    assert sol.iterations == 16
+    assert sol.iterations == 1
     assert np.max(np.abs(sol.psi - exact(R, ZU))) <= 1e-10 + h2_factor * h * h
 
 
@@ -203,8 +203,10 @@ def test_divergence_is_detected():
 
 
 def test_iteration_cap_warns_and_flags():
+    # a psi-free problem is one solve whatever the cap: the current here depends on psi
+    p = FluxProblem(boundary=f"{A / 8}*r^4", J="0.5*psi", dN=-A, **DOMAIN)
     with pytest.warns(RuntimeWarning, match="iteration cap"):
-        sol = solve_flux(quartic_problem(), (17, 17), max_iter=3)
+        sol = solve_flux(p, (17, 17), max_iter=3)
     assert not sol.converged
 
 
@@ -277,6 +279,15 @@ def test_operator_and_dirichlet_term_match_the_stencil(geometry, shape):
     got = solve(five_point_stencil(problem, r, zu, psi))
     want = psi[1:-1, 1:-1]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["flux_axisym_example.flux", "flux_helical_example.flux"])
+def test_the_discrete_equation_is_solved(bundled_solutions, name):
+    # stencil(psi) + g(psi) = 0 at every interior node, to rounding
+    sol = bundled_solutions[name]
+    g = flux._nonlinear_term(sol.problem, sol.r[1:-1, None], None)(sol.psi[1:-1, 1:-1])
+    residual = five_point_stencil(sol.problem, sol.r, sol.zu, sol.psi) + g
+    assert np.max(np.abs(residual)) <= 1e-11 * np.max(np.abs(g))
 
 
 def splu_reference_solve(problem, shape, tol_outer=1e-10, omega=0.8):
@@ -358,25 +369,24 @@ def _count_solver_calls(monkeypatch):
 def test_solve_factorizes_once(problem, psi_dependent, monkeypatch):
     # the elimination is set up once per solve; a right-hand side that
     # depends on psi is solved at every Picard iteration, one that does not
-    # (here an (n, 1) column in r) once
+    # (here an (n, 1) column in r) once, in one iteration
     setups, solves = _count_solver_calls(monkeypatch)
     sol = solve_flux(problem, (17, 17))
-    assert sol.iterations > 1
+    assert sol.iterations > 1 if psi_dependent else sol.iterations == 1
     assert setups == [(17, 17)]
     assert len(solves) == (sol.iterations if psi_dependent else 1)
 
 
-def test_the_per_iteration_path_gives_the_single_elimination_bit_for_bit(monkeypatch):
-    # profiles taken to depend on psi take the per-iteration path; the
-    # quartic's are constant, so that path gives the same psi bit for bit
+def test_the_per_iteration_loop_converges_to_the_one_solve(monkeypatch):
+    # profiles taken to depend on psi take the damped Picard loop; the
+    # quartic's are constant, so the loop approaches the one solve's psi
     want = solve_flux(quartic_problem(), (17, 17))
     monkeypatch.setattr(flux, "_depends_on_psi", lambda profile: True)
     setups, solves = _count_solver_calls(monkeypatch)
     got = solve_flux(quartic_problem(), (17, 17))
     assert setups == [(17, 17)]
-    assert len(solves) == got.iterations == want.iterations == 16
-    assert got.updates == want.updates
-    assert np.array_equal(got.psi, want.psi)
+    assert len(solves) == got.iterations == 16
+    assert np.max(np.abs(got.psi - want.psi)) <= 2e-11 * np.max(np.abs(want.psi))
 
 
 def reference_solve_flux(problem, shape, tol_outer=1e-10, max_iter=500, omega=0.8):
@@ -415,29 +425,54 @@ def _bundled_problem(name):
 
 @pytest.mark.parametrize("shape", [(33, 33), (19, 14)])
 @pytest.mark.parametrize(
-    "problem, settings",
+    "problem, settings, psi_free",
     [
-        (quartic_problem(), {}),
-        (_bundled_problem("flux_axisym_example.flux"), {}),
-        (_bundled_problem("flux_helical_example.flux"), {}),
-        (manufactured_problem(), {}),
-        (_lu_reference_problem("helical"), {}),
-        (quartic_problem(), dict(max_iter=4)),
-        (manufactured_problem(), dict(max_iter=4)),
+        (quartic_problem(), {}, True),
+        (_bundled_problem("flux_axisym_example.flux"), {}, True),
+        (_bundled_problem("flux_helical_example.flux"), {}, True),
+        (manufactured_problem(), {}, False),
+        (_lu_reference_problem("helical"), {}, False),
+        (quartic_problem(), dict(max_iter=4), True),
+        (manufactured_problem(), dict(max_iter=4), False),
     ],
     ids=[
         "quartic", "axisymmetric example", "helical example", "manufactured", "source",
         "psi-independent iteration cap", "psi-dependent iteration cap",
     ],
 )
-def test_solve_is_bit_identical_to_the_whole_domain_loop(problem, settings, shape):
-    want_psi, want_updates, want_converged = reference_solve_flux(problem, shape, **settings)
+def test_solve_is_bit_identical_to_the_whole_domain_loop(problem, settings, psi_free, shape):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         sol = solve_flux(problem, shape, **settings)
-    assert sol.converged == want_converged == ("max_iter" not in settings)
-    assert sol.updates == want_updates
+    if psi_free:
+        # one solve is the undamped loop's first step, which its second
+        # step leaves exactly as it is
+        want_psi, want_updates, want_converged = reference_solve_flux(problem, shape, **settings, omega=1.0)
+        assert want_converged and want_updates[-1] == 0.0
+        assert sol.converged and sol.updates == (0.0,)
+    else:
+        want_psi, want_updates, want_converged = reference_solve_flux(problem, shape, **settings)
+        assert sol.converged == want_converged == ("max_iter" not in settings)
+        assert sol.updates == want_updates
     assert np.array_equal(sol.psi, want_psi)
+
+
+@pytest.mark.parametrize("shape", [(33, 33), (19, 14)])
+@pytest.mark.parametrize("gamma", [0.0, 0.7])
+def test_a_psi_free_solve_is_linear_in_its_data(gamma, shape):
+    # the boundary data and the pressure term split into two problems
+    # whose solutions add up to the whole problem's
+    whole, pressure, harmonic = (
+        FluxProblem(boundary=boundary, gamma=gamma, **profiles, **DOMAIN)
+        for boundary, profiles in (
+            ("0.25*r^4 + 0.1*zu + 0.05*r^2*zu^3", dict(dN=-2)),
+            ("0.25*r^4", dict(dN=-2)),
+            ("0.1*zu + 0.05*r^2*zu^3", dict(N=0)),
+        )
+    )
+    psi = solve_flux(whole, shape).psi
+    parts = solve_flux(pressure, shape).psi + solve_flux(harmonic, shape).psi
+    assert np.max(np.abs(parts - psi)) <= 1e-14 * np.max(np.abs(psi))
 
 
 def _count_sine_transforms(monkeypatch):
@@ -452,11 +487,11 @@ def _count_sine_transforms(monkeypatch):
 
 
 def test_psi_independent_profiles_are_eliminated_once(monkeypatch):
-    # constant J, dJ and dN give the same right-hand side at every iteration:
-    # one elimination (two sine transforms) serves all of them
+    # constant J, dJ and dN give a fixed right-hand side: one elimination
+    # (two sine transforms) solves the problem
     transforms = _count_sine_transforms(monkeypatch)
     sol = solve_flux(quartic_problem(), (17, 17))
-    assert sol.iterations == 16
+    assert sol.iterations == 1
     assert len(transforms) == 2
 
 
@@ -486,10 +521,12 @@ def test_reuse_leaves_the_iteration_bit_identical(problem, monkeypatch):
 
 
 def test_update_history_is_recorded():
-    sol = solve_flux(quartic_problem(), (17, 17))
-    assert len(sol.updates) == sol.iterations == 16
+    sol = solve_flux(manufactured_problem(), (17, 17))
+    assert len(sol.updates) == sol.iterations > 1
     assert sol.final_update == sol.updates[-1] < 1e-10
     assert all(b < a for a, b in zip(sol.updates, sol.updates[1:]))
+    # a psi-free problem records the change a further step would make: none
+    assert solve_flux(quartic_problem(), (17, 17)).updates == (0.0,)
 
 
 # -- mapping to anisotropic states ------------------------------------------------
@@ -705,7 +742,10 @@ def test_a_pressure_level_moves_the_pressures_alone():
         want, got = residual_norms(low, system), residual_norms(high, system)
         for residual, norms in want.items():
             assert abs(got[residual]["linf"] - norms["linf"]) <= 1e-12 * scale, (system, residual)
-            assert got[residual]["node"] == norms["node"]
+            if norms["linf"] > 1e-10 * scale:
+                assert got[residual]["node"] == norms["node"], (system, residual)
+            else:  # rounding alone, whose worst node the level may move
+                assert max(norms["linf"], got[residual]["linf"]) <= 1e-12 * scale, (system, residual)
 
 
 @pytest.mark.parametrize("name, tau", BUNDLED_TAUS)
