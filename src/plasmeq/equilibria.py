@@ -277,39 +277,37 @@ def _bisect_root(R: float, lo: float, hi: float, g_lo: float, g_hi: float) -> fl
             hi, g_hi = mid, g_mid
 
 
+def _solves_mode_equation(lam: float, R: float) -> bool:
+    """|g| <= 4 eps x^3 at x = 2 R lam: the terms of g grow like x^2, so a
+    root bisected to adjacent floats leaves |g| of order eps x^3."""
+    x = 2.0 * R * lam
+    return abs(_mode_equation(lam, R)) <= 4.0 * np.finfo(float).eps * x**3
+
+
 def find_lambda(R: float, n: int) -> float:
     """The n-th positive mode number: (3 - 4R^2 l^2) sin(2Rl) = 6Rl cos(2Rl).
 
-    Roots are bracketed on an expanding scan and polished to |g| < 1e-10.
+    With x = 2Rl this is x^3 j2(x) = 0, or tan x = 3x / (3 - x^2).  For
+    x > 3 the right side is negative and rises with slope below 1, so each
+    branch of tan past 3 pi/2, which rises with slope at least 1, meets it
+    exactly once, where tan x < 0: the n-th root is the one in
+    ((n + 1/2) pi, (n + 1) pi) (Abramowitz & Stegun 10.1).  It is bisected
+    there to adjacent floats, and |g| <= 4 eps x^3 is checked.  Past about
+    n = 3e7 the bracket's ends round to the same sign of g, and the mode
+    index is refused.
     """
     if R <= 0:
         raise ValueError("sphere radius must be positive")
     if n < 1:
         raise ValueError("mode index starts at 1")
-    step = math.pi / (40.0 * R)
-    lo = step * 0.5  # skip the trivial root at zero
-    roots: list[float] = []
-    g_lo = _mode_equation(lo, R)
-    for chunk in range(200):
-        hi_limit = lo + 10.0 * math.pi / R
-        x = lo
-        while x < hi_limit:
-            x_next = x + step
-            g_hi = _mode_equation(x_next, R)
-            if g_lo == 0.0:
-                roots.append(x)
-            elif g_lo * g_hi < 0.0:
-                roots.append(_bisect_root(R, x, x_next, g_lo, g_hi))
-            if len(roots) >= n:
-                root = roots[n - 1]
-                if abs(_mode_equation(root, R)) >= 1e-10:
-                    raise ArithmeticError(
-                        f"mode equation residual {abs(_mode_equation(root, R)):.3e} at root {root!r}"
-                    )
-                return float(root)
-            x, g_lo = x_next, g_hi
-        lo = hi_limit
-    raise ValueError(f"mode index {n} not found within the scan window")
+    lo, hi = (n + 0.5) * math.pi / (2.0 * R), (n + 1.0) * math.pi / (2.0 * R)
+    g_lo, g_hi = _mode_equation(lo, R), _mode_equation(hi, R)
+    if (g_lo < 0.0) == (g_hi < 0.0):
+        raise ValueError(f"mode index {n} is beyond double precision: the mode equation has one sign on its bracket")
+    root = _bisect_root(R, lo, hi, g_lo, g_hi)
+    if not _solves_mode_equation(root, R):
+        raise ArithmeticError(f"mode equation residual {abs(_mode_equation(root, R)):.3e} at root {root!r}")
+    return root
 
 
 @dataclass(frozen=True)
@@ -327,7 +325,7 @@ class VortexParams:
     gamma_b: float
 
     def __post_init__(self):
-        if abs(_mode_equation(self.lam, self.R)) >= 1e-10:
+        if not _solves_mode_equation(self.lam, self.R):
             raise ValueError("lam does not satisfy the mode equation")
         if abs(1.0 - _v0_profile(2.0 * self.lam * self.R)[0]) < 1e-14:
             raise ValueError("degenerate mode: V0(2 lam R) = 1")
@@ -651,16 +649,8 @@ def anisotropy_scale_state(state: CGLState, C: float) -> CGLState:
 # Stability criteria
 # ---------------------------------------------------------------------------
 
-FLAG_STABLE = 0
-FLAG_UNSTABLE = 1
-FLAG_NOT_APPLICABLE = 2
-FLAG_INDETERMINATE = 3
-
-
 @dataclass(frozen=True)
 class StabilityReport:
-    fire_hose: np.ndarray
-    mirror: np.ndarray
     counts: dict
     margins: dict
     worst_pressure: dict | None = None
@@ -673,21 +663,21 @@ class StabilityReport:
 
 
 def stability_report(state: CGLState) -> StabilityReport:
-    """Pointwise pressure-anisotropy instability flags.
+    """Counts of the nodes that the pressure-anisotropy criteria flag.
 
     Fire-hose: unstable iff p_par - p_perp > B^2 (tau > 1).
     Mirror: unstable iff p_perp (p_perp / (6 p_par) - 1) > B^2 / 2; nodes
-    with p_par = 0 are flagged indeterminate.  Nodes at field nulls are
+    with p_par = 0 are counted indeterminate.  Nodes at field nulls are
     not applicable.  Nodes with p_perp <= 0 or p_par <= 0 are counted as
     non-physical, and when there are any, ``worst_pressure`` names the
     (first) node of the smallest min(p_perp, p_par).  Margins are the
     largest values of (criterion left side minus right side) over the
     applicable nodes with p_perp > 0 and p_par > 0, None where there are
-    none; flags and counts still cover every applicable node.
+    none; the counts still cover every applicable node.
 
-    Two passes over the x-slab blocks of ``_x_blocks`` hold the flags and
-    one block's temporaries: the first finds the field-null threshold, the
-    second flags, counts and reduces, bit-identical to a whole-grid pass.
+    Two passes over the x-slab blocks of ``_x_blocks`` hold one block's
+    temporaries: the first finds the field-null threshold, the second
+    counts and reduces, bit-identical to a whole-grid pass.
     """
     grid = state.grid
     _nx, ny, nz = grid.counts
@@ -698,9 +688,8 @@ def stability_report(state: CGLState) -> StabilityReport:
         return np.einsum("cijk,cijk->ijk", b, b)
 
     eps_b = _field_null_threshold(np.array([np.max(b_squared(block)) for block in blocks]))
-    fire = np.full(grid.counts, FLAG_NOT_APPLICABLE, dtype=np.int8)
-    mirror = np.full(grid.counts, FLAG_NOT_APPLICABLE, dtype=np.int8)
-    applicable_count = nonpositive = 0
+    counts = dict.fromkeys(("applicable", "fire_hose_unstable", "mirror_unstable", "indeterminate"), 0)
+    nonpositive = 0
     fire_margins, mirror_margins = [], []
     # each block's smallest min(p_perp, p_par) and its (flat node, p_perp, p_par)
     lowest, lowest_at = [], []
@@ -711,23 +700,19 @@ def stability_report(state: CGLState) -> StabilityReport:
         ppar = pperp + state.tau.values[block] * b2
 
         fire_lhs = ppar - pperp - b2
-        fire[block][applicable & (fire_lhs > 0)] = FLAG_UNSTABLE
-        fire[block][applicable & (fire_lhs <= 0)] = FLAG_STABLE
-
         zero_par = applicable & (ppar == 0)
-        ok = applicable & ~zero_par
         with np.errstate(divide="ignore", invalid="ignore"):
             mirror_lhs = pperp * (pperp / (6.0 * ppar) - 1.0) - 0.5 * b2
-        mirror[block][ok & (mirror_lhs > 0)] = FLAG_UNSTABLE
-        mirror[block][ok & (mirror_lhs <= 0)] = FLAG_STABLE
-        mirror[block][zero_par] = FLAG_INDETERMINATE
+        counts["applicable"] += int(np.count_nonzero(applicable))
+        counts["fire_hose_unstable"] += int(np.count_nonzero(applicable & (fire_lhs > 0)))
+        counts["mirror_unstable"] += int(np.count_nonzero(applicable & ~zero_par & (mirror_lhs > 0)))
+        counts["indeterminate"] += int(np.count_nonzero(zero_par))
 
         p_min = np.minimum(pperp, ppar)
         physical = applicable & (p_min > 0)
         if physical.any():
             fire_margins.append(np.max(fire_lhs[physical]))
             mirror_margins.append(np.max(mirror_lhs[physical]))
-        applicable_count += int(np.count_nonzero(applicable))
         nonpositive += int(np.count_nonzero(p_min <= 0))
         i = int(np.argmin(p_min))
         lowest.append(p_min.flat[i])
@@ -736,14 +721,8 @@ def stability_report(state: CGLState) -> StabilityReport:
     def margin(maxima):
         return float(np.max(maxima)) if maxima else None
 
-    counts = {
-        "applicable": applicable_count,
-        "fire_hose_unstable": int(np.count_nonzero(fire == FLAG_UNSTABLE)),
-        "mirror_unstable": int(np.count_nonzero(mirror == FLAG_UNSTABLE)),
-        "indeterminate": int(np.count_nonzero(mirror == FLAG_INDETERMINATE)),
-        "not_applicable": grid.n_nodes - applicable_count,
-        "nonpositive_pressure": nonpositive,
-    }
+    counts["not_applicable"] = grid.n_nodes - counts["applicable"]
+    counts["nonpositive_pressure"] = nonpositive
     margins = {"fire_hose": margin(fire_margins), "mirror": margin(mirror_margins)}
     worst_pressure = None
     if nonpositive:
@@ -756,7 +735,7 @@ def stability_report(state: CGLState) -> StabilityReport:
             "p_perp": float(p_perp),
             "p_par": float(p_par),
         }
-    return StabilityReport(fire, mirror, counts, margins, worst_pressure)
+    return StabilityReport(counts, margins, worst_pressure)
 
 
 # ---------------------------------------------------------------------------

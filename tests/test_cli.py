@@ -212,6 +212,15 @@ def test_vortex_transform_check_pipeline(tmp_path):
         assert report["stability"]["counts"]["fire_hose_unstable"] == 0
 
 
+def test_vortex_samples_high_mode_numbers(tmp_path):
+    # the root of mode 39 leaves |g| = 1.09e-10, which an absolute 1e-10
+    # bound refused; the bound grows with the cube of the root instead
+    for n, lam in ((39, 62.819914182602176), (3000, 4713.95961760957)):
+        code, out = run(tmp_path, f"v{n}", "vortex", "--n", str(n), "--grid", "9")
+        assert code == 0
+        assert read_report(out)["params"]["lam"] == lam
+
+
 def test_identity_transform_yields_byte_identical_values(tmp_path):
     _, vortex_out = run(tmp_path, "vortex", "vortex", "--grid", "17")
     code, trans_out = run(
@@ -713,7 +722,7 @@ BAD_INPUTS = {
         lambda tmp: ["vortex", "--extent", "1e308", "--grid", "5"],
         "grid origin (-1e+308, -1e+308, -1e+308) and spacing (inf, inf, inf) must be finite, the spacing positive",
     ),
-    "mode index out of reach": (lambda tmp: ["vortex", "--n", "100000", "--grid", "9"], "mode index 100000"),
+    "mode index out of reach": (lambda tmp: ["vortex", "--n", "1000000000", "--grid", "9"], "mode index 1000000000"),
     "solution without r0": (
         lambda tmp: ["flux", "tocgl", _solution(tmp, drop="r0"), "--tau", "0.1"],
         "missing r0",

@@ -34,8 +34,6 @@ from plasmeq.equilibria import (
     translate_state,
     read_state_csv,
     write_state_csv,
-    FLAG_UNSTABLE,
-    FLAG_INDETERMINATE,
 )
 from plasmeq.fields import Grid3, ScalarGrid, VectorGrid
 
@@ -98,16 +96,16 @@ def assert_evaluator_matches_samples(state):
 
 
 def test_mode_numbers_match_reference_values():
-    assert find_lambda(1.0, 1) == pytest.approx(2.882, abs=1e-3)
-    assert find_lambda(1.0, 2) == pytest.approx(4.548, abs=1e-3)
-    assert find_lambda(1.0, 3) == pytest.approx(6.161, abs=1e-3)
+    assert find_lambda(1.0, 1) == 2.881729598447275
+    assert find_lambda(1.0, 2) == 4.547505665238178
+    assert find_lambda(1.0, 3) == 6.161470485283291
 
 
 def test_mode_numbers_scale_with_radius():
     assert find_lambda(2.0, 1) == pytest.approx(find_lambda(1.0, 1) / 2.0, rel=1e-10)
 
 
-def test_mode_scan_extends():
+def test_mode_numbers_increase_with_the_index():
     lam10 = find_lambda(1.0, 10)
     assert lam10 > find_lambda(1.0, 9)
 
@@ -127,9 +125,8 @@ def test_mode_roots_are_polished():
         assert abs(_mode_equation(lam, 1.0)) < 1e-10
 
 
-def test_mode_roots_match_brentq_on_the_scan_brackets(monkeypatch):
-    # the local bisection against scipy's brentq on the same sign-change
-    # brackets of the scan
+def test_mode_roots_match_brentq_on_their_brackets(monkeypatch):
+    # the local bisection against scipy's brentq on the same brackets
     brackets = []
     bisect = equilibria._bisect_root
 
@@ -142,12 +139,41 @@ def test_mode_roots_match_brentq_on_the_scan_brackets(monkeypatch):
     for R in np.linspace(0.5, 2.0, 151):
         for n in (1, 2, 3, 5, 10):
             find_lambda(float(R), n)
-    assert len(brackets) == 151 * (1 + 2 + 3 + 5 + 10)
+    assert len(brackets) == 151 * 5
     for R, lo, hi, root in brackets:
         reference = brentq(equilibria._mode_equation, lo, hi, args=(R,), xtol=1e-15, rtol=8.9e-16)
         assert lo <= root <= hi
         assert abs(root - reference) <= 2 * math.ulp(reference)
         assert abs(equilibria._mode_equation(root, R)) < 1e-10
+
+
+@pytest.mark.parametrize("R", [0.37, 1.0, 2.5])
+def test_the_nth_mode_is_the_one_root_in_its_bracket(R):
+    # x^3 j2(x) = 0 at x = 2 R lam has its n-th root in ((n + 1/2) pi, (n + 1) pi)
+    for n in range(1, 301):
+        lo, hi = (n + 0.5) * math.pi / (2.0 * R), (n + 1.0) * math.pi / (2.0 * R)
+        assert equilibria._mode_equation(lo, R) * equilibria._mode_equation(hi, R) < 0.0
+        lam = find_lambda(R, n)
+        assert lo < lam < hi
+        reference = brentq(equilibria._mode_equation, lo, hi, args=(R,), xtol=1e-15, rtol=8.9e-16)
+        assert abs(lam - reference) <= 2 * math.ulp(reference), n
+        # the parameters accept every root that find_lambda returns
+        vortex_params(R, n)
+
+
+def test_mode_residual_bound_grows_with_the_cube_of_the_root():
+    # at n = 39 the root x = 125.6 leaves |g| = 1.09e-10 after bisection to
+    # adjacent floats, which an absolute bound of 1e-10 refused
+    lam = find_lambda(1.0, 39)
+    assert lam == 62.819914182602176
+    assert abs(equilibria._mode_equation(lam, 1.0)) > 1e-10
+    assert equilibria._solves_mode_equation(lam, 1.0)
+    assert vortex_params(1.0, 39).lam == lam
+
+
+def test_mode_index_beyond_double_precision_is_refused():
+    with pytest.raises(ValueError, match="^mode index 1000000000 "):
+        find_lambda(1.0, 10**9)
 
 
 def test_radial_profile_series_branch_matches_high_precision():
@@ -740,6 +766,46 @@ def test_power_of_two_scaling_moves_the_residual_norms_by_exact_factors(transfor
         for name, norms in want.items():
             assert got[name]["linf"] == factors[name] * norms["linf"], (system, name)
             assert got[name]["node"] == norms["node"]
+
+
+def _z_mirror(state):
+    """The image under z -> -z on a grid centred in z: node arrays flipped
+    along z, B3 negated."""
+    b = state.B.values[..., ::-1].copy()
+    b[2] *= -1.0
+    flipped = (np.ascontiguousarray(f.values[..., ::-1]) for f in (state.p_perp, state.tau, state.psi))
+    return equilibria._state(state.grid, (b, *flipped), {})
+
+
+def _yzx_cycle(state):
+    """The image under (x, y, z) -> (y, z, x) on a cubic grid: new node
+    (i, j, k) is old node (k, i, j), and (B1, B2, B3) -> (B2, B3, B1)."""
+
+    def cycled(values):
+        return np.ascontiguousarray(np.moveaxis(values, -3, -1))
+
+    b = cycled(state.B.values)[[1, 2, 0]]
+    return equilibria._state(state.grid, (b, *(cycled(f.values) for f in (state.p_perp, state.tau, state.psi))), {})
+
+
+@pytest.mark.parametrize("image", [_z_mirror, _yzx_cycle], ids=["z-mirror", "yzx-cycle"])
+@pytest.mark.parametrize("n", [17, 33])
+def test_a_mirror_and_an_axis_cycle_keep_stability_counts_and_residual_norms(vortex17, vortex33, image, n):
+    # a symmetry of the centred cube maps an equilibrium to one, node for node
+    src = apply_infinite_transform({17: vortex17, 33: vortex33}[n], TransformSpec("1 + psi*sin(psi)"))
+    img = image(src)
+    want, got = stability_report(src), stability_report(img)
+    assert got.counts == want.counts and got.margins == want.margins
+    # the smallest pressure is at the centre node, which both maps fix
+    assert got.worst_pressure == want.worst_pressure
+    for system in ("mhd", "cgl"):
+        want, got = residual_norms(src, system), residual_norms(img, system)
+        assert got.keys() == want.keys()
+        for name, norms in want.items():
+            # the cycle sums the three terms of div_b in another order,
+            # which moves its Linf by one ulp at 17^3
+            ulps = 1 if image is _yzx_cycle and name == "div_b" else 0
+            assert abs(got[name]["linf"] - norms["linf"]) <= ulps * math.ulp(norms["linf"]), (system, name)
 
 
 def test_compiled_cgl_div_b_and_tau_advection_are_the_numpy_stencils_bit_for_bit(transformed_pair):
@@ -1442,7 +1508,7 @@ def test_flux_mapping_at_65_holds_few_node_arrays(helical_solution):
 def test_stability_tau_half_is_firehose_stable():
     state = uniform_state(b=(0.0, 0.0, 2.0), p_perp=1.0, tau=0.5)
     rep = stability_report(state)
-    assert (rep.fire_hose == FLAG_UNSTABLE).sum() == 0
+    assert rep.counts["applicable"] == state.grid.n_nodes
     assert rep.counts["fire_hose_unstable"] == 0
 
 
@@ -1450,22 +1516,22 @@ def test_stability_strong_anisotropy_is_firehose_unstable():
     # p_par - p_perp = 2 B^2
     state = uniform_state(b=(0.0, 0.0, 1.0), p_perp=1.0, tau=2.0)
     rep = stability_report(state)
-    assert np.all(rep.fire_hose == FLAG_UNSTABLE)
+    assert rep.counts["fire_hose_unstable"] == state.grid.n_nodes
 
 
 def test_stability_mirror_example():
     # p_perp (p_perp / (6 p_par) - 1) = 12 > 1 = B^2/2
     state = uniform_state(b=(0.0, 0.0, np.sqrt(2.0)), p_perp=12.0, tau=-11.0 / 2.0)
     rep = stability_report(state)
-    assert np.all(rep.mirror == FLAG_UNSTABLE)
+    assert rep.counts["mirror_unstable"] == state.grid.n_nodes
     assert rep.margins["mirror"] == pytest.approx(11.0, rel=1e-12)
 
 
 def test_stability_zero_parallel_pressure_indeterminate():
     state = uniform_state(b=(0.0, 0.0, 1.0), p_perp=1.0, tau=-1.0)
     rep = stability_report(state)
-    assert np.all(rep.mirror == FLAG_INDETERMINATE)
     assert rep.counts["indeterminate"] == state.grid.n_nodes
+    assert rep.counts["mirror_unstable"] == 0
 
 
 def test_stability_field_null_not_applicable():
@@ -1511,8 +1577,7 @@ def test_stability_margins_skip_nonpositive_pressure_nodes():
     tau = (ppar - pperp) / state.b_squared()
     rep = stability_report(CGLState(state.B, ScalarGrid(state.grid, pperp), ScalarGrid(state.grid, tau), state.psi))
     assert rep.margins == {"fire_hose": -1.0, "mirror": pytest.approx(1.0 / 6.0 - 1.0 - 0.5, rel=1e-15)}
-    # flags and counts still cover the node
-    assert rep.fire_hose[1, 2, 3] == FLAG_UNSTABLE and rep.mirror[1, 2, 3] == FLAG_UNSTABLE
+    # the counts still cover the node, the one unstable node of the state
     assert rep.counts["fire_hose_unstable"] == rep.counts["mirror_unstable"] == 1
     assert rep.counts["nonpositive_pressure"] == 1
     # with no positive-pressure node left there is no margin
@@ -1529,31 +1594,32 @@ def test_stability_counts_a_nonpositive_parallel_pressure():
 
 
 def _whole_grid_stability(state):
-    """``stability_report`` as one whole-grid pass, as earlier releases
-    made it: (fire-hose flags, mirror flags, counts, margins, worst_pressure)."""
+    """``stability_report`` as one whole-grid pass with per-node flag
+    arrays, as earlier releases made it: (counts, margins, worst_pressure)."""
+    STABLE, UNSTABLE, NOT_APPLICABLE, INDETERMINATE = range(4)
     b2 = state.b_squared()
     applicable = b2 > equilibria.EPS_B_RELATIVE * float(np.max(b2))
     pperp = state.p_perp.values
     ppar = pperp + state.tau.values * b2
-    fire = np.full(state.grid.counts, equilibria.FLAG_NOT_APPLICABLE, dtype=np.int8)
+    fire = np.full(state.grid.counts, NOT_APPLICABLE, dtype=np.int8)
     fire_lhs = ppar - pperp - b2
-    fire[applicable & (fire_lhs > 0)] = FLAG_UNSTABLE
-    fire[applicable & (fire_lhs <= 0)] = equilibria.FLAG_STABLE
-    mirror = np.full(state.grid.counts, equilibria.FLAG_NOT_APPLICABLE, dtype=np.int8)
+    fire[applicable & (fire_lhs > 0)] = UNSTABLE
+    fire[applicable & (fire_lhs <= 0)] = STABLE
+    mirror = np.full(state.grid.counts, NOT_APPLICABLE, dtype=np.int8)
     zero_par = applicable & (ppar == 0)
     ok = applicable & ~zero_par
     with np.errstate(divide="ignore", invalid="ignore"):
         mirror_lhs = pperp * (pperp / (6.0 * ppar) - 1.0) - 0.5 * b2
-    mirror[ok & (mirror_lhs > 0)] = FLAG_UNSTABLE
-    mirror[ok & (mirror_lhs <= 0)] = equilibria.FLAG_STABLE
-    mirror[zero_par] = FLAG_INDETERMINATE
+    mirror[ok & (mirror_lhs > 0)] = UNSTABLE
+    mirror[ok & (mirror_lhs <= 0)] = STABLE
+    mirror[zero_par] = INDETERMINATE
     p_min = np.minimum(pperp, ppar)
     physical = applicable & (p_min > 0)
     counts = {
         "applicable": int(applicable.sum()),
-        "fire_hose_unstable": int((fire == FLAG_UNSTABLE).sum()),
-        "mirror_unstable": int((mirror == FLAG_UNSTABLE).sum()),
-        "indeterminate": int((mirror == FLAG_INDETERMINATE).sum()),
+        "fire_hose_unstable": int((fire == UNSTABLE).sum()),
+        "mirror_unstable": int((mirror == UNSTABLE).sum()),
+        "indeterminate": int((mirror == INDETERMINATE).sum()),
         "not_applicable": int((~applicable).sum()),
         "nonpositive_pressure": int((p_min <= 0).sum()),
     }
@@ -1570,7 +1636,7 @@ def _whole_grid_stability(state):
             "p_perp": float(pperp[node]),
             "p_par": float(ppar[node]),
         }
-    return fire, mirror, counts, margins, worst
+    return counts, margins, worst
 
 
 def _crafted_stability_state():
@@ -1633,13 +1699,11 @@ REDUCED_STATES = [
 @pytest.mark.parametrize("name", REDUCED_STATES)
 def test_stability_in_blocks_is_bit_identical_to_the_whole_grid(reduced_states, monkeypatch, name):
     state = reduced_states[name]
-    fire, mirror, counts, margins, worst = _whole_grid_stability(state)
+    counts, margins, worst = _whole_grid_stability(state)
     _nx, ny, nz = state.grid.counts
     # two x-slabs a block (a 33^3 grid has 17 blocks), the last one short
     monkeypatch.setattr(equilibria, "BLOCK_NODES", 2 * ny * nz + ny)
     rep = stability_report(state)
-    assert np.array_equal(rep.fire_hose, fire) and rep.fire_hose.dtype == np.int8
-    assert np.array_equal(rep.mirror, mirror) and rep.mirror.dtype == np.int8
     assert rep.counts == counts and rep.margins == margins
     assert rep.worst_pressure == worst
     if name == "crafted":
@@ -1663,18 +1727,18 @@ def test_residual_norms_reduce_as_the_whole_grid_does(reduced_states, monkeypatc
     assert residual_norms(state, system, mask_radius=mask_radius) == want
 
 
-def test_stability_at_65_holds_its_flags_and_one_node_array(vortex65):
+def test_stability_at_65_holds_less_than_half_a_node_array(vortex65):
     state = apply_infinite_transform(vortex65, TransformSpec("1 + psi*sin(psi)"))
     stability_report(state)
     tracemalloc.start()
     try:
-        rep = stability_report(state)
+        stability_report(state)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a whole-grid pass peaked at about six node arrays
-    assert rep.fire_hose.nbytes == rep.mirror.nbytes == 65**3
-    assert peak < rep.fire_hose.nbytes + rep.mirror.nbytes + 65**3 * 8
+    # a whole-grid pass peaked at about six float node arrays, and the
+    # blocked pass with two int8 flag arrays at 0.65
+    assert peak < 0.5 * 65**3 * 8
 
 
 # -- residual evaluation ----------------------------------------------------------------
