@@ -174,6 +174,8 @@ def cmd_vortex(args) -> tuple[int, dict]:
     from . import equilibria as eq
     from . import fields as fd
 
+    if not args.extent > 0:
+        raise ValueError(f"--extent must be positive, got {args.extent}")
     params = eq.vortex_params(R=args.R, n=args.n, B0=args.B0, P0=args.P0)
     grid = fd.Grid3.cube(-args.extent, args.extent, args.grid)
     state = eq.vortex_state(params, grid, pressure_profile=args.pressure_profile)

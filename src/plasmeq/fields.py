@@ -539,51 +539,30 @@ def read_csv(path, axis_names) -> tuple[tuple[np.ndarray, ...], dict[str, np.nda
     return axes, {name: c.reshape(counts) for name, c in zip(header[k:], columns[k:])}
 
 
-def _x_fastest_blocks(nx: int, ny: int, nz: int):
-    """(j0, j1, k0, k1): index ranges that cut a grid, in x-fastest order,
-    into blocks of at most ``_ROW_BLOCK`` nodes (or one x-row, where that is
-    longer): several whole z-planes where a plane fits, else runs of whole
-    x-rows of one plane."""
-    if nx * ny <= _ROW_BLOCK:
-        step = _ROW_BLOCK // (nx * ny)
-        for k in range(0, nz, step):
-            yield 0, ny, k, min(k + step, nz)
-    else:
-        step = max(1, _ROW_BLOCK // nx)
-        for k in range(nz):
-            for j in range(0, ny, step):
-                yield j, min(j + step, ny), k, k + 1
-
-
 def write_vtk(path, grid: Grid3, scalars: dict[str, np.ndarray], vectors: dict[str, np.ndarray]) -> None:
     """Legacy ASCII STRUCTURED_POINTS writer (x varies fastest on disk);
     refuses a non-finite value, naming its field, before opening the file.
 
-    Each field goes out in blocks of ``_ROW_BLOCK`` rows, each assembled in
-    one reused buffer from the (i, j, k) C-order values, so that no
-    transposed copy of a whole field is made."""
+    Each field goes out in blocks of ``_ROW_BLOCK`` nodes, each component
+    gathered at the block's (i, j, k), so that no transposed copy of a
+    whole field is made."""
     for name, values in (*vectors.items(), *scalars.items()):
         if not np.isfinite(values).all():
             raise ValueError(f"{path}: refusing to write a non-finite {name} ({values[~np.isfinite(values)][0]})")
-    nx, ny, nz = grid.counts
-    buffer = np.empty(3 * max(nx, min(_ROW_BLOCK, grid.n_nodes)))
 
     def write_field(fh, components) -> None:
         row_fmt = " ".join(["%s"] * len(components)) + "\n"
-        for j0, j1, k0, k1 in _x_fastest_blocks(nx, ny, nz):
-            shape = (k1 - k0, j1 - j0, nx)
-            rows = buffer[: math.prod(shape) * len(components)].reshape(-1, len(components))
-            for c, values in enumerate(components):
-                # column c seen as (k, j, i): x varies fastest down the rows
-                np.copyto(rows[:, c].reshape(shape), values[:, j0:j1, k0:k1].transpose(2, 1, 0))
-            _write_block(fh, rows, row_fmt)
+        for start in range(0, grid.n_nodes, _ROW_BLOCK):
+            # order="F" unravels the flat x-fastest node index into (i, j, k)
+            nodes = np.unravel_index(np.arange(start, min(start + _ROW_BLOCK, grid.n_nodes)), grid.counts, order="F")
+            _write_block(fh, np.column_stack([values[nodes] for values in components]), row_fmt)
 
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("plasma equilibrium state\n")
         fh.write("ASCII\n")
         fh.write("DATASET STRUCTURED_POINTS\n")
-        fh.write(f"DIMENSIONS {nx} {ny} {nz}\n")
+        fh.write("DIMENSIONS " + " ".join(map(str, grid.counts)) + "\n")
         fh.write("ORIGIN " + " ".join(_FLOAT_FMT % v for v in grid.origin) + "\n")
         fh.write("SPACING " + " ".join(_FLOAT_FMT % v for v in grid.spacing) + "\n")
         fh.write(f"POINT_DATA {grid.n_nodes}\n")

@@ -88,15 +88,12 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _as_profile(spec, variables: tuple[str, ...]):
-    """A callable, or an expression (a number is that of its decimal text),
-    as a vectorized callable and its text (None for a callable without)."""
-    if spec is None:
-        return None, None
+def _compile_profile(key: str, spec, variables: tuple[str, ...]):
+    """The expression ``spec`` (a number is that of its decimal text) as a
+    vectorized callable of ``variables``; a Python callable is refused."""
     if callable(spec):
-        return spec, getattr(spec, "text", None)
-    fn = compile_numeric(str(spec), variables)
-    return fn, fn.text
+        raise ValueError(f"{key}: a profile is an expression in {' and '.join(variables)}, not a Python callable")
+    return compile_numeric(str(spec), variables)
 
 
 @dataclass
@@ -104,13 +101,13 @@ class FluxProblem:
     """Elliptic problem for the flux function on [r0, r1] x [zu0, zu1].
 
     ``J`` (the poloidal current) and ``N`` (the pressure) are expressions
-    in psi (a number is the expression of its decimal text), and the solve
-    takes their exact derivatives ``dJ`` and ``dN``.  A stated ``dJ`` must
-    be J' as the kernel writes it; ``dN`` may be stated in place of N
-    (``FluxSolution.pressure``).  ``boundary`` (Dirichlet data) and the
-    optional ``source`` (a term added to the JFKO form of the equation)
-    are expressions or functions of (r, zu).  ``texts`` holds the
-    expression text of every stated profile.
+    in psi, and the solve takes their exact derivatives ``dJ`` and ``dN``.
+    A stated ``dJ`` must be J' as the kernel writes it; ``dN`` may be
+    stated in place of N (``FluxSolution.pressure``).  ``boundary``
+    (Dirichlet data) and the optional ``source`` (a term added to the JFKO
+    form of the equation) are expressions in r and zu.  A number stands
+    for its decimal text, and a Python callable is refused.  ``texts``
+    holds the expression text of every stated profile.
     """
 
     r_range: tuple[float, float]
@@ -137,16 +134,14 @@ class FluxProblem:
             self.N = 0.0
         self.texts = {}
         for key in ("J", "dJ", "N", "dN", "boundary", "source"):
-            spec = getattr(self, key)
-            if callable(spec) and key not in ("boundary", "source"):
-                raise ValueError(f"{key}: a profile is an expression in psi, not a Python callable")
-            try:
-                fn, text = _as_profile(spec, ("r", "zu") if key in ("boundary", "source") else ("psi",))
-            except ExprError as err:
-                raise ValueError(f"{key}: {err}") from None
-            setattr(self, key, fn)
-            if text is not None:
-                self.texts[key] = text
+            if getattr(self, key) is not None:
+                variables = ("r", "zu") if key in ("boundary", "source") else ("psi",)
+                try:
+                    fn = _compile_profile(key, getattr(self, key), variables)
+                except ExprError as err:
+                    raise ValueError(f"{key}: {err}") from None
+                setattr(self, key, fn)
+                self.texts[key] = fn.text
         stated, self.dJ = self.dJ, self.J.derivative("psi")
         if stated is not None and stated.expression != self.dJ.expression:
             raise ValueError(f"dJ = {stated.text} is not the derivative of J = {self.J.text}, which is "
@@ -331,9 +326,8 @@ def _interior_solver(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: n
     costs n - 1 forward and n - 1 backward row updates, in place.  The
     solver keeps no right-hand side: f may be any array that broadcasts to
     the n x m interior (an n x 1 column for one that depends on r only),
-    and the caller decides when a right-hand side needs solving again.  It
-    returns a read-only view of its own result buffer, valid until the next
-    call.
+    and the caller decides when a right-hand side needs solving again.  Each
+    call returns a new array.
 
     No pivoting is needed: c_w, c_e, c_n > 0 for every r > 0, so the diagonal
     -(c_w + c_e) - (2 - 2 cos(k pi/(m+1))) c_n of mode k exceeds |c_w| + |c_e|
@@ -376,9 +370,6 @@ def _interior_solver(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: n
     padded = np.zeros((n, 2 * (m + 1)))
     u = padded[:, 1 : m + 1]
     scale = 2.0 / (m + 1)  # both orthonormal factors sqrt(2/(m+1)), applied once
-    result = np.empty((n, m))
-    returned = result.view()
-    returned.flags.writeable = False
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         np.subtract(rhs, bterm, out=u)
@@ -389,8 +380,7 @@ def _interior_solver(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: n
         for i in range(n - 2, -1, -1):
             u[i] -= c_e[i] * u[i + 1]
             u[i] *= inv_pivot[i]
-        _sine_transform(padded, 1.0, out=result)
-        return returned
+        return _sine_transform(padded, 1.0)
 
     return solve
 
@@ -541,16 +531,17 @@ def _require_in_domain(problem: FluxProblem, R: np.ndarray, ZU: np.ndarray) -> N
 def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
     """Build a 3D anisotropic state from a flux solution.
 
-    ``tau`` (an expression in psi, a number, or a callable) must be finite
-    and stay below one on the attained flux range.  The state is the
-    field-line image (``equilibria._field_line_image``) with M =
-    (1 - tau)^(-1/2) of the isotropic state: the symmetric-state template
-    field and the pressure N(psi) (``FluxSolution.pressure``).  The stored
-    label is psi normalized by its largest magnitude on the 2D solution;
-    ``meta`` records that scale (``psi_normalization``) and the gauge of N,
-    the flux ``psi_ref`` where N vanishes.  The state's evaluator refuses points outside the solution domain [r0,
-    r1] x [zu0, zu1] with a ValueError naming the extent of the points it
-    was given.  ``grid`` is sampled in x-slab blocks
+    ``tau``, an expression in psi (a number stands for its decimal text; a
+    Python callable is refused), must be finite and stay below one on the
+    attained flux range.  The state is the field-line image
+    (``equilibria._field_line_image``) with M = (1 - tau)^(-1/2) of the
+    isotropic state: the symmetric-state template field and the pressure
+    N(psi) (``FluxSolution.pressure``).  The stored label is psi normalized
+    by its largest magnitude on the 2D solution; ``meta`` records that
+    scale (``psi_normalization``) and the gauge of N, the flux ``psi_ref``
+    where N vanishes.  The state's evaluator refuses points outside the
+    solution domain [r0, r1] x [zu0, zu1] with a ValueError naming the
+    extent of the points it was given.  ``grid`` is sampled in x-slab blocks
     (``equilibria.sample_state``), as a later point transform is, so the
     extent named is that of the first block that leaves the domain.
     """
@@ -558,11 +549,11 @@ def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
     from .equilibria import StateEvaluators, _field_line_image, require_defined, sample_state
 
     problem = sol.problem
-    tau_fn, tau_text = _as_profile(tau, ("psi",))
+    tau_fn = _compile_profile("tau", tau, ("psi",))
     lo, hi = sol.attained_range()
     psi_probe = np.linspace(lo, hi, 513)
     probe = np.broadcast_to(np.asarray(tau_fn(psi_probe), dtype=float), psi_probe.shape)
-    tau_max = float(np.max(require_defined(f"tau = {tau_text}" if tau_text else "tau", probe, psi_probe)))
+    tau_max = float(np.max(require_defined(f"tau = {tau_fn.text}", probe, psi_probe)))
     if tau_max >= 1.0:
         raise ValueError(f"tau reaches {tau_max:.6g} on the attained flux range; the mapping needs tau < 1")
     n_of = sol.pressure()
@@ -707,11 +698,8 @@ def parse_problem_file(text: str, where: str = "problem file") -> tuple[FluxProb
 
 def write_solution(sol: FluxSolution, directory) -> dict:
     """Write psi.csv (r, zu, psi; zu fastest) plus solution.json and return
-    the manifest; writes nothing for a problem it cannot serialize."""
+    the manifest."""
     problem = sol.problem
-    missing = [k for k in ("boundary", "source") if getattr(problem, k) is not None and k not in problem.texts]
-    if missing:
-        raise ValueError(f"cannot serialize a problem whose {missing} were supplied as callables")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     csv_path = directory / "psi.csv"
@@ -745,7 +733,8 @@ def load_solution(path) -> FluxSolution:
     missing = [k for k in _MANIFEST_KEYS if k not in manifest]
     if missing:
         raise ValueError(f"{path}: solution manifest is missing {', '.join(missing)}")
-    if not isinstance(manifest["profiles"], dict):
+    profiles = manifest["profiles"]
+    if not (isinstance(profiles, dict) and all(isinstance(text, str) for text in profiles.values())):
         raise ValueError(f"{path}: solution manifest profiles must map names to expressions")
     where = f"{path}: solution manifest"
     for key, (kind, test) in _MANIFEST_VALUES.items():
@@ -754,7 +743,10 @@ def load_solution(path) -> FluxSolution:
     updates = tuple(float(u) for u in manifest["updates"])
     if len(updates) != manifest["iterations"] or updates[-1] != manifest["final_update"]:
         raise ValueError(f"{where}: updates must hold one entry per iteration, the last equal to final_update")
-    problem = _problem({**manifest, **manifest["profiles"]}, where)
+    unknown = profiles.keys() - set(_PROFILE_KEYS)
+    if unknown:
+        raise ValueError(f"{where}: unrecognized profile keys: {sorted(unknown)}, not among {', '.join(_PROFILE_KEYS)}")
+    problem = _problem({**manifest, **profiles}, where)
     csv_path = path.parent / manifest["psi_csv"]
     (r, zu), cols = fd.read_csv(csv_path, ("r", "zu"))
     if list(cols) != ["psi"]:

@@ -266,24 +266,16 @@ def test_criterion_7_flux_solvers():
         return amp * np.sin(np.pi * r) * np.cos(np.pi * u)
 
     def manufactured_orders(gamma):
-        def source(r, u):
-            ps = psis(r, u)
-            ps_r = amp * np.pi * np.cos(np.pi * r) * np.cos(np.pi * u)
-            ps_rr = -amp * np.pi**2 * np.sin(np.pi * r) * np.cos(np.pi * u)
-            ps_uu = -amp * np.pi**2 * np.sin(np.pi * r) * np.cos(np.pi * u)
-            c = r / (r * r + gamma * gamma)
-            cp = (gamma * gamma - r * r) / (r * r + gamma * gamma) ** 2
-            op = ps_uu / r**2 + (cp * ps_r + c * ps_rr) / r
-            extra = (
-                2.0 * ps**3 / (r * r + gamma * gamma)
-                + 2.0 * gamma * ps * ps / (r * r + gamma * gamma) ** 2
-                + np.cos(ps)
-            )
-            return -(op + extra)
-
+        # psis and the source that makes it a solution, as expression text
+        pi, g2 = repr(np.pi), gamma * gamma
+        ps = f"{amp}*sin({pi}*r)*cos({pi}*zu)"
+        ps_r = f"{amp}*{pi}*cos({pi}*r)*cos({pi}*zu)"
+        ps_rr = f"(-{pi}^2*{ps})"  # and ps_uu, the same
+        op = f"{ps_rr}/r^2 + (({g2} - r^2)/(r^2 + {g2})^2*{ps_r} + r/(r^2 + {g2})*{ps_rr})/r"
+        extra = f"2*({ps})^3/(r^2 + {g2}) + {2 * gamma}*({ps})^2/(r^2 + {g2})^2 + cos({ps})"
         problem = FluxProblem(
-            (0.6, 1.6), (-0.5, 0.5), boundary=psis, J="psi^2",
-            dJ="2*psi", dN="cos(psi)", gamma=gamma, source=source,
+            (0.6, 1.6), (-0.5, 0.5), boundary=ps, J="psi^2",
+            dJ="2*psi", dN="cos(psi)", gamma=gamma, source=f"-({op} + {extra})",
         )
         errs = {}
         for n in (17, 33, 65):

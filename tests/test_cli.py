@@ -581,6 +581,15 @@ def _solution_with(tmp_path, **changes):
     return str(path)
 
 
+def _helical_solution_with_profiles(tmp_path, profiles):
+    """The bundled helical solution with its profiles passed through ``profiles``."""
+    path = Path(_solved(tmp_path, data_path("flux_helical_example.flux")))
+    manifest = json.loads(path.read_text())
+    manifest["profiles"] = profiles(manifest["profiles"])
+    path.write_text(json.dumps(manifest))
+    return str(path)
+
+
 def _edit_rows(path, rows):
     """Pass the data rows of a CSV file through ``rows``, keeping its header."""
     header, *lines = path.read_text().splitlines(keepends=True)
@@ -722,6 +731,8 @@ BAD_INPUTS = {
         lambda tmp: ["vortex", "--extent", "1e308", "--grid", "5"],
         "grid origin (-1e+308, -1e+308, -1e+308) and spacing (inf, inf, inf) must be finite, the spacing positive",
     ),
+    "vortex extent of zero": (lambda tmp: ["vortex", "--extent", "0", "--grid", "5"], "--extent must be positive, got 0.0"),
+    "negative vortex extent": (lambda tmp: ["vortex", "--extent", "-1", "--grid", "5"], "--extent must be positive, got -1.0"),
     "mode index out of reach": (lambda tmp: ["vortex", "--n", "1000000000", "--grid", "9"], "mode index 1000000000"),
     "solution without r0": (
         lambda tmp: ["flux", "tocgl", _solution(tmp, drop="r0"), "--tau", "0.1"],
@@ -1034,6 +1045,29 @@ BAD_INPUTS = {
     "solution with a list of profiles": (
         lambda tmp: ["flux", "tocgl", _solution_with(tmp, profiles=["boundary"]), "--tau", "0.1"],
         "solution manifest profiles must map names to expressions",
+    ),
+    # a profile key is one of the six names: the helical name L is a problem
+    # file's alias of N, and the domain is the manifest's own
+    "solution with the helical pressure name": (
+        lambda tmp: [
+            "flux", "tocgl",
+            _helical_solution_with_profiles(tmp, lambda p: {("L" if k == "N" else k): v for k, v in p.items()}),
+            "--tau", "0.1",
+        ],
+        "sol/solution.json: solution manifest: unrecognized profile keys: ['L'], not among J, dJ, N, dN, boundary, source",
+    ),
+    "solution with an unknown profile": (
+        lambda tmp: ["flux", "tocgl", _helical_solution_with_profiles(tmp, lambda p: {**p, "bogus": "x"}), "--tau", "0.1"],
+        "sol/solution.json: solution manifest: unrecognized profile keys: ['bogus']",
+    ),
+    "solution with a domain key among its profiles": (
+        lambda tmp: ["flux", "tocgl", _helical_solution_with_profiles(tmp, lambda p: {**p, "r0": "0.55"}), "--tau", "0.1"],
+        "sol/solution.json: solution manifest: unrecognized profile keys: ['r0']",
+    ),
+    # each profile is expression text, never null
+    "solution with a null profile": (
+        lambda tmp: ["flux", "tocgl", _helical_solution_with_profiles(tmp, lambda p: {**p, "J": None}), "--tau", "0.1"],
+        "sol/solution.json: solution manifest profiles must map names to expressions",
     ),
     "solution with a number for its resolution": (
         lambda tmp: ["flux", "tocgl", _solution_with(tmp, resolution=5), "--tau", "0.1"],

@@ -331,6 +331,21 @@ def test_momentum_residual_second_order(vortex17, vortex33, params):
     assert r17["momentum"]["linf"] / r33["momentum"]["linf"] == pytest.approx(4.0, abs=1.0)
 
 
+@pytest.mark.parametrize("n", [17, 33])
+def test_the_vortex_pressure_level_leaves_the_residuals_alone(params, vortex17, vortex33, n):
+    # P0 is the pressure shift, a catalogued symmetry: raising it from 1 to
+    # 3 moves every residual's Linf by rounding alone, at the same node
+    low = {17: vortex17, 33: vortex33}[n]
+    high = vortex_state(dataclasses.replace(params, P0=3.0), low.grid)
+    scale = float(np.max(high.b_squared())) + 3.0
+    for system in ("mhd", "cgl"):
+        want, got = residual_norms(low, system), residual_norms(high, system)
+        assert got.keys() == want.keys()
+        for residual, norms in want.items():
+            assert abs(got[residual]["linf"] - norms["linf"]) <= 1e-14 * scale, (system, residual)
+            assert got[residual]["node"] == norms["node"], (system, residual)
+
+
 def test_unscaled_pressure_profile_fails_momentum_oracle(params):
     # the alternative historical profile does not balance the field forces:
     # its residual does not shrink under refinement

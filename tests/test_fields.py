@@ -537,8 +537,8 @@ def test_vtk_header_and_payload(tmp_path):
     assert float(second[0]) == values[1, 0, 0]
 
 
-# whole planes per block, runs of x-rows of one plane (ny not a multiple of
-# the run), and x-rows longer than a block
+# block edges: one short block, blocks that end inside an x-row and a
+# z-plane with a short last block, and x-rows longer than a block
 @pytest.mark.parametrize("counts", [(3, 4, 5), (70, 40, 3), (2 * fields._ROW_BLOCK + 5, 2, 3)])
 def test_vtk_payload_equals_savetxt_of_the_transposed_fields(tmp_path, counts):
     g = Grid3((0.0, -1.0, 2.0), (0.5, 0.25, 0.125), counts)

@@ -146,32 +146,25 @@ def manufactured_exact(r, u):
 
 def manufactured_problem(gamma=GAMMA):
     """``manufactured_exact`` with current and pressure profiles and the
-    source that makes it a solution; ``gamma = 0`` makes it axisymmetric."""
-
-    def source(r, u):
-        ps = manufactured_exact(r, u)
-        ps_r = AMP * np.pi * np.cos(np.pi * r) * np.cos(np.pi * u)
-        ps_rr = -AMP * np.pi**2 * np.sin(np.pi * r) * np.cos(np.pi * u)
-        ps_uu = -AMP * np.pi**2 * np.sin(np.pi * r) * np.cos(np.pi * u)
-        c = r / (r * r + gamma * gamma)
-        c_prime = (gamma * gamma - r * r) / (r * r + gamma * gamma) ** 2
-        operator = ps_uu / r**2 + (c_prime * ps_r + c * ps_rr) / r
-        constitutive = (
-            ps * ps * 2.0 * ps / (r * r + gamma * gamma)
-            + 2.0 * gamma * ps * ps / (r * r + gamma * gamma) ** 2
-            + np.cos(ps)
-        )
-        return -(operator + constitutive)
-
+    source that makes it a solution, each as expression text with pi
+    written as its double; ``gamma = 0`` makes it axisymmetric."""
+    pi, g2 = repr(np.pi), gamma * gamma
+    ps = f"{AMP}*sin({pi}*r)*cos({pi}*zu)"
+    ps_r = f"{AMP}*{pi}*cos({pi}*r)*cos({pi}*zu)"
+    ps_rr = f"(-{pi}^2*{ps})"  # and ps_uu, the same
+    c = f"r/(r^2 + {g2})"
+    c_prime = f"({g2} - r^2)/(r^2 + {g2})^2"
+    operator = f"{ps_rr}/r^2 + ({c_prime}*{ps_r} + {c}*{ps_rr})/r"
+    constitutive = f"2*({ps})^3/(r^2 + {g2}) + {2 * gamma}*({ps})^2/(r^2 + {g2})^2 + cos({ps})"
     return FluxProblem(
         (0.6, 1.6),
         (-0.5, 0.5),
-        boundary=manufactured_exact,
+        boundary=ps,
         J="psi^2",
         dJ="2*psi",
         dN="cos(psi)",
         gamma=gamma,
-        source=source,
+        source=f"-({operator} + {constitutive})",
     )
 
 
@@ -229,10 +222,17 @@ def test_a_stated_dJ_stands_however_its_reciprocals_are_written(J, dJ):
     assert stated.texts["dJ"] == dJ
 
 
-@pytest.mark.parametrize("key", ["J", "dJ", "N", "dN"])
-def test_a_profile_given_as_a_callable_is_refused_naming_its_key(key):
-    with pytest.raises(ValueError, match=f"^{key}: a profile is an expression in psi, not a Python callable$"):
-        FluxProblem(boundary="0", **{key: lambda psi: psi}, **DOMAIN)
+@pytest.mark.parametrize(
+    "key, variables",
+    [("J", "psi"), ("dJ", "psi"), ("N", "psi"), ("dN", "psi"), ("boundary", "r and zu"), ("source", "r and zu"),
+     ("tau", "psi")],
+)
+def test_a_profile_given_as_a_callable_is_refused_naming_its_key(key, variables):
+    with pytest.raises(ValueError, match=f"^{key}: a profile is an expression in {variables}, not a Python callable$"):
+        if key == "tau":  # flux_to_cgl's profile
+            flux_to_cgl(solve_flux(quartic_problem(), (9, 9)), lambda psi: 0.1 * psi)
+        else:
+            FluxProblem(**{"boundary": "0", key: lambda *args: args[0]}, **DOMAIN)
 
 
 def test_the_pressure_is_stated_once():
@@ -375,6 +375,17 @@ def test_solve_factorizes_once(problem, psi_dependent, monkeypatch):
     assert sol.iterations > 1 if psi_dependent else sol.iterations == 1
     assert setups == [(17, 17)]
     assert len(solves) == (sol.iterations if psi_dependent else 1)
+
+
+def test_each_solve_returns_its_own_array():
+    # a later right-hand side leaves an earlier result as it was
+    problem = quartic_problem()
+    r, zu = np.linspace(*problem.r_range, 17), np.linspace(*problem.zu_range, 17)
+    solve = flux._interior_solver(problem, r, zu, np.zeros((17, 17)))
+    first = solve(np.ones((15, 15)))
+    kept = first.copy()
+    second = solve(-np.ones((15, 15)))
+    assert np.array_equal(first, kept) and np.array_equal(second, -kept)
 
 
 def test_the_per_iteration_loop_converges_to_the_one_solve(monkeypatch):
@@ -605,11 +616,7 @@ def test_helical_polynomial_case_maps_to_force_balance():
     # u-independent exact solution of the helical operator with dL = -A:
     # psi = (A/8)(r^4 + 2 gamma^2 r^2), J = 0
     gamma = 0.7
-
-    def exact(r, u):
-        return (A / 8.0) * (r**4 + 2.0 * gamma**2 * r**2)
-
-    problem = FluxProblem((0.6, 1.6), (-0.6, 0.6), boundary=exact, dN=-A, gamma=gamma)
+    problem = FluxProblem((0.6, 1.6), (-0.6, 0.6), boundary=f"{A / 8}*(r^4 + {2 * gamma**2}*r^2)", dN=-A, gamma=gamma)
     errs = {}
     for n2d, n3d in ((33, 21), (65, 41)):
         sol = solve_flux(problem, (n2d, n2d))
@@ -986,17 +993,15 @@ def test_solution_artifacts_roundtrip(tmp_path):
     assert back.converged == sol.converged
 
 
-@pytest.mark.parametrize("name", ["flux_axisym_example.flux", "flux_helical_example.flux"])
-def test_solution_files_round_trip_byte_identically(tmp_path, name):
-    problem, params = parse_problem_file(resources.files("plasmeq.data").joinpath(name).read_text())
-    write_solution(solve_flux(problem, **params), tmp_path / "first")
+@pytest.mark.parametrize(
+    "problem",
+    [_bundled_problem("flux_axisym_example.flux"), _bundled_problem("flux_helical_example.flux"), manufactured_problem()],
+    ids=["flux_axisym_example.flux", "flux_helical_example.flux", "manufactured with a source"],
+)
+def test_solution_files_round_trip_byte_identically(tmp_path, problem):
+    # every profile is expression text, a source too, so any problem can be
+    # written; both bundled files solve at the default settings
+    write_solution(solve_flux(problem), tmp_path / "first")
     write_solution(load_solution(tmp_path / "first" / "solution.json"), tmp_path / "again")
     for artifact in ("psi.csv", "solution.json"):
         assert (tmp_path / "first" / artifact).read_bytes() == (tmp_path / "again" / artifact).read_bytes()
-
-
-def test_solution_with_callable_profiles_cannot_serialize(tmp_path):
-    sol = solve_flux(manufactured_problem(), (9, 9), max_iter=50)
-    with pytest.raises(ValueError, match="callables"):
-        write_solution(sol, tmp_path)
-    assert list(tmp_path.iterdir()) == []
