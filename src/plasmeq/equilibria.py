@@ -404,7 +404,7 @@ def vortex_state(params: VortexParams, grid: Grid3, pressure_profile: str = "bal
     """
     b_and_p = _vortex_fields(params, pressure_profile)
     b, p = _evaluate_in_blocks(grid, lambda _block, *xyz: b_and_p(*xyz))
-    p_max = float(np.max(np.abs(p)))
+    p_max = float(max(p.max(), -p.min()))  # max |p| without a whole-grid |p|; NaN if p holds one
     if p_max == 0.0:
         raise ValueError("degenerate state: pressure vanishes on the whole grid")
 

@@ -128,6 +128,8 @@ class FluxProblem:
         a, b = self.zu_range
         if not a < b:
             raise ValueError("empty zu range")
+        if self.J is None:
+            raise ValueError("J: the poloidal current is an expression in psi (0 for none), not None")
         if self.N is not None and self.dN is not None:
             raise ValueError("the pressure is stated twice: give N or dN, not both")
         if self.N is None and self.dN is None:
@@ -223,16 +225,34 @@ def _spline_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, rhs)
 
 
-def _hermite(values: np.ndarray, slopes: np.ndarray, h: np.ndarray, axis: int) -> list[np.ndarray]:
-    """The power-basis coefficients c0..c3 of the cubic on each interval
-    [x_i, x_i + h_i] along ``axis`` that takes the given values and slopes
-    at both ends, as polynomials in x - x_i."""
-    lead = (slice(None),) * axis
-    v0, v1 = values[(*lead, slice(None, -1))], values[(*lead, slice(1, None))]
-    s0, s1 = slopes[(*lead, slice(None, -1))], slopes[(*lead, slice(1, None))]
-    h = h.reshape((-1,) + (1,) * (values.ndim - axis - 1))
-    secant = (v1 - v0) / h
-    return [v0, s0, (3.0 * secant - 2.0 * s0 - s1) / h, (s0 + s1 - 2.0 * secant) / (h * h)]
+def _hermite(values: np.ndarray, slopes: np.ndarray, h: np.ndarray, k: int, out: np.ndarray | None = None):
+    """The power-basis coefficient c_k (k = 0..3) of the cubic on each
+    interval [x_i, x_i + h_i] along the first axis that takes the given
+    values and slopes at both ends, as a polynomial in x - x_i, written into
+    ``out`` if given.  c0 and c1 are the values and slopes at x_i (views of
+    them if ``out`` is None); c2 = (3 d - 2 s0 - s1)/h and c3 = (s0 + s1 -
+    2 d)/h^2, d the secant slope, are evaluated in place, operation by
+    operation as those expressions are."""
+    if k < 2:
+        c = (values, slopes)[k][:-1]
+        if out is None:
+            return c
+        out[...] = c
+        return out
+    s0, s1 = slopes[:-1], slopes[1:]
+    h = h.reshape((-1,) + (1,) * (values.ndim - 1))
+    c = np.subtract(values[1:], values[:-1], out=out)
+    c /= h  # the secant slope d
+    if k == 2:
+        c *= 3.0
+        c -= 2.0 * s0
+        c -= s1
+        c /= h
+    else:
+        c *= 2.0
+        np.subtract(s0 + s1, c, out=c)
+        c /= h * h
+    return c
 
 
 def _horner(coefficients: np.ndarray, t: np.ndarray, order: int) -> np.ndarray:
@@ -251,11 +271,16 @@ class BicubicSpline:
     interpolant (``RectBivariateSpline``), whose interior knots x[2:-2]
     make it not-a-knot, up to rounding.
 
-    It is held in piecewise-polynomial form, 16 coefficients per cell.
-    ``locate`` finds the cell of each point and ``horner`` evaluates there
-    by Horner's rule, so several derivatives at the same points share one
-    lookup; ``ev`` does both.  Points outside the knot box are clamped to
-    it, as FITPACK clamps them.
+    It is held in piecewise-polynomial form, 16 coefficients per cell, in
+    one (4, 4, cells) table: its slot [p, q] holds the coefficient of (x -
+    x_i)^p (y - y_j)^q of every cell, contiguously.  The construction fills
+    it slot by slot: the cubics along x of the values and y-slopes give, one
+    x-power p at a time, the cubics along y whose coefficients are the
+    slots [p, :].  ``derivatives`` finds the cell of each point once and
+    evaluates any number of partial derivatives there by Horner's rule,
+    gathering the 4 coefficients of one x-power per point at a time; ``ev``
+    takes one derivative the same way.  Points outside the knot box are
+    clamped to it, as FITPACK clamps them.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, z: np.ndarray):
@@ -265,16 +290,22 @@ class BicubicSpline:
         hx, hy = np.diff(self.x), np.diff(self.y)
         z_x = _spline_slopes(self.x, z)
         z_y, z_xy = np.split(_spline_slopes(self.y, np.concatenate([z, z_x]).T).T, 2)
-        along_x = zip(_hermite(z, z_x, hx, 0), _hermite(z_y, z_xy, hx, 0))
-        # coefficient of (x - x_i)^p (y - y_j)^q at [i (len(y) - 1) + j, p, q]
-        self.coefficients = np.stack(
-            [np.stack(_hermite(c, c_y, hy, 1), axis=-1) for c, c_y in along_x], axis=-2
-        ).reshape(-1, 4, 4)
+        # cell (i, j) is column i (len(y) - 1) + j of each slot
+        table = np.empty((4, 4, len(hx), len(hy)))
+        for p in range(4):
+            c, c_y = _hermite(z, z_x, hx, p), _hermite(z_y, z_xy, hx, p)
+            for q in range(4):
+                _hermite(c.T, c_y.T, hy, q, out=table[p, q].T)
+            del c, c_y  # before the next x-power's pair is computed
+        self.coefficients = table.reshape(4, 4, -1)
 
-    def locate(self, xi, yi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The cell lookup of the points (xi, yi), flattened: the gathered
-        coefficients of each point's cell and its offsets t, u from the
-        cell's corner, for any number of ``horner`` calls."""
+    def derivatives(self, xi, yi, orders) -> list[np.ndarray]:
+        """The spline's partial derivatives of the given orders (dx, dy),
+        each at most 3, at the points (xi, yi), from one cell lookup.
+
+        The outer Horner pass runs down the x-powers p, gathering the four
+        coefficients [p, :] of each point's cell and reducing them along y
+        once per distinct dy, so psi and psi_x share their pass along y."""
         xi, yi = np.broadcast_arrays(np.asarray(xi, dtype=float), np.asarray(yi, dtype=float))
         cells = []
         for knots, points in ((self.x, xi.ravel()), (self.y, yi.ravel())):
@@ -282,20 +313,23 @@ class BicubicSpline:
             i = np.clip(np.searchsorted(knots, points, side="right") - 1, 0, len(knots) - 2)
             cells.append((i, points - knots[i]))
         (i, t), (j, u) = cells
-        return np.take(self.coefficients, i * (len(self.y) - 1) + j, axis=0), t, u
-
-    @staticmethod
-    def horner(located: tuple[np.ndarray, np.ndarray, np.ndarray], dx: int = 0, dy: int = 0) -> np.ndarray:
-        """The spline, or its partial derivative of order (dx, dy), each at
-        most 3, at the points of ``locate``, flattened."""
-        coefficients, t, u = located
-        return _horner(_horner(coefficients, u[:, None], dy), t, dx)
+        cell = i * (len(self.y) - 1) + j
+        sums = [None] * len(orders)
+        for p in range(3, -1, -1):
+            row = np.take(self.coefficients[p], cell, axis=1).T  # (points, 4), q along the last axis
+            along_y = {dy: _horner(row, u, dy) for dy in {dy for _dx, dy in orders}}
+            for s, (dx, dy) in enumerate(orders):
+                if p == 3:
+                    sums[s] = along_y[dy] * math.perm(3, dx)
+                elif p >= dx:
+                    sums[s] *= t
+                    sums[s] += along_y[dy] if dx == 0 else math.perm(p, dx) * along_y[dy]
+        return [s.reshape(xi.shape) for s in sums]
 
     def ev(self, xi, yi, dx: int = 0, dy: int = 0) -> np.ndarray:
         """The spline, or its partial derivative of order (dx, dy), each at
         most 3, at the points (xi, yi)."""
-        shape = np.broadcast_shapes(np.shape(xi), np.shape(yi))
-        return self.horner(self.locate(xi, yi), dx, dy).reshape(shape)
+        return self.derivatives(xi, yi, ((dx, dy),))[0]
 
 
 def _sine_transform(padded: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -309,25 +343,47 @@ def _sine_transform(padded: np.ndarray, scale: float, out: np.ndarray | None = N
     return np.multiply(np.fft.rfft(padded, axis=1).imag[:, 1 : m + 1], -scale, out=out)
 
 
+# rows of the n x m interior that one sine transform pass takes at a time
+DST_BLOCK_ROWS = 32
+
+
+def _sine_transform_rows(u: np.ndarray, scale: float, buffer: np.ndarray) -> None:
+    """``_sine_transform`` of the rows of the n x m array u, in place,
+    len(buffer) rows at a time through ``buffer``, whose rows are 2(m+1)
+    long and zero outside their columns 1..m.  Each row's FFT is
+    independent of the others, so the result is that of the whole padded
+    array bit for bit."""
+    for start in range(0, len(u), len(buffer)):
+        rows = u[start : start + len(buffer)]
+        block = buffer[: len(rows)]
+        block[:, 1 : u.shape[1] + 1] = rows
+        _sine_transform(block, scale, out=rows)
+
+
 def _interior_solver(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: np.ndarray):
     """The linear solve of the five-point stencil under the boundary values
     of ``psi``: a function taking the interior right-hand side f and
     returning the interior u with stencil(u with psi's boundary) = f.
 
     The stencil applied to the boundary values alone is a fixed term moved
-    to the right-hand side.  The orthonormal DST-I (its own inverse)
-    diagonalises the zu neighbour matrix of the m interior zu nodes with
-    eigenvalues 2 cos(k pi/(m+1)), k = 1..m, so zu sine mode k is one
-    tridiagonal system in r with diagonal c_center + 2 cos(k pi/(m+1)) c_n.
-    The transform leaves the n x m array with one row per interior r node
-    and one column per mode, so each step of the Thomas algorithm is one
-    contiguous row operation over all modes.  The multipliers and
-    reciprocal pivots are computed once, here; each right-hand side then
-    costs n - 1 forward and n - 1 backward row updates, in place.  The
-    solver keeps no right-hand side: f may be any array that broadcasts to
-    the n x m interior (an n x 1 column for one that depends on r only),
-    and the caller decides when a right-hand side needs solving again.  Each
-    call returns a new array.
+    to the right-hand side.  It is nonzero on the edges of the n x m
+    interior only, so the solver holds it as two edge rows (the corners
+    summed in) and two edge columns.  The orthonormal DST-I (its own
+    inverse) diagonalises the zu neighbour matrix of the m interior zu
+    nodes with eigenvalues 2 cos(k pi/(m+1)), k = 1..m, so zu sine mode k
+    is one tridiagonal system in r with diagonal c_center + 2 cos(k
+    pi/(m+1)) c_n.  The transform leaves the n x m array with one row per
+    interior r node and one column per mode, so each step of the Thomas
+    algorithm is one contiguous row operation over all modes.  The
+    multipliers and reciprocal pivots, two n x m arrays, are computed once,
+    here, and are all the solver holds besides the edges and one
+    DST_BLOCK_ROWS-row transform buffer.  Each right-hand side then costs n
+    - 1 forward and n - 1 backward row updates and two row-blocked sine
+    transforms, all in place on the n x m array the call returns, a new one
+    each call.  The solver keeps no right-hand side: f may be any array
+    that broadcasts to the n x m interior (an n x 1 column for one that
+    depends on r only), and the caller decides when a right-hand side needs
+    solving again.
 
     No pivoting is needed: c_w, c_e, c_n > 0 for every r > 0, so the diagonal
     -(c_w + c_e) - (2 - 2 cos(k pi/(m+1))) c_n of mode k exceeds |c_w| + |c_e|
@@ -348,39 +404,45 @@ def _interior_solver(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: n
     c_center = -(c_half_e + c_half_w) / (r * hr**2) - 2.0 / (hz**2 * r**2)
 
     n, m = nr - 2, nzu - 2
-    bterm = np.zeros((n, m))
-    bterm[0] += c_w[1] * psi[0, 1:-1]
-    bterm[-1] += c_e[-2] * psi[-1, 1:-1]
-    bterm[:, 0] += c_n[1:-1] * psi[1:-1, 0]
-    bterm[:, -1] += c_n[1:-1] * psi[1:-1, -1]
+    # the boundary term, zero off the interior's edges; + 0.0 turns a -0.0
+    # term into 0.0, so that f - term keeps the sign of a zero f as it does
+    # off the edges, and each corner sums its r term and then its zu term
+    west, east = (c * values + 0.0 for c, values in ((c_w[1], psi[0, 1:-1]), (c_e[-2], psi[-1, 1:-1])))
+    south, north = (c_n[1:-1] * psi[1:-1, j] + 0.0 for j in (0, -1))
+    west[[0, -1]] += south[0], north[0]
+    east[[0, -1]] += south[-1], north[-1]
 
     c_w, c_e, c_n, c_center = (c[1:-1] for c in (c_w, c_e, c_n, c_center))
     eigen = 2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
-    pivot = c_center[:, None] + c_n[:, None] * eigen
-    if not (np.abs(pivot) > (np.abs(c_w) + np.abs(c_e))[:, None]).all():
+    pivot = np.multiply(c_n[:, None], eigen)
+    pivot += c_center[:, None]
+    if not all((np.abs(row) > bound).all() for row, bound in zip(pivot, np.abs(c_w) + np.abs(c_e))):
         raise ValueError("the radial mode systems are not diagonally dominant on this grid")
     # forward elimination of the sub-diagonal c_w, once per solve
     multiplier = np.empty((n, m))
     for i in range(1, n):
-        multiplier[i] = c_w[i] / pivot[i - 1]
+        np.divide(c_w[i], pivot[i - 1], out=multiplier[i])
         pivot[i] -= multiplier[i] * c_e[i - 1]
-    inv_pivot = 1.0 / pivot
-    # the sine transforms and the elimination work in place on u, the
-    # nonzero columns of the zero-padded rows that _sine_transform takes
-    padded = np.zeros((n, 2 * (m + 1)))
-    u = padded[:, 1 : m + 1]
+    inv_pivot = np.divide(1.0, pivot, out=pivot)
     scale = 2.0 / (m + 1)  # both orthonormal factors sqrt(2/(m+1)), applied once
+    buffer = np.zeros((min(n, DST_BLOCK_ROWS), 2 * (m + 1)))
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        np.subtract(rhs, bterm, out=u)
-        _sine_transform(padded, scale, out=u)
+        u = np.empty((n, m))
+        u[...] = rhs
+        u[0] -= west
+        u[-1] -= east
+        u[1:-1, 0] -= south[1:-1]
+        u[1:-1, -1] -= north[1:-1]
+        _sine_transform_rows(u, scale, buffer)
         for i in range(1, n):
             u[i] -= multiplier[i] * u[i - 1]
         u[-1] *= inv_pivot[-1]
         for i in range(n - 2, -1, -1):
             u[i] -= c_e[i] * u[i + 1]
             u[i] *= inv_pivot[i]
-        return _sine_transform(padded, 1.0)
+        _sine_transform_rows(u, 1.0, buffer)
+        return u
 
     return solve
 
@@ -447,10 +509,12 @@ def solve_flux(
         S = problem.source(*np.meshgrid(r[1:-1], zu[1:-1], indexing="ij"))
     nonlinear = _nonlinear_term(problem, r[1:-1, None], S)
 
-    current = np.zeros((nr - 2, nzu - 2))
     if not any(_depends_on_psi(f) for f in (problem.J, problem.dJ, problem.dN)):
-        psi[1:-1, 1:-1] = solve(-nonlinear(current))
+        # the profiles are constants: without a source the right-hand side
+        # is an n x 1 column in r, which the solver broadcasts
+        psi[1:-1, 1:-1] = solve(-nonlinear(np.zeros((nr - 2, 1))))
         return FluxSolution(problem, r, zu, psi, (0.0,), True)
+    current = np.zeros((nr - 2, nzu - 2))
     updates: list[float] = []
     converged = False
     for _ in range(max_iter):
@@ -543,7 +607,12 @@ def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
     solution domain [r0, r1] x [zu0, zu1] with a ValueError naming the
     extent of the points it was given.  ``grid`` is sampled in x-slab blocks
     (``equilibria.sample_state``), as a later point transform is, so the
-    extent named is that of the first block that leaves the domain.
+    extent named is that of the first block that leaves the domain.  For
+    each block the evaluator finds the spline cell of every point once and
+    takes psi, psi_r and psi_zu there (``BicubicSpline.derivatives``), so
+    the spline's share of the block's working memory is the 4 coefficients
+    of one x-power per point and a few point arrays, not a 4 x 4 block per
+    point.
     """
     # imported here: ``flux solve`` needs none of the equilibria module
     from .equilibria import StateEvaluators, _field_line_image, require_defined, sample_state
@@ -567,8 +636,7 @@ def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
         ZU = Z - gamma * phi
         _require_in_domain(problem, R, ZU)
         # one cell lookup serves psi and both first derivatives
-        located = spline.locate(R, ZU)
-        psi, psi_r, psi_zu = (spline.horner(located, *d).reshape(ZU.shape) for d in ((0, 0), (1, 0), (0, 1)))
+        psi, psi_r, psi_zu = spline.derivatives(R, ZU, ((0, 0), (1, 0), (0, 1)))
         m = np.broadcast_to(1.0 / np.sqrt(1.0 - tau_fn(psi)), psi.shape)
         Jv = problem.J(psi)
         b_r = psi_zu / R

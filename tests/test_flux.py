@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from importlib import resources
 
@@ -235,6 +236,11 @@ def test_a_profile_given_as_a_callable_is_refused_naming_its_key(key, variables)
             FluxProblem(**{"boundary": "0", key: lambda *args: args[0]}, **DOMAIN)
 
 
+def test_a_missing_current_is_refused_naming_J():
+    with pytest.raises(ValueError, match=r"^J: the poloidal current is an expression in psi \(0 for none\), not None$"):
+        FluxProblem(boundary="0", J=None, **DOMAIN)
+
+
 def test_the_pressure_is_stated_once():
     with pytest.raises(ValueError, match="the pressure is stated twice: give N or dN, not both"):
         FluxProblem(boundary="0", N="1 - psi", dN=-1, **DOMAIN)
@@ -386,6 +392,30 @@ def test_each_solve_returns_its_own_array():
     kept = first.copy()
     second = solve(-np.ones((15, 15)))
     assert np.array_equal(first, kept) and np.array_equal(second, -kept)
+
+
+def _traced_peak(fn, *args):
+    """fn(*args), the peak of traced memory above the start while it ran,
+    and that of what it returned (still held at the end)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - start, held - start
+
+
+@pytest.mark.parametrize("gamma", [0.0, GAMMA], ids=["axisymmetric", "helical"])
+def test_a_psi_free_solve_peak_memory_is_bounded(gamma):
+    # the solver holds its multipliers and reciprocal pivots, the boundary
+    # term as edges and a few transform rows; the one solve takes an n x 1
+    # column and returns one n x m array
+    problem = FluxProblem(boundary="0.25*r^4 + 0.1*zu", J=0.3, dN=-2, gamma=gamma, **DOMAIN)
+    solve_flux(problem, (17, 17))
+    sol, peak, held = _traced_peak(solve_flux, problem, (129, 129))
+    assert peak - held <= 6 * sol.psi.nbytes
 
 
 def test_the_per_iteration_loop_converges_to_the_one_solve(monkeypatch):
@@ -827,7 +857,7 @@ def test_mapping_locates_the_points_once_per_evaluator_call(quartic_solutions, m
 
     def counting_spline(sol):
         s = spline(sol)
-        for name in ("locate", "ev"):
+        for name in ("derivatives", "ev"):
             method = getattr(s, name)
 
             def counted(*args, _name=name, _method=method, **kwargs):
@@ -840,11 +870,11 @@ def test_mapping_locates_the_points_once_per_evaluator_call(quartic_solutions, m
     monkeypatch.setattr(FluxSolution, "spline", counting_spline)
     state = flux_to_cgl(quartic_solutions[33], 0.25, grid=default_cartesian_box(quartic_problem(), 9))
     # one lookup serves psi and both first derivatives at the sampled nodes
-    assert calls == ["locate"]
+    assert calls == ["derivatives"]
     # and at each block of a point transform: three blocks of 3 x-slabs
     monkeypatch.setattr(equilibria, "BLOCK_NODES", 3 * 81)
     translate_state(state, (0.01, 0.0, 0.0))
-    assert calls == ["locate"] * 4
+    assert calls == ["derivatives"] * 4
 
 
 def test_default_box_stays_inside_domain():
@@ -898,6 +928,75 @@ def test_sine_transform_is_the_orthonormal_dst1(m):
     padded[:, 1 : m + 1] = x
     got = flux._sine_transform(padded, math.sqrt(2.0 / (m + 1)))
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", [7, 8, 127])
+@pytest.mark.parametrize("n", [1, 7, 32, 33, 100])
+@pytest.mark.parametrize("block", [1, 3, flux.DST_BLOCK_ROWS, 128])
+def test_row_blocked_sine_transform_is_the_whole_array_transform(n, m, block):
+    x = np.random.default_rng(n * m).standard_normal((n, m))
+    padded = np.zeros((n, 2 * (m + 1)))
+    padded[:, 1 : m + 1] = x
+    scale = math.sqrt(2.0 / (m + 1))
+    want = flux._sine_transform(padded, scale)
+    got = x.copy()
+    flux._sine_transform_rows(got, scale, np.zeros((block, 2 * (m + 1))))
+    assert got.tobytes() == want.tobytes()
+
+
+def _stacked_spline_table(x, y, z):
+    """The spline's (cells, 4, 4) table from whole-array Hermite
+    coefficients stacked along y, then along x."""
+    def hermite(values, slopes, h):
+        v0, v1, s0, s1, h = values[:-1], values[1:], slopes[:-1], slopes[1:], h[:, None]
+        secant = (v1 - v0) / h
+        return [v0, s0, (3.0 * secant - 2.0 * s0 - s1) / h, (s0 + s1 - 2.0 * secant) / (h * h)]
+
+    z_x = flux._spline_slopes(x, z)
+    z_y, z_xy = np.split(flux._spline_slopes(y, np.concatenate([z, z_x]).T).T, 2)
+    along_x = zip(hermite(z, z_x, np.diff(x)), hermite(z_y, z_xy, np.diff(x)))
+    return np.stack(
+        [np.stack(hermite(c.T, c_y.T, np.diff(y)), axis=-1).transpose(1, 0, 2) for c, c_y in along_x], axis=-2
+    ).reshape(-1, 4, 4)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (9, 13), (33, 17)])
+def test_row_wise_spline_evaluation_is_the_gathered_block_evaluation(shape):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    x = np.cumsum(rng.uniform(0.5, 1.5, shape[0]))
+    y = np.cumsum(rng.uniform(0.5, 1.5, shape[1]))
+    z = rng.standard_normal(shape)
+    spline, table = flux.BicubicSpline(x, y, z), _stacked_spline_table(x, y, z)
+    assert spline.coefficients.tobytes() == table.transpose(1, 2, 0).tobytes()
+    # random points, points beyond the knot box, and the knots with the
+    # midpoints between them, where the cell search meets a cell's edge
+    inside = (rng.uniform(x[0], x[-1], 1000), rng.uniform(y[0], y[-1], 1000))
+    outside = (np.array([x[0] - 1.0, x[-1] + 1.0, x[1]]), np.array([y[-1] + 2.0, y[0], y[0] - 0.5]))
+    edges = np.meshgrid(np.sort(np.append(x, 0.5 * (x[1:] + x[:-1]))), y, indexing="ij")
+    orders = [(dx, dy) for dx in range(4) for dy in range(4)]
+    for xi, yi in (inside, outside, edges):
+        cells = []
+        for knots, points in ((x, xi.ravel()), (y, yi.ravel())):
+            points = np.clip(points, knots[0], knots[-1])
+            i = np.clip(np.searchsorted(knots, points, side="right") - 1, 0, len(knots) - 2)
+            cells.append((i, points - knots[i]))
+        (i, t), (j, u) = cells
+        block = table[i * (len(y) - 1) + j]
+        want = [flux._horner(flux._horner(block, u[:, None], dy), t, dx).reshape(xi.shape) for dx, dy in orders]
+        got = spline.derivatives(xi, yi, orders)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        assert all(spline.ev(xi, yi, *d).tobytes() == w.tobytes() for d, w in zip(orders, want))
+
+
+def test_spline_construction_peak_memory_is_bounded():
+    # the table is filled slot by slot: the slopes and one x-power's pair
+    # of cubics along x are all that it needs beside it
+    n = 129
+    rng = np.random.default_rng(3)
+    args = (np.linspace(0.5, 1.5, n), np.linspace(-0.5, 0.5, n), rng.standard_normal((n, n)))
+    flux.BicubicSpline(*args)
+    spline, peak, _held = _traced_peak(flux.BicubicSpline, *args)
+    assert peak <= 1.5 * spline.coefficients.nbytes
 
 
 @pytest.mark.parametrize("gamma", [0.0, GAMMA], ids=["axisymmetric", "helical"])
