@@ -319,6 +319,19 @@ def cmd_check(args) -> tuple[int, dict]:
                 f"--mask-sphere {args.mask_sphere:.6g} leaves a radius of {mask_radius:.6g} after its margin, "
                 f"below one coarse spacing, {2.0 * h:.6g}, for the two-grid probe"
             )
+        grids = {"the state's grid": state.grid}
+        if args.threshold is None:
+            grids["the coarse probe's grid"] = state.grid.coarsen()
+        for name, grid in grids.items():
+            # the smallest x^2 + y^2 + z^2 of an interior node, summed as
+            # ``fields.sphere_mask`` sums it
+            x, y, z = (float(np.min(a * a)) for a in grid.interior().axes())
+            nearest = x + y + z
+            if nearest > mask_radius * mask_radius:
+                raise ValueError(
+                    f"--mask-sphere {args.mask_sphere:.6g} leaves a radius of {mask_radius:.6g} after its margin, "
+                    f"which holds no interior node of {name}: the nearest is {math.sqrt(nearest):.6g} from the origin"
+                )
         params["mask_sphere"] = args.mask_sphere
         params["mask_radius_used"] = mask_radius
 

@@ -781,20 +781,26 @@ def _program(name: str):
     return parse_program(data_text(name))
 
 
-def _window_residuals(state: CGLState, system: str, start: int, stop: int) -> dict[str, ScalarGrid | VectorGrid]:
-    """Every residual of ``system`` on the interior of the x-slabs
-    ``start:stop`` of the state's arrays: each equation's left minus right
-    side, with a dependent bound to its node array and a first-order jet to
-    that array's central difference, each computed once per window."""
-    window = slice(start, stop)
-    b, tau = state.B.values[:, window], state.tau.values[window]
+def _window_residuals(
+    state: CGLState, system: str, start: int, stop: int, y: tuple[int, int] | None = None, z: tuple[int, int] | None = None
+) -> dict[str, ScalarGrid | VectorGrid]:
+    """Every residual of ``system`` on the interior of the box of the
+    state's arrays of x-slabs ``start:stop``, rows ``y`` and columns ``z``
+    (each a (start, stop) range, whole by default): each equation's left
+    minus right side, with a dependent bound to its node array and a
+    first-order jet to that array's central difference, each computed once
+    per window."""
+    g, h = state.grid, state.grid.spacing
+    box = ((start, stop), y or (0, g.counts[1]), z or (0, g.counts[2]))
+    window = tuple(slice(*r) for r in box)
+    b, tau = state.B.values[(slice(None), *window)], state.tau.values[window]
     nodes = {"B1": b[0], "B2": b[1], "B3": b[2], "p_perp": state.p_perp.values[window], "tau": tau}
     if system == "alt":
         scaled = np.sqrt(1.0 - tau)[None] * b
         combined = nodes["p_perp"] + 0.5 * tau * np.einsum("cijk,cijk->ijk", b, b)
         nodes.update(S1=scaled[0], S2=scaled[1], S3=scaled[2], combined=combined)
-    g, h = state.grid, state.grid.spacing
-    interior = Grid3((g.origin[0] + h[0] * start, *g.origin[1:]), h, (stop - start, *g.counts[1:])).interior()
+    origin = tuple(o + d * lo for o, d, (lo, _) in zip(g.origin, h, box))
+    interior = Grid3(origin, h, tuple(hi - lo for lo, hi in box)).interior()
     env, out = {}, {}
     for name, (file, which, binding) in _RESIDUALS[system].items():
         program = _program(file)
@@ -836,48 +842,76 @@ def residual_norms(
     Linf maximum.  The residuals are evaluated on windows of whole x-slabs
     of the state's arrays with one halo slab on either side, bit-identical
     to a whole-grid pass (``fields.norm`` of each of ``residual_fields``),
-    after the checks on the system, the grid, tau and the mask."""
+    after the checks on the system, the grid, tau and the mask.  With a
+    mask, a window whose slabs hold no mask node is skipped and the others
+    are cut in y and z to the box of their mask nodes plus the halo."""
     _require_residual_room(state, system)
     interior = state.grid.interior()
     mask = None
+    size = interior.n_nodes
     if mask_radius is not None:
         mask = fd.sphere_mask(interior, mask_radius)
-        if not mask.any():
+        size = int(np.count_nonzero(mask))
+        if not size:
             raise ValueError("norm over an empty node set")
 
     nx, ny, nz = state.grid.counts
     # at least 3 interior slabs besides the halo (see ``BLOCK_NODES``)
     step = min(nx - 2, max(3, BLOCK_NODES // (ny * nz)))
+    # the magnitudes of the selected nodes of each residual, in C order
     pointwise: dict[str, np.ndarray] = {}
-    for start in range(0, nx - 2, step):
-        # a short last window borrows slabs from the one before it
-        start = min(start, nx - 2 - step)
-        for name, res in _window_residuals(state, system, start, start + step + 2).items():
+    filled = 0
+    for first in range(0, nx - 2, step):
+        # a short last window borrows slabs from the one before it; only the
+        # slabs from ``first`` on are not done yet
+        start = min(first, nx - 2 - step)
+        y, z = (0, ny), (0, nz)
+        if mask is not None:
+            held = mask[first : first + step]
+            j = np.flatnonzero(held.any(axis=(0, 2))).tolist()
+            if not j:
+                continue
+            k = np.flatnonzero(held.any(axis=(0, 1))).tolist()
+            held = held[:, j[0] : j[-1] + 1, k[0] : k[-1] + 1]
+            # interior rows j0..j1 are the state's rows j0..j1 + 2 with the halo
+            y, z = (j[0], j[-1] + 3), (k[0], k[-1] + 3)
+        residuals = _window_residuals(state, system, start, start + step + 2, y, z)
+        for name, res in residuals.items():
+            values = fd.magnitude(res)[first - start :]
+            selected = values.ravel() if mask is None else values[held]
             if name not in pointwise:
-                pointwise[name] = np.empty(interior.counts)
-            pointwise[name][start : start + step] = fd.magnitude(res)
-        res = None  # the next window starts with this one's arrays freed
+                pointwise[name] = np.empty(size)
+            pointwise[name][filled : filled + selected.size] = selected
+        filled += selected.size
+        # the next window starts with this one's arrays freed
+        residuals = res = values = selected = None
 
     out = {}
-    outside = None if mask is None else ~mask
     for name, values in pointwise.items():
         # the same reductions as ``fields.norm``, made in place on the
         # pointwise arrays, which nothing reads after them
-        selected = values
-        if mask is not None:
-            selected = values[mask]
-            # magnitudes are >= 0, so -1 keeps the maximum on the masked nodes
-            values[outside] = -1.0
-        node = np.unravel_index(int(np.argmax(values)), values.shape)
-        linf = float(np.max(selected))
-        selected **= 2
+        i = int(np.argmax(values))
+        linf = float(np.max(values))
+        values **= 2
         out[name] = {
             "linf": linf,
-            "l2": float(np.sqrt(np.mean(selected))),
+            "l2": float(np.sqrt(np.mean(values))),
             # interior index + 1 is the index on the state's grid
-            "node": tuple(int(i) + 1 for i in node),
+            "node": tuple(int(n) + 1 for n in _selected_node(interior.counts, mask, i)),
         }
     return out
+
+
+def _selected_node(counts: tuple[int, int, int], mask: np.ndarray | None, i: int) -> tuple:
+    """The index of the ``i``-th node in C order of ``mask`` (every node
+    when None) on a grid of ``counts`` nodes."""
+    if mask is None:
+        return np.unravel_index(i, counts)
+    # the slab that holds it, then its place in that slab
+    before = np.cumsum(np.count_nonzero(mask, axis=(1, 2)))
+    slab = int(np.searchsorted(before, i, side="right"))
+    i -= int(before[slab - 1]) if slab else 0
+    return (slab, *np.unravel_index(np.flatnonzero(mask[slab])[i], counts[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -641,6 +641,15 @@ def _state(tmp_path, grid=9, rows=None):
     return str(out / "state.csv")
 
 
+def _flux_state(tmp_path):
+    """The README's 17^3 ``flux tocgl`` state of the bundled axisymmetric
+    solution, which lies off the origin: its nearest interior node is 0.650
+    from it, and its coarse grid's 0.700."""
+    code, out = run(tmp_path, "state", "flux", "tocgl", _solution(tmp_path), "--tau", "psi/2.6", "--grid", "17")
+    assert code == 0
+    return str(out / "state.csv")
+
+
 def _state_with_column(tmp_path, name):
     """A vortex state.csv with a last column of zeros headed ``name``."""
     path = Path(_state(tmp_path))
@@ -790,6 +799,17 @@ BAD_INPUTS = {
     "current derivative of a square root off by a factor of two": (
         lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\nJ = sqrt(psi)\ndJ = 1/sqrt(psi)")],
         "problem.flux: dJ = 1/sqrt(psi) is not the derivative of J = sqrt(psi), which is 1/2*inv(sqrt(psi))",
+    ),
+    # the margin of two coarse stencil widths is 0.2 on the flux state
+    "mask without a node of the state's grid": (
+        lambda tmp: ["check", "--state", _flux_state(tmp), "--system", "cgl", "--mask-sphere", "0.5"],
+        "--mask-sphere 0.5 leaves a radius of 0.3 after its margin, which holds no interior node of the "
+        "state's grid: the nearest is 0.649777 from the origin",
+    ),
+    "mask without a node of the coarse probe's grid": (
+        lambda tmp: ["check", "--state", _flux_state(tmp), "--system", "cgl", "--mask-sphere", "0.87"],
+        "--mask-sphere 0.87 leaves a radius of 0.67 after its margin, which holds no interior node of the "
+        "coarse probe's grid: the nearest is 0.699553 from the origin",
     ),
     "transform to non-finite values": (
         lambda tmp: ["transform", "--state", _state(tmp, grid=17), "--M", "exp(1000*psi)"],
@@ -1646,6 +1666,18 @@ def test_check_refuses_a_probe_mask_below_one_coarse_spacing(tmp_path):
     assert read_report(out)["params"]["mask_radius_used"] == pytest.approx(0.01)
 
 
+def test_check_refuses_an_empty_mask_before_any_residual(tmp_path, monkeypatch):
+    state = _flux_state(tmp_path)
+    calls = []
+    monkeypatch.setattr(equilibria, "residual_norms", lambda *args, **kwargs: calls.append(args))
+    # the ball leaves out every node of the state's grid, then of the coarse one
+    for radius in ("0.5", "0.87"):
+        code, out = run(tmp_path, f"c{radius}", "check", "--state", state, "--system", "cgl", "--mask-sphere", radius)
+        assert code == 2
+        assert read_report(out)["error"].startswith(f"--mask-sphere {radius} leaves a radius of ")
+    assert calls == []
+
+
 def _uniform_state_csv(tmp_path, counts, tau=0.0):
     """A uniform state (B = e_z, p_perp = 1, p_par = 1 + tau) on ``counts``
     nodes of spacing 0.1, centred on the origin."""
@@ -1664,7 +1696,13 @@ def _uniform_state_csv(tmp_path, counts, tau=0.0):
         ((9, 9, 9), 1.5, ["--system", "alt"], "the recast system needs tau < 1 everywhere on the grid"),
         ((9, 4, 9), 0.0, ["--system", "mhd"], "stencil requires at least 5 nodes along every axis"),
         # 2 h = 0.2 leaves a radius of 0.01, within which a 10^3 grid has no node
-        ((10, 10, 10), 0.0, ["--system", "mhd", "--mask-sphere", "0.21"], "norm over an empty node set"),
+        (
+            (10, 10, 10),
+            0.0,
+            ["--system", "mhd", "--mask-sphere", "0.21"],
+            "--mask-sphere 0.21 leaves a radius of 0.01 after its margin, which holds no interior node of the "
+            "state's grid: the nearest is 0.0866025 from the origin",
+        ),
     ],
     ids=["alt with tau >= 1", "4-node axis", "empty mask"],
 )
