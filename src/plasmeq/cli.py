@@ -247,16 +247,16 @@ def cmd_flux_solve(args) -> tuple[int, dict]:
             "shape": list(params["shape"]),
             "tol_outer": params["tol_outer"],
             "max_iter": params["max_iter"],
-            "omega": params["omega"],
         },
         "norms": {"final_update": sol.final_update, "updates": list(sol.updates)},
-        "counts": {"iterations": sol.iterations},
+        "counts": {"iterations": sol.iterations, "krylov_iterations": list(sol.krylov_iterations)},
         "artifacts": {"solution": "solution.json", "psi": manifest["psi_csv"]},
         "pass": sol.converged,
     }
+    steps = len(sol.krylov_iterations)
     print(
-        f"flux solve: {sol.iterations} iteration{'s' * (sol.iterations != 1)}, "
-        f"final update {sol.final_update:.3e}, " + ("converged" if sol.converged else "NOT converged")
+        f"flux solve: {steps} Newton step{'s' * (steps != 1)}, {sum(sol.krylov_iterations)} GMRES iterations, "
+        f"final |F| {sol.final_update:.3e}, " + ("converged" if sol.converged else "NOT converged")
     )
     return (EXIT_OK if sol.converged else EXIT_VERIFICATION), report
 
@@ -350,7 +350,7 @@ def cmd_check(args) -> tuple[int, dict]:
         coarse = eq.residual_norms(state.coarsen(), args.system, mask_radius=mask_radius)
         report["norms_coarse"] = coarse
         # a residual below this floor passes: an exact state's residuals are
-        # rounding (plus the flux solve's 1e-10 Picard tolerance) over h,
+        # rounding (plus the flux solve's 1e-10 tolerance) over h,
         # noise that does not shrink with h; the floor scales with B^2 and the
         # pressures (momentum), B (div B) and B tau (tau's advection)
         b_max = math.sqrt(float(np.max(state.b_squared())))

@@ -20,9 +20,9 @@ sweep each way.  The kernel differentiates the stated J and N exactly.
 The Dirichlet data enter as the stencil applied to the boundary values, a
 fixed right-hand-side term, so the boundary values are imposed exactly.
 When no profile J, J' or N' depends on psi, the right-hand side is fixed
-and one solve is the discrete solution.  Otherwise the terms in J and N
-are frozen at the previous iterate and relaxed: damped Picard iteration
-around the one elimination.
+and one solve is the discrete solution.  Otherwise Newton's method, each
+step by GMRES preconditioned by the one elimination, solves the discrete
+equation (Newton-Krylov: Knoll & Keyes, J. Comput. Phys. 193 (2004) 357).
 
 A mapped state is the field-line image (M = (1 - tau)^(-1/2)) of the
 isotropic Grad-Shafranov/JFKO state B, P = N(psi), which ``check --system
@@ -158,10 +158,10 @@ class FluxProblem:
 
 @dataclass(frozen=True)
 class FluxSolution:
-    """A solved problem; ``updates`` holds the max-norm update of each
-    Picard iteration, in order.  A problem whose right-hand side does not
-    depend on psi is solved once and records ``(0.0,)``, the change a
-    further Picard step would make."""
+    """A solved problem; ``updates`` holds the change one undamped Picard
+    step would make at each Newton iterate, from the start, and
+    ``krylov_iterations`` the GMRES iterations of each Newton step (none
+    when loaded).  A psi-free problem is one solve and records ``(0.0,)``."""
 
     problem: FluxProblem
     r: np.ndarray
@@ -169,6 +169,7 @@ class FluxSolution:
     psi: np.ndarray
     updates: tuple[float, ...]
     converged: bool
+    krylov_iterations: tuple[int, ...] = ()
 
     @property
     def iterations(self) -> int:
@@ -466,8 +467,65 @@ def _nonlinear_term(problem: FluxProblem, r: np.ndarray, S: np.ndarray | None):
     return g
 
 
+def _nonlinear_slope(problem: FluxProblem, r: np.ndarray):
+    """psi -> g'(psi) = J'(J' + 2 gamma q) q + J J'' q + N'', q = 1/(r^2 +
+    gamma^2), the derivative of ``_nonlinear_term``, with J'' and N'' taken
+    exactly, once.  Raises ArithmeticError where the value is not finite."""
+    q = 1.0 / (r**2 + problem.gamma**2)
+    ddJ, ddN = problem.dJ.derivative("psi"), problem.dN.derivative("psi")
+
+    def slope(psi: np.ndarray) -> np.ndarray:
+        dJ = problem.dJ(psi)
+        out = (dJ * (dJ + 2.0 * problem.gamma * q) + problem.J(psi) * ddJ(psi)) * q + ddN(psi)
+        if not np.isfinite(out).all():
+            raise ArithmeticError("the derivative of a constitutive profile evaluated to a non-finite value")
+        return out
+
+    return slope
+
+
 def _depends_on_psi(profile) -> bool:
     return any(s.name == "psi" for s in profile.expression.symbols())
+
+
+# GMRES restart (vortex modes up to 6 converge with 30; J = 16 psi needs
+# 50), tolerance (the last Newton step leaves |F| at rounding) and cap;
+# halvings of a Newton step before it fails
+GMRES_RESTART, GMRES_TOL, GMRES_MAX_ITER, HALVINGS = 30, 1e-12, 300, 10
+
+
+def _gmres(apply, b: np.ndarray, tol: float) -> tuple[np.ndarray | None, int]:
+    """x with |b - apply(x)|_2 <= tol |b|_2 by restarted GMRES from x = 0
+    (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7 (1986) 856), modified
+    Gram-Schmidt, and the iterations taken; x is None if they fall short."""
+    x, residual, iterations = np.zeros_like(b), b, 0
+    target = tol * np.linalg.norm(b)
+    while iterations < GMRES_MAX_ITER:
+        rhs = np.linalg.norm(residual) * np.eye(GMRES_RESTART + 1)[0]
+        basis, hessenberg = [residual / rhs[0]], np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
+        for j in range(min(GMRES_RESTART, GMRES_MAX_ITER - iterations)):
+            w = apply(basis[j])
+            for i, v in enumerate(basis):
+                hessenberg[i, j] = np.vdot(v, w)
+                w -= hessenberg[i, j] * v
+            hessenberg[j + 1, j] = np.linalg.norm(w)
+            basis.append(w / hessenberg[j + 1, j] if hessenberg[j + 1, j] else w)
+            y = np.linalg.lstsq(hessenberg[: j + 2, : j + 1], rhs[: j + 2], rcond=None)[0]
+            converged = np.linalg.norm(hessenberg[: j + 2, : j + 1] @ y - rhs[: j + 2]) <= target
+            if converged:
+                break
+        iterations += j + 1
+        for c, v in zip(y, basis):
+            x += c * v
+        if converged:
+            return x, iterations
+        residual = b - apply(x)
+    return None, iterations
+
+
+def _diverged(reason: str, updates: list[float], krylov: list[int]) -> SolverDiverged:
+    return SolverDiverged(f"solver diverged: {reason} at Newton step {len(krylov)} ({sum(krylov)} GMRES iterations in "
+                          f"all), last |F| {updates[-1]:.3e}; |F| history {', '.join(f'{u:.3e}' for u in updates)}")
 
 
 def solve_flux(
@@ -475,19 +533,20 @@ def solve_flux(
     shape: tuple[int, int] = (33, 33),
     tol_outer: float = 1e-10,
     max_iter: int = 500,
-    omega: float = 0.8,
+    omega: None = None,
 ) -> FluxSolution:
-    """Damped Picard iteration around one linear solver, set up once.
-
-    When no profile depends on psi, the right-hand side is fixed: one solve
-    is the discrete solution, recorded as one iteration whose update is 0.0
-    (a further step would change nothing), and ``tol_outer``, ``max_iter``
-    and ``omega`` are validated but do not act."""
+    """Newton's method for F(psi) = psi - T(psi) = 0 from T(0), where T(psi)
+    = solve(-g(psi)) is one undamped Picard step and the solver is set up
+    once.  Each step solves (I + L0^-1 diag g') delta = -F by ``_gmres``
+    (L0^-1 v = solve(v) - solve(0)) and is halved until |F|_inf falls;
+    SolverDiverged, with the |F|_inf history, when no halving does or GMRES
+    falls short.  When no profile depends on psi, T(0) is the solution.
+    ``omega`` takes only None: perfbench/workloads.py passes a fifth one."""
     nr, nzu = shape
     if nr < 9 or nzu < 9:
         raise ValueError("resolution must be at least 9 x 9")
-    if not 0.0 < omega <= 1.0:
-        raise ValueError("relaxation weight must lie in (0, 1]")
+    if omega is not None:
+        raise ValueError("omega: the Newton solve takes no relaxation weight")
     if max_iter < 1:
         raise ValueError(f"iteration cap must be at least 1, got {max_iter}")
     if not (math.isfinite(tol_outer) and tol_outer > 0.0):
@@ -509,34 +568,43 @@ def solve_flux(
         S = problem.source(*np.meshgrid(r[1:-1], zu[1:-1], indexing="ij"))
     nonlinear = _nonlinear_term(problem, r[1:-1, None], S)
 
+    # T(0): for constant profiles and no source the right-hand side is an
+    # n x 1 column in r, which the solver broadcasts
+    current = solve(-nonlinear(np.zeros((nr - 2, 1))))
     if not any(_depends_on_psi(f) for f in (problem.J, problem.dJ, problem.dN)):
-        # the profiles are constants: without a source the right-hand side
-        # is an n x 1 column in r, which the solver broadcasts
-        psi[1:-1, 1:-1] = solve(-nonlinear(np.zeros((nr - 2, 1))))
+        psi[1:-1, 1:-1] = current
         return FluxSolution(problem, r, zu, psi, (0.0,), True)
-    current = np.zeros((nr - 2, nzu - 2))
-    updates: list[float] = []
-    converged = False
-    for _ in range(max_iter):
-        following = (1.0 - omega) * current + omega * solve(-nonlinear(current))
-        updates.append(float(np.max(np.abs(following - current))))
-        current = following
-        if updates[-1] < tol_outer:
-            converged = True
-            break
-        if len(updates) > 20 and updates[-1] > 10.0 * updates[-21]:
-            raise SolverDiverged(
-                f"solver diverged: update norm grew from {updates[-21]:.3e} to {updates[-1]:.3e} over 20 iterations"
-            )
-    psi[1:-1, 1:-1] = current
-    if not converged:
-        warnings.warn(
-            f"flux solve stopped at the iteration cap ({max_iter}) with update {updates[-1]:.3e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    slope, homogeneous = _nonlinear_slope(problem, r[1:-1, None]), solve(np.zeros(1))
 
-    return FluxSolution(problem, r, zu, psi, tuple(updates), converged)
+    def defect(iterate: np.ndarray) -> tuple[np.ndarray, float]:
+        F = iterate - solve(-nonlinear(iterate))
+        return F, float(np.max(np.abs(F)))
+
+    F, norm = defect(current)
+    updates, krylov = [norm], []
+    while updates[-1] >= tol_outer and len(krylov) < max_iter:
+        dg = slope(current)
+        step, iterations = _gmres(lambda v: v + (solve(dg * v) - homogeneous), -F, GMRES_TOL)
+        krylov.append(iterations)
+        if step is None:
+            raise _diverged(f"GMRES did not reach {GMRES_TOL:g} in {GMRES_MAX_ITER} iterations", updates, krylov)
+        for t in 0.5 ** np.arange(HALVINGS + 1):
+            trial = current + t * step
+            try:
+                trial_F, norm = defect(trial)
+            except ArithmeticError:
+                continue
+            if norm < updates[-1]:
+                break
+        else:
+            raise _diverged(f"no step of 2^-{HALVINGS} or more lowers |F|", updates, krylov)
+        current, F = trial, trial_F
+        updates.append(norm)
+    psi[1:-1, 1:-1] = current - F  # T(current), whose linear part is solved exactly
+    if updates[-1] >= tol_outer:
+        warnings.warn(f"flux solve stopped at the iteration cap ({max_iter}) with update {updates[-1]:.3e}",
+                      RuntimeWarning, stacklevel=2)
+    return FluxSolution(problem, r, zu, psi, tuple(updates), updates[-1] < tol_outer, tuple(krylov))
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +728,7 @@ def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
 
 _DOMAIN_KEYS = ("r0", "r1", "zu0", "zu1")
 _PROFILE_KEYS = ("J", "dJ", "N", "dN", "boundary", "source")
-_SOLVER_KEYS = {"nr": int, "nzu": int, "max_iter": int, "tol": float, "omega": float}
+_SOLVER_KEYS = {"nr": int, "nzu": int, "max_iter": int, "tol": float}
 _MANIFEST_KEYS = ("geometry", "profiles", "psi_csv", "resolution", "iterations", "final_update", "converged", "updates")
 
 
@@ -726,8 +794,10 @@ def _problem(entries: dict, where: str) -> FluxProblem:
 def parse_problem_file(text: str, where: str = "problem file") -> tuple[FluxProblem, dict]:
     """Parse ``key = value`` lines; expression values stay text until use.
 
-    Returns the problem plus solver parameters (resolution, tolerance,
-    iteration cap, relaxation weight).  ``L`` and ``dL`` (the helical
+    Returns the problem plus the keyword arguments of ``solve_flux``
+    (resolution, tolerance, Newton step cap, and ``omega``, always None).
+    ``omega`` is not a key: the solve has no relaxation weight, and a file
+    that sets one is refused, naming it.  ``L`` and ``dL`` (the helical
     names) are aliases of ``N`` and ``dN``, and one of the four states the
     pressure.  ``where``, the file's path, leads every error message, and
     an expression's error names its key too.
@@ -759,7 +829,7 @@ def parse_problem_file(text: str, where: str = "problem file") -> tuple[FluxProb
         "shape": (solver.get("nr", 33), solver.get("nzu", 33)),
         "tol_outer": solver.get("tol", 1e-10),
         "max_iter": solver.get("max_iter", 500),
-        "omega": solver.get("omega", 0.8),
+        "omega": None,  # solve_flux's kept fifth parameter; perfbench passes it on
     }
     return problem, params
 

@@ -72,10 +72,10 @@ def pressure_anisotropy_scaling(system: PdeSystem) -> CandidateGenerator:
 
 
 def line_function_generator(system: PdeSystem, multiplier: Expr | str = "1") -> CandidateGenerator:
-    """The field-line transform family of the anisotropic system: the unit
-    generator of ``cgl_line_function.gen`` times ``multiplier``, an
-    expression in quantities constant on field lines (``tau`` and
-    ``pperp + tau*B^2/2``)."""
+    """The unit generator of ``cgl_line_function.gen`` times ``multiplier``:
+    a symmetry for any expression in ``tau`` and ``pperp + tau*B^2/2`` on
+    ``cgl_closed`` (B . grad tau = 0) only; on open ``cgl`` only a
+    constant multiplier verifies (F = tau leaves 12 nonzero residuals)."""
     unit = _load(system, "line_function")
     F = system.context.parse(multiplier) if isinstance(multiplier, str) else multiplier
     return CandidateGenerator(

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -314,6 +315,35 @@ def test_flux_pipeline(tmp_path):
     ratios = read_report(check_out)["convergence_ratios"]
     assert ratios["div_b"] is None and ratios["tau_advection"] is None
     assert isinstance(ratios["momentum"], float)
+
+
+def test_vortex_flux_solve_reports_its_newton_steps(tmp_path, capsys):
+    # the bundled vortex lies past the first eigenvalue of its box's operator
+    capsys.readouterr()
+    code, sol_out = run(tmp_path, "sol", "flux", "solve", data_path("flux_vortex_example.flux"))
+    assert code == 0
+    report = read_report(sol_out)
+    assert set(report["params"]) == {"shape", "tol_outer", "max_iter"}
+    assert set(report["counts"]) == {"iterations", "krylov_iterations"}
+    krylov = report["counts"]["krylov_iterations"]
+    assert len(krylov) == report["counts"]["iterations"] - 1 >= 1 and min(krylov) > 0
+    assert capsys.readouterr().out == (
+        f"flux solve: {len(krylov)} Newton step{'s' * (len(krylov) != 1)}, {sum(krylov)} GMRES iterations, "
+        f"final |F| {report['norms']['final_update']:.3e}, converged\n"
+    )
+    manifest = json.loads((sol_out / "solution.json").read_text())
+    assert manifest["converged"] is True and manifest["iterations"] <= 10
+
+
+def test_a_flux_problem_with_no_solution_names_its_newton_steps(tmp_path, capsys):
+    # N' = 50 e^psi on a zero boundary is past the Bratu fold
+    problem = _flux_file(tmp_path, "boundary = 0\ndN = 50*exp(psi)")
+    capsys.readouterr()
+    code, _ = run(tmp_path, "bad", "flux", "solve", problem)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert re.search(r"problem\.flux: solver diverged: .+ at Newton step \d+ \(\d+ GMRES iterations in all\), "
+                     r"last \|F\| \S+; \|F\| history \S+(, \S+)*\n$", err), err
 
 
 def test_helical_flux_pipeline(tmp_path):
@@ -1006,9 +1036,10 @@ BAD_INPUTS = {
         lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ntol = 0")],
         "problem.flux: tolerance must be a positive finite number, got 0.0",
     ),
-    "relaxation weight above one": (
-        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\nomega = 2")],
-        "problem.flux: relaxation weight must lie in (0, 1]",
+    # the Newton solve has no relaxation weight, so any omega is refused
+    "relaxation weight": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\nomega = 0.8")],
+        "problem.flux: unrecognized problem keys: ['omega']",
     ),
     "radial resolution below nine": (
         lambda tmp: [
@@ -1295,13 +1326,14 @@ BAD_INPUTS = {
         "state.csv: nodes do not form a full tensor grid",
     ),
     # flux solve
+    # N' = 50 e^psi on a zero boundary is past the Bratu fold: no solution
     "diverging flux solve": (
-        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ndN = 50*psi")],
-        "problem.flux: solver diverged: update norm grew from ",
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = 0\ndN = 50*exp(psi)")],
+        "problem.flux: solver diverged: ",
     ),
-    # the iterate blows up before the divergence test can see it grow
+    # the start T(0) exceeds 0.5 inside, where the profile is not defined
     "flux profile that blows up": (
-        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ndN = -50*psi^3")],
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ndN = sqrt(0.5 - psi)")],
         "problem.flux: constitutive profile evaluated to a non-finite value",
     ),
     "boundary data that is not finite": (
@@ -1473,12 +1505,13 @@ def test_numpy_warnings_stay_off_stderr(tmp_path, capsys, argv):
 
 
 def test_iteration_cap_warning_is_one_line_on_stderr_and_in_the_report(tmp_path, capsys):
-    # the current depends on psi: a psi-free problem is one solve whatever the cap
-    problem = _flux_file(tmp_path, "boundary = 0.25*r^4\nJ = 0.5*psi\ndN = -2\nmax_iter = 3")
+    # the current is quadratic in psi: a psi-free problem is one solve
+    # whatever the cap, and a linear one takes one Newton step
+    problem = _flux_file(tmp_path, "boundary = 0.25*r^4\nJ = 0.5*psi^2\ndN = -2\nmax_iter = 1")
     capsys.readouterr()
     code, out = run(tmp_path, "sol", "flux", "solve", problem)
     assert code == 3
-    warning = "flux solve stopped at the iteration cap (3) with update "
+    warning = "flux solve stopped at the iteration cap (1) with update "
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"warning: {warning}")
     (note,) = read_report(out)["warnings"]

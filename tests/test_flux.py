@@ -23,6 +23,7 @@ from plasmeq.flux import (
 
 A = 2.0
 DOMAIN = dict(r_range=(0.5, 1.5), zu_range=(-0.5, 0.5))
+BUNDLED_FLUX_FILES = ("flux_axisym_example.flux", "flux_helical_example.flux", "flux_vortex_example.flux")
 
 
 def quartic_problem():
@@ -62,8 +63,9 @@ def test_solver_parameter_validation():
     p = quartic_problem()
     with pytest.raises(ValueError, match="9 x 9"):
         solve_flux(p, (5, 33))
-    with pytest.raises(ValueError, match="relaxation"):
-        solve_flux(p, (9, 9), omega=1.5)
+    # the kept fifth parameter takes only None: the solve has no relaxation weight
+    with pytest.raises(ValueError, match="^omega: the Newton solve takes no relaxation weight$"):
+        solve_flux(p, (9, 9), omega=0.8)
 
 
 @pytest.mark.parametrize(
@@ -193,15 +195,17 @@ def test_divergence_is_detected():
         boundary="zu", J="40*psi", dJ="40", dN=0.0, **DOMAIN
     )
     with pytest.raises(SolverDiverged):
-        solve_flux(p, (17, 17), max_iter=200, omega=1.0)
+        solve_flux(p, (17, 17), max_iter=200)
 
 
 def test_iteration_cap_warns_and_flags():
-    # a psi-free problem is one solve whatever the cap: the current here depends on psi
-    p = FluxProblem(boundary=f"{A / 8}*r^4", J="0.5*psi", dN=-A, **DOMAIN)
+    # a psi-free problem is one solve whatever the cap, and a linear one
+    # takes one Newton step: the current here is quadratic in psi
+    p = FluxProblem(boundary=f"{A / 8}*r^4", J="0.5*psi^2", dN=-A, **DOMAIN)
     with pytest.warns(RuntimeWarning, match="iteration cap"):
-        sol = solve_flux(p, (17, 17), max_iter=3)
+        sol = solve_flux(p, (17, 17), max_iter=1)
     assert not sol.converged
+    assert len(sol.krylov_iterations) == 1 and sol.iterations == 2
 
 
 def test_a_stated_dJ_must_be_the_derivative_of_J():
@@ -287,7 +291,7 @@ def test_operator_and_dirichlet_term_match_the_stencil(geometry, shape):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("name", ["flux_axisym_example.flux", "flux_helical_example.flux"])
+@pytest.mark.parametrize("name", BUNDLED_FLUX_FILES)
 def test_the_discrete_equation_is_solved(bundled_solutions, name):
     # stencil(psi) + g(psi) = 0 at every interior node, to rounding
     sol = bundled_solutions[name]
@@ -344,9 +348,10 @@ def _lu_reference_problem(geometry, r_range=DOMAIN["r_range"]):
     ],
 )
 def test_solve_matches_a_sparse_lu_reference(problem, shape):
+    # the reference loop, run until its updates are rounding, is the
+    # discrete solution that Newton's method reaches in a few steps
     sol = solve_flux(problem, shape)
-    want, iterations = splu_reference_solve(problem, shape)
-    assert sol.iterations == iterations
+    want, _ = splu_reference_solve(problem, shape, tol_outer=1e-14)
     assert np.max(np.abs(sol.psi - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -367,6 +372,13 @@ def _count_solver_calls(monkeypatch):
     return setups, solves
 
 
+def _newton_solves(sol):
+    """The solves of a psi-dependent solve_flux that takes full Newton
+    steps and restarts no GMRES: T(0), solve(0) and F at the start, then
+    per step one per GMRES iteration and one for F at the new iterate."""
+    return 3 + sum(k + 1 for k in sol.krylov_iterations)
+
+
 @pytest.mark.parametrize(
     "problem, psi_dependent",
     [(quartic_problem(), False), (manufactured_problem(), True)],
@@ -374,13 +386,14 @@ def _count_solver_calls(monkeypatch):
 )
 def test_solve_factorizes_once(problem, psi_dependent, monkeypatch):
     # the elimination is set up once per solve; a right-hand side that
-    # depends on psi is solved at every Picard iteration, one that does not
-    # (here an (n, 1) column in r) once, in one iteration
+    # depends on psi is solved at every GMRES iteration and Newton
+    # iterate, one that does not (here an (n, 1) column in r) once, in one
+    # iteration
     setups, solves = _count_solver_calls(monkeypatch)
     sol = solve_flux(problem, (17, 17))
     assert sol.iterations > 1 if psi_dependent else sol.iterations == 1
     assert setups == [(17, 17)]
-    assert len(solves) == (sol.iterations if psi_dependent else 1)
+    assert len(solves) == (_newton_solves(sol) if psi_dependent else 1)
 
 
 def test_each_solve_returns_its_own_array():
@@ -419,15 +432,17 @@ def test_a_psi_free_solve_peak_memory_is_bounded(gamma):
 
 
 def test_the_per_iteration_loop_converges_to_the_one_solve(monkeypatch):
-    # profiles taken to depend on psi take the damped Picard loop; the
-    # quartic's are constant, so the loop approaches the one solve's psi
+    # profiles taken to depend on psi take the Newton loop, which starts at
+    # T(0), the one solve; the quartic's are constant, so F vanishes there
+    # and no step is taken
     want = solve_flux(quartic_problem(), (17, 17))
     monkeypatch.setattr(flux, "_depends_on_psi", lambda profile: True)
     setups, solves = _count_solver_calls(monkeypatch)
     got = solve_flux(quartic_problem(), (17, 17))
     assert setups == [(17, 17)]
-    assert len(solves) == got.iterations == 16
-    assert np.max(np.abs(got.psi - want.psi)) <= 2e-11 * np.max(np.abs(want.psi))
+    assert got.updates == (0.0,) and got.krylov_iterations == ()
+    assert len(solves) == _newton_solves(got) == 3
+    assert np.array_equal(got.psi, want.psi)
 
 
 def reference_solve_flux(problem, shape, tol_outer=1e-10, max_iter=500, omega=0.8):
@@ -474,7 +489,7 @@ def _bundled_problem(name):
         (manufactured_problem(), {}, False),
         (_lu_reference_problem("helical"), {}, False),
         (quartic_problem(), dict(max_iter=4), True),
-        (manufactured_problem(), dict(max_iter=4), False),
+        (manufactured_problem(), dict(max_iter=1), False),
     ],
     ids=[
         "quartic", "axisymmetric example", "helical example", "manufactured", "source",
@@ -491,11 +506,15 @@ def test_solve_is_bit_identical_to_the_whole_domain_loop(problem, settings, psi_
         want_psi, want_updates, want_converged = reference_solve_flux(problem, shape, **settings, omega=1.0)
         assert want_converged and want_updates[-1] == 0.0
         assert sol.converged and sol.updates == (0.0,)
+        assert np.array_equal(sol.psi, want_psi)
     else:
-        want_psi, want_updates, want_converged = reference_solve_flux(problem, shape, **settings)
-        assert sol.converged == want_converged == ("max_iter" not in settings)
-        assert sol.updates == want_updates
-    assert np.array_equal(sol.psi, want_psi)
+        # Newton's method against the damped loop at its own stop (update
+        # below 1e-10): they agree to 1e-9, and to 1e-7 after the one Newton
+        # step that the cap allows
+        want_psi, _, want_converged = reference_solve_flux(problem, shape)
+        assert want_converged and sol.converged == ("max_iter" not in settings)
+        tolerance = 1e-9 if sol.converged else 1e-7
+        assert np.max(np.abs(sol.psi - want_psi)) <= tolerance * np.max(np.abs(want_psi))
 
 
 @pytest.mark.parametrize("shape", [(33, 33), (19, 14)])
@@ -540,7 +559,7 @@ def test_psi_dependent_profiles_are_eliminated_at_every_iteration(monkeypatch):
     transforms = _count_sine_transforms(monkeypatch)
     sol = solve_flux(manufactured_problem(), (17, 17))
     assert sol.iterations > 1
-    assert len(transforms) == 2 * sol.iterations
+    assert len(transforms) == 2 * _newton_solves(sol)
 
 
 @pytest.mark.parametrize(
@@ -568,6 +587,157 @@ def test_update_history_is_recorded():
     assert all(b < a for a, b in zip(sol.updates, sol.updates[1:]))
     # a psi-free problem records the change a further step would make: none
     assert solve_flux(quartic_problem(), (17, 17)).updates == (0.0,)
+
+
+# -- Newton-Krylov -------------------------------------------------------------------
+
+
+def _nonsymmetric_system(n=120):
+    # eigenvalues spread over [1, 50] with a nonsymmetric coupling: restarted
+    # GMRES needs more than one restart of GMRES_RESTART iterations
+    rng = np.random.default_rng(5)
+    A = np.diag(np.linspace(1.0, 50.0, n)) + np.triu(rng.standard_normal((n, n)), 1) / np.sqrt(n)
+    return A, rng.standard_normal(n)
+
+
+def test_gmres_agrees_with_a_direct_solve_and_with_scipy():
+    from scipy.sparse.linalg import gmres
+
+    A, b = _nonsymmetric_system()
+    x, iterations = flux._gmres(lambda v: A @ v, b, 1e-12)
+    assert iterations > flux.GMRES_RESTART
+    assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+    for want in (np.linalg.solve(A, b), gmres(A, b, rtol=1e-12, atol=0.0, restart=flux.GMRES_RESTART)[0]):
+        assert np.max(np.abs(x - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_gmres_that_falls_short_returns_none(monkeypatch):
+    monkeypatch.setattr(flux, "GMRES_MAX_ITER", 7)
+    A, b = _nonsymmetric_system()
+    assert flux._gmres(lambda v: A @ v, b, 1e-12) == (None, 7)
+
+
+def test_a_problem_past_the_fold_raises_with_its_history():
+    # N' = 50 e^psi on a zero boundary is the Bratu problem past its fold:
+    # the discrete equation has no solution
+    p = FluxProblem(boundary="0", dN="50*exp(psi)", **DOMAIN)
+    with pytest.raises(SolverDiverged, match=r"^solver diverged: .* at Newton step 1 \(\d+ GMRES iterations in all\), "
+                       r"last \|F\| \S+; \|F\| history \S+$"):
+        solve_flux(p, (17, 17))
+
+
+def test_a_step_that_does_not_lower_F_is_halved(monkeypatch):
+    # J = 10 sin(psi) on the boundary data 3 zu: the first full Newton step
+    # does not lower |F|, a halved one does, and the solve converges
+    _, solves = _count_solver_calls(monkeypatch)
+    sol = solve_flux(FluxProblem(boundary="3*zu", J="10*sin(psi)", **DOMAIN), (17, 17))
+    assert sol.converged and all(b < a for a, b in zip(sol.updates, sol.updates[1:]))
+    assert len(solves) > _newton_solves(sol)  # a trial step beyond one per Newton step
+
+
+def vortex_flux_problem(mode):
+    """The vortex of ``plasmeq vortex --R 1 --n mode`` (B0 = P0 = 1) as the
+    Grad-Shafranov problem of flux_vortex_example.flux, its closed form
+    psi = -r^2 V/2, and its parameters."""
+    params = equilibria.vortex_params(R=1.0, n=mode)
+    lam, gamma_b = params.lam, params.gamma_b
+    amp = 1.0 / (1.0 - float(equilibria._v0_profile(2.0 * lam)[0]))
+    x = f"2*{lam!r}*sqrt(r^2 + zu^2)"
+    problem = FluxProblem(
+        (0.2, 0.6), (-0.5, 0.5), J=f"-2*{lam!r}*psi", N=f"1 - 2*({gamma_b!r})*{lam!r}^2*psi",
+        boundary=f"-r^2*({amp!r}*3*(sin({x})/({x})^3 - cos({x})/({x})^2) - ({gamma_b!r}))/2",
+    )
+
+    def exact(r, zu):
+        return -r * r * (amp * equilibria._v0_profile(2.0 * lam * np.hypot(r, zu))[0] - gamma_b) / 2
+
+    return problem, exact, params
+
+
+def test_the_bundled_vortex_is_mode_3():
+    assert _bundled_problem("flux_vortex_example.flux").texts == vortex_flux_problem(3)[0].texts
+
+
+def _orders(errors):
+    return [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_vortex_modes_converge_to_their_closed_form(mode):
+    problem, exact, _ = vortex_flux_problem(mode)
+    errors = []
+    for n in (33, 65, 129):
+        sol = solve_flux(problem, (n, n))
+        want = exact(*np.meshgrid(sol.r, sol.zu, indexing="ij"))
+        assert sol.converged
+        errors.append(np.max(np.abs(sol.psi - want)) / np.max(np.abs(want)))
+    assert min(_orders(errors)) >= 1.9, errors
+
+
+def test_the_mapped_vortex_is_the_vortex():
+    # mode 1 solved on 33^2, 65^2 and 129^2 and mapped with tau = 0 to 17^3,
+    # 33^3 and 65^3, against the vortex's own fields at the same nodes
+    problem, _, params = vortex_flux_problem(1)
+    errors = {"B": [], "p": []}
+    for n, k in ((33, 17), (65, 33), (129, 65)):
+        grid = default_cartesian_box(problem, k)
+        state, vortex = flux_to_cgl(solve_flux(problem, (n, n)), "0", grid), equilibria.vortex_state(params, grid)
+        for name, got, want in (("B", state.B, vortex.B), ("p", state.p_perp, vortex.p_perp)):
+            errors[name].append(np.max(np.abs(got.values - want.values)) / np.max(np.abs(want.values)))
+    for name, errs in errors.items():
+        assert min(_orders(errs)) >= 1.9, (name, errs)
+
+
+def _discrete_residual(problem, sol):
+    """max |stencil(psi) + g(psi)| over the interior, the source included."""
+    R, ZU = (a[1:-1, 1:-1] for a in np.meshgrid(sol.r, sol.zu, indexing="ij"))
+    S = problem.source(R, ZU) if problem.source is not None else None
+    g = flux._nonlinear_term(problem, R, S)(sol.psi[1:-1, 1:-1])
+    return np.max(np.abs(five_point_stencil(problem, sol.r, sol.zu, sol.psi) + g))
+
+
+def _example_with_current(J, N="4 - 2*psi"):
+    # the axisymmetric example's domain and boundary with a current J
+    return FluxProblem(boundary="0.25*r^4", J=J, N=N, **DOMAIN)
+
+
+@pytest.mark.parametrize("n", [33, 129, 257])
+@pytest.mark.parametrize(
+    "problem",
+    [_example_with_current("6*psi"), _example_with_current("8*psi"), vortex_flux_problem(2)[0],
+     vortex_flux_problem(3)[0]],
+    ids=["J = 6 psi", "J = 8 psi", "vortex mode 2", "vortex mode 3"],
+)
+def test_problems_past_the_first_eigenvalue_converge(problem, n):
+    # J J' = 36 psi and 64 psi lie past the first eigenvalue of -Delta* on
+    # the example's domain (20.6 at 33^2), and the vortex's 4 lam^2 = 82.7
+    # and 151.9 past that of its box (76.7): the damped loop diverged on all
+    sol = solve_flux(problem, (n, n))
+    assert sol.converged and len(sol.krylov_iterations) <= 3
+    g = flux._nonlinear_term(problem, sol.r[1:-1, None], None)(sol.psi[1:-1, 1:-1])
+    assert _discrete_residual(problem, sol) <= 1e-10 * np.max(np.abs(g))
+
+
+@pytest.mark.parametrize(
+    "problem, tol_outer",
+    [(_example_with_current("0.8*psi"), 1e-10), (_example_with_current("4*psi"), 1e-10),
+     (_example_with_current("sqrt(1 + psi)", N="4 - 3*psi + psi^3/2"), 1e-10),
+     (FluxProblem(boundary="0.25*r^4", J="0.5*psi", dN="-2 - 0.1*psi", **DOMAIN), 1e-10),
+     (FluxProblem(boundary="0", dN="-50*exp(psi)", **DOMAIN), 1e-10),
+     (manufactured_problem(), 1e-10), (manufactured_problem(0.0), 1e-10), (_lu_reference_problem("helical"), 1e-10),
+     # |psi| is 0.054 at most: the loop's stop at an update of 1e-10 leaves it 1.4e-9 short
+     (vortex_flux_problem(1)[0], 1e-12)],
+    ids=["J = 0.8 psi", "J = 4 psi", "J = sqrt(1 + psi)", "J = 0.5 psi, dN", "N' = -50 exp(psi)",
+         "manufactured helical", "manufactured axisymmetric", "source", "vortex mode 1"],
+)
+def test_newton_matches_the_damped_loop_where_that_converges(problem, tol_outer):
+    # the same psi to 1e-9, and a discrete residual no larger
+    sol = solve_flux(problem, (33, 33))
+    want_psi, _, want_converged = reference_solve_flux(problem, (33, 33), tol_outer=tol_outer)
+    assert want_converged
+    assert np.max(np.abs(sol.psi - want_psi)) <= 1e-9 * np.max(np.abs(want_psi))
+    reference = FluxSolution(problem, sol.r, sol.zu, want_psi, (0.0,), True)
+    assert _discrete_residual(problem, sol) <= _discrete_residual(problem, reference)
 
 
 # -- mapping to anisotropic states ------------------------------------------------
@@ -740,8 +910,12 @@ def test_pressure_from_dN_vanishes_at_the_smallest_attained_flux(quartic_solutio
 
 @pytest.fixture(scope="module")
 def bundled_solutions():
-    # both files state the solver defaults
-    return {name: solve_flux(_bundled_problem(name)) for name in ("flux_axisym_example.flux", "flux_helical_example.flux")}
+    # each file solved at the settings it states
+    solutions = {}
+    for name in BUNDLED_FLUX_FILES:
+        problem, params = parse_problem_file(resources.files("plasmeq.data").joinpath(name).read_text())
+        solutions[name] = solve_flux(problem, **params)
+    return solutions
 
 
 BUNDLED_TAUS = [

@@ -264,6 +264,14 @@ def test_line_function_family_on_closed_cgl(cgl_closed):
         assert _all_zero(verify_generator(cgl_closed, gen))
 
 
+def test_line_function_family_is_not_a_symmetry_of_open_cgl():
+    # without B . grad tau = 0 only a constant multiplier verifies
+    system = load_system("cgl")
+    assert _all_zero(verify_generator(system, line_function_generator(system, "1")))
+    residuals = verify_generator(system, line_function_generator(system, "tau"))
+    assert sum(not r.is_zero for r in residuals) == 12
+
+
 def test_anisotropy_scaling_also_verifies_on_closed_system(cgl_closed):
     gen = pressure_anisotropy_scaling(cgl_closed)
     assert _all_zero(verify_generator(cgl_closed, gen))
