@@ -105,10 +105,7 @@ def _naming(source: str, errors: type | tuple[type, ...], fn, *args):
 def _read_kernel_file(path: str, parse):
     """``parse`` of the text of the file at ``path``, a PDE or generator
     file; an error in it names the file."""
-    from .expr import ExprError
-    from .lie import LieError
-
-    return _naming(path, (ValueError, ExprError, LieError), parse, _read_text(path))
+    return _naming(path, ValueError, parse, _read_text(path))
 
 
 def cmd_lie_detsys(args) -> tuple[int, dict]:
@@ -238,7 +235,7 @@ def cmd_flux_solve(args) -> tuple[int, dict]:
     problem, params = fx.parse_problem_file(_read_text(args.problem_file), args.problem_file)
     try:
         sol = fx.solve_flux(problem, **params)
-    except (ValueError, ArithmeticError, fx.SolverDiverged) as err:
+    except (ValueError, ArithmeticError) as err:
         raise ValueError(f"{args.problem_file}: {err}") from None
     manifest = fx.write_solution(sol, args.out)
     report = {
@@ -495,15 +492,6 @@ def main(argv=None) -> int:
         except MemoryError as err:
             # numpy's message names the allocation; a bare MemoryError has none
             error = str(err) or "out of memory"
-        except Exception as err:
-            # the symbolic kernel's own errors, imported only on this path so
-            # that the commands which never load the kernel stay without it
-            from .expr import ExprError
-            from .lie import LieError
-
-            if not isinstance(err, (ExprError, LieError)):
-                raise
-            error = str(err)
         if error is not None:
             code, report = EXIT_VALIDATION, {"error": error, "pass": False}
     notes = [str(w.message) for w in caught]

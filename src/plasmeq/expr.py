@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 
-class ExprError(Exception):
+class ExprError(ValueError):
     """Base class for expression-kernel failures."""
 
 
@@ -1087,8 +1087,9 @@ class _Parser:
         # for an unknown function and at the differentiated name otherwise
         unknown = first.text in self.ctx.unknowns
         at = tok if unknown else first
+        dep = None if unknown else self.symbol(first)
         try:
-            atom = self.ctx.unknown_pdiff(first.text, wrt) if unknown else self.ctx.jet(self.symbol(first), wrt)
+            atom = self.ctx.unknown_pdiff(first.text, wrt) if unknown else self.ctx.jet(dep, wrt)
         except ValueError as err:
             raise ParseError(str(err), at.line, at.col) from None
         return Expr.from_atom(atom)

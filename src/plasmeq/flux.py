@@ -16,13 +16,14 @@ and each zu sine mode leaves one tridiagonal system in r.  The systems of
 all modes are eliminated together, row by row (the Thomas algorithm
 vectorised over the modes), with the multipliers and pivots computed once
 per solve; every right-hand side then costs two sine transforms and one
-sweep each way.  The kernel differentiates the stated J and N exactly.
-The Dirichlet data enter as the stencil applied to the boundary values, a
-fixed right-hand-side term, so the boundary values are imposed exactly.
-When no profile J, J' or N' depends on psi, the right-hand side is fixed
-and one solve is the discrete solution.  Otherwise Newton's method, each
-step by GMRES preconditioned by the one elimination, solves the discrete
-equation (Newton-Krylov: Knoll & Keyes, J. Comput. Phys. 193 (2004) 357).
+sweep each way.  The Dirichlet data enter as the stencil applied to the
+boundary values, a fixed right-hand-side term, so they hold exactly.  The
+rest, g = J J' q + 2 gamma J q^2 + N', q = 1/(r^2+gamma^2), is one kernel
+expression, whose psi-derivative g' the kernel takes exactly.  When g' is
+the zero expression, g is fixed and one solve is the discrete solution.
+Otherwise Newton's method, each step by GMRES preconditioned by the one
+elimination, solves the discrete equation (Newton-Krylov: Knoll & Keyes,
+J. Comput. Phys. 193 (2004) 357).
 
 A mapped state is the field-line image (M = (1 - tau)^(-1/2)) of the
 isotropic Grad-Shafranov/JFKO state B, P = N(psi), which ``check --system
@@ -69,7 +70,7 @@ __all__ = [
 GEOMETRIES = ("axisymmetric", "helical")
 
 
-class SolverDiverged(RuntimeError):
+class SolverDiverged(ArithmeticError):
     pass
 
 
@@ -144,11 +145,25 @@ class FluxProblem:
                     raise ValueError(f"{key}: {err}") from None
                 setattr(self, key, fn)
                 self.texts[key] = fn.text
-        stated, self.dJ = self.dJ, self.J.derivative("psi")
+        # J', N' and the right-hand side g(psi, q, gamma), q = 1/(r^2 + gamma^2),
+        # compiled once with its exact slope in psi (the zero expression when
+        # g is fixed); a constant of one beyond the float range names its keys
+        stated, derived = self.dJ, f"J: the derivative of J = {self.J.text}"
+        try:
+            self.dJ = self.J.derivative("psi")
+            if self.N is not None:
+                derived = f"N: the derivative of N = {self.N.text}"
+                self.dN = self.N.derivative("psi")
+            derived = (f"J, {'N' if 'N' in self.texts else 'dN'}: the right-hand side J dJ/(r^2+gamma^2) + 2 gamma "
+                       "J/(r^2+gamma^2)^2 + dN or its psi-derivative")
+            g = f"({self.J.text})*({self.dJ.text})*q + 2*gamma*({self.J.text})*q^2 + ({self.dN.text})"
+            self._g = compile_numeric(g, ("psi", "q", "gamma"))
+            self._dg = self._g.derivative("psi")
+        except ExprError:
+            raise ValueError(f"{derived} has a constant beyond the float range") from None
         if stated is not None and stated.expression != self.dJ.expression:
             raise ValueError(f"dJ = {stated.text} is not the derivative of J = {self.J.text}, which is "
                              f"{self.dJ.text}: omit dJ, which is taken from J")
-        self.dN = self.dN if self.N is None else self.N.derivative("psi")
 
     @property
     def geometry(self) -> str:
@@ -449,43 +464,24 @@ def _interior_solver(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: n
 
 
 def _nonlinear_term(problem: FluxProblem, r: np.ndarray, S: np.ndarray | None):
-    """psi -> J dJ/(r^2+gamma^2) + 2 gamma J/(r^2+gamma^2)^2 + dN + S at the
-    radii r, an n x 1 column of the interior radii (or any array that
-    broadcasts against psi); the r-only factors are computed once.  Raises
-    ArithmeticError where the value is not finite."""
-    inv = 1.0 / (r**2 + problem.gamma**2)
-    current = 2.0 * problem.gamma * inv**2
+    """psi -> g + S and, as its ``slope``, psi -> g': the problem's g(psi,
+    q, gamma) and its psi-derivative at the radii r, an n x 1 column of the
+    interior radii (or any array that broadcasts against psi), q = 1/(r^2 +
+    gamma^2) computed once.  Each raises ArithmeticError where not finite."""
+    q = 1.0 / (r**2 + problem.gamma**2)
+
+    def finite(out, what: str):
+        if not np.isfinite(out).all():
+            raise ArithmeticError(f"{what} evaluated to a non-finite value")
+        return out
 
     def g(psi: np.ndarray) -> np.ndarray:
-        out = problem.J(psi) * (problem.dJ(psi) * inv + current) + problem.dN(psi)
-        if S is not None:
-            out = out + S
-        if not np.isfinite(out).all():
-            raise ArithmeticError("constitutive profile evaluated to a non-finite value")
-        return out
+        # a constant g evaluates to one number: broadcast it against psi and q
+        out = np.broadcast_to(problem._g(psi, q, problem.gamma), np.broadcast_shapes(np.shape(psi), q.shape))
+        return finite(out if S is None else out + S, "constitutive profile")
 
+    g.slope = lambda psi: finite(problem._dg(psi, q, problem.gamma), "the derivative of a constitutive profile")
     return g
-
-
-def _nonlinear_slope(problem: FluxProblem, r: np.ndarray):
-    """psi -> g'(psi) = J'(J' + 2 gamma q) q + J J'' q + N'', q = 1/(r^2 +
-    gamma^2), the derivative of ``_nonlinear_term``, with J'' and N'' taken
-    exactly, once.  Raises ArithmeticError where the value is not finite."""
-    q = 1.0 / (r**2 + problem.gamma**2)
-    ddJ, ddN = problem.dJ.derivative("psi"), problem.dN.derivative("psi")
-
-    def slope(psi: np.ndarray) -> np.ndarray:
-        dJ = problem.dJ(psi)
-        out = (dJ * (dJ + 2.0 * problem.gamma * q) + problem.J(psi) * ddJ(psi)) * q + ddN(psi)
-        if not np.isfinite(out).all():
-            raise ArithmeticError("the derivative of a constitutive profile evaluated to a non-finite value")
-        return out
-
-    return slope
-
-
-def _depends_on_psi(profile) -> bool:
-    return any(s.name == "psi" for s in profile.expression.symbols())
 
 
 # GMRES restart (vortex modes up to 6 converge with 30; J = 16 psi needs
@@ -540,7 +536,7 @@ def solve_flux(
     once.  Each step solves (I + L0^-1 diag g') delta = -F by ``_gmres``
     (L0^-1 v = solve(v) - solve(0)) and is halved until |F|_inf falls;
     SolverDiverged, with the |F|_inf history, when no halving does or GMRES
-    falls short.  When no profile depends on psi, T(0) is the solution.
+    falls short.  When g' is the zero expression, F = 0 and psi is T(0).
     ``omega`` takes only None: perfbench/workloads.py passes a fifth one."""
     nr, nzu = shape
     if nr < 9 or nzu < 9:
@@ -568,22 +564,19 @@ def solve_flux(
         S = problem.source(*np.meshgrid(r[1:-1], zu[1:-1], indexing="ij"))
     nonlinear = _nonlinear_term(problem, r[1:-1, None], S)
 
-    # T(0): for constant profiles and no source the right-hand side is an
-    # n x 1 column in r, which the solver broadcasts
-    current = solve(-nonlinear(np.zeros((nr - 2, 1))))
-    if not any(_depends_on_psi(f) for f in (problem.J, problem.dJ, problem.dN)):
-        psi[1:-1, 1:-1] = current
-        return FluxSolution(problem, r, zu, psi, (0.0,), True)
-    slope, homogeneous = _nonlinear_slope(problem, r[1:-1, None]), solve(np.zeros(1))
-
     def defect(iterate: np.ndarray) -> tuple[np.ndarray, float]:
         F = iterate - solve(-nonlinear(iterate))
         return F, float(np.max(np.abs(F)))
 
-    F, norm = defect(current)
+    # T(0): for constant profiles and no source the right-hand side is an
+    # n x 1 column in r, which the solver broadcasts
+    current = solve(-nonlinear(np.zeros((nr - 2, 1))))
+    fixed = problem._dg.expression.is_zero  # then T(0) solves the problem, and F = 0
+    homogeneous = None if fixed else solve(np.zeros(1))
+    F, norm = (0.0, 0.0) if fixed else defect(current)
     updates, krylov = [norm], []
     while updates[-1] >= tol_outer and len(krylov) < max_iter:
-        dg = slope(current)
+        dg = nonlinear.slope(current)
         step, iterations = _gmres(lambda v: v + (solve(dg * v) - homogeneous), -F, GMRES_TOL)
         krylov.append(iterations)
         if step is None:
@@ -600,7 +593,7 @@ def solve_flux(
             raise _diverged(f"no step of 2^-{HALVINGS} or more lowers |F|", updates, krylov)
         current, F = trial, trial_F
         updates.append(norm)
-    psi[1:-1, 1:-1] = current - F  # T(current), whose linear part is solved exactly
+    np.subtract(current, F, out=psi[1:-1, 1:-1])  # T(current), whose linear part is solved exactly
     if updates[-1] >= tol_outer:
         warnings.warn(f"flux solve stopped at the iteration cap ({max_iter}) with update {updates[-1]:.3e}",
                       RuntimeWarning, stacklevel=2)
@@ -660,7 +653,7 @@ def _require_in_domain(problem: FluxProblem, R: np.ndarray, ZU: np.ndarray) -> N
             )
 
 
-def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
+def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3) -> CGLState:
     """Build a 3D anisotropic state from a flux solution.
 
     ``tau``, an expression in psi (a number stands for its decimal text; a
@@ -717,8 +710,6 @@ def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3 | None = None) -> CGLState:
         b *= m
         return b, pperp, tau_v, psi / psi_scale
 
-    if grid is None:
-        grid = default_cartesian_box(problem)
     return sample_state(StateEvaluators(evaluate), grid, {"psi_ref": lo, "psi_normalization": psi_scale})
 
 

@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 
-class LieError(Exception):
+class LieError(ValueError):
     pass
 
 

@@ -1051,6 +1051,32 @@ BAD_INPUTS = {
         lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ndN = -1e400")],
         "problem.flux: dN: constant beyond the float range in '-1e400'",
     ),
+    # a constant beyond the float range in a derivative the problem takes,
+    # or in the right-hand side or its slope, names the file and the keys
+    "derived current beyond the float range": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\nJ = 1e308*psi^3")],
+        "problem.flux: J: the derivative of J = 1e308*psi^3 has a constant beyond the float range",
+    ),
+    "derived pressure beyond the float range": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\nN = 1e308*psi^3")],
+        "problem.flux: N: the derivative of N = 1e308*psi^3 has a constant beyond the float range",
+    ),
+    "right-hand side beyond the float range": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\nJ = 1e200*psi^2")],
+        "problem.flux: J, N: the right-hand side J dJ/(r^2+gamma^2) + 2 gamma J/(r^2+gamma^2)^2 + dN or its "
+        "psi-derivative has a constant beyond the float range",
+    ),
+    "right-hand side slope beyond the float range": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ndN = 1e308*psi^2")],
+        "problem.flux: J, dN: the right-hand side J dJ/(r^2+gamma^2) + 2 gamma J/(r^2+gamma^2)^2 + dN or its "
+        "psi-derivative has a constant beyond the float range",
+    ),
+    "solution with a derived pressure beyond the float range": (
+        lambda tmp: [
+            "flux", "tocgl", _solution_with(tmp, profiles={"boundary": "0.25*r^4", "N": "1e308*psi^3"}), "--tau", "0.1",
+        ],
+        "solution.json: solution manifest: N: the derivative of N = 1e308*psi^3 has a constant beyond the float range",
+    ),
     "tocgl tau beyond the float range": (
         lambda tmp: ["flux", "tocgl", _solution(tmp), "--tau", "1e400*psi"],
         "constant beyond the float range in '1e400*psi'",

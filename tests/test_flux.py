@@ -8,6 +8,7 @@ import pytest
 
 from plasmeq import equilibria, flux
 from plasmeq.equilibria import residual_norms, tau_consistency_error, translate_state
+from plasmeq.expr import compile_numeric
 from plasmeq.fields import Grid3, directional, norm
 from plasmeq.flux import (
     FluxProblem,
@@ -235,7 +236,8 @@ def test_a_stated_dJ_stands_however_its_reciprocals_are_written(J, dJ):
 def test_a_profile_given_as_a_callable_is_refused_naming_its_key(key, variables):
     with pytest.raises(ValueError, match=f"^{key}: a profile is an expression in {variables}, not a Python callable$"):
         if key == "tau":  # flux_to_cgl's profile
-            flux_to_cgl(solve_flux(quartic_problem(), (9, 9)), lambda psi: 0.1 * psi)
+            grid = default_cartesian_box(quartic_problem(), 9)
+            flux_to_cgl(solve_flux(quartic_problem(), (9, 9)), lambda psi: 0.1 * psi, grid)
         else:
             FluxProblem(**{"boundary": "0", key: lambda *args: args[0]}, **DOMAIN)
 
@@ -436,9 +438,10 @@ def test_the_per_iteration_loop_converges_to_the_one_solve(monkeypatch):
     # T(0), the one solve; the quartic's are constant, so F vanishes there
     # and no step is taken
     want = solve_flux(quartic_problem(), (17, 17))
-    monkeypatch.setattr(flux, "_depends_on_psi", lambda profile: True)
+    problem = quartic_problem()
+    monkeypatch.setattr(problem, "_dg", compile_numeric("psi", ("psi", "q", "gamma")))
     setups, solves = _count_solver_calls(monkeypatch)
-    got = solve_flux(quartic_problem(), (17, 17))
+    got = solve_flux(problem, (17, 17))
     assert setups == [(17, 17)]
     assert got.updates == (0.0,) and got.krylov_iterations == ()
     assert len(solves) == _newton_solves(got) == 3
@@ -635,6 +638,30 @@ def test_a_step_that_does_not_lower_F_is_halved(monkeypatch):
     assert len(solves) > _newton_solves(sol)  # a trial step beyond one per Newton step
 
 
+def test_a_step_whose_profile_is_not_finite_is_halved(monkeypatch):
+    # dN = -20 sqrt(0.02 + psi) is not defined below psi = -0.02: two trial
+    # steps reach there, each is halved, and the solve converges
+    refused, make = [], flux._nonlinear_term
+
+    def counting_term(problem, r, S):
+        g = make(problem, r, S)
+
+        def counted(psi):
+            try:
+                return g(psi)
+            except ArithmeticError:
+                refused.append(psi.shape)
+                raise
+
+        counted.slope = g.slope
+        return counted
+
+    monkeypatch.setattr(flux, "_nonlinear_term", counting_term)
+    sol = solve_flux(FluxProblem(boundary="0.25*r^4", dN="-20*sqrt(0.02 + psi)", **DOMAIN), (17, 17))
+    assert refused == [(15, 15)] * 2
+    assert sol.converged and sol.krylov_iterations == (10, 11, 11, 11, 11, 11, 11)
+
+
 def vortex_flux_problem(mode):
     """The vortex of ``plasmeq vortex --R 1 --n mode`` (B0 = P0 = 1) as the
     Grad-Shafranov problem of flux_vortex_example.flux, its closed form
@@ -770,7 +797,7 @@ def test_constant_tau_rescales_field(quartic_solutions):
 
 def test_mapping_rejects_tau_at_or_above_one(quartic_solutions):
     with pytest.raises(ValueError, match="tau < 1"):
-        flux_to_cgl(quartic_solutions[33], 1.0)
+        flux_to_cgl(quartic_solutions[33], 1.0, default_cartesian_box(quartic_problem(), 9))
 
 
 def test_isotropic_mapping_satisfies_force_balance(quartic_solutions):
