@@ -19,11 +19,12 @@ per solve; every right-hand side then costs two sine transforms and one
 sweep each way.  The Dirichlet data enter as the stencil applied to the
 boundary values, a fixed right-hand-side term, so they hold exactly.  The
 rest, g = J J' q + 2 gamma J q^2 + N', q = 1/(r^2+gamma^2), is one kernel
-expression, whose psi-derivative g' the kernel takes exactly.  When g' is
-the zero expression, g is fixed and one solve is the discrete solution.
-Otherwise Newton's method, each step by GMRES preconditioned by the one
-elimination, solves the discrete equation (Newton-Krylov: Knoll & Keyes,
-J. Comput. Phys. 193 (2004) 357).
+expression, whose psi-derivatives the kernel takes exactly.  When g'' is
+the zero expression, g = g(0) + g' psi, g' a function of r that joins each
+mode's diagonal, and one elimination is the discrete solution (g' = 0 for
+a psi-free problem).  Otherwise Newton's method, each step by GMRES
+preconditioned by the stencil's elimination, solves the discrete equation
+(Newton-Krylov: Knoll & Keyes, J. Comput. Phys. 193 (2004) 357).
 
 A mapped state is the field-line image (M = (1 - tau)^(-1/2)) of the
 isotropic Grad-Shafranov/JFKO state B, P = N(psi), which ``check --system
@@ -129,6 +130,8 @@ class FluxProblem:
         a, b = self.zu_range
         if not a < b:
             raise ValueError("empty zu range")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
         if self.J is None:
             raise ValueError("J: the poloidal current is an expression in psi (0 for none), not None")
         if self.N is not None and self.dN is not None:
@@ -176,7 +179,7 @@ class FluxSolution:
     """A solved problem; ``updates`` holds the change one undamped Picard
     step would make at each Newton iterate, from the start, and
     ``krylov_iterations`` the GMRES iterations of each Newton step (none
-    when loaded).  A psi-free problem is one solve and records ``(0.0,)``."""
+    when loaded).  An affine problem (g'' = 0) is one elimination: ``(0.0,)``."""
 
     problem: FluxProblem
     r: np.ndarray
@@ -376,10 +379,11 @@ def _sine_transform_rows(u: np.ndarray, scale: float, buffer: np.ndarray) -> Non
         _sine_transform(block, scale, out=rows)
 
 
-def _interior_solver(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: np.ndarray):
-    """The linear solve of the five-point stencil under the boundary values
+def _interior_solver(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: np.ndarray, shift=0.0):
+    """The linear solve of the five-point stencil plus ``shift`` (g' at the
+    interior radii: a number or an n x 1 column) under the boundary values
     of ``psi``: a function taking the interior right-hand side f and
-    returning the interior u with stencil(u with psi's boundary) = f.
+    returning the interior u with (stencil + shift)(u with psi's boundary) = f.
 
     The stencil applied to the boundary values alone is a fixed term moved
     to the right-hand side.  It is nonzero on the edges of the n x m
@@ -387,7 +391,7 @@ def _interior_solver(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: n
     summed in) and two edge columns.  The orthonormal DST-I (its own
     inverse) diagonalises the zu neighbour matrix of the m interior zu
     nodes with eigenvalues 2 cos(k pi/(m+1)), k = 1..m, so zu sine mode k
-    is one tridiagonal system in r with diagonal c_center + 2 cos(k
+    is one tridiagonal system in r with diagonal c_center + shift + 2 cos(k
     pi/(m+1)) c_n.  The transform leaves the n x m array with one row per
     interior r node and one column per mode, so each step of the Thomas
     algorithm is one contiguous row operation over all modes.  The
@@ -401,10 +405,10 @@ def _interior_solver(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: n
     depends on r only), and the caller decides when a right-hand side needs
     solving again.
 
-    No pivoting is needed: c_w, c_e, c_n > 0 for every r > 0, so the diagonal
-    -(c_w + c_e) - (2 - 2 cos(k pi/(m+1))) c_n of mode k exceeds |c_w| + |c_e|
-    in magnitude.  The dominance is checked here all the same, and a
-    ValueError raised if rounding ever breaks it.
+    No pivoting is done.  With c_w, c_e, c_n > 0 for r > 0, the systems are
+    diagonally dominant unless the shift is positive; a pivot at most n m
+    eps times the largest means the problem lies on an eigenvalue of its
+    operator, and a ValueError naming the mode is raised.
     """
     nr, nzu = len(r), len(zu)
     hr = r[1] - r[0]
@@ -431,14 +435,15 @@ def _interior_solver(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: n
     c_w, c_e, c_n, c_center = (c[1:-1] for c in (c_w, c_e, c_n, c_center))
     eigen = 2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
     pivot = np.multiply(c_n[:, None], eigen)
-    pivot += c_center[:, None]
-    if not all((np.abs(row) > bound).all() for row, bound in zip(pivot, np.abs(c_w) + np.abs(c_e))):
-        raise ValueError("the radial mode systems are not diagonally dominant on this grid")
+    pivot += c_center[:, None] + shift
     # forward elimination of the sub-diagonal c_w, once per solve
     multiplier = np.empty((n, m))
     for i in range(1, n):
         np.divide(c_w[i], pivot[i - 1], out=multiplier[i])
         pivot[i] -= multiplier[i] * c_e[i - 1]
+    size = np.abs(pivot)
+    if not size.min() > n * m * np.finfo(float).eps * size.max():  # also where a zero pivot left inf or nan
+        raise ValueError(f"the problem lies on an eigenvalue of its operator in zu sine mode {np.argmin(size) % m + 1}")
     inv_pivot = np.divide(1.0, pivot, out=pivot)
     scale = 2.0 / (m + 1)  # both orthonormal factors sqrt(2/(m+1)), applied once
     buffer = np.zeros((min(n, DST_BLOCK_ROWS), 2 * (m + 1)))
@@ -484,9 +489,9 @@ def _nonlinear_term(problem: FluxProblem, r: np.ndarray, S: np.ndarray | None):
     return g
 
 
-# GMRES restart (vortex modes up to 6 converge with 30; J = 16 psi needs
-# 50), tolerance (the last Newton step leaves |F| at rounding) and cap;
-# halvings of a Newton step before it fails
+# GMRES restart (no nonlinear test problem takes more than 18 iterations
+# a Newton step), tolerance (the last Newton step leaves |F| at rounding)
+# and cap; halvings of a Newton step before it fails
 GMRES_RESTART, GMRES_TOL, GMRES_MAX_ITER, HALVINGS = 30, 1e-12, 300, 10
 
 
@@ -531,13 +536,14 @@ def solve_flux(
     max_iter: int = 500,
     omega: None = None,
 ) -> FluxSolution:
-    """Newton's method for F(psi) = psi - T(psi) = 0 from T(0), where T(psi)
-    = solve(-g(psi)) is one undamped Picard step and the solver is set up
-    once.  Each step solves (I + L0^-1 diag g') delta = -F by ``_gmres``
-    (L0^-1 v = solve(v) - solve(0)) and is halved until |F|_inf falls;
-    SolverDiverged, with the |F|_inf history, when no halving does or GMRES
-    falls short.  When g' is the zero expression, F = 0 and psi is T(0).
-    ``omega`` takes only None: perfbench/workloads.py passes a fifth one."""
+    """``solve``, set up once, eliminates the stencil L0 plus g' when g'' is
+    the zero expression, else L0 alone, and T(psi) = solve(-g(psi)).  In the
+    first case psi = T(0): one iteration, with update 0.  Otherwise Newton's
+    method solves F(psi) = psi - T(psi) = 0 from T(0), each step solving (I
+    + L0^-1 diag g') delta = -F by ``_gmres`` (L0^-1 v = solve(v) -
+    solve(0)), halved until |F|_inf falls; SolverDiverged, with the |F|_inf
+    history, when no halving does or GMRES falls short.  ``omega`` takes
+    only None: perfbench/workloads.py passes a fifth one."""
     nr, nzu = shape
     if nr < 9 or nzu < 9:
         raise ValueError("resolution must be at least 9 x 9")
@@ -558,11 +564,12 @@ def solve_flux(
     if not np.isfinite(psi).all():
         raise ValueError("boundary data is not finite")
 
-    solve = _interior_solver(problem, r, zu, psi)
     S = None
     if problem.source is not None:
         S = problem.source(*np.meshgrid(r[1:-1], zu[1:-1], indexing="ij"))
     nonlinear = _nonlinear_term(problem, r[1:-1, None], S)
+    affine = problem._dg.derivative("psi").expression.is_zero  # then T(0) solves the problem, and F = 0
+    solve = _interior_solver(problem, r, zu, psi, nonlinear.slope(np.zeros((nr - 2, 1))) if affine else 0.0)
 
     def defect(iterate: np.ndarray) -> tuple[np.ndarray, float]:
         F = iterate - solve(-nonlinear(iterate))
@@ -571,9 +578,8 @@ def solve_flux(
     # T(0): for constant profiles and no source the right-hand side is an
     # n x 1 column in r, which the solver broadcasts
     current = solve(-nonlinear(np.zeros((nr - 2, 1))))
-    fixed = problem._dg.expression.is_zero  # then T(0) solves the problem, and F = 0
-    homogeneous = None if fixed else solve(np.zeros(1))
-    F, norm = (0.0, 0.0) if fixed else defect(current)
+    homogeneous = None if affine else solve(np.zeros(1))
+    F, norm = (0.0, 0.0) if affine else defect(current)
     updates, krylov = [norm], []
     while updates[-1] >= tol_outer and len(krylov) < max_iter:
         dg = nonlinear.slope(current)

@@ -49,6 +49,9 @@ def current_problem():
 def test_problem_validation():
     with pytest.raises(ValueError, match="axis is excluded"):
         FluxProblem((0.0, 1.0), (-1, 1), boundary="0")
+    for gamma in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^gamma must be finite, got {gamma}$"):
+            FluxProblem(boundary="0.25*r^4", J="psi", dN=-2, gamma=gamma, **DOMAIN)
     domain = "r0 = 0.5\nr1 = 1.0\nzu0 = -1\nzu1 = 1\nboundary = 0\n"
     with pytest.raises(ValueError, match="geometry"):
         parse_problem_file(domain + "geometry = spherical")
@@ -192,8 +195,9 @@ def test_axisymmetric_manufactured_convergence():
 
 
 def test_divergence_is_detected():
+    # J J' = 50 e^psi is the Bratu source past its fold: no solution
     p = FluxProblem(
-        boundary="zu", J="40*psi", dJ="40", dN=0.0, **DOMAIN
+        boundary="zu", J="10*exp(psi/2)", dN=0.0, **DOMAIN
     )
     with pytest.raises(SolverDiverged):
         solve_flux(p, (17, 17), max_iter=200)
@@ -360,9 +364,9 @@ def test_solve_matches_a_sparse_lu_reference(problem, shape):
 def _count_solver_calls(monkeypatch):
     setup, setups, solves = flux._interior_solver, [], []
 
-    def counting_setup(problem, r, zu, psi):
+    def counting_setup(problem, r, zu, psi, shift):
         setups.append(psi.shape)
-        solve = setup(problem, r, zu, psi)
+        solve = setup(problem, r, zu, psi, shift)
 
         def counting_solve(rhs):
             solves.append(rhs.shape)
@@ -422,12 +426,17 @@ def _traced_peak(fn, *args):
     return out, peak - start, held - start
 
 
-@pytest.mark.parametrize("gamma", [0.0, GAMMA], ids=["axisymmetric", "helical"])
-def test_a_psi_free_solve_peak_memory_is_bounded(gamma):
+@pytest.mark.parametrize("name", ["axisymmetric", "helical", "vortex"])
+def test_a_psi_free_solve_peak_memory_is_bounded(name):
     # the solver holds its multipliers and reciprocal pivots, the boundary
     # term as edges and a few transform rows; the one solve takes an n x 1
-    # column and returns one n x m array
-    problem = FluxProblem(boundary="0.25*r^4 + 0.1*zu", J=0.3, dN=-2, gamma=gamma, **DOMAIN)
+    # column and returns one n x m array.  The vortex, linear in psi, is
+    # one such solve too
+    if name == "vortex":
+        problem = _bundled_problem("flux_vortex_example.flux")
+    else:
+        gamma = GAMMA if name == "helical" else 0.0
+        problem = FluxProblem(boundary="0.25*r^4 + 0.1*zu", J=0.3, dN=-2, gamma=gamma, **DOMAIN)
     solve_flux(problem, (17, 17))
     sol, peak, held = _traced_peak(solve_flux, problem, (129, 129))
     assert peak - held <= 6 * sol.psi.nbytes
@@ -522,15 +531,21 @@ def test_solve_is_bit_identical_to_the_whole_domain_loop(problem, settings, psi_
 
 @pytest.mark.parametrize("shape", [(33, 33), (19, 14)])
 @pytest.mark.parametrize("gamma", [0.0, 0.7])
-def test_a_psi_free_solve_is_linear_in_its_data(gamma, shape):
-    # the boundary data and the pressure term split into two problems
-    # whose solutions add up to the whole problem's
+@pytest.mark.parametrize(
+    "current, fixed, linear",
+    [(0.0, -2, 0), ("4*psi", "-2 - 0.5*psi", "-0.5*psi")],
+    ids=["psi-free", "affine"],
+)
+def test_a_psi_free_solve_is_linear_in_its_data(current, fixed, linear, gamma, shape):
+    # the boundary data and the fixed part of g split into two problems
+    # whose solutions add up to the whole problem's; an affine g keeps its
+    # psi-linear part, J J' q + (the psi part of dN), in both
     whole, pressure, harmonic = (
-        FluxProblem(boundary=boundary, gamma=gamma, **profiles, **DOMAIN)
-        for boundary, profiles in (
-            ("0.25*r^4 + 0.1*zu + 0.05*r^2*zu^3", dict(dN=-2)),
-            ("0.25*r^4", dict(dN=-2)),
-            ("0.1*zu + 0.05*r^2*zu^3", dict(N=0)),
+        FluxProblem(boundary=boundary, J=current, dN=dN, gamma=gamma, **DOMAIN)
+        for boundary, dN in (
+            ("0.25*r^4 + 0.1*zu + 0.05*r^2*zu^3", fixed),
+            ("0.25*r^4", fixed),
+            ("0.1*zu + 0.05*r^2*zu^3", linear),
         )
     )
     psi = solve_flux(whole, shape).psi
@@ -572,10 +587,10 @@ def test_reuse_leaves_the_iteration_bit_identical(problem, monkeypatch):
     want = solve_flux(problem, (17, 17))
     setup = flux._interior_solver
 
-    def forgetful_setup(problem, r, zu, psi):
+    def forgetful_setup(problem, r, zu, psi, shift):
         # a new solver, with nothing to reuse, for every right-hand side
         boundary = psi.copy()
-        return lambda rhs: setup(problem, r, zu, boundary)(rhs)
+        return lambda rhs: setup(problem, r, zu, boundary, shift)(rhs)
 
     monkeypatch.setattr(flux, "_interior_solver", forgetful_setup)
     got = solve_flux(problem, (17, 17))
@@ -743,6 +758,78 @@ def test_problems_past_the_first_eigenvalue_converge(problem, n):
     assert sol.converged and len(sol.krylov_iterations) <= 3
     g = flux._nonlinear_term(problem, sol.r[1:-1, None], None)(sol.psi[1:-1, 1:-1])
     assert _discrete_residual(problem, sol) <= 1e-10 * np.max(np.abs(g))
+
+
+def _no_gmres(*args):
+    raise AssertionError("GMRES ran")
+
+
+@pytest.mark.parametrize(
+    "problem, n",
+    [(_bundled_problem("flux_vortex_example.flux"), 129), (_bundled_problem("flux_vortex_example.flux"), 257),
+     (_example_with_current("8*psi"), 257),
+     (FluxProblem((0.6, 1.6), (-0.6, 0.6), boundary="(r^4 + 0.98*r^2)/4", J="0.5*psi", N="6 - 2*psi", gamma=0.4), 257),
+     (quartic_problem(), 385)],
+    ids=["vortex 129", "vortex 257", "J = 8 psi", "helical J = 0.5 psi", "quartic"],
+)
+def test_an_affine_problem_is_one_elimination_of_newtons_solution(problem, n, monkeypatch):
+    # g'' = 0: the stencil plus g'(r) is eliminated once, and GMRES never runs
+    monkeypatch.setattr(flux, "_gmres", _no_gmres)
+    sol = solve_flux(problem, (n, n))
+    assert sol.iterations == 1 and sol.updates == (0.0,) and sol.krylov_iterations == ()
+    # Newton's method, which a problem takes when g'' is not known to vanish
+    monkeypatch.undo()
+    monkeypatch.setattr(problem._dg, "derivative", lambda name: compile_numeric("psi", ("psi", "q", "gamma")))
+    want = solve_flux(problem, (n, n)).psi
+    assert np.max(np.abs(sol.psi - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.fixture(scope="module")
+def first_eigenvalue():
+    """The first eigenvalue mu of the 33^2 axisymmetric stencil on the
+    example's domain, stencil v = -mu v/r^2, by a dense solve.  Its
+    eigenvector is zu sine mode 1 times a radial vector, so mu is the
+    lowest of the radial operator of that mode, which is symmetric once
+    scaled by r (r_i c_e(i) = r_(i+1) c_w(i+1)): -r^1.5 radial r^0.5 w = mu w.
+    (A dense solve of the whole 961-node operator lands 2-5e-13 off,
+    relative: farther than the refusal bound reaches.)"""
+    n = 33
+    problem = FluxProblem(boundary="0", **DOMAIN)
+    r, zu = np.linspace(*DOMAIN["r_range"], n), np.linspace(*DOMAIN["zu_range"], n)
+    sine = np.sin(np.pi * np.arange(1, n - 1) / (n - 1))
+    columns = []
+    for i in range(1, n - 1):
+        unit = np.zeros((n, n))
+        unit[i, 1:-1] = sine
+        columns.append(five_point_stencil(problem, r, zu, unit) @ sine / (sine @ sine))
+    ri = r[1:-1]
+    return np.linalg.eigvalsh(-(ri[:, None] ** 1.5) * np.column_stack(columns) * np.sqrt(ri))[0]
+
+
+@pytest.mark.parametrize("distance", [1e-6, -1e-6, 1e-9, -1e-9])
+def test_a_problem_near_the_first_eigenvalue_is_solved(first_eigenvalue, distance):
+    # J = c psi with c^2 at a relative distance from it: L + diag g' is
+    # nearly singular, and its one elimination still solves the problem
+    problem = _example_with_current(f"{math.sqrt(first_eigenvalue * (1 + distance))!r}*psi")
+    sol = solve_flux(problem, (33, 33))
+    g = flux._nonlinear_term(problem, sol.r[1:-1, None], None)(sol.psi[1:-1, 1:-1])
+    assert sol.iterations == 1 and sol.converged
+    assert _discrete_residual(problem, sol) <= 1e-11 * np.max(np.abs(g))
+
+
+def test_a_problem_on_the_first_eigenvalue_is_refused_naming_its_mode(first_eigenvalue, tmp_path, capsys):
+    from plasmeq.cli import main
+
+    current = f"{math.sqrt(first_eigenvalue)!r}*psi"
+    message = "the problem lies on an eigenvalue of its operator in zu sine mode 1"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve_flux(_example_with_current(current), (33, 33))
+    path = tmp_path / "on.flux"
+    text = resources.files("plasmeq.data").joinpath("flux_axisym_example.flux").read_text()
+    path.write_text(text.replace("J = 0", f"J = {current}"))
+    capsys.readouterr()
+    assert main(["--out", str(tmp_path / "out"), "flux", "solve", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize(
