@@ -14,13 +14,17 @@ takes a rule for the derivative of each atom.  Structural equality of
 normal forms therefore decides equality of polynomials in jet coordinates
 with atomic unknowns, the class the symmetry analysis works in.
 
-A reciprocal has one normal form however it is written (``a/b``,
-``b^-n``, ``inv(b)``): 1/(c a^k P) = (1/c) inv(a)^k inv(P), with c the
-signed rational content, a^k the monomial common to every term, and P
-primitive with a positive first coefficient; so ``0.5/sqrt(psi)`` is
-``1/(2*sqrt(psi))``.  Left undecided: a polynomial factor of a multi-term
+A monomial is a Laurent monomial: an exponent may be any nonzero integer,
+so 1/a is ``a^-1`` and an atom cancels against its reciprocal (``x/x`` is
+1, ``x^2/x`` is ``x``).  A reciprocal has one normal form however it is
+written (``a/b``, ``b^-n``, ``inv(b)``): 1/(c m P) = (1/c) m^-1 inv(P),
+with c the signed rational content, m the monomial of each atom's least
+power over the terms, and P primitive, of several terms, with a positive
+first coefficient; so ``0.5/sqrt(psi)`` is ``1/2*sqrt(psi)^-1`` and
+``1/(1 + 1/x)`` is ``x*inv(1 + x)``.  Left undecided: ``P*inv(P)`` for a
+P of several terms does not cancel, a polynomial factor of such a
 denominator stays in it (``(x + 1)^-2`` is not ``(1/(x + 1))^2``), and
-``x*inv(x)`` does not cancel.
+``sqrt(u)^2`` is not ``u``.
 
 Text input and output use a small declaration grammar::
 
@@ -56,7 +60,6 @@ __all__ = [
     "Context",
     "ProgramFile",
     "collect",
-    "quotient",
     "parse_program",
     "compile_numeric",
     "NUMERIC_FUNCTIONS",
@@ -194,7 +197,7 @@ class FnAtom(_Atom):
 
 Atom = Symbol | FnAtom
 
-# A monomial is a tuple of (atom, positive exponent) pairs sorted by the
+# A monomial is a tuple of (atom, nonzero exponent) pairs sorted by the
 # atom sort key; the empty tuple is the constant monomial.
 Monomial = tuple
 
@@ -216,7 +219,8 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
         x, kx = a[i]
         y, ky = b[j]
         if x is y:
-            out.append((x, kx + ky))
+            if kx + ky:
+                out.append((x, kx + ky))
             i += 1
             j += 1
         elif y.sort_key < x.sort_key:
@@ -275,11 +279,7 @@ class Expr:
 
     @staticmethod
     def from_atom(atom: Atom, exp: int = 1) -> "Expr":
-        if exp == 0:
-            return ONE
-        if exp < 0:
-            raise ValueError("atoms carry positive exponents only")
-        return Expr._trusted({((atom, exp),): 1})
+        return Expr._trusted({((atom, exp),): 1}) if exp else ONE
 
     # -- basic queries ------------------------------------------------------
     @property
@@ -335,7 +335,8 @@ class Expr:
         return False
 
     def coefficients_in(self, atom: Atom) -> dict[int, "Expr"]:
-        """Split as a polynomial in one atom: power -> coefficient."""
+        """Split as a polynomial in one atom: power -> coefficient; a
+        CollectError names the atom where it has a negative power."""
         # a monomial is its power of ``atom`` and the rest, so no two terms
         # meet in one bucket and every coefficient stays nonzero
         buckets: dict[int, dict] = {}
@@ -347,6 +348,8 @@ class Expr:
                     power = k
                 else:
                     rest.append((a, k))
+            if power < 0:
+                raise CollectError(f"not a polynomial in {_atom_text(atom)}: it has the power {power}")
             buckets.setdefault(power, {})[tuple(rest)] = c
         return {p: Expr._trusted(t) for p, t in buckets.items()}
 
@@ -413,13 +416,7 @@ class Expr:
         if not isinstance(n, int):
             raise TypeError("exponents must be integers")
         if n < 0:
-            q = self.constant_value()
-            if q is None:
-                raise ValueError("negative powers require a constant base")
-            if q == 0:
-                raise ZeroDivisionError("0 to a negative power")
-            # an int to a negative power is a float; a Fraction's stays exact
-            return Expr.number(Fraction(q) ** n)
+            return _reciprocal(self**-n)
         result = ONE
         base = self
         while n:
@@ -430,13 +427,7 @@ class Expr:
         return result
 
     def __truediv__(self, other) -> "Expr":
-        other = _as_expr(other)
-        q = other.constant_value()
-        if q is None:
-            raise ValueError("division by a non-constant; use quotient()")
-        if q == 0:
-            raise ZeroDivisionError("division by zero")
-        return self * Expr.number(Fraction(1) / q)
+        return self * _reciprocal(_as_expr(other))
 
     def __eq__(self, other):
         if not isinstance(other, Expr):
@@ -512,7 +503,7 @@ class Expr:
                 if not parts:
                     continue
                 # lowering one exponent keeps the factors in order
-                rest = m[:i] + ((a, k - 1),) + m[i + 1 :] if k > 1 else m[:i] + m[i + 1 :]
+                rest = m[:i] + ((a, k - 1),) + m[i + 1 :] if k != 1 else m[:i] + m[i + 1 :]
                 ck = _coefficient(c * k)
                 for key, da in parts:
                     for dm, dc in da._terms.items():
@@ -547,7 +538,9 @@ class Expr:
                 value = values.get(a)
                 if value is None:
                     value = values[a] = _atom_value(a, env, rules, values)
-                # x**1 is x, and leaves the atom's value unallocated
+                # x^-k is inv(x)^k; x^1 is x, and leaves the value unallocated
+                if k < 0:
+                    value, k = rules["inv"](value), -k
                 factor = value if k == 1 else value**k
                 if _takes_in_place(term, factor):
                     term *= factor
@@ -663,41 +656,33 @@ NUMERIC_FUNCTIONS = frozenset(_DERIVATIVES)
 @functools.cache
 def _numeric() -> tuple[dict[str, Callable], Callable]:
     """The numeric rules of ``NUMERIC_FUNCTIONS`` (numpy's function of the
-    same name, and 1/x for ``inv``) and numpy's ``errstate``, built on
-    first numeric use, so that the symbolic half never imports numpy."""
+    same name; for ``inv`` numpy's 1/x, which is inf, not an error, at a
+    Python 0.0) and numpy's ``errstate``, built on first numeric use, so
+    that the symbolic half never imports numpy."""
     import numpy as np
 
     rules = {name: getattr(np, name) for name in NUMERIC_FUNCTIONS - {"inv"}}
-    rules["inv"] = lambda x: 1.0 / x
+    rules["inv"] = functools.partial(np.divide, 1.0)
     return rules, np.errstate
 
 
 def _reciprocal(den: Expr) -> Expr:
     """1/den in the normal form of the module docstring, "first" meaning
     first in canonical term order; every ``inv`` atom is built here."""
-    q = den.constant_value()
-    if q is not None:
-        if q == 0:
-            raise ZeroDivisionError("division by zero")
-        return Expr.number(Fraction(1) / q)
-    terms = [(m, Fraction(c)) for m, c in den.terms()]
-    content = Fraction(math.gcd(*(c.numerator for _m, c in terms)), math.lcm(*(c.denominator for _m, c in terms)))
-    content = content if terms[0][1] > 0 else -content
-    # each atom of the first term at its least power over all terms (maybe 0)
-    common = {a: min(dict(m).get(a, 0) for m, _c in terms) for a, _k in terms[0][0]}
-    out = Expr.number(1 / content)
-    for a, k in common.items():
-        out = out * _apply("inv", Expr.from_atom(a)) ** k
-    if len(terms) > 1:
-        rest = {tuple((a, k - common.get(a, 0)) for a, k in m if k > common.get(a, 0)): c / content for m, c in terms}
-        out = out * _apply("inv", Expr(rest))
-    return out
-
-
-def quotient(num: Expr, den: Expr) -> Expr:
-    """num / den; a non-constant denominator gives ``inv`` atoms
-    (``_reciprocal``)."""
-    return num * _reciprocal(den)
+    if den.is_zero:
+        raise ZeroDivisionError("division by zero")
+    # m^-1: each atom at minus its least power over the terms (0 in a term
+    # that lacks it); dividing by m gives every term of P its sorted factors
+    powers = [dict(m) for m in den._terms]
+    atoms = dict.fromkeys(a for p in powers for a in p)
+    least = ((a, -min(p.get(a, 0) for p in powers)) for a in atoms)
+    inverse = tuple(sorted(((a, k) for a, k in least if k), key=lambda f: f[0].sort_key))
+    rest = Expr._trusted({_mono_mul(m, inverse): c for m, c in den._terms.items()})
+    cs = [Fraction(c) for _m, c in rest.terms()]
+    content = Fraction(math.gcd(*(c.numerator for c in cs)), math.lcm(*(c.denominator for c in cs)))
+    content = content if cs[0] > 0 else -content
+    out = Expr({inverse: 1 / content})
+    return out if len(cs) == 1 else out * _apply("inv", Expr({m: c / content for m, c in rest._terms.items()}))
 
 
 def collect(e: Expr, basis: Iterable[Symbol]) -> dict[Expr, Expr]:
@@ -707,7 +692,8 @@ def collect(e: Expr, basis: Iterable[Symbol]) -> dict[Expr, Expr]:
     constant ``1`` keys the basis-free part) to its coefficient.  Summing
     ``monomial * coefficient`` over the result reproduces ``e`` exactly.
     Raises CollectError if a basis symbol is buried inside an opaque
-    application, since the split would then not be polynomial.
+    application or has a negative power, since the split would then not be
+    polynomial.
     """
     basis_set = set(basis)
     buckets: dict[Monomial, dict] = {}
@@ -717,6 +703,8 @@ def collect(e: Expr, basis: Iterable[Symbol]) -> dict[Expr, Expr]:
         rest = []
         for a, k in m:
             if isinstance(a, Symbol) and a in basis_set:
+                if k < 0:
+                    raise CollectError(f"basis symbol {a.name!r} has the power {k}; not polynomial in the basis")
                 in_basis.append((a, k))
             else:
                 if isinstance(a, FnAtom) and a not in checked:
@@ -987,7 +975,7 @@ class _Parser:
             elif rhs.constant_value() == 0:
                 raise ParseError("division by zero", op.line, op.col)
             else:
-                e = quotient(e, rhs)
+                e = e / rhs
         return e
 
     def factor(self) -> Expr:
@@ -1011,11 +999,9 @@ class _Parser:
             raise ParseError("exponent must be an integer literal", tok.line, tok.col)
         n = int(tok.text)
         _bound_constants(op, (base,), n)
-        if neg:
-            if base.constant_value() == 0:
-                raise ParseError("zero to a negative power", tok.line, tok.col)
-            return _reciprocal(base**n)
-        return base**n
+        if neg and base.constant_value() == 0:
+            raise ParseError("zero to a negative power", tok.line, tok.col)
+        return base ** (-n if neg else n)
 
     def primary(self) -> Expr:
         tok = self.next()
@@ -1271,7 +1257,7 @@ def pretty(e: Expr) -> str:
         return "0"
     parts: list[str] = []
     for mono, c in e.terms():
-        factors = [f"{_atom_text(a)}^{k}" if k > 1 else _atom_text(a) for a, k in mono]
+        factors = [f"{_atom_text(a)}^{k}" if k != 1 else _atom_text(a) for a, k in mono]
         mag = abs(c)
         if not factors:
             body = str(mag)

@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import fields as fd
-from .expr import ExprError, compile_numeric
+from .expr import ExprError, Symbol, compile_numeric
 from .fields import Grid3
 
 if TYPE_CHECKING:
@@ -149,8 +149,9 @@ class FluxProblem:
                 setattr(self, key, fn)
                 self.texts[key] = fn.text
         # J', N' and the right-hand side g(psi, q, gamma), q = 1/(r^2 + gamma^2),
-        # compiled once with its exact slope in psi (the zero expression when
-        # g is fixed); a constant of one beyond the float range names its keys
+        # compiled once with its exact slope in psi; a constant of one beyond the
+        # float range names its keys.  At gamma = 0 the gamma term, 0 but of a
+        # slope that is not the zero expression, is left out; g'' is not compiled
         stated, derived = self.dJ, f"J: the derivative of J = {self.J.text}"
         try:
             self.dJ = self.J.derivative("psi")
@@ -159,11 +160,14 @@ class FluxProblem:
                 self.dN = self.N.derivative("psi")
             derived = (f"J, {'N' if 'N' in self.texts else 'dN'}: the right-hand side J dJ/(r^2+gamma^2) + 2 gamma "
                        "J/(r^2+gamma^2)^2 + dN or its psi-derivative")
-            g = f"({self.J.text})*({self.dJ.text})*q + 2*gamma*({self.J.text})*q^2 + ({self.dN.text})"
+            helical = f"2*gamma*({self.J.text})*q^2 + " if self.gamma else ""
+            g = f"({self.J.text})*({self.dJ.text})*q + {helical}({self.dN.text})"
             self._g = compile_numeric(g, ("psi", "q", "gamma"))
             self._dg = self._g.derivative("psi")
         except ExprError:
             raise ValueError(f"{derived} has a constant beyond the float range") from None
+        psi = Symbol("psi", "independent")
+        self._affine = self._dg.expression.gradient([psi], exact=True)[psi].is_zero
         if stated is not None and stated.expression != self.dJ.expression:
             raise ValueError(f"dJ = {stated.text} is not the derivative of J = {self.J.text}, which is "
                              f"{self.dJ.text}: omit dJ, which is taken from J")
@@ -568,7 +572,7 @@ def solve_flux(
     if problem.source is not None:
         S = problem.source(*np.meshgrid(r[1:-1], zu[1:-1], indexing="ij"))
     nonlinear = _nonlinear_term(problem, r[1:-1, None], S)
-    affine = problem._dg.derivative("psi").expression.is_zero  # then T(0) solves the problem, and F = 0
+    affine = problem._affine  # then T(0) solves the problem, and F = 0
     solve = _interior_solver(problem, r, zu, psi, nonlinear.slope(np.zeros((nr - 2, 1))) if affine else 0.0)
 
     def defect(iterate: np.ndarray) -> tuple[np.ndarray, float]:

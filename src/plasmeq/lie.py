@@ -130,6 +130,8 @@ def _check_first_order_polynomial(e: Expr) -> None:
         if isinstance(a, Symbol):
             if a.is_jet and a.order > 1:
                 raise LieError(f"equation contains a higher-order coordinate {a.name}")
+            if a.is_jet and any(k < 0 for m in e._terms for b, k in m if b is a):
+                raise LieError(f"equation divides by {pretty(Expr.from_atom(a))}; not polynomial in the jet coordinates")
         elif isinstance(a, FnAtom):
             for arg in a.args:
                 if any(s.is_jet for s in arg.symbols()):

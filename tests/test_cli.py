@@ -837,6 +837,15 @@ BAD_INPUTS = {
         "sol/solution.json: dN = -2 + 0.001*sqrt(psi) is not a polynomial in psi, so N is not its exact "
         "antiderivative: state the pressure profile itself as N",
     ),
+    # 1/psi is psi^-1: a Laurent monomial, and still not a polynomial
+    "pressure derivative that is a reciprocal of psi": (
+        lambda tmp: [
+            "flux", "tocgl",
+            _helical_solution_with_profiles(tmp, lambda p: {**{k: v for k, v in p.items() if k != "N"}, "dN": "1/psi"}),
+            "--tau", "0.1", "--grid", "9",
+        ],
+        "sol/solution.json: dN = 1/psi is not a polynomial in psi",
+    ),
     "pressure stated by N and by dN": (
         lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\nN = 1 - psi\ndN = -1")],
         "problem.flux: the pressure is stated by both N and dN: give one of N (the profile; helical L) "
@@ -853,7 +862,7 @@ BAD_INPUTS = {
     # J' printed in the normal form of a reciprocal
     "current derivative of a square root off by a factor of two": (
         lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\nJ = sqrt(psi)\ndJ = 1/sqrt(psi)")],
-        "problem.flux: dJ = 1/sqrt(psi) is not the derivative of J = sqrt(psi), which is 1/2*inv(sqrt(psi))",
+        "problem.flux: dJ = 1/sqrt(psi) is not the derivative of J = sqrt(psi), which is 1/2*sqrt(psi)^-1",
     ),
     # the margin of two coarse stencil widths is 0.2 on the flux state
     "mask without a node of the state's grid": (
@@ -1316,6 +1325,10 @@ BAD_INPUTS = {
     "sine of a derivative coordinate": (
         lambda tmp: _detsys(tmp, "indep x, y;\ndep u;\nsolve_for: diff(u,x);\neq diff(u,x) = sin(diff(u,y));\n"),
         "s.pde: equation applies sin(...) to a derivative coordinate; not polynomial in the jet coordinates",
+    ),
+    "reciprocal of a derivative coordinate": (
+        lambda tmp: _detsys(tmp, "indep x, y;\ndep B2;\nsolve_for: diff(B2,x);\neq diff(B2,x) = 1/diff(B2,y);\n"),
+        "s.pde: equation divides by diff(B2,y); not polynomial in the jet coordinates",
     ),
     "leading coordinate of degree two": (
         lambda tmp: _detsys(tmp, "indep x;\ndep u;\nsolve_for: diff(u,x);\neq diff(u,x)^2 = u;\n"),

@@ -27,7 +27,6 @@ from plasmeq.expr import (
     compile_numeric,
     parse_program,
     pretty,
-    quotient,
 )
 from reference import total_derivative
 
@@ -139,26 +138,50 @@ def test_collect_square_expansion(uctx):
 
 
 def test_collect_rejects_opaque_basis_use(uctx):
-    e = quotient(Expr.number(1), uctx.parse("1 + diff(u,x)"))
+    e = Expr.number(1) / uctx.parse("1 + diff(u,x)")
     with pytest.raises(CollectError):
         collect(e, [uctx.jet("u", ["x"])])
 
 
+def test_a_negative_power_is_not_polynomial(uctx):
+    # 1/u_x is the Laurent monomial u_x^-1, which no polynomial split takes
+    jet = uctx.jet("u", ["x"])
+    e = uctx.parse("u + 1/diff(u,x)")
+    with pytest.raises(CollectError, match="^basis symbol 'u_x' has the power -1; not polynomial in the basis$"):
+        collect(e, [jet])
+    with pytest.raises(CollectError, match="^not a polynomial in diff\\(u,x\\): it has the power -1$"):
+        e.coefficients_in(jet)
+    with pytest.raises(CollectError, match="^not a polynomial in psi"):
+        compile_numeric("2 + 1/psi", ["psi"]).antiderivative("psi")
+    # a negative power of an atom outside the basis is part of a coefficient
+    assert collect(uctx.parse("diff(u,x)/u"), [jet]) == {Expr.from_atom(jet): uctx.parse("1/u")}
+    assert uctx.parse("diff(u,x)/u").coefficients_in(jet) == {1: uctx.parse("u^-1")}
+
+
 def test_quotient_constant_vs_opaque(uctx):
-    assert quotient(uctx.var("u"), Expr.number(4)) == uctx.parse("u/4")
-    e = quotient(Expr.number(1), uctx.parse("1+u"))
+    assert uctx.var("u") / Expr.number(4) == uctx.parse("u/4")
+    e = Expr.number(1) / uctx.parse("1+u")
     assert e.evaluate({"u": 1.0}) == pytest.approx(0.5)
 
 
 # spellings of one reciprocal -> its normal form, as ``pretty`` prints it
 RECIPROCAL_SPELLINGS = {
-    ("1/(2*sqrt(psi))", "0.5/sqrt(psi)", "inv(2*sqrt(psi))"): "1/2*inv(sqrt(psi))",
-    ("x^-2", "(1/x)^2", "inv(x^2)", "1/x^2"): "inv(x)^2",
-    ("1/(-x)", "-1/x", "inv(-x)", "(-x)^-1"): "-inv(x)",
-    ("1/(x^2*y - 2*x)", "inv(x)*inv(x*y - 2)", "0.5/(0.5*x^2*y - x)"): "-inv(2 - x*y)*inv(x)",
+    ("1/(2*sqrt(psi))", "0.5/sqrt(psi)", "inv(2*sqrt(psi))"): "1/2*sqrt(psi)^-1",
+    ("x^-2", "(1/x)^2", "inv(x^2)", "1/x^2"): "x^-2",
+    ("1/(-x)", "-1/x", "inv(-x)", "(-x)^-1"): "-x^-1",
+    ("1/(x^2*y - 2*x)", "inv(x)*inv(x*y - 2)", "0.5/(0.5*x^2*y - x)"): "-x^-1*inv(2 - x*y)",
     ("1/(x/2 + y/3)", "6/(3*x + 2*y)"): "6*inv(3*x + 2*y)",
     ("1/(1 - x)", "-1/(x - 1)"): "inv(1 - x)",
     ("inv(4)", "2^-2", "1/4"): "1/4",
+    # an atom cancels against its reciprocal
+    ("x/x", "x^-1*x", "inv(x)*x"): "1",
+    ("x^2/x", "x^3*x^-2"): "x",
+    ("sqrt(1+x)*inv(sqrt(1+x))", "sqrt(1+x)/sqrt(1+x)"): "1",
+    # an atom's negative least power goes back to the terms that lack it
+    ("1/(1 + 1/x)", "x/(x + 1)", "inv(x^-1 + 1)"): "x*inv(1 + x)",
+    ("1/(x^-2*y + 3*x^-1)", "x^2/(y + 3*x)"): "x^2*inv(3*x + y)",
+    # a denominator of several terms stays whole: P*inv(P) is not 1
+    ("(1+x)/(1+x)", "(1+x)*inv(1+x)"): "x*inv(1 + x) + inv(1 + x)",
 }
 
 
@@ -179,7 +202,7 @@ def test_every_spelling_of_a_reciprocal_has_one_normal_form(spellings):
 def test_a_reciprocal_of_zero_is_refused():
     ctx = Context(independents=["x"])
     with pytest.raises(ZeroDivisionError, match="^division by zero$"):
-        quotient(ctx.var("x"), Expr.number(0))
+        ctx.var("x") / Expr.number(0)
     for text, col in (("inv(0)", 1), ("x*inv(x - x)", 3), ("0^-1", 4)):
         with pytest.raises(ParseError, match=f"\\(line 1, column {col}\\)$"):
             ctx.parse(text)
@@ -277,6 +300,8 @@ def _expr_strategy(ctx):
         st.sampled_from(names).map(ctx.var),
         st.sampled_from(["x", "y"]).map(lambda n: Expr.from_atom(ctx.jet("u", [n]))),
         st.sampled_from(["sin(x)", "cos(c*y)", "sin(u)"]).map(ctx.parse),
+        # reciprocals: negative powers of atoms, and an inv atom
+        st.sampled_from(["1/x", "c^-2", "u/sin(x)", "1/(1 + y)"]).map(ctx.parse),
     )
 
     def combine(children):
@@ -418,7 +443,7 @@ def test_division_by_an_integer_constant_stays_exact(ctx):
     assert _coefficients(b / 3) == [Fraction(1, 3)]
     assert _coefficients(b / Expr.number(3)) == [Fraction(1, 3)]
     assert _coefficients(ctx.parse("B1/3")) == [Fraction(1, 3)]
-    assert _coefficients(quotient(b, Expr.number(4))) == [Fraction(1, 4)]
+    assert _coefficients(b / Expr.number(4)) == [Fraction(1, 4)]
     # and back to an int once the quotient is integral
     for e in (b / 3 * 3, Expr.number(6) / 3, ctx.parse("6*B1/3"), (b / 2 + b / 2)):
         assert all(type(c) is int for c in _coefficients(e))
@@ -541,9 +566,9 @@ def _evaluate_term_by_term(e, env):
             if isinstance(atom, Symbol):
                 value = env[atom.name]
             else:
-                fn = (lambda x: 1.0 / x) if atom.head == "inv" else getattr(np, atom.head)
+                fn = (lambda x: np.divide(1.0, x)) if atom.head == "inv" else getattr(np, atom.head)
                 value = fn(*[_evaluate_term_by_term(arg, env) for arg in atom.args])
-            term = term * value**k
+            term = term * (value**k if k > 0 else np.divide(1.0, value) ** -k)
         total = total + term
     return total
 
@@ -777,9 +802,52 @@ def test_each_numeric_function_has_its_exact_derivative(f, df):
     # on an argument of two terms, which a reciprocal keeps whole
     chained = ctx.parse(f.replace("u", "(1 + u^2*v)")).gradient([u], exact=True)[u]
     assert chained == ctx.parse(f"2*u*v*({df.replace('u', '(1 + u^2*v)')})")
-    # without ``exact``, as lie differentiates, the application stays opaque
-    (tagged,) = ctx.parse(f).gradient([u])[u].atoms()
-    assert tagged == FnAtom(f.split("(")[0], (ctx.var("u"),)).bump(0)
+    # without ``exact``, as lie differentiates, the application stays opaque;
+    # inv of one atom is that atom's power -1, which the power rule takes,
+    # and only inv of an argument of several terms is an application
+    head = f.split("(")[0]
+    if head == "inv":
+        assert ctx.parse(f).gradient([u])[u] == ctx.parse(df)
+        arg = ctx.parse("1 + u^2*v")
+        assert FnAtom("inv", (arg,)).bump(0) in ctx.parse("inv(1 + u^2*v)").gradient([u])[u].atoms()
+    else:
+        (tagged,) = ctx.parse(f).gradient([u])[u].atoms()
+        assert tagged == FnAtom(head, (ctx.var("u"),)).bump(0)
+
+
+def _inv_form(e):
+    """``e`` with each negative power a^-k written inv(a)^k: the normal form
+    a reciprocal of one atom had before monomials took negative exponents."""
+    out = Expr.number(0)
+    for mono, c in e.terms():
+        term = Expr.number(c)
+        for atom, k in mono:
+            inv = FnAtom("inv", (Expr.from_atom(atom),))
+            term = term * (Expr.from_atom(inv, -k) if k < 0 else Expr.from_atom(atom, k))
+        out = out + term
+    return out
+
+
+# atoms whose derivative holds no positive power of the atom: exp(x) and
+# tanh(x) are left out, since their a^-k now cancels against a' = exp(x)
+# and 1 - tanh(x)^2 where inv(a) did not
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["x", "sin(x)", "cos(x)", "sqrt(1 + x)", "log(x)", "sinh(x)", "cosh(x)"]),
+    st.integers(1, 6),
+    st.floats(1.1, 3.0),  # where none of the atoms is 0
+)
+def test_the_power_rule_on_a_reciprocal_evaluates_as_the_inv_rule(atom, k, at):
+    ctx = Context(independents=["x"])
+    x = ctx.symbol("x")
+    got = ctx.parse(f"({atom})^-{k}").gradient([x], exact=True)[x]
+    # the inv rule: d inv(a)^k = -k inv(a)^(k + 1) a', inv(a) evaluated as 1/a
+    a = ctx.parse(atom)
+    want = Expr.number(-k) * Expr.from_atom(FnAtom("inv", (a,)), k + 1) * _inv_form(a.gradient([x], exact=True)[x])
+    assert _inv_form(got) == want
+    # the same factors, in another order at most: one rounding apart
+    got, want = got.evaluate({"x": at}), want.evaluate({"x": at})
+    assert abs(got - want) <= np.spacing(abs(want))
 
 
 _SAFE_INNER = ["", "sin", "tanh"]  # values in (0.3, 1) on the arguments below

@@ -8,7 +8,6 @@ import pytest
 
 from plasmeq import equilibria, flux
 from plasmeq.equilibria import residual_norms, tau_consistency_error, translate_state
-from plasmeq.expr import compile_numeric
 from plasmeq.fields import Grid3, directional, norm
 from plasmeq.flux import (
     FluxProblem,
@@ -448,7 +447,7 @@ def test_the_per_iteration_loop_converges_to_the_one_solve(monkeypatch):
     # and no step is taken
     want = solve_flux(quartic_problem(), (17, 17))
     problem = quartic_problem()
-    monkeypatch.setattr(problem, "_dg", compile_numeric("psi", ("psi", "q", "gamma")))
+    monkeypatch.setattr(problem, "_affine", False)
     setups, solves = _count_solver_calls(monkeypatch)
     got = solve_flux(problem, (17, 17))
     assert setups == [(17, 17)]
@@ -779,9 +778,31 @@ def test_an_affine_problem_is_one_elimination_of_newtons_solution(problem, n, mo
     assert sol.iterations == 1 and sol.updates == (0.0,) and sol.krylov_iterations == ()
     # Newton's method, which a problem takes when g'' is not known to vanish
     monkeypatch.undo()
-    monkeypatch.setattr(problem._dg, "derivative", lambda name: compile_numeric("psi", ("psi", "q", "gamma")))
+    monkeypatch.setattr(problem, "_affine", False)
     want = solve_flux(problem, (n, n)).psi
     assert np.max(np.abs(sol.psi - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_a_current_whose_J_dJ_is_constant_is_psi_free(monkeypatch):
+    # J = sqrt(1 + psi): J J' = sqrt(1 + psi)/(2 sqrt(1 + psi)) cancels to 1/2,
+    # so g' is the zero expression, and the solve is the one of J = 0 with
+    # the source q/2 = 1/(2 r^2) added to N' = -2
+    problem = FluxProblem(boundary="0.25*r^4", J="sqrt(1 + psi)", N="4 - 2*psi", **DOMAIN)
+    assert problem._dg.expression.is_zero
+    monkeypatch.setattr(flux, "_gmres", _no_gmres)
+    sol = solve_flux(problem, (129, 129))
+    assert sol.iterations == 1 and sol.updates == (0.0,) and sol.krylov_iterations == ()
+    want = solve_flux(FluxProblem(boundary="0.25*r^4", N="4 - 2*psi", source="1/(2*r^2)", **DOMAIN), (129, 129)).psi
+    assert np.max(np.abs(sol.psi - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_affinity_is_decided_without_evaluating_g_second_derivative():
+    # g' = 1.5e308 psi^2 fits in a float; g'' = 3e308 psi does not, and is
+    # only tested for being zero.  g(0) = 0 and the boundary is 0: psi = 0
+    problem = FluxProblem(boundary="0", dN="5e307*psi^3", **DOMAIN)
+    assert not problem._affine
+    sol = solve_flux(problem, (9, 9))
+    assert sol.converged and sol.iterations == 1 and not sol.psi.any()
 
 
 @pytest.fixture(scope="module")
