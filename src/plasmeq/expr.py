@@ -520,7 +520,14 @@ class Expr:
         """
         rules, errstate = _numeric()
         with errstate(all="ignore"):
-            return self._evaluate(env, rules, {})
+            try:
+                return self._evaluate(env, rules, {})
+            except OverflowError:
+                # a Python number's power raises where numpy's is inf: redo it in numpy floats
+                import numpy as np
+
+                env = {name: np.float64(v) if isinstance(v, (int, float)) else v for name, v in env.items()}
+                return self._evaluate(env, rules, {})
 
     def _evaluate(self, env, rules, values: dict):
         """The float sum ``0.0 + t1 + t2 + ...`` of the terms, each the float

@@ -34,10 +34,10 @@ __all__ = [
 ]
 
 _FLOAT_FMT = "%.17g"
-# rows per block of ``_write_block``: each distinct value of a block is
-# formatted once and held as one Python string until the block is written,
-# so a larger block formats less but holds more; a 65^3 state writes as fast
-# at 2048 rows as at 8192, with a smaller peak memory
+# rows per block of ``_write_rows``: each distinct value of a block's value
+# column is formatted once and held as one Python string until the block is
+# written, so a larger block formats less but holds more; a 65^3 state
+# writes as fast at 2048 rows as at 8192, with a smaller peak memory
 _ROW_BLOCK = 2048
 # rows per ``np.loadtxt`` call of ``read_csv``: the parse of one block
 # (about 1.3 MB for a 10-column state) is held beside the columns it fills
@@ -278,8 +278,9 @@ def write_csv(path, axes: dict[str, np.ndarray], columns: dict[str, np.ndarray])
     floats at 17 significant digits so a read-back is bit-faithful.
     Refuses a non-finite value before the file is opened.
 
-    No whole table is built: each block of ``_ROW_BLOCK`` rows is assembled
-    from its coordinates and the column slices it needs."""
+    No whole table is built: each axis is formatted once per file, and
+    ``_write_rows`` writes each block of ``_ROW_BLOCK`` rows from the axis
+    texts, gathered by index, and the column slices it needs."""
     counts = tuple(len(a) for a in axes.values())
     names = [*axes, *columns]
     for name, values in columns.items():
@@ -303,42 +304,36 @@ def write_csv(path, axes: dict[str, np.ndarray], columns: dict[str, np.ndarray])
     if firsts:
         row, col, value = min(firsts)
         raise ValueError(f"{path}: refusing to write a non-finite {names[col]} ({value}) in data row {row + 1}")
-    # the coordinate column of axis k > 0 repeats every strides[k - 1] rows:
-    # one period of it, extended by a block, gives every block as a slice
-    periodic = [
-        np.resize(np.repeat(axis, stride), strides[k - 1] + _ROW_BLOCK)
-        for k, (axis, stride) in enumerate(zip(coordinates, strides))
-        if k
-    ]
     n_rows = math.prod(counts)
-    block = np.empty((min(_ROW_BLOCK, n_rows), len(names)))
-    row_fmt = ",".join(["%s"] * len(names)) + "\n"
+    texts = [_texts(axis, end) for axis, end in zip(coordinates, [","] * (len(names) - 1) + ["\n"])]
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
         for start in range(0, n_rows, _ROW_BLOCK):
-            rows = block[: min(_ROW_BLOCK, n_rows - start)]
-            rows[:, 0] = coordinates[0][np.arange(start, start + len(rows)) // strides[0]]
-            for k, table in enumerate(periodic, start=1):
-                offset = start % strides[k - 1]
-                rows[:, k] = table[offset : offset + len(rows)]
-            for k, values in enumerate(flat, start=len(coordinates)):
-                rows[:, k] = values[start : start + len(rows)]
-            _write_block(fh, rows, row_fmt)
+            rows = np.arange(start, min(start + _ROW_BLOCK, n_rows))
+            coordinate_texts = [table[rows // stride % len(table)] for table, stride in zip(texts, strides)]
+            _write_rows(fh, coordinate_texts, [values[start : start + len(rows)] for values in flat], ",")
 
 
-def _write_block(fh, block: np.ndarray, row_fmt: str) -> None:
-    """Write the rows of a C-contiguous 2-D float block by ``row_fmt``,
-    floats at 17 significant digits; the bytes equal ``np.savetxt`` of the
-    block with ``fmt=_FLOAT_FMT`` and the delimiter of ``row_fmt``.
+def _texts(values: np.ndarray, end: str) -> np.ndarray:
+    """``values`` as ``np.savetxt`` writes them, each followed by ``end``."""
+    return np.array(list(map((_FLOAT_FMT + end).__mod__, values.tolist())), dtype=object)
 
-    Each distinct value of the block is formatted once: values are told
-    apart by their bit pattern, so that ``-0.0`` and ``0.0`` keep their own
-    text, and the rows are assembled from those strings.  Coordinates, the
-    constant fields outside a plasma and equal pressures repeat within a
-    block, which is where the saving lies."""
-    bits, inverse = np.unique(block.reshape(-1).view(np.int64), return_inverse=True)
-    text = np.array([_FLOAT_FMT % v for v in bits.view(float).tolist()], dtype=object)
-    fh.write((row_fmt * len(block)) % tuple(text[inverse].tolist()))
+
+def _write_rows(fh, texts: list[np.ndarray], values: list[np.ndarray], sep: str) -> None:
+    """Write one block of rows, their bytes those of ``np.savetxt`` with
+    ``fmt=_FLOAT_FMT`` and delimiter ``sep``: the ready ``sep``-ended texts
+    of the leading columns, then the float ``values`` columns.  Each value
+    column formats only its distinct values, told apart by bit pattern so
+    that ``-0.0`` keeps its own text: the constant fields outside a plasma
+    and equal pressures repeat within a block."""
+    width = len(texts) + len(values)
+    cells = [None] * (len((texts or values)[0]) * width)
+    for k, column in enumerate(texts):
+        cells[k::width] = column
+    for k, (column, end) in enumerate(zip(values, [sep] * (len(values) - 1) + ["\n"]), start=len(texts)):
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        cells[k::width] = _texts(bits.view(float), end)[inverse]
+    fh.write("".join(cells))
 
 
 def _axis_step(values: np.ndarray) -> float | None:
@@ -534,19 +529,18 @@ def write_vtk(path, grid: Grid3, scalars: dict[str, np.ndarray], vectors: dict[s
     """Legacy ASCII STRUCTURED_POINTS writer (x varies fastest on disk);
     refuses a non-finite value, naming its field, before opening the file.
 
-    Each field goes out in blocks of ``_ROW_BLOCK`` nodes, each component
-    gathered at the block's (i, j, k), so that no transposed copy of a
-    whole field is made."""
+    Each field goes out through ``_write_rows`` in blocks of ``_ROW_BLOCK``
+    nodes, each component gathered at the block's (i, j, k), so that no
+    transposed copy of a whole field is made."""
     for name, values in (*vectors.items(), *scalars.items()):
         if not np.isfinite(values).all():
             raise ValueError(f"{path}: refusing to write a non-finite {name} ({values[~np.isfinite(values)][0]})")
 
     def write_field(fh, components) -> None:
-        row_fmt = " ".join(["%s"] * len(components)) + "\n"
         for start in range(0, grid.n_nodes, _ROW_BLOCK):
             # order="F" unravels the flat x-fastest node index into (i, j, k)
             nodes = np.unravel_index(np.arange(start, min(start + _ROW_BLOCK, grid.n_nodes)), grid.counts, order="F")
-            _write_block(fh, np.column_stack([values[nodes] for values in components]), row_fmt)
+            _write_rows(fh, [], [values[nodes] for values in components], " ")
 
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import math
 import re
 import tracemalloc
@@ -766,15 +767,17 @@ def transformed_pair(vortex33, vortex65):
     return {state.grid.counts[0]: apply_infinite_transform(state, spec) for state in (vortex33, vortex65)}
 
 
-def test_power_of_two_scaling_moves_the_residual_norms_by_exact_factors(transformed_pair):
-    # x -> 2x, B -> 4B, p_perp -> 16 p_perp (tau and psi kept) maps an
-    # equilibrium to one; each residual scales by s^2/t = 8 (momentum) or
-    # s/t = 2 (div_b, tau_advection), exactly, since powers of two are
+@pytest.mark.parametrize("k", range(-3, 4))
+def test_power_of_two_scaling_moves_the_residual_norms_by_exact_factors(transformed_pair, k):
+    # x -> s x, B -> s^2 B, p_perp -> s^4 p_perp (tau and psi kept) maps an
+    # equilibrium to one; for s = 2^k each residual scales by s^3 (momentum)
+    # or s (div_b, tau_advection), exactly, since powers of two are
     src = transformed_pair[33]
     g = src.grid
-    grid = Grid3(tuple(2.0 * o for o in g.origin), tuple(2.0 * h for h in g.spacing), g.counts)
-    scaled = equilibria._state(grid, (4.0 * src.B.values, 16.0 * src.p_perp.values, src.tau.values, src.psi.values), {})
-    factors = {"momentum": 8.0, "div_b": 2.0, "tau_advection": 2.0}
+    s = 2.0**k
+    grid = Grid3(tuple(s * o for o in g.origin), tuple(s * h for h in g.spacing), g.counts)
+    scaled = equilibria._state(grid, (s**2 * src.B.values, s**4 * src.p_perp.values, src.tau.values, src.psi.values), {})
+    factors = {"momentum": s**3, "div_b": s, "tau_advection": s}
     for system in ("mhd", "cgl"):
         want, got = residual_norms(src, system), residual_norms(scaled, system)
         assert got.keys() == want.keys() <= factors.keys()
@@ -783,50 +786,61 @@ def test_power_of_two_scaling_moves_the_residual_norms_by_exact_factors(transfor
             assert got[name]["node"] == norms["node"]
 
 
-def _z_mirror(state):
-    """The image under z -> -z on a grid centred in z: node arrays flipped
-    along z, B3 negated."""
-    b = state.B.values[..., ::-1].copy()
-    b[2] *= -1.0
-    flipped = (np.ascontiguousarray(f.values[..., ::-1]) for f in (state.p_perp, state.tau, state.psi))
-    return equilibria._state(state.grid, (b, *flipped), {})
+# the 48 symmetries of the centred cube: new axis i is old axis perm[i],
+# negated where signs[i] is -1; B_i -> signs[i] B_perm[i], scalars kept
+CUBE_SYMMETRIES = [(perm, signs) for perm in itertools.permutations(range(3)) for signs in itertools.product((1, -1), repeat=3)]
 
 
-def _yzx_cycle(state):
-    """The image under (x, y, z) -> (y, z, x) on a cubic grid: new node
-    (i, j, k) is old node (k, i, j), and (B1, B2, B3) -> (B2, B3, B1)."""
+def _cube_image(state, perm, signs):
+    """The image of a state on a centred cubic grid under one symmetry of
+    the cube: node arrays transposed by ``perm`` and flipped where
+    ``signs`` is -1, and B's components moved and negated with them."""
 
-    def cycled(values):
-        return np.ascontiguousarray(np.moveaxis(values, -3, -1))
+    def moved(values):
+        lead = values.ndim - 3
+        values = np.transpose(values, (*range(lead), *(lead + np.array(perm))))
+        flips = tuple(lead + i for i, sign in enumerate(signs) if sign < 0)
+        return np.ascontiguousarray(np.flip(values, flips) if flips else values)
 
-    b = cycled(state.B.values)[[1, 2, 0]]
-    return equilibria._state(state.grid, (b, *(cycled(f.values) for f in (state.p_perp, state.tau, state.psi))), {})
+    b = moved(state.B.values)[list(perm)] * np.array(signs, dtype=float)[:, None, None, None]
+    return equilibria._state(state.grid, (b, *(moved(f.values) for f in (state.p_perp, state.tau, state.psi))), {})
+
+
+def _symmetry_id(symmetry):
+    perm, signs = symmetry
+    return "".join(("-" if sign < 0 else "") + "xyz"[i] for i, sign in zip(perm, signs))
 
 
 @pytest.mark.parametrize("mask_radius", [None, 0.8, 0.5], ids=["whole interior", "radius 0.8", "radius 0.5"])
-@pytest.mark.parametrize("image", [_z_mirror, _yzx_cycle], ids=["z-mirror", "yzx-cycle"])
-@pytest.mark.parametrize("n", [17, 33])
-def test_a_mirror_and_an_axis_cycle_keep_stability_counts_and_residual_norms(
-    vortex17, vortex33, monkeypatch, image, n, mask_radius
+@pytest.mark.parametrize(
+    "n, symmetry",
+    [(17, symmetry) for symmetry in CUBE_SYMMETRIES] + [(33, ((0, 1, 2), (1, 1, -1))), (33, ((1, 2, 0), (1, 1, 1)))],
+    ids=[f"17-{_symmetry_id(symmetry)}" for symmetry in CUBE_SYMMETRIES] + ["33-xy-z", "33-yzx"],
+)
+def test_every_symmetry_of_the_cube_keeps_stability_counts_and_residual_norms(
+    vortex17, vortex33, monkeypatch, n, symmetry, mask_radius
 ):
     # a symmetry of the centred cube maps an equilibrium to one, node for node
     src = apply_infinite_transform({17: vortex17, 33: vortex33}[n], TransformSpec("1 + psi*sin(psi)"))
-    img = image(src)
+    img = _cube_image(src, *symmetry)
     want, got = stability_report(src), stability_report(img)
     assert got.counts == want.counts and got.margins == want.margins
-    # the smallest pressure is at the centre node, which both maps fix
+    # the smallest pressure is at the centre node, which every symmetry fixes
     assert got.worst_pressure == want.worst_pressure
     # windows of three slabs: a mask skips the windows beyond its ball, on
     # whichever axis the map puts x, and cuts the others in y and z
     monkeypatch.setattr(equilibria, "BLOCK_NODES", 3 * n * n)
+    perm, _signs = symmetry
     for system in ("mhd", "cgl"):
         want, got = residual_norms(src, system, mask_radius), residual_norms(img, system, mask_radius)
         assert got.keys() == want.keys()
         for name, norms in want.items():
-            # the cycle sums the three terms of div_b and of tau_advection
-            # in another order, which moves their Linf by one ulp; the
-            # momentum stays exact
-            ulps = 1 if image is _yzx_cycle and name != "momentum" else 0
+            # a flip negates each central difference exactly, and so does a
+            # swap of x and y; a map that moves z sums the three terms of
+            # div_b and of tau_advection in another order, which moves
+            # their Linf by at most one ulp (measured: div_b at 17^3, both
+            # at 33^3); the momentum stays exact under all 48
+            ulps = 1 if perm[2] != 2 and name != "momentum" else 0
             assert abs(got[name]["linf"] - norms["linf"]) <= ulps * math.ulp(norms["linf"]), (system, name)
 
 

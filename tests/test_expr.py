@@ -249,6 +249,19 @@ def test_a_built_constant_is_refused_past_4300_digits_written_out():
             ctx.parse(text)
 
 
+@pytest.mark.parametrize(
+    "text, at",
+    [("psi^2", 1e200), ("psi^2", 10**200), ("psi^-2", 1e-200), ("1 + psi^3", -1e150), ("psi^2 - psi^4", 1e200)],
+    ids=["square of a float", "square of an int", "reciprocal square", "cube", "inf minus inf"],
+)
+def test_a_python_number_overflows_to_inf_as_an_array_does(text, at):
+    f = compile_numeric(text, ["psi"])
+    want = f(np.array([float(at)]))
+    # a Python float or int gives numpy's inf (or nan), not an OverflowError
+    got = f(at)
+    assert np.array_equal([got], want, equal_nan=True) and not np.isfinite(got), (got, want)
+
+
 def test_compile_numeric_keeps_constants_a_float_can_hold():
     # 1e-400 rounds to zero and 10^308 is finite: neither is refused
     assert compile_numeric("psi + 1e-400 + 10^308", ["psi"])(1.0) == 1.0 + 1e308

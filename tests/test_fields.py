@@ -461,11 +461,11 @@ def test_csv_writer_names_the_first_nonfinite_value(tmp_path, coordinate, values
 
 def _assert_rows_match_savetxt(values, delimiter):
     ours, reference = io.StringIO(), io.StringIO()
-    # the writers' path: blocks of ``_ROW_BLOCK`` rows through ``_write_block``
+    # the writers' path: blocks of ``_ROW_BLOCK`` rows through ``_write_rows``
     rows = values.reshape(len(values), -1)
-    row_fmt = delimiter.join(["%s"] * rows.shape[1]) + "\n"
     for start in range(0, len(rows), fields._ROW_BLOCK):
-        fields._write_block(ours, np.ascontiguousarray(rows[start : start + fields._ROW_BLOCK]), row_fmt)
+        block = rows[start : start + fields._ROW_BLOCK]
+        fields._write_rows(ours, [], [np.ascontiguousarray(column) for column in block.T], delimiter)
     np.savetxt(reference, values, fmt="%.17g", delimiter=delimiter)
     # compare line by line so that a failure names the first differing row
     # instead of diffing megabytes of text
@@ -516,6 +516,26 @@ def test_row_writer_matches_savetxt_on_repeated_values(rows, columns, delimiter)
     width = 1 if columns is None else columns
     flat[0], flat[width if rows > 1 else -1] = 0.0, -0.0
     _assert_rows_match_savetxt(values, delimiter)
+
+
+def test_a_value_repeated_across_a_block_edge_keeps_its_text(tmp_path):
+    # the x (-0.0) and y coordinates and values of a (1/3) and b (-0.0 among
+    # 0.0) span the last rows of the first block and the first of the
+    # second: each block writes its own text
+    counts = (2, fields._ROW_BLOCK // 2 + 1, 3)
+    axes = {"x": np.array([-0.0, 1.0]), "y": np.linspace(-0.1, 0.1, counts[1]), "z": np.array([-1.0, 0.0, 1.0])}
+    edge = np.unravel_index([fields._ROW_BLOCK - 1, fields._ROW_BLOCK], counts)
+    assert edge[0][0] == edge[0][1] and edge[1][0] == edge[1][1]
+    a = np.random.default_rng(7).standard_normal(counts)
+    b = np.zeros(counts)
+    a.reshape(-1)[fields._ROW_BLOCK - 2 : fields._ROW_BLOCK + 2] = 1.0 / 3.0
+    b.reshape(-1)[fields._ROW_BLOCK - 3 : fields._ROW_BLOCK + 3] = -0.0
+    path = tmp_path / "f.csv"
+    write_csv(path, axes, {"a": a, "b": b})
+    reference = io.StringIO()
+    reference.write("x,y,z,a,b\n")
+    np.savetxt(reference, _whole_table(axes, {"a": a, "b": b}), fmt="%.17g", delimiter=",")
+    assert path.read_text() == reference.getvalue()
 
 
 def test_vtk_header_and_payload(tmp_path):
