@@ -4,15 +4,15 @@ The expression kernel keeps every value in a fully expanded normal form: a
 sum of monomials, each monomial a rational coefficient times a sorted
 product of powers of atoms.  An atom is either a named ``Symbol`` (an
 independent variable, a dependent variable, a derivative coordinate, or a
-free parameter) or an opaque ``FnAtom`` application such as ``sin(psi)`` or
-an undetermined tangent-field component ``xi_x(x, y, z, B1, ...)``.
-Opaque applications are never rewritten; their partial derivatives are
-fresh atoms carrying a derivative multi-index, or for the numeric
-functions, with ``exact``, the entries of one table.  Partial and total
-derivatives come from one walk of the terms, ``Expr.derivatives``, which
-takes a rule for the derivative of each atom.  Structural equality of
-normal forms therefore decides equality of polynomials in jet coordinates
-with atomic unknowns, the class the symmetry analysis works in.
+free parameter) or an ``FnAtom`` application, never rewritten: a numeric
+function such as ``sin(psi)``, whose derivative is its entry in one table,
+or an unknown function such as a tangent-field component ``xi_x(x, y, z,
+B1, ...)``, whose partial derivatives are atoms carrying a derivative
+multi-index.  Partial and total derivatives come from one walk of the
+terms, ``Expr.derivatives``, which takes a rule for the derivative of each
+atom.  Structural equality of normal forms therefore decides equality of
+polynomials in jet coordinates with atomic unknowns, the class the
+symmetry analysis works in.
 
 A monomial is a Laurent monomial: an exponent may be any nonzero integer,
 so 1/a is ``a^-1`` and an atom cancels against its reciprocal (``x/x`` is
@@ -160,7 +160,7 @@ class Symbol(_Atom):
 
 
 class FnAtom(_Atom):
-    """An opaque function application, optionally derivative-tagged.
+    """A function application; an unknown function's may be derivative-tagged.
 
     ``dtag[k]`` counts differentiations with respect to the k-th argument
     slot; an empty ``dtag`` means no differentiation.  A tagged atom is
@@ -467,17 +467,16 @@ class Expr:
             out = out + term
         return out
 
-    def gradient(self, symbols: Iterable[Symbol], exact: bool = False) -> dict[Symbol, "Expr"]:
+    def gradient(self, symbols: Iterable[Symbol]) -> dict[Symbol, "Expr"]:
         """The partial derivative along each of ``symbols``, from one walk of
-        the terms (``derivatives``): symbol -> derivative.  Opaque
-        applications chain through their arguments to tagged atoms, or with
-        ``exact``, the ``NUMERIC_FUNCTIONS`` to their ``_DERIVATIVES``."""
+        the terms (``derivatives``): symbol -> derivative.  Applications
+        chain through their arguments (``_chain_rule``)."""
         wanted = dict.fromkeys(symbols)
 
         def rule(atom: Atom):
             if isinstance(atom, Symbol):
                 return ((atom, ONE),) if atom in wanted else ()
-            return _chain_rule(atom, [arg.derivatives(wanted, rule) for arg in atom.args], wanted, exact)
+            return _chain_rule(atom, [arg.derivatives(wanted, rule) for arg in atom.args], wanted)
 
         return self.derivatives(wanted, rule)
 
@@ -588,18 +587,18 @@ def _accumulate(terms: dict, mono: Monomial, c) -> None:
         del terms[mono]
 
 
-def _chain_rule(atom: FnAtom, dargs: list[dict], keys: Iterable, exact: bool = False) -> list[tuple]:
+def _chain_rule(atom: FnAtom, dargs: list[dict], keys: Iterable) -> list[tuple]:
     """The nonzero derivatives of an application along ``keys``, as (key,
-    derivative) pairs: each the sum over argument slots of the slot-tagged
-    atom, or with ``exact`` a numeric function's ``_DERIVATIVES`` entry,
-    times that argument's derivative, ``dargs[slot][key]``."""
-    numeric = exact and atom.head in _DERIVATIVES and not any(atom.dtag)
+    derivative) pairs: each the sum over argument slots of a numeric
+    function's ``_DERIVATIVES`` entry, or an unknown function's slot-tagged
+    atom, times that argument's derivative, ``dargs[slot][key]``."""
+    numeric = _DERIVATIVES.get(atom.head)
     parts = []
     for key in keys:
         out = ZERO
         for slot, darg in enumerate(dargs):
             if not darg[key].is_zero:
-                outer = _DERIVATIVES[atom.head](atom.args[slot]) if numeric else Expr.from_atom(atom.bump(slot))
+                outer = numeric(atom.args[slot]) if numeric else Expr.from_atom(atom.bump(slot))
                 out = out + outer * darg[key]
         if not out.is_zero:
             parts.append((key, out))
@@ -764,8 +763,9 @@ class Context:
         self._jets: dict[tuple, Symbol] = {}  # (dep, wrt) as ``jet`` was called -> jet
         self.unknowns: dict[str, tuple[Symbol, ...]] = {}
         for head, argnames in (unknowns or {}).items():
-            if head in self._by_name:
-                raise ValueError(f"unknown function {head!r} collides with a variable")
+            if head in self._by_name or head in NUMERIC_FUNCTIONS:
+                what = "a variable" if head in self._by_name else "a numeric function, whose derivative is known"
+                raise ValueError(f"unknown function {head!r} collides with {what}")
             self.unknowns[head] = tuple(self.symbol(n) for n in argnames)
 
     def symbol(self, name: str) -> Symbol:
@@ -841,7 +841,7 @@ class Context:
     def total_derivatives(self, e: Expr, along: Iterable[Symbol | str]) -> dict[Symbol, Expr]:
         """The total derivative D_x along each independent ``x`` of
         ``along``, from one walk of the terms (``Expr.derivatives``):
-        promotes dependents and jets, chains through opaque arguments,
+        promotes dependents and jets, chains through function arguments,
         annihilates other independents and parameters."""
         xs = dict.fromkeys(self.symbol(x) if isinstance(x, str) else x for x in along)
         for x in xs:
@@ -1311,7 +1311,7 @@ def _numeric_function(e: Expr, names: list[str], text: str | None = None):
 
     symbol = {name: Symbol(name, "independent") for name in names}
     fn.expression, fn.text = e, text
-    fn.derivative = lambda name: _numeric_function(e.gradient([symbol[name]], exact=True)[symbol[name]], names)
+    fn.derivative = lambda name: _numeric_function(e.gradient([symbol[name]])[symbol[name]], names)
     fn.antiderivative = lambda name: _numeric_function(e.antiderivative(symbol[name]), names)
     return fn
 

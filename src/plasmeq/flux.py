@@ -132,6 +132,8 @@ class FluxProblem:
             raise ValueError("empty zu range")
         if not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma}")
+        if not math.isfinite(self.gamma * self.gamma):
+            raise ValueError(f"gamma = {self.gamma} is too large: its square is beyond the float range")
         if self.J is None:
             raise ValueError("J: the poloidal current is an expression in psi (0 for none), not None")
         if self.N is not None and self.dN is not None:
@@ -167,7 +169,7 @@ class FluxProblem:
         except ExprError:
             raise ValueError(f"{derived} has a constant beyond the float range") from None
         psi = Symbol("psi", "independent")
-        self._affine = self._dg.expression.gradient([psi], exact=True)[psi].is_zero
+        self._affine = self._dg.expression.gradient([psi])[psi].is_zero
         if stated is not None and stated.expression != self.dJ.expression:
             raise ValueError(f"dJ = {stated.text} is not the derivative of J = {self.J.text}, which is "
                              f"{self.dJ.text}: omit dJ, which is taken from J")
@@ -409,7 +411,9 @@ def _interior_solver(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: n
     depends on r only), and the caller decides when a right-hand side needs
     solving again.
 
-    No pivoting is done.  With c_w, c_e, c_n > 0 for r > 0, the systems are
+    Spacings whose stencil coefficients are not finite and positive (they
+    overflow or underflow) raise a ValueError naming hr and hz.  No
+    pivoting is done.  With c_w, c_e, c_n > 0 for r > 0, the systems are
     diagonally dominant unless the shift is positive; a pivot at most n m
     eps times the largest means the problem lies on an eigenvalue of its
     operator, and a ValueError naming the mode is raised.
@@ -426,6 +430,9 @@ def _interior_solver(problem: FluxProblem, r: np.ndarray, zu: np.ndarray, psi: n
     c_w = c_half_w / (r * hr**2)
     c_n = 1.0 / (hz**2 * r**2)
     c_center = -(c_half_e + c_half_w) / (r * hr**2) - 2.0 / (hz**2 * r**2)
+    if not all((c[1:-1] > 0.0).all() and np.isfinite(c[1:-1]).all() for c in (c_e, c_w, c_n, -c_center)):
+        raise ValueError(f"the grid spacings hr = {hr:g} and hz = {hz:g} give stencil coefficients that are "
+                         "not finite and positive")
 
     n, m = nr - 2, nzu - 2
     # the boundary term, zero off the interior's edges; + 0.0 turns a -0.0

@@ -4,7 +4,7 @@ Given a system declared in the expression grammar together with a choice of
 leading derivative coordinates (one per equation), this module
 
 1. forms the tangent-field ansatz ``xi_x(x, u), ..., eta_u(x, u), ...`` as
-   opaque unknowns,
+   unknown functions,
 2. prolongs it to first-order derivative coordinates, from the total
    derivatives of each component, taken in one walk of its terms
    (``Context.total_derivatives``); those of the xi serve every dependent,
@@ -13,7 +13,7 @@ leading derivative coordinates (one per equation), this module
 4. splits on monomials in the surviving derivative coordinates, producing
    an overdetermined linear system on the unknowns, and
 5. checks a concrete generator candidate without that system: steps 2-4
-   run on the candidate in place of the opaque unknowns.  Candidate
+   run on the candidate in place of the unknowns.  Candidate
    components are free of derivative coordinates, so this gives exactly
    the determining equations with the candidate substituted for the
    unknowns.
@@ -51,7 +51,6 @@ __all__ = [
     "DeterminingSystem",
     "CandidateGenerator",
     "Verification",
-    "prolong_coefficients",
     "build_determining_system",
     "verify_generator",
     "parse_generator",
@@ -239,17 +238,11 @@ def _nonzero(den: Expr) -> str:
 # ---------------------------------------------------------------------------
 
 
-def prolong_coefficients(
-    ctx: Context, xi: list[Expr], eta: Expr, dep: Symbol | str
-) -> dict[Symbol, Expr]:
-    """First-prolongation coefficients for one dependent variable:
-    the coefficient on d/d(u_i) is D_i(eta) - sum_j u_j * D_i(xi_j)."""
-    return _prolong(ctx, xi, {ctx.symbol(dep) if isinstance(dep, str) else dep: eta})
-
-
 def _prolong(ctx: Context, xi: list[Expr], eta: dict[Symbol, Expr]) -> dict[Symbol, Expr]:
-    """``prolong_coefficients`` for each dependent u, of component ``eta[u]``,
-    from one D_i walk per component: those of the xi serve every u."""
+    """First-prolongation coefficients for each dependent u, of component
+    ``eta[u]``: the coefficient on d/d(u_i) is D_i(eta[u]) - sum_j u_j *
+    D_i(xi_j), from one D_i walk per component; those of the xi serve
+    every u."""
     along = ctx.independents
     dxi = [ctx.total_derivatives(xi_j, along) for xi_j in xi]
     out: dict[Symbol, Expr] = {}
@@ -336,7 +329,7 @@ def _scalar_normalize(e: Expr) -> Expr:
 
 
 def build_determining_system(system: PdeSystem) -> DeterminingSystem:
-    """Apply the opaque tangent field ``xi_x(x, u), ..., eta_u(x, u), ...``
+    """Apply the unknown tangent field ``xi_x(x, u), ..., eta_u(x, u), ...``
     and split; the result's context declares those unknowns."""
     ctx = system.context
     argnames = tuple(s.name for s in (*ctx.independents, *ctx.dependents))
@@ -375,11 +368,13 @@ def build_determining_system(system: PdeSystem) -> DeterminingSystem:
         tuple(assumptions),
         {"raw": raw_count, "count": len(final), "count_up_to_scale": len(scaled_seen)},
     )
-    _check_determining_invariants(det, system)
+    _check_determining_invariants(det, unknowns)
     return det
 
 
-def _check_determining_invariants(det: DeterminingSystem, system: PdeSystem) -> None:
+def _check_determining_invariants(det: DeterminingSystem, unknowns: dict[str, tuple]) -> None:
+    """Each equation is nonzero, free of jets and of degree 1 in the atoms
+    of the ``unknowns`` heads; other function atoms are coefficients."""
     for eqn in det.equations:
         if eqn.is_zero:
             raise LieError("determining system contains an identically zero equation")
@@ -390,7 +385,7 @@ def _check_determining_invariants(det: DeterminingSystem, system: PdeSystem) -> 
                     raise LieError(
                         f"determining equation still contains derivative coordinate {a.name}"
                     )
-                if isinstance(a, FnAtom):
+                if isinstance(a, FnAtom) and a.head in unknowns:
                     unknown_degree += k
             if unknown_degree != 1:
                 raise LieError(

@@ -8,7 +8,9 @@ Each is the plain statement of what a faster or more general path in
   ``equilibria.residual_norms``;
 - ``cross``: the pointwise cross product of two vector fields;
 - ``total_derivative``: D_x along one independent, the one-variable case of
-  ``Context.total_derivatives``.
+  ``Context.total_derivatives``;
+- ``prolong_coefficients``: the first prolongation for one dependent, the
+  one-variable case of ``lie._prolong``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from plasmeq.equilibria import CGLState, _require_residual_room, _window_residuals
 from plasmeq.expr import Context, Expr, Symbol
 from plasmeq.fields import ScalarGrid, VectorGrid
+from plasmeq.lie import _prolong
 
 
 def residual_fields(state: CGLState, system: str) -> dict[str, ScalarGrid | VectorGrid]:
@@ -43,3 +46,11 @@ def total_derivative(ctx: Context, e: Expr, x: Symbol | str) -> Expr:
     """Total derivative D_x: the one-variable case of ``total_derivatives``."""
     (d,) = ctx.total_derivatives(e, (x,)).values()
     return d
+
+
+def prolong_coefficients(
+    ctx: Context, xi: list[Expr], eta: Expr, dep: Symbol | str
+) -> dict[Symbol, Expr]:
+    """First-prolongation coefficients for one dependent variable:
+    the coefficient on d/d(u_i) is D_i(eta) - sum_j u_j * D_i(xi_j)."""
+    return _prolong(ctx, xi, {ctx.symbol(dep) if isinstance(dep, str) else dep: eta})

@@ -19,6 +19,8 @@ import pytest
 import plasmeq
 from plasmeq import cli, equilibria, fields, flux
 from plasmeq.cli import main
+from plasmeq.expr import pretty
+from plasmeq.lie import PdeSystem, build_determining_system
 
 
 def data_path(name: str) -> str:
@@ -202,6 +204,48 @@ def test_verify_undeclared_component_is_validation_error(tmp_path):
     report = read_report(out)
     assert report["pass"] is False
     assert report["error"] == f"{gen}: xi(q): undeclared variable 'q'"
+
+
+# one-equation systems whose right-hand sides hold a numeric function or a
+# declared unknown function: those are coefficients, and only the xi_* and
+# eta_* atoms are the determining system's unknowns
+ONE_EQUATION = "indep x;\ndep u;\nsolve_for: diff(u,x);\n{}\n"
+COEFFICIENT_SYSTEMS = {
+    "exp": "eq diff(u,x) = exp(x);",
+    "sqrt": "eq diff(u,x) = sqrt(u);",
+    "unknown": "unknown f(x);\neq diff(u,x) = f(x)*u;",
+}
+
+
+@pytest.mark.parametrize("name", list(COEFFICIENT_SYSTEMS))
+def test_detsys_takes_function_coefficients(tmp_path, name):
+    text = ONE_EQUATION.format(COEFFICIENT_SYSTEMS[name])
+    code, out = run(tmp_path, "d", "lie", "detsys", _file(tmp_path, "s.pde", text))
+    assert code == 0
+    det = build_determining_system(PdeSystem.from_text(text))
+    lines = (out / "detsys.txt").read_text().splitlines()[1:]
+    assert len(lines) == det.count == 1
+    for line, eqn in zip(lines, det.equations):
+        assert det.context.parse(line) == eqn
+        assert pretty(det.context.parse(line)) == line
+
+
+@pytest.mark.parametrize(
+    "system, generator, residuals",
+    [
+        # 1/exp(x) and exp(-x) are one function: one verdict, whichever is written
+        ("eq diff(u,x) = exp(x);", "xi(x) = exp(-x);", []),
+        ("eq diff(u,x) = exp(x);", "xi(x) = 1/exp(x);", []),
+        # D_x(-cos(x)) is sin(x), from the table, not a tagged cos
+        ("eq diff(u,x) = sin(x);", "eta(u) = -cos(x);", ["sin(x)"]),
+    ],
+    ids=["exp(-x)", "1/exp(x)", "-cos(x)"],
+)
+def test_verify_differentiates_numeric_functions_by_the_table(tmp_path, system, generator, residuals):
+    pde = _file(tmp_path, "s.pde", ONE_EQUATION.format(system))
+    code, out = run(tmp_path, "v", "lie", "verify", pde, _file(tmp_path, "g.gen", generator + "\n"))
+    assert code == (3 if residuals else 0)
+    assert read_report(out)["nonzero_residuals"] == residuals
 
 
 def test_vortex_transform_check_pipeline(tmp_path):
@@ -689,6 +733,11 @@ def _flux_file(tmp_path, profiles):
     return _file(tmp_path, "problem.flux", f"r0 = 0.5\nr1 = 1.5\nzu0 = -0.5\nzu1 = 0.5\nnr = 9\nnzu = 9\n{profiles}\n")
 
 
+def _domain_flux_file(tmp_path, name, domain):
+    """A 9^2 flux file of boundary r on ``domain``, its r0, r1, zu0, zu1 lines."""
+    return _file(tmp_path, name, f"{domain}\nnr = 9\nnzu = 9\nboundary = r\n")
+
+
 def _state(tmp_path, grid=9, rows=None):
     _, out = run(tmp_path, "vortex", "vortex", "--grid", str(grid))
     if rows is not None:
@@ -886,6 +935,10 @@ BAD_INPUTS = {
         "state.csv: holds a non-finite B1 (inf) in data row 5",
     ),
     "--out names an existing file": (_out_is_a_file, "cannot create output directory"),
+    "unknown function named like a numeric function": (
+        lambda tmp: ["lie", "detsys", _file(tmp, "sin.pde", SMALL_PDE.format("unknown sin(x);"))],
+        "sin.pde: unknown function 'sin' collides with a numeric function",
+    ),
     "unknown arguments joined by an operator": (
         lambda tmp: ["lie", "detsys", _file(tmp, "u.pde", SMALL_PDE.format("unknown f(x + 3 u);"))],
         "malformed unknown declaration (line 3, column 1)",
@@ -1148,6 +1201,26 @@ BAD_INPUTS = {
     "pitch length of nan": (
         lambda tmp: ["flux", "solve", _flux_file(tmp, "geometry = helical\nboundary = r\ngamma = nan")],
         "problem.flux: gamma must be finite, got nan",
+    ),
+    # gamma^2 overflows, and spacings whose squares overflow or underflow
+    # give stencil coefficients of inf or 0: each is named, not taken for
+    # an eigenvalue
+    "pitch length whose square overflows": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ngamma = 1e200")],
+        "problem.flux: gamma = 1e+200 is too large: its square is beyond the float range",
+    ),
+    "zu range of 1e-300": (
+        lambda tmp: ["flux", "solve", _domain_flux_file(tmp, "thin.flux", "r0 = 0.5\nr1 = 1.5\nzu0 = 0\nzu1 = 1e-300")],
+        "thin.flux: the grid spacings hr = 0.125 and hz = 1.25e-301 give stencil coefficients that are not finite "
+        "and positive",
+    ),
+    "r1 of 1e300": (
+        lambda tmp: ["flux", "solve", _domain_flux_file(tmp, "wide.flux", "r0 = 0.5\nr1 = 1e300\nzu0 = -0.5\nzu1 = 0.5")],
+        "wide.flux: the grid spacings hr = 1.25e+299 and hz = 0.125 give stencil coefficients",
+    ),
+    "radial range of 1e-300": (
+        lambda tmp: ["flux", "solve", _domain_flux_file(tmp, "tiny.flux", "r0 = 1e-300\nr1 = 2e-300\nzu0 = -0.5\nzu1 = 0.5")],
+        "tiny.flux: the grid spacings hr = 1.25e-301 and hz = 0.125 give stencil coefficients",
     ),
     "solution with an infinite r1": (
         lambda tmp: ["flux", "tocgl", _solution_with(tmp, r1=math.inf), "--tau", "0.1"],

@@ -844,6 +844,40 @@ def test_every_symmetry_of_the_cube_keeps_stability_counts_and_residual_norms(
             assert abs(got[name]["linf"] - norms["linf"]) <= ulps * math.ulp(norms["linf"]), (system, name)
 
 
+@pytest.fixture(scope="module")
+def flux_states():
+    """The README's ``flux tocgl`` states of both bundled solutions (33^2
+    solves) at 17^3: tau = psi/2.6 on the axisymmetric, 0.2 on the helical."""
+    from plasmeq import flux
+
+    out = {}
+    for name, tau in (("axisym", "psi/2.6"), ("helical", 0.2)):
+        text = resources.files("plasmeq.data").joinpath(f"flux_{name}_example.flux").read_text()
+        problem, params = flux.parse_problem_file(text)
+        solution = flux.solve_flux(problem, params["shape"])
+        out[name] = flux.flux_to_cgl(solution, tau, grid=flux.default_cartesian_box(problem, 17))
+    return out
+
+
+@pytest.mark.parametrize("name", ["axisym", "helical"])
+@pytest.mark.parametrize("signs", [signs for perm, signs in CUBE_SYMMETRIES if perm == (0, 1, 2)], ids=str)
+def test_every_mirror_keeps_the_stability_counts_and_residual_norms_of_flux_states(flux_states, name, signs):
+    # the default box is not a cube, so only the eight sign flips apply; on
+    # the whole interior each flip negates each central difference exactly
+    src = flux_states[name]
+    assert src.grid.counts == (17, 17, 17)
+    img = _cube_image(src, (0, 1, 2), signs)
+    want, got = stability_report(src), stability_report(img)
+    assert got.counts == want.counts and got.margins == want.margins
+    for system in ("mhd", "cgl", "alt"):
+        want, got = residual_norms(src, system), residual_norms(img, system)
+        assert got.keys() == want.keys()
+        for residual, norms in want.items():
+            # the L2 sums the squares in another order: one ulp at most
+            assert got[residual]["linf"] == norms["linf"], (system, residual)
+            assert abs(got[residual]["l2"] - norms["l2"]) <= math.ulp(norms["l2"]), (system, residual)
+
+
 def test_compiled_cgl_div_b_and_tau_advection_are_the_numpy_stencils_bit_for_bit(transformed_pair):
     for state in transformed_pair.values():
         res = residual_fields(state, "cgl")

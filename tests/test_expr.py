@@ -14,6 +14,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from plasmeq.expr import (
+    _DERIVATIVES,
     NUMERIC_FUNCTIONS,
     CollectError,
     Context,
@@ -810,22 +811,14 @@ def test_the_derivative_table_covers_the_numeric_functions():
 def test_each_numeric_function_has_its_exact_derivative(f, df):
     ctx = Context(independents=["u", "v"])
     u = ctx.symbol("u")
-    assert ctx.parse(f).gradient([u], exact=True)[u] == ctx.parse(df)
+    assert ctx.parse(f).gradient([u])[u] == ctx.parse(df)
     # the chain rule through the argument: d f(1 + u^2 v) = 2 u v f'(1 + u^2 v),
     # on an argument of two terms, which a reciprocal keeps whole
-    chained = ctx.parse(f.replace("u", "(1 + u^2*v)")).gradient([u], exact=True)[u]
+    chained = ctx.parse(f.replace("u", "(1 + u^2*v)")).gradient([u])[u]
     assert chained == ctx.parse(f"2*u*v*({df.replace('u', '(1 + u^2*v)')})")
-    # without ``exact``, as lie differentiates, the application stays opaque;
-    # inv of one atom is that atom's power -1, which the power rule takes,
-    # and only inv of an argument of several terms is an application
-    head = f.split("(")[0]
-    if head == "inv":
-        assert ctx.parse(f).gradient([u])[u] == ctx.parse(df)
-        arg = ctx.parse("1 + u^2*v")
-        assert FnAtom("inv", (arg,)).bump(0) in ctx.parse("inv(1 + u^2*v)").gradient([u])[u].atoms()
-    else:
-        (tagged,) = ctx.parse(f).gradient([u])[u].atoms()
-        assert tagged == FnAtom(head, (ctx.var("u"),)).bump(0)
+    # the total derivative, as lie takes it, uses the same table: D_x f(u) = f'(u) u_x
+    jet = Context(["x"], ["u"])
+    assert total_derivative(jet, jet.parse(f), "x") == jet.parse(f"({df})*diff(u,x)")
 
 
 def _inv_form(e):
@@ -853,10 +846,10 @@ def _inv_form(e):
 def test_the_power_rule_on_a_reciprocal_evaluates_as_the_inv_rule(atom, k, at):
     ctx = Context(independents=["x"])
     x = ctx.symbol("x")
-    got = ctx.parse(f"({atom})^-{k}").gradient([x], exact=True)[x]
+    got = ctx.parse(f"({atom})^-{k}").gradient([x])[x]
     # the inv rule: d inv(a)^k = -k inv(a)^(k + 1) a', inv(a) evaluated as 1/a
     a = ctx.parse(atom)
-    want = Expr.number(-k) * Expr.from_atom(FnAtom("inv", (a,)), k + 1) * _inv_form(a.gradient([x], exact=True)[x])
+    want = Expr.number(-k) * Expr.from_atom(FnAtom("inv", (a,)), k + 1) * _inv_form(a.gradient([x])[x])
     assert _inv_form(got) == want
     # the same factors, in another order at most: one rounding apart
     got, want = got.evaluate({"x": at}), want.evaluate({"x": at})
@@ -915,7 +908,7 @@ def test_the_antiderivative_of_a_polynomial_differentiates_back_to_it(terms):
             mono = mono * atom**k
         p = p + mono
     integral = p.antiderivative(psi)
-    assert integral.gradient([psi], exact=True)[psi] == p
+    assert integral.gradient([psi])[psi] == p
     assert integral.substitute_atoms(lambda a: Expr.number(0) if a is psi else None).is_zero
 
 
@@ -931,11 +924,12 @@ def test_the_antiderivative_refuses_a_function_of_the_variable():
 # -- gradient -------------------------------------------------------------------
 
 _gctx = Context(["x", "y"], ["u"], ["c"])
-# an opaque atom whose argument mentions wanted symbols, and two of its derivatives
-_gsin = FnAtom("sin", (_gctx.parse("x + c*u"),))
+# an unknown function's atom whose argument mentions wanted symbols, and two
+# of its derivatives
+_gg = FnAtom("g", (_gctx.parse("x + c*u"),))
 _gatoms = [
     Expr.from_atom(a)
-    for a in (_gctx.symbol("x"), _gctx.symbol("u"), _gctx.jet("u", "x"), _gsin, _gsin.bump(0), _gsin.bump(0).bump(0))
+    for a in (_gctx.symbol("x"), _gctx.symbol("u"), _gctx.jet("u", "x"), _gg, _gg.bump(0), _gg.bump(0).bump(0))
 ]
 _gwanted = (*_gctx.independents, *_gctx.dependents, _gctx.jet("u", "x"), _gctx.jet("u", "y"), *_gctx.parameters)
 
@@ -952,7 +946,7 @@ def _term_lists(n_atoms):
 
 
 _gterms = _term_lists(len(_gatoms))
-# d/dx of the second term gives -2*sin'(.)*sin''(.)^2, that of the fourth
+# d/dx of the second term gives -2*g'(.)*g''(.)^2, that of the fourth
 # cancels it, and that of the sixth brings it back
 _CANCELLING = [
     (2, (1, 0, 0, 1, 0, 0)),
@@ -992,10 +986,14 @@ def _ref_derive(e, atom_rule):
 
 
 def _ref_chain_rule(atom, dargs):
+    """Each slot's outer derivative, a numeric function's table entry or an
+    unknown function's tagged atom, times that argument's derivative."""
+    table = _DERIVATIVES.get(atom.head)
     out = Expr.number(0)
     for slot, darg in enumerate(dargs):
         if not darg.is_zero:
-            out = out + Expr.from_atom(atom.bump(slot)) * darg
+            outer = table(atom.args[slot]) if table else Expr.from_atom(atom.bump(slot))
+            out = out + outer * darg
     return out
 
 
@@ -1042,7 +1040,7 @@ def test_gradient_is_each_pdiff_in_value_and_term_order(terms):
 def test_a_monomial_that_cancels_mid_walk_comes_back_at_the_end():
     e = _gbuild(_CANCELLING)
     x = _gctx.symbol("x")
-    back = (_gsin.bump(0), 1), (_gsin.bump(0).bump(0), 2)
+    back = (_gg.bump(0), 1), (_gg.bump(0).bump(0), 2)
     # summed with cancelled monomials kept in place, it would come third of
     # twelve; the walk drops it and appends it again
     order = list(e.gradient([x])[x]._terms)
@@ -1053,19 +1051,19 @@ def test_a_monomial_that_cancels_mid_walk_comes_back_at_the_end():
 # -- total derivative ---------------------------------------------------------------
 
 _tctx = Context(["x", "y"], ["u", "v"], ["c"], {"f": ("x", "u")})
-# the first six slots follow _gatoms, with sin(x + c*u) and two of its
+# the first six slots follow _gatoms, with g(x + c*u) and two of its
 # derivatives; then a second independent, a parameter, an unknown function
 # and one of its derivatives, and a nested sin
-_tsin = FnAtom("sin", (_tctx.parse("x + c*u"),))
+_tg = FnAtom("g", (_tctx.parse("x + c*u"),))
 _tatoms = [
     Expr.from_atom(a)
     for a in (
         _tctx.symbol("x"),
         _tctx.symbol("u"),
         _tctx.jet("v", "x"),
-        _tsin,
-        _tsin.bump(0),
-        _tsin.bump(0).bump(0),
+        _tg,
+        _tg.bump(0),
+        _tg.bump(0).bump(0),
         _tctx.symbol("y"),
         _tctx.symbol("c"),
         _tctx.unknown_atom("f"),
@@ -1074,7 +1072,7 @@ _tatoms = [
     )
 ]
 _tterms = _term_lists(len(_tatoms))
-# D_x multiplies the derivative of each sin atom by 1 + c*u_x, so the terms
+# D_x multiplies the derivative of each g atom by 1 + c*u_x, so the terms
 # of _CANCELLING cancel and bring back a monomial of D_x as they do one of d/dx
 _TOTAL_CANCELLING = [(q, exps + (0,) * 5) for q, exps in _CANCELLING]
 

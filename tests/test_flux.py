@@ -51,6 +51,9 @@ def test_problem_validation():
     for gamma in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=f"^gamma must be finite, got {gamma}$"):
             FluxProblem(boundary="0.25*r^4", J="psi", dN=-2, gamma=gamma, **DOMAIN)
+    # finite, but its square, which the stencil and q take, is not
+    with pytest.raises(ValueError, match=r"^gamma = 1e\+160 is too large: its square is beyond the float range$"):
+        FluxProblem(boundary="0.25*r^4", J="psi", dN=-2, gamma=1e160, **DOMAIN)
     domain = "r0 = 0.5\nr1 = 1.0\nzu0 = -1\nzu1 = 1\nboundary = 0\n"
     with pytest.raises(ValueError, match="geometry"):
         parse_problem_file(domain + "geometry = spherical")

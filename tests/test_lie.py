@@ -11,7 +11,6 @@ from plasmeq.lie import (
     PdeSystem,
     build_determining_system,
     parse_generator,
-    prolong_coefficients,
     verify_generator,
 )
 from plasmeq.systems import (
@@ -21,6 +20,7 @@ from plasmeq.systems import (
     pressure_anisotropy_scaling,
 )
 from plasmeq.lie import CandidateGenerator
+from reference import prolong_coefficients
 
 # bundled PDE file -> the name ``load_system`` gives it
 _BUNDLED_PDE = {"mhd_static.pde": "mhd", "cgl_static.pde": "cgl", "cgl_static_closed.pde": "cgl_closed"}
@@ -270,6 +270,27 @@ def test_line_function_family_is_not_a_symmetry_of_open_cgl():
     assert _all_zero(verify_generator(system, line_function_generator(system, "1")))
     residuals = verify_generator(system, line_function_generator(system, "tau"))
     assert sum(not r.is_zero for r in residuals) == 12
+
+
+# line functions F(tau, pperp + tau*B^2/2) that hold numeric functions: the
+# symmetry analysis differentiates them by the kernel's table
+TRANSCENDENTAL_LINE_FUNCTIONS = [
+    "exp(tau)",
+    "log(2 - tau)",
+    "sin(tau)*sqrt(1 + tau^2)",
+    "exp(pperp + tau*(B1^2 + B2^2 + B3^2)/2)",
+]
+
+
+@pytest.mark.parametrize("multiplier", TRANSCENDENTAL_LINE_FUNCTIONS)
+def test_transcendental_line_functions_verify_and_print_in_the_grammar(cgl_closed, multiplier):
+    assert _all_zero(verify_generator(cgl_closed, line_function_generator(cgl_closed, multiplier)))
+    # on open cgl each leaves 12 residuals, as F = tau does, each in the grammar
+    system = load_system("cgl")
+    nonzero = [r for r in verify_generator(system, line_function_generator(system, multiplier)) if not r.is_zero]
+    assert len(nonzero) == 12
+    for r in nonzero:
+        assert system.context.parse(pretty(r)) == r
 
 
 def test_anisotropy_scaling_also_verifies_on_closed_system(cgl_closed):
