@@ -184,7 +184,7 @@ def _kept(old, new) -> tuple:
     """The fields ``new``, with the one of ``old`` wherever ``new`` holds None."""
     return tuple(o if n is None else n for o, n in zip(old, new))
 
-def _map_state(state: CGLState, fn: Callable, pullback: Callable | None = None) -> CGLState:
+def _map_state(state: CGLState, fn: Callable, pullback: Callable | None = None, axes: list | None = None) -> CGLState:
     """``state`` mapped in x-slab blocks by ``fn``, a nodewise map of
     (B, p_perp, tau, psi) that returns None for each field it keeps.
 
@@ -192,7 +192,9 @@ def _map_state(state: CGLState, fn: Callable, pullback: Callable | None = None) 
     shared, and ``fn`` after the source's evaluator is the result's.  With
     one, each node takes the fields at ``pullback(x, y, z)`` from the
     source's evaluator, else by trilinear interpolation (flagged lossy);
-    the result has no evaluator.
+    the result has no evaluator.  ``axes``, given when the pullback maps
+    each axis on its own, are its values on the grid's three axes: the
+    interpolation then runs one axis at a time (``_axis_trilinear``).
     """
     grid, source = state.grid, state.evaluators
     fields = (state.B.values, state.p_perp.values, state.tau.values, state.psi.values)
@@ -214,6 +216,13 @@ def _map_state(state: CGLState, fn: Callable, pullback: Callable | None = None) 
 
         def at_nodes(_block, *xyz):
             return fn(*source.evaluate(*pullback(*xyz)))
+
+    elif axes is not None:
+        meta["resampling"] = "trilinear (lossy)"
+        at_block = _axis_trilinear(grid, fields, axes)
+
+        def at_nodes(block, *_xyz):
+            return fn(*at_block(block))
 
     else:
         meta["resampling"] = "trilinear (lossy)"
@@ -524,24 +533,39 @@ def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
 # ---------------------------------------------------------------------------
 
 
-def _trilinear(grid: Grid3, Xs: np.ndarray, Ys: np.ndarray, Zs: np.ndarray) -> Callable:
-    """Trilinear interpolation from ``grid`` to the given points, with the
-    cell search and the fractions computed once for every field.
-
-    Cells are clamped to the grid and the fractions are not, so points
-    outside the grid extrapolate linearly from the nearest cell.
-    """
+def _cells(grid: Grid3, coords) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The cells and the fractions of the points ``coords`` (one array per
+    axis) in ``grid``.  Cells are clamped to the grid and the fractions are
+    not, so points outside the grid extrapolate linearly from the nearest
+    cell."""
     if min(grid.counts) < 2:
         raise ValueError("trilinear resampling needs at least 2 nodes along every axis")
+    if not all(np.isfinite(c).all() for c in coords):
+        raise ValueError("trilinear resampling needs finite points: the move takes some beyond the float range")
     cells, fracs = [], []
-    for coords, origin, h, n in zip((Xs, Ys, Zs), grid.origin, grid.spacing, grid.counts):
-        u = (coords - origin) / h
+    for c, origin, h, n in zip(coords, grid.origin, grid.spacing, grid.counts):
+        u = (c - origin) / h
         cell = np.clip(np.floor(u), 0, n - 2)
         fracs.append(u - cell)
         cells.append(cell.astype(np.intp))
+    return cells, fracs
+
+
+def _lerp(a, b, f, out=None):
+    """a + f (b - a), computed in ``out``, else in the fresh array b."""
+    out = np.subtract(b, a, out=b if out is None else out)
+    out *= f
+    out += a
+    return out
+
+
+def _trilinear(grid: Grid3, Xs: np.ndarray, Ys: np.ndarray, Zs: np.ndarray) -> Callable:
+    """Trilinear interpolation from ``grid`` to the given points, with the
+    cell search (``_cells``) and the fractions computed once for every
+    field: along z, then y, then x."""
+    cells, (fx, fy, fz) = _cells(grid, (Xs, Ys, Zs))
     _nx, ny, nz = grid.counts
     base = (cells[0] * ny + cells[1]) * nz + cells[2]
-    fx, fy, fz = fracs
 
     def interp(values: np.ndarray) -> np.ndarray:
         flat = values.reshape(-1)
@@ -549,20 +573,59 @@ def _trilinear(grid: Grid3, Xs: np.ndarray, Ys: np.ndarray, Zs: np.ndarray) -> C
         def corner(i, j, k):
             return np.take(flat[(i * ny + j) * nz + k :], base)
 
-        def lerp(a, b, f):
-            # a + f (b - a), computed in the fresh array b
-            b -= a
-            b *= f
-            b += a
-            return b
-
-        return lerp(
-            lerp(lerp(corner(0, 0, 0), corner(0, 0, 1), fz), lerp(corner(0, 1, 0), corner(0, 1, 1), fz), fy),
-            lerp(lerp(corner(1, 0, 0), corner(1, 0, 1), fz), lerp(corner(1, 1, 0), corner(1, 1, 1), fz), fy),
+        return _lerp(
+            _lerp(_lerp(corner(0, 0, 0), corner(0, 0, 1), fz), _lerp(corner(0, 1, 0), corner(0, 1, 1), fz), fy),
+            _lerp(_lerp(corner(1, 0, 0), corner(1, 0, 1), fz), _lerp(corner(1, 1, 0), corner(1, 1, 1), fz), fy),
             fx,
         )
 
     return interp
+
+
+def _axis_trilinear(grid: Grid3, fields, axes) -> Callable:
+    """Trilinear interpolation of ``fields`` (node arrays on ``grid``, any
+    components leading) to the points ``axes[0] x axes[1] x axes[2]``, the
+    pullback of a move that maps each axis on its own.
+
+    Each component of each source x-slab is lerped along z and then y once,
+    when an output slab first needs it, and each output x-slab along x from
+    the two source slabs of its cell; only those two are kept.  Every node
+    takes ``_trilinear``'s arithmetic in its order, so the values are
+    bit-identical to it.  Returns ``at(block)``: each field on the output
+    x-slabs ``block`` (a slice).
+    """
+    (cx, cy, cz), (fx, fy, fz) = _cells(grid, axes)
+    nx, ny, nz = grid.counts
+    # the fractions at every node of a slab: numpy multiplies two contiguous
+    # arrays of one shape faster than it broadcasts a row or a column
+    fy, fz = (np.ascontiguousarray(np.broadcast_to(f, (ny, nz))) for f in (fy[:, None], fz))
+
+    def components(arrays):
+        # 2-D slabs of one component gather faster than a (3, ny, nz) slab of B
+        return [c for v in arrays for c in (v if v.ndim == 4 else (v,))]
+
+    sources = components(fields)
+    reduced: dict[int, list[np.ndarray]] = {}
+
+    def source(i: int) -> list[np.ndarray]:
+        if i not in reduced:
+            zs = (_lerp(np.take(v[i], cz, 1), np.take(v[i], cz + 1, 1), fz) for v in sources)
+            reduced[i] = [_lerp(np.take(z, cy, 0), np.take(z, cy + 1, 0), fy) for z in zs]
+        return reduced[i]
+
+    def at(block: slice) -> list[np.ndarray]:
+        rows = range(*block.indices(nx))
+        outs = [np.empty((*v.shape[:-3], len(rows), ny, nz)) for v in fields]
+        targets = components(outs)
+        for row, i in enumerate(rows):
+            c = int(cx[i])
+            for stale in reduced.keys() - {c, c + 1}:
+                del reduced[stale]
+            for out, a, b in zip(targets, source(c), source(c + 1)):
+                _lerp(a, b, fx[i], out=out[row])
+        return outs
+
+    return at
 
 
 def _euler_zxz(phi: float, theta: float, psi_angle: float) -> np.ndarray:
@@ -579,7 +642,8 @@ def _affine_state(state: CGLState, rot: np.ndarray, t: float, K, s: float, pf: f
     """The finite form shared by every translation, rotation and scaling:
     x' = t rot x + K, B' = s rot B, p_perp' = pf p_perp + shift, with tau
     and psi carried along, each node pulled back to rot^T (x' - K)/t (rot
-    is orthogonal) by ``_map_state``.
+    is orthogonal) by ``_map_state``; a diagonal rot pulls each axis back
+    on its own.
     """
 
     def pullback(x, y, z):
@@ -590,7 +654,13 @@ def _affine_state(state: CGLState, rot: np.ndarray, t: float, K, s: float, pf: f
     def affine(b, pperp, tau, psi):
         return np.einsum("rc,c...->r...", s * rot, b), pf * np.asarray(pperp, dtype=float) + shift, tau, psi
 
-    return _map_state(state, affine, pullback)
+    axes = None
+    if np.array_equal(rot, np.diag(np.diag(rot))):
+        # each axis is pulled back on its own: the sum above adds only zero
+        # terms, which can flip the sign of a zero coordinate but leave
+        # every cell and every fraction as it is
+        axes = [rot[r, r] * ((a - k) / t) for r, (a, k) in enumerate(zip(state.grid.axes(), K))]
+    return _map_state(state, affine, pullback, axes)
 
 
 def _require_finite_parameters(**parameters) -> None:

@@ -130,6 +130,10 @@ class FluxProblem:
         a, b = self.zu_range
         if not a < b:
             raise ValueError("empty zu range")
+        try:
+            self.gamma = float(self.gamma)
+        except OverflowError:
+            raise ValueError("gamma is too large: it is beyond the float range") from None
         if not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma}")
         if not math.isfinite(self.gamma * self.gamma):

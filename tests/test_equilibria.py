@@ -1147,6 +1147,16 @@ def test_trilinear_path_needs_two_nodes_per_axis():
         translate_state(state, K=(0.0, 0.5, 0.0))
 
 
+@pytest.mark.parametrize("rot", [np.eye(3), equilibria._euler_zxz(*EULER)], ids=["axis-aligned", "rotated"])
+def test_trilinear_path_refuses_points_beyond_the_float_range(rot):
+    # x/t overflows for t = 1e-310: without the check the one-axis path
+    # gave inf and NaN fields, and the eight-corner path an IndexError
+    state = _sampled_only_state(TRILINEAR_GRID, lambda X, Y, Z, c: X + Y + c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^trilinear resampling needs finite points"):
+            equilibria._affine_state(state, rot, 1e-310, (0.0, 0.0, 0.0), 1.0, 1.0, 0.0)
+
+
 # move -> (the transform with one non-finite parameter, the error's text)
 NON_FINITE_MOVES = {
     "translate K": (lambda state: translate_state(state, (math.nan, 0.0, 0.0)), "K must be finite, got (nan, 0.0, 0.0)"),
@@ -1329,13 +1339,11 @@ def test_rotation_at_65_holds_little_beyond_its_result(params, kind):
     assert peak < 1.3 * result_bytes
 
 
-def test_translation_at_65_holds_little_beyond_its_result(params):
-    # a trilinear move holds one block's pullback and gathers at a time,
-    # within the rotation's bound
+def _trilinear_move_at_65_holds_little_beyond_its_result(params, move):
     src = _blocked_source("trilinear", (65, 65, 65), params, None)
     tracemalloc.start()
     try:
-        out = translate_state(src, (0.03, -0.02, 0.01))
+        out = move(src)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1343,6 +1351,109 @@ def test_translation_at_65_holds_little_beyond_its_result(params):
     result_bytes = sum(f.values.base.nbytes for f in (out.B, out.p_perp, out.tau, out.psi))
     assert result_bytes == 6 * 65**3 * 8
     assert peak < 1.3 * result_bytes
+
+
+def test_translation_at_65_holds_little_beyond_its_result(params):
+    # an axis-aligned trilinear move holds two reduced source slabs per
+    # field and one block at a time, within the rotation's bound
+    _trilinear_move_at_65_holds_little_beyond_its_result(params, lambda st: translate_state(st, (0.03, -0.02, 0.01)))
+
+
+def test_scaling_at_65_holds_little_beyond_its_result(params):
+    _trilinear_move_at_65_holds_little_beyond_its_result(params, lambda st: scale_state(st, 1.3, 0.7))
+
+
+def _lopsided(X, Y, Z):
+    """Smooth fields with no symmetry of the cube: (B, p_perp, tau, psi)."""
+    b = np.stack([np.sin(X + 2.0 * Y) + Z, np.cos(Y - 0.5 * Z) * X, np.exp(0.3 * X) * Y + Z * Z])
+    return b, 2.0 + X + 0.5 * Y * Z, 0.1 * np.tanh(X - Y + 0.2 * Z), X * Y + Z
+
+
+def _lopsided_sampled(grid):
+    """``_lopsided`` sampled on ``grid``, without its evaluator."""
+    state = sample_state(StateEvaluators(_lopsided), grid, {})
+    return CGLState(state.B, state.p_perp, state.tau, state.psi, {}, None)
+
+
+# axis-aligned moves -> (the transform, its finite form (rot, t, K, s, pf, shift))
+AXIS_MOVES = {
+    # cells run backwards along every axis
+    "scale t = -1.3": (lambda st: scale_state(st, -1.3, 0.7), (np.eye(3), -1.3, (0.0, 0.0, 0.0), 0.7, 0.7**2, 0.0)),
+    # several output slabs share one source slab; source slabs are skipped
+    "scale t = 2.5": (lambda st: scale_state(st, 2.5, 1.1), (np.eye(3), 2.5, (0.0, 0.0, 0.0), 1.1, 1.1**2, 0.0)),
+    "scale t = 0.4": (lambda st: scale_state(st, 0.4, 0.9), (np.eye(3), 0.4, (0.0, 0.0, 0.0), 0.9, 0.9**2, 0.0)),
+    # more than three cells along each axis: clamped cells, extrapolated values
+    "translate past the grid": (
+        lambda st: translate_state(st, (0.35, -0.2, 0.23), 0.4),
+        (np.eye(3), 1.0, (0.35, -0.2, 0.23), 1.0, 1.0, 0.4),
+    ),
+    "identity rotation": (
+        lambda st: rotate_state(st, 0.0, 0.0, 0.0),
+        (equilibria._euler_zxz(0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 0.0), 1.0, 1.0, 0.0),
+    ),
+}
+
+AXIS_GRIDS = {
+    "21x25x13": TRILINEAR_GRID,
+    "21x2x13": Grid3((-1.0, -0.3, -0.45), (0.1, 0.6, 0.075), (21, 2, 13)),
+}
+
+
+@pytest.mark.parametrize("slabs", [None, 2], ids=["default block", "2 slabs"])
+@pytest.mark.parametrize("grid_name", AXIS_GRIDS)
+@pytest.mark.parametrize("move", AXIS_MOVES)
+def test_axis_aligned_moves_are_bit_identical_to_the_whole_grid_trilinear(monkeypatch, move, grid_name, slabs):
+    # the one-axis-at-a-time path against _trilinear on the full pullback;
+    # it never builds the pullback, so _trilinear is not called
+    grid = AXIS_GRIDS[grid_name]
+    src = _lopsided_sampled(grid)
+    _set_block(monkeypatch, grid.counts, slabs)
+    transform, finite_form = AXIS_MOVES[move]
+    with mock.patch.object(equilibria, "_trilinear", side_effect=AssertionError("eight-corner path")):
+        out = transform(src)
+    want = _whole_grid_affine(src, *finite_form)
+    assert out.meta["resampling"] == "trilinear (lossy)"
+    got = (out.B.values, out.p_perp.values, out.p_par.values, out.tau.values, out.psi.values)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_rotations_of_a_sampled_state_keep_the_eight_corner_path():
+    src = _lopsided_sampled(TRILINEAR_GRID)
+    with mock.patch.object(equilibria, "_trilinear", wraps=equilibria._trilinear) as trilinear:
+        rotate_state(src, *EULER)
+    # the default block holds the whole 21x25x13 grid
+    assert trilinear.call_count == 1
+
+
+# quarter turns about z and about x: the Euler angles, and the node arrays
+# of the turned state as an index map of the source's (components kept);
+# x' = R x with R = _euler_zxz(...) pulls each node back to R^T x'
+QUARTER_TURNS = {
+    "about z": ((math.pi / 2, 0.0, 0.0), lambda a: np.swapaxes(a[..., ::-1, :, :], -3, -2)),
+    "about x": ((0.0, math.pi / 2, 0.0), lambda a: np.swapaxes(a[..., :, ::-1, :], -2, -1)),
+}
+
+
+@pytest.mark.parametrize("sampled_only", [False, True], ids=["analytic", "sampled only"])
+@pytest.mark.parametrize("turn", QUARTER_TURNS)
+def test_quarter_turns_are_node_permutations(turn, sampled_only):
+    # pins the z-x-z convention of _euler_zxz: a quarter turn of a centred
+    # cube maps nodes to nodes, so the turned state is the source's node
+    # arrays permuted and flipped, with B turned by the same matrix
+    grid = Grid3.cube(-1.2, 1.2, 17)
+    src = sample_state(StateEvaluators(_lopsided), grid, {})
+    if sampled_only:
+        src = CGLState(src.B, src.p_perp, src.tau, src.psi, {}, None)
+    angles, permute = QUARTER_TURNS[turn]
+    out = rotate_state(src, *angles)
+    rot = equilibria._euler_zxz(*angles)
+    want_b = np.einsum("rc,c...->r...", rot, permute(src.B.values))
+    pairs = [(out.B.values, want_b)] + [
+        (getattr(out, name).values, permute(getattr(src, name).values)) for name in ("p_perp", "tau", "psi")
+    ]
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _whole_grid_field_line(state, spec):

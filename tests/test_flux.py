@@ -54,6 +54,13 @@ def test_problem_validation():
     # finite, but its square, which the stencil and q take, is not
     with pytest.raises(ValueError, match=r"^gamma = 1e\+160 is too large: its square is beyond the float range$"):
         FluxProblem(boundary="0.25*r^4", J="psi", dN=-2, gamma=1e160, **DOMAIN)
+    # an integer gamma is taken as its float: one whose square is beyond the
+    # range, and one that is beyond it itself, are refused by name
+    with pytest.raises(ValueError, match=r"^gamma = 1e\+200 is too large: its square is beyond the float range$"):
+        FluxProblem(boundary="r", gamma=10**200, **DOMAIN)
+    with pytest.raises(ValueError, match=r"^gamma is too large: it is beyond the float range$"):
+        FluxProblem(boundary="r", gamma=10**400, **DOMAIN)
+    assert FluxProblem(boundary="r", gamma=2, **DOMAIN).gamma == 2.0
     domain = "r0 = 0.5\nr1 = 1.0\nzu0 = -1\nzu1 = 1\nboundary = 0\n"
     with pytest.raises(ValueError, match="geometry"):
         parse_problem_file(domain + "geometry = spherical")
