@@ -184,23 +184,21 @@ def _kept(old, new) -> tuple:
     """The fields ``new``, with the one of ``old`` wherever ``new`` holds None."""
     return tuple(o if n is None else n for o, n in zip(old, new))
 
-def _map_state(state: CGLState, fn: Callable, pullback: Callable | None = None, axes: list | None = None) -> CGLState:
-    """``state`` mapped in x-slab blocks by ``fn``, a nodewise map of
-    (B, p_perp, tau, psi) that returns None for each field it keeps.
 
-    Without ``pullback``, ``fn`` runs on the node arrays, kept fields stay
-    shared, and ``fn`` after the source's evaluator is the result's.  With
-    one, each node takes the fields at ``pullback(x, y, z)`` from the
-    source's evaluator, else by trilinear interpolation (flagged lossy);
-    the result has no evaluator.  ``axes``, given when the pullback maps
-    each axis on its own, are its values on the grid's three axes: the
-    interpolation then runs one axis at a time (``_axis_trilinear``).
+def _map_state(state: CGLState, fn: Callable | Move) -> CGLState:
+    """``state`` mapped in x-slab blocks by ``fn``: a nodewise map of
+    (B, p_perp, tau, psi) that returns None for each field it keeps, run on
+    the node arrays (kept fields stay shared, and ``fn`` after the source's
+    evaluator is the result's), or a ``Move``, whose field map takes each
+    node's fields at its pullback from the source's evaluator, else by
+    trilinear interpolation (flagged lossy; one axis at a time by
+    ``_axis_trilinear`` for a diagonal rot), and leaves no evaluator.
     """
     grid, source = state.grid, state.evaluators
     fields = (state.B.values, state.p_perp.values, state.tau.values, state.psi.values)
     meta = dict(state.meta)
     evaluators = None
-    if pullback is None:
+    if not isinstance(fn, Move):
 
         def at_nodes(block, *_xyz):
             return fn(*(v[..., block, :, :] for v in fields))
@@ -215,22 +213,21 @@ def _map_state(state: CGLState, fn: Callable, pullback: Callable | None = None, 
     elif source is not None:
 
         def at_nodes(_block, *xyz):
-            return fn(*source.evaluate(*pullback(*xyz)))
+            return fn.field_map(*source.evaluate(*fn.pullback(*xyz)))
 
-    elif axes is not None:
+    elif (axes := fn.axis_pullback(grid)) is not None:
         meta["resampling"] = "trilinear (lossy)"
         at_block = _axis_trilinear(grid, fields, axes)
 
         def at_nodes(block, *_xyz):
-            return fn(*at_block(block))
+            return fn.field_map(*at_block(block))
 
     else:
         meta["resampling"] = "trilinear (lossy)"
 
         def at_nodes(_block, *xyz):
-            interp = _trilinear(grid, *pullback(*xyz))
-            b, *scalars = fields
-            return fn(np.stack([interp(c) for c in b]), *map(interp, scalars))
+            interp = _trilinear(grid, *fn.pullback(*xyz))
+            return fn.field_map(np.stack([interp(c) for c in fields[0]]), *map(interp, fields[1:]))
 
     return _state(grid, _kept(fields, _evaluate_in_blocks(grid, at_nodes)), meta, evaluators)
 
@@ -638,29 +635,36 @@ def _euler_zxz(phi: float, theta: float, psi_angle: float) -> np.ndarray:
     return m1 @ m2 @ m3
 
 
-def _affine_state(state: CGLState, rot: np.ndarray, t: float, K, s: float, pf: float, shift: float) -> CGLState:
-    """The finite form shared by every translation, rotation and scaling:
-    x' = t rot x + K, B' = s rot B, p_perp' = pf p_perp + shift, with tau
-    and psi carried along, each node pulled back to rot^T (x' - K)/t (rot
-    is orthogonal) by ``_map_state``; a diagonal rot pulls each axis back
-    on its own.
-    """
+@dataclass(frozen=True, eq=False)
+class Move:
+    """A translation, rotation or scaling: x' = t rot x + K (rot orthogonal),
+    B' = s rot B and p_perp' = pf p_perp + shift, tau and psi carried along."""
 
-    def pullback(x, y, z):
-        # on the open mesh of a block's axes; only the last sum is full-size
-        x, y, z = ((a - k) / t for a, k in zip((x, y, z), K))
-        return (rot[0, r] * x + rot[1, r] * y + rot[2, r] * z for r in range(3))
+    rot: np.ndarray = field(default_factory=lambda: np.eye(3))
+    t: float = 1.0
+    K: tuple = (0.0, 0.0, 0.0)
+    s: float = 1.0
+    pf: float = 1.0
+    shift: float = 0.0
 
-    def affine(b, pperp, tau, psi):
-        return np.einsum("rc,c...->r...", s * rot, b), pf * np.asarray(pperp, dtype=float) + shift, tau, psi
+    def __post_init__(self):
+        if np.shape(self.K) != (3,):
+            raise ValueError(f"K must be three numbers, got {self.K}")
 
-    axes = None
-    if np.array_equal(rot, np.diag(np.diag(rot))):
-        # each axis is pulled back on its own: the sum above adds only zero
-        # terms, which can flip the sign of a zero coordinate but leave
-        # every cell and every fraction as it is
-        axes = [rot[r, r] * ((a - k) / t) for r, (a, k) in enumerate(zip(state.grid.axes(), K))]
-    return _map_state(state, affine, pullback, axes)
+    def pullback(self, x, y, z):
+        """rot^T (x' - K)/t on the open mesh of a block's axes; only the last sum is full-size."""
+        x, y, z = ((a - k) / self.t for a, k in zip((x, y, z), self.K))
+        return (self.rot[0, r] * x + self.rot[1, r] * y + self.rot[2, r] * z for r in range(3))
+
+    def field_map(self, b, pperp, tau, psi):
+        return np.einsum("rc,c...->r...", self.s * self.rot, b), self.pf * np.asarray(pperp, dtype=float) + self.shift, tau, psi
+
+    def axis_pullback(self, grid: Grid3) -> list | None:
+        """The pullback on each axis of ``grid`` if rot is diagonal, else None:
+        its sum adds zero terms, which can flip a zero's sign but no cell or fraction."""
+        if not np.array_equal(self.rot, np.diag(np.diag(self.rot))):
+            return None
+        return [self.rot[r, r] * ((a - k) / self.t) for r, (a, k) in enumerate(zip(grid.axes(), self.K))]
 
 
 def _require_finite_parameters(**parameters) -> None:
@@ -675,13 +679,13 @@ def _require_finite_parameters(**parameters) -> None:
 def translate_state(state: CGLState, K: tuple[float, float, float] = (0.0, 0.0, 0.0), k4: float = 0.0) -> CGLState:
     """x' = x + K with the perpendicular pressure shifted by k4."""
     _require_finite_parameters(K=K, k4=k4)
-    return _affine_state(state, np.eye(3), 1.0, K, 1.0, 1.0, k4)
+    return _map_state(state, Move(K=K, shift=k4))
 
 
 def rotate_state(state: CGLState, phi: float, theta: float, psi_angle: float) -> CGLState:
     """Simultaneous z-x-z rotation of coordinates and field components."""
     _require_finite_parameters(phi=phi, theta=theta, psi_angle=psi_angle)
-    return _affine_state(state, _euler_zxz(phi, theta, psi_angle), 1.0, (0.0, 0.0, 0.0), 1.0, 1.0, 0.0)
+    return _map_state(state, Move(_euler_zxz(phi, theta, psi_angle)))
 
 
 def scale_state(state: CGLState, t: float, s: float, pressure_factor: str = "generator") -> CGLState:
@@ -698,7 +702,7 @@ def scale_state(state: CGLState, t: float, s: float, pressure_factor: str = "gen
         pf = factors[pressure_factor]
     except KeyError:
         raise ValueError("pressure_factor must be 'as-printed' or 'generator'") from None
-    return _affine_state(state, np.eye(3), t, (0.0, 0.0, 0.0), s, pf, 0.0)
+    return _map_state(state, Move(t=t, s=s, pf=pf))
 
 
 def anisotropy_scale_state(state: CGLState, C: float) -> CGLState:

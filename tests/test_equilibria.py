@@ -18,6 +18,7 @@ from plasmeq import equilibria, expr
 from plasmeq import fields as fd
 from plasmeq.equilibria import (
     CGLState,
+    Move,
     StateEvaluators,
     TransformSpec,
     anisotropy_scale_state,
@@ -1154,7 +1155,7 @@ def test_trilinear_path_refuses_points_beyond_the_float_range(rot):
     state = _sampled_only_state(TRILINEAR_GRID, lambda X, Y, Z, c: X + Y + c)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="^trilinear resampling needs finite points"):
-            equilibria._affine_state(state, rot, 1e-310, (0.0, 0.0, 0.0), 1.0, 1.0, 0.0)
+            equilibria._map_state(state, Move(rot, t=1e-310))
 
 
 # move -> (the transform with one non-finite parameter, the error's text)
@@ -1170,12 +1171,9 @@ NON_FINITE_MOVES = {
 }
 
 
-@pytest.mark.parametrize("sampled_only", [False, True], ids=["analytic", "sampled only"])
-@pytest.mark.parametrize("move", NON_FINITE_MOVES)
-def test_point_transforms_refuse_non_finite_parameters_before_evaluating(vortex17, move, sampled_only):
-    # without the check a NaN shift or scale gave B = 0, an infinite one
-    # NaN fields, and a NaN t an IndexError from the trilinear cell search
-    transform, message = NON_FINITE_MOVES[move]
+def _refused_before_evaluating(vortex17, transform, message, sampled_only):
+    """``transform`` of the vortex, with or without its evaluator, raises
+    ``message`` before any block or evaluator call."""
     calls = []
     state = _counting(vortex17, calls)
     if sampled_only:
@@ -1186,13 +1184,31 @@ def test_point_transforms_refuse_non_finite_parameters_before_evaluating(vortex1
     assert calls == []
 
 
+@pytest.mark.parametrize("sampled_only", [False, True], ids=["analytic", "sampled only"])
+@pytest.mark.parametrize("move", NON_FINITE_MOVES)
+def test_point_transforms_refuse_non_finite_parameters_before_evaluating(vortex17, move, sampled_only):
+    # without the check a NaN shift or scale gave B = 0, an infinite one
+    # NaN fields, and a NaN t an IndexError from the trilinear cell search
+    _refused_before_evaluating(vortex17, *NON_FINITE_MOVES[move], sampled_only)
+
+
+@pytest.mark.parametrize("sampled_only", [False, True], ids=["analytic", "sampled only"])
+@pytest.mark.parametrize("K", [(0.1, 0.2, 0.3, 9.0), (0.1, 0.2)], ids=["four numbers", "two numbers"])
+def test_translate_refuses_a_shift_that_is_not_three_numbers(vortex17, K, sampled_only):
+    # without the check zip dropped a fourth entry, and two entries failed
+    # to unpack with a message that named nothing
+    message = f"K must be three numbers, got {K}"
+    _refused_before_evaluating(vortex17, lambda st: translate_state(st, K), message, sampled_only)
+
+
 # -- blocked evaluation ----------------------------------------------------------------
 
 
-def _whole_grid_affine(state, rot, t, K, s, pf, shift):
-    """The finite form of ``_affine_state`` on the whole grid at once: the
-    pullback, the source's evaluator or ``_trilinear`` on the full
-    pullback, then the field rotation, the pressures and |B|^2."""
+def _whole_grid_affine(state, move):
+    """The finite form ``move`` on the whole grid at once: the pullback,
+    the source's evaluator or ``_trilinear`` on the full pullback, then the
+    field rotation, the pressures and |B|^2."""
+    rot, t, K, s, pf, shift = move.rot, move.t, move.K, move.s, move.pf, move.shift
     x, y, z = ((a - k) / t for a, k in zip(np.ix_(*state.grid.axes()), K))
     Xs, Ys, Zs = (rot[0, r] * x + rot[1, r] * y + rot[2, r] * z for r in range(3))
     if state.evaluators is not None:
@@ -1208,16 +1224,16 @@ def _whole_grid_affine(state, rot, t, K, s, pf, shift):
 
 
 def _blocked_move(move, small):
-    """A point transform and its finite form (rot, t, K, s, pf, shift);
-    the small ones keep a mapped state's points inside its domain."""
+    """A point transform and its finite form (a ``Move``); the small ones
+    keep a mapped state's points inside its domain."""
     if move == "rotate":
         euler = (0.02, 0.0, 0.0) if small else EULER
-        return (lambda st: rotate_state(st, *euler)), (equilibria._euler_zxz(*euler), 1.0, (0.0, 0.0, 0.0), 1.0, 1.0, 0.0)
+        return (lambda st: rotate_state(st, *euler)), Move(equilibria._euler_zxz(*euler))
     if move == "translate":
         K = (0.03, -0.02, 0.02) if small else (0.13, -0.2, 0.11)
-        return (lambda st: translate_state(st, K, 0.4)), (np.eye(3), 1.0, K, 1.0, 1.0, 0.4)
+        return (lambda st: translate_state(st, K, 0.4)), Move(K=K, shift=0.4)
     t, s = (1.02, 0.9) if small else (1.3, 0.7)
-    return (lambda st: scale_state(st, t, s)), (np.eye(3), t, (0.0, 0.0, 0.0), s, s * s, 0.0)
+    return (lambda st: scale_state(st, t, s)), Move(t=t, s=s, pf=s * s)
 
 
 @pytest.fixture(scope="module")
@@ -1285,7 +1301,7 @@ def test_point_transforms_in_blocks_are_bit_identical_to_the_whole_grid(
     src = _blocked_source(kind, counts, params, helical_solution)
     slabs = _set_block(monkeypatch, counts, slabs)
     transform, finite_form = _blocked_move(move, small=kind == "flux_to_cgl")
-    want = _whole_grid_affine(src, *finite_form)
+    want = _whole_grid_affine(src, finite_form)
     calls = []
     out = transform(src if src.evaluators is None else _counting(src, calls))
     got = (out.B.values, out.p_perp.values, out.p_par.values, out.tau.values, out.psi.values)
@@ -1375,22 +1391,19 @@ def _lopsided_sampled(grid):
     return CGLState(state.B, state.p_perp, state.tau, state.psi, {}, None)
 
 
-# axis-aligned moves -> (the transform, its finite form (rot, t, K, s, pf, shift))
+# axis-aligned moves -> (the transform, its finite form)
 AXIS_MOVES = {
     # cells run backwards along every axis
-    "scale t = -1.3": (lambda st: scale_state(st, -1.3, 0.7), (np.eye(3), -1.3, (0.0, 0.0, 0.0), 0.7, 0.7**2, 0.0)),
+    "scale t = -1.3": (lambda st: scale_state(st, -1.3, 0.7), Move(t=-1.3, s=0.7, pf=0.7**2)),
     # several output slabs share one source slab; source slabs are skipped
-    "scale t = 2.5": (lambda st: scale_state(st, 2.5, 1.1), (np.eye(3), 2.5, (0.0, 0.0, 0.0), 1.1, 1.1**2, 0.0)),
-    "scale t = 0.4": (lambda st: scale_state(st, 0.4, 0.9), (np.eye(3), 0.4, (0.0, 0.0, 0.0), 0.9, 0.9**2, 0.0)),
+    "scale t = 2.5": (lambda st: scale_state(st, 2.5, 1.1), Move(t=2.5, s=1.1, pf=1.1**2)),
+    "scale t = 0.4": (lambda st: scale_state(st, 0.4, 0.9), Move(t=0.4, s=0.9, pf=0.9**2)),
     # more than three cells along each axis: clamped cells, extrapolated values
     "translate past the grid": (
         lambda st: translate_state(st, (0.35, -0.2, 0.23), 0.4),
-        (np.eye(3), 1.0, (0.35, -0.2, 0.23), 1.0, 1.0, 0.4),
+        Move(K=(0.35, -0.2, 0.23), shift=0.4),
     ),
-    "identity rotation": (
-        lambda st: rotate_state(st, 0.0, 0.0, 0.0),
-        (equilibria._euler_zxz(0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 0.0), 1.0, 1.0, 0.0),
-    ),
+    "identity rotation": (lambda st: rotate_state(st, 0.0, 0.0, 0.0), Move(equilibria._euler_zxz(0.0, 0.0, 0.0))),
 }
 
 AXIS_GRIDS = {
@@ -1411,7 +1424,7 @@ def test_axis_aligned_moves_are_bit_identical_to_the_whole_grid_trilinear(monkey
     transform, finite_form = AXIS_MOVES[move]
     with mock.patch.object(equilibria, "_trilinear", side_effect=AssertionError("eight-corner path")):
         out = transform(src)
-    want = _whole_grid_affine(src, *finite_form)
+    want = _whole_grid_affine(src, finite_form)
     assert out.meta["resampling"] == "trilinear (lossy)"
     got = (out.B.values, out.p_perp.values, out.p_par.values, out.tau.values, out.psi.values)
     for g, w in zip(got, want):
