@@ -13,6 +13,17 @@ __version__ = "0.1.0"
 RESIDUAL_SYSTEMS = ("mhd", "cgl", "alt")
 
 
+def number(text, kind=float):
+    """``kind(text)`` of an ASCII literal with no ``_`` (Python's own also reads ``1_0`` and other digits)."""
+    if isinstance(text, str) and not (text.isascii() and "_" not in text):
+        raise ValueError(f"not an ASCII literal: {text!r}")
+    return kind(text)
+
+
+def integer(text) -> int:
+    return number(text, int)
+
+
 def data_text(name: str) -> str:
     """The text of ``name``, a file bundled in ``plasmeq/data``."""
     from importlib import resources

@@ -42,7 +42,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from . import RESIDUAL_SYSTEMS
+from . import RESIDUAL_SYSTEMS, integer, number
 
 __all__ = ["main"]
 
@@ -409,12 +409,12 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(handler="cmd_lie_verify")
 
     vortex = sub.add_parser("vortex", help="sample the spherical-vortex equilibrium")
-    vortex.add_argument("--R", type=float, default=1.0)
-    vortex.add_argument("--B0", type=float, default=1.0)
-    vortex.add_argument("--P0", type=float, default=1.0)
-    vortex.add_argument("--n", type=int, default=3, help="mode index")
-    vortex.add_argument("--grid", type=int, default=65, help="nodes per axis")
-    vortex.add_argument("--extent", type=float, default=1.2, help="half-width of the cubic box")
+    vortex.add_argument("--R", type=number, default=1.0)
+    vortex.add_argument("--B0", type=number, default=1.0)
+    vortex.add_argument("--P0", type=number, default=1.0)
+    vortex.add_argument("--n", type=integer, default=3, help="mode index")
+    vortex.add_argument("--grid", type=integer, default=65, help="nodes per axis")
+    vortex.add_argument("--extent", type=number, default=1.2, help="half-width of the cubic box")
     vortex.add_argument(
         "--pressure-profile",
         choices=("balanced", "unscaled"),
@@ -427,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     transform = sub.add_parser("transform", help="apply a field-line transform")
     transform.add_argument("--state", required=True, help="input state CSV")
     transform.add_argument("--M", required=True, help="magnitude expression in psi")
-    transform.add_argument("--m-min", type=float, default=1e-8, help="smallest |M| accepted (positive)")
+    transform.add_argument("--m-min", type=number, default=1e-8, help="smallest |M| accepted (positive)")
     transform.set_defaults(handler="cmd_transform")
 
     flux = sub.add_parser("flux", help="flux-function solvers")
@@ -438,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tocgl = flux_sub.add_parser("tocgl", help="map a solution to an anisotropic state")
     tocgl.add_argument("solution", help="solution.json from flux solve")
     tocgl.add_argument("--tau", required=True, help="anisotropy expression in psi")
-    tocgl.add_argument("--grid", type=int, default=33, help="nodes per axis of the sampling box")
+    tocgl.add_argument("--grid", type=integer, default=33, help="nodes per axis of the sampling box")
     tocgl.set_defaults(handler="cmd_flux_tocgl")
 
     check = sub.add_parser("check", help="residual norms of a sampled state")
@@ -447,13 +447,13 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--stability", action="store_true")
     check.add_argument(
         "--mask-sphere",
-        type=float,
+        type=number,
         default=None,
         help="restrict norms to a ball of this radius shrunk by two stencil widths (it must exceed them)",
     )
     check.add_argument(
         "--threshold",
-        type=float,
+        type=number,
         default=None,
         help="absolute Linf pass threshold (replaces the two-grid probe)",
     )

@@ -448,16 +448,15 @@ class TransformSpec:
 
     @functools.cached_property
     def compiled(self) -> Callable:
-        """M compiled once per spec; may return a scalar for constant M.
-        The symbolic kernel is imported here, on first use, so that the
-        commands that never compile an expression do not load it."""
+        """M compiled once per spec.  The symbolic kernel is imported here,
+        on first use, so that the commands that never compile an expression
+        do not load it."""
         from .expr import compile_numeric
 
         return compile_numeric(self.text, ["psi"])
 
     def __call__(self, psi_values: np.ndarray) -> np.ndarray:
-        values = np.asarray(self.compiled(psi_values), dtype=float)
-        return np.broadcast_to(values, np.shape(psi_values)).copy()
+        return self.compiled(psi_values)
 
 
 def require_defined(name: str, values: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -486,14 +485,15 @@ def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
 
     M is evaluated on the plasma only; other nodes (B below the sampled
     state's field-null threshold) pass through unchanged.  |M| <
-    ``spec.m_min`` is refused after the blocked pass, naming its minimum.
+    ``spec.m_min`` is refused after the blocked pass, naming its minimum,
+    and so is an image beyond the float range, naming its first node.
     """
     eps_b = _field_null_threshold(state.b_squared())
     name = f"M = {spec.text}"
-    m_low, tau_high = math.inf, False
+    m_low, tau_high, overflow = math.inf, False, False
 
     def field_line(b, pperp, tau, psi):
-        nonlocal m_low, tau_high
+        nonlocal m_low, tau_high, overflow
         b, pperp, tau = (np.array(v, dtype=float) for v in (b, pperp, tau))
         b2 = np.einsum("c...,c...->...", b, b)
         plasma = b2 > eps_b
@@ -506,7 +506,9 @@ def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
         active = np.array(plasma)
         active[plasma] = moved
         m = m[moved]
-        pperp[active], tau[active] = _field_line_image(m**2, b2[active], pperp[active], tau[active])
+        image = _field_line_image(m**2, b2[active], pperp[active], tau[active])
+        pperp[active], tau[active] = image
+        overflow = overflow or not np.isfinite(image[0]).all()
         # B times M where active and times 1.0 elsewhere, which leaves every
         # value as it was (signed zeros too): a dense product in place of
         # ``b[:, active]``, a slice mixed with a mask and numpy's slow path
@@ -520,6 +522,11 @@ def apply_infinite_transform(state: CGLState, spec: TransformSpec) -> CGLState:
         raise ValueError(
             f"|M| falls to {m_low:.3e} on the attained label range; the transform requires |M| >= {spec.m_min}"
         )
+    if overflow:
+        # p_perp' is not finite wherever B' = M B is not: M^2 |B|^2 enters it
+        node = tuple(int(i) for i in np.unravel_index(np.argmin(np.isfinite(out.p_perp.values)), state.grid.counts))
+        field = "p_perp" if np.isfinite(out.B.values[(slice(None), *node)]).all() else "B"
+        raise ValueError(f"{name} takes {field} beyond the float range at node {node} (x, y, z) = {state.grid.point(node)}")
     if tau_high:
         warnings.warn("input state has tau >= 1 somewhere", RuntimeWarning, stacklevel=2)
     return out

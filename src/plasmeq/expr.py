@@ -511,31 +511,25 @@ class Expr:
 
     # -- numeric evaluation ---------------------------------------------------
     def evaluate(self, env: Mapping[str, object]):
-        """Evaluate numerically; values may be scalars or numpy arrays.
+        """Evaluate numerically in one pass; values may be scalars or numpy
+        arrays, and each is read once, through ``env[name]``, as float64.
 
         Each atom, including those inside function arguments, is evaluated
-        once per call.  Out-of-domain inputs yield inf/nan rather than
+        once per call.  Out-of-domain inputs and overflow yield inf/nan, not
         warnings; callers that need totality check finiteness themselves.
         """
-        rules, errstate = _numeric()
-        with errstate(all="ignore"):
-            try:
-                return self._evaluate(env, rules, {})
-            except OverflowError:
-                # a Python number's power raises where numpy's is inf: redo it in numpy floats
-                import numpy as np
+        numeric = _numeric()
+        with numeric[1].errstate(all="ignore"):
+            return self._evaluate(env, numeric, {})
 
-                env = {name: np.float64(v) if isinstance(v, (int, float)) else v for name, v in env.items()}
-                return self._evaluate(env, rules, {})
-
-    def _evaluate(self, env, rules, values: dict):
+    def _evaluate(self, env, numeric: tuple, values: dict):
         """The float sum ``0.0 + t1 + t2 + ...`` of the terms, each the float
-        coefficient times its atom powers in monomial order; ``values``
-        holds the atom values of the current call.
+        coefficient times its atom powers in monomial order; ``numeric`` is
+        ``_numeric()``, ``values`` the atom values of the current call.
 
         A running product or sum that is an array was allocated here, so it
         takes the next factor or term in place wherever the result keeps
-        its shape and dtype; every IEEE operation is the one out of place.
+        its shape; every IEEE operation is the one out of place.
         """
         total = 0.0
         for m, c in self._terms.items():
@@ -543,10 +537,10 @@ class Expr:
             for a, k in m:
                 value = values.get(a)
                 if value is None:
-                    value = values[a] = _atom_value(a, env, rules, values)
+                    value = values[a] = _atom_value(a, env, numeric, values)
                 # x^-k is inv(x)^k; x^1 is x, and leaves the value unallocated
                 if k < 0:
-                    value, k = rules["inv"](value), -k
+                    value, k = numeric[0]["inv"](value), -k
                 factor = value if k == 1 else value**k
                 if _takes_in_place(term, factor):
                     term *= factor
@@ -607,27 +601,18 @@ def _chain_rule(atom: FnAtom, dargs: list[dict], keys: Iterable) -> list[tuple]:
 
 def _takes_in_place(acc, value) -> bool:
     """Whether ``acc``, a running product or sum, is an array whose shape
-    and dtype ``acc op value`` keeps: a scalar ``value``, or one of
-    ``acc``'s own shape and of a dtype that does not widen it."""
+    ``acc op value`` keeps: a scalar ``value``, or one of ``acc``'s own
+    shape.  Every value is float64, so no dtype widens."""
     shape = getattr(acc, "shape", ())
-    return (
-        shape != ()
-        and getattr(value, "shape", ()) in (shape, ())
-        and _numpy().result_type(acc, value) == acc.dtype
-    )
+    return shape != () and getattr(value, "shape", ()) in (shape, ())
 
 
-@functools.cache
-def _numpy():
-    import numpy
-
-    return numpy
-
-
-def _atom_value(atom: Atom, env, rules: Mapping[str, Callable], values: dict):
+def _atom_value(atom: Atom, env, numeric: tuple, values: dict):
+    rules, np = numeric
     if isinstance(atom, Symbol):
         try:
-            return env[atom.name]
+            # a number as a numpy float, whose powers are Python's (a 0-d array's are not)
+            return np.asarray(env[atom.name], dtype=float)[()]
         except KeyError:
             raise EvalError(f"no value bound for {atom.name!r}") from None
     if any(atom.dtag):
@@ -636,7 +621,7 @@ def _atom_value(atom: Atom, env, rules: Mapping[str, Callable], values: dict):
         fn = rules[atom.head]
     except KeyError:
         raise EvalError(f"no numeric rule for function {atom.head!r}") from None
-    return fn(*[a._evaluate(env, rules, values) for a in atom.args])
+    return fn(*[a._evaluate(env, numeric, values) for a in atom.args])
 
 
 def _apply(head: str, u: Expr) -> Expr:
@@ -660,16 +645,16 @@ NUMERIC_FUNCTIONS = frozenset(_DERIVATIVES)
 
 
 @functools.cache
-def _numeric() -> tuple[dict[str, Callable], Callable]:
+def _numeric() -> tuple[dict[str, Callable], object]:
     """The numeric rules of ``NUMERIC_FUNCTIONS`` (numpy's function of the
-    same name; for ``inv`` numpy's 1/x, which is inf, not an error, at a
-    Python 0.0) and numpy's ``errstate``, built on first numeric use, so
-    that the symbolic half never imports numpy."""
+    same name; for ``inv`` numpy's 1/x, which is inf, not an error, at 0.0)
+    and numpy itself, imported on first numeric use, so that the symbolic
+    half never imports numpy."""
     import numpy as np
 
     rules = {name: getattr(np, name) for name in NUMERIC_FUNCTIONS - {"inv"}}
     rules["inv"] = functools.partial(np.divide, 1.0)
-    return rules, np.errstate
+    return rules, np
 
 
 def _reciprocal(den: Expr) -> Expr:
@@ -870,7 +855,7 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<comment>\#[^\n]*)
-  | (?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)
+  | (?P<number>(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][-+]?[0-9]+)?)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>[-+*/^(),;=:])
     """,
@@ -1002,7 +987,7 @@ class _Parser:
         while self.peek().text in ("+", "-"):
             neg ^= self.next().text == "-"
         tok = self.next()
-        if tok.type != "number" or not re.fullmatch(r"\d+", tok.text):
+        if tok.type != "number" or not re.fullmatch("[0-9]+", tok.text):
             raise ParseError("exponent must be an integer literal", tok.line, tok.col)
         n = int(tok.text)
         _bound_constants(op, (base,), n)
@@ -1119,7 +1104,12 @@ def parse_program(text: str) -> ProgramFile:
             # unknown name(arg, arg, ...): the arguments follow _name_list's rule
             if len(stmt) < 4 or stmt[1].type != "ident" or stmt[2].text != "(" or stmt[-1].text != ")":
                 raise ParseError("malformed unknown declaration", head.line, head.col)
-            unknowns[stmt[1].text] = tuple(_name_list([head, *stmt[3:-1]]))
+            name, args = stmt[1].text, _name_list([head, *stmt[3:-1]])
+            repeated = next((a for i, a in enumerate(args) if a in args[:i]), None)
+            if name in unknowns or repeated:
+                what = "is declared twice" if name in unknowns else f"repeats its argument {repeated!r}"
+                raise ParseError(f"unknown function {name!r} {what}", head.line, head.col)
+            unknowns[name] = tuple(args)
         else:
             deferred.append(stmt)
 
@@ -1152,7 +1142,7 @@ def parse_program(text: str) -> ProgramFile:
         elif head.type == "ident" and head.text == "target_count":
             if target_count is not None:
                 raise ParseError("target_count is declared twice", head.line, head.col)
-            if len(stmt) != 3 or stmt[1].text != ":" or not re.fullmatch(r"\d+", stmt[2].text):
+            if len(stmt) != 3 or stmt[1].text != ":" or not re.fullmatch("[0-9]+", stmt[2].text):
                 raise ParseError("target_count must be 'target_count: <integer>'", head.line, head.col)
             target_count = int(stmt[2].text)
         else:
@@ -1286,7 +1276,8 @@ def pretty(e: Expr) -> str:
 
 def compile_numeric(text: str, variables: Iterable[str]):
     """Compile an expression over the given variable names into a vectorized
-    callable of keyword or positional arrays.
+    callable of keyword or positional arrays.  It returns float64 values of
+    its arguments' broadcast shape (a number for numbers), in a new array.
 
     Used for constitutive profiles (``J``, ``dN``, ``tau``) and transform
     magnitude expressions, keeping the command-line surface free of
@@ -1307,7 +1298,9 @@ def _numeric_function(e: Expr, names: list[str], text: str | None = None):
         missing = [n for n in names if n not in env]
         if missing:
             raise EvalError(f"missing values for {missing}")
-        return e.evaluate(env)
+        value, np = e.evaluate(env), _numeric()[1]
+        shape = np.broadcast_shapes(*(np.shape(env[n]) for n in names))
+        return value if np.shape(value) == shape else np.broadcast_to(value, shape).copy()
 
     symbol = {name: Symbol(name, "independent") for name in names}
     fn.expression, fn.text = e, text

@@ -50,6 +50,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import fields as fd
+from . import number
 from .expr import ExprError, Symbol, compile_numeric
 from .fields import Grid3
 
@@ -496,8 +497,7 @@ def _nonlinear_term(problem: FluxProblem, r: np.ndarray, S: np.ndarray | None):
         return out
 
     def g(psi: np.ndarray) -> np.ndarray:
-        # a constant g evaluates to one number: broadcast it against psi and q
-        out = np.broadcast_to(problem._g(psi, q, problem.gamma), np.broadcast_shapes(np.shape(psi), q.shape))
+        out = problem._g(psi, q, problem.gamma)
         return finite(out if S is None else out + S, "constitutive profile")
 
     g.slope = lambda psi: finite(problem._dg(psi, q, problem.gamma), "the derivative of a constitutive profile")
@@ -703,8 +703,7 @@ def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3) -> CGLState:
     tau_fn = _compile_profile("tau", tau, ("psi",))
     lo, hi = sol.attained_range()
     psi_probe = np.linspace(lo, hi, 513)
-    probe = np.broadcast_to(np.asarray(tau_fn(psi_probe), dtype=float), psi_probe.shape)
-    tau_max = float(np.max(require_defined(f"tau = {tau_fn.text}", probe, psi_probe)))
+    tau_max = float(np.max(require_defined(f"tau = {tau_fn.text}", tau_fn(psi_probe), psi_probe)))
     if tau_max >= 1.0:
         raise ValueError(f"tau reaches {tau_max:.6g} on the attained flux range; the mapping needs tau < 1")
     n_of = sol.pressure()
@@ -719,7 +718,7 @@ def flux_to_cgl(sol: FluxSolution, tau, grid: Grid3) -> CGLState:
         _require_in_domain(problem, R, ZU)
         # one cell lookup serves psi and both first derivatives
         psi, psi_r, psi_zu = spline.derivatives(R, ZU, ((0, 0), (1, 0), (0, 1)))
-        m = np.broadcast_to(1.0 / np.sqrt(1.0 - tau_fn(psi)), psi.shape)
+        m = 1.0 / np.sqrt(1.0 - tau_fn(psi))
         Jv = problem.J(psi)
         b_r = psi_zu / R
         denom = R**2 + gamma**2
@@ -772,12 +771,12 @@ _MANIFEST_VALUES = {
 
 def _number(value, key: str, where: str, kind=float):
     try:
-        number = kind(value)
+        value = number(value, kind)
     except (TypeError, ValueError):
         raise ValueError(f"{where}: {key} is not {'an integer' if kind is int else 'a number'}: {value!r}") from None
-    if not math.isfinite(number):
-        raise ValueError(f"{where}: {key} must be finite, got {number}")
-    return number
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: {key} must be finite, got {value}")
+    return value
 
 
 def _problem(entries: dict, where: str) -> FluxProblem:

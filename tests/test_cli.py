@@ -826,6 +826,10 @@ BAD_INPUTS = {
         lambda tmp: ["transform", "--state", _state(tmp), "--M", "psi/0"],
         "division by zero",
     ),
+    "field-line image beyond the float range": (
+        lambda tmp: ["transform", "--state", _state(tmp), "--M", "1e308*psi^3"],
+        "M = 1e308*psi^3 takes p_perp beyond the float range at node (1, 3, 3) (x, y, z) = (-0.8999999999999999, ",
+    ),
     "division by zero in a flux file": (
         lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ndN = 1/0")],
         "division by zero",
@@ -950,6 +954,24 @@ BAD_INPUTS = {
     "target_count given twice": (
         lambda tmp: ["lie", "detsys", _file(tmp, "t.pde", SMALL_PDE.format("target_count: 1;\ntarget_count: 5;"))],
         "target_count is declared twice (line 4, column 1)",
+    ),
+    "unknown declared twice": (
+        lambda tmp: ["lie", "detsys", _file(tmp, "u.pde", SMALL_PDE.format("unknown f(x);\nunknown f(y);"))],
+        "u.pde: unknown function 'f' is declared twice (line 4, column 1)",
+    ),
+    "unknown with a repeated argument": (
+        lambda tmp: [
+            "lie", "verify", _file(tmp, "u.pde", SMALL_PDE.format("unknown f(x, x);")), data_path("mhd_rotations.gen"),
+        ],
+        "u.pde: unknown function 'f' repeats its argument 'x' (line 3, column 1)",
+    ),
+    "name declared as independent and dependent": (
+        lambda tmp: ["lie", "detsys", _file(tmp, "x.pde", "indep x;\ndep x;\neq diff(x,x) = 0;\n")],
+        "x.pde: duplicate declaration of 'x'",
+    ),
+    "Arabic-Indic digit in a generator": (
+        lambda tmp: ["lie", "verify", data_path("mhd_static.pde"), _file(tmp, "g.gen", "xi(x) = \u0661;\n")],
+        "g.gen: unexpected character '\u0661' (line 1, column 9)",
     ),
     "fractional target_count": (
         lambda tmp: ["lie", "detsys", _file(tmp, "t.pde", SMALL_PDE.format("target_count: 1.5;"))],
@@ -1105,6 +1127,27 @@ BAD_INPUTS = {
             "flux", "solve", _file(tmp, "coarse.flux", "r0 = 0.5\nr1 = 1.5\nzu0 = -0.5\nzu1 = 0.5\nnr = 5\nboundary = r\n"),
         ],
         "coarse.flux: resolution must be at least 9 x 9",
+    ),
+    "flux number with an underscore": (
+        lambda tmp: ["flux", "solve", _domain_flux_file(tmp, "problem.flux", "r0 = 0.5\nr1 = 1_5\nzu0 = -0.5\nzu1 = 0.5")],
+        "problem.flux: r1 is not a number: '1_5'",
+    ),
+    "flux tolerance with an underscore": (
+        lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ntol = 1_0e-11")],
+        "problem.flux: tol is not a number: '1_0e-11'",
+    ),
+    "flux resolution with an underscore": (
+        lambda tmp: [
+            "flux", "solve", _file(tmp, "n.flux", "r0 = 0.5\nr1 = 1.5\nzu0 = -0.5\nzu1 = 0.5\nnr = 1_7\nboundary = r\n"),
+        ],
+        "n.flux: nr is not an integer: '1_7'",
+    ),
+    "flux resolution in Arabic-Indic digits": (
+        lambda tmp: [
+            "flux", "solve",
+            _file(tmp, "n.flux", "r0 = 0.5\nr1 = 1.5\nzu0 = -0.5\nzu1 = 0.5\nnzu = \u0661\u0667\nboundary = r\n"),
+        ],
+        "n.flux: nzu is not an integer: '\u0661\u0667'",
     ),
     "flux profile beyond the float range": (
         lambda tmp: ["flux", "solve", _flux_file(tmp, "boundary = r\ndN = -1e400")],
@@ -1530,6 +1573,27 @@ def test_a_power_of_ten_million_is_refused_within_a_second(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == "error: --M: constant of more than 4300 digits when written out (line 1, column 2)\n"
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["vortex", "--R", "1_0"], "argument --R: invalid number value: '1_0'"),
+        (["vortex", "--grid", "\u0661\u0667"], "argument --grid: invalid integer value: '\u0661\u0667'"),
+        (["vortex", "--grid", "1_7"], "argument --grid: invalid integer value: '1_7'"),
+        (["transform", "--state", "s.csv", "--M", "2", "--m-min", "\uff11"], "argument --m-min: invalid number value"),
+    ],
+)
+def test_a_numeric_flag_is_an_ascii_literal(tmp_path, capsys, argv, message):
+    # Python's float and int read 1_0 and Arabic-Indic digits; the flags do not
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path / "out"), *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith(f"plasmeq {argv[0]}: error: {message}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_subcommand_exits_two(tmp_path):

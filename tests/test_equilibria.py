@@ -1586,6 +1586,30 @@ def test_field_line_errors_in_blocks_are_the_whole_grid_errors(vortex17, monkeyp
     assert str(err.value).startswith(message)
 
 
+@pytest.mark.parametrize(
+    "B0, text, field", [(1.0, "1e308*psi^3", "p_perp"), (1e3, "1e308", "B")], ids=["p_perp", "B and p_perp"]
+)
+def test_an_image_beyond_the_float_range_is_refused_at_its_first_node(monkeypatch, B0, text, field):
+    # B' = M B or p_perp' = p_perp + (1 - M^2)|B|^2/2 passes the float range
+    # at some plasma node: the first in C order is named, however the blocks
+    # fall, and B where both are
+    state = vortex_state(vortex_params(B0=B0), Grid3.cube(-1.2, 1.2, 9))
+    spec = TransformSpec(text)
+    with np.errstate(all="ignore"):
+        (b, pperp, *_), _ = _whole_grid_field_line(state, spec)
+    b_bad = ~np.isfinite(b).all(axis=0)
+    # p_perp' is not finite wherever B' is not
+    assert not np.isfinite(pperp[b_bad]).any()
+    node = tuple(int(i) for i in np.unravel_index(np.argmin(np.isfinite(pperp)), pperp.shape))
+    assert node == (1, 3, 3) and b_bad[node] == (field == "B")
+    message = f"M = {text} takes {field} beyond the float range at node {node} (x, y, z) = {state.grid.point(node)}"
+    for slabs in (1, 2, 9):
+        monkeypatch.setattr(equilibria, "BLOCK_NODES", slabs * 81)
+        with np.errstate(all="ignore"), pytest.raises(ValueError) as err:
+            apply_infinite_transform(state, spec)
+        assert str(err.value) == message
+
+
 @pytest.mark.parametrize("kind", ["analytic", "csv"])
 @pytest.mark.parametrize("grid_name", NODE_MAP_GRIDS)
 def test_anisotropy_rescaling_in_blocks_is_bit_identical_to_the_whole_grid(
@@ -2304,6 +2328,12 @@ def test_state_fields_must_share_grid():
     v1 = VectorGrid(g1, np.zeros((3, *g1.counts)))
     with pytest.raises(ValueError, match="share one grid"):
         CGLState(v1, s1, s2, s1)
+
+
+def test_vortex_state_refuses_a_grid_where_the_pressure_vanishes():
+    # P0 = 0 and a grid that misses the ball, where the pressure is P0 alone
+    with pytest.raises(ValueError, match="^degenerate state: pressure vanishes on the whole grid$"):
+        vortex_state(vortex_params(P0=0.0), Grid3((5.0, 5.0, 5.0), (0.1, 0.1, 0.1), (5, 5, 5)))
 
 
 def test_vortex_parameters_validate_mode_number(params):

@@ -268,6 +268,36 @@ def test_compile_numeric_keeps_constants_a_float_can_hold():
     assert compile_numeric("psi + 1e-400 + 10^308", ["psi"])(1.0) == 1.0 + 1e308
 
 
+@pytest.mark.parametrize("text", ["2", "0", "q", "q*sin(q) - 1", "psi*q + 1"])
+def test_a_compiled_profile_returns_its_arguments_broadcast_shape(text):
+    # a constant, or an expression that leaves out psi, fills a new array of
+    # the shape of psi and q together; so does one that uses both
+    f = compile_numeric(text, ["psi", "q"])
+    psi, q = np.linspace(0.0, 1.0, 20).reshape(4, 5), np.arange(1.0, 5.0)[:, None]
+    out = f(psi, q)
+    assert out.shape == (4, 5) and out.dtype == np.float64 and out.flags.writeable
+    assert not np.shares_memory(out, psi) and not np.shares_memory(out, q)
+    want = np.broadcast_to(f.expression.evaluate({"psi": psi, "q": q}), (4, 5))
+    assert np.array_equal(out, want)
+    out[...] = -7.0
+    assert np.array_equal(f(psi, q), want)
+    # numbers give a number
+    assert np.shape(f(0.5, 2.0)) == () and f(0.5, 2.0) == f.expression.evaluate({"psi": 0.5, "q": 2.0})
+
+
+@pytest.mark.parametrize(
+    "dtype, values, text",
+    [(np.int16, [200, -7], "psi^2"), (np.int64, [3000000, 5], "psi^3"), (np.float32, [0.1, 7.0], "psi/3")],
+    ids=["int16", "int64", "float32"],
+)
+def test_each_value_is_read_as_float64(dtype, values, text):
+    # an integer array's power does not wrap, and float32 does not round the result
+    psi = np.array(values, dtype=dtype)
+    got = compile_numeric(text, ["psi"])(psi)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, compile_numeric(text, ["psi"])(psi.astype(np.float64)))
+
+
 def test_program_file_parsing():
     prog = parse_program(
         """
@@ -597,6 +627,14 @@ def test_evaluation_is_bit_identical_to_a_term_by_term_walk(text):
     assert np.array_equal(f(0.75), _evaluate_term_by_term(f.expression, {"psi": 0.75}))
 
 
+def test_a_number_is_evaluated_as_python_evaluates_it():
+    # a number is read as a numpy float, whose powers are Python's; a 0-d
+    # array's differ from them in the last bit for about one value in fifty
+    f = compile_numeric("psi^3 - psi^4/3 + psi^-2", ["psi"])
+    for x in np.random.default_rng(7).uniform(-3.0, 3.0, 500).tolist():
+        assert f(x) == _evaluate_term_by_term(f.expression, {"psi": x}), x
+
+
 # the shapes an input may take: a Python float, broadcasting rows and
 # columns, and full arrays
 _INPUT_SHAPES = [(), (5,), (4, 1), (1, 5), (4, 5)]
@@ -631,7 +669,7 @@ def test_each_atom_is_evaluated_once_per_call(monkeypatch):
     from plasmeq import expr
 
     calls = {}
-    rules, errstate = expr._numeric()
+    rules, numpy = expr._numeric()
 
     def counted(name, fn):
         def call(*args):
@@ -640,7 +678,7 @@ def test_each_atom_is_evaluated_once_per_call(monkeypatch):
 
         return call
 
-    monkeypatch.setattr(expr, "_numeric", lambda: ({n: counted(n, fn) for n, fn in rules.items()}, errstate))
+    monkeypatch.setattr(expr, "_numeric", lambda: ({n: counted(n, fn) for n, fn in rules.items()}, numpy))
 
     class Env(dict):
         def __getitem__(self, name):
@@ -1125,6 +1163,10 @@ PARSE_ERROR_POSITIONS = {
         "number literal too long to write out": ("indep x;\ndep u;\neq diff(u,x) =\n\t2*1e3000000*u;\n", (4, 4)),
         "square of a literal of three thousand digits": ("indep x;\ndep u;\neq diff(u,x) = (1e3000)^2*u;\n", (3, 24)),
         "product of two literals of three thousand digits": ("indep x;\ndep u;\neq u = 2*\n  1e3000 * 1e3000;\n", (4, 10)),
+        "unknown declared twice": ("indep x, y;\ndep u;\nunknown f(x);\n  unknown f(y);\n", (4, 3)),
+        "unknown with a repeated argument": ("indep x, y;\ndep u;\nunknown f(x, y, x);\n", (3, 1)),
+        "Arabic-Indic digit": ("indep x;\ndep u;\neq diff(u,x) = \u0661;\n", (3, 16)),
+        "target_count in Arabic-Indic digits": ("indep x;\ndep u;\ntarget_count: \u0667;\n", (3, 15)),
     },
     "gen": {
         "bad character on a continued line": ("xi(x) = x\n  + @;\n", (2, 5)),
@@ -1133,11 +1175,15 @@ PARSE_ERROR_POSITIONS = {
         "statement without parentheses": ("  xi x = 1;\n", (1, 3)),
         "empty component over two lines": ("xi(x) =\n\n  ;\n", (1, 7)),
         "number literal of 5000 digits": ("xi(x) = 1;\neta(u) = x - " + "9" * 5000 + ";\n", (2, 14)),
+        "Arabic-Indic digit": ("xi(x) = \u0661;\n", (1, 9)),
     },
     "M": {
         "unclosed call after a tab": ("1 + psi*\tsin(psi", (1, 17)),
         "exponent that is a name": ("psi^-x", (1, 6)),
         "bad character on a second line": ("1 +\n psi $", (2, 6)),
+        "Arabic-Indic exponent": ("psi^\u0662 + 10", (1, 5)),
+        "Arabic-Indic number": ("psi^2 + \u0661\u0660", (1, 9)),
+        "fullwidth digit": ("psi + \uff11", (1, 7)),
         "undeclared name after a comment": ("psi # comment\n + q", (2, 4)),
         "division by zero": ("psi / (1 - 1)", (1, 5)),
         "number literal too long to write out": ("psi*1e10000000", (1, 5)),

@@ -175,6 +175,27 @@ def test_a_failing_text_raises_the_same_error_on_every_call(text, error):
     assert PdeSystem.from_text("indep x;\ndep u;\nsolve_for: diff(u,x);\neq diff(u,x) = u;\n").equations
 
 
+def test_a_solved_pair_whose_denominator_is_eliminated_keeps_one_power_on_both_sides():
+    # u_x = 1/v_x, and v_x = u: the numerator, free of v_x, takes u to the
+    # power the denominator's elimination gave, so u_x is 1/u, under u != 0
+    system = PdeSystem.from_text(
+        "indep x, y;\ndep u, v;\nsolve_for: diff(u,x), diff(v,x);\neq diff(v,x)*diff(u,x) = 1;\neq diff(v,x) = u;\n"
+    )
+    ctx = system.context
+    solved = {jet.name: (pretty(num), pretty(den)) for jet, (num, den) in system.solved.items()}
+    assert solved == {"u_x": ("1", "u"), "v_x": ("u", "1")}
+    assert system.assumptions == ("u != 0",)
+    assert build_determining_system(system).count == 4
+    for text in ("xi(x) = 1;", "xi(y) = 1;"):
+        result = verify_generator(system, parse_generator(ctx, text))
+        assert result.residuals == () and result.assumptions == ("u != 0",), text
+
+
+def test_an_unknown_bundled_system_is_refused():
+    with pytest.raises(ValueError, match=r"^unknown bundled system 'cgl_open'; choose from \['cgl', 'cgl_closed', 'mhd'\]$"):
+        load_system("cgl_open")
+
+
 def test_closed_system_records_genericity(cgl_closed):
     assert cgl_closed.assumptions == ("B1 != 0",)
 
